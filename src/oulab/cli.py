@@ -121,8 +121,9 @@ def _finalize(report, args) -> int:
     print(f"report {path}")
     for p in written:
         print(f"plot-data {p}")
-    for key in sorted(report.pass_flags):
-        print(f"  {key}: {'pass' if report.pass_flags[key] else 'FAIL'}")
+    flags = report.effective_flags()
+    for key in sorted(flags):
+        print(f"  {key}: {'pass' if flags[key] else 'FAIL'}")
     ok = report.overall_pass()
     print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 2

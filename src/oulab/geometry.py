@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
 from .errors import (AlphaTooSmallError, BracketFailError, DimensionError,
                      ZeroPointError)
@@ -19,12 +18,19 @@ from .model import OUModel, quadratic_r
 
 
 def smooth_step(s) -> np.ndarray:
-    """C^inf monotone ramp: 0 for s <= 0, 1 for s >= 1."""
+    """C^inf monotone ramp: 0 for s <= 0, 1 for s >= 1, NaN for NaN.
+
+    The two exponentials are evaluated only on the open ramp 0 < s < 1;
+    outside it the ramp is written as the exact constant.
+    """
     s = np.asarray(s, dtype=float)
+    out = np.where(s >= 1, 1.0, np.where(np.isnan(s), np.nan, 0.0))
+    ramp = (s > 0) & (s < 1)
+    r = s[ramp]
     with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(s > 0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
-        b = np.where(s < 1, np.exp(-1.0 / np.maximum(1 - s, 1e-300)), 0.0)
-    out = a / (a + b)
+        a = np.exp(-1.0 / np.maximum(r, 1e-300))
+        b = np.exp(-1.0 / np.maximum(1 - r, 1e-300))
+    out[ramp] = a / (a + b)
     return out if out.shape else float(out)
 
 
@@ -85,15 +91,40 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
     """eta(x, u) = sum_j rt_j(x) r_j(u): 1 near the diagonal R(u) ~ R(x),
     0 once |R(u) - R(x)| >= 4.  Shapes of x and u must broadcast in the
     leading axes.
+
+    At u only the rings b - 1 and b carry weight, b = max(floor(R(u)), 1),
+    with profiles 1 - a and a that sum to exactly 1 in floating point too.
+    Ring j's plateau rt_j is exactly 1 on {j - 1 <= R <= j + 3} (on
+    {R <= j + 3} for j <= 2) and exactly 0 off {j - 2 < R < j + 4}
+    (off {R < j + 4} for j <= 2).  So with d = R(x) - b, eta is exactly
+
+      1  where -1 <= d <= 2, or d <= 2 and b <= 2 (both plateaus are 1),
+      0  where d >= 4, or d <= -3 and b >= 4 (both plateaus are 0),
+
+    which covers |R(u) - R(x)| <= 1, and >= 4 where R(u) >= 1.  The ring
+    sum is evaluated only on the rest (and where R is NaN); elsewhere eta
+    is written as its constant.  No margin is needed: rounding is monotone
+    and the bounds and ring offsets are small integers, so a computed d
+    strictly past a bound means the exact d is too, and every profile
+    argument R - j + c then rounds to the same side of 0 and 1 as its
+    exact value.  eta is bit-identical to the ring sum evaluated
+    everywhere.
     """
     Ru = np.asarray(quadratic_r(model, u))
     Rx = np.asarray(quadratic_r(model, x))
-    # at any u only rings max(floor(Ru), 1) + {-1, 0} carry weight
-    base = np.maximum(np.floor(Ru).astype(int), 1)
-    out = np.zeros(np.broadcast_shapes(Ru.shape, Rx.shape))
+    b = np.maximum(np.floor(Ru), 1.0)
+    d = Rx - b
+    near = (d < 2.0) & ((d > -1.0) | (b <= 2.0))
+    band = ~(near | (d > 4.0) | ((d < -3.0) & (b >= 4.0)))
+    out = np.where(near, 1.0, 0.0)
+    ru = np.broadcast_to(Ru, d.shape)[band]
+    rx = np.broadcast_to(Rx, d.shape)[band]
+    base = np.maximum(np.floor(ru).astype(int), 1)
+    eta = np.zeros(ru.shape)
     for off in (-1, 0):
         j = np.maximum(base + off, 0)
-        out = out + _ring_plateau_idx(Rx, j) * _ring_weight_idx(Ru, j)
+        eta = eta + _ring_plateau_idx(rx, j) * _ring_weight_idx(ru, j)
+    out[band] = eta
     return out if out.shape else float(out)
 
 
@@ -118,6 +149,7 @@ def ring_masses(model: OUModel, j_max: int) -> np.ndarray:
     bands, and the masses add to 1.
     """
     from scipy.integrate import quad
+    from scipy.stats import chi2
     n = model.n
     out = np.empty(j_max + 1)
     for j in range(j_max + 1):
@@ -126,7 +158,7 @@ def ring_masses(model: OUModel, j_max: int) -> np.ndarray:
         def f(r, jj=j):
             w = (1.0 - smooth_step(r - 1.0)) if jj == 0 else (
                 smooth_step(r - jj) - smooth_step(r - jj - 1.0))
-            return w * scipy.stats.chi2.pdf(2 * r, n) * 2
+            return w * chi2.pdf(2 * r, n) * 2
 
         out[j], _ = quad(f, lo, hi, limit=200)
     return out
@@ -262,9 +294,10 @@ def annulus_indicator(model: OUModel, alpha: float, x) -> np.ndarray:
 
 def level_set_mass(model: OUModel, tau: float) -> float:
     """gamma_inf({R >= tau}) = P(chi2_n >= 2 tau), exact."""
+    from scipy.stats import chi2
     if tau <= 0:
         return 1.0
-    return float(scipy.stats.chi2.sf(2.0 * tau, model.n))
+    return float(chi2.sf(2.0 * tau, model.n))
 
 
 def annulus_mass(model: OUModel, alpha: float) -> float:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (CoincidentPointsError, EtaZeroError,
                      NonPositiveTimeError, NumericalOverflowError,
@@ -383,6 +382,7 @@ def ftc_variation_bound(model: OUModel, x, u,
     x != u the kernel vanishes at t -> 0, so the lower endpoint adds
     nothing.  Also reports (count + 2) * sup K on a log grid.
     """
+    from scipy.integrate import quad
     x = np.asarray(x, dtype=float).reshape(model.n)
     u = np.asarray(u, dtype=float).reshape(model.n)
     if np.allclose(x, u):
@@ -399,7 +399,7 @@ def ftc_variation_bound(model: OUModel, x, u,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
-        val, _ = scipy.integrate.quad(absdot, a, b, limit=200)
+        val, _ = quad(absdot, a, b, limit=200)
         lhs += val
     k_at = [kernel(model, float(z), x, u) for z in zc.zeros]
     rhs = 2.0 * (sum(k_at) + kernel(model, t_hi, x, u))
@@ -621,6 +621,7 @@ def singular_integral_check(model: OUModel, p: float, r: float, delta: float,
     """Quadrature check of
     int_0^1 t^{-p} exp(-delta |u - Dt x|^2 / t) |x|^r dt <= C |u-x|^{2-2p-r}
     in its admissible range p + r/2 > 1; returns (lhs, rhs)."""
+    from scipy.integrate import quad
     if p < 0 or r < 0 or p + r / 2 <= 1:
         raise ValueError("need p, r >= 0 with p + r/2 > 1")
     if delta <= 0:
@@ -647,7 +648,7 @@ def singular_integral_check(model: OUModel, p: float, r: float, delta: float,
     lhs = 0.0
     for a, b in ((s_lo, s_peak), (s_peak, 0.0)):
         if b > a:
-            val, _ = scipy.integrate.quad(integrand, a, b, limit=400)
+            val, _ = quad(integrand, a, b, limit=400)
             lhs += val
     lhs *= xnorm_r
     rhs = float(np.linalg.norm(u - x)) ** (2.0 - 2.0 * p - r)
@@ -658,6 +659,7 @@ def far_field_decay_check(model: OUModel, delta: float, x, u,
                   t_max: float = 50.0) -> float:
     """int_1^inf exp(-delta |D_{-t} u - x|^2) |D_{-t} u| dt, truncated at
     t_max with a certified exponential tail below 1e-8."""
+    from scipy.integrate import quad
     if delta <= 0:
         raise ValueError("delta must be positive")
     x = np.asarray(x, dtype=float).reshape(model.n)
@@ -682,5 +684,5 @@ def far_field_decay_check(model: OUModel, delta: float, x, u,
         return np.exp(-delta * float((v - x) @ (v - x))) * \
             float(np.linalg.norm(v))
 
-    val, _ = scipy.integrate.quad(integrand, 1.0, t_max, limit=400)
+    val, _ = quad(integrand, 1.0, t_max, limit=400)
     return float(val)

@@ -50,18 +50,21 @@ class ProbeReport:
     seed: int = 0
     runtime_seconds: float | None = None         # never serialized
 
-    def overall_pass(self) -> bool:
-        if not self.pass_flags:
-            return True
-        return all(bool(v) for v in self.pass_flags.values())
-
-    def to_dict(self) -> dict:
-        flags = dict(self.pass_flags)
-        # a report with any unstable/unconverged marker cannot claim a pass
+    def effective_flags(self) -> dict:
+        """The pass flags as reported: a report with any unstable or
+        unconverged marker among its statistics cannot claim a pass, so
+        such a marker turns every flag False."""
         shaky = any(("unstable" in k or "unconverged" in k) and bool(v)
                     for k, v in self.statistics.items())
         if shaky:
-            flags = {k: False for k in flags}
+            return {k: False for k in self.pass_flags}
+        return dict(self.pass_flags)
+
+    def overall_pass(self) -> bool:
+        return all(bool(v) for v in self.effective_flags().values())
+
+    def to_dict(self) -> dict:
+        flags = self.effective_flags()
         return {
             "name": self.name,
             "claim": self.claim,

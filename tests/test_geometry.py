@@ -10,6 +10,7 @@ from oulab import (
     ring_euclidean_width,
     ring_weight,
     smooth_step,
+    standard_model,
 )
 from oulab.geometry import (
     annulus_mass,
@@ -162,6 +163,164 @@ def test_local_weight_range_and_broadcast(std2):
     assert np.all((eta >= 0.0) & (eta <= 1.0))
     one = local_weight(std2, x[0], u[0])
     assert eta[0] == pytest.approx(one)
+
+
+# ---------------------------------------------------------------------------
+# the band-restricted cutoff against the full ring sum
+#
+# Frozen copies of smooth_step and local_weight as they evaluated the ring
+# sum at every pair.  The production versions write the exact constants
+# outside the transition band and must agree with these bit for bit.
+
+
+def _full_smooth_step(s):
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(s > 0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
+        b = np.where(s < 1, np.exp(-1.0 / np.maximum(1 - s, 1e-300)), 0.0)
+        out = a / (a + b)
+    return out if out.shape else float(out)
+
+
+def _full_ring_weight_idx(R, j):
+    w = _full_smooth_step(R - j) - _full_smooth_step(R - j - 1.0)
+    return np.where(j == 0, 1.0 - _full_smooth_step(R - 1.0), w)
+
+
+def _full_ring_plateau_idx(R, j):
+    lo = np.where(j >= 3, _full_smooth_step(R - j + 2.0), 1.0)
+    return lo - _full_smooth_step(R - j - 3.0)
+
+
+def full_local_weight(model, x, u):
+    Ru = np.asarray(quadratic_r(model, u))
+    Rx = np.asarray(quadratic_r(model, x))
+    base = np.maximum(np.floor(Ru).astype(int), 1)
+    out = np.zeros(np.broadcast_shapes(Ru.shape, Rx.shape))
+    for off in (-1, 0):
+        j = np.maximum(base + off, 0)
+        out = out + _full_ring_plateau_idx(Rx, j) * _full_ring_weight_idx(
+            Ru, j)
+    return out if out.shape else float(out)
+
+
+def _cloud(seed, n, pairs=20_000):
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((pairs, n)) * 3.0
+    u = x + gen.standard_normal((pairs, n)) * 1.5
+    return x, u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_local_weight_bit_identical_on_random_clouds(n):
+    m = standard_model(n)
+    x, u = _cloud(10 + n, n)
+    eta = local_weight(m, x, u)
+    assert np.array_equal(eta, full_local_weight(m, x, u))
+    # the cloud reaches both constant regions and the band
+    assert np.any(eta == 0.0) and np.any(eta == 1.0)
+    assert np.any((eta > 0.0) & (eta < 1.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_local_weight_bit_identical_on_random_models(model_factory, seed, n):
+    m = model_factory(seed, n)
+    x, u = _cloud(100 + seed, n, pairs=5_000)
+    assert np.array_equal(local_weight(m, x, u), full_local_weight(m, x, u))
+
+
+def test_local_weight_bit_identical_at_band_edges(std1):
+    # R = x^2 / 2 is exact on the half-integers, so every pair of these
+    # points (and of their one-ulp neighbours) lands at or next to the
+    # band edges |dR| in {0.5, 1, 4, 4.5}, at integer R and at R = 0; a
+    # point at infinity adds the pairs whose R difference is infinite or NaN
+    base = np.arange(17) / 2.0
+    pts = np.concatenate([base, np.nextafter(base, np.inf),
+                          np.nextafter(base, -np.inf)])[:, None]
+    R = quadratic_r(std1, pts)
+    gaps = np.abs(R[:, None] - R[None, :])
+    for edge in (0.5, 1.0, 4.0, 4.5):
+        assert np.any(gaps == edge)
+    assert np.any(R == 0.0) and np.any((R == np.floor(R)) & (R > 0))
+    pts = np.concatenate([pts, [[np.inf]]])
+    x, u = pts[:, None, :], pts[None, :, :]
+    with np.errstate(invalid="ignore"):
+        ref = full_local_weight(std1, x, u)
+        assert np.array_equal(local_weight(std1, x, u), ref, equal_nan=True)
+
+
+def _on_level(model, gen, levels):
+    """Points in random directions with R on the given levels, each then
+    nudged by a few ulps."""
+    v = gen.standard_normal((levels.size, model.n))
+    pts = v * np.sqrt(levels / quadratic_r(model, v))[:, None]
+    return pts + gen.integers(-4, 5, pts.shape) * np.spacing(pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_local_weight_bit_identical_next_to_the_thresholds(model_factory, n):
+    # R(x) on the integers and R(u) at R(x) + {-4, -1, 1, 4} or on an
+    # integer, so R(x) - floor(R(u)) and |R(u) - R(x)| fall on and around
+    # every edge of the constant regions
+    m = model_factory(n, n)
+    gen = np.random.default_rng(20 + n)
+    rx = gen.integers(0, 30, 20_000).astype(float)
+    ru = np.where(gen.random(rx.size) < 0.5,
+                  rx + gen.choice([-4.0, -1.0, 1.0, 4.0], rx.size),
+                  gen.integers(0, 34, rx.size))
+    x = _on_level(m, gen, rx)
+    u = _on_level(m, gen, np.maximum(ru, 1e-3))
+    Rx, Ru = quadratic_r(m, x), quadratic_r(m, u)
+    d = Rx - np.maximum(np.floor(Ru), 1.0)
+    for edge in (-3.0, -1.0, 2.0, 4.0):
+        assert np.any(d == edge)
+    assert np.any(np.abs(Ru - Rx) == 1.0)
+    assert np.array_equal(local_weight(m, x, u), full_local_weight(m, x, u))
+
+
+def test_local_weight_bit_identical_for_scalar_pairs(std2):
+    x, u = _cloud(7, 2, pairs=200)
+    for xi, ui in zip(x, u):
+        got, ref = local_weight(std2, xi, ui), full_local_weight(std2, xi, ui)
+        assert type(got) is float and got == ref
+
+
+_RAMP_EDGES = [0.0, 1.0, 5e-324, 1.0 - 1e-16, np.inf, -np.inf, np.nan,
+               -0.0, 0.5, 1e-301, -5e-324, 1.0 + 2.3e-16]
+
+
+def test_smooth_step_bit_identical_on_edge_values():
+    s = np.array(_RAMP_EDGES)
+    for shaped in (s, s.reshape(3, 4), s.reshape(2, 3, 2)):
+        assert np.array_equal(smooth_step(shaped), _full_smooth_step(shaped),
+                              equal_nan=True)
+    for v in _RAMP_EDGES:
+        got, ref = smooth_step(v), _full_smooth_step(v)
+        assert type(got) is float
+        assert got == ref or (np.isnan(got) and np.isnan(ref))
+
+
+def test_smooth_step_bit_identical_on_random_values():
+    s = np.random.default_rng(5).uniform(-0.5, 1.5, (300, 7))
+    assert np.array_equal(smooth_step(s), _full_smooth_step(s))
+
+
+@pytest.mark.parametrize("model_name", ["standard1", "random2"])
+def test_local_global_grid_unchanged_by_band_restriction(
+        monkeypatch, model_factory, model_name):
+    import oulab.semigroup as sg
+    from oulab.model import propagators
+    m = standard_model(1) if model_name == "standard1" else model_factory(1, 2)
+    bump = sg.gaussian_bump(m, np.full(m.n, 0.8), 0.5)
+    props = propagators(m, np.geomspace(1e-3, 1.0, 24))
+    x = np.random.default_rng(8).standard_normal((9, m.n)) * 1.5
+    loc, glob = sg.local_global_grid(m, bump, props, x)
+    monkeypatch.setattr(sg, "local_weight", full_local_weight)
+    ref_loc, ref_glob = sg.local_global_grid(m, bump, props, x)
+    assert np.array_equal(loc, ref_loc) and np.array_equal(glob, ref_glob)
+    # the points see both sides of the cutoff
+    assert np.any(loc > 1e-3 * loc.max()) and np.any(glob > 1e-3 * loc.max())
 
 
 def test_split_gradient_bounds_are_moderate(std1, std2):

@@ -396,3 +396,21 @@ def test_far_field_tail_certificate(std1):
     with pytest.raises(TailNotConvergedError):
         far_field_decay_check(std1, 1.0, np.array([0.0]), np.array([1.0]),
                               t_max=5.0)
+
+
+def test_probe_modules_load_without_scipy_stats_or_integrate():
+    # the quadrature checks import scipy.integrate and the chi-square
+    # masses scipy.stats on first use, so the probe path never pays for them
+    import os
+    import subprocess
+    import sys
+
+    import oulab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oulab.__file__)))
+    code = ("import sys, oulab.semigroup, oulab.kernel\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate')"
+            " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
