@@ -49,7 +49,7 @@ _EXPORTS = {
     "constant_function": "semigroup", "coordinate_function": "semigroup",
     "gaussian_polynomial": "semigroup", "smoothed_indicator": "semigroup",
     "apply_semigroup": "semigroup", "apply_local_global": "semigroup",
-    "bump_semigroup_value": "semigroup", "variation_operator": "semigroup",
+    "bump_semigroup_value": "semigroup",
     "variation_batch_paths": "semigroup", "maximal_global": "semigroup",
     "cz_kernel_norm": "semigroup", "cz_difference_norm": "semigroup",
     "cz_size_sweep": "semigroup", "cz_smoothness_sweep": "semigroup",

@@ -10,7 +10,6 @@ adapted to the invariant measure in any dimension and for any admissible
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (AlphaTooSmallError, BracketFailError, DimensionError,
                      ZeroPointError)
@@ -223,6 +222,7 @@ def group_apply(model: OUModel, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         phase = np.exp(-s[:, None] * model.eig_vals[None, :])
         a = (w.astype(complex) @ model.eig_vecs) * phase
         return (a @ model.eig_vecs_inv).real @ model.Qinf.T
+    import scipy.linalg
     out = np.empty_like(x)
     for i in range(x.shape[0]):
         out[i] = model.Qinf @ (scipy.linalg.expm(-s[i] * model.B.T) @ w[i])

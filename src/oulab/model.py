@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DimensionError, NonPositiveTimeError, NotSPDError,
                      NotStableError)
@@ -124,6 +123,7 @@ def expm_stack(model: OUModel, ts: np.ndarray) -> np.ndarray:
         out = np.einsum("ij,mj,jk->mik", model.eig_vecs, phase,
                         model.eig_vecs_inv)
         return np.ascontiguousarray(out.real)
+    import scipy.linalg
     return np.stack([scipy.linalg.expm(t * model.B) for t in ts])
 
 
@@ -226,6 +226,7 @@ def covariance_qt(model: OUModel, t: float) -> np.ndarray:
 
 def group_dt(model: OUModel, t: float) -> np.ndarray:
     """Dt = Qinf e^(-tB^T) Qinf^-1; a one-parameter group in t."""
+    import scipy.linalg
     t = float(t)
     e = scipy.linalg.expm(-t * model.B.T)
     return model.Qinf @ e @ model.Qinf_inv

@@ -295,18 +295,18 @@ def apply_semigroup(model: OUModel, spec: QuadratureSpec, f: TestFunction,
 
 
 def apply_semigroup_path(model: OUModel, spec: QuadratureSpec,
-                         f: TestFunction, x, grid: TimeGrid,
+                         f: TestFunction, x, ts: np.ndarray,
                          form: str = "auto") -> np.ndarray:
-    """H_t f(x) along a time grid; closed form for Gaussian bumps, per-time
+    """H_t f(x) at the times ts; closed form for Gaussian bumps, per-time
     quadrature otherwise.  Returns (p, m) for x of shape (p, n)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if f.kind == "gaussian-bump" and form == "auto":
-        props = propagators(model, grid.points)
+        props = propagators(model, ts)
         return bump_semigroup_grid(model, f, props, x)
     use_form = "kolmogorov" if form == "auto" else form
-    out = np.empty((x.shape[0], len(grid)))
+    out = np.empty((x.shape[0], len(ts)))
     for i in range(x.shape[0]):
-        for j, t in enumerate(grid.points):
+        for j, t in enumerate(ts):
             out[i, j] = apply_semigroup(model, spec, f, x[i], float(t),
                                         form=use_form)
     return out
@@ -389,68 +389,35 @@ def _product_means(props: Propagators, cov: np.ndarray,
 # variation along time grids
 
 
-@dataclass(frozen=True)
-class VariationResult:
-    value: float
-    converged: bool
-    refinements: int
-    grid_size: int
-    rel_change: float
-
-
-def _part_values(model: OUModel, f: TestFunction, grid: TimeGrid, x,
+def _part_values(model: OUModel, f: TestFunction, ts: np.ndarray, x,
                  part: str, order: int | None = None) -> np.ndarray:
-    """Semigroup path values (p, m) for the requested part of the split.
+    """Semigroup path values (p, m) at the times ts for the requested part
+    of the split.
 
     Gaussian bumps run through the closed form; any other test function
     falls back to per-time transition quadrature for the full path, while
-    the near/far split stays bump-only."""
+    the near/far split stays bump-only.  Every time is evaluated on its
+    own, so the values at a time do not depend on the other times."""
     if part not in ("full", "local", "global"):
         raise BadOrderError(f"unknown part {part!r}")
     if f.kind != "gaussian-bump":
         if part != "full":
             raise BadOrderError("near/far split paths need a Gaussian bump")
         spec = QuadratureSpec(order=order)
-        return apply_semigroup_path(model, spec, f, x, grid,
-                                    form="kolmogorov")
-    props = propagators(model, grid.points)
+        return apply_semigroup_path(model, spec, f, x, ts, form="kolmogorov")
+    props = propagators(model, ts)
     if part == "full":
         return bump_semigroup_grid(model, f, props, x)
     loc, glob = local_global_grid(model, f, props, x, order=order)
     return loc if part == "local" else glob
 
 
-def variation_operator(model: OUModel, f: TestFunction, x, rho: float,
-                       grid: TimeGrid, part: str = "full",
-                       tol: float = 1e-3, max_refine: int = 6,
-                       order: int | None = None) -> VariationResult:
-    """rho-variation of t -> H_t f(x) (or its near/far part) along nested
-    refinements of the grid, stopping once the value stabilizes.
-
-    Nested grids keep all earlier points, so the value is nondecreasing in
-    the refinement index; convergence is a relative-increment test.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, model.n)
-    g = grid
-    vals = _part_values(model, f, g, x, part, order)[0]
-    # the convergence test is relative to the path scale, so a flat path
-    # (variation at rounding level) converges instead of chasing noise
-    floor = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
-    prev = variation_values(vals, rho)
-    rel = math.inf
-    for k in range(1, max_refine + 1):
-        g = g.refine()
-        cur = variation_values(_part_values(model, f, g, x, part, order)[0],
-                               rho)
-        rel = abs(cur - prev) / max(abs(cur), floor)
-        prev = cur
-        if rel < tol:
-            return VariationResult(value=prev, converged=True,
-                                   refinements=k, grid_size=len(g),
-                                   rel_change=rel)
-    return VariationResult(value=prev, converged=False,
-                           refinements=max_refine, grid_size=len(g),
-                           rel_change=rel)
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Columns old[0], new[0], old[1], ..., old[-1] along the last axis."""
+    out = np.empty(old.shape[:-1] + (old.shape[-1] + new.shape[-1],))
+    out[..., 0::2] = old
+    out[..., 1::2] = new
+    return out
 
 
 def variation_batch_paths(model: OUModel, f: TestFunction, x, rho: float,
@@ -459,22 +426,32 @@ def variation_batch_paths(model: OUModel, f: TestFunction, x, rho: float,
                           order: int | None = None):
     """Batched variation over many starting points; refinement is applied to
     the whole batch until the largest relative increment drops below tol.
+
+    A refinement inserts the geometric midpoint of every gap, as
+    TimeGrid.refine does, and keeps the old points; so only the midpoints
+    are evaluated, and their columns interleave with the known ones.
     Returns (values, converged_flag, grid_size)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    g = grid
-    vals = _part_values(model, f, g, x, part, order)
+    ts = grid.points
+    vals = _part_values(model, f, ts, x, part, order)
+    # the convergence test is relative to the path scale, so a flat path
+    # (variation at rounding level) converges instead of chasing noise
     floor = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     prev = variation_batch(vals, rho)
     rel = math.inf
     for _ in range(max_refine):
-        g = g.refine()
-        cur = variation_batch(_part_values(model, f, g, x, part, order), rho)
+        mids = np.sqrt(ts[:-1] * ts[1:])
+        new = _part_values(model, f, mids, x, part, order)
+        vals = _interleave(vals, new)
+        del new     # only the merged paths stay alive through the DP
+        ts = _interleave(ts, mids)
+        cur = variation_batch(vals, rho)
         rel = float(np.max(np.abs(cur - prev) /
                            np.maximum(np.abs(cur), floor)))
         prev = cur
         if rel < tol:
-            return prev, True, len(g)
-    return prev, False, len(g)
+            return prev, True, ts.size
+    return prev, False, ts.size
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,29 @@
 """rho-variation seminorms of sampled paths.
 
 The seminorm is the supremum over increasing subsequences of
-(sum |increments|^rho)^(1/rho).  The quadratic dynamic program is exact
-for sampled data because the supremum is attained on a subsequence of the
-sample points.
+(sum |increments|^rho)^(1/rho).  On sampled data the supremum is attained
+on a subsequence of the sample points, and a dynamic program over the
+points finds it exactly.
+
+Only endpoints and turning points need to enter that program (Butkus and
+Norvaisa, "Computation of p-variation", 2018).  Each row is compressed
+first:
+
+* consecutive equal values collapse to one point.  Their increments to
+  every other point are bit-identical and the increment between them is
+  exactly 0.0, so no subsequence sum changes;
+* inside a strictly monotone run only the ends stay.  For rho >= 1,
+  |a + b|^rho >= |a|^rho + |b|^rho when a and b have the same sign, so a
+  subsequence through an interior point of the run never beats the one
+  that skips it.  Increments below 1e-300 are flushed to zero before the
+  power; the inequality survives the flush, because when the merged
+  increment |c - a| is below the threshold, both of its monotone parts
+  are too.
+
+The program then runs on the compressed rows, grouped by length and padded
+with each row's last kept value (a zero increment adds exactly 0.0).  The
+sampled semigroup paths keep about one point in a hundred, so the
+quadratic cost falls on a handful of points per row.
 """
 
 from __future__ import annotations
@@ -18,6 +38,8 @@ from .errors import BadOrderError, BadSplitError, EmptyPathError, TooLongError
 # increments below this are flushed to zero before the rho-th power so that
 # |d|^rho cannot underflow to a denormal mess for large rho
 _TINY_INCREMENT = 1e-300
+# values per block of rows in the turning-point compression
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -58,34 +80,66 @@ def variation_values(values: np.ndarray, rho: float) -> float:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise EmptyPathError("need a nonempty 1-d value array")
-    n = v.size
-    if n == 1:
-        return 0.0
-    best = np.zeros(n)
-    for j in range(1, n):
-        d = np.abs(v[j] - v[:j])
-        d[d < _TINY_INCREMENT] = 0.0
-        best[j] = np.max(best[:j] + d ** rho)
-    return float(np.max(best) ** (1.0 / rho))
+    return float(variation_batch(v[None, :], rho)[0])
 
 
 def variation(path: SampledPath, rho: float) -> float:
     return variation_values(path.values, rho)
 
 
-def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
-    """Row-wise seminorms for a (paths, length) array, one DP sweep shared."""
-    rho = _check_order(rho)
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[1] == 0:
-        raise EmptyPathError("need a (paths, length) array")
+def _turning_points(v: np.ndarray):
+    """Endpoints and turning points of every row of a (paths, length)
+    array: the kept values, row after row, and their count per row.
+
+    Rows are handled in blocks of about _BLOCK values, so the temporaries
+    stay small next to the input."""
+    p, m = v.shape
+    kept, counts = [np.empty(0)], np.empty(p, dtype=np.intp)
+    step = max(1, _BLOCK // m)
+    for lo in range(0, p, step):
+        blk = v[lo:lo + step]
+        # the first point of each run of equal values; x - y == 0 only for
+        # x == y, while NaN and inf - inf never compare equal and stay
+        rows, cols = np.nonzero(np.diff(blk, axis=1, prepend=np.nan) != 0)
+        w = blk[rows, cols]
+        edge = rows[1:] != rows[:-1]
+        s = np.sign(np.diff(w))
+        keep = np.ones(w.size, dtype=bool)
+        keep[1:-1] = edge[:-1] | edge[1:] | (s[:-1] != s[1:])
+        kept.append(w[keep])
+        counts[lo:lo + step] = np.bincount(rows[keep],
+                                           minlength=blk.shape[0])
+    return np.concatenate(kept), counts
+
+
+def _dp(v: np.ndarray, rho: float) -> np.ndarray:
+    """Largest sum of rho-th powers of increments over the subsequences of
+    each row, by the quadratic prefix program."""
     m, n = v.shape
     best = np.zeros((m, n))
     for j in range(1, n):
         d = np.abs(v[:, j, None] - v[:, :j])
         d[d < _TINY_INCREMENT] = 0.0
         best[:, j] = np.max(best[:, :j] + d ** rho, axis=1)
-    return np.max(best, axis=1) ** (1.0 / rho)
+    return np.max(best, axis=1)
+
+
+def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
+    """Row-wise seminorms for a (paths, length) array."""
+    rho = _check_order(rho)
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise EmptyPathError("need a (paths, length) array")
+    kept, counts = _turning_points(v)
+    starts = np.cumsum(counts) - counts
+    # rows keeping between 2^(k-1) and 2^k points share one padded block
+    size_class = np.ceil(np.log2(counts))
+    out = np.empty(v.shape[0])
+    for k in np.unique(size_class):
+        sel = np.flatnonzero(size_class == k)
+        pos = np.minimum(np.arange(counts[sel].max()), counts[sel, None] - 1)
+        out[sel] = _dp(kept[starts[sel, None] + pos], rho)
+    return out ** (1.0 / rho)
 
 
 def variation_exhaustive(values: np.ndarray, rho: float) -> float:

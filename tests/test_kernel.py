@@ -22,7 +22,7 @@ from oulab import (
     singular_integral_check,
     space_derivative_residual,
 )
-from oulab.kernel import kernel_dt_raw
+from oulab.kernel import kernel_dt_raw, log_kernel_pairs
 from oulab.errors import (
     CoincidentPointsError,
     EtaZeroError,
@@ -206,7 +206,7 @@ def test_space_derivative_residuals_small(std1, std2):
 def brute_zero_count(model, x, u, t_lo, t_hi, grid=20000):
     """Sign flips of the finite differences of the kernel itself."""
     ts = np.geomspace(t_lo, t_hi, grid)
-    ks = np.array([kernel(model, float(t), x, u) for t in ts])
+    ks = np.exp(log_kernel_pairs(model, ts, x, u))
     d = np.diff(ks)
     s = np.sign(d[np.abs(d) > 1e-13])
     return int(np.sum(s[1:] * s[:-1] < 0))
@@ -399,8 +399,9 @@ def test_far_field_tail_certificate(std1):
 
 
 def test_probe_modules_load_without_scipy_stats_or_integrate():
-    # the quadrature checks import scipy.integrate and the chi-square
-    # masses scipy.stats on first use, so the probe path never pays for them
+    # the quadrature checks import scipy.integrate, the chi-square masses
+    # scipy.stats and the expm fallbacks scipy.linalg on first use, so the
+    # probe path never pays for them
     import os
     import subprocess
     import sys
@@ -408,8 +409,8 @@ def test_probe_modules_load_without_scipy_stats_or_integrate():
     import oulab
     src = os.path.dirname(os.path.dirname(os.path.abspath(oulab.__file__)))
     code = ("import sys, oulab.semigroup, oulab.kernel\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate')"
-            " if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate',"
+            " 'scipy.linalg') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

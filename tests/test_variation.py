@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oulab import (
     SampledPath,
@@ -10,6 +12,7 @@ from oulab import (
     variation_values,
 )
 from oulab.variation import (
+    _turning_points,
     derivative_bound_check,
     variation,
     variation_exhaustive_slow,
@@ -187,6 +190,106 @@ def test_variation_batch_matches_rowwise():
     batch = variation_batch(rows, 2.0)
     for i in range(rows.shape[0]):
         assert batch[i] == pytest.approx(variation_values(rows[i], 2.0))
+
+
+# ---------------------------------------------------------------------------
+# turning-point compression against the full quadratic program
+
+
+def quadratic_dp_reference(values, rho):
+    """The program over every sample point, as it ran before compression."""
+    v = np.asarray(values, dtype=float)
+    m, n = v.shape
+    best = np.zeros((m, n))
+    for j in range(1, n):
+        d = np.abs(v[:, j, None] - v[:, :j])
+        d[d < 1e-300] = 0.0
+        best[:, j] = np.max(best[:, :j] + d ** rho, axis=1)
+    return np.max(best, axis=1) ** (1.0 / rho)
+
+
+def _cloud_row(gen, kind, n):
+    if kind == 0:       # plateaus
+        return np.round(gen.standard_normal(n), 1)
+    if kind == 1:       # jitter at the last bits of 1.0
+        return 1.0 + 1e-15 * gen.integers(-3, 4, n)
+    if kind == 2:       # values next to the flush threshold
+        return 1e-299 * gen.standard_normal(n)
+    if kind == 3:       # increments from 1e-18 to 1e2
+        steps = gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-18, 2, n)
+        return np.cumsum(steps)
+    # smooth bump in t, like a semigroup path, with a plateau of zeros
+    t = np.geomspace(1e-6, 40.0, n)
+    row = gen.uniform(0.1, 2.0) * np.exp(-(np.log(t) - gen.uniform(-8, 3)) ** 2)
+    row[: gen.integers(0, n)] *= 0.0 if gen.random() < 0.3 else 1.0
+    return row
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 2.5, 3.0, 4.0])
+def test_batch_bit_identical_to_quadratic_program(rho):
+    gen = np.random.default_rng(int(rho * 10))
+    for _ in range(150):
+        n = int(gen.integers(1, 40))
+        rows = [_cloud_row(gen, int(gen.integers(0, 5)), n)
+                for _ in range(int(gen.integers(1, 8)))]
+        vals = np.array(rows)
+        assert np.array_equal(variation_batch(vals, rho),
+                              quadratic_dp_reference(vals, rho))
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 2.5, 3.0, 4.0])
+def test_values_bit_identical_to_quadratic_program_on_long_rows(rho):
+    gen = np.random.default_rng(3)
+    walk = np.cumsum(gen.standard_normal(600))
+    t = np.linspace(0.0, 6.0, 600)
+    smooth = np.sin(t) * np.exp(-t)
+    for row in (walk, smooth):
+        assert np.array_equal(variation_batch(row[None], rho),
+                              quadratic_dp_reference(row[None], rho))
+
+
+_values = st.lists(
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, -1.0])),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
+def test_dp_matches_exhaustive_property(vals, rho):
+    vals = np.array(vals)
+    fast = variation_values(vals, rho)
+    slow = variation_exhaustive(vals, rho)
+    assert fast == pytest.approx(slow, rel=1e-14, abs=1e-300)
+
+
+def test_turning_points_keep_ends_and_extrema():
+    row = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 1.0, 1.0, 0.0, 5.0])
+    kept, counts = _turning_points(np.stack([row, -row, np.full(9, 4.0)]))
+    assert counts.tolist() == [4, 4, 1]
+    assert kept.tolist() == [0.0, 3.0, 0.0, 5.0, 0.0, -3.0, 0.0, -5.0, 4.0]
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0, 2.5])
+def test_edge_rows(rho):
+    assert variation_batch(np.array([[3.0], [-1.0]]), rho).tolist() == [0.0, 0.0]
+    two = variation_batch(np.array([[1.0, -2.5], [4.0, 4.0]]), rho)
+    assert two[0] == pytest.approx(3.5) and two[1] == 0.0
+    assert variation_values(np.full(50, 0.7), rho) == 0.0
+    up = np.cumsum(np.linspace(0.1, 1.0, 30))
+    rows = np.stack([up, up[::-1]])
+    got = variation_batch(rows, rho)
+    assert got == pytest.approx([up[-1] - up[0]] * 2, rel=1e-14)
+    if rho > 1:
+        # at rho = 1 the run's sum of steps ties with its span, and the two
+        # round differently; above it the span wins by a clear margin
+        assert np.array_equal(got, quadratic_dp_reference(rows, rho))
+
+
+def test_nan_and_empty_batches_behave_as_before():
+    rows = np.array([[1.0, np.nan, 2.0], [1.0, 2.0, 3.0]])
+    got = variation_batch(rows, 2.0)
+    assert np.isnan(got[0]) and got[1] == pytest.approx(2.0)
+    assert variation_batch(np.zeros((0, 4)), 2.0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
