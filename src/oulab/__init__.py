@@ -53,7 +53,7 @@ _EXPORTS = {
     "variation_batch_paths": "semigroup", "maximal_global": "semigroup",
     "cz_kernel_norm": "semigroup", "cz_difference_norm": "semigroup",
     "cz_size_sweep": "semigroup", "cz_smoothness_sweep": "semigroup",
-    "mixed_derivative_bound": "semigroup", "weak_type_probe": "semigroup",
+    "weak_type_probe": "semigroup",
     "annulus_superlevel_probe": "semigroup", "t_max_for_tail": "semigroup",
     # torus
     "CounterexampleConfig": "torus", "rademacher": "torus",

@@ -25,10 +25,6 @@ class NonPositiveTimeError(OULabError):
     """A time parameter that must be positive is not."""
 
 
-class StepUnderflowError(OULabError):
-    """Finite-difference step would underflow at the requested time."""
-
-
 class NumericalOverflowError(OULabError):
     """exp() of a computed log-value overflows float64; use the log form."""
 

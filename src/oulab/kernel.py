@@ -11,7 +11,21 @@ Two algebraically equal quadratic forms are used: the direct one above for
 t <= 1, and for t > 1 the form <M_t v, v> in v = D_{-t} u - x with
 M_t = Qinf^-1 + (I - S Qinf)^-1 S, S = e^{tB^T} Qinf^-1 e^{tB}, whose
 factors all decay; the direct difference Qt^-1 - Qinf^-1 loses every digit
-to cancellation once t is large.
+to cancellation once t is large.  Write N_t = M_t - Qinf^-1; above
+T_SWITCH = 1 it is the resolvent term (I - S Qinf)^-1 S itself.
+
+The time slope comes from the backward equation d/dt K = L_x K with
+L = tr(Q D^2)/2 + <Bx, D>.  log K is quadratic in x, with x-gradient g and
+x-Hessian H, so
+
+    d/dt log K = tr(Q H)/2 + <Q g, g>/2 + <Bx, g>,
+
+where H = -N_t in both forms, g = Qinf^-1 x + Dt^T A w with w = u - Dt x
+below T_SWITCH, and g = Qinf^-1 D_{-t} u + N_t v above it.  The naive
+H = Qinf^-1 - M_t would cancel for large t exactly as the direct form
+does.  Every factor comes from the one propagator stack that also gives
+log K, so a slope costs one stack and no finite difference; against
+Mehler's closed form it holds about 1e-13 relative for t in [1e-4, 40].
 """
 
 from __future__ import annotations
@@ -23,15 +37,12 @@ import numpy as np
 
 from .errors import (CoincidentPointsError, EtaZeroError,
                      NonPositiveTimeError, NumericalOverflowError,
-                     RateTooLargeError, StepUnderflowError,
-                     TailNotConvergedError)
+                     RateTooLargeError, TailNotConvergedError)
 from .geometry import group_apply, local_weight
 from .model import (OUModel, Propagators, T_SWITCH, propagators, quadratic_r)
 from .rng import substream
 
 _LOG_MAX = 700.0            # exp overflows just above this
-_FD_REL_STEP = 1e-4
-_MIN_T_FOR_FD = 1e-12
 
 
 def _chunks(total: int, size: int):
@@ -138,53 +149,117 @@ def conv_kernel(model: OUModel, t: float, y, normalized: bool = False):
     return float(out) if out.ndim == 0 else out
 
 
-def _logk_shifted(model: OUModel, ts, x, u, factors) -> list[np.ndarray]:
-    """log K at ts * f for each f in factors, sharing one propagator build."""
+# ---------------------------------------------------------------------------
+# the time slope, from the backward equation d/dt K = L_x K
+
+
+def _inf_norm(a: np.ndarray) -> np.ndarray:
+    """Infinity norms of the matrices stacked on the last two axes."""
+    return np.abs(a).sum(axis=-1).max(axis=-1)
+
+
+def _slope_factors(model: OUModel, props: Propagators) -> tuple:
+    """Per-time factors of d/dt log K for every time of props.
+
+    The x-gradient of log K is g = C u - N x and its x-Hessian is -N, so
+
+        d/dt log K = h0 + <Q g, g>/2 + <Bx, g>,   h0 = -tr(Q N)/2.
+
+    C = Dt^T A equals M D_{-t}, since Dt^T A Dt = M; it is formed as the
+    first product below T_SWITCH and as the second above it, where A
+    would cancel.  Expanding w = u - Dt x and v = D_{-t} u - x turns both
+    gradients of the module docstring into C u - N x.
+
+    Returns (C, N, h0, kappa): C and N as (n, n, m), so that every matrix
+    entry is one row over the times, then (m,) rows of h0 and of kappa,
+    n eps times a first-order bound on the relative error of the factors,
+    which sets the slope's rounding floor: Qt = Qinf - e^{tB} Qinf
+    e^{tB^T} carries an absolute error of about eps |Qinf|, so Qt^-1 a
+    relative one of eps |Qinf| |Qt^-1| (generously so below t = 1e-3,
+    where Qt comes from a series); the differences A and N amplify it by
+    their cancellation ratios; and e^{tB} adds the error eps t |B| of its
+    argument.
+    """
+    small = props.ts <= T_SWITCH
+    C = np.empty_like(props.N)
+    C[small] = np.swapaxes(props.Dt[small], -1, -2) @ props.A_small[small]
+    C[~small] = props.M_large[~small] @ props.Dmt[~small]
+    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, props.N)
+    qt_inv_norm = _inf_norm(props.Qt_inv)
+    # below T_SWITCH, A = Qt^-1 - Qinf^-1 and N = M - Qinf^-1 are formed as
+    # differences, which cancel as t approaches 1
+    amp = np.ones_like(props.ts)
+    qinf_inv_norm = _inf_norm(model.Qinf_inv)
+    amp[small] = ((qt_inv_norm[small] + qinf_inv_norm)
+                  / _inf_norm(props.A_small[small])
+                  * (_inf_norm(props.M_large[small]) + qinf_inv_norm)
+                  / _inf_norm(props.N[small]))
+    kappa = model.n * np.finfo(float).eps * (
+        _inf_norm(model.Qinf) * qt_inv_norm * amp
+        + _inf_norm(model.B) * props.ts)
+    C, N = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (C, props.N))
+    return C, N, h0, kappa
+
+
+def _dot(row, vec):
+    """sum_j row[j] vec[j], in a fixed order so that every shape of the
+    operands rounds alike."""
+    acc = row[0] * vec[0]
+    for j in range(1, len(vec)):
+        acc = acc + row[j] * vec[j]
+    return acc
+
+
+def _slope_eval(model: OUModel, factors: tuple, x, u):
+    """d/dt log K and its rounding floor from the factors of _slope_factors.
+
+    x and u hold one point per component, (n, ...); their pair shape
+    broadcasts against the time shape of the factors.  Every product is an
+    elementwise numpy operation, so a pair gets the same bits on the grid
+    route as on the per-pair route.  The floor is kappa times the sum of
+    the magnitudes of the three terms: the factors' relative error carried
+    through each of them.
+    """
+    C, N, h0, kappa = factors
+    n = model.n
+    g = [_dot(C[i], u) - _dot(N[i], x) for i in range(n)]
+    qg = [_dot(model.Q[i], g) for i in range(n)]
+    bx = [_dot(model.B[i], x) for i in range(n)]
+    half_quad = 0.5 * _dot(qg, g)
+    lin = _dot(bx, g)
+    slope = h0 + half_quad + lin
+    return slope, kappa * (np.abs(h0) + half_quad + np.abs(lin))
+
+
+def logk_time_slope(model: OUModel, ts, x, u,
+                    props: Propagators | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """d/dt log K_{t_i}(x_i, u_i) with one time per pair, (m,) each.
+
+    Returns (slope, rounding floor).  The slope is L_x K / K from the
+    backward equation, exact up to rounding; see _slope_factors.  props,
+    when given, must be the propagators of ts.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    m = ts.size
-    all_ts = np.concatenate([ts * f for f in factors])
-    props = propagators(model, all_ts)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
     x, u = np.broadcast_arrays(x, u)
-    if x.shape[0] == 1 and m > 1:
-        x = np.broadcast_to(x, (m, x.shape[1]))
-        u = np.broadcast_to(u, (m, u.shape[1]))
-    xr = np.concatenate([x] * len(factors))
-    ur = np.concatenate([u] * len(factors))
-    vals = log_kernel_pairs(model, all_ts, xr, ur, props=props)
-    return [vals[i * m:(i + 1) * m] for i in range(len(factors))]
-
-
-def logk_time_slope(model: OUModel, ts, x, u) -> tuple[np.ndarray, np.ndarray,
-                                                       np.ndarray]:
-    """d/dt log K by Richardson-extrapolated central differences.
-
-    Returns (slope, error estimate, log K at the center).  Relative step
-    h = 1e-4 t, two extrapolation levels; the error estimate combines the
-    level difference with the rounding floor eps |log K| / h.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < _MIN_T_FOR_FD):
-        raise StepUnderflowError("t below finite-difference resolution")
-    r = _FD_REL_STEP
-    g_pp, g_mm, g_p, g_m, g_0 = _logk_shifted(
-        model, ts, x, u, [1 + r, 1 - r, 1 + r / 2, 1 - r / 2, 1.0])
-    h = r * ts
-    d1 = (g_pp - g_mm) / (2 * h)
-    d2 = (g_p - g_m) / h
-    slope = (4 * d2 - d1) / 3
-    rounding = np.finfo(float).eps * np.maximum.reduce(
-        [np.abs(g_pp), np.abs(g_mm), np.abs(g_0)]) / h
-    err = np.abs(slope - d2) + 4 * rounding
-    return slope, err, g_0
+    if x.shape[0] == 1 and ts.size > 1:
+        x = np.broadcast_to(x, (ts.size, x.shape[1]))
+        u = np.broadcast_to(u, (ts.size, u.shape[1]))
+    if props is None:
+        props = propagators(model, ts)
+    return _slope_eval(model, _slope_factors(model, props), x.T, u.T)
 
 
 def kernel_dt_pairs(model: OUModel, ts, x, u) -> tuple[np.ndarray, np.ndarray]:
-    """(dK/dt, error estimate) with one time per pair; dK/dt = K d(log K)/dt."""
-    slope, err, g0 = logk_time_slope(model, ts, x, u)
-    k = np.exp(np.minimum(g0, _LOG_MAX))
-    return k * slope, k * err
+    """(dK/dt, rounding floor) with one time per pair; dK/dt = K d(log K)/dt."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    props = propagators(model, ts)
+    slope, floor = logk_time_slope(model, ts, x, u, props=props)
+    k = np.exp(np.minimum(log_kernel_pairs(model, ts, x, u, props=props),
+                          _LOG_MAX))
+    return k * slope, k * floor
 
 
 def kernel_dt(model: OUModel, t: float, x, u) -> tuple[float, float]:
@@ -200,31 +275,36 @@ def kernel_dt_raw(model: OUModel, t: float, x, u, h: float) -> float:
     return (kp - km) / (2 * h)
 
 
-def logk_time_slope_grid(model: OUModel, props_ts: np.ndarray, x, u,
-                         chunk: int = 256):
-    """Slope matrices d/dt log K over pairs x grid, (p, m) each.
+# pair-time cells per evaluation block of the slope grid, and at most this
+# many times in one block: few pairs against a long run of times keeps the
+# inner loops long and the temporaries in cache
+_SLOPE_CELLS = 1 << 15
+_SLOPE_TIMES = 8192
 
-    Returns (slope, error estimate, log K).  Five propagator stacks are
-    built once and shared by all pairs.
+
+def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """d/dt log K_t(x_i, u_i) for every pair i and every time of props,
+    (p, m) each, as in logk_time_slope.
+
+    Returns (slope, rounding floor).  The per-time factors are formed once
+    and shared by all pairs.
     """
-    ts = np.atleast_1d(np.asarray(props_ts, dtype=float))
-    if np.any(ts < _MIN_T_FOR_FD):
-        raise StepUnderflowError("t below finite-difference resolution")
-    r = _FD_REL_STEP
-    stacks = {f: propagators(model, ts * f)
-              for f in (1 + r, 1 - r, 1 + r / 2, 1 - r / 2, 1.0)}
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    g = {f: log_kernel_grid(model, pr, x, u, chunk=chunk)
-         for f, pr in stacks.items()}
-    h = (r * ts)[None, :]
-    d1 = (g[1 + r] - g[1 - r]) / (2 * h)
-    d2 = (g[1 + r / 2] - g[1 - r / 2]) / h
-    slope = (4 * d2 - d1) / 3
-    rounding = np.finfo(float).eps * np.maximum(
-        np.abs(g[1 + r]), np.abs(g[1.0])) / h
-    err = np.abs(slope - d2) + 4 * rounding
-    return slope, err, g[1.0]
+    p, m = x.shape[0], len(props)
+    slope = np.empty((p, m))
+    floor = np.empty((p, m))
+    factors = _slope_factors(model, props)
+    times = max(1, min(m, _SLOPE_TIMES))
+    for lo, hi in _chunks(p, max(1, _SLOPE_CELLS // times)):
+        xs = x[lo:hi].T[:, :, None]                         # (n, c, 1)
+        us = u[lo:hi].T[:, :, None]
+        for t0, t1 in _chunks(m, times):
+            block = [f[..., t0:t1] for f in factors]
+            slope[lo:hi, t0:t1], floor[lo:hi, t0:t1] = _slope_eval(
+                model, block, xs, us)
+    return slope, floor
 
 
 def kernel_space_slope(model: OUModel, t: float, x, u) -> np.ndarray:
@@ -237,30 +317,6 @@ def kernel_space_slope(model: OUModel, t: float, x, u) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(model.n)
     v = pr.Dmt[0] @ u - x
     return pr.Qt_inv[0] @ (pr.exp_tB[0] @ v)
-
-
-def kernel_space_slope_dt(model: OUModel, t: float, x, u) -> np.ndarray:
-    """Time derivative of the space-slope vector, in closed form.
-
-    With v = D_{-t} u - x and G = Qt^-1 e^{tB}, the slope is G v and its
-    t-derivative is -G Q e^{tB^T} G v + Qt^-1 B e^{tB} v
-    + G Qinf B^T Qinf^-1 D_{-t} u; differentiating Qt^-1 uses
-    dQt/dt = e^{tB} Q e^{tB^T}.
-    """
-    if t <= 0:
-        raise NonPositiveTimeError("kernel time must be positive")
-    pr = propagators(model, np.array([float(t)]))
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    E = pr.exp_tB[0]
-    Qti = pr.Qt_inv[0]
-    dmt_u = pr.Dmt[0] @ u
-    v = dmt_u - x
-    G = Qti @ E
-    term1 = -G @ model.Q @ E.T @ Qti @ (E @ v)
-    term2 = Qti @ model.B @ (E @ v)
-    term3 = G @ model.Qinf @ model.B.T @ (model.Qinf_inv @ dmt_u)
-    return term1 + term2 + term3
 
 
 def space_derivative_residual(model: OUModel, t: float, x, u, ell: int,
@@ -292,10 +348,10 @@ def _scan_grid(t_lo: float, t_hi: float, n_scan: int) -> np.ndarray:
     return np.geomspace(t_lo, t_hi, n_scan)
 
 
-def _sign_changes(slope: np.ndarray, err: np.ndarray):
+def _sign_changes(slope: np.ndarray, floor: np.ndarray):
     """Indices (left, right) of strict sign flips, treating values within
-    the noise floor as zero.  slope, err: (p, m)."""
-    tol = np.maximum(1e-13, 4.0 * err)
+    the rounding floor as zero.  slope, floor: (p, m)."""
+    tol = np.maximum(1e-13, 4.0 * floor)
     s = np.where(np.abs(slope) <= tol, 0, np.sign(slope)).astype(np.int8)
     p, m = s.shape
     cols = np.arange(m)
@@ -311,11 +367,10 @@ def _sign_changes(slope: np.ndarray, err: np.ndarray):
 
 def _count_zeros_once(model: OUModel, X: np.ndarray, U: np.ndarray,
                       t_lo: float, t_hi: float, n_scan: int,
-                      refine_width: float, want_zeros: bool,
-                      chunk: int = 256):
+                      refine_width: float, want_zeros: bool):
     grid = _scan_grid(t_lo, t_hi, n_scan)
-    slope, err, _ = logk_time_slope_grid(model, grid, X, U, chunk=chunk)
-    flips, prev_last = _sign_changes(slope, err)
+    slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
+    flips, prev_last = _sign_changes(slope, floor)
     counts = flips.sum(axis=1)
     if not want_zeros:
         return counts, None
@@ -326,7 +381,7 @@ def _count_zeros_once(model: OUModel, X: np.ndarray, U: np.ndarray,
     # bisect every flagged bracket of every pair at once
     while np.max(hi - lo, initial=0.0) > refine_width:
         mid = 0.5 * (lo + hi)
-        sm, _, _ = logk_time_slope(model, mid, X[rows], U[rows])
+        sm, _ = logk_time_slope(model, mid, X[rows], U[rows])
         same = np.sign(sm) == left_sign
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
@@ -359,16 +414,15 @@ def count_kdot_zeros(model: OUModel, x, u,
 
 def count_kdot_zeros_batch(model: OUModel, X, U,
                            t_interval: tuple[float, float] = (1e-8, 1.0),
-                           n_scan: int = 4096,
-                           chunk: int = 256):
+                           n_scan: int = 4096):
     """Zero counts for many pairs at once; returns (counts, stable mask)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     t_lo, t_hi = t_interval
     counts, _ = _count_zeros_once(model, X, U, t_lo, t_hi, n_scan,
-                                  0.0, want_zeros=False, chunk=chunk)
+                                  0.0, want_zeros=False)
     counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
-                                   0.0, want_zeros=False, chunk=chunk)
+                                   0.0, want_zeros=False)
     return counts, counts == counts2
 
 
@@ -484,16 +538,16 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
     the max statistic."""
     rx = quadratic_r(model, x)[:, None]
     pr = propagators(model, ts)
+    lk = log_kernel_grid(model, pr, x, u)
     if which == "kernel-small-t":
-        lk = log_kernel_grid(model, pr, x, u)
         w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
         b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
         a = lk - rx + 0.5 * model.n * np.log(ts)[None, :]
         return a, b, None
     if which == "dkernel-small-t":
-        slope, _, g0 = logk_time_slope_grid(model, ts, x, u)
+        slope, _ = logk_time_slope_grid(model, pr, x, u)
         with np.errstate(divide="ignore"):
-            log_kdot = g0 + np.log(np.abs(slope))
+            log_kdot = lk + np.log(np.abs(slope))
         w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
         b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
         factor = (1.0 / ts[None, :]
@@ -501,9 +555,9 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
         a = log_kdot - rx + 0.5 * model.n * np.log(ts)[None, :] - np.log(factor)
         return a, b, None
     if which == "dkernel-large-t":
-        slope, _, g0 = logk_time_slope_grid(model, ts, x, u)
+        slope, _ = logk_time_slope_grid(model, pr, x, u)
         with np.errstate(divide="ignore"):
-            log_kdot = g0 + np.log(np.abs(slope))
+            log_kdot = lk + np.log(np.abs(slope))
         dv = np.einsum("mij,pj->pmi", pr.Dmt, u)
         b = np.einsum("pmi,pmi->pm", dv - x[:, None, :], dv - x[:, None, :])
         a = log_kdot - rx
@@ -511,18 +565,22 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
     raise ValueError(f"unknown bound name {which!r}")
 
 
-def _max_log_ratio(which: str, a, b, dnorm, ts, c: float,
-                   upto: int | None = None) -> float:
-    sl = slice(0, upto)
+def _prefix_max_log_ratios(which: str, a, b, dnorm, ts, c: float,
+                           uptos) -> list[float]:
+    """Largest finite log ratio at rate c over the first k pairs, for each k
+    in uptos (None for all pairs).  The per-pair suprema over times are
+    taken once; each prefix maximum then reads the same array."""
     if which in ("kernel-small-t", "dkernel-small-t"):
-        vals = a[sl] + c * b[sl]
+        vals = a + c * b
     else:
-        vals = a[sl] + c * b[sl] - np.log(dnorm[sl]
-                                          + np.exp(-c * ts)[None, :])
+        vals = a + c * b - np.log(dnorm + np.exp(-c * ts)[None, :])
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     per_pair = vals.max(axis=1)
-    per_pair = per_pair[np.isfinite(per_pair)]
-    return float(per_pair.max()) if per_pair.size else -np.inf
+    out = []
+    for k in uptos:
+        head = per_pair[:k]
+        out.append(float(head.max()) if head.size else -np.inf)
+    return out
 
 
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
@@ -549,9 +607,8 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     a, b, dnorm = _ratio_pieces(model, which, x, u, ts)
 
     def stats(cc: float):
-        m4 = _max_log_ratio(which, a, b, dnorm, ts, cc, n_samples // 4)
-        m2 = _max_log_ratio(which, a, b, dnorm, ts, cc, n_samples // 2)
-        m1 = _max_log_ratio(which, a, b, dnorm, ts, cc)
+        m4, m2, m1 = _prefix_max_log_ratios(
+            which, a, b, dnorm, ts, cc, (n_samples // 4, n_samples // 2, None))
         growing = (m1 > m2 + np.log(1.1)) and (m2 > m4 + np.log(1.1))
         stable = m1 <= m2 + np.log(1.1)
         return m1, stable, growing
@@ -594,17 +651,19 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
     u = gen.standard_normal((m, n)) * 2.0
     rate = admissible_rate(model, "dkernel-large-t", t_max=t_max)
 
-    def tv_over_e_r(grid_size: int, upto: int) -> float:
-        grid = np.geomspace(1.0, t_max, grid_size)
-        pr = propagators(model, grid)
-        lk = log_kernel_grid(model, pr, x[:upto], u[:upto])
-        rx = quadratic_r(model, x[:upto])
-        k = np.exp(lk - rx[:, None])      # K / e^{R(x)}, overflow-safe
-        return float(np.abs(np.diff(k, axis=1)).sum(axis=1).max())
+    rx = quadratic_r(model, x)
 
-    r_half = tv_over_e_r(1024, m // 2)
-    r_full = tv_over_e_r(1024, m)
-    r_fine = tv_over_e_r(2048, m)
+    def tv_over_e_r(grid_size: int) -> np.ndarray:
+        """Per-pair total variation of K / e^{R(x)} on the grid."""
+        grid = np.geomspace(1.0, t_max, grid_size)
+        lk = log_kernel_grid(model, propagators(model, grid), x, u)
+        k = np.exp(lk - rx[:, None])      # K / e^{R(x)}, overflow-safe
+        return np.abs(np.diff(k, axis=1)).sum(axis=1)
+
+    tv = tv_over_e_r(1024)
+    r_half = float(tv[:m // 2].max())
+    r_full = float(tv.max())
+    r_fine = float(tv_over_e_r(2048).max())
     stable = (r_full <= 1.1 * r_half) and (r_fine <= 1.1 * r_full)
     mr = max(r_full, r_fine)
     return BoundCalibration(which="tail-integral", exponent_rate=rate,

@@ -161,6 +161,7 @@ class Propagators:
     Dmt: np.ndarray           # D_{-t}
     A_small: np.ndarray       # Qt^-1 - Qinf^-1, used for t <= T_SWITCH
     M_large: np.ndarray       # Dt^T A Dt in the cancellation-free form
+    N: np.ndarray             # M_large - Qinf^-1, resolvent above T_SWITCH
 
     def __len__(self):
         return self.ts.size
@@ -196,21 +197,27 @@ def propagators(model: OUModel, ts) -> Propagators:
     # For t <= T_SWITCH the resolvent becomes singular instead (S Qinf -> I),
     # so the direct product is used there; only the t > T_SWITCH rows are
     # ever consumed in that regime anyway.
+    # N = M - Qinf^-1 is kept for the time slope, whose x-Hessian of log K
+    # is -N: above T_SWITCH it is the resolvent term itself, below it the
+    # difference, which is then dominated by M ~ 1/t and does not cancel.
     M = np.empty_like(A_small)
+    N = np.empty_like(A_small)
     lg = ts > T_SWITCH
     if np.any(lg):
         S = np.einsum("mji,jk,mkl->mil", exp_tB[lg], model.Qinf_inv,
                       exp_tB[lg])
         eye = np.eye(model.n)
-        M[lg] = model.Qinf_inv[None] + np.linalg.solve(
-            eye[None] - S @ model.Qinf, S)
+        N[lg] = np.linalg.solve(eye[None] - S @ model.Qinf, S)
+        M[lg] = model.Qinf_inv[None] + N[lg]
     if np.any(~lg):
         M[~lg] = np.einsum("mji,mjk,mkl->mil", Dt[~lg], A_small[~lg],
                            Dt[~lg])
     M_large = 0.5 * (M + np.swapaxes(M, -1, -2))
+    N[~lg] = M_large[~lg] - model.Qinf_inv[None]
+    N = 0.5 * (N + np.swapaxes(N, -1, -2))
     return Propagators(ts=ts, exp_tB=exp_tB, Qt=Qt, Qt_inv=Qt_inv,
                        logdet_Qt=logdet, sqrt_Qt=sqrt_Qt, Dt=Dt, Dmt=Dmt,
-                       A_small=A_small, M_large=M_large)
+                       A_small=A_small, M_large=M_large, N=N)
 
 
 def covariance_qt(model: OUModel, t: float) -> np.ndarray:

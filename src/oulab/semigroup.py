@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AlphaTooSmallError, BadOrderError, BudgetExceededError,
-                     CoincidentPointsError, DimensionError, EtaZeroError,
+                     CoincidentPointsError, DimensionError,
                      NonPositiveTimeError)
 from .geometry import (annulus_indicator, local_weight, polar_decompose)
-from .kernel import (kernel_space_slope, kernel_space_slope_dt,
-                     log_kernel_grid, log_kernel_pairs, logk_time_slope)
+from .kernel import log_kernel_grid, log_kernel_pairs
 from .model import (OUModel, Propagators, covariance_qt, gamma_log_density,
                     propagators, quadratic_r)
 from .quadrature import (DEFAULT_ORDER, GaussianMeasure, adaptive_integral,
@@ -612,64 +611,6 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
     drift = float(np.max(np.abs(fine - base) / np.maximum(base, _TINY)))
     return {"radii": r, "profile": fine, "max_stat": float(fine.max()),
             "drift": drift, "stable": bool(drift <= 0.10)}
-
-
-def mixed_derivative_bound(model: OUModel, x, u, ell: int = 0,
-                           grid_size: int = 512, t_lo: float = 1e-6) -> dict:
-    """integral over (0, 1] of |d/dt d/du_ell K_t(x, u)| compared against
-    |u - x|^{-n-1}.
-
-    The mixed derivative is assembled from the two analytic factors of
-    d/du K = -K s(t): d/dt d/du K = -(dK/dt s + K ds/dt); a second-difference
-    stencil cross-checks the assembly at spot times.
-    """
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    sep = float(np.linalg.norm(u - x))
-    if sep == 0.0:
-        raise CoincidentPointsError("mixed derivative bound needs x != u")
-    if local_weight(model, x[None], u[None])[0] == 0.0:
-        raise EtaZeroError("pair lies outside the near region")
-
-    def integral(m: int) -> tuple[float, np.ndarray, np.ndarray]:
-        ts = np.geomspace(t_lo, 1.0, m)
-        xs = np.broadcast_to(x, (m, model.n))
-        us = np.broadcast_to(u, (m, model.n))
-        slope, _, g0 = logk_time_slope(model, ts, xs, us)
-        k = np.exp(g0)
-        kdot = k * slope
-        s_ell = np.empty(m)
-        sdot_ell = np.empty(m)
-        for i, t in enumerate(ts):
-            s_ell[i] = kernel_space_slope(model, float(t), x, u)[ell]
-            sdot_ell[i] = kernel_space_slope_dt(model, float(t), x, u)[ell]
-        mixed = -(kdot * s_ell + k * sdot_ell)
-        return float(np.trapezoid(np.abs(mixed), ts)), ts, mixed
-
-    val, ts, mixed = integral(grid_size)
-    val2, _, _ = integral(2 * grid_size)
-    drift = abs(val2 - val) / max(abs(val2), _TINY)
-
-    # spot check the analytic assembly with a centered 2d-difference stencil
-    idx = np.linspace(grid_size // 8, grid_size - 1, 8).astype(int)
-    dev = 0.0
-    for i in idx:
-        t = float(ts[i])
-        h = 1e-4 * t
-        e = 1e-5 * max(1.0, float(np.abs(u).max()))
-        vals = np.empty((2, 2))
-        for a, tt in enumerate((t + h, t - h)):
-            for b, du in enumerate((e, -e)):
-                uu = u.copy()
-                uu[ell] += du
-                vals[a, b] = math.exp(log_kernel_pairs(
-                    model, np.array([tt]), x[None], uu[None])[0])
-        fd = (vals[0, 0] - vals[0, 1] - vals[1, 0] + vals[1, 1]) / (4 * h * e)
-        ref = float(mixed[i])
-        dev = max(dev, abs(fd - ref) / max(abs(ref), 1e-12))
-    return {"integral": val2, "bound": sep ** (-model.n - 1),
-            "ratio": val2 * sep ** (model.n + 1), "drift": float(drift),
-            "stable": bool(drift <= 0.10), "fd_deviation": float(dev)}
 
 
 # ---------------------------------------------------------------------------

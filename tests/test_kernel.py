@@ -1,3 +1,5 @@
+from importlib import import_module
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,6 +8,7 @@ from scipy.stats import multivariate_normal
 
 from oulab import (
     admissible_rate,
+    build_model,
     calibrate_bound,
     conv_kernel,
     covariance_qt,
@@ -21,8 +24,14 @@ from oulab import (
     quadratic_r,
     singular_integral_check,
     space_derivative_residual,
+    standard_model,
 )
-from oulab.kernel import kernel_dt_raw, log_kernel_pairs
+from oulab.kernel import (BoundCalibration, _calibrate_tail_integral,
+                          _prefix_max_log_ratios, _sign_changes,
+                          kernel_dt_raw, log_kernel_grid, log_kernel_pairs,
+                          logk_time_slope, logk_time_slope_grid)
+from oulab.model import T_SWITCH, propagators
+from oulab.rng import substream
 from oulab.errors import (
     CoincidentPointsError,
     EtaZeroError,
@@ -30,6 +39,9 @@ from oulab.errors import (
     RateTooLargeError,
     TailNotConvergedError,
 )
+
+# the package exports a function named kernel over the module attribute
+kernel_mod = import_module("oulab.kernel")
 
 
 def mehler_1d(t, x, u):
@@ -185,6 +197,165 @@ def test_kernel_dt_matches_quadrature_of_ftc(std1):
 
 
 # ---------------------------------------------------------------------------
+# the analytic time slope
+
+
+def mehler_log_slope(t, x, u):
+    """d/dt log K for the standard model (Q = 2I, B = -I), written from the
+    classical Mehler kernel: with q = e^(-t) and s = 1 - q^2, each
+    coordinate adds -q^2/s + q (u - q x)(q u - x) / s^2."""
+    t = np.asarray(t, dtype=float)[:, None]
+    q = np.exp(-t)
+    s = -np.expm1(-2.0 * t)
+    terms = -q * q / s + q * (u - q * x) * (q * u - x) / (s * s)
+    return terms.sum(axis=1)
+
+
+def fd_log_slope(model, ts, x, u):
+    """The Richardson-extrapolated central difference that the analytic
+    slope replaced, frozen as an independent oracle: relative step
+    1e-4 t, two levels.  Returns (slope, its own error estimate)."""
+    r = 1e-4
+    factors = (1 + r, 1 - r, 1 + r / 2, 1 - r / 2, 1.0)
+    m = ts.size
+    xr = np.concatenate([np.broadcast_to(x, (m, model.n))] * len(factors))
+    ur = np.concatenate([np.broadcast_to(u, (m, model.n))] * len(factors))
+    vals = log_kernel_pairs(model, np.concatenate([ts * f for f in factors]),
+                            xr, ur)
+    g_pp, g_mm, g_p, g_m, g_0 = (vals[i * m:(i + 1) * m]
+                                 for i in range(len(factors)))
+    h = r * ts
+    d1 = (g_pp - g_mm) / (2 * h)
+    d2 = (g_p - g_m) / h
+    slope = (4 * d2 - d1) / 3
+    rounding = np.finfo(float).eps * np.maximum.reduce(
+        [np.abs(g_pp), np.abs(g_mm), np.abs(g_0)]) / h
+    return slope, np.abs(slope - d2) + 4 * rounding
+
+
+def fd_grid_slope(model, ts, x, u):
+    """The grid form of fd_log_slope: five propagator stacks shared by all
+    pairs, (p, m) slope and error estimate."""
+    r = 1e-4
+    g = {f: log_kernel_grid(model, propagators(model, ts * f), x, u)
+         for f in (1 + r, 1 - r, 1 + r / 2, 1 - r / 2, 1.0)}
+    h = (r * ts)[None, :]
+    d1 = (g[1 + r] - g[1 - r]) / (2 * h)
+    d2 = (g[1 + r / 2] - g[1 - r / 2]) / h
+    slope = (4 * d2 - d1) / 3
+    rounding = np.finfo(float).eps * np.maximum(
+        np.abs(g[1 + r]), np.abs(g[1.0])) / h
+    return slope, np.abs(slope - d2) + 4 * rounding
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slope_matches_mehler_closed_form(n):
+    model = standard_model(n)
+    gen = np.random.default_rng(40 + n)
+    ts = np.geomspace(1e-4, 40.0, 400)
+    # with u = 0 or x = 0 the slope is O(e^(-2t)) for large t and rests on
+    # N alone, which the difference M - Qinf^-1 would lose; with u near x
+    # the gradient g = C u - N x cancels for small t
+    pairs = [(np.full(n, 1.7), np.zeros(n)), (np.zeros(n), np.full(n, -0.6)),
+             (np.zeros(n), np.zeros(n)), (np.full(n, 1.3), np.full(n, 1.3)),
+             (np.full(n, 2.0), np.full(n, 2.01))]
+    pairs += [tuple(1.5 * gen.standard_normal((2, n))) for _ in range(6)]
+    for x, u in pairs:
+        got, floor = logk_time_slope(model, ts, x, u)
+        want = mehler_log_slope(ts, x, u)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the floor covers the error, the closed form's own included, and
+        # stays a rounding-sized quantity
+        assert np.all(np.abs(got - want) <= 2.0 * floor)
+        assert np.all(floor <= 1e-8 * np.abs(got) + 1e-8 / ts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slope_matches_frozen_finite_difference(n, model_factory):
+    # The difference quotient is the less accurate side.  Against a
+    # 40-digit derivative of log K the analytic slope errs by at most
+    # about 1e-12; the quotient errs by up to 8e-8 for 1e-3 <= t < 0.1,
+    # where Qt = Qinf - e^{tB} Qinf e^{tB^T} cancels and the step 1e-4 t
+    # amplifies that rounding.  1/t is the scale of the slope's terms
+    # where they cancel to a zero of the slope.
+    ts = np.geomspace(1e-4, 5.0, 300)
+    loose = (ts >= 1e-3) & (ts < 0.1)
+    for seed in range(4):
+        model = model_factory(seed, n)
+        gen = np.random.default_rng(seed)
+        for _ in range(3):
+            x = gen.standard_normal(n)
+            u = gen.standard_normal(n)
+            got, _ = logk_time_slope(model, ts, x, u)
+            fd, _ = fd_log_slope(model, ts, x, u)
+            gap = np.abs(got - fd) / (np.abs(fd) + 1.0 / ts)
+            assert gap[~loose].max() <= 1e-8
+            assert gap[loose].max() <= 2e-7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slope_continuous_across_the_form_switch(n, model_factory):
+    ts = np.array([np.nextafter(T_SWITCH, 0.0), T_SWITCH,
+                   np.nextafter(T_SWITCH, 2.0)])
+    for seed in range(4):
+        model = model_factory(seed, n)
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal(n)
+        u = gen.standard_normal(n)
+        got, floor = logk_time_slope(model, ts, x, u)
+        # the first two use the direct form, the last the resolvent form
+        assert abs(got[2] - got[1]) <= 4 * (floor[1] + floor[2])
+        assert abs(got[1] - got[0]) <= 4 * (floor[0] + floor[1])
+        assert got[2] == pytest.approx(got[1], rel=1e-12, abs=1e-13)
+
+
+def test_slope_grid_and_pair_routes_agree_bit_for_bit(model_factory,
+                                                      monkeypatch):
+    # ragged evaluation blocks on the grid route
+    monkeypatch.setattr(kernel_mod, "_SLOPE_CELLS", 77)
+    monkeypatch.setattr(kernel_mod, "_SLOPE_TIMES", 11)
+    for n in (1, 2, 3):
+        model = model_factory(7, n)
+        gen = np.random.default_rng(n)
+        ts = np.concatenate([np.geomspace(1e-8, 30.0, 37), [T_SWITCH]])
+        X = 2.0 * gen.standard_normal((300, n))
+        U = 2.0 * gen.standard_normal((300, n))
+        slope, floor = logk_time_slope_grid(model, propagators(model, ts),
+                                            X, U)
+        tt = np.tile(ts, X.shape[0])
+        s1, f1 = logk_time_slope(model, tt, np.repeat(X, ts.size, axis=0),
+                                 np.repeat(U, ts.size, axis=0))
+        assert np.array_equal(slope.ravel(), s1)
+        assert np.array_equal(floor.ravel(), f1)
+
+
+def _far_pairs(model, seed, count):
+    gen = substream(seed, 77)
+    x = 2.0 * gen.standard_normal((8 * count, model.n))
+    u = 2.0 * gen.standard_normal((8 * count, model.n))
+    keep = np.abs(quadratic_r(model, u) - quadratic_r(model, x)) >= 4.0
+    assert keep.sum() >= count
+    return x[keep][:count], u[keep][:count]
+
+
+GENERAL2 = ([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 2.0], [0.0, -0.5]])
+
+
+@pytest.mark.parametrize("which", ["general2", "random3"])
+def test_zero_counts_match_frozen_finite_difference(which, model_factory):
+    model = (build_model(*GENERAL2) if which == "general2"
+             else model_factory(11, 3))
+    X, U = _far_pairs(model, 5, 400)
+    counts, stable = count_kdot_zeros_batch(model, X, U)
+    grid = np.geomspace(1e-8, 1.0, 4096)
+    slope, err = fd_grid_slope(model, grid, X, U)
+    flips, _ = _sign_changes(slope, err)
+    assert np.array_equal(counts, flips.sum(axis=1))
+    assert stable.all()
+    assert counts.max() >= 1
+
+
+# ---------------------------------------------------------------------------
 # space derivative identity
 
 
@@ -331,6 +502,87 @@ def test_calibration_validation(std1):
         calibrate_bound(std1, "kernel-small-t", n_samples=2000, c=-0.1)
     with pytest.raises(ValueError):
         calibrate_bound(std1, "no-such-bound", n_samples=2000)
+
+
+def frozen_max_log_ratio(which, a, b, dnorm, ts, c, upto=None):
+    """The per-prefix maximum that calibrate_bound evaluated three times
+    per rate before the prefixes shared one pass."""
+    sl = slice(0, upto)
+    if which in ("kernel-small-t", "dkernel-small-t"):
+        vals = a[sl] + c * b[sl]
+    else:
+        vals = a[sl] + c * b[sl] - np.log(dnorm[sl]
+                                          + np.exp(-c * ts)[None, :])
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    per_pair = vals.max(axis=1)
+    per_pair = per_pair[np.isfinite(per_pair)]
+    return float(per_pair.max()) if per_pair.size else -np.inf
+
+
+@pytest.mark.parametrize("which", ["kernel-small-t", "dkernel-small-t",
+                                   "dkernel-large-t"])
+def test_prefix_maxima_bit_identical_to_separate_passes(which):
+    gen = np.random.default_rng(3)
+    p, m = 203, 48
+    ts = np.geomspace(1.0, 50.0, m)
+    for trial in range(20):
+        a = 40.0 * gen.standard_normal((p, m))
+        b = np.abs(30.0 * gen.standard_normal((p, m)))
+        dnorm = np.abs(gen.standard_normal((p, m)))
+        for arr in (a, b):
+            for bad in (np.nan, np.inf, -np.inf):
+                arr[gen.random((p, m)) < 0.03] = bad
+        a[gen.integers(p, size=5)] = -np.inf       # rows with no finite value
+        a[gen.integers(p, size=2)] = np.nan
+        dnorm[gen.random((p, m)) < 0.02] = 0.0
+        if trial == 0:
+            a[:60] = -np.inf                        # an empty first quarter
+        uptos = (0, p // 4, p // 2, p - 1, None)
+        for c in (1e-3, 0.07, 0.25, 2.0):
+            with np.errstate(invalid="ignore"):     # inf - inf in a + c b
+                got = _prefix_max_log_ratios(which, a, b, dnorm, ts, c,
+                                             uptos)
+                want = [frozen_max_log_ratio(which, a, b, dnorm, ts, c, k)
+                        for k in uptos]
+            assert np.array_equal(got, want)
+            assert all(type(v) is float for v in got)
+
+
+def frozen_tail_integral(model, n_samples, seed, t_max, grid_desc):
+    """_calibrate_tail_integral as it was with a separate half-sample
+    log-kernel pass."""
+    gen = substream(seed, 1)
+    n = model.n
+    m = min(n_samples, 2000)
+    x = gen.standard_normal((m, n)) * 2.0
+    u = gen.standard_normal((m, n)) * 2.0
+    rate = admissible_rate(model, "dkernel-large-t", t_max=t_max)
+
+    def tv_over_e_r(grid_size, upto):
+        grid = np.geomspace(1.0, t_max, grid_size)
+        pr = propagators(model, grid)
+        lk = log_kernel_grid(model, pr, x[:upto], u[:upto])
+        rx = quadratic_r(model, x[:upto])
+        k = np.exp(lk - rx[:, None])
+        return float(np.abs(np.diff(k, axis=1)).sum(axis=1).max())
+
+    r_half = tv_over_e_r(1024, m // 2)
+    r_full = tv_over_e_r(1024, m)
+    r_fine = tv_over_e_r(2048, m)
+    stable = (r_full <= 1.1 * r_half) and (r_fine <= 1.1 * r_full)
+    mr = max(r_full, r_fine)
+    return BoundCalibration(which="tail-integral", exponent_rate=rate,
+                            prefactor_cap=mr, grid=grid_desc,
+                            max_ratio=mr, stable=stable)
+
+
+@pytest.mark.parametrize("name", ["standard1", "general2"])
+def test_tail_integral_unchanged_by_half_sample_reuse(name, std1):
+    model = std1 if name == "standard1" else build_model(*GENERAL2)
+    for n_samples, seed in ((1000, 0), (777, 4)):
+        got = _calibrate_tail_integral(model, n_samples, seed, 50.0, "g")
+        want = frozen_tail_integral(model, n_samples, seed, 50.0, "g")
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,44 @@ def test_propagator_large_t_form_beats_cancellation(std1):
     assert pr.M_large[0, 0, 0] == pytest.approx(exact, rel=1e-12)
 
 
+def frozen_m_large(model, pr):
+    """M_large as built before the resolvent term N was kept."""
+    ts = pr.ts
+    M = np.empty_like(pr.A_small)
+    lg = ts > 1.0
+    if np.any(lg):
+        S = np.einsum("mji,jk,mkl->mil", pr.exp_tB[lg], model.Qinf_inv,
+                      pr.exp_tB[lg])
+        eye = np.eye(model.n)
+        M[lg] = model.Qinf_inv[None] + np.linalg.solve(
+            eye[None] - S @ model.Qinf, S)
+    if np.any(~lg):
+        M[~lg] = np.einsum("mji,mjk,mkl->mil", pr.Dt[~lg], pr.A_small[~lg],
+                           pr.Dt[~lg])
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_propagator_n_keeps_m_large_bit_identical(n, model_factory):
+    m = model_factory(40 + n, n)
+    ts = np.concatenate([np.geomspace(1e-8, 60.0, 97), [1.0]])
+    pr = propagators(m, ts)
+    assert np.array_equal(pr.M_large, frozen_m_large(m, pr))
+    assert np.array_equal(pr.N, np.swapaxes(pr.N, -1, -2))
+    for i, t in enumerate(ts):
+        assert pr.N[i] == pytest.approx(pr.M_large[i] - m.Qinf_inv,
+                                        rel=1e-9, abs=1e-12 * (1 + 1 / t))
+
+
+def test_propagator_n_holds_precision_at_large_t(std1):
+    # N = e^(-2t) / (1 - e^(-2t)) for the standard model; the difference
+    # M_large - Qinf^-1 keeps no digit of it at t = 30
+    pr = propagators(std1, np.array([2.0, 30.0]))
+    q2 = np.exp(-2.0 * pr.ts)
+    assert pr.N[:, 0, 0] == pytest.approx(q2 / -np.expm1(-2.0 * pr.ts),
+                                          rel=1e-14)
+
+
 def test_propagators_reject_nonpositive_times(std1):
     with pytest.raises(NonPositiveTimeError):
         propagators(std1, np.array([0.5, 0.0]))
