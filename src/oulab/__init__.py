@@ -56,20 +56,17 @@ _EXPORTS = {
     "weak_type_probe": "semigroup",
     "annulus_superlevel_probe": "semigroup", "t_max_for_tail": "semigroup",
     # torus
-    "CounterexampleConfig": "torus", "rademacher": "torus",
-    "dyadic_sum": "torus", "line_sum": "torus", "chain_values": "torus",
-    "apply_gauss_smoother": "torus", "apply_window_mean": "torus",
-    "apply_dyadic_mean": "torus", "khinchine_check": "torus",
+    "CounterexampleConfig": "torus", "dyadic_sum": "torus",
+    "chain_values": "torus", "apply_gauss_smoother": "torus",
+    "apply_window_mean": "torus", "apply_dyadic_mean": "torus",
     "dyadic_moment": "torus", "line_moment": "torus",
     "variation_growth_experiment": "torus", "fourier_kernel_gap": "torus",
     "kernel_difference_bound": "torus", "weak_type_failure": "torus",
-    "tensor_split": "torus", "tensor_residual_chain": "torus",
     # report
     "ProbeReport": "report", "write_report": "report",
     "emit_plot_data": "report", "config_fingerprint": "report",
     # rng
-    "substream": "rng", "gaussian_points": "rng", "uniform_points": "rng",
-    "dyadic_points": "rng",
+    "substream": "rng", "dyadic_points": "rng",
     # errors
     "OULabError": "errors",
 }

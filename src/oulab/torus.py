@@ -12,7 +12,10 @@ Exactness.  Points are 60-bit dyadic rationals held as int64 numerators.
 Digit extraction gives the sign functions exactly; window means use the
 closed-form tent primitive in integer arithmetic; the Gaussian chain is a
 finite sum of error-function differences whose truncation error is below
-1e-30.  No quadrature error enters any operator chain.
+1e-30.  Its active scales share the finest one's slot grid, whose
+breakpoints are exactly theirs, and an integer table gives the sign sum
+on each fine slot, so each breakpoint's erf is evaluated once.  No
+quadrature error enters any operator chain.
 """
 
 from __future__ import annotations
@@ -21,14 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .errors import (BadOrderError, BudgetExceededError, DimensionError,
-                     NonPositiveTimeError)
-from .rng import dyadic_points, substream
-from .variation import variation_batch, variation_values
+from .errors import BadOrderError, BudgetExceededError, DimensionError
+from .rng import BITS, dyadic_points, substream
+from .variation import variation_batch
 
-BITS = 60
 _SCALE = 1 << BITS
 # Gaussian window half-width in standard deviations; erfc(12/sqrt(2)) ~ 1e-32
 _WINDOW_SD = 12.0
@@ -69,22 +69,6 @@ class CounterexampleConfig:
         return range(2 * self.N, 3 * self.N + 1)
 
 
-def rademacher(k: int, x) -> np.ndarray:
-    """k-th sign function on [0, 1]: +1 on the first dyadic slot of width
-    2^-k, alternating thereafter; 0 outside (0, 1).
-
-    Works digit-wise on the float argument, so the value at a slot
-    boundary is the right-hand limit.
-    """
-    if k < 1:
-        raise BadOrderError("sign-function index must be >= 1")
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0.0) & (x < 1.0)
-    # scaling by 2^k is exact; the floor picks out the k-th binary digit
-    digit = np.floor(np.where(inside, x, 0.5) * 2.0 ** k).astype(np.int64) & 1
-    return np.where(inside, 1 - 2 * digit, 0).astype(np.int64)
-
-
 def rademacher_bits(k: int, m, bits: int = BITS) -> np.ndarray:
     """Sign values from int64 dyadic numerators m / 2^bits, exact."""
     if k < 1:
@@ -94,18 +78,6 @@ def rademacher_bits(k: int, m, bits: int = BITS) -> np.ndarray:
         return np.ones(m.shape, dtype=np.int64)
     digit = (m >> (bits - k)) & 1
     return 1 - 2 * digit
-
-
-def periodized_rademacher(k: int, u) -> np.ndarray:
-    """Three-period extension to [-1, 2]: coincides with the k-th sign
-    function on (0, 1), repeats it on (-1, 0) and (1, 2), vanishes
-    elsewhere."""
-    u = np.asarray(u, dtype=float)
-    inside = (u > -1.0) & (u < 2.0)
-    frac = u - np.floor(u)
-    vals = rademacher(k, np.where(inside, frac, 0.5))
-    # the fractional part 0 occurs only at integers, where slots abut
-    return np.where(inside, vals, 0)
 
 
 def dyadic_sum(N: int, m) -> np.ndarray:
@@ -118,16 +90,6 @@ def dyadic_sum(N: int, m) -> np.ndarray:
     return out
 
 
-def line_sum(N: int, u) -> np.ndarray:
-    """The periodized sum on the real line, supported in [-1, 2]."""
-    cfg = CounterexampleConfig(N=N)
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape, dtype=np.int64)
-    for k in cfg.window:
-        out += periodized_rademacher(k, u)
-    return out
-
-
 def perturb_boundaries(m, kmax: int, bits: int = BITS) -> np.ndarray:
     """Nudge numerators off slot boundaries of every scale up to kmax by
     one ulp, so digit extraction is unambiguous."""
@@ -137,50 +99,51 @@ def perturb_boundaries(m, kmax: int, bits: int = BITS) -> np.ndarray:
     return m
 
 
-def gauss_smoothed_indicator(a: float, b: float, sigma: float, x):
-    """Convolution of the indicator of (a, b) with a centered Gaussian of
-    standard deviation sigma, as a difference of error functions."""
-    if sigma <= 0:
-        raise NonPositiveTimeError("sigma must be positive")
-    x = np.asarray(x, dtype=float)
-    s = sigma * math.sqrt(2.0)
-    return 0.5 * (erf((x - a) / s) - erf((x - b) / s))
-
-
 def apply_gauss_smoother(N: int, ell: int, x) -> np.ndarray:
     """Convolution of the periodized sum with the Gaussian of variance
     4^-ell, evaluated at points of [0, 1].
 
-    For every active scale k the function is a union of +-1 slabs; slabs
-    within 12 standard deviations of x are summed by erf differences.
     Scales finer than ell + 1 are skipped outright: convolution damps the
     m-th square-wave harmonic by exp(-pi^2 m^2 2^(2(k-ell)-1)), which at
     k - ell = 2 is below 7e-35, inside the stated truncation budget.
+
+    The remaining active scales k <= kf = min(3N, ell + 1) share one slot
+    grid: every breakpoint i 2^-k - 1 of a coarser scale is the breakpoint
+    i 2^(kf-k) 2^-kf - 1 of the finest one, the same float.  On fine slot
+    i the periodized sum is the integer F(i) = sum_k (-1)^(bit kf-k of i),
+    which depends only on i mod 2^|K|, so it is read from a table of
+    2^|K| entries.  The slots within 12 standard deviations of x are
+    summed by erf differences, one erf per fine breakpoint.  An active
+    scale needs ell >= 2N >= 4, so the window and its two spare slots
+    stay within 0.82 of [0, 1], inside the support [-1, 2] outside which
+    F would vanish.
     """
+    from scipy.special import erf
     cfg = CounterexampleConfig(N=N)
     if ell < 1:
         raise BadOrderError("scale index must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any((x < 0.0) | (x > 1.0)):
         raise DimensionError("points must lie in [0, 1]")
+    k_fine = min(cfg.window.stop - 1, ell + _DAMPED_GAP - 1)
+    n_scales = k_fine - cfg.window.start + 1
+    if n_scales <= 0:
+        return np.zeros(x.shape)
+    # F(r) = |K| - 2 popcount(r): each scale's bit doubles the table, +1
+    # where the bit is clear and -1 where it is set
+    table = np.zeros(1, dtype=np.int64)
+    for _ in range(n_scales):
+        table = np.concatenate([table + 1, table - 1])
     sd = 2.0 ** (-ell)
     s = math.sqrt(2.0) * sd
     half_window = _WINDOW_SD * sd
-    out = np.zeros(x.shape)
-    for k in cfg.window:
-        if k - ell >= _DAMPED_GAP:
-            continue
-        w = 2.0 ** (-k)
-        count = int(math.ceil(2.0 * half_window / w)) + 2
-        j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
-        idx = j0[:, None] + np.arange(count + 1, dtype=np.int64)[None, :]
-        breakpoints = idx * w - 1.0
-        slot_idx = idx[:, :-1]
-        valid = (slot_idx >= 0) & (slot_idx < 3 * (1 << k))
-        signs = np.where(slot_idx & 1 == 0, 1.0, -1.0)
-        e = erf((x[:, None] - breakpoints) / s)
-        out += 0.5 * np.sum(signs * valid * (e[:, :-1] - e[:, 1:]), axis=1)
-    return out
+    w = 2.0 ** (-k_fine)
+    count = int(math.ceil(2.0 * half_window / w)) + 2
+    j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
+    idx = j0[:, None] + np.arange(count + 1, dtype=np.int64)[None, :]
+    e = erf((x[:, None] - (idx * w - 1.0)) / s)
+    sign_sum = table[idx[:, :-1] & (table.size - 1)]
+    return 0.5 * np.sum(sign_sum * (e[:, :-1] - e[:, 1:]), axis=1)
 
 
 def _tent(k: int, y: np.ndarray, bits: int = BITS) -> np.ndarray:
@@ -275,55 +238,6 @@ def dyadic_moment(N: int, p: float) -> float:
 def line_moment(N: int, p: float) -> float:
     """L^p(line)^p of the periodized sum: three unit periods."""
     return 3.0 * dyadic_moment(N, p)
-
-
-def khinchine_check(config: CounterexampleConfig) -> dict:
-    """Exact moments of the sign sum against the square-root scaling.
-
-    The second moment is exactly N by orthonormality; the fourth moment
-    equals 3N^2 - 2N by the pairing count; the p-th roots divided by
-    sqrt(N) stay inside fixed constants.
-    """
-    N = config.N
-    l2_sq = dyadic_moment(N, 2)
-    l4_4 = dyadic_moment(N, 4)
-    l1 = dyadic_moment(N, 1)
-    rows = []
-    for p in (1.0, 2.0, 4.0):
-        norm = dyadic_moment(N, p) ** (1.0 / p)
-        rows.append({"p": p, "norm": norm, "ratio": norm / math.sqrt(N)})
-    return {
-        "exact_l2": math.sqrt(l2_sq),
-        "l2_squared": l2_sq,
-        "l4_fourth": l4_4,
-        "l4_fourth_combinatorial": float(3 * N * N - 2 * N),
-        "l1": l1,
-        "sup_norm": float(N),
-        "p_norms": rows,
-    }
-
-
-def dyadic_mean_variation_distribution(N: int) -> dict:
-    """Exact v(2) distribution of the conditional-expectation chain.
-
-    The chain at a point depends only on the N active digits, so the 2^N
-    sign patterns each carry measure 2^-N; the chain is the cumulative
-    sign sum started from zero.
-    """
-    CounterexampleConfig(N=N)
-    patterns = np.arange(1 << N, dtype=np.int64)
-    digits = (patterns[:, None] >> np.arange(N)[None, :]) & 1
-    steps = 1 - 2 * digits
-    paths = np.concatenate([np.zeros((1 << N, 1)),
-                            np.cumsum(steps, axis=1)], axis=1)
-    v2 = variation_batch(paths, 2.0)
-    return {
-        "values": v2,
-        "median": float(np.median(v2)),
-        "mean": float(v2.mean()),
-        "min": float(v2.min()),
-        "max": float(v2.max()),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -590,45 +504,7 @@ def _difference_operator_ratio(model, N: int, x_points: int,
 
 
 # ---------------------------------------------------------------------------
-# tensorization and the weak-type failure
-
-
-def tensor_split(N: int, xprime, ell: int) -> dict:
-    """Coordinatewise factorization of the smoothed tensor product at one
-    scale: the first-coordinate chain value, the cross factor from the
-    remaining coordinates (smoothed unit indicators), and the residual.
-
-    The residual is the main term times (1 - product of cross factors);
-    each cross factor sits within a Gaussian tail of 1, so the residual is
-    far below t = 4^-ell everywhere on the unit cube.
-    """
-    xprime = np.atleast_1d(np.asarray(xprime, dtype=float))
-    cfg = CounterexampleConfig(N=N)
-    if ell not in cfg.window:
-        raise BadOrderError("scale index must lie in the active window")
-    t = 4.0 ** (-float(ell))
-    main = float(apply_gauss_smoother(N, ell, xprime[:1])[0])
-    cross = 1.0
-    for xi in xprime[1:]:
-        cross *= float(gauss_smoothed_indicator(-1.0, 2.0, math.sqrt(t),
-                                                np.array([xi]))[0])
-    residual = main * (1.0 - cross)
-    return {"main": main, "cross_factor": cross, "residual": residual,
-            "t": t, "cross_gap": 1.0 - cross}
-
-
-def tensor_residual_chain(N: int, xprime) -> dict:
-    """Residual sequence over the whole chain window plus the v(2) cap
-    sqrt(N+1) * 2 * max |residual|, compared against sqrt(N) 2^-N."""
-    cfg = CounterexampleConfig(N=N)
-    residuals = np.array([tensor_split(N, xprime, ell)["residual"]
-                          for ell in cfg.window])
-    v2 = variation_values(np.concatenate([[0.0], residuals]), 2.0)
-    cap = 2.0 * math.sqrt(N + 1) * float(np.max(np.abs(residuals))) \
-        if residuals.size else 0.0
-    return {"residuals": residuals, "v2": v2, "v2_cap": cap,
-            "budget": math.sqrt(N) * 2.0 ** (-N),
-            "within_budget": bool(v2 <= math.sqrt(N) * 2.0 ** (-N) + 1e-30)}
+# the weak-type failure
 
 
 def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),

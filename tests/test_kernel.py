@@ -652,17 +652,17 @@ def test_far_field_tail_certificate(std1):
 
 def test_probe_modules_load_without_scipy_stats_or_integrate():
     # the quadrature checks import scipy.integrate, the chi-square masses
-    # scipy.stats and the expm fallbacks scipy.linalg on first use, so the
-    # probe path never pays for them
+    # scipy.stats, the expm fallbacks scipy.linalg and the Gaussian chain
+    # scipy.special on first use, so the probe path never pays for them
     import os
     import subprocess
     import sys
 
     import oulab
     src = os.path.dirname(os.path.dirname(os.path.abspath(oulab.__file__)))
-    code = ("import sys, oulab.semigroup, oulab.kernel\n"
+    code = ("import sys, oulab.semigroup, oulab.kernel, oulab.torus\n"
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate',"
-            " 'scipy.linalg') if m in sys.modules))")
+            " 'scipy.linalg', 'scipy.special') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -1,0 +1,138 @@
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from oulab import (CounterexampleConfig, apply_gauss_smoother,
+                   apply_window_mean, chain_values, dyadic_moment,
+                   dyadic_points, fourier_kernel_gap)
+from oulab.torus import BITS, perturb_boundaries
+
+
+def per_scale_smoother(N, ell, x):
+    """apply_gauss_smoother as it ran before the merged grid: one erf pass
+    over its own slot grid for every active scale, signs by slot parity."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sd = 2.0 ** (-ell)
+    s = math.sqrt(2.0) * sd
+    half_window = 12.0 * sd
+    out = np.zeros(x.shape)
+    for k in CounterexampleConfig(N=N).window:
+        if k - ell >= 2:
+            continue
+        w = 2.0 ** (-k)
+        count = int(math.ceil(2.0 * half_window / w)) + 2
+        j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
+        idx = j0[:, None] + np.arange(count + 1, dtype=np.int64)[None, :]
+        breakpoints = idx * w - 1.0
+        slot_idx = idx[:, :-1]
+        valid = (slot_idx >= 0) & (slot_idx < 3 * (1 << k))
+        signs = np.where(slot_idx & 1 == 0, 1.0, -1.0)
+        e = erf((x[:, None] - breakpoints) / s)
+        out += 0.5 * np.sum(signs * valid * (e[:, :-1] - e[:, 1:]), axis=1)
+    return out
+
+
+def smoother_points(N, count=400):
+    """Random points, points one ulp either side of slot boundaries of
+    every active scale, and the ends 0 and 1."""
+    x = dyadic_points(5, count).astype(float) * 2.0 ** (-BITS)
+    gen = np.random.default_rng(N)
+    near = []
+    for k in CounterexampleConfig(N=N).window:
+        b = gen.integers(1, 1 << k, 6) * 2.0 ** (-k)
+        near += [np.nextafter(b, 0.0), np.nextafter(b, 1.0)]
+    return np.concatenate([x, *near, [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8])
+def test_merged_smoother_matches_per_scale_loop(N):
+    x = smoother_points(N)
+    for ell in range(1, 3 * N + 2):
+        got = apply_gauss_smoother(N, ell, x)
+        want = per_scale_smoother(N, ell, x)
+        assert np.max(np.abs(got - want)) <= 1e-13, ell
+
+
+def mp_smoother(N, ell, x):
+    """30-digit convolution at x: every +-1 slab of every window scale
+    within 40 standard deviations, damped scales included."""
+    mpmath.mp.dps = 30
+    x = mpmath.mpf(float(x))
+    s = mpmath.sqrt(2) * mpmath.mpf(2) ** (-ell)
+    lo, hi = x - 40 * s, x + 40 * s
+    window = CounterexampleConfig(N=N).window
+    kmax = window[-1]
+    erfs = {}  # by breakpoint numerator over 2^kmax; scales share them
+
+    def e(j, k):
+        key = j << (kmax - k)
+        if key not in erfs:
+            erfs[key] = mpmath.erf((x + 1 - key * mpmath.mpf(2) ** -kmax)
+                                   / s)
+        return erfs[key]
+
+    total = mpmath.mpf(0)
+    for k in window:
+        w = mpmath.mpf(2) ** (-k)
+        j_lo = max(0, int(mpmath.floor((lo + 1) / w)))
+        j_hi = min(3 * 2 ** k, int(mpmath.ceil((hi + 1) / w)))
+        for j in range(j_lo, j_hi):
+            total += (-1) ** j * (e(j, k) - e(j + 1, k))
+    return total / 2
+
+
+def test_smoother_matches_mpmath_reference():
+    N = 4
+    xs = [0.0, 1.0, float(np.nextafter(0.5, 1.0)), 0.61803398874989]
+    for ell in CounterexampleConfig(N=N).chain_indices:
+        got = apply_gauss_smoother(N, ell, np.array(xs))
+        for g, x in zip(got, xs):
+            assert abs(g - float(mp_smoother(N, ell, x))) <= 1e-14, (ell, x)
+
+
+@pytest.mark.parametrize("N,ell", [(4, 1), (4, 7), (10, 19)])
+def test_no_active_scale_gives_zeros(N, ell):
+    out = apply_gauss_smoother(N, ell, np.array([0.0, 0.25, 0.7, 1.0]))
+    assert np.array_equal(out, np.zeros(4))
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_dyadic_moments_are_exact(N):
+    assert dyadic_moment(N, 2) == N
+    assert dyadic_moment(N, 4) == 3 * N * N - 2 * N
+
+
+@pytest.mark.parametrize("N", [3, 8, 12])
+def test_conditional_expectation_chain_is_the_bit_walk(N):
+    m = perturb_boundaries(dyadic_points(2, 2000), 3 * N)
+    cfg = CounterexampleConfig(N=N, sample_size=m.size)
+    k = np.arange(2 * N + 1, 3 * N + 1)
+    steps = 1 - 2 * ((m[:, None] >> (BITS - k[None, :])) & 1)
+    walk = np.concatenate([np.zeros((m.size, 1)), np.cumsum(steps, axis=1)],
+                          axis=1)
+    assert np.array_equal(chain_values(cfg, "E", m), walk)
+
+
+@pytest.mark.parametrize("N", [2, 5, 9])
+def test_window_mean_agrees_on_torus_and_line(N):
+    m = dyadic_points(4, 500)
+    for ell in range(1, 3 * N + 2):
+        assert np.array_equal(apply_window_mean(N, ell, m, "torus"),
+                              apply_window_mean(N, ell, m, "line"))
+
+
+def test_fourier_kernel_gap_tail_bound_holds():
+    xi = np.geomspace(1e-3, 2.5e5, 801)
+    full = np.array([r["total"] for r in fourier_kernel_gap(60, xi)["curve"]])
+    for lmax in (20, 24, 32):
+        res = fourier_kernel_gap(lmax, xi)
+        part = np.array([r["total"] for r in res["curve"]])
+        tail = full - part
+        assert np.all(tail >= 0.0)
+        assert tail.max() <= res["tail_bound"]
+        # the bound is the leading term of the tail at the top frequency
+        assert tail[-1] >= 0.5 * res["tail_bound"]
+
