@@ -20,38 +20,26 @@ _EXPORTS = {
     "OUModel": "model", "build_model": "model", "standard_model": "model",
     "model_from_dict": "model", "covariance_qt": "model",
     "propagators": "model", "Propagators": "model",
-    "apply_generator": "model", "gamma_log_density": "model",
-    "quadratic_r": "model",
+    "gamma_log_density": "model", "quadratic_r": "model",
     # geometry
     "local_weight": "geometry", "polar_decompose": "geometry",
-    "ring_euclidean_width": "geometry", "annulus_indicator": "geometry",
-    "ring_weight": "geometry", "smooth_step": "geometry",
+    "annulus_indicator": "geometry", "smooth_step": "geometry",
     # quadrature
     "gaussian_measure": "quadrature", "product_gaussian": "quadrature",
     "gauss_hermite_rule": "quadrature",
     # kernel
-    "kernel": "kernel", "log_kernel": "kernel", "kernel_tilde": "kernel",
-    "conv_kernel": "kernel", "kernel_dt": "kernel",
+    "kernel": "kernel", "log_kernel": "kernel",
     "count_kdot_zeros": "kernel", "count_kdot_zeros_batch": "kernel",
     "calibrate_bound": "kernel", "BoundCalibration": "kernel",
     "admissible_rate": "kernel", "natural_rate": "kernel",
-    "space_derivative_residual": "kernel",
-    "far_field_decay_check": "kernel", "singular_integral_check": "kernel",
-    "ftc_variation_bound": "kernel",
     # variation
-    "SampledPath": "variation", "variation": "variation",
     "variation_values": "variation", "variation_batch": "variation",
-    "variation_exhaustive": "variation", "discrete_variation": "variation",
-    "variation_properties": "variation",
+    "variation_exhaustive": "variation",
     # semigroup
-    "QuadratureSpec": "semigroup", "TestFunction": "semigroup",
-    "TimeGrid": "semigroup", "gaussian_bump": "semigroup",
-    "constant_function": "semigroup", "coordinate_function": "semigroup",
-    "gaussian_polynomial": "semigroup", "smoothed_indicator": "semigroup",
-    "apply_semigroup": "semigroup", "apply_local_global": "semigroup",
+    "TestFunction": "semigroup", "TimeGrid": "semigroup",
+    "gaussian_bump": "semigroup", "apply_semigroup": "semigroup",
     "bump_semigroup_value": "semigroup",
-    "variation_batch_paths": "semigroup", "maximal_global": "semigroup",
-    "cz_kernel_norm": "semigroup", "cz_difference_norm": "semigroup",
+    "variation_batch_paths": "semigroup",
     "cz_size_sweep": "semigroup", "cz_smoothness_sweep": "semigroup",
     "weak_type_probe": "semigroup",
     "annulus_superlevel_probe": "semigroup", "t_max_for_tail": "semigroup",
@@ -81,9 +69,8 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute "
                              f"{name!r}") from None
     value = getattr(import_module(f".{module}", __name__), name)
-    # Importing a submodule binds the module object as a package attribute,
-    # which would shadow the same-named exports (kernel, variation) on every
-    # later lookup; pin the exports of all loaded submodules over them.
+    # importing a submodule binds it as a package attribute, shadowing the
+    # same-named export kernel; pin the loaded submodules' exports over it
     import sys
     for n, m in _EXPORTS.items():
         sub = sys.modules.get(f"{__name__}.{m}")

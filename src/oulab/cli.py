@@ -213,19 +213,18 @@ def _cmd_variation_path(args) -> int:
 
 def _cmd_semigroup_apply(args) -> int:
     import numpy as np
-    from .semigroup import (QuadratureSpec, apply_semigroup,
-                            bump_semigroup_value, gaussian_bump)
+    from .semigroup import (apply_semigroup, bump_semigroup_value,
+                            gaussian_bump)
     model = _load_model(args.model)
     x = _parse_vector(args.x)
     center = (_parse_vector(args.center) if args.center
               else np.zeros(model.n))
     bump = gaussian_bump(model, center, args.width)
-    spec = QuadratureSpec(order=args.order)
     closed = bump_semigroup_value(model, bump, args.t, x)
-    via_kernel = apply_semigroup(model, spec, bump, x, args.t,
-                                 form="kernel")
-    via_transition = apply_semigroup(model, spec, bump, x, args.t,
-                                     form="kolmogorov")
+    via_kernel = apply_semigroup(model, bump, x, args.t, form="kernel",
+                                 order=args.order)
+    via_transition = apply_semigroup(model, bump, x, args.t,
+                                     form="kolmogorov", order=args.order)
     gap = max(abs(via_kernel - closed), abs(via_transition - closed))
     rel = gap / max(abs(closed), 1e-300)
     print(f"closed form        {closed:.12g}")

@@ -41,18 +41,6 @@ class TooLongError(OULabError):
     """Exhaustive enumeration refused: path too long."""
 
 
-class BadSplitError(OULabError):
-    """Split index outside the path interior."""
-
-
-class CoincidentPointsError(OULabError):
-    """Operation requires x != u."""
-
-
-class EtaZeroError(OULabError):
-    """Cutoff eta(x, u) vanishes where it must not."""
-
-
 class ZeroPointError(OULabError):
     """Operation requires a nonzero point."""
 
@@ -65,10 +53,6 @@ class AlphaTooSmallError(OULabError):
     """Annulus level alpha must exceed 2."""
 
 
-class TailNotConvergedError(OULabError):
-    """Truncated integral tail estimate exceeds tolerance."""
-
-
 class ModelFileError(OULabError):
     """Model file is missing, unreadable, or malformed."""
 
@@ -77,5 +61,7 @@ class RateTooLargeError(OULabError):
     """Candidate Gaussian rate exceeds the model's admissible rate."""
 
 
-class BudgetExceededError(OULabError):
-    """Probe exceeded its wall-clock budget; no report was written."""
+class ArgumentRangeError(OULabError):
+    """A probe setting lies outside the range the probe supports, such as a
+    scale count N beyond the dyadic experiments' limits; raised before any
+    work is done, so no report is written."""

@@ -33,59 +33,6 @@ def smooth_step(s) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def ring_weight(model: OUModel, j: int, x) -> np.ndarray:
-    """Ring j of the partition of unity sum_j r_j = 1 graded by R(x).
-
-    r_j(x) = psi(R - j) - psi(R - j - 1) for j >= 1 with psi the smooth
-    step; the j = 0 ring absorbs the whole telescoped tail below level 2,
-    r_0 = 1 - psi(R - 1).  Ring j is supported on {j <= R <= j + 2} for
-    j >= 1 and on {R <= 2} for j = 0; at most two rings overlap anywhere.
-    """
-    if j < 0:
-        raise DimensionError("ring index must be >= 0")
-    R = quadratic_r(model, x)
-    if j == 0:
-        return 1.0 - smooth_step(R - 1.0)
-    return smooth_step(R - j) - smooth_step(R - j - 1.0)
-
-
-def ring_plateau(model: OUModel, j: int, x) -> np.ndarray:
-    """Widened cutoff equal to 1 on ring j's support.
-
-    rt_j = psi(R - j + 2) - psi(R - j - 3), equal to 1 on
-    {j - 1 <= R <= j + 3} and supported on {j - 2 <= R <= j + 4}; for
-    j <= 2 the lower cutoff is dropped so the plateau covers everything
-    below.
-    """
-    if j < 0:
-        raise DimensionError("ring index must be >= 0")
-    R = quadratic_r(model, x)
-    lo = smooth_step(R - j + 2.0) if j >= 3 else np.ones_like(R)
-    return lo - smooth_step(R - j - 3.0)
-
-
-def ring_of(model: OUModel, x) -> np.ndarray:
-    """Ring index floor(R(x)); ring j is the closed shell {j <= R <= j+1},
-    boundary points landing in the lower ring."""
-    R = quadratic_r(model, x)
-    out = np.floor(R).astype(int)
-    return out if np.ndim(out) else int(out)
-
-
-def in_ring(model: OUModel, j: int, x) -> np.ndarray:
-    """Closed-shell membership, accepting both rings on a boundary."""
-    R = quadratic_r(model, x)
-    return (R >= j) & (R <= j + 1)
-
-
-def ring_euclidean_width(model: OUModel, j: int, direction) -> float:
-    """Width of the shell {j <= R <= j+1} along a ray from the origin."""
-    d = np.asarray(direction, dtype=float).reshape(model.n)
-    d = d / np.linalg.norm(d)
-    a = float(d @ model.Qinf_inv @ d)
-    return float(np.sqrt(2 * (j + 1) / a) - np.sqrt(2 * j / a))
-
-
 def local_weight(model: OUModel, x, u) -> np.ndarray:
     """eta(x, u) = sum_j rt_j(x) r_j(u): 1 near the diagonal R(u) ~ R(x),
     0 once |R(u) - R(x)| >= 4.  Shapes of x and u must broadcast in the
@@ -128,6 +75,14 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
 
 
 def _ring_weight_idx(R, j):
+    """Ring j of the partition of unity sum_j r_j = 1 graded by R, for
+    ring indices j >= 0 broadcasting against R.
+
+    r_j = psi(R - j) - psi(R - j - 1) for j >= 1 with psi the smooth step;
+    the j = 0 ring absorbs the whole telescoped tail below level 2,
+    r_0 = 1 - psi(R - 1).  Ring j is supported on {j <= R <= j + 2} for
+    j >= 1 and on {R <= 2} for j = 0; at most two rings overlap anywhere.
+    """
     hi = smooth_step(R - j)
     lo = smooth_step(R - j - 1.0)
     w = hi - lo
@@ -135,81 +90,15 @@ def _ring_weight_idx(R, j):
 
 
 def _ring_plateau_idx(R, j):
+    """Widened cutoff equal to 1 on ring j's support.
+
+    rt_j = psi(R - j + 2) - psi(R - j - 3), equal to 1 on
+    {j - 1 <= R <= j + 3} and supported on {j - 2 <= R <= j + 4}; for
+    j <= 2 the lower cutoff is dropped so the plateau covers everything
+    below.
+    """
     lo = np.where(j >= 3, smooth_step(R - j + 2.0), 1.0)
     return lo - smooth_step(R - j - 3.0)
-
-
-def ring_masses(model: OUModel, j_max: int) -> np.ndarray:
-    """Invariant-measure mass of each ring, by 1-d quadrature in R.
-
-    2R(x) is chi-square with n degrees of freedom under the invariant
-    measure, so the mass of ring j is an integral of the ring profile
-    against the chi-square density; the profiles overlap only on unit
-    bands, and the masses add to 1.
-    """
-    from scipy.integrate import quad
-    from scipy.stats import chi2
-    n = model.n
-    out = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        lo, hi = (0.0, 2.0) if j == 0 else (float(j), j + 2.0)
-
-        def f(r, jj=j):
-            w = (1.0 - smooth_step(r - 1.0)) if jj == 0 else (
-                smooth_step(r - jj) - smooth_step(r - jj - 1.0))
-            return w * chi2.pdf(2 * r, n) * 2
-
-        out[j], _ = quad(f, lo, hi, limit=200)
-    return out
-
-
-def eta_gradient_bound(model: OUModel, seed: int = 0, samples: int = 4096,
-                       fd_step: float = 1e-6, spread: float = 4.0) -> float:
-    """Empirical sup of (|grad_x eta| + |grad_u eta|) / (1 + |x|) over a
-    wide Gaussian cloud, gradients by central differences.
-
-    Finite because each ring profile composes a fixed smooth step with R,
-    |grad R(x)| grows linearly, and only two rings overlap any point.
-    """
-    from .rng import substream
-    gen = substream(seed, 0)
-    n = model.n
-    # cover the transition bands |R(u) - R(x)| near 1 and 4 out to |x| ~ 3*spread
-    x = gen.standard_normal((samples, n)) * spread
-    u = x + gen.standard_normal((samples, n)) * 1.5
-    gx = np.zeros(samples)
-    gu = np.zeros(samples)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = fd_step
-        du = local_weight(model, x, u + e) - local_weight(model, x, u - e)
-        dx = local_weight(model, x + e, u) - local_weight(model, x - e, u)
-        gu += (du / (2 * fd_step)) ** 2
-        gx += (dx / (2 * fd_step)) ** 2
-    stat = (np.sqrt(gx) + np.sqrt(gu)) / (1.0 + np.linalg.norm(x, axis=1))
-    return float(stat.max())
-
-
-def ring_gradient_bound(model: OUModel, j_max: int = 12, seed: int = 0,
-                        samples: int = 2048, fd_step: float = 1e-6) -> float:
-    """Empirical constant C with |grad r_j(x)| <= C (1 + |x|) and the same
-    for the plateaus, maximized over rings up to j_max."""
-    from .rng import substream
-    gen = substream(seed, 1)
-    n = model.n
-    x = gen.standard_normal((samples, n)) * 4.0
-    denom = 1.0 + np.linalg.norm(x, axis=1)
-    best = 0.0
-    for j in range(j_max + 1):
-        for fn in (ring_weight, ring_plateau):
-            g = np.zeros(samples)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = fd_step
-                d = fn(model, j, x + e) - fn(model, j, x - e)
-                g += (d / (2 * fd_step)) ** 2
-            best = max(best, float((np.sqrt(g) / denom).max()))
-    return best
 
 
 def group_apply(model: OUModel, x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -290,19 +179,3 @@ def annulus_indicator(model: OUModel, alpha: float, x) -> np.ndarray:
     R = quadratic_r(model, x)
     out = (R >= 0.5 * tau) & (R <= 2.0 * tau)
     return out if np.ndim(out) else bool(out)
-
-
-def level_set_mass(model: OUModel, tau: float) -> float:
-    """gamma_inf({R >= tau}) = P(chi2_n >= 2 tau), exact."""
-    from scipy.stats import chi2
-    if tau <= 0:
-        return 1.0
-    return float(chi2.sf(2.0 * tau, model.n))
-
-
-def annulus_mass(model: OUModel, alpha: float) -> float:
-    """gamma_inf(C_alpha), exact via chi-square tails."""
-    if alpha <= 2.0:
-        raise AlphaTooSmallError("annulus needs alpha > 2")
-    tau = np.log(alpha)
-    return level_set_mass(model, 0.5 * tau) - level_set_mass(model, 2.0 * tau)

@@ -30,15 +30,12 @@ Mehler's closed form it holds about 1e-13 relative for t in [1e-4, 40].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoincidentPointsError, EtaZeroError,
-                     NonPositiveTimeError, NumericalOverflowError,
-                     RateTooLargeError, TailNotConvergedError)
-from .geometry import group_apply, local_weight
+from .errors import (NonPositiveTimeError, NumericalOverflowError,
+                     RateTooLargeError)
 from .model import (OUModel, Propagators, T_SWITCH, propagators, quadratic_r)
 from .rng import substream
 
@@ -50,8 +47,11 @@ def _chunks(total: int, size: int):
         yield lo, min(lo + size, total)
 
 
-def log_kernel_grid(model: OUModel, props: Propagators, x, u,
-                    chunk: int = 256) -> np.ndarray:
+# pairs per block of log_kernel_grid, each against the full time grid
+_GRID_CHUNK = 256
+
+
+def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
     """log K_t(x_i, u_i) for every pair i and every grid time, (p, m).
 
     x, u: (p, n) paired points.  Memory is bounded by evaluating pair
@@ -64,7 +64,7 @@ def log_kernel_grid(model: OUModel, props: Propagators, x, u,
     small = props.ts <= T_SWITCH
     large = ~small
     const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)    # (m,)
-    for lo, hi in _chunks(p, chunk):
+    for lo, hi in _chunks(p, _GRID_CHUNK):
         xs, us = x[lo:hi], u[lo:hi]
         rx = quadratic_r(model, xs)                        # (c,)
         block = np.empty((hi - lo, m))
@@ -120,33 +120,6 @@ def kernel(model: OUModel, t: float, x, u) -> float:
         raise NumericalOverflowError(
             f"log K = {lk:.3e} overflows; use log_kernel")
     return float(np.exp(lk))
-
-
-def kernel_tilde(model: OUModel, t: float, x, u) -> float:
-    """Kernel with the (det Qinf)^{1/2} e^{R(x)} factors stripped."""
-    if t <= 0:
-        raise NonPositiveTimeError("kernel time must be positive")
-    x = np.asarray(x, dtype=float)
-    lk = log_kernel(model, t, x, u)
-    lkt = lk - 0.5 * model.logdet_Qinf - quadratic_r(model, x)
-    return float(np.exp(lkt))
-
-
-def conv_kernel(model: OUModel, t: float, y, normalized: bool = False):
-    """Short-time convolution approximant
-    (det Q)^{-1/2} t^{-n/2} exp(-|Q^{-1/2} y|^2 / (2t)); the normalized
-    variant divides by (2 pi)^{n/2} and integrates to 1 in dy."""
-    if t <= 0:
-        raise NonPositiveTimeError("kernel time must be positive")
-    y = np.asarray(y, dtype=float)
-    w, v = np.linalg.eigh(model.Q)
-    q = np.einsum("...i,ij,...j->...", y, (v / w) @ v.T, y)
-    _, logdet_q = np.linalg.slogdet(model.Q)
-    lk = -0.5 * logdet_q - 0.5 * model.n * np.log(t) - 0.5 * q / t
-    if normalized:
-        lk = lk - 0.5 * model.n * np.log(2 * np.pi)
-    out = np.exp(lk)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +225,6 @@ def logk_time_slope(model: OUModel, ts, x, u,
     return _slope_eval(model, _slope_factors(model, props), x.T, u.T)
 
 
-def kernel_dt_pairs(model: OUModel, ts, x, u) -> tuple[np.ndarray, np.ndarray]:
-    """(dK/dt, rounding floor) with one time per pair; dK/dt = K d(log K)/dt."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    props = propagators(model, ts)
-    slope, floor = logk_time_slope(model, ts, x, u, props=props)
-    k = np.exp(np.minimum(log_kernel_pairs(model, ts, x, u, props=props),
-                          _LOG_MAX))
-    return k * slope, k * floor
-
-
-def kernel_dt(model: OUModel, t: float, x, u) -> tuple[float, float]:
-    kd, err = kernel_dt_pairs(model, np.array([float(t)]), x, u)
-    return float(kd[0]), float(err[0])
-
-
-def kernel_dt_raw(model: OUModel, t: float, x, u, h: float) -> float:
-    """Plain central difference of K itself at explicit step h, for
-    convergence-order measurements."""
-    kp = kernel(model, t + h, x, u)
-    km = kernel(model, t - h, x, u)
-    return (kp - km) / (2 * h)
-
-
 # pair-time cells per evaluation block of the slope grid, and at most this
 # many times in one block: few pairs against a long run of times keeps the
 # inner loops long and the temporaries in cache
@@ -307,34 +257,8 @@ def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
     return slope, floor
 
 
-def kernel_space_slope(model: OUModel, t: float, x, u) -> np.ndarray:
-    """The vector whose ell-th entry gives the space-derivative identity
-    d/du_ell K_t = -K_t <Qt^-1 e^{tB} (D_{-t} u - x), e_ell>."""
-    if t <= 0:
-        raise NonPositiveTimeError("kernel time must be positive")
-    pr = propagators(model, np.array([float(t)]))
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    v = pr.Dmt[0] @ u - x
-    return pr.Qt_inv[0] @ (pr.exp_tB[0] @ v)
-
-
-def space_derivative_residual(model: OUModel, t: float, x, u, ell: int,
-                              fd_step: float = 1e-6) -> float:
-    """Relative residual of the first-space-derivative identity at
-    coordinate ell (0-based): |FD d/du_ell K + K R_ell| / max(1, |K R_ell|)."""
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    e = np.zeros(model.n)
-    e[ell] = fd_step
-    fd = (kernel(model, t, x, u + e) - kernel(model, t, x, u - e)) \
-        / (2 * fd_step)
-    k = kernel(model, t, x, u)
-    rl = kernel_space_slope(model, t, x, u)[ell]
-    return float(abs(fd + k * rl) / max(1.0, abs(k * rl)))
-
-
 # ---------------------------------------------------------------------------
-# zeros of t -> dK/dt on (0, 1] and the resulting variation bound
+# zeros of t -> dK/dt on (0, 1]
 
 
 @dataclass(frozen=True)
@@ -342,10 +266,6 @@ class ZeroCount:
     count: int
     zeros: np.ndarray
     stable: bool
-
-
-def _scan_grid(t_lo: float, t_hi: float, n_scan: int) -> np.ndarray:
-    return np.geomspace(t_lo, t_hi, n_scan)
 
 
 def _sign_changes(slope: np.ndarray, floor: np.ndarray):
@@ -368,7 +288,7 @@ def _sign_changes(slope: np.ndarray, floor: np.ndarray):
 def _count_zeros_once(model: OUModel, X: np.ndarray, U: np.ndarray,
                       t_lo: float, t_hi: float, n_scan: int,
                       refine_width: float, want_zeros: bool):
-    grid = _scan_grid(t_lo, t_hi, n_scan)
+    grid = np.geomspace(t_lo, t_hi, n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
     flips, prev_last = _sign_changes(slope, floor)
     counts = flips.sum(axis=1)
@@ -424,45 +344,6 @@ def count_kdot_zeros_batch(model: OUModel, X, U,
     counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
                                    0.0, want_zeros=False)
     return counts, counts == counts2
-
-
-def ftc_variation_bound(model: OUModel, x, u,
-                        t_interval: tuple[float, float] = (1e-8, 1.0),
-                        sup_grid: int = 1000) -> dict:
-    """Compare int |dK/dt| dt over (0, 1] with twice the sum of kernel
-    values at the critical times and the right endpoint.
-
-    The integral uses adaptive quadrature between the detected zeros; for
-    x != u the kernel vanishes at t -> 0, so the lower endpoint adds
-    nothing.  Also reports (count + 2) * sup K on a log grid.
-    """
-    from scipy.integrate import quad
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    if np.allclose(x, u):
-        raise CoincidentPointsError("x = u makes the kernel blow up at 0+")
-    zc = count_kdot_zeros(model, x, u, t_interval=t_interval)
-    t_lo, t_hi = t_interval
-
-    def absdot(t):
-        kd, _ = kernel_dt(model, float(t), x, u)
-        return abs(kd)
-
-    cuts = [t_lo, *[float(z) for z in zc.zeros], t_hi]
-    lhs = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        val, _ = quad(absdot, a, b, limit=200)
-        lhs += val
-    k_at = [kernel(model, float(z), x, u) for z in zc.zeros]
-    rhs = 2.0 * (sum(k_at) + kernel(model, t_hi, x, u))
-    grid = np.geomspace(t_lo, t_hi, sup_grid)
-    lk = log_kernel_pairs(model, grid, np.tile(x, (sup_grid, 1)),
-                          np.tile(u, (sup_grid, 1)))
-    sup_k = float(np.exp(lk.max()))
-    return {"lhs": lhs, "rhs": rhs, "count": zc.count, "stable": zc.stable,
-            "zeros": zc.zeros, "sup_bound": 2.0 * (zc.count + 2) * sup_k}
 
 
 # ---------------------------------------------------------------------------
@@ -669,79 +550,3 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
     return BoundCalibration(which="tail-integral", exponent_rate=rate,
                             prefactor_cap=mr, grid=grid_desc,
                             max_ratio=mr, stable=stable)
-
-
-# ---------------------------------------------------------------------------
-# the two integral estimates used by the local and global analyses
-
-
-def singular_integral_check(model: OUModel, p: float, r: float, delta: float,
-                         x, u) -> tuple[float, float]:
-    """Quadrature check of
-    int_0^1 t^{-p} exp(-delta |u - Dt x|^2 / t) |x|^r dt <= C |u-x|^{2-2p-r}
-    in its admissible range p + r/2 > 1; returns (lhs, rhs)."""
-    from scipy.integrate import quad
-    if p < 0 or r < 0 or p + r / 2 <= 1:
-        raise ValueError("need p, r >= 0 with p + r/2 > 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    if np.allclose(x, u):
-        raise CoincidentPointsError("x = u not allowed")
-    if local_weight(model, x, u) == 0.0:
-        raise EtaZeroError("points are not in the local region")
-    xnorm_r = 1.0 if r == 0 else float(np.linalg.norm(x)) ** r
-
-    # substitute t = e^s: the integrand's mass sits near t ~ |u-x|^2, which
-    # a linear-scale quadrature misses entirely once the points are close
-    def integrand(s):
-        t = math.exp(s)
-        pr = propagators(model, np.array([t]))
-        w = u - pr.Dt[0] @ x
-        return math.exp((1.0 - p) * s - delta * float(w @ w) / t)
-
-    sep2 = float((u - x) @ (u - x))
-    s_peak = min(math.log(delta * sep2 / max(p - 1.0, 0.5)), 0.0)
-    s_lo = min(s_peak - 80.0, -20.0)
-    lhs = 0.0
-    for a, b in ((s_lo, s_peak), (s_peak, 0.0)):
-        if b > a:
-            val, _ = quad(integrand, a, b, limit=400)
-            lhs += val
-    lhs *= xnorm_r
-    rhs = float(np.linalg.norm(u - x)) ** (2.0 - 2.0 * p - r)
-    return float(lhs), rhs
-
-
-def far_field_decay_check(model: OUModel, delta: float, x, u,
-                  t_max: float = 50.0) -> float:
-    """int_1^inf exp(-delta |D_{-t} u - x|^2) |D_{-t} u| dt, truncated at
-    t_max with a certified exponential tail below 1e-8."""
-    from scipy.integrate import quad
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    u = np.asarray(u, dtype=float).reshape(model.n)
-    if np.allclose(u, 0.0):
-        return 0.0
-    sigma = -model.spectral_abscissa
-    rate = 0.9 * sigma
-    # |D_{-s}| <= C e^{-rate s} on s >= 0, C measured on a long grid
-    s_grid = np.linspace(0.0, 100.0, 401)
-    norms = np.array([np.linalg.norm(
-        group_apply(model, np.eye(model.n), -s), ord=2) for s in s_grid])
-    C = float(np.max(norms * np.exp(rate * s_grid)))
-    d_end = float(np.linalg.norm(group_apply(model, u, -t_max)[0]))
-    tail = C * d_end / rate
-    if tail > 1e-8:
-        raise TailNotConvergedError(
-            f"tail bound {tail:.3e} at t_max={t_max:g}; raise t_max")
-
-    def integrand(t):
-        v = group_apply(model, u, -t)[0]
-        return np.exp(-delta * float((v - x) @ (v - x))) * \
-            float(np.linalg.norm(v))
-
-    val, _ = quad(integrand, 1.0, t_max, limit=400)
-    return float(val)

@@ -156,7 +156,6 @@ class Propagators:
     Qt: np.ndarray
     Qt_inv: np.ndarray
     logdet_Qt: np.ndarray
-    sqrt_Qt: np.ndarray
     Dt: np.ndarray            # Qinf e^(-tB^T) Qinf^-1
     Dmt: np.ndarray           # D_{-t}
     A_small: np.ndarray       # Qt^-1 - Qinf^-1, used for t <= T_SWITCH
@@ -178,10 +177,8 @@ def propagators(model: OUModel, ts) -> Propagators:
     sign, logdet = np.linalg.slogdet(Qt)
     if np.any(sign <= 0):
         raise NotSPDError("Qt lost positive definiteness on the grid")
-    w, v = np.linalg.eigh(Qt)
-    if np.min(w) <= 0:
+    if np.min(np.linalg.eigvalsh(Qt)) <= 0:
         raise NotSPDError("Qt lost positive definiteness on the grid")
-    sqrt_Qt = np.einsum("mij,mj,mkj->mik", v, np.sqrt(w), v)
 
     # Dt has growing entries, Dmt decaying ones; e^(-tB^T) = inv(e^(tB))^T
     exp_tB_inv = np.linalg.inv(exp_tB)
@@ -216,7 +213,7 @@ def propagators(model: OUModel, ts) -> Propagators:
     N[~lg] = M_large[~lg] - model.Qinf_inv[None]
     N = 0.5 * (N + np.swapaxes(N, -1, -2))
     return Propagators(ts=ts, exp_tB=exp_tB, Qt=Qt, Qt_inv=Qt_inv,
-                       logdet_Qt=logdet, sqrt_Qt=sqrt_Qt, Dt=Dt, Dmt=Dmt,
+                       logdet_Qt=logdet, Dt=Dt, Dmt=Dmt,
                        A_small=A_small, M_large=M_large, N=N)
 
 
@@ -231,29 +228,12 @@ def covariance_qt(model: OUModel, t: float) -> np.ndarray:
     return _qt_stack(model, np.array([t]), exp_tB)[0]
 
 
-def group_dt(model: OUModel, t: float) -> np.ndarray:
-    """Dt = Qinf e^(-tB^T) Qinf^-1; a one-parameter group in t."""
-    import scipy.linalg
-    t = float(t)
-    e = scipy.linalg.expm(-t * model.B.T)
-    return model.Qinf @ e @ model.Qinf_inv
-
-
 def quadratic_r(model: OUModel, x) -> np.ndarray:
     """R(x) = <Qinf^-1 x, x> / 2, vectorized over leading axes."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.n:
         raise DimensionError(f"points must have last axis {model.n}")
     return 0.5 * np.einsum("...i,ij,...j->...", x, model.Qinf_inv, x)
-
-
-def norm_q(model: OUModel, x) -> np.ndarray:
-    """|x|_Q = |Qinf^(-1/2) x|; R(x) = |x|_Q^2 / 2."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.n:
-        raise DimensionError(f"points must have last axis {model.n}")
-    y = x @ model.Qinf_inv_sqrt.T
-    return np.linalg.norm(y, axis=-1)
 
 
 def gamma_log_density(model: OUModel, t: float, x) -> np.ndarray:
@@ -267,42 +247,6 @@ def gamma_log_density(model: OUModel, t: float, x) -> np.ndarray:
         _, logdet = np.linalg.slogdet(cov)
     q = np.einsum("...i,ij,...j->...", x, cov_inv, x)
     return -0.5 * (model.n * np.log(2 * np.pi) + logdet + q)
-
-
-def gamma_density(model: OUModel, t: float, x) -> np.ndarray:
-    return np.exp(gamma_log_density(model, t, x))
-
-
-def apply_generator(model: OUModel, f, x, grad=None, hess=None,
-                    fd_step: float = 1e-5) -> float:
-    """(1/2) tr(Q Hess f) + <Bx, grad f> at x, finite differences by default."""
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    n = model.n
-    if grad is not None:
-        g = np.asarray(grad(x), dtype=float).reshape(n)
-    else:
-        g = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = fd_step
-            g[i] = (f(x + e) - f(x - e)) / (2 * fd_step)
-    if hess is not None:
-        H = np.asarray(hess(x), dtype=float).reshape(n, n)
-    else:
-        H = np.empty((n, n))
-        f0 = f(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = fd_step
-            H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / fd_step ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = fd_step
-                H[i, j] = H[j, i] = (
-                    f(x + ei + ej) - f(x + ei - ej)
-                    - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4 * fd_step ** 2)
-    return float(0.5 * np.trace(model.Q @ H) + model.B @ x @ g)
 
 
 def model_from_dict(d: dict) -> OUModel:

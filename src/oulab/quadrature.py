@@ -62,29 +62,18 @@ class QuadratureRule:
     nodes: np.ndarray       # (m, n)
     weights: np.ndarray     # (m,), sum to 1
     anchor: GaussianMeasure
-    order: int
 
     def integrate(self, f) -> float:
         """int f d(anchor) for a vectorized integrand f((m, n)) -> (m,)."""
         vals = np.asarray(f(self.nodes), dtype=float)
         return float(self.weights @ vals)
 
-    def integrate_against(self, f, other: GaussianMeasure) -> float:
-        """int f d(other) evaluated on this rule by density reweighting.
 
-        Accurate only when other's density is well covered by the anchor;
-        prefer building the rule on the target measure itself.
-        """
-        ratio = np.exp(other.log_density(self.nodes)
-                       - self.anchor.log_density(self.nodes))
-        vals = np.asarray(f(self.nodes), dtype=float)
-        return float(self.weights @ (vals * ratio))
-
-
-def gauss_hermite_rule(measure: GaussianMeasure,
-                       order: int | None = None) -> QuadratureRule:
-    """Tensor probabilist Gauss-Hermite rule mapped onto the measure."""
-    n = measure.n
+def hermite_tensor(n: int, order: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor probabilist Gauss-Hermite rule for N(0, I_n): nodes (q, n)
+    and probability weights (q,), q = order^n.  Without an order the
+    dimension's DEFAULT_ORDER is used; dimensions past it have none."""
     if order is None:
         if n not in DEFAULT_ORDER:
             raise BadOrderError(f"no default order for dimension {n}")
@@ -95,12 +84,18 @@ def gauss_hermite_rule(measure: GaussianMeasure,
     w1 = w1 / np.sqrt(2 * np.pi)            # probability weights for N(0,1)
     grids = np.meshgrid(*([x1] * n), indexing="ij")
     z = np.stack([g.ravel() for g in grids], axis=-1)
-    wg = np.meshgrid(*([w1] * n), indexing="ij")
     w = np.ones(order ** n)
-    for g in wg:
+    for g in np.meshgrid(*([w1] * n), indexing="ij"):
         w = w * g.ravel()
+    return z, w
+
+
+def gauss_hermite_rule(measure: GaussianMeasure,
+                       order: int | None = None) -> QuadratureRule:
+    """Tensor Gauss-Hermite rule mapped onto the measure."""
+    z, w = hermite_tensor(measure.n, order)
     nodes = measure.mean[None, :] + z @ measure.sqrt_cov.T
-    return QuadratureRule(nodes=nodes, weights=w, anchor=measure, order=order)
+    return QuadratureRule(nodes=nodes, weights=w, anchor=measure)
 
 
 def product_gaussian(a: GaussianMeasure, prec_b: np.ndarray,
@@ -123,32 +118,3 @@ def product_gaussian(a: GaussianMeasure, prec_b: np.ndarray,
     quad_term = d @ prec_a @ cov @ prec_b @ d
     log_mass = 0.5 * (prod.logdet_cov - a.logdet_cov) - 0.5 * quad_term
     return prod, float(log_mass)
-
-
-def adaptive_integral(f, measure: GaussianMeasure,
-                      half_width: float = 10.0) -> float:
-    """scipy adaptive quadrature over mean +- half_width * sqrt(cov), for
-    cross-checks in low dimension; exact routes should prefer the tensor
-    rule."""
-    import scipy.integrate
-    n = measure.n
-    L = measure.sqrt_cov
-
-    if n == 1:
-        def g(z):
-            x = measure.mean + L[0, 0] * np.atleast_1d(z)
-            fx = float(np.asarray(f(x[None, :])).reshape(-1)[0])
-            return fx * measure.density(x[None, :])[0] * L[0, 0]
-        val, _ = scipy.integrate.quad(g, -half_width, half_width, limit=400)
-        return float(val)
-    if n == 2:
-        det = abs(np.linalg.det(L))
-
-        def g(z2, z1):
-            x = measure.mean + L @ np.array([z1, z2])
-            fx = float(np.asarray(f(x[None, :])).reshape(-1)[0])
-            return fx * measure.density(x[None, :])[0] * det
-        val, _ = scipy.integrate.dblquad(g, -half_width, half_width,
-                                         -half_width, half_width)
-        return float(val)
-    raise BadOrderError("adaptive cross-check supports n <= 2 only")

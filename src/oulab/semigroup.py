@@ -1,6 +1,6 @@
-"""Applying the semigroup to test functions: direct quadrature, the
-local/global splitting, time-grid variation, maximal and singular-kernel
-statistics, and the weak-type Monte Carlo probes.
+"""Applying the semigroup to Gaussian bumps: direct quadrature, the
+local/global splitting, time-grid variation, the near-kernel sweeps, and
+the weak-type Monte Carlo probes.
 
 Quadrature strategy.  Every integral is anchored on an explicitly known
 Gaussian; for Gaussian bumps the anchor is the exact product of the bump
@@ -13,140 +13,57 @@ cross-checked against quadrature in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AlphaTooSmallError, BadOrderError, BudgetExceededError,
-                     CoincidentPointsError, DimensionError,
+from .errors import (AlphaTooSmallError, BadOrderError, DimensionError,
                      NonPositiveTimeError)
-from .geometry import (annulus_indicator, local_weight, polar_decompose)
-from .kernel import log_kernel_grid, log_kernel_pairs
-from .model import (OUModel, Propagators, covariance_qt, gamma_log_density,
-                    propagators, quadratic_r)
-from .quadrature import (DEFAULT_ORDER, GaussianMeasure, adaptive_integral,
-                         gauss_hermite_rule, gaussian_measure,
+from .geometry import annulus_indicator, local_weight, polar_decompose
+from .kernel import log_kernel_grid
+from .model import (OUModel, Propagators, gamma_log_density, propagators,
+                    quadratic_r)
+from .quadrature import (gauss_hermite_rule, gaussian_measure, hermite_tensor,
                          product_gaussian)
 from .rng import substream
-from .variation import variation_batch, variation_values
+from .variation import variation_batch
 
 _TINY = 1e-300
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """How integrals should be computed: tensor Gauss-Hermite by default,
-    scipy adaptive quadrature for non-smooth integrands."""
-
-    kind: str = "gauss-hermite-tensor"
-    order: int | None = None
-    target_accuracy: float = 1e-8
-
-    def resolve_order(self, n: int) -> int:
-        if self.order is not None:
-            return self.order
-        if n not in DEFAULT_ORDER:
-            raise BadOrderError(f"no default quadrature order for n={n}")
-        return DEFAULT_ORDER[n]
-
-
-@dataclass(frozen=True)
 class TestFunction:
-    """A scalar field on R^n together with its L^1 norm against the
+    """A Gaussian bump on R^n together with its L^1 norm against the
     invariant measure."""
 
     fn: object                  # callable (m, n) -> (m,)
-    kind: str
-    params: dict = field(default_factory=dict)
-    l1_gamma: float = float("nan")
+    params: dict
+    l1_gamma: float
 
     def __call__(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         return np.asarray(self.fn(u), dtype=float)
 
 
-def gaussian_bump(model: OUModel, center, width: float,
-                  normalize: bool = True) -> TestFunction:
+def gaussian_bump(model: OUModel, center, width: float) -> TestFunction:
     """f(u) = A exp(-|u - center|^2 / (2 width^2)); A chosen so that the
-    L^1(gamma_inf) norm is 1 when normalize is set."""
+    L^1(gamma_inf) norm is 1."""
     if width <= 0:
         raise DimensionError("bump width must be positive")
     m = np.asarray(center, dtype=float).reshape(model.n)
     ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
     prec = np.eye(model.n) / width ** 2
     _, log_mass = product_gaussian(ginf, prec, m)
-    amp = math.exp(-log_mass) if normalize else 1.0
-    l1 = 1.0 if normalize else math.exp(log_mass)
+    amp = math.exp(-log_mass)
 
     def fn(u, _m=m, _w=width, _a=amp):
         d = u - _m
         return _a * np.exp(-0.5 * np.einsum("mi,mi->m", d, d) / _w ** 2)
 
-    return TestFunction(fn=fn, kind="gaussian-bump",
+    return TestFunction(fn=fn,
                         params={"center": m, "width": float(width),
                                 "amplitude": float(amp)},
-                        l1_gamma=l1)
-
-
-def constant_function(model: OUModel, value: float = 1.0) -> TestFunction:
-    def fn(u, _v=value):
-        return np.full(u.shape[0], _v)
-    return TestFunction(fn=fn, kind="custom", params={"value": value},
-                        l1_gamma=abs(value))
-
-
-def coordinate_function(model: OUModel, k: int = 0) -> TestFunction:
-    """f(u) = u_k, an eigenfunction direction of the generator."""
-    if not 0 <= k < model.n:
-        raise DimensionError("coordinate index out of range")
-    # E|u_k| under a centered Gaussian with variance Qinf_kk
-    l1 = math.sqrt(2.0 * model.Qinf[k, k] / math.pi)
-
-    def fn(u, _k=k):
-        return u[:, _k]
-
-    return TestFunction(fn=fn, kind="polynomial-times-gaussian",
-                        params={"coordinate": k}, l1_gamma=l1)
-
-
-def gaussian_polynomial(model: OUModel, coeffs, decay: float = 0.5,
-                        seed_norm: int = 0) -> TestFunction:
-    """f(u) = (c_0 + sum c_i u_i + c_{n+1} |u|^2) exp(-decay |u|^2 / 2)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size != model.n + 2:
-        raise DimensionError(f"need {model.n + 2} coefficients")
-
-    def fn(u, _c=coeffs, _d=decay):
-        poly = _c[0] + u @ _c[1:-1] + _c[-1] * np.einsum("mi,mi->m", u, u)
-        return poly * np.exp(-0.5 * _d * np.einsum("mi,mi->m", u, u))
-
-    tf = TestFunction(fn=fn, kind="polynomial-times-gaussian",
-                      params={"coeffs": coeffs, "decay": decay})
-    ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
-    rule = gauss_hermite_rule(ginf)
-    l1 = rule.integrate(lambda v: np.abs(fn(v)))
-    return TestFunction(fn=fn, kind=tf.kind, params=tf.params, l1_gamma=l1)
-
-
-def smoothed_indicator(model: OUModel, center, radius: float,
-                       scale: float | None = None) -> TestFunction:
-    """Smoothed indicator of a ball: 1 inside radius - scale, 0 outside
-    radius, a smooth ramp between (scale defaults to radius / 10)."""
-    from .geometry import smooth_step
-    m = np.asarray(center, dtype=float).reshape(model.n)
-    if scale is None:
-        scale = radius / 10.0
-
-    def fn(u, _m=m, _r=radius, _s=scale):
-        d = np.linalg.norm(u - _m, axis=1)
-        return np.asarray(smooth_step((_r - d) / _s))
-
-    tf = TestFunction(fn=fn, kind="indicator-smoothed",
-                      params={"center": m, "radius": radius, "scale": scale})
-    ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
-    rule = gauss_hermite_rule(ginf, order=96 if model.n == 1 else 64)
-    l1 = rule.integrate(lambda v: np.abs(fn(v)))
-    return TestFunction(fn=fn, kind=tf.kind, params=tf.params, l1_gamma=l1)
+                        l1_gamma=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,37 +153,16 @@ def bump_semigroup_value(model: OUModel, bump: TestFunction, t: float,
 # quadrature application
 
 
-def _kernel_form_weights(model: OUModel, f: TestFunction, x: np.ndarray,
-                         t: float, rule):
-    """Quadrature weights W_i with sum_i W_i h(u_i) ~ int K_t(x,u) h(u) f(u)
-    dgamma_inf(u); evaluates the kernel through its quadratic form so the
-    cancellation against the anchor density is a real consistency check."""
-    nodes = rule.nodes
-    lk = log_kernel_pairs(model, np.full(nodes.shape[0], float(t)),
-                          np.broadcast_to(x, nodes.shape), nodes)
-    log_ratio = lk + gamma_log_density(model, np.inf, nodes) \
-        - rule.anchor.log_density(nodes)
-    return rule.weights * f(nodes) * np.exp(log_ratio), nodes
-
-
-def _anchor_for(model: OUModel, f: TestFunction, x: np.ndarray, t: float):
-    mean = None
-    exp_tB = propagators(model, np.array([float(t)])).exp_tB[0]
-    mu_t = gaussian_measure(exp_tB @ x, covariance_qt(model, t))
-    if f.kind == "gaussian-bump":
-        prec = np.eye(model.n) / f.params["width"] ** 2
-        prod, _ = product_gaussian(mu_t, prec, f.params["center"])
-        return prod
-    return mu_t
-
-
-def apply_semigroup(model: OUModel, spec: QuadratureSpec, f: TestFunction,
-                    x, t: float, form: str = "kernel") -> float:
+def apply_semigroup(model: OUModel, f: TestFunction, x, t: float,
+                    form: str = "kernel", order: int | None = None) -> float:
     """H_t f(x) by quadrature.
 
-    kernel form integrates K_t(x, u) f(u) against gamma_inf; the transition
-    form integrates f(e^{tB} x - y) against the t-covariance Gaussian.  The
-    two routes share nodes but exercise independent formulas.
+    kernel form integrates K_t(x, u) f(u) against gamma_inf, evaluating
+    the kernel through its quadratic form; the transition form integrates
+    f(e^{tB} x - y) against gamma_t.  Each is anchored on the exact product
+    of its Gaussian with the bump, so node placement follows the integrand
+    mass, and the density ratio to the anchor is what the rule averages.
+    The two routes share no kernel formula.
     """
     if t <= 0:
         raise NonPositiveTimeError("semigroup time must be positive")
@@ -274,63 +170,33 @@ def apply_semigroup(model: OUModel, spec: QuadratureSpec, f: TestFunction,
     if form not in ("kernel", "kolmogorov"):
         raise BadOrderError(f"unknown form {form!r}")
     n = model.n
+    prec = np.eye(n) / f.params["width"] ** 2
+    props = propagators(model, np.array([float(t)]))
+    ex = props.exp_tB[0] @ x
     if form == "kolmogorov":
-        gt = gaussian_measure(np.zeros(n), covariance_qt(model, t))
-        exp_tB = propagators(model, np.array([float(t)])).exp_tB[0]
-        if spec.kind == "adaptive":
-            val = adaptive_integral(
-                lambda y: f(exp_tB @ x - y), gt)
-            return float(val)
-        rule = gauss_hermite_rule(gt, spec.resolve_order(n))
-        vals = f(exp_tB @ x - rule.nodes)
-        return float(rule.weights @ vals)
-    if spec.kind == "adaptive":
-        raise BudgetExceededError(
-            "adaptive quadrature supports the transition form only")
-    anchor = _anchor_for(model, f, x, t)
-    rule = gauss_hermite_rule(anchor, spec.resolve_order(n))
-    weights, _ = _kernel_form_weights(model, f, x, t, rule)
-    return float(weights.sum())
+        gt = gaussian_measure(np.zeros(n), props.Qt[0])
+        anchor, _ = product_gaussian(gt, prec, ex - f.params["center"])
+        rule = gauss_hermite_rule(anchor, order)
+        nodes = rule.nodes
+        ratio = np.exp(gt.log_density(nodes) - anchor.log_density(nodes))
+        return float(rule.weights @ (f(ex - nodes) * ratio))
+    mu_t = gaussian_measure(ex, props.Qt[0])
+    anchor, _ = product_gaussian(mu_t, prec, f.params["center"])
+    rule = gauss_hermite_rule(anchor, order)
+    nodes = rule.nodes
+    lk = log_kernel_grid(model, props, np.broadcast_to(x, nodes.shape),
+                         nodes)[:, 0]
+    log_ratio = lk + gamma_log_density(model, np.inf, nodes) \
+        - anchor.log_density(nodes)
+    return float((rule.weights * f(nodes) * np.exp(log_ratio)).sum())
 
 
-def apply_semigroup_path(model: OUModel, spec: QuadratureSpec,
-                         f: TestFunction, x, ts: np.ndarray,
-                         form: str = "auto") -> np.ndarray:
-    """H_t f(x) at the times ts; closed form for Gaussian bumps, per-time
-    quadrature otherwise.  Returns (p, m) for x of shape (p, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if f.kind == "gaussian-bump" and form == "auto":
-        props = propagators(model, ts)
-        return bump_semigroup_grid(model, f, props, x)
-    use_form = "kolmogorov" if form == "auto" else form
-    out = np.empty((x.shape[0], len(ts)))
-    for i in range(x.shape[0]):
-        for j, t in enumerate(ts):
-            out[i, j] = apply_semigroup(model, spec, f, x[i], float(t),
-                                        form=use_form)
-    return out
-
-
-def apply_local_global(model: OUModel, spec: QuadratureSpec, f: TestFunction,
-                       x, t: float) -> tuple[float, float]:
-    """(near part, far part) of H_t f(x): the kernel integral split by the
-    ring cutoff and its complement.  The parts add to the kernel-form
-    semigroup value on the same nodes."""
-    if t <= 0:
-        raise NonPositiveTimeError("semigroup time must be positive")
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    anchor = _anchor_for(model, f, x, t)
-    rule = gauss_hermite_rule(anchor, spec.resolve_order(model.n))
-    weights, nodes = _kernel_form_weights(model, f, x, t, rule)
-    eta = np.asarray(local_weight(model, x[None, :], nodes))
-    loc = float((weights * eta).sum())
-    glob = float((weights * (1.0 - eta)).sum())
-    return loc, glob
+# near/far split nodes are expanded for this many points at a time
+_SPLIT_CHUNK = 64
 
 
 def local_global_grid(model: OUModel, bump: TestFunction,
-                      props: Propagators, x, order: int | None = None,
-                      chunk: int = 64):
+                      props: Propagators, x, order: int | None = None):
     """(near, far) parts of H_t f over points x grid, (p, m) each, for a
     Gaussian bump.
 
@@ -340,10 +206,8 @@ def local_global_grid(model: OUModel, bump: TestFunction,
     Gauss-Hermite rule, so the only quadrature error comes from the smooth
     cutoff itself.
     """
-    from numpy.polynomial.hermite_e import hermegauss
     n = model.n
-    if order is None:
-        order = DEFAULT_ORDER.get(n, 32)
+    z, wq = hermite_tensor(n, order)                         # (q, n), (q,)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p, mt = x.shape[0], len(props)
     w2 = bump.params["width"] ** 2
@@ -356,18 +220,11 @@ def local_global_grid(model: OUModel, bump: TestFunction,
     if np.min(wv) <= 0:
         raise NonPositiveTimeError("degenerate product covariance")
     L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
-    x1, w1 = hermegauss(order)
-    w1 = w1 / np.sqrt(2 * np.pi)
-    grids = np.meshgrid(*([x1] * n), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=-1)        # (q, n)
-    wq = np.ones(order ** n)
-    for g in np.meshgrid(*([w1] * n), indexing="ij"):
-        wq = wq * g.ravel()
     mass = bump_semigroup_grid(model, bump, props, x)        # (p, mt)
     loc = np.empty((p, mt))
     base_mean = np.einsum("mij,j->mi", cov, m_ctr / w2)      # (mt, n)
-    for lo in range(0, p, chunk):
-        hi = min(lo + chunk, p)
+    for lo in range(0, p, _SPLIT_CHUNK):
+        hi = min(lo + _SPLIT_CHUNK, p)
         xs = x[lo:hi]
         mean = _product_means(props, cov, xs) + base_mean[None, :, :]
         nodes = mean[:, :, None, :] + np.einsum("mij,qj->mqi", L, z)[None]
@@ -391,19 +248,11 @@ def _product_means(props: Propagators, cov: np.ndarray,
 def _part_values(model: OUModel, f: TestFunction, ts: np.ndarray, x,
                  part: str, order: int | None = None) -> np.ndarray:
     """Semigroup path values (p, m) at the times ts for the requested part
-    of the split.
-
-    Gaussian bumps run through the closed form; any other test function
-    falls back to per-time transition quadrature for the full path, while
-    the near/far split stays bump-only.  Every time is evaluated on its
-    own, so the values at a time do not depend on the other times."""
+    of the split: the closed form for the full path, the near/far split of
+    local_global_grid otherwise.  Every time is evaluated on its own, so
+    the values at a time do not depend on the other times."""
     if part not in ("full", "local", "global"):
         raise BadOrderError(f"unknown part {part!r}")
-    if f.kind != "gaussian-bump":
-        if part != "full":
-            raise BadOrderError("near/far split paths need a Gaussian bump")
-        spec = QuadratureSpec(order=order)
-        return apply_semigroup_path(model, spec, f, x, ts, form="kolmogorov")
     props = propagators(model, ts)
     if part == "full":
         return bump_semigroup_grid(model, f, props, x)
@@ -454,37 +303,6 @@ def variation_batch_paths(model: OUModel, f: TestFunction, x, rho: float,
 
 
 # ---------------------------------------------------------------------------
-# far-part maximal value
-
-
-def maximal_global(model: OUModel, f: TestFunction, x, grid: TimeGrid,
-                   order: int | None = None) -> float:
-    """sup over the grid of the far part of H_t |f|(x), evaluated with a
-    time-independent node set so the supremum is a plain max over rows.
-
-    Nodes come from the product of |f| with the invariant density, and each
-    node u contributes weight w_u |f|(u) against sup_t K_t(x, u) (1 - eta).
-    """
-    if f.kind != "gaussian-bump":
-        raise BadOrderError("maximal statistics need a Gaussian bump")
-    if grid.points[-1] > 1.0 + 1e-12:
-        raise NonPositiveTimeError("maximal statistic grid must lie in (0, 1]")
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
-    prec = np.eye(model.n) / f.params["width"] ** 2
-    anchor, log_mass = product_gaussian(ginf, prec, f.params["center"])
-    rule = gauss_hermite_rule(anchor, order)
-    # w_i f(u_i) gamma(u_i) / anchor(u_i) = w_i amplitude exp(log_mass)
-    wf = rule.weights * f.params["amplitude"] * math.exp(log_mass)
-    props = propagators(model, grid.points)
-    xs = np.broadcast_to(x, rule.nodes.shape)
-    lk = log_kernel_grid(model, props, xs, rule.nodes)     # (q, m)
-    kmax = np.exp(lk.max(axis=1))
-    eta = np.asarray(local_weight(model, x[None, :], rule.nodes))
-    return float(np.sum(wf * (1.0 - eta) * kmax))
-
-
-# ---------------------------------------------------------------------------
 # singular-kernel statistics for the near part
 
 
@@ -496,46 +314,6 @@ def _eta_kernel_paths(model: OUModel, props: Propagators, x: np.ndarray,
     rx = quadratic_r(model, x)
     eta = np.asarray(local_weight(model, x, u))
     return eta[:, None] * np.exp(lk - rx[:, None])
-
-
-def cz_kernel_norm(model: OUModel, x, u, rho: float,
-                   grid: TimeGrid | None = None, tol: float = 1e-3,
-                   max_refine: int = 5) -> float:
-    """rho-variation in t of the near-part kernel at one off-diagonal pair,
-    with the exp(R(x)) amplification removed; infinite on the diagonal."""
-    x = np.asarray(x, dtype=float).reshape(1, model.n)
-    u = np.asarray(u, dtype=float).reshape(1, model.n)
-    if np.allclose(x, u):
-        raise CoincidentPointsError("variation norm diverges on the diagonal")
-    if grid is None:
-        grid = TimeGrid.geometric(1e-8, 1.0, 48)
-    g = grid
-    prev = variation_values(
-        _eta_kernel_paths(model, propagators(model, g.points), x, u)[0], rho)
-    for _ in range(max_refine):
-        g = g.refine()
-        cur = variation_values(
-            _eta_kernel_paths(model, propagators(model, g.points), x, u)[0],
-            rho)
-        if abs(cur - prev) <= tol * max(abs(cur), _TINY):
-            return cur
-        prev = cur
-    return prev
-
-
-def cz_difference_norm(model: OUModel, x, u, u2, rho: float,
-                       grid: TimeGrid | None = None) -> float:
-    """rho-variation in t of the difference of near-part kernel paths at u
-    and u2, the regularity half of the standard kernel estimates."""
-    x = np.asarray(x, dtype=float).reshape(1, model.n)
-    u = np.asarray(u, dtype=float).reshape(1, model.n)
-    u2 = np.asarray(u2, dtype=float).reshape(1, model.n)
-    if grid is None:
-        grid = TimeGrid.geometric(1e-8, 1.0, 96)
-    props = propagators(model, grid.points)
-    pa = _eta_kernel_paths(model, props, x, u)[0]
-    pb = _eta_kernel_paths(model, props, x, u2)[0]
-    return variation_values(pa - pb, rho)
 
 
 def _pair_cloud(model: OUModel, radii: np.ndarray, n_dirs: int, seed: int):
@@ -650,8 +428,7 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
                     width: float = 0.5, center=None,
                     sample_size: int = 2000, seed: int = 0,
                     n_alphas: int = 48, points_per_decade: int = 16,
-                    max_refine: int = 3,
-                    order: int | None = None) -> "ProbeReport":
+                    max_refine: int = 3) -> "ProbeReport":
     """Monte Carlo estimate of sup_a a * measure{ v_rho(t -> H_t f) > a }
     against the invariant measure, per time regime.
 
@@ -678,8 +455,7 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
     xs = substream(seed, 200).standard_normal((sample_size, n)) \
         @ model.Qinf_sqrt.T
     v, converged, grid_size = variation_batch_paths(
-        model, f, xs, rho, grid, part=part, max_refine=max_refine,
-        order=order)
+        model, f, xs, rho, grid, part=part, max_refine=max_refine)
     vpos = v[v > 0]
     lo = float(np.quantile(vpos, 0.5)) if vpos.size else 1e-10
     hi = max(float(v.max()) * 1.05, lo * 10.0)
@@ -729,8 +505,8 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
 
 def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
                              width: float = 0.5, center=None,
-                             sample_size: int = 4000, seed: int = 0,
-                             order: int | None = None) -> "ProbeReport":
+                             sample_size: int = 4000,
+                             seed: int = 0) -> "ProbeReport":
     """Measure of the superlevel set, inside the matching annulus, of the
     amplified Gaussian average
 
@@ -752,7 +528,7 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
     ginf = gaussian_measure(np.zeros(n), model.Qinf)
     prec = np.eye(n) / width ** 2
     anchor, log_mass = product_gaussian(ginf, prec, f.params["center"])
-    rule = gauss_hermite_rule(anchor, order)
+    rule = gauss_hermite_rule(anchor)
     wf = rule.weights * f.params["amplitude"] * math.exp(log_mass)
     xs = substream(seed, 200).standard_normal((sample_size, n)) \
         @ model.Qinf_sqrt.T

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrderError, BudgetExceededError, DimensionError
+from .errors import ArgumentRangeError, BadOrderError, DimensionError
 from .rng import BITS, dyadic_points, substream
 from .variation import variation_batch
 
@@ -52,17 +52,13 @@ class CounterexampleConfig:
 
     def __post_init__(self):
         if not 2 <= self.N <= 14:
-            raise BudgetExceededError("scale N must lie in [2, 14]")
+            raise ArgumentRangeError("scale N must lie in [2, 14]")
         if self.sample_size < 1:
             raise DimensionError("sample_size must be positive")
 
     @property
     def window(self) -> range:
         return range(2 * self.N + 1, 3 * self.N + 1)
-
-    @property
-    def baseline_index(self) -> int:
-        return 2 * self.N
 
     @property
     def chain_indices(self) -> range:
@@ -525,7 +521,7 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
             raise BadOrderError("p must lie in [1, 4]")
     for N in n_grid:
         if not 4 <= N <= 12:
-            raise BudgetExceededError("scale grid is limited to [4, 12]")
+            raise ArgumentRangeError("scale grid is limited to [4, 12]")
     if sample_size < 1000:
         raise DimensionError("failure experiment needs >= 1000 samples")
     m = perturb_boundaries(dyadic_points(seed, sample_size),

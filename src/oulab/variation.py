@@ -28,43 +28,15 @@ quadratic cost falls on a handful of points per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
-from .errors import BadOrderError, BadSplitError, EmptyPathError, TooLongError
+from .errors import BadOrderError, EmptyPathError, TooLongError
 
 # increments below this are flushed to zero before the rho-th power so that
 # |d|^rho cannot underflow to a denormal mess for large rho
 _TINY_INCREMENT = 1e-300
 # values per block of rows in the turning-point compression
 _BLOCK = 1 << 17
-
-
-@dataclass(frozen=True)
-class SampledPath:
-    """Strictly increasing times with finite values."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise EmptyPathError("times and values must be 1-d of equal length")
-        if t.size == 0:
-            raise EmptyPathError("path needs at least one point")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
-            raise EmptyPathError("path entries must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise EmptyPathError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.times.size
 
 
 def _check_order(rho: float) -> float:
@@ -81,10 +53,6 @@ def variation_values(values: np.ndarray, rho: float) -> float:
     if v.ndim != 1 or v.size == 0:
         raise EmptyPathError("need a nonempty 1-d value array")
     return float(variation_batch(v[None, :], rho)[0])
-
-
-def variation(path: SampledPath, rho: float) -> float:
-    return variation_values(path.values, rho)
 
 
 def _turning_points(v: np.ndarray):
@@ -173,78 +141,3 @@ def variation_exhaustive(values: np.ndarray, rho: float) -> float:
         lo2 = rest & -rest
         g[m] = d[log2[lo1], log2[lo2]] + g[rest]
     return float(np.max(g) ** (1.0 / rho))
-
-
-def variation_exhaustive_slow(values: np.ndarray, rho: float) -> float:
-    """Plain itertools enumeration; cross-check for the bitmask oracle."""
-    rho = _check_order(rho)
-    v = [float(x) for x in values]
-    n = len(v)
-    if n == 0:
-        raise EmptyPathError("need a nonempty value sequence")
-    if n > 12:
-        raise TooLongError("slow enumeration capped at 12 points")
-    best = 0.0
-    for k in range(2, n + 1):
-        for idx in combinations(range(n), k):
-            s = sum(abs(v[b] - v[a]) ** rho for a, b in zip(idx, idx[1:]))
-            best = max(best, s)
-    return best ** (1.0 / rho)
-
-
-def discrete_variation(values: np.ndarray, rho: float, check_l2_bound: bool = False) -> float:
-    """Variation of a sequence indexed by integers.
-
-    With check_l2_bound and rho == 2 the result is asserted against the
-    provable bound 2 * l2-norm (each entry enters at most two increments).
-    """
-    out = variation_values(np.asarray(values, dtype=float), rho)
-    if check_l2_bound and rho == 2.0:
-        cap = 2.0 * float(np.linalg.norm(np.asarray(values, dtype=float)))
-        if out > cap * (1 + 1e-12):
-            raise AssertionError(f"v(2)={out} exceeds 2*l2={cap}")
-    return out
-
-
-def variation_properties(path: SampledPath, rho1: float, rho2: float,
-                         split: int) -> dict:
-    """Monotonicity in rho and superadditivity across a shared split point.
-
-    Returns the four seminorms; callers assert the inequalities.  split is
-    an interior index of the path.
-    """
-    rho1, rho2 = _check_order(rho1), _check_order(rho2)
-    n = len(path)
-    if not 0 < split < n - 1:
-        raise BadSplitError(f"split {split} not interior to a path of {n} points")
-    v = path.values
-    lo = variation_values(v[: split + 1], rho1)
-    hi = variation_values(v[split:], rho1)
-    full1 = variation_values(v, rho1)
-    full2 = variation_values(v, rho2)
-    return {
-        "rho1": full1,
-        "rho2": full2,
-        "left": lo,
-        "right": hi,
-        "monotone_ok": full2 <= full1 * (1 + 1e-12) if rho2 >= rho1 else None,
-        "subadditive_ok": full1 <= (lo + hi) * (1 + 1e-12),
-        "superadditive_ok": full1 >= (lo ** rho1 + hi ** rho1) ** (1 / rho1) * (1 - 1e-12),
-    }
-
-
-def derivative_bound_check(fn, dfn, interval, rho: float, grid_size: int = 512):
-    """Sampled v(rho) against the integral of |derivative| over the interval.
-
-    fn, dfn are callables of t.  Returns (variation, integral).  For C^1
-    paths the variation can never exceed the integral.
-    """
-    from scipy.integrate import quad
-
-    rho = _check_order(rho)
-    a, b = float(interval[0]), float(interval[1])
-    ts = np.linspace(a, b, grid_size)
-    vals = np.array([fn(t) for t in ts])
-    var = variation_values(vals, rho)
-    total, _ = quad(lambda t: abs(dfn(t)), a, b, limit=400)
-    return var, total

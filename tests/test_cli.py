@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oulab.cli import main
 
 
@@ -17,3 +19,23 @@ def test_unconverged_probe_fails_everywhere(tmp_path, capsys):
     assert flag_lines and all(ln.endswith(": FAIL") for ln in flag_lines)
     assert "overall: FAIL" in printed
     assert report["pass_flags"] and not any(report["pass_flags"].values())
+
+
+@pytest.mark.parametrize("argv", [["torus", "qian", "--N", "20"],
+                                  ["torus", "failure", "--N", "2,4"]])
+def test_out_of_range_settings_exit_one_without_a_report(argv, tmp_path,
+                                                         capsys):
+    code = main([*argv, "--out", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model,x", [("standard1", "0.3"),
+                                     ("standard3", "0.4,0.4,0.4")])
+def test_semigroup_apply_routes_agree(model, x, capsys):
+    code = main(["semigroup", "apply", "--model", model, "--t",
+                 "0.5" if model == "standard1" else "5", "--x", x])
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert "agreement: PASS" in printed

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.stats import chi2
 
 from oulab import (
     annulus_indicator,
@@ -7,27 +9,16 @@ from oulab import (
     local_weight,
     polar_decompose,
     quadratic_r,
-    ring_euclidean_width,
-    ring_weight,
     smooth_step,
     standard_model,
 )
-from oulab.geometry import (
-    annulus_mass,
-    eta_gradient_bound,
-    group_apply,
-    in_ring,
-    level_set_mass,
-    ring_gradient_bound,
-    ring_masses,
-    ring_of,
-    ring_plateau,
-)
+from oulab.geometry import _ring_plateau_idx, _ring_weight_idx, group_apply
 from oulab.errors import (
     AlphaTooSmallError,
-    DimensionError,
     ZeroPointError,
 )
+from oulab.rng import substream
+from reference_routes import gamma_density
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +41,15 @@ def test_smooth_step_monotone_and_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# ring partition of unity
+# ring partition of unity, through the index form that local_weight uses
+
+
+def ring_weight(model, j, x):
+    return _ring_weight_idx(quadratic_r(model, x), j)
+
+
+def ring_plateau(model, j, x):
+    return _ring_plateau_idx(quadratic_r(model, x), j)
 
 
 def test_rings_sum_to_one_everywhere(std2):
@@ -98,22 +97,19 @@ def test_plateau_is_one_on_ring_support(std2):
         assert np.all((rt >= 0) & (rt <= 1))
 
 
-def test_ring_index_and_membership(std1):
-    x = np.array([2.0])                          # R = 2 exactly
-    assert ring_of(std1, x) == 2
-    assert in_ring(std1, 2, x)
-    assert in_ring(std1, 1, x)                   # boundary joins both shells
-    assert not in_ring(std1, 3, x)
-    assert ring_of(std1, np.array([np.sqrt(2.0 * 3.2)])) == 3
-
-
-def test_negative_ring_index_rejected(std1):
-    with pytest.raises(DimensionError):
-        ring_weight(std1, -1, np.array([0.5]))
-
-
 # ---------------------------------------------------------------------------
 # shell widths
+
+
+def ring_euclidean_width(model, j, direction):
+    """Width of the shell {j <= R <= j+1} along the ray through direction,
+    from polar_decompose's level-set crossings; the flow of B = -I is
+    radial, so the crossings stay on the ray."""
+    d = np.asarray(direction, dtype=float).reshape(1, model.n)
+    radii = [0.0 if b == 0 else
+             float(np.linalg.norm(polar_decompose(model, d, float(b))[1]))
+             for b in (j, j + 1)]
+    return radii[1] - radii[0]
 
 
 def test_shell_width_standard_model(std1):
@@ -323,6 +319,52 @@ def test_local_global_grid_unchanged_by_band_restriction(
     assert np.any(loc > 1e-3 * loc.max()) and np.any(glob > 1e-3 * loc.max())
 
 
+def eta_gradient_bound(model, seed=0, samples=4096, fd_step=1e-6,
+                       spread=4.0):
+    """Empirical sup of (|grad_x eta| + |grad_u eta|) / (1 + |x|) over a
+    wide Gaussian cloud, gradients by central differences.
+
+    Finite because each ring profile composes a fixed smooth step with R,
+    |grad R(x)| grows linearly, and only two rings overlap any point.
+    """
+    gen = substream(seed, 0)
+    n = model.n
+    # cover the transition bands |R(u) - R(x)| near 1 and 4 out to |x| ~ 3*spread
+    x = gen.standard_normal((samples, n)) * spread
+    u = x + gen.standard_normal((samples, n)) * 1.5
+    gx = np.zeros(samples)
+    gu = np.zeros(samples)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = fd_step
+        du = local_weight(model, x, u + e) - local_weight(model, x, u - e)
+        dx = local_weight(model, x + e, u) - local_weight(model, x - e, u)
+        gu += (du / (2 * fd_step)) ** 2
+        gx += (dx / (2 * fd_step)) ** 2
+    stat = (np.sqrt(gx) + np.sqrt(gu)) / (1.0 + np.linalg.norm(x, axis=1))
+    return float(stat.max())
+
+
+def ring_gradient_bound(model, j_max=12, seed=0, samples=2048, fd_step=1e-6):
+    """Empirical constant C with |grad r_j(x)| <= C (1 + |x|) and the same
+    for the plateaus, maximized over rings up to j_max."""
+    gen = substream(seed, 1)
+    n = model.n
+    x = gen.standard_normal((samples, n)) * 4.0
+    denom = 1.0 + np.linalg.norm(x, axis=1)
+    best = 0.0
+    for j in range(j_max + 1):
+        for fn in (ring_weight, ring_plateau):
+            g = np.zeros(samples)
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = fd_step
+                d = fn(model, j, x + e) - fn(model, j, x - e)
+                g += (d / (2 * fd_step)) ** 2
+            best = max(best, float((np.sqrt(g) / denom).max()))
+    return best
+
+
 def test_split_gradient_bounds_are_moderate(std1, std2):
     assert eta_gradient_bound(std1, samples=2048) < 20.0
     assert eta_gradient_bound(std2, samples=2048) < 20.0
@@ -332,6 +374,26 @@ def test_split_gradient_bounds_are_moderate(std1, std2):
 
 # ---------------------------------------------------------------------------
 # invariant masses
+
+
+def level_set_mass(model, tau):
+    """gamma_inf({R >= tau}) = P(chi2_n >= 2 tau), exact."""
+    return 1.0 if tau <= 0 else float(chi2.sf(2.0 * tau, model.n))
+
+
+def ring_masses(model, j_max):
+    """Invariant-measure mass of each ring, by 1-d quadrature in R: 2R(x)
+    is chi-square with n degrees of freedom under the invariant measure."""
+    out = np.empty(j_max + 1)
+    for j in range(j_max + 1):
+        lo, hi = (0.0, 2.0) if j == 0 else (float(j), j + 2.0)
+
+        def f(r, jj=j):
+            w = float(_ring_weight_idx(r, jj))
+            return w * chi2.pdf(2 * r, model.n) * 2
+
+        out[j], _ = scipy.integrate.quad(f, lo, hi, limit=200)
+    return out
 
 
 def test_ring_masses_partition_the_mass(std1, std2):
@@ -352,9 +414,14 @@ def test_ring_masses_bounded_by_level_tails(std1):
 
 
 def test_level_set_mass_closed_form(std1):
-    import scipy.stats
-    assert level_set_mass(std1, 2.0) == pytest.approx(
-        scipy.stats.chi2.sf(4.0, 1))
+    # the chi-square tail against the invariant density integrated over
+    # {R >= 2}, that is |x| >= 2 on the standard line
+    def dens(x):
+        return gamma_density(std1, np.inf, np.array([x]))
+
+    tail, _ = scipy.integrate.quad(dens, 2.0, np.inf)
+    assert quadratic_r(std1, np.array([2.0])) == 2.0
+    assert level_set_mass(std1, 2.0) == pytest.approx(2.0 * tail, rel=1e-9)
     assert level_set_mass(std1, -1.0) == 1.0
 
 
@@ -397,6 +464,23 @@ def test_polar_rejects_origin_and_bad_level(std1):
 # the weak-type annulus
 
 
+def annulus_mass(model, alpha):
+    """gamma_inf(C_alpha) on the standard line: the invariant density
+    integrated against annulus_indicator, with quadrature breakpoints at
+    the shell's edges |x| = sqrt(tau), 2 sqrt(tau)."""
+    tau = np.log(alpha)
+    lo, hi = np.sqrt(tau), 2.0 * np.sqrt(tau)
+
+    def f(x):
+        pt = np.array([x])
+        return float(annulus_indicator(model, alpha, pt)) * float(
+            gamma_density(model, np.inf, pt))
+
+    val, _ = scipy.integrate.quad(f, -12.0, 12.0, points=[-hi, -lo, lo, hi],
+                                  limit=200, epsabs=1e-14, epsrel=1e-12)
+    return val
+
+
 def test_annulus_boundary_membership(std1):
     alpha = float(np.exp(2.0))                   # tau = 2, shell 1 <= R <= 4
     assert annulus_indicator(std1, alpha, np.array([np.sqrt(2.0)]))
@@ -409,7 +493,7 @@ def test_annulus_rejects_small_levels(std1):
     with pytest.raises(AlphaTooSmallError):
         annulus_indicator(std1, 2.0, np.array([1.0]))
     with pytest.raises(AlphaTooSmallError):
-        annulus_mass(std1, 1.5)
+        annulus_indicator(std1, 1.5, np.array([1.0]))
 
 
 def test_annulus_mass_decays(std1):
@@ -422,8 +506,6 @@ def test_annulus_mass_decays(std1):
 
 
 def test_annulus_mass_against_direct_integral(std1):
-    import scipy.integrate
-    from oulab.model import gamma_density
     alpha = 10.0
     tau = np.log(alpha)
     lo, hi = np.sqrt(tau), 2.0 * np.sqrt(tau)

@@ -4,7 +4,6 @@ import scipy.integrate
 import scipy.linalg
 
 from oulab import (
-    apply_generator,
     build_model,
     covariance_qt,
     gamma_log_density,
@@ -12,7 +11,8 @@ from oulab import (
     propagators,
     quadratic_r,
 )
-from oulab.model import gamma_density, group_dt, norm_q  # noqa: F401
+from oulab.geometry import group_apply
+from reference_routes import gamma_density, group_dt
 from oulab.errors import (
     DimensionError,
     NonPositiveTimeError,
@@ -131,25 +131,35 @@ def test_qt_rejects_nonpositive_time(std1):
 
 
 # ---------------------------------------------------------------------------
-# the scaling flow
+# the scaling flow, as group_apply moves points along it
+
+
+def flow(model, s, x):
+    """D_s applied to each row of x."""
+    x = np.atleast_2d(x)
+    return group_apply(model, x, np.full(x.shape[0], float(s)))
 
 
 def test_flow_closed_form(std1):
-    assert group_dt(std1, 1.0)[0, 0] == pytest.approx(np.e)
-    assert group_dt(std1, 0.0) == pytest.approx(np.eye(1))
+    assert flow(std1, 1.0, [[1.0]])[0, 0] == pytest.approx(np.e)
+    assert flow(std1, 0.0, [[0.7]]) == pytest.approx(np.array([[0.7]]))
 
 
 def test_flow_group_law(model_factory):
     m = model_factory(17, 3)
+    xs = np.random.default_rng(17).standard_normal((5, 3))
     for s, t in ((0.2, 0.7), (1.0, -0.4), (2.5, 2.5)):
-        left = group_dt(m, s) @ group_dt(m, t)
-        assert left == pytest.approx(group_dt(m, s + t), abs=1e-10)
+        left = flow(m, s, flow(m, t, xs))
+        assert left == pytest.approx(flow(m, s + t, xs), abs=1e-10)
+        # the rows of D_s applied to the identity are the columns of D_s
+        assert flow(m, s, np.eye(3)).T == pytest.approx(group_dt(m, s),
+                                                        rel=1e-10)
 
 
 def test_flow_inverse(model_factory):
     m = model_factory(19, 2)
-    prod = group_dt(m, 1.3) @ group_dt(m, -1.3)
-    assert prod == pytest.approx(np.eye(2), abs=1e-12)
+    xs = np.random.default_rng(19).standard_normal((5, 2))
+    assert flow(m, -1.3, flow(m, 1.3, xs)) == pytest.approx(xs, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +175,8 @@ def test_anisotropic_norm_and_level():
     m = build_model(np.diag([2.0, 8.0]), -np.eye(2))
     assert m.Qinf == pytest.approx(np.diag([1.0, 4.0]))
     x = np.array([0.0, 2.0])
-    assert norm_q(m, x) == pytest.approx(1.0)
     assert quadratic_r(m, x) == pytest.approx(0.5)
+    assert quadratic_r(m, np.array([2.0, 0.0])) == pytest.approx(2.0)
 
 
 def test_norm_equivalence_with_euclidean(model_factory):
@@ -174,7 +184,7 @@ def test_norm_equivalence_with_euclidean(model_factory):
     w = np.linalg.eigvalsh(m.Qinf)
     gen = np.random.default_rng(0)
     xs = gen.standard_normal((50, 3))
-    nq = norm_q(m, xs)
+    nq = np.sqrt(2.0 * quadratic_r(m, xs))         # |Qinf^(-1/2) x|
     ne = np.linalg.norm(xs, axis=1)
     assert np.all(nq <= ne / np.sqrt(w.min()) + 1e-12)
     assert np.all(nq >= ne / np.sqrt(w.max()) - 1e-12)
@@ -218,43 +228,6 @@ def test_finite_time_density_uses_qt(std1):
 
 
 # ---------------------------------------------------------------------------
-# the generator
-
-
-def test_generator_kills_constants(std2):
-    assert apply_generator(std2, lambda x: 1.0, np.array([0.3, -0.2])) == (
-        pytest.approx(0.0, abs=1e-6))
-
-
-def test_generator_on_square(std1):
-    # L f = (1/2) Q f'' + B x f' = 2 - 2 x^2 for f = x^2
-    for xv in (0.0, 0.7, -1.3):
-        got = apply_generator(std1, lambda x: float(x[0] ** 2),
-                              np.array([xv]))
-        assert got == pytest.approx(2.0 - 2.0 * xv ** 2, abs=1e-5)
-
-
-def test_generator_exact_derivatives_match_fd(std2):
-    A = np.array([[1.0, 0.3], [0.3, 2.0]])
-
-    def f(x):
-        return float(x @ A @ x)
-
-    def grad(x):
-        return 2.0 * A @ x
-
-    def hess(x):
-        return 2.0 * A
-
-    x = np.array([0.4, -0.9])
-    exact = apply_generator(std2, f, x, grad=grad, hess=hess)
-    fd = apply_generator(std2, f, x)
-    assert exact == pytest.approx(np.trace(std2.Q @ A)
-                                  + 2.0 * (std2.B @ x) @ (A @ x))
-    assert fd == pytest.approx(exact, abs=1e-5)
-
-
-# ---------------------------------------------------------------------------
 # the stacked propagators agree with the single-time functions
 
 
@@ -268,8 +241,6 @@ def test_propagator_stack_consistency(model_factory):
         assert pr.Dt[i] == pytest.approx(group_dt(m, t), rel=1e-10)
         assert pr.Dmt[i] == pytest.approx(group_dt(m, -t), rel=1e-10)
         assert pr.Qt_inv[i] @ pr.Qt[i] == pytest.approx(np.eye(2), abs=1e-8)
-        assert pr.sqrt_Qt[i] @ pr.sqrt_Qt[i] == pytest.approx(
-            pr.Qt[i], rel=1e-10)
         _, logdet = np.linalg.slogdet(pr.Qt[i])
         assert pr.logdet_Qt[i] == pytest.approx(logdet)
 
@@ -336,3 +307,12 @@ def test_propagator_n_holds_precision_at_large_t(std1):
 def test_propagators_reject_nonpositive_times(std1):
     with pytest.raises(NonPositiveTimeError):
         propagators(std1, np.array([0.5, 0.0]))
+
+
+def test_propagators_reject_indefinite_qt(std2, monkeypatch):
+    # -I has a positive determinant, so only the eigenvalue guard sees it
+    import oulab.model as model_mod
+    monkeypatch.setattr(model_mod, "_qt_stack",
+                        lambda model, ts, exp_tB: -np.eye(2)[None])
+    with pytest.raises(NotSPDError):
+        propagators(std2, np.array([0.5]))

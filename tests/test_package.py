@@ -1,0 +1,62 @@
+"""The package surface: every export resolves, and every top-level
+function or class in the package has a caller outside its own body."""
+
+import ast
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import oulab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "oulab"
+
+
+@pytest.mark.parametrize("name", oulab.__all__)
+def test_every_export_resolves_through_the_lazy_getattr(name):
+    if name == "__version__":
+        assert isinstance(oulab.__version__, str)
+        return
+    module = import_module(f"oulab.{oulab._EXPORTS[name]}")
+    assert oulab.__getattr__(name) is getattr(module, name)
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        oulab.__getattr__("no_such_name")
+
+
+def _used_names(nodes) -> set:
+    """Names read anywhere below the nodes, as plain names or attributes;
+    imports alone do not count."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def test_every_top_level_definition_has_a_caller():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    # names read by each top-level statement of each file
+    reads = {path: [(node, _used_names([node]))
+                    for node in ast.parse(path.read_text()).body]
+             for path in files}
+    unused = []
+    for path, nodes in reads.items():
+        if path.parent != SRC or path.name == "__init__.py":
+            continue
+        elsewhere = set().union(*(names for p, pairs in reads.items()
+                                  if p != path for _, names in pairs))
+        for node, _ in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            rest = set().union(*(names for other, names in nodes
+                                 if other is not node))
+            if node.name not in elsewhere | rest:
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

@@ -4,25 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oulab import (
-    SampledPath,
-    discrete_variation,
     variation_batch,
     variation_exhaustive,
-    variation_properties,
     variation_values,
 )
-from oulab.variation import (
-    _turning_points,
-    derivative_bound_check,
-    variation,
-    variation_exhaustive_slow,
-)
+from oulab.variation import _turning_points
 from oulab.errors import (
     BadOrderError,
-    BadSplitError,
     EmptyPathError,
     TooLongError,
 )
+from reference_routes import variation_exhaustive_slow
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +53,16 @@ def test_monotone_path_gives_span(rho):
 
 
 def test_discrete_variation_sign_flip():
-    assert discrete_variation(np.array([1.0, -1.0]), 2.0) == pytest.approx(2.0)
+    assert variation_values(np.array([1.0, -1.0]), 2.0) == pytest.approx(2.0)
 
 
 def test_discrete_variation_l2_bound_flag():
-    # v2 of a two-point path equals its l2 bound exactly
-    assert discrete_variation(np.array([1.0, -1.0]), 2.0,
-                              check_l2_bound=True) == pytest.approx(2.0)
+    # each entry enters at most two increments, so v(2) <= 2 * l2-norm
+    gen = np.random.default_rng(8)
+    for _ in range(20):
+        vals = gen.standard_normal(int(gen.integers(1, 30)))
+        cap = 2.0 * float(np.linalg.norm(vals))
+        assert variation_values(vals, 2.0) <= cap * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +133,37 @@ def test_decreasing_in_rho():
 
 
 def test_variation_properties_report():
+    # monotone in rho, and sub- and superadditive across a shared point
     gen = np.random.default_rng(15)
-    path = SampledPath(np.linspace(0.1, 1.0, 12), gen.standard_normal(12))
-    rep = variation_properties(path, 1.0, 2.0, split=6)
-    assert rep["rho1"] >= rep["rho2"] - 1e-12
-    assert rep["monotone_ok"] and rep["subadditive_ok"]
-    assert rep["superadditive_ok"]
-    # the halves at rho1 recombine both ways around the shared point
-    assert rep["left"] + rep["right"] == pytest.approx(rep["rho1"])
-    assert max(rep["left"], rep["right"]) <= rep["rho1"] + 1e-12
-
-
-@pytest.mark.parametrize("split", [0, 11, -1])
-def test_variation_properties_rejects_bad_split(split):
-    path = SampledPath(np.linspace(0.1, 1.0, 12), np.zeros(12))
-    with pytest.raises(BadSplitError):
-        variation_properties(path, 1.0, 2.0, split=split)
+    v = gen.standard_normal(12)
+    full1, full2 = variation_values(v, 1.0), variation_values(v, 2.0)
+    left, right = variation_values(v[:7], 1.0), variation_values(v[6:], 1.0)
+    assert full1 >= full2 - 1e-12
+    # the halves at rho = 1 recombine both ways around the shared point
+    assert left + right == pytest.approx(full1)
+    assert max(left, right) <= full1 + 1e-12
+    for rho in (1.5, 2.0, 3.0):
+        lo, hi = variation_values(v[:7], rho), variation_values(v[6:], rho)
+        whole = variation_values(v, rho)
+        assert whole >= (lo ** rho + hi ** rho) ** (1 / rho) * (1 - 1e-12)
+        assert whole <= (lo + hi) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# sampled paths and validation
+# validation
 
 
-def test_sampled_path_variation_matches_values():
-    gen = np.random.default_rng(21)
-    vals = gen.standard_normal(9)
-    path = SampledPath(np.linspace(0.0, 1.0, 9), vals)
-    assert variation(path, 2.0) == pytest.approx(
-        variation_values(vals, 2.0))
-
-
-def test_sampled_path_rejects_malformed_inputs():
+def test_values_reject_malformed_inputs():
     with pytest.raises(EmptyPathError):
-        SampledPath(np.array([]), np.array([]))
+        variation_values(np.array([]), 2.0)
     with pytest.raises(EmptyPathError):
-        SampledPath(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
+        variation_values(np.zeros((2, 3)), 2.0)
     with pytest.raises(EmptyPathError):
-        SampledPath(np.array([1.0]), np.array([1.0, 2.0]))
+        variation_batch(np.zeros(4), 2.0)
     with pytest.raises(EmptyPathError):
-        SampledPath(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
+        variation_batch(np.zeros((3, 0)), 2.0)
+    with pytest.raises(EmptyPathError):
+        variation_exhaustive(np.array([]), 2.0)
 
 
 def test_order_below_one_rejected():
@@ -294,6 +281,16 @@ def test_nan_and_empty_batches_behave_as_before():
 
 # ---------------------------------------------------------------------------
 # variation against the derivative integral
+
+
+def derivative_bound_check(fn, dfn, interval, rho, grid_size=512):
+    """Sampled v(rho) against the integral of |derivative| over the
+    interval; for C^1 paths the variation never exceeds the integral."""
+    from scipy.integrate import quad
+    a, b = float(interval[0]), float(interval[1])
+    vals = np.array([fn(t) for t in np.linspace(a, b, grid_size)])
+    total, _ = quad(lambda t: abs(dfn(t)), a, b, limit=400)
+    return variation_values(vals, rho), total
 
 
 def test_derivative_bound_identity_path():
