@@ -440,8 +440,9 @@ def _add_common(p, out=True):
                    help="BLAS thread count (default: OULAB_THREADS or"
                         " library default)")
     p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget in seconds; exceeding it fails"
-                        " the run")
+                   help="wall-clock budget in seconds, checked once the"
+                        " run is done: the report is still written, and an"
+                        " overrun turns the exit code into 2")
     if out:
         p.add_argument("--out", default="reports",
                        help="directory for reports and plot CSVs")

@@ -33,10 +33,10 @@ def smooth_step(s) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def local_weight(model: OUModel, x, u) -> np.ndarray:
-    """eta(x, u) = sum_j rt_j(x) r_j(u): 1 near the diagonal R(u) ~ R(x),
-    0 once |R(u) - R(x)| >= 4.  Shapes of x and u must broadcast in the
-    leading axes.
+def eta_plateaus(Rx, Ru_lo, Ru_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (one, zero) over the broadcast shape, True where the integer
+    tests below show local_weight to be exactly 1, or exactly 0, for every
+    u with Ru_lo <= R(u) <= Ru_hi; Rx is R(x).
 
     At u only the rings b - 1 and b carry weight, b = max(floor(R(u)), 1),
     with profiles 1 - a and a that sum to exactly 1 in floating point too.
@@ -47,24 +47,48 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
       1  where -1 <= d <= 2, or d <= 2 and b <= 2 (both plateaus are 1),
       0  where d >= 4, or d <= -3 and b >= 4 (both plateaus are 0),
 
-    which covers |R(u) - R(x)| <= 1, and >= 4 where R(u) >= 1.  The ring
-    sum is evaluated only on the rest (and where R is NaN); elsewhere eta
-    is written as its constant.  No margin is needed: rounding is monotone
-    and the bounds and ring offsets are small integers, so a computed d
-    strictly past a bound means the exact d is too, and every profile
-    argument R - j + c then rounds to the same side of 0 and 1 as its
-    exact value.  eta is bit-identical to the ring sum evaluated
-    everywhere.
+    which covers |R(u) - R(x)| <= 1, and >= 4 where R(u) >= 1.  Over a
+    range of R(u), b runs from b_lo to b_hi and the computed d = R(x) - b
+    decreases with b, because rounding is monotone.  The set of b where
+    eta is 1 is an interval, so eta is 1 on the whole range exactly where
+    it is 1 at both ends; it is 0 on the whole range where d is past 4
+    already at b_hi, or below -3 already at b_lo with b_lo >= 4.  With
+    Ru_lo = Ru_hi these are the pointwise tests; NaN decides nothing.
+    """
+    b_lo = np.maximum(np.floor(Ru_lo), 1.0)
+    d_hi = Rx - b_lo
+    if Ru_hi is Ru_lo:
+        # the pointwise call from local_weight: on every node of a block,
+        # a second floor and difference would only repeat the first
+        b_hi, d_lo = b_lo, d_hi
+    else:
+        b_hi = np.maximum(np.floor(Ru_hi), 1.0)
+        d_lo = Rx - b_hi
+    one = (d_hi < 2.0) & ((d_lo > -1.0) | (b_hi <= 2.0))
+    zero = (d_lo > 4.0) | ((d_hi < -3.0) & (b_lo >= 4.0))
+    return one, zero
+
+
+def local_weight(model: OUModel, x, u) -> np.ndarray:
+    """eta(x, u) = sum_j rt_j(x) r_j(u): 1 near the diagonal R(u) ~ R(x),
+    0 once |R(u) - R(x)| >= 4.  Shapes of x and u must broadcast in the
+    leading axes.
+
+    The ring sum is evaluated only where eta_plateaus leaves eta open (and
+    where R is NaN); elsewhere eta is written as its constant.  No margin
+    is needed: rounding is monotone and the bounds and ring offsets are
+    small integers, so a computed d strictly past a bound means the exact
+    d is too, and every profile argument R - j + c then rounds to the same
+    side of 0 and 1 as its exact value.  eta is bit-identical to the ring
+    sum evaluated everywhere.
     """
     Ru = np.asarray(quadratic_r(model, u))
     Rx = np.asarray(quadratic_r(model, x))
-    b = np.maximum(np.floor(Ru), 1.0)
-    d = Rx - b
-    near = (d < 2.0) & ((d > -1.0) | (b <= 2.0))
-    band = ~(near | (d > 4.0) | ((d < -3.0) & (b >= 4.0)))
+    near, far = eta_plateaus(Rx, Ru, Ru)
+    band = ~(near | far)
     out = np.where(near, 1.0, 0.0)
-    ru = np.broadcast_to(Ru, d.shape)[band]
-    rx = np.broadcast_to(Rx, d.shape)[band]
+    ru = np.broadcast_to(Ru, band.shape)[band]
+    rx = np.broadcast_to(Rx, band.shape)[band]
     base = np.maximum(np.floor(ru).astype(int), 1)
     eta = np.zeros(ru.shape)
     for off in (-1, 0):

@@ -110,11 +110,11 @@ def write_csv(path: str, header: list[str], rows, claim: str = "") -> None:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
+    """Floats as their repr; NumPy scalars as the Python value they hold
+    (np.float64 is a float, but its repr names the type)."""
     if hasattr(v, "item"):
-        return repr(v.item())
-    return v
+        v = v.item()
+    return repr(v) if isinstance(v, float) else v
 
 
 def emit_plot_data(report: ProbeReport, out_dir: str) -> list[str]:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (AlphaTooSmallError, BadOrderError, DimensionError,
                      NonPositiveTimeError)
-from .geometry import annulus_indicator, local_weight, polar_decompose
+from .geometry import (annulus_indicator, eta_plateaus, local_weight,
+                       polar_decompose)
 from .kernel import log_kernel_grid
 from .model import (OUModel, Propagators, gamma_log_density, propagators,
                     quadratic_r)
@@ -33,12 +34,11 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A Gaussian bump on R^n together with its L^1 norm against the
+    """A Gaussian bump on R^n, normalized to L^1 norm 1 against the
     invariant measure."""
 
     fn: object                  # callable (m, n) -> (m,)
     params: dict
-    l1_gamma: float
 
     def __call__(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -62,8 +62,7 @@ def gaussian_bump(model: OUModel, center, width: float) -> TestFunction:
 
     return TestFunction(fn=fn,
                         params={"center": m, "width": float(width),
-                                "amplitude": float(amp)},
-                        l1_gamma=1.0)
+                                "amplitude": float(amp)})
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +190,12 @@ def apply_semigroup(model: OUModel, f: TestFunction, x, t: float,
     return float((rule.weights * f(nodes) * np.exp(log_ratio)).sum())
 
 
-# near/far split nodes are expanded for this many points at a time
-_SPLIT_CHUNK = 64
+# undecided near/far blocks are expanded about this many nodes at a time
+_SPLIT_NODES = 1 << 17
+# relative rounding margin on sqrt(2 R) of a block's nodes, per unit of
+# the condition number of Qinf, and the absolute one
+_BLOCK_MARGIN_REL = 1e-10
+_BLOCK_MARGIN_ABS = 1e-12
 
 
 def local_global_grid(model: OUModel, bump: TestFunction,
@@ -205,11 +208,23 @@ def local_global_grid(model: OUModel, bump: TestFunction,
     value; the split weight is then averaged under that Gaussian by a
     Gauss-Hermite rule, so the only quadrature error comes from the smooth
     cutoff itself.
+
+    Each (point, time) block is decided before its nodes are expanded.
+    The nodes are mean + L_t z_k with |z_k| <= z_max, so in the norm
+    |v|_R = sqrt(2 R(v)) every node lies within r = |Qinf^-1/2 L_t|_2 z_max
+    of s = |mean|_R.  _node_r_range widens [max(s - r, 0), s + r] by
+    1e-10 kappa(Qinf) (s + r) + 1e-12, far more than the few n^2 eps kappa
+    by which the rounding of the nodes and of R can move a node's computed
+    R, and eta_plateaus tells where eta is the same constant over the
+    whole range.  Such a block's near weight is wq.sum() or 0.0: the
+    weights times 1.0 are the weights themselves, and summing them alone
+    is the same contiguous pairwise reduction as a row of eta * wq, so the
+    bits match the expanded sum.  Only the other blocks reach local_weight,
+    in chunks of about _SPLIT_NODES nodes.
     """
     n = model.n
     z, wq = hermite_tensor(n, order)                         # (q, n), (q,)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    p, mt = x.shape[0], len(props)
     w2 = bump.params["width"] ** 2
     m_ctr = bump.params["center"]
     # product covariance (Qt^-1 + I/w2)^-1 and its square root, per time
@@ -221,15 +236,19 @@ def local_global_grid(model: OUModel, bump: TestFunction,
         raise NonPositiveTimeError("degenerate product covariance")
     L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
     mass = bump_semigroup_grid(model, bump, props, x)        # (p, mt)
-    loc = np.empty((p, mt))
     base_mean = np.einsum("mij,j->mi", cov, m_ctr / w2)      # (mt, n)
-    for lo in range(0, p, _SPLIT_CHUNK):
-        hi = min(lo + _SPLIT_CHUNK, p)
-        xs = x[lo:hi]
-        mean = _product_means(props, cov, xs) + base_mean[None, :, :]
-        nodes = mean[:, :, None, :] + np.einsum("mij,qj->mqi", L, z)[None]
-        eta = local_weight(model, xs[:, None, None, :], nodes)
-        loc[lo:hi] = (eta * wq[None, None, :]).sum(axis=2)
+    mean = _product_means(props, cov, x) + base_mean[None, :, :]
+    ru_lo, ru_hi = _node_r_range(model, mean, L, z)
+    one, zero = eta_plateaus(quadratic_r(model, x)[:, None], ru_lo, ru_hi)
+    loc = np.where(one, wq.sum(), 0.0)
+    pi, ti = np.nonzero(~(one | zero))
+    Lz = np.einsum("mij,qj->mqi", L, z)                      # (mt, q, n)
+    step = max(1, _SPLIT_NODES // wq.size)
+    for lo in range(0, pi.size, step):
+        bp, bt = pi[lo:lo + step], ti[lo:lo + step]
+        nodes = mean[bp, bt][:, None, :] + Lz[bt]
+        eta = local_weight(model, x[bp][:, None, :], nodes)
+        loc[bp, bt] = (eta * wq).sum(axis=-1)
     loc = mass * loc
     return loc, mass - loc
 
@@ -239,6 +258,23 @@ def _product_means(props: Propagators, cov: np.ndarray,
     """cov_t Qt^-1 e^{tB} x per (point, time), (p, mt, n)."""
     ex = np.einsum("mij,pj->pmi", props.exp_tB, xs)
     return np.einsum("mij,mjk,pmk->pmi", cov, props.Qt_inv, ex)
+
+
+def _node_r_range(model: OUModel, mean: np.ndarray, L: np.ndarray,
+                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi), (p, mt) each, on R over the nodes mean + L_t z_k
+    of every (point, time) block, with the rounding margin of
+    local_global_grid."""
+    s = np.sqrt(2.0 * quadratic_r(model, mean))
+    # |Qinf^-1/2 L_t|_2^2 is the top eigenvalue of L_t^T Qinf^-1 L_t
+    g = np.einsum("mji,jk,mkl->mil", L, model.Qinf_inv, L)
+    top = np.maximum(np.linalg.eigvalsh(g)[:, -1], 0.0)
+    r = np.sqrt(top * np.max(np.einsum("qi,qi->q", z, z)))
+    margin = _BLOCK_MARGIN_REL * np.linalg.cond(model.Qinf) * (s + r) \
+        + _BLOCK_MARGIN_ABS
+    lo = np.maximum(s - r - margin, 0.0)
+    hi = s + r + margin
+    return 0.5 * lo * lo, 0.5 * hi * hi
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +531,7 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
                     "growth": float(growth),
                     "variation_unconverged": not converged,
                     "v_max": float(v.max()), "v_mean": float(v.mean()),
-                    "l1_mass": f.l1_gamma},
+                    "l1_mass": 1.0},
         tables={"alpha_lambda": rows},
         pass_flags={"finite": bool(np.isfinite(stat)),
                     "stable": bool(growth <= 1.1)},
@@ -564,7 +600,7 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
                          a * math.sqrt(math.log(a)) * exceeded / half)
     growth = worst / max(worst_half, _TINY) if worst > 0 else 1.0
     stats = {"statistic": worst, "half_sample_statistic": worst_half,
-             "growth": float(growth), "l1_mass": f.l1_gamma}
+             "growth": float(growth), "l1_mass": 1.0}
     return ProbeReport(
         name="annulus-superlevel",
         claim=("alpha sqrt(log alpha) times the invariant measure of the "

@@ -47,12 +47,11 @@ def _check_order(rho: float) -> float:
 
 
 def variation_values(values: np.ndarray, rho: float) -> float:
-    """Seminorm of a value sequence (time stamps are irrelevant to the value)."""
-    rho = _check_order(rho)
+    """Seminorm of a value sequence (time stamps are irrelevant to the
+    value).  It is variation_batch's one row, whose checks refuse an order
+    below 1 and anything but a nonempty 1-d sequence."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise EmptyPathError("need a nonempty 1-d value array")
-    return float(variation_batch(v[None, :], rho)[0])
+    return float(variation_batch(v[None], rho)[0])
 
 
 def _turning_points(v: np.ndarray):
@@ -97,7 +96,7 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
     rho = _check_order(rho)
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
-        raise EmptyPathError("need a (paths, length) array")
+        raise EmptyPathError("need a nonempty (paths, length) array")
     kept, counts = _turning_points(v)
     starts = np.cumsum(counts) - counts
     # rows keeping between 2^(k-1) and 2^k points share one padded block

@@ -11,8 +11,11 @@ import scipy.integrate
 import scipy.linalg
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
+from oulab.geometry import local_weight
 from oulab.kernel import kernel
 from oulab.model import gamma_log_density
+from oulab.quadrature import hermite_tensor
+from oulab.semigroup import bump_semigroup_grid
 from oulab.variation import _check_order
 
 
@@ -75,3 +78,40 @@ def adaptive_integral(f, measure, half_width: float = 10.0) -> float:
                                          -half_width, half_width)
         return float(val)
     raise BadOrderError("adaptive cross-check supports n <= 2 only")
+
+
+def split_blocks(model, bump, props, x, order=None):
+    """The Gaussian blocks of the near/far split, built as
+    local_global_grid builds them: means (p, m, n), square roots L_t of
+    the covariances (m, n, n), and the tensor rule's nodes z (q, n) and
+    weights (q,)."""
+    n = model.n
+    z, wq = hermite_tensor(n, order)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    w2 = bump.params["width"] ** 2
+    prec = props.Qt_inv + np.eye(n)[None] / w2
+    cov = np.linalg.inv(prec)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    wv, vv = np.linalg.eigh(cov)
+    L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
+    base_mean = np.einsum("mij,j->mi", cov, bump.params["center"] / w2)
+    ex = np.einsum("mij,pj->pmi", props.exp_tB, x)
+    mean = np.einsum("mij,mjk,pmk->pmi", cov, props.Qt_inv, ex) \
+        + base_mean[None, :, :]
+    return mean, L, z, wq
+
+
+def block_nodes(mean, L, z):
+    """Every node mean + L_t z_k of every block, (p, m, q, n)."""
+    return mean[:, :, None, :] + np.einsum("mij,qj->mqi", L, z)[None]
+
+
+def local_global_grid_all_nodes(model, bump, props, x, order=None):
+    """The near/far split with no per-block decision: every node of every
+    (point, time) block goes through local_weight."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    mean, L, z, wq = split_blocks(model, bump, props, x, order)
+    eta = local_weight(model, x[:, None, None, :], block_nodes(mean, L, z))
+    mass = bump_semigroup_grid(model, bump, props, x)
+    loc = mass * (eta * wq[None, None, :]).sum(axis=2)
+    return loc, mass - loc

@@ -39,3 +39,29 @@ def test_semigroup_apply_routes_agree(model, x, capsys):
     printed = capsys.readouterr().out
     assert code == 0
     assert "agreement: PASS" in printed
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"Q": [[2.0]]}',
+                                  '{"n": 2, "Q": [1.0], "B": [-1.0]}'])
+def test_malformed_model_file_exits_one_without_a_report(text, tmp_path,
+                                                         capsys):
+    spec = tmp_path / "model.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    code = main(["probe", "weak-type", "--model", str(spec), "--rho", "2.5",
+                 "--samples", "1000", "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_budget_is_checked_after_the_report_is_written(tmp_path, capsys):
+    argv = ["probe", "enhanced", "--model", "standard1", "--samples", "1000"]
+    assert main([*argv, "--out", str(tmp_path / "free")]) == 0
+    code = main([*argv, "--budget", "0", "--out", str(tmp_path / "spent")])
+    assert code == 2
+    assert "budget exceeded" in capsys.readouterr().err
+    # the report is written before the budget is checked, and is the same
+    name = "annulus-superlevel.json"
+    assert (tmp_path / "spent" / name).read_bytes() == \
+        (tmp_path / "free" / name).read_bytes()

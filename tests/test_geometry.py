@@ -12,7 +12,8 @@ from oulab import (
     smooth_step,
     standard_model,
 )
-from oulab.geometry import _ring_plateau_idx, _ring_weight_idx, group_apply
+from oulab.geometry import (_ring_plateau_idx, _ring_weight_idx,
+                            eta_plateaus, group_apply)
 from oulab.errors import (
     AlphaTooSmallError,
     ZeroPointError,
@@ -280,6 +281,26 @@ def test_local_weight_bit_identical_for_scalar_pairs(std2):
     for xi, ui in zip(x, u):
         got, ref = local_weight(std2, xi, ui), full_local_weight(std2, xi, ui)
         assert type(got) is float and got == ref
+
+
+def test_eta_plateaus_over_a_range_agree_with_its_points():
+    # each range [lo, hi] of R(u) is represented by its ends and the
+    # integers inside it, which take every value of b = max(floor(R), 1)
+    rx = np.arange(0.0, 13.0, 0.25)[:, None, None]
+    lo = np.arange(0.0, 12.0, 0.5)[None, :, None]
+    hi = lo + np.arange(0.0, 6.5, 0.5)[None, None, :]
+    one, zero = eta_plateaus(rx, lo, hi)
+    all_one = np.ones(one.shape, dtype=bool)
+    all_zero = np.ones(one.shape, dtype=bool)
+    for r in [lo, hi] + [np.float64(k) for k in range(19)]:
+        inside = (lo <= r) & (r <= hi)
+        r_one, r_zero = eta_plateaus(rx, r, r)
+        all_one &= r_one | ~inside
+        all_zero &= r_zero | ~inside
+    # exact for 1, and never claims a 0 that a point of the range denies
+    assert np.array_equal(one, all_one)
+    assert not np.any(zero & ~all_zero)
+    assert one.any() and zero.any() and (~one & ~zero).any()
 
 
 _RAMP_EDGES = [0.0, 1.0, 5e-324, 1.0 - 1e-16, np.inf, -np.inf, np.nan,

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from oulab import (TimeGrid, apply_semigroup, bump_semigroup_value,
-                   gaussian_bump, propagators, standard_model,
+                   gaussian_bump, propagators, quadratic_r, standard_model,
                    variation_batch, weak_type_probe)
 from oulab.errors import BadOrderError
-from oulab.semigroup import (_interleave, _part_values, bump_semigroup_grid,
-                             local_global_grid, variation_batch_paths)
+from oulab.geometry import eta_plateaus
+from oulab.semigroup import (_interleave, _node_r_range, _part_values,
+                             bump_semigroup_grid, local_global_grid,
+                             variation_batch_paths)
+from reference_routes import (block_nodes, local_global_grid_all_nodes,
+                              split_blocks)
 
 
 def full_reevaluation(model, f, x, rho, grid, part, tol, max_refine, order):
@@ -117,6 +121,76 @@ def test_near_and_far_parts_add_to_the_closed_form(name, model_factory):
     assert near.max() > 1e-4 * whole.max() and far.max() > 1e-4 * whole.max()
 
 
+# ---------------------------------------------------------------------------
+# blocks decided before their nodes are expanded
+
+
+def _split_case(name, model_factory):
+    n = int(name[-1])
+    model = standard_model(n) if name.startswith("standard") \
+        else model_factory(6, n)
+    f = gaussian_bump(model, np.full(n, 0.4), 0.5)
+    props = propagators(model, np.geomspace(1e-6, 1.0, 13 if n == 1 else 7))
+    xs = 1.5 * np.random.default_rng(n).standard_normal(
+        (24 if n == 1 else 4, n)) @ model.Qinf_sqrt.T
+    return model, f, props, xs, 16 if n == 3 else None
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "random1",
+                                  "random2", "random3"])
+def test_block_decision_matches_every_node(name, model_factory):
+    model, f, props, xs, order = _split_case(name, model_factory)
+    near, far = local_global_grid(model, f, props, xs, order=order)
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs,
+                                                    order=order)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+    # some blocks are decided whole and some are expanded
+    mean, L, z, _ = split_blocks(model, f, props, xs, order)
+    one, zero = eta_plateaus(quadratic_r(model, xs)[:, None],
+                             *_node_r_range(model, mean, L, z))
+    assert 0 < np.count_nonzero(one | zero) < one.size
+
+
+def test_block_decision_at_every_threshold():
+    # a narrow bump pulls the blocks off R(x), inward for the centre 0 and
+    # outward for 4, so their R ranges straddle each test of eta_plateaus
+    model = standard_model(1)
+    props = propagators(model, np.geomspace(1e-4, 1e-2, 9))
+    xs = np.linspace(0.3, 4.2, 40)[:, None]
+    rx = quadratic_r(model, xs)[:, None]
+    straddled = set()
+    for c in (0.0, 4.0):
+        f = gaussian_bump(model, [c], 0.05)
+        near, far = local_global_grid(model, f, props, xs)
+        ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs)
+        assert np.array_equal(near, ref_near)
+        assert np.array_equal(far, ref_far)
+        b = np.maximum(np.floor(quadratic_r(
+            model, block_nodes(*split_blocks(model, f, props, xs)[:3]))), 1.0)
+        b_lo, b_hi = b.min(axis=-1), b.max(axis=-1)
+        for d in (-3, -1, 2, 4):
+            if np.any((rx - b_hi < d) & (rx - b_lo > d)):
+                straddled.add(("d", d))
+        if np.any((b_lo <= 2) & (b_hi > 2)):
+            straddled.add(("b", 2))
+        if np.any((b_lo < 4) & (b_hi >= 4)):
+            straddled.add(("b", 4))
+    assert straddled == {("d", -3), ("d", -1), ("d", 2), ("d", 4),
+                         ("b", 2), ("b", 4)}
+
+
+@pytest.mark.parametrize("name", ["standard1", "random1", "random2",
+                                  "random3"])
+def test_block_range_holds_every_node(name, model_factory):
+    # in 1-d the extreme nodes sit on the bound itself, where rounding
+    # alone can carry them past it; the margin keeps them inside
+    model, f, props, xs, order = _split_case(name, model_factory)
+    mean, L, z, _ = split_blocks(model, f, props, xs, order)
+    lo, hi = _node_r_range(model, mean, L, z)
+    r = quadratic_r(model, block_nodes(mean, L, z))
+    assert np.all(r >= lo[..., None]) and np.all(r <= hi[..., None])
+
+
 def test_no_default_order_past_three_dimensions():
     # a default rule would need 32^4 nodes per (point, time) block
     with pytest.raises(BadOrderError):
@@ -125,3 +199,31 @@ def test_no_default_order_past_three_dimensions():
     with pytest.raises(BadOrderError):
         apply_semigroup(standard_model(4), gaussian_bump(
             standard_model(4), np.zeros(4), 0.5), np.zeros(4), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# refinement and reruns
+
+
+@pytest.mark.parametrize("part", ["full", "local", "global"])
+def test_variation_never_decreases_under_nested_refinement(part):
+    model, f, xs = _case("standard1")
+    grid = TimeGrid.geometric(1e-4, 1.0, 4)
+    prev = None
+    for rounds in range(4):
+        # tol = 0 runs every round, so this is the grid refined `rounds` times
+        v, _, size = variation_batch_paths(model, f, xs, 2.5, grid, part=part,
+                                           tol=0.0, max_refine=rounds,
+                                           order=12)
+        assert size == (len(grid) - 1) * 2 ** rounds + 1
+        if prev is not None:
+            assert np.all(v >= prev)
+        prev = v
+
+
+def test_weak_type_probe_reruns_byte_identical():
+    def run():
+        return weak_type_probe(standard_model(1), 2.5, sample_size=1000,
+                               n_alphas=12, points_per_decade=4,
+                               max_refine=1, seed=3).to_json()
+    assert run() == run()
