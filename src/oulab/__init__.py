@@ -44,7 +44,7 @@ _EXPORTS = {
     "weak_type_probe": "semigroup",
     "annulus_superlevel_probe": "semigroup", "t_max_for_tail": "semigroup",
     # torus
-    "CounterexampleConfig": "torus", "dyadic_sum": "torus",
+    "CounterexampleConfig": "torus",
     "chain_values": "torus", "apply_gauss_smoother": "torus",
     "apply_window_mean": "torus", "apply_dyadic_mean": "torus",
     "dyadic_moment": "torus", "line_moment": "torus",

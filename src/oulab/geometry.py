@@ -15,6 +15,9 @@ from .errors import (AlphaTooSmallError, BracketFailError, DimensionError,
                      ZeroPointError)
 from .model import OUModel, quadratic_r
 
+# polar_decompose gives up once a flow-time bracket passes this size
+_S_MAX = 1e3
+
 
 def smooth_step(s) -> np.ndarray:
     """C^inf monotone ramp: 0 for s <= 0, 1 for s >= 1, NaN for NaN.
@@ -142,8 +145,8 @@ def group_apply(model: OUModel, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def polar_decompose(model: OUModel, x, beta: float,
-                    s_max: float = 1e3) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(model: OUModel, x,
+                    beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Write x = D_s z with R(z) = beta; returns (s, z).
 
     sigma -> R(D_sigma x) is strictly increasing (its derivative is the
@@ -171,7 +174,7 @@ def polar_decompose(model: OUModel, x, beta: float,
         if not np.any(bad):
             break
         lo[bad] *= 2.0
-        if np.any(lo < -s_max):
+        if np.any(lo < -_S_MAX):
             raise BracketFailError("orbit does not reach the level set")
     else:
         raise BracketFailError("orbit does not reach the level set")
@@ -181,7 +184,7 @@ def polar_decompose(model: OUModel, x, beta: float,
         if not np.any(bad):
             break
         hi[bad] *= 2.0
-        if np.any(hi > s_max):
+        if np.any(hi > _S_MAX):
             raise BracketFailError("orbit does not reach the level set")
     else:
         raise BracketFailError("orbit does not reach the level set")

@@ -7,25 +7,33 @@ Writing gamma_t for the centered Gaussian with covariance Qt, the kernel is
               = (det Qinf / det Qt)^{1/2} e^{R(x)}
                 exp(-<(Qt^-1 - Qinf^-1)(u - Dt x), u - Dt x> / 2).
 
-Two algebraically equal quadratic forms are used: the direct one above for
-t <= 1, and for t > 1 the form <M_t v, v> in v = D_{-t} u - x with
-M_t = Qinf^-1 + (I - S Qinf)^-1 S, S = e^{tB^T} Qinf^-1 e^{tB}, whose
-factors all decay; the direct difference Qt^-1 - Qinf^-1 loses every digit
-to cancellation once t is large.  Write N_t = M_t - Qinf^-1; above
-T_SWITCH = 1 it is the resolvent term (I - S Qinf)^-1 S itself.
+One evaluator gives log K on every route: per time, matrices P, R, G and
+const = (log det Qinf - log det Qt)/2 give
+
+    log K = const + R(x) - <G y, y>/2,   y = P u - R x.
+
+For t <= T_SWITCH = 1 they are the direct form above, (I, Dt, A) with
+A = Qt^-1 - Qinf^-1.  For t > 1 they are (D_{-t}, I, M_t), the form in
+v = D_{-t} u - x with M_t = Qinf^-1 + N_t, N_t = (I - S Qinf)^-1 S and
+S = e^{tB^T} Qinf^-1 e^{tB}, whose factors all decay; the direct
+difference Qt^-1 - Qinf^-1 loses every digit to cancellation once t is
+large.
 
 The time slope comes from the backward equation d/dt K = L_x K with
-L = tr(Q D^2)/2 + <Bx, D>.  log K is quadratic in x, with x-gradient g and
-x-Hessian H, so
+L = tr(Q D^2)/2 + <Bx, D>.  log K is quadratic in x, with x-gradient
+g = Qinf^-1 x + R^T G y and x-Hessian H = -N_t (N_t = M_t - Qinf^-1 below
+T_SWITCH), so
 
-    d/dt log K = tr(Q H)/2 + <Q g, g>/2 + <Bx, g>,
+    d/dt log K = tr(Q H)/2 + <Q g, g>/2 + <Bx, g>.
 
-where H = -N_t in both forms, g = Qinf^-1 x + Dt^T A w with w = u - Dt x
-below T_SWITCH, and g = Qinf^-1 D_{-t} u + N_t v above it.  The naive
-H = Qinf^-1 - M_t would cancel for large t exactly as the direct form
-does.  Every factor comes from the one propagator stack that also gives
-log K, so a slope costs one stack and no finite difference; against
-Mehler's closed form it holds about 1e-13 relative for t in [1e-4, 40].
+The naive H = Qinf^-1 - M_t would cancel for large t exactly as the direct
+form does.  Against Mehler's closed form the slope holds about 1e-13
+relative for t in [1e-4, 40].
+
+Both quantities take per-time factors from one propagator stack, with the
+time axis last, and form every product elementwise in a fixed order
+(_dot).  So a pair gets the same bits against a time grid (one block
+driver) as with one time per pair (one argument helper).
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ from .model import (OUModel, Propagators, T_SWITCH, propagators, quadratic_r)
 from .rng import substream
 
 _LOG_MAX = 700.0            # exp overflows just above this
+# pair-time cells per evaluation block of a grid route, and at most this
+# many times in one block: few pairs against a long run of times keeps the
+# inner loops long and the temporaries in cache
+_BLOCK_CELLS = 1 << 15
+_BLOCK_TIMES = 8192
 
 
 def _chunks(total: int, size: int):
@@ -47,42 +60,17 @@ def _chunks(total: int, size: int):
         yield lo, min(lo + size, total)
 
 
-# pairs per block of log_kernel_grid, each against the full time grid
-_GRID_CHUNK = 256
+def _dot(row, vec):
+    """sum_j row[j] vec[j], in a fixed order so that every shape of the
+    operands rounds alike."""
+    acc = row[0] * vec[0]
+    for j in range(1, len(vec)):
+        acc = acc + row[j] * vec[j]
+    return acc
 
 
-def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
-    """log K_t(x_i, u_i) for every pair i and every grid time, (p, m).
-
-    x, u: (p, n) paired points.  Memory is bounded by evaluating pair
-    chunks against the full time grid.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    p, m = x.shape[0], len(props)
-    out = np.empty((p, m))
-    small = props.ts <= T_SWITCH
-    large = ~small
-    const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)    # (m,)
-    for lo, hi in _chunks(p, _GRID_CHUNK):
-        xs, us = x[lo:hi], u[lo:hi]
-        rx = quadratic_r(model, xs)                        # (c,)
-        block = np.empty((hi - lo, m))
-        if np.any(small):
-            w = us[:, None, :] - np.einsum("mij,pj->pmi", props.Dt[small], xs)
-            q = np.einsum("pmi,mij,pmj->pm", w, props.A_small[small], w)
-            block[:, small] = -0.5 * q
-        if np.any(large):
-            v = np.einsum("mij,pj->pmi", props.Dmt[large], us) - xs[:, None, :]
-            q = np.einsum("pmi,mij,pmj->pm", v, props.M_large[large], v)
-            block[:, large] = -0.5 * q
-        out[lo:hi] = block + const[None, :] + rx[:, None]
-    return out
-
-
-def log_kernel_pairs(model: OUModel, ts, x, u,
-                     props: Propagators | None = None) -> np.ndarray:
-    """log K_{t_i}(x_i, u_i) with one time per pair, (m,)."""
+def _pair_args(model: OUModel, ts, x, u, props: Propagators | None):
+    """(props, x, u) for a route with one time per pair, x and u (m, n)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -92,20 +80,76 @@ def log_kernel_pairs(model: OUModel, ts, x, u,
         u = np.broadcast_to(u, (ts.size, u.shape[1]))
     if props is None:
         props = propagators(model, ts)
-    out = np.empty(ts.size)
-    small = ts <= T_SWITCH
-    large = ~small
-    const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)
-    rx = quadratic_r(model, x)
-    if np.any(small):
-        w = u[small] - np.einsum("mij,mj->mi", props.Dt[small], x[small])
-        out[small] = -0.5 * np.einsum("mi,mij,mj->m", w,
-                                      props.A_small[small], w)
-    if np.any(large):
-        v = np.einsum("mij,mj->mi", props.Dmt[large], u[large]) - x[large]
-        out[large] = -0.5 * np.einsum("mi,mij,mj->m", v,
-                                      props.M_large[large], v)
-    return out + const + rx
+    return props, x, u
+
+
+def _on_grid(evaluate, n_out: int, factors: tuple, x, u) -> list:
+    """evaluate(factors, x, u) for every pair of x, u (p, n) and every
+    time of the factors, run over blocks of pairs and times; returns its
+    n_out outputs as (p, m) arrays."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    p, m = x.shape[0], factors[0].shape[-1]
+    outs = [np.empty((p, m)) for _ in range(n_out)]
+    times = max(1, min(m, _BLOCK_TIMES))
+    for lo, hi in _chunks(p, max(1, _BLOCK_CELLS // times)):
+        xs = x[lo:hi].T[:, :, None]                         # (n, c, 1)
+        us = u[lo:hi].T[:, :, None]
+        for t0, t1 in _chunks(m, times):
+            vals = evaluate([f[..., t0:t1] for f in factors], xs, us)
+            for out, val in zip(outs, vals):
+                out[lo:hi, t0:t1] = val
+    return outs
+
+
+# ---------------------------------------------------------------------------
+# log K
+
+
+def _logk_factors(model: OUModel, props: Propagators) -> tuple:
+    """Per-time factors (P, R, G, const) of log K for every time of props,
+    as in the module docstring: P, R and G as (n, n, m), const as (m,).
+    Below T_SWITCH they are (I, Dt, A), above it (D_{-t}, I, M)."""
+    small = (props.ts <= T_SWITCH)[:, None, None]
+    eye = np.eye(model.n)
+    P = np.where(small, eye, props.Dmt)
+    R = np.where(small, props.Dt, eye)
+    G = np.where(small, props.A_small, props.M_large)
+    P, R, G = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (P, R, G))
+    return P, R, G, 0.5 * (model.logdet_Qinf - props.logdet_Qt)
+
+
+def _logk_eval(model: OUModel, factors: tuple, x, u):
+    """log K - R(x) from the factors of _logk_factors.
+
+    x and u hold one point per component, (n, ...); their pair shape
+    broadcasts against the time shape of the factors.  The routes add R(x)
+    from quadratic_r, the same value their callers subtract again."""
+    P, R, G, const = factors
+    n = model.n
+    y = [_dot(P[i], u) - _dot(R[i], x) for i in range(n)]
+    gy = [_dot(G[i], y) for i in range(n)]
+    return -0.5 * _dot(gy, y) + const
+
+
+def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
+    """log K_t(x_i, u_i) for every pair i and every grid time, (p, m).
+
+    x, u: (p, n) paired points.  Memory is bounded by evaluating blocks
+    of pairs and times."""
+    out, = _on_grid(lambda f, xs, us: (_logk_eval(model, f, xs, us),), 1,
+                    _logk_factors(model, props), x, u)
+    out += quadratic_r(model, np.atleast_2d(x))[:, None]
+    return out
+
+
+def log_kernel_pairs(model: OUModel, ts, x, u,
+                     props: Propagators | None = None) -> np.ndarray:
+    """log K_{t_i}(x_i, u_i) with one time per pair, (m,).  props, when
+    given, must be the propagators of ts."""
+    props, x, u = _pair_args(model, ts, x, u, props)
+    return (_logk_eval(model, _logk_factors(model, props), x.T, u.T)
+            + quadratic_r(model, x))
 
 
 def log_kernel(model: OUModel, t: float, x, u) -> float:
@@ -138,10 +182,8 @@ def _slope_factors(model: OUModel, props: Propagators) -> tuple:
 
         d/dt log K = h0 + <Q g, g>/2 + <Bx, g>,   h0 = -tr(Q N)/2.
 
-    C = Dt^T A equals M D_{-t}, since Dt^T A Dt = M; it is formed as the
-    first product below T_SWITCH and as the second above it, where A
-    would cancel.  Expanding w = u - Dt x and v = D_{-t} u - x turns both
-    gradients of the module docstring into C u - N x.
+    Expanding y in the gradient of the module docstring gives C = R^T G P:
+    Dt^T A below T_SWITCH and M D_{-t} above it, where A would cancel.
 
     Returns (C, N, h0, kappa): C and N as (n, n, m), so that every matrix
     entry is one row over the times, then (m,) rows of h0 and of kappa,
@@ -174,23 +216,11 @@ def _slope_factors(model: OUModel, props: Propagators) -> tuple:
     return C, N, h0, kappa
 
 
-def _dot(row, vec):
-    """sum_j row[j] vec[j], in a fixed order so that every shape of the
-    operands rounds alike."""
-    acc = row[0] * vec[0]
-    for j in range(1, len(vec)):
-        acc = acc + row[j] * vec[j]
-    return acc
-
-
 def _slope_eval(model: OUModel, factors: tuple, x, u):
     """d/dt log K and its rounding floor from the factors of _slope_factors.
 
-    x and u hold one point per component, (n, ...); their pair shape
-    broadcasts against the time shape of the factors.  Every product is an
-    elementwise numpy operation, so a pair gets the same bits on the grid
-    route as on the per-pair route.  The floor is kappa times the sum of
-    the magnitudes of the three terms: the factors' relative error carried
+    x and u are as in _logk_eval.  The floor is kappa times the sum of the
+    magnitudes of the three terms: the factors' relative error carried
     through each of them.
     """
     C, N, h0, kappa = factors
@@ -213,23 +243,8 @@ def logk_time_slope(model: OUModel, ts, x, u,
     backward equation, exact up to rounding; see _slope_factors.  props,
     when given, must be the propagators of ts.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    x, u = np.broadcast_arrays(x, u)
-    if x.shape[0] == 1 and ts.size > 1:
-        x = np.broadcast_to(x, (ts.size, x.shape[1]))
-        u = np.broadcast_to(u, (ts.size, u.shape[1]))
-    if props is None:
-        props = propagators(model, ts)
+    props, x, u = _pair_args(model, ts, x, u, props)
     return _slope_eval(model, _slope_factors(model, props), x.T, u.T)
-
-
-# pair-time cells per evaluation block of the slope grid, and at most this
-# many times in one block: few pairs against a long run of times keeps the
-# inner loops long and the temporaries in cache
-_SLOPE_CELLS = 1 << 15
-_SLOPE_TIMES = 8192
 
 
 def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
@@ -240,25 +255,15 @@ def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
     Returns (slope, rounding floor).  The per-time factors are formed once
     and shared by all pairs.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    p, m = x.shape[0], len(props)
-    slope = np.empty((p, m))
-    floor = np.empty((p, m))
-    factors = _slope_factors(model, props)
-    times = max(1, min(m, _SLOPE_TIMES))
-    for lo, hi in _chunks(p, max(1, _SLOPE_CELLS // times)):
-        xs = x[lo:hi].T[:, :, None]                         # (n, c, 1)
-        us = u[lo:hi].T[:, :, None]
-        for t0, t1 in _chunks(m, times):
-            block = [f[..., t0:t1] for f in factors]
-            slope[lo:hi, t0:t1], floor[lo:hi, t0:t1] = _slope_eval(
-                model, block, xs, us)
-    return slope, floor
+    return tuple(_on_grid(lambda f, xs, us: _slope_eval(model, f, xs, us),
+                          2, _slope_factors(model, props), x, u))
 
 
 # ---------------------------------------------------------------------------
 # zeros of t -> dK/dt on (0, 1]
+
+# bisection stops once every bracket of a zero is narrower than this
+_REFINE_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -269,50 +274,58 @@ class ZeroCount:
 
 
 def _sign_changes(slope: np.ndarray, floor: np.ndarray):
-    """Indices (left, right) of strict sign flips, treating values within
-    the rounding floor as zero.  slope, floor: (p, m)."""
+    """(row, left column, right column) of every strict sign flip of the
+    rows of slope, (p, m), treating values within the rounding floor as
+    zero: left and right are neighbouring nonzero signs of one row, with
+    opposite signs."""
     tol = np.maximum(1e-13, 4.0 * floor)
     s = np.where(np.abs(slope) <= tol, 0, np.sign(slope)).astype(np.int8)
-    p, m = s.shape
-    cols = np.arange(m)
-    nz = s != 0
-    idx = np.where(nz, cols[None, :], -1)
-    last = np.maximum.accumulate(idx, axis=1)
-    prev_last = np.concatenate([np.full((p, 1), -1, dtype=int),
-                                last[:, :-1]], axis=1)
-    prev_sign = np.take_along_axis(s, np.maximum(prev_last, 0), axis=1)
-    flips = nz & (prev_last >= 0) & (s * prev_sign < 0)
-    return flips, prev_last
+    rows, cols = np.nonzero(s)
+    signs = s[rows, cols]
+    flip = (rows[1:] == rows[:-1]) & (signs[1:] != signs[:-1])
+    return rows[1:][flip], cols[:-1][flip], cols[1:][flip]
 
 
 def _count_zeros_once(model: OUModel, X: np.ndarray, U: np.ndarray,
                       t_lo: float, t_hi: float, n_scan: int,
-                      refine_width: float, want_zeros: bool):
+                      want_zeros: bool):
     grid = np.geomspace(t_lo, t_hi, n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
-    flips, prev_last = _sign_changes(slope, floor)
-    counts = flips.sum(axis=1)
+    rows, left, right = _sign_changes(slope, floor)
+    counts = np.bincount(rows, minlength=X.shape[0])
     if not want_zeros:
         return counts, None
-    rows, cols = np.nonzero(flips)
-    lo = grid[prev_last[rows, cols]]
-    hi = grid[cols]
-    left_sign = np.sign(slope[rows, prev_last[rows, cols]])
+    lo = grid[left]
+    hi = grid[right]
+    left_sign = np.sign(slope[rows, left])
     # bisect every flagged bracket of every pair at once
-    while np.max(hi - lo, initial=0.0) > refine_width:
+    while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
         sm, _ = logk_time_slope(model, mid, X[rows], U[rows])
         same = np.sign(sm) == left_sign
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    zeros = 0.5 * (lo + hi)
-    return counts, (rows, zeros)
+    return counts, 0.5 * (lo + hi)
+
+
+def _count_zeros(model: OUModel, X, U, t_interval: tuple[float, float],
+                 n_scan: int, want_zeros: bool):
+    """(counts, stable mask, zeros): the count is rerun on a doubled grid
+    and a pair is unstable if its count moves.  zeros, when wanted, are
+    the refined flips of all pairs in row order."""
+    t_lo, t_hi = t_interval
+    if t_lo <= 0 or t_hi <= t_lo:
+        raise NonPositiveTimeError("need 0 < t_lo < t_hi")
+    counts, zeros = _count_zeros_once(model, X, U, t_lo, t_hi, n_scan,
+                                      want_zeros)
+    counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
+                                   False)
+    return counts, counts == counts2, zeros
 
 
 def count_kdot_zeros(model: OUModel, x, u,
                      t_interval: tuple[float, float] = (1e-8, 1.0),
-                     n_scan: int = 4096,
-                     refine_width: float = 1e-10) -> ZeroCount:
+                     n_scan: int = 4096) -> ZeroCount:
     """Count sign changes of t -> dK/dt(x, u) on the interval.
 
     Log-spaced scan, each flip refined by bisection; the count is rerun on
@@ -320,16 +333,10 @@ def count_kdot_zeros(model: OUModel, x, u,
     """
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
-    t_lo, t_hi = t_interval
-    if t_lo <= 0 or t_hi <= t_lo:
-        raise NonPositiveTimeError("need 0 < t_lo < t_hi")
-    counts, packed = _count_zeros_once(model, X, U, t_lo, t_hi, n_scan,
-                                       refine_width, want_zeros=True)
-    counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
-                                   refine_width, want_zeros=False)
-    _, zeros = packed
+    counts, stable, zeros = _count_zeros(model, X, U, t_interval, n_scan,
+                                         want_zeros=True)
     return ZeroCount(count=int(counts[0]), zeros=np.sort(zeros),
-                     stable=bool(counts[0] == counts2[0]))
+                     stable=bool(stable[0]))
 
 
 def count_kdot_zeros_batch(model: OUModel, X, U,
@@ -338,12 +345,7 @@ def count_kdot_zeros_batch(model: OUModel, X, U,
     """Zero counts for many pairs at once; returns (counts, stable mask)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    t_lo, t_hi = t_interval
-    counts, _ = _count_zeros_once(model, X, U, t_lo, t_hi, n_scan,
-                                  0.0, want_zeros=False)
-    counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
-                                   0.0, want_zeros=False)
-    return counts, counts == counts2
+    return _count_zeros(model, X, U, t_interval, n_scan, want_zeros=False)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +368,18 @@ def natural_rate(model: OUModel) -> float:
     return 0.5 / float(np.linalg.eigvalsh(model.Q).max())
 
 
-def admissible_rate(model: OUModel, which: str, t_max: float = 50.0,
-                    safety: float = 0.9, grid_size: int = 512) -> float:
+def admissible_rate(model: OUModel, which: str, t_max: float = 50.0) -> float:
     """Largest exponent rate the kernel's own quadratic form supports,
-    from eigenvalue infima over the relevant time range, shrunk by a
-    safety factor."""
+    from eigenvalue infima over the relevant time range (512 times),
+    shrunk by the safety factor 0.9."""
+    safety = 0.9
     if which in ("kernel-small-t", "dkernel-small-t"):
-        ts = np.geomspace(1e-6, 1.0, grid_size)
+        ts = np.geomspace(1e-6, 1.0, 512)
         pr = propagators(model, ts)
         lam = np.linalg.eigvalsh(pr.A_small).min(axis=1)
         cap = float(np.min(ts * lam) / 2.0)
     elif which in ("dkernel-large-t", "tail-integral"):
-        ts = np.geomspace(1.0, t_max, grid_size)
+        ts = np.geomspace(1.0, t_max, 512)
         pr = propagators(model, ts)
         lam = np.linalg.eigvalsh(pr.M_large).min(axis=1)
         cap = float(min(lam.min() / 2.0, -model.spectral_abscissa))
@@ -386,8 +388,7 @@ def admissible_rate(model: OUModel, which: str, t_max: float = 50.0,
     return safety * min(cap, natural_rate(model) / safety)
 
 
-def _calibration_sample(model: OUModel, which: str, n_samples: int,
-                        seed: int):
+def _calibration_sample(model: OUModel, n_samples: int, seed: int):
     """(x, u) pairs: Gaussian cloud plus deterministic far-field spikes.
 
     Spikes sit at evenly spaced positions with radius growing through the
@@ -417,33 +418,26 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
     time grid; the rate test later takes a per-pair supremum over times,
     which removes the sampling noise a random time per pair would add to
     the max statistic."""
+    if which not in ("kernel-small-t", "dkernel-small-t", "dkernel-large-t"):
+        raise ValueError(f"unknown bound name {which!r}")
     rx = quadratic_r(model, x)[:, None]
     pr = propagators(model, ts)
     lk = log_kernel_grid(model, pr, x, u)
-    if which == "kernel-small-t":
-        w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
-        b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
-        a = lk - rx + 0.5 * model.n * np.log(ts)[None, :]
-        return a, b, None
-    if which == "dkernel-small-t":
+    if which != "kernel-small-t":
         slope, _ = logk_time_slope_grid(model, pr, x, u)
         with np.errstate(divide="ignore"):
-            log_kdot = lk + np.log(np.abs(slope))
-        w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
-        b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
-        factor = (1.0 / ts[None, :]
-                  + np.linalg.norm(x, axis=1)[:, None] / np.sqrt(ts)[None, :])
-        a = log_kdot - rx + 0.5 * model.n * np.log(ts)[None, :] - np.log(factor)
-        return a, b, None
+            lk = lk + np.log(np.abs(slope))             # log |dK/dt|
     if which == "dkernel-large-t":
-        slope, _ = logk_time_slope_grid(model, pr, x, u)
-        with np.errstate(divide="ignore"):
-            log_kdot = lk + np.log(np.abs(slope))
         dv = np.einsum("mij,pj->pmi", pr.Dmt, u)
         b = np.einsum("pmi,pmi->pm", dv - x[:, None, :], dv - x[:, None, :])
-        a = log_kdot - rx
-        return a, b, np.linalg.norm(dv, axis=2)
-    raise ValueError(f"unknown bound name {which!r}")
+        return lk - rx, b, np.linalg.norm(dv, axis=2)
+    w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
+    b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
+    a = lk - rx + 0.5 * model.n * np.log(ts)[None, :]
+    if which == "dkernel-small-t":
+        a = a - np.log(1.0 / ts[None, :] + np.linalg.norm(x, axis=1)[:, None]
+                       / np.sqrt(ts)[None, :])
+    return a, b, None
 
 
 def _prefix_max_log_ratios(which: str, a, b, dnorm, ts, c: float,
@@ -480,7 +474,7 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     if which == "tail-integral":
         return _calibrate_tail_integral(model, n_samples, seed, t_max,
                                         grid_desc)
-    x, u = _calibration_sample(model, which, n_samples, seed)
+    x, u = _calibration_sample(model, n_samples, seed)
     if which in ("kernel-small-t", "dkernel-small-t"):
         ts = np.geomspace(1e-6, 1.0, 48)
     else:

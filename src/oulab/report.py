@@ -48,7 +48,6 @@ class ProbeReport:
     pass_flags: dict = field(default_factory=dict)
     ci: dict = field(default_factory=dict)       # name -> half-width
     seed: int = 0
-    runtime_seconds: float | None = None         # never serialized
 
     def effective_flags(self) -> dict:
         """The pass flags as reported: a report with any unstable or

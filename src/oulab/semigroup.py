@@ -102,12 +102,12 @@ class TimeGrid:
         return self.points.size
 
 
-def t_max_for_tail(model: OUModel, tol: float = 1e-9,
-                   cap: float = 50.0) -> float:
-    """Truncation point for [1, inf) grids: past it the kernel sits within
-    tol of its limit, since deviations decay like exp(2 t x abscissa)."""
+def t_max_for_tail(model: OUModel) -> float:
+    """Truncation point for [1, inf) grids, at most 50: past it the kernel
+    sits within 1e-9 of its limit, since deviations decay like
+    exp(2 t x abscissa)."""
     sigma = -model.spectral_abscissa
-    return float(min(cap, max(10.0, math.log(1.0 / tol) / (2.0 * sigma))))
+    return float(min(50.0, max(10.0, math.log(1.0 / 1e-9) / (2.0 * sigma))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +365,8 @@ def _pair_cloud(model: OUModel, radii: np.ndarray, n_dirs: int, seed: int):
     return x, x + r[:, None] * dirs, r
 
 
-def cz_size_sweep(model: OUModel, rho: float, radii=None, n_dirs: int = 8,
-                  seed: int = 0, grid: TimeGrid | None = None) -> dict:
+def cz_size_sweep(model: OUModel, rho: float, n_dirs: int = 8,
+                  seed: int = 0) -> dict:
     """Sweep of |x-u|^n times the near-part variation norm over pair
     separations; bounded profiles back the size half of the kernel
     estimates.
@@ -375,11 +375,8 @@ def cz_size_sweep(model: OUModel, rho: float, radii=None, n_dirs: int = 8,
     so each path's variation can only grow) and the direction count is
     doubled keeping the original pairs.  Small drift therefore certifies
     that the per-radius maximum has saturated in both grid and sample."""
-    if radii is None:
-        radii = np.geomspace(1e-3, 0.4, 16)
-    radii = np.asarray(radii, dtype=float)
-    if grid is None:
-        grid = TimeGrid.geometric(1e-8, 1.0, 48)
+    radii = np.geomspace(1e-3, 0.4, 16)
+    grid = TimeGrid.geometric(1e-8, 1.0, 48)
     x, u, r = _pair_cloud(model, radii, 2 * n_dirs, seed)
 
     def stat(g: TimeGrid, sub) -> np.ndarray:
@@ -397,11 +394,10 @@ def cz_size_sweep(model: OUModel, rho: float, radii=None, n_dirs: int = 8,
 
 
 def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
-                        seed: int = 0, grid: TimeGrid | None = None) -> dict:
+                        seed: int = 0) -> dict:
     """Sweep of |x-u|^{n+1} / |u-u2| times the variation norm of the
     difference path over triples with |x-u| > 2 |u-u2|."""
-    if grid is None:
-        grid = TimeGrid.geometric(1e-8, 1.0, 96)
+    grid = TimeGrid.geometric(1e-8, 1.0, 96)
     n = model.n
     r = np.geomspace(2e-3, 0.4, n_triples)
     dirs = substream(seed, 3).standard_normal((n_triples, n))
@@ -431,12 +427,9 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
 # Monte Carlo probes
 
 
-_REGIMES = {
-    "full": ("full", "all"),
-    "large-t": ("full", "tail"),
-    "global-small-t": ("global", "unit"),
-    "local-small-t": ("local", "unit"),
-}
+# the part of the near/far split that each regime probes
+_REGIMES = {"full": "full", "large-t": "full", "global-small-t": "global",
+            "local-small-t": "local"}
 
 
 def _regime_grid(model: OUModel, regime: str,
@@ -482,7 +475,7 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
         raise BadOrderError(f"regime {regime!r} needs rho > 2")
     if sample_size < 1000:
         raise DimensionError("weak-type probe needs >= 1000 sample points")
-    part, _ = _REGIMES[regime]
+    part = _REGIMES[regime]
     n = model.n
     if center is None:
         center = substream(seed, 100).standard_normal(n) @ model.Qinf_sqrt.T
@@ -568,36 +561,32 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
     wf = rule.weights * f.params["amplitude"] * math.exp(log_mass)
     xs = substream(seed, 200).standard_normal((sample_size, n)) \
         @ model.Qinf_sqrt.T
-    def exceed_count(a: float, pts: np.ndarray) -> tuple[int, int]:
-        """(# of pts in the annulus with g > a, # of pts in the annulus)."""
-        beta = math.log(a)
-        inside = annulus_indicator(model, a, pts)
-        count = int(inside.sum())
-        if count == 0:
-            return 0, 0
-        u_proj = polar_decompose(model, rule.nodes, beta)[1]
-        x_in = pts[inside]
-        x_proj = polar_decompose(model, x_in, beta)[1]
-        d2 = np.sum((x_proj[:, None, :] - u_proj[None, :, :]) ** 2, axis=2)
-        g = np.exp(quadratic_r(model, x_in)) * \
-            (np.exp(-delta_rate * d2) @ wf)
-        return int(np.sum(g > a)), count
-
+    half = sample_size // 2
     rows = []
-    worst = 0.0
+    worst = worst_half = 0.0
     for a in alphas:
-        exceeded, count = exceed_count(a, xs)
+        # g on the annulus points of the whole sample; the half sample's
+        # count reads the first half of them
+        inside = np.flatnonzero(annulus_indicator(model, a, xs))
+        exceeded = exceeded_half = 0
+        if inside.size:
+            beta = math.log(a)
+            u_proj = polar_decompose(model, rule.nodes, beta)[1]
+            x_in = xs[inside]
+            x_proj = polar_decompose(model, x_in, beta)[1]
+            d2 = np.sum((x_proj[:, None, :] - u_proj[None, :, :]) ** 2,
+                        axis=2)
+            above = np.exp(quadratic_r(model, x_in)) * \
+                (np.exp(-delta_rate * d2) @ wf) > a
+            exceeded = int(np.sum(above))
+            exceeded_half = int(np.sum(above[inside < half]))
         measure = exceeded / sample_size
         statv = a * math.sqrt(math.log(a)) * measure
         worst = max(worst, statv)
-        rows.append({"alpha": a, "measure": measure, "statistic": statv,
-                     "points_in_annulus": count})
-    half = sample_size // 2
-    worst_half = 0.0
-    for a in alphas:
-        exceeded, _ = exceed_count(a, xs[:half])
         worst_half = max(worst_half,
-                         a * math.sqrt(math.log(a)) * exceeded / half)
+                         a * math.sqrt(math.log(a)) * exceeded_half / half)
+        rows.append({"alpha": a, "measure": measure, "statistic": statv,
+                     "points_in_annulus": int(inside.size)})
     growth = worst / max(worst_half, _TINY) if worst > 0 else 1.0
     stats = {"statistic": worst, "half_sample_statistic": worst_half,
              "growth": float(growth), "l1_mass": 1.0}

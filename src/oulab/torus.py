@@ -2,8 +2,8 @@
 
 Builds the sign-pattern test functions (Rademacher sums and their
 periodization to [-1, 2]), three families of averaging operators indexed
-by a dyadic scale (Gaussian smoothing, window means on the line and the
-circle, conditional expectation on dyadic intervals), and the experiments
+by a dyadic scale (Gaussian smoothing, window means on the circle,
+conditional expectation on dyadic intervals), and the experiments
 that exhibit growth of the quadratic variation along the scale index:
 the growth of typical v(2) values like sqrt(N log log N), and the failure
 of any weak (p, p) bound for the variation of the Gaussian chain.
@@ -29,7 +29,6 @@ from .errors import ArgumentRangeError, BadOrderError, DimensionError
 from .rng import BITS, dyadic_points, substream
 from .variation import variation_batch
 
-_SCALE = 1 << BITS
 # Gaussian window half-width in standard deviations; erfc(12/sqrt(2)) ~ 1e-32
 _WINDOW_SD = 12.0
 # k - l >= this: every square-wave harmonic is damped below exp(-pi^2 * 8),
@@ -65,32 +64,22 @@ class CounterexampleConfig:
         return range(2 * self.N, 3 * self.N + 1)
 
 
-def rademacher_bits(k: int, m, bits: int = BITS) -> np.ndarray:
-    """Sign values from int64 dyadic numerators m / 2^bits, exact."""
+def rademacher_bits(k: int, m) -> np.ndarray:
+    """Sign values from int64 dyadic numerators m / 2^BITS, exact."""
     if k < 1:
         raise BadOrderError("sign-function index must be >= 1")
     m = np.asarray(m, dtype=np.int64)
-    if k > bits:
+    if k > BITS:
         return np.ones(m.shape, dtype=np.int64)
-    digit = (m >> (bits - k)) & 1
+    digit = (m >> (BITS - k)) & 1
     return 1 - 2 * digit
 
 
-def dyadic_sum(N: int, m) -> np.ndarray:
-    """Sum of the active sign functions at dyadic points, exact integers."""
-    cfg = CounterexampleConfig(N=N)
-    m = np.asarray(m, dtype=np.int64)
-    out = np.zeros(m.shape, dtype=np.int64)
-    for k in cfg.window:
-        out += rademacher_bits(k, m)
-    return out
-
-
-def perturb_boundaries(m, kmax: int, bits: int = BITS) -> np.ndarray:
+def perturb_boundaries(m, kmax: int) -> np.ndarray:
     """Nudge numerators off slot boundaries of every scale up to kmax by
     one ulp, so digit extraction is unambiguous."""
     m = np.asarray(m, dtype=np.int64).copy()
-    mask = (m & ((1 << (bits - kmax)) - 1)) == 0
+    mask = (m & ((1 << (BITS - kmax)) - 1)) == 0
     m[mask] += 1
     return m
 
@@ -142,35 +131,24 @@ def apply_gauss_smoother(N: int, ell: int, x) -> np.ndarray:
     return 0.5 * np.sum(sign_sum * (e[:, :-1] - e[:, 1:]), axis=1)
 
 
-def _tent(k: int, y: np.ndarray, bits: int = BITS) -> np.ndarray:
+def _tent(k: int, y: np.ndarray) -> np.ndarray:
     """Primitive of the k-th sign pattern at y ulps, in ulps: a periodic
-    tent of period 2^(bits+1-k) and height 2^(bits-k).  Exact int64."""
-    period = np.int64(1) << (bits + 1 - k)
-    half = np.int64(1) << (bits - k)
+    tent of period 2^(BITS+1-k) and height 2^(BITS-k).  Exact int64."""
+    period = np.int64(1) << (BITS + 1 - k)
+    half = np.int64(1) << (BITS - k)
     z = np.mod(y, period)
     return np.where(z <= half, z, period - z)
 
 
-def apply_window_mean(N: int, ell: int, m, domain: str = "torus"):
-    """Mean of the sign sum over the window of half-width 2^-ell around
-    each dyadic point, via the exact tent primitive.
-
-    domain "torus" averages the circle sum; "line" averages the
-    periodized sum on the real line, clipping the primitive outside
-    [-1, 2].  For points of (0, 1) the two agree identically because the
-    window never reaches the support edges.
-    """
+def apply_window_mean(N: int, ell: int, m):
+    """Mean of the circle's sign sum over the window of half-width 2^-ell
+    around each dyadic point, via the exact tent primitive."""
     cfg = CounterexampleConfig(N=N)
     if ell < 1:
         raise BadOrderError("scale index must be >= 1")
-    if domain not in ("torus", "line"):
-        raise BadOrderError(f"unknown domain {domain!r}")
     m = np.atleast_1d(np.asarray(m, dtype=np.int64))
     h = np.int64(1) << (BITS - ell)
     lo, hi = m - h, m + h
-    if domain == "line":
-        lo = np.clip(lo, -_SCALE, 2 * _SCALE)
-        hi = np.clip(hi, -_SCALE, 2 * _SCALE)
     total = np.zeros(m.shape)
     for k in cfg.window:
         diff = _tent(k, hi) - _tent(k, lo)
@@ -213,7 +191,7 @@ def chain_values(config: CounterexampleConfig, operator: str,
             x = m.astype(float) * 2.0 ** (-BITS)
             cols.append(apply_gauss_smoother(config.N, ell, x))
         elif operator == "Dtorus":
-            cols.append(apply_window_mean(config.N, ell, m, "torus"))
+            cols.append(apply_window_mean(config.N, ell, m))
         else:
             cols.append(apply_dyadic_mean(config.N, ell, m).astype(float))
     return np.stack(cols, axis=1)
@@ -344,25 +322,21 @@ def _difference_ratio_pieces(model, x, u, ts):
     max + log(1 - e^{-|p-q|}), so pairs whose kernels underflow double
     precision still yield their true log-scale gap instead of denormal
     noise."""
-    from .kernel import log_kernel
+    from .kernel import log_kernel_pairs
     from .model import quadratic_r
     n = model.n
     w, v = np.linalg.eigh(model.Q)
     qinv = (v / w) @ v.T
     _, logdet_q = np.linalg.slogdet(model.Q)
-    logdiff = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        t = float(t)
-        lt = log_kernel(model, t, x[i], u[i]) \
-            - 0.5 * model.logdet_Qinf - float(quadratic_r(model, x[i]))
-        y = x[i] - u[i]
-        lc = -0.5 * logdet_q - 0.5 * n * math.log(t) \
-            - 0.5 * float(y @ qinv @ y) / t
-        hi_, gap = max(lt, lc), abs(lt - lc)
-        logdiff[i] = hi_ + (math.log(-math.expm1(-gap)) if gap > 0
-                            else -1e6)
+    lt = log_kernel_pairs(model, ts, x, u) \
+        - 0.5 * model.logdet_Qinf - quadratic_r(model, x)
     d = x - u
     qd = np.einsum("mi,ij,mj->m", d, qinv, d)
+    lc = -0.5 * logdet_q - 0.5 * n * np.log(ts) - 0.5 * qd / ts
+    gap = np.abs(lt - lc)
+    with np.errstate(divide="ignore"):
+        logdiff = np.maximum(lt, lc) + np.where(
+            gap > 0, np.log(-np.expm1(-gap)), -1e6)
     a = logdiff - 0.5 * (1 - n) * np.log(ts)
     b = qd / ts
     return a, b
@@ -382,8 +356,8 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     from .report import ProbeReport
     from .errors import RateTooLargeError
     n = model.n
-    if n > 2:
-        raise DimensionError("difference bound is probed for n <= 2")
+    if n != 1:
+        raise DimensionError("difference bound is probed for n = 1")
     rng = substream(seed, 11)
     xs = rng.random((sample_size, n))
     us = substream(seed, 12).random((sample_size, n))
@@ -461,28 +435,26 @@ def _difference_operator_ratio(model, N: int, x_points: int,
     to erf evaluation.
     """
     from scipy.special import erf as _erf
-    from .model import propagators, covariance_qt
-    if model.n != 1:
-        raise DimensionError("operator ratio route needs n = 1")
-    cfg = CounterexampleConfig(N=N)
+    from .model import propagators
     slots = 1 << (3 * N)
     edges_m = np.arange(slots + 1, dtype=np.int64) << (BITS - 3 * N)
     mids_m = (edges_m[:-1] + (np.int64(1) << (BITS - 3 * N - 1)))
-    fvals = dyadic_sum(N, mids_m).astype(float)
+    fvals = apply_dyadic_mean(N, 3 * N, mids_m).astype(float)
     edges = edges_m.astype(float) * 2.0 ** (-BITS)
     xg = (np.arange(x_points) + 0.5) / x_points
     ells = np.arange(1, 3 * N + 3)
     q = float(model.Q[0, 0])
     chain = np.empty((x_points, ells.size))
-    for j, ell in enumerate(ells):
-        t = 4.0 ** (-float(ell))
+    ts = 4.0 ** -ells.astype(float)
+    pr = propagators(model, ts)
+    for j, t in enumerate(ts):
+        t = float(t)
         # both kernels are Gaussians in u, so each slot integrates to an
         # erf difference; the short-time one is centered at D_t x with
         # inverse variance a_t, the flat one at x with variance t q
-        pr = propagators(model, np.array([t]))
-        a_t = float(pr.A_small[0, 0, 0])
-        dt_x = float(pr.Dt[0, 0, 0]) * xg
-        det_qt = float(covariance_qt(model, t)[0, 0])
+        a_t = float(pr.A_small[j, 0, 0])
+        dt_x = float(pr.Dt[j, 0, 0]) * xg
+        det_qt = float(pr.Qt[j, 0, 0])
         coef_tilde = det_qt ** -0.5 * math.sqrt(math.pi / (2.0 * a_t))
         coef_flat = math.sqrt(math.pi / 2.0)
         e_tilde = _erf(np.sqrt(a_t / 2.0)

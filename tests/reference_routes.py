@@ -13,7 +13,7 @@ import scipy.linalg
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
 from oulab.geometry import local_weight
 from oulab.kernel import kernel
-from oulab.model import gamma_log_density
+from oulab.model import T_SWITCH, gamma_log_density, quadratic_r
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import bump_semigroup_grid
 from oulab.variation import _check_order
@@ -52,6 +52,25 @@ def kernel_dt_raw(model, t: float, x, u, h: float) -> float:
     kp = kernel(model, t + h, x, u)
     km = kernel(model, t - h, x, u)
     return (kp - km) / (2 * h)
+
+
+def log_kernel_grid_einsum(model, props, x, u):
+    """log K on a pairs x times grid by the two einsum contractions the
+    package used before its fixed-order evaluator: the direct form in
+    w = u - Dt x for t <= T_SWITCH, the form in v = D_{-t} u - x above."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    small = props.ts <= T_SWITCH
+    large = ~small
+    q = np.empty((x.shape[0], len(props)))
+    if np.any(small):
+        w = u[:, None, :] - np.einsum("mij,pj->pmi", props.Dt[small], x)
+        q[:, small] = np.einsum("pmi,mij,pmj->pm", w, props.A_small[small], w)
+    if np.any(large):
+        v = np.einsum("mij,pj->pmi", props.Dmt[large], u) - x[:, None, :]
+        q[:, large] = np.einsum("pmi,mij,pmj->pm", v, props.M_large[large], v)
+    const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)
+    return -0.5 * q + const[None, :] + quadratic_r(model, x)[:, None]
 
 
 def adaptive_integral(f, measure, half_width: float = 10.0) -> float:

@@ -31,6 +31,42 @@ def test_out_of_range_settings_exit_one_without_a_report(argv, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_difference_bound_rejects_n_other_than_one_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    import oulab.torus
+
+    def no_work(*args):
+        raise AssertionError("ran before the dimension check")
+
+    monkeypatch.setattr(oulab.torus, "_difference_ratio_pieces", no_work)
+    code = main(["torus", "delta", "--model", "standard2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "n = 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code,printed", [
+    (["model", "check", "standard2"], 0, "check: PASS"),
+    (["kernel", "eval", "--model", "standard1", "--t", "0.5", "--x", "0.3",
+      "--u", "0.1"], 0, "K_t(x, u)     = "),
+    (["kernel", "zeros", "--model", "standard1", "--x", "1", "--u", "2"], 0,
+     "grid-doubling stable: yes"),
+    (["kernel", "bounds", "--model", "standard1", "--which",
+      "kernel-small-t", "--rate", "1"], 2, None),
+    (["variation", "path", "--rho", "2", "--values", "0,1,0.5,2,-1",
+      "--check"], 0, "3.605551"),    # sqrt(2^2 + 3^2)
+])
+def test_verbs_keep_the_exit_code_contract(argv, code, printed, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if printed is None:
+        # a rate the bound cannot support ends in RateTooLargeError
+        assert "bound failed" in err
+    else:
+        assert printed in out
+
+
 @pytest.mark.parametrize("model,x", [("standard1", "0.3"),
                                      ("standard3", "0.4,0.4,0.4")])
 def test_semigroup_apply_routes_agree(model, x, capsys):

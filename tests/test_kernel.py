@@ -31,7 +31,8 @@ from oulab.errors import (
     NonPositiveTimeError,
     RateTooLargeError,
 )
-from reference_routes import gamma_density, kernel_dt_raw
+from reference_routes import (gamma_density, kernel_dt_raw,
+                              log_kernel_grid_einsum)
 
 # the package exports a function named kernel over the module attribute
 kernel_mod = import_module("oulab.kernel")
@@ -333,22 +334,46 @@ def test_slope_continuous_across_the_form_switch(n, model_factory):
 
 def test_slope_grid_and_pair_routes_agree_bit_for_bit(model_factory,
                                                       monkeypatch):
-    # ragged evaluation blocks on the grid route
-    monkeypatch.setattr(kernel_mod, "_SLOPE_CELLS", 77)
-    monkeypatch.setattr(kernel_mod, "_SLOPE_TIMES", 11)
+    # ragged evaluation blocks on the grid route, for log K and its slope
+    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 77)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_TIMES", 11)
     for n in (1, 2, 3):
         model = model_factory(7, n)
         gen = np.random.default_rng(n)
         ts = np.concatenate([np.geomspace(1e-8, 30.0, 37), [T_SWITCH]])
         X = 2.0 * gen.standard_normal((300, n))
         U = 2.0 * gen.standard_normal((300, n))
-        slope, floor = logk_time_slope_grid(model, propagators(model, ts),
-                                            X, U)
+        props = propagators(model, ts)
+        slope, floor = logk_time_slope_grid(model, props, X, U)
+        lk = log_kernel_grid(model, props, X, U)
         tt = np.tile(ts, X.shape[0])
-        s1, f1 = logk_time_slope(model, tt, np.repeat(X, ts.size, axis=0),
-                                 np.repeat(U, ts.size, axis=0))
+        XX, UU = np.repeat(X, ts.size, axis=0), np.repeat(U, ts.size, axis=0)
+        s1, f1 = logk_time_slope(model, tt, XX, UU)
         assert np.array_equal(slope.ravel(), s1)
         assert np.array_equal(floor.ravel(), f1)
+        assert np.array_equal(lk.ravel(), log_kernel_pairs(model, tt, XX, UU))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_kernel_matches_frozen_einsum_route(n, model_factory):
+    # the fixed-order evaluator rounds differently from the einsum
+    # contractions it replaced, by a few ulps of the terms it sums; in one
+    # dimension every sum has a single term, so the bits are the same
+    ts = np.concatenate([np.geomspace(1e-6, 40.0, 61),
+                         [np.nextafter(T_SWITCH, 0.0), T_SWITCH,
+                          np.nextafter(T_SWITCH, 2.0)]])
+    for seed in range(4):
+        model = model_factory(seed, n)
+        gen = np.random.default_rng(10 + seed)
+        X = 2.0 * gen.standard_normal((40, n))
+        U = 2.0 * gen.standard_normal((40, n))
+        props = propagators(model, ts)
+        got = log_kernel_grid(model, props, X, U)
+        want = log_kernel_grid_einsum(model, props, X, U)
+        scale = 1.0 + np.abs(quadratic_r(model, X))[:, None] + np.abs(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        if n == 1:
+            assert np.array_equal(got, want)
 
 
 def _far_pairs(model, seed, count):
@@ -371,10 +396,48 @@ def test_zero_counts_match_frozen_finite_difference(which, model_factory):
     counts, stable = count_kdot_zeros_batch(model, X, U)
     grid = np.geomspace(1e-8, 1.0, 4096)
     slope, err = fd_grid_slope(model, grid, X, U)
-    flips, _ = _sign_changes(slope, err)
-    assert np.array_equal(counts, flips.sum(axis=1))
+    rows, _, _ = _sign_changes(slope, err)
+    assert np.array_equal(counts, np.bincount(rows, minlength=X.shape[0]))
     assert stable.all()
     assert counts.max() >= 1
+
+
+def frozen_sign_changes(slope, floor):
+    """The mask form of _sign_changes that the flip list replaced: flips
+    as a (p, m) mask on the right column, and for every column the last
+    nonzero column before it (-1 for none)."""
+    tol = np.maximum(1e-13, 4.0 * floor)
+    s = np.where(np.abs(slope) <= tol, 0, np.sign(slope)).astype(np.int8)
+    p, m = s.shape
+    cols = np.arange(m)
+    nz = s != 0
+    idx = np.where(nz, cols[None, :], -1)
+    last = np.maximum.accumulate(idx, axis=1)
+    prev_last = np.concatenate([np.full((p, 1), -1, dtype=int),
+                                last[:, :-1]], axis=1)
+    prev_sign = np.take_along_axis(s, np.maximum(prev_last, 0), axis=1)
+    flips = nz & (prev_last >= 0) & (s * prev_sign < 0)
+    return flips, prev_last
+
+
+def test_sign_changes_match_frozen_mask_form():
+    gen = np.random.default_rng(8)
+    for trial in range(30):
+        p, m = int(gen.integers(1, 40)), int(gen.integers(1, 60))
+        slope = gen.choice([-1.0, 0.0, 1.0], size=(p, m),
+                           p=[0.4, 0.2, 0.4]) * gen.uniform(0.5, 2.0, (p, m))
+        floor = np.where(gen.random((p, m)) < 0.1, 1.0, 0.0)
+        if trial % 3 == 0:
+            # rows that end on one sign and start on the other: a flip
+            # must never cross a row boundary
+            slope[:, 0] = np.where(np.arange(p) % 2, 1.0, -1.0)
+            slope[:, -1] = -slope[:, 0]
+        rows, left, right = _sign_changes(slope, floor)
+        flips, prev_last = frozen_sign_changes(slope, floor)
+        want_rows, want_right = np.nonzero(flips)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(right, want_right)
+        assert np.array_equal(left, prev_last[want_rows, want_right])
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +527,9 @@ def test_zero_count_interval_validation(std1):
     with pytest.raises(NonPositiveTimeError):
         count_kdot_zeros(std1, np.array([0.0]), np.array([1.0]),
                          t_interval=(0.0, 1.0))
+    with pytest.raises(NonPositiveTimeError):
+        count_kdot_zeros_batch(std1, np.array([[0.0]]), np.array([[1.0]]),
+                               t_interval=(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from scipy.special import erf
 from oulab import (CounterexampleConfig, apply_gauss_smoother,
                    apply_window_mean, chain_values, dyadic_moment,
                    dyadic_points, fourier_kernel_gap)
-from oulab.torus import BITS, perturb_boundaries
+from oulab import build_model, log_kernel, quadratic_r, standard_model
+from oulab.torus import BITS, _difference_ratio_pieces, perturb_boundaries
 
 
 def per_scale_smoother(N, ell, x):
@@ -116,12 +117,25 @@ def test_conditional_expectation_chain_is_the_bit_walk(N):
     assert np.array_equal(chain_values(cfg, "E", m), walk)
 
 
-@pytest.mark.parametrize("N", [2, 5, 9])
-def test_window_mean_agrees_on_torus_and_line(N):
-    m = dyadic_points(4, 500)
+@pytest.mark.parametrize("N", [2, 3])
+def test_window_mean_is_the_exact_slot_average(N):
+    # the sign sum is constant on the 2^(3N) slots of the circle, so the
+    # window mean is an overlap-weighted sum over slots, in exact integers
+    width = 1 << (BITS - 3 * N)
+    slot_sum = [sum(1 - 2 * ((j >> (3 * N - k)) & 1)
+                    for k in range(2 * N + 1, 3 * N + 1))
+                for j in range(1 << (3 * N))]
+    m = dyadic_points(4, 40)
     for ell in range(1, 3 * N + 2):
-        assert np.array_equal(apply_window_mean(N, ell, m, "torus"),
-                              apply_window_mean(N, ell, m, "line"))
+        h = 1 << (BITS - ell)
+        got = apply_window_mean(N, ell, m)
+        for i, mi in enumerate(int(v) for v in m):
+            lo, hi = mi - h, mi + h
+            total = sum(
+                (min(hi, (j + 1) * width) - max(lo, j * width))
+                * slot_sum[j % len(slot_sum)]
+                for j in range(lo // width, (hi - 1) // width + 1))
+            assert got[i] == pytest.approx(total / (2 * h), abs=1e-12)
 
 
 def test_fourier_kernel_gap_tail_bound_holds():
@@ -136,3 +150,40 @@ def test_fourier_kernel_gap_tail_bound_holds():
         # the bound is the leading term of the tail at the top frequency
         assert tail[-1] >= 0.5 * res["tail_bound"]
 
+
+
+def frozen_difference_ratio_pieces(model, x, u, ts):
+    """_difference_ratio_pieces as it was, one scalar log_kernel per pair."""
+    n = model.n
+    w, v = np.linalg.eigh(model.Q)
+    qinv = (v / w) @ v.T
+    _, logdet_q = np.linalg.slogdet(model.Q)
+    logdiff = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        t = float(t)
+        lt = log_kernel(model, t, x[i], u[i]) \
+            - 0.5 * model.logdet_Qinf - float(quadratic_r(model, x[i]))
+        y = x[i] - u[i]
+        lc = -0.5 * logdet_q - 0.5 * n * math.log(t) \
+            - 0.5 * float(y @ qinv @ y) / t
+        hi_, gap = max(lt, lc), abs(lt - lc)
+        logdiff[i] = hi_ + (math.log(-math.expm1(-gap)) if gap > 0
+                            else -1e6)
+    d = x - u
+    qd = np.einsum("mi,ij,mj->m", d, qinv, d)
+    return logdiff - 0.5 * (1 - n) * np.log(ts), qd / ts
+
+
+@pytest.mark.parametrize("model", [standard_model(1),
+                                   build_model([[1.3]], [[-0.7]])])
+def test_difference_pieces_match_the_per_pair_loop(model):
+    gen = np.random.default_rng(5)
+    x = gen.random((200, 1))
+    u = gen.random((200, 1))
+    ts = np.exp(gen.uniform(math.log(1e-6), 0.0, 200))
+    # equal pairs hit the gap-zero branch
+    u[:3], ts[:3] = x[:3], [1e-6, 1e-3, 1.0]
+    got = _difference_ratio_pieces(model, x, u, ts)
+    want = frozen_difference_ratio_pieces(model, x, u, ts)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-14, atol=0.0)
