@@ -26,13 +26,14 @@ def smooth_step(s) -> np.ndarray:
     outside it the ramp is written as the exact constant.
     """
     s = np.asarray(s, dtype=float)
-    out = np.where(s >= 1, 1.0, np.where(np.isnan(s), np.nan, 0.0))
-    ramp = (s > 0) & (s < 1)
-    r = s[ramp]
+    out = np.array(s >= 1, dtype=float)
+    out[np.isnan(s)] = np.nan
+    ramp = np.flatnonzero((s > 0) & (s < 1))
+    r = s.ravel()[ramp]
     with np.errstate(divide="ignore", over="ignore"):
         a = np.exp(-1.0 / np.maximum(r, 1e-300))
         b = np.exp(-1.0 / np.maximum(1 - r, 1e-300))
-    out[ramp] = a / (a + b)
+    out.ravel()[ramp] = a / (a + b)
     return out if out.shape else float(out)
 
 
@@ -77,43 +78,48 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
     0 once |R(u) - R(x)| >= 4.  Shapes of x and u must broadcast in the
     leading axes.
 
+    r_j is ring j of the partition of unity sum_j r_j = 1 graded by R:
+    r_j = psi(R - j) - psi(R - j - 1) for j >= 1 with psi the smooth step,
+    and r_0 = 1 - psi(R - 1), which absorbs the telescoped tail below
+    level 2.  Ring j is supported on {j <= R <= j + 2} ({R <= 2} for
+    j = 0), so at u only the rings b - 1 and b carry weight,
+    b = max(floor(R(u)), 1).
+
     The ring sum is evaluated only where eta_plateaus leaves eta open (and
     where R is NaN); elsewhere eta is written as its constant.  No margin
     is needed: rounding is monotone and the bounds and ring offsets are
     small integers, so a computed d strictly past a bound means the exact
     d is too, and every profile argument R - j + c then rounds to the same
-    side of 0 and 1 as its exact value.  eta is bit-identical to the ring
-    sum evaluated everywhere.
+    side of 0 and 1 as its exact value.
+
+    On the open pairs the two u-side weights share one ramp.  For an
+    integer j <= R < 2^53, R - j is exact, and so is
+    (R - (b - 1)) - 1.0 = R - b; with a = psi(R - b) this makes
+    r_b = a - psi(R - b - 1) = a - 0.0 and r_(b-1) = 1.0 - a, the j = 0
+    form included (R < 1 gives a = 0 on both sides).  The x-side
+    plateaus depend on (R(x), b) alone, so they are evaluated once per
+    run of open pairs that share both, as the pairs of one x against
+    the nodes of a Gaussian block do.  The two products are added in ring
+    order, so eta is bit-identical to the ring sum evaluated everywhere
+    with ten ramps per pair (below R = 2^53, where every integer j <= R
+    is a float).
     """
     Ru = np.asarray(quadratic_r(model, u))
     Rx = np.asarray(quadratic_r(model, x))
     near, far = eta_plateaus(Rx, Ru, Ru)
-    band = ~(near | far)
-    out = np.where(near, 1.0, 0.0)
-    ru = np.broadcast_to(Ru, band.shape)[band]
-    rx = np.broadcast_to(Rx, band.shape)[band]
-    base = np.maximum(np.floor(ru).astype(int), 1)
-    eta = np.zeros(ru.shape)
-    for off in (-1, 0):
-        j = np.maximum(base + off, 0)
-        eta = eta + _ring_plateau_idx(rx, j) * _ring_weight_idx(ru, j)
-    out[band] = eta
+    out = np.array(near, dtype=float)
+    band = np.flatnonzero(~(near | far))
+    ru = np.broadcast_to(Ru, out.shape).ravel()[band]
+    rx = np.broadcast_to(Rx, out.shape).ravel()[band]
+    b = np.maximum(np.floor(ru).astype(int), 1)
+    a = smooth_step(ru - b)
+    new = np.ones(b.shape, dtype=bool)
+    new[1:] = (rx[1:] != rx[:-1]) | (b[1:] != b[:-1])
+    run = np.cumsum(new) - 1
+    rx, b = rx[new], b[new]
+    out.ravel()[band] = _ring_plateau_idx(rx, b - 1)[run] * (1.0 - a) \
+        + _ring_plateau_idx(rx, b)[run] * a
     return out if out.shape else float(out)
-
-
-def _ring_weight_idx(R, j):
-    """Ring j of the partition of unity sum_j r_j = 1 graded by R, for
-    ring indices j >= 0 broadcasting against R.
-
-    r_j = psi(R - j) - psi(R - j - 1) for j >= 1 with psi the smooth step;
-    the j = 0 ring absorbs the whole telescoped tail below level 2,
-    r_0 = 1 - psi(R - 1).  Ring j is supported on {j <= R <= j + 2} for
-    j >= 1 and on {R <= 2} for j = 0; at most two rings overlap anywhere.
-    """
-    hi = smooth_step(R - j)
-    lo = smooth_step(R - j - 1.0)
-    w = hi - lo
-    return np.where(j == 0, 1.0 - smooth_step(R - 1.0), w)
 
 
 def _ring_plateau_idx(R, j):

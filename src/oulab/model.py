@@ -229,11 +229,22 @@ def covariance_qt(model: OUModel, t: float) -> np.ndarray:
 
 
 def quadratic_r(model: OUModel, x) -> np.ndarray:
-    """R(x) = <Qinf^-1 x, x> / 2, vectorized over leading axes."""
+    """R(x) = <Qinf^-1 x, x> / 2, vectorized over leading axes.
+
+    The terms (x_i Qinf^-1_ij) x_j are summed in (i, j) order, so a
+    point's R has the same bits alone as in any batch, whatever the
+    layout of x.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.n:
-        raise DimensionError(f"points must have last axis {model.n}")
-    return 0.5 * np.einsum("...i,ij,...j->...", x, model.Qinf_inv, x)
+    n = model.n
+    if x.shape[-1] != n:
+        raise DimensionError(f"points must have last axis {n}")
+    q = model.Qinf_inv
+    acc = (x[..., 0] * q[0, 0]) * x[..., 0]
+    for k in range(1, n * n):
+        i, j = divmod(k, n)
+        acc = acc + (x[..., i] * q[i, j]) * x[..., j]
+    return 0.5 * acc
 
 
 def gamma_log_density(model: OUModel, t: float, x) -> np.ndarray:

@@ -192,6 +192,8 @@ def apply_semigroup(model: OUModel, f: TestFunction, x, t: float,
 
 # undecided near/far blocks are expanded about this many nodes at a time
 _SPLIT_NODES = 1 << 17
+# consecutive nodes per axis in a tile of the tensor rule
+_TILE = 8
 # relative rounding margin on sqrt(2 R) of a block's nodes, per unit of
 # the condition number of Qinf, and the absolute one
 _BLOCK_MARGIN_REL = 1e-10
@@ -210,17 +212,29 @@ def local_global_grid(model: OUModel, bump: TestFunction,
     cutoff itself.
 
     Each (point, time) block is decided before its nodes are expanded.
-    The nodes are mean + L_t z_k with |z_k| <= z_max, so in the norm
-    |v|_R = sqrt(2 R(v)) every node lies within r = |Qinf^-1/2 L_t|_2 z_max
-    of s = |mean|_R.  _node_r_range widens [max(s - r, 0), s + r] by
+    The nodes are mean + L_t z_k, so in the norm |v|_R = sqrt(2 R(v)) a
+    node lies within |Qinf^-1/2 L_t|_2 |z_k - z_c| of the centre
+    mean + L_t z_c.  _node_r_range turns a centre c and radius r into
+    [max(s - r, 0), s + r], s = |c|_R, widened by
     1e-10 kappa(Qinf) (s + r) + 1e-12, far more than the few n^2 eps kappa
     by which the rounding of the nodes and of R can move a node's computed
     R, and eta_plateaus tells where eta is the same constant over the
-    whole range.  Such a block's near weight is wq.sum() or 0.0: the
-    weights times 1.0 are the weights themselves, and summing them alone
-    is the same contiguous pairwise reduction as a row of eta * wq, so the
-    bits match the expanded sum.  Only the other blocks reach local_weight,
-    in chunks of about _SPLIT_NODES nodes.
+    whole range.  A block is bounded with z_c = 0.  Such a block's near
+    weight is wq.sum() or 0.0: the weights times 1.0 are the weights
+    themselves, and summing them alone is the same contiguous pairwise
+    reduction as a row of eta * wq, so the bits match the expanded sum.
+
+    The other blocks are split into tiles of _TILE consecutive nodes per
+    axis (the last one shorter where the order is no multiple of _TILE),
+    each bounded about the centre z_c of its nodes' box with radius
+    max_k |z_k - z_c|.  At the default orders, and at orders 12 and 13, a
+    tile's radius is at least 9 % of its block's, so |mean|_R is at most a
+    dozen times the tile's s + r, and the same margin still dwarfs the
+    rounding of the nodes.  A decided tile's eta is written as 1.0 or 0.0,
+    and only the open tiles' nodes reach local_weight.  The row of eta is
+    put back in the rule's node order before (eta * wq).sum(), so the near
+    weight keeps its bits.  Undecided blocks are expanded in chunks of
+    about _SPLIT_NODES nodes.
     """
     n = model.n
     z, wq = hermite_tensor(n, order)                         # (q, n), (q,)
@@ -238,17 +252,36 @@ def local_global_grid(model: OUModel, bump: TestFunction,
     mass = bump_semigroup_grid(model, bump, props, x)        # (p, mt)
     base_mean = np.einsum("mij,j->mi", cov, m_ctr / w2)      # (mt, n)
     mean = _product_means(props, cov, x) + base_mean[None, :, :]
-    ru_lo, ru_hi = _node_r_range(model, mean, L, z)
-    one, zero = eta_plateaus(quadratic_r(model, x)[:, None], ru_lo, ru_hi)
-    loc = np.where(one, wq.sum(), 0.0)
+    rx = quadratic_r(model, x)
+    spread = _spread(model, L)                               # (mt,)
+    ru_lo, ru_hi = _node_r_range(
+        model, mean, spread * np.sqrt(np.max(np.einsum("qi,qi->q", z, z))))
+    one, zero = eta_plateaus(rx[:, None], ru_lo, ru_hi)
+    loc = one * wq.sum()
     pi, ti = np.nonzero(~(one | zero))
-    Lz = np.einsum("mij,qj->mqi", L, z)                      # (mt, q, n)
+    tiles, pos, zc, z_rad = _tiles(z)
+    tile_r = spread[:, None] * z_rad                         # (mt, T)
+    Lzc = np.einsum("mij,tj->mti", L, zc)                    # (mt, T, n)
+    n_t, k = tiles.shape
+    # L_t z for the nodes of tile i at time t in row t * n_t + i
+    Lz = np.einsum("mij,qj->mqi", L, z[tiles.ravel()]).reshape(-1, k, n)
     step = max(1, _SPLIT_NODES // wq.size)
     for lo in range(0, pi.size, step):
         bp, bt = pi[lo:lo + step], ti[lo:lo + step]
-        nodes = mean[bp, bt][:, None, :] + Lz[bt]
-        eta = local_weight(model, x[bp][:, None, :], nodes)
-        loc[bp, bt] = (eta * wq).sum(axis=-1)
+        mb = mean[bp, bt]                                    # (nb, n)
+        t_one, t_zero = eta_plateaus(rx[bp, None], *_node_r_range(
+            model, mb[:, None, :] + Lzc[bt], tile_r[bt]))
+        eta = np.repeat(t_one.astype(float), k)              # tile order
+        op = np.flatnonzero(~(t_one | t_zero))               # open tiles
+        ob = op // n_t
+        eta.reshape(-1, k)[op] = local_weight(
+            model, x[bp[ob]][:, None, :],
+            mb[ob][:, None, :] + Lz[bt[ob] * n_t + op % n_t])
+        # take, unlike eta[:, pos], keeps the rows contiguous, and so the
+        # pairwise reduction of every row
+        eta = np.take(eta.reshape(bp.size, -1), pos, axis=1)
+        eta *= wq
+        loc[bp, bt] = eta.sum(axis=-1)
     loc = mass * loc
     return loc, mass - loc
 
@@ -260,20 +293,49 @@ def _product_means(props: Propagators, cov: np.ndarray,
     return np.einsum("mij,mjk,pmk->pmi", cov, props.Qt_inv, ex)
 
 
-def _node_r_range(model: OUModel, mean: np.ndarray, L: np.ndarray,
-                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi), (p, mt) each, on R over the nodes mean + L_t z_k
-    of every (point, time) block, with the rounding margin of
-    local_global_grid."""
-    s = np.sqrt(2.0 * quadratic_r(model, mean))
-    # |Qinf^-1/2 L_t|_2^2 is the top eigenvalue of L_t^T Qinf^-1 L_t
+def _tiles(z: np.ndarray):
+    """The tensor rule's nodes z (q, n) in tiles of _TILE consecutive
+    nodes per axis.  Returns tiles (T, _TILE^n), each tile's node indices
+    (a short last tile along an axis repeats its last node); pos (q,),
+    each node's place in tiles.ravel(); and the centre (T, n) of each
+    tile's bounding box with the largest distance (T,) of its nodes from
+    it."""
+    q, n = z.shape
+    order = round(q ** (1.0 / n))
+    per_axis = -(-order // _TILE)
+    ax = np.minimum(np.arange(per_axis)[:, None] * _TILE
+                    + np.arange(_TILE)[None, :], order - 1)
+    # axes (tile_1, .., tile_n, node_1, .., node_n), rule index row-major
+    tiles = np.zeros((1,) * (2 * n), dtype=int)
+    for d in range(n):
+        shape = [1] * (2 * n)
+        shape[d], shape[n + d] = per_axis, _TILE
+        tiles = tiles * order + ax.reshape(shape)
+    tiles = tiles.reshape(per_axis ** n, _TILE ** n)
+    pos = np.empty(q, dtype=int)
+    pos[tiles.ravel()] = np.arange(tiles.size)
+    zt = z[tiles]
+    centre = 0.5 * (zt.min(axis=1) + zt.max(axis=1))
+    off = zt - centre[:, None, :]
+    return tiles, pos, centre, np.sqrt(np.max(
+        np.einsum("tki,tki->tk", off, off), axis=1))
+
+
+def _spread(model: OUModel, L: np.ndarray) -> np.ndarray:
+    """|Qinf^-1/2 L_t|_2 per time, the top of L_t^T Qinf^-1 L_t."""
     g = np.einsum("mji,jk,mkl->mil", L, model.Qinf_inv, L)
-    top = np.maximum(np.linalg.eigvalsh(g)[:, -1], 0.0)
-    r = np.sqrt(top * np.max(np.einsum("qi,qi->q", z, z)))
-    margin = _BLOCK_MARGIN_REL * np.linalg.cond(model.Qinf) * (s + r) \
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[:, -1], 0.0))
+
+
+def _node_r_range(model: OUModel, centre: np.ndarray,
+                  radius) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on R over every point within radius of centre in
+    the norm sqrt(2 R), with the rounding margin of local_global_grid."""
+    s = np.sqrt(2.0 * quadratic_r(model, centre))
+    margin = _BLOCK_MARGIN_REL * np.linalg.cond(model.Qinf) * (s + radius) \
         + _BLOCK_MARGIN_ABS
-    lo = np.maximum(s - r - margin, 0.0)
-    hi = s + r + margin
+    lo = np.maximum(s - radius - margin, 0.0)
+    hi = s + radius + margin
     return 0.5 * lo * lo, 0.5 * hi * hi
 
 

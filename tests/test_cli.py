@@ -46,6 +46,15 @@ def test_difference_bound_rejects_n_other_than_one_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
+# the report each report-writing verb below names its JSON after
+REPORTS = {("torus", "fourier"): "fourier-gap",
+           ("torus", "qian"): "variation-growth-E",
+           ("torus", "failure"): "weak-type-failure",
+           ("probe", "enhanced"): "annulus-superlevel",
+           ("probe", "cz"): "cz-sweeps",
+           ("probe", "kernel-bounds"): "kernel-bounds"}
+
+
 @pytest.mark.parametrize("argv,code,printed", [
     (["model", "check", "standard2"], 0, "check: PASS"),
     (["kernel", "eval", "--model", "standard1", "--t", "0.5", "--x", "0.3",
@@ -56,15 +65,34 @@ def test_difference_bound_rejects_n_other_than_one_before_any_work(
       "kernel-small-t", "--rate", "1"], 2, None),
     (["variation", "path", "--rho", "2", "--values", "0,1,0.5,2,-1",
       "--check"], 0, "3.605551"),    # sqrt(2^2 + 3^2)
+    (["torus", "fourier"], 0, "sup of summed gap"),
+    (["torus", "qian", "--N", "6", "--samples", "1000"], 0,
+     "median v(2)/sqrt(N) = 1.414214"),
+    (["torus", "failure", "--N", "4,6", "--samples", "1000"], 0,
+     "quotients across N"),
+    (["probe", "enhanced", "--model", "standard1"], 0, "statistic"),
+    (["probe", "cz", "--model", "standard1", "--rho", "2.5"], 0,
+     "size sweep"),
+    (["probe", "kernel-bounds", "--model", "standard1", "--samples",
+      "2000"], 0, "tail-integral: c = "),
 ])
-def test_verbs_keep_the_exit_code_contract(argv, code, printed, capsys):
-    assert main(argv) == code
+def test_verbs_keep_the_exit_code_contract(argv, code, printed, tmp_path,
+                                           capsys):
+    report = REPORTS.get(tuple(argv[:2]))
+    out_dir = [] if report is None else ["--out", str(tmp_path)]
+    assert main([*argv, *out_dir]) == code
     out, err = capsys.readouterr()
     if printed is None:
         # a rate the bound cannot support ends in RateTooLargeError
         assert "bound failed" in err
     else:
         assert printed in out
+    if report is not None:
+        # the exit code, the printed verdict and the JSON flags agree
+        flags = json.loads((tmp_path / f"{report}.json").read_text())[
+            "pass_flags"]
+        assert flags and all(flags.values())
+        assert "overall: PASS" in out
 
 
 @pytest.mark.parametrize("model,x", [("standard1", "0.3"),

@@ -12,8 +12,7 @@ from oulab import (
     smooth_step,
     standard_model,
 )
-from oulab.geometry import (_ring_plateau_idx, _ring_weight_idx,
-                            eta_plateaus, group_apply)
+from oulab.geometry import _ring_plateau_idx, eta_plateaus, group_apply
 from oulab.errors import (
     AlphaTooSmallError,
     ZeroPointError,
@@ -42,11 +41,12 @@ def test_smooth_step_monotone_and_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# ring partition of unity, through the index form that local_weight uses
+# ring partition of unity: the ring weights through the frozen index form
+# below, the plateaus through the one local_weight uses
 
 
 def ring_weight(model, j, x):
-    return _ring_weight_idx(quadratic_r(model, x), j)
+    return _full_ring_weight_idx(quadratic_r(model, x), j)
 
 
 def ring_plateau(model, j, x):
@@ -276,6 +276,47 @@ def test_local_weight_bit_identical_next_to_the_thresholds(model_factory, n):
     assert np.array_equal(local_weight(m, x, u), full_local_weight(m, x, u))
 
 
+def _ring_levels(case):
+    """Levels of R(u) around the places where the single ramp of
+    local_weight meets the six of the ring sum, and whether the computed
+    R(u) must hit each level and its two neighbours exactly."""
+    if case == "below-one":
+        return np.linspace(0.0, 0.99, 23), False
+    if case == "integers":
+        return np.repeat(np.arange(1.0, 5.0), 150), True
+    # floats past 2^52 are integers and half-integers; up to 2^53 every
+    # integer j <= R is still exact (the levels keep clear of both ends by
+    # more than the ulp nudges of _on_level move R there)
+    return 2.0 ** 52 + np.concatenate([np.arange(32.0, 40.0, 0.5),
+                                       2.0 ** 52 - np.arange(64.0, 72.0)]), \
+        False
+
+
+@pytest.mark.parametrize("case", ["below-one", "integers", "huge"])
+def test_local_weight_single_ramp_bit_identical(std2, case):
+    gen = np.random.default_rng(len(case))
+    levels, exact = _ring_levels(case)
+    u = _on_level(std2, gen, levels)
+    Ru = quadratic_r(std2, u)
+    if exact:
+        for k in range(1, 5):
+            for r in (np.nextafter(k, -np.inf), float(k),
+                      np.nextafter(k, np.inf)):
+                assert np.any(Ru == r), (k, r)
+    offsets = np.arange(-5.0, 5.25, 0.25)
+    x = _on_level(std2, gen, np.maximum(
+        np.unique(levels)[:, None] + offsets[None, :], 1e-3).ravel())
+    x, u = x[:, None, :], u[None, :, :]
+    eta = local_weight(std2, x, u)
+    assert np.array_equal(eta, full_local_weight(std2, x, u))
+    # the ramp is open on some pairs, and the u = 0 end is reached
+    one, zero = eta_plateaus(quadratic_r(std2, x), Ru, Ru)
+    assert np.any(~(one | zero))
+    assert case != "below-one" or np.any(Ru < 1e-3)
+    assert case != "huge" or (Ru.min() >= 2.0 ** 52 and
+                              quadratic_r(std2, x).max() < 2.0 ** 53)
+
+
 def test_local_weight_bit_identical_for_scalar_pairs(std2):
     x, u = _cloud(7, 2, pairs=200)
     for xi, ui in zip(x, u):
@@ -410,7 +451,7 @@ def ring_masses(model, j_max):
         lo, hi = (0.0, 2.0) if j == 0 else (float(j), j + 2.0)
 
         def f(r, jj=j):
-            w = float(_ring_weight_idx(r, jj))
+            w = float(_full_ring_weight_idx(r, jj))
             return w * chi2.pdf(2 * r, model.n) * 2
 
         out[j], _ = scipy.integrate.quad(f, lo, hi, limit=200)

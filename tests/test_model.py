@@ -197,6 +197,50 @@ def test_quadratic_r_batch_shapes(std2):
         quadratic_r(std2, np.zeros((4, 3)))
 
 
+def quadratic_r_einsum(model, x):
+    """quadratic_r as it was formed before the fixed-order sum."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * np.einsum("...i,ij,...j->...", x, model.Qinf_inv, x)
+
+
+def _layouts(x):
+    """x (m, n) as contiguous, strided, Fortran-order and broadcast
+    arrays; each holds the points of x in the same order once flattened
+    over the leading axes, up to repeats."""
+    return {"contiguous": x,
+            "strided": np.repeat(x, 2, axis=0)[::2],
+            "fortran": np.asfortranarray(x),
+            "broadcast": np.broadcast_to(x[:, None, :], (x.shape[0], 3,
+                                                         x.shape[1]))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_r_matches_the_einsum_on_batches(n, model_factory):
+    # the einsum's bits depend on the batch when it holds one or two
+    # points (for n = 2); from three points on they are the fixed-order sum
+    gen = np.random.default_rng(30 + n)
+    for seed in range(6):
+        model = model_factory(seed, n)
+        for m in (3, 4, 7, 64, 500):
+            x = 3.0 * gen.standard_normal((m, n))
+            for name, xs in _layouts(x).items():
+                assert np.array_equal(quadratic_r(model, xs),
+                                      quadratic_r_einsum(model, xs)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadratic_r_of_a_point_does_not_depend_on_its_batch(
+        n, model_factory):
+    gen = np.random.default_rng(40 + n)
+    model = model_factory(1, n)
+    x = 3.0 * gen.standard_normal((300, n))
+    batch = quadratic_r(model, x)
+    alone = np.array([quadratic_r(model, p) for p in x])
+    pairs = quadratic_r(model, x.reshape(150, 2, n)).ravel()
+    assert np.array_equal(alone, batch) and np.array_equal(pairs, batch)
+    assert type(quadratic_r(model, x[0])) is np.float64
+
+
 # ---------------------------------------------------------------------------
 # invariant density
 

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oulab import (TimeGrid, apply_semigroup, bump_semigroup_value,
-                   gaussian_bump, propagators, quadratic_r, standard_model,
-                   variation_batch, weak_type_probe)
+from oulab import (TimeGrid, apply_semigroup, build_model,
+                   bump_semigroup_value, gaussian_bump, local_weight,
+                   propagators, quadratic_r, standard_model, variation_batch,
+                   weak_type_probe)
 from oulab.errors import BadOrderError
 from oulab.geometry import eta_plateaus
+from oulab.quadrature import hermite_tensor
 from oulab.semigroup import (_interleave, _node_r_range, _part_values,
-                             bump_semigroup_grid, local_global_grid,
-                             variation_batch_paths)
+                             _spread, _tiles, bump_semigroup_grid,
+                             local_global_grid, variation_batch_paths)
 from reference_routes import (block_nodes, local_global_grid_all_nodes,
                               split_blocks)
 
@@ -125,6 +127,13 @@ def test_near_and_far_parts_add_to_the_closed_form(name, model_factory):
 # blocks decided before their nodes are expanded
 
 
+def _block_range(model, mean, L, z):
+    """The R range local_global_grid gives each (point, time) block: about
+    its mean, with radius |Qinf^-1/2 L_t|_2 max_k |z_k|."""
+    zmax = np.sqrt(np.max(np.einsum("qi,qi->q", z, z)))
+    return _node_r_range(model, mean, _spread(model, L) * zmax)
+
+
 def _split_case(name, model_factory):
     n = int(name[-1])
     model = standard_model(n) if name.startswith("standard") \
@@ -147,7 +156,7 @@ def test_block_decision_matches_every_node(name, model_factory):
     # some blocks are decided whole and some are expanded
     mean, L, z, _ = split_blocks(model, f, props, xs, order)
     one, zero = eta_plateaus(quadratic_r(model, xs)[:, None],
-                             *_node_r_range(model, mean, L, z))
+                             *_block_range(model, mean, L, z))
     assert 0 < np.count_nonzero(one | zero) < one.size
 
 
@@ -186,9 +195,108 @@ def test_block_range_holds_every_node(name, model_factory):
     # alone can carry them past it; the margin keeps them inside
     model, f, props, xs, order = _split_case(name, model_factory)
     mean, L, z, _ = split_blocks(model, f, props, xs, order)
-    lo, hi = _node_r_range(model, mean, L, z)
+    lo, hi = _block_range(model, mean, L, z)
     r = quadratic_r(model, block_nodes(mean, L, z))
     assert np.all(r >= lo[..., None]) and np.all(r <= hi[..., None])
+
+
+GENERAL2 = ([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 2.0], [0.0, -0.5]])
+
+
+def _tile_case(name, model_factory, order):
+    if name == "general2":
+        model = build_model(*GENERAL2)
+    elif name.startswith("standard"):
+        model = standard_model(int(name[-1]))
+    else:
+        model = model_factory(7, int(name[-1]))
+    n = model.n
+    f = gaussian_bump(model, np.full(n, 0.4), 0.5)
+    props = propagators(model, np.geomspace(1e-5, 1.0, 9 if n < 3 else 3))
+    xs = 1.5 * np.random.default_rng(n).standard_normal(
+        (12 if n < 3 else 2, n)) @ model.Qinf_sqrt.T
+    return model, f, props, xs, order
+
+
+def _tile_ranges(model, mean, L, z):
+    """The R range local_global_grid gives every tile of every block,
+    (p, m, T) each, with the tiles."""
+    tiles, _, zc, z_rad = _tiles(z)
+    centre = mean[:, :, None, :] + np.einsum("mij,tj->mti", L, zc)[None]
+    return tiles, _node_r_range(model, centre,
+                                _spread(model, L)[:, None] * z_rad)
+
+
+_TILE_CASES = [("standard1", 12), ("standard1", 13), ("standard1", None),
+               ("standard2", 12), ("standard2", 13), ("general2", None),
+               ("random1", 13), ("random2", 12), ("random3", 12),
+               ("random3", None)]
+
+
+@pytest.mark.parametrize("name,order", _TILE_CASES)
+def test_tile_range_holds_every_node(name, order, model_factory):
+    model, f, props, xs, order = _tile_case(name, model_factory, order)
+    mean, L, z, _ = split_blocks(model, f, props, xs, order)
+    tiles, (lo, hi) = _tile_ranges(model, mean, L, z)
+    r = quadratic_r(model, block_nodes(mean, L, z))[:, :, tiles]
+    assert np.all(r >= lo[..., None]) and np.all(r <= hi[..., None])
+    # every node sits in a tile, and a short tile only repeats its own
+    assert np.array_equal(np.unique(tiles), np.arange(z.shape[0]))
+
+
+@pytest.mark.parametrize("name,order", _TILE_CASES)
+def test_tile_decision_matches_every_node(name, order, model_factory):
+    model, f, props, xs, order = _tile_case(name, model_factory, order)
+    near, far = local_global_grid(model, f, props, xs, order=order)
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs,
+                                                    order=order)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+
+
+def test_tiles_are_consecutive_nodes_per_axis():
+    # order 13 in 2-d: tiles of 8 x 8, 8 x 5, 5 x 8 and 5 x 5 nodes
+    z, _ = hermite_tensor(2, 13)
+    tiles, pos, _, _ = _tiles(z)
+    assert tiles.shape == (4, 64)
+    assert np.array_equal(tiles.ravel()[pos], np.arange(169))
+    rows, cols = np.divmod(tiles, 13)
+    sizes = [np.unique(t).size for t in tiles]
+    assert sizes == [64, 40, 40, 25]
+    assert np.array_equal(np.unique(rows[0]), np.arange(8))
+    assert np.array_equal(np.unique(cols[3]), np.arange(8, 13))
+
+
+def test_undecided_block_with_every_tile_decided(monkeypatch):
+    # in 2-d the block's R range reaches s + r, r from the corner node, in
+    # the direction of the mean, where the nodes reach only about s + r /
+    # sqrt(2); a level just past the nodes there leaves the block open
+    # while every tile keeps clear of it
+    import oulab.semigroup as sg
+    model = standard_model(2)
+    f = gaussian_bump(model, np.zeros(2), 0.5)
+    props = propagators(model, np.geomspace(1e-4, 1e-2, 8))
+    xs = np.stack([np.linspace(1.5, 4.0, 50), np.zeros(50)], axis=-1)
+    mean, L, z, _ = split_blocks(model, f, props, xs, 12)
+    rx = quadratic_r(model, xs)[:, None]
+    b_one, b_zero = eta_plateaus(rx, *_block_range(model, mean, L, z))
+    _, (lo, hi) = _tile_ranges(model, mean, L, z)
+    t_one, t_zero = eta_plateaus(rx[..., None], lo, hi)
+    found = ~(b_one | b_zero) & np.all(t_one | t_zero, axis=-1)
+    assert np.any(found)
+    p, t = np.argwhere(found)[0]
+    seen = []
+
+    def spy(model, x, u):
+        seen.append(u.shape[0] * u.shape[1])
+        return local_weight(model, x, u)
+
+    monkeypatch.setattr(sg, "local_weight", spy)
+    one_t = propagators(model, props.ts[t:t + 1])
+    near, far = local_global_grid(model, f, one_t, xs[p], order=12)
+    assert sum(seen) == 0
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, one_t, xs[p],
+                                                    order=12)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
 
 
 def test_no_default_order_past_three_dimensions():
