@@ -32,6 +32,7 @@ _EXPORTS = {
     "count_kdot_zeros": "kernel", "count_kdot_zeros_batch": "kernel",
     "calibrate_bound": "kernel", "BoundCalibration": "kernel",
     "admissible_rate": "kernel", "natural_rate": "kernel",
+    "kernel_bounds_probe": "kernel",
     # variation
     "variation_values": "variation", "variation_batch": "variation",
     "variation_exhaustive": "variation",
@@ -41,7 +42,7 @@ _EXPORTS = {
     "bump_semigroup_value": "semigroup",
     "variation_batch_paths": "semigroup",
     "cz_size_sweep": "semigroup", "cz_smoothness_sweep": "semigroup",
-    "weak_type_probe": "semigroup",
+    "weak_type_probe": "semigroup", "cz_probe": "semigroup",
     "annulus_superlevel_probe": "semigroup", "t_max_for_tail": "semigroup",
     # torus
     "CounterexampleConfig": "torus",
@@ -50,6 +51,7 @@ _EXPORTS = {
     "dyadic_moment": "torus", "line_moment": "torus",
     "variation_growth_experiment": "torus", "fourier_kernel_gap": "torus",
     "kernel_difference_bound": "torus", "weak_type_failure": "torus",
+    "variation_growth_report": "torus",
     # report
     "ProbeReport": "report", "write_report": "report",
     "emit_plot_data": "report", "config_fingerprint": "report",

@@ -17,6 +17,14 @@ Verb tree:
     torus failure                weak (p, p) blowup of the dyadic chain
     torus delta                  flat-kernel replacement error
 
+Every verb that writes a report loads its input, makes one library call
+that returns the whole ProbeReport, prints lines read from that report,
+and hands it to _finalize, which writes it and maps its pass flags to
+the exit code.  The report's content is decided in the library; this
+module only stamps what was typed (the model spec and the config
+fingerprint) into its inputs.  The other verbs print what they compute
+and exit on their own check.
+
 Exit codes: 0 success / probe passed, 1 usage or configuration error,
 2 probe ran but its statistic failed the stated criterion.  Reports and
 plot CSVs land under --out and are written atomically; timing goes to
@@ -33,8 +41,8 @@ import sys
 import time
 
 # Heavy imports stay inside the handlers so that `--help`, argument
-# errors, and thread-count plumbing run before the numerics stack loads.
-
+# errors, and thread-count plumbing run before the numerics stack loads;
+# so the parser's choices repeat kernel.BOUND_NAMES.
 _BOUND_NAMES = ("kernel-small-t", "dkernel-small-t", "dkernel-large-t",
                 "tail-integral")
 
@@ -99,12 +107,8 @@ def _load_model(spec: str):
 
 def _fingerprint_inputs(args) -> dict:
     skip = {"func", "out", "threads", "budget"}
-    d = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or callable(v):
-            continue
-        d[k] = v
-    return d
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in skip and not callable(v)}
 
 
 def _finalize(report, args) -> int:
@@ -175,9 +179,9 @@ def _cmd_kernel_zeros(args) -> int:
 
 
 def _cmd_kernel_bounds(args) -> int:
-    from .kernel import calibrate_bound
+    from .kernel import BOUND_NAMES, calibrate_bound
     model = _load_model(args.model)
-    which = _BOUND_NAMES if args.which == "all" else (args.which,)
+    which = BOUND_NAMES if args.which == "all" else (args.which,)
     worst = True
     for w in which:
         cal = calibrate_bound(model, w, n_samples=args.samples,
@@ -189,21 +193,17 @@ def _cmd_kernel_bounds(args) -> int:
 
 
 def _cmd_variation_path(args) -> int:
-    import numpy as np
+    from pathlib import Path
     from .errors import ModelFileError
     from .variation import variation_exhaustive, variation_values
-    if args.file:
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ModelFileError(f"cannot read path file: {exc}") from None
-        values = _parse_vector(text)
-    else:
-        values = _parse_vector(args.values)
-    v = variation_values(np.asarray(values, dtype=float), args.rho)
+    try:
+        values = _parse_vector(Path(args.file).read_text() if args.file
+                               else args.values)
+    except OSError as exc:
+        raise ModelFileError(f"cannot read path file: {exc}") from None
+    v = variation_values(values, args.rho)
     if args.check and values.size <= 16:
-        ref = variation_exhaustive(np.asarray(values, dtype=float), args.rho)
+        ref = variation_exhaustive(values, args.rho)
         if abs(v - ref) > 1e-9 * max(1.0, abs(ref)):
             print(f"{v:.6f} (exhaustive check FAILED: {ref:.6f})")
             return 2
@@ -217,19 +217,16 @@ def _cmd_semigroup_apply(args) -> int:
                             gaussian_bump)
     model = _load_model(args.model)
     x = _parse_vector(args.x)
-    center = (_parse_vector(args.center) if args.center
-              else np.zeros(model.n))
+    center = _parse_vector(args.center) if args.center else np.zeros(model.n)
     bump = gaussian_bump(model, center, args.width)
     closed = bump_semigroup_value(model, bump, args.t, x)
-    via_kernel = apply_semigroup(model, bump, x, args.t, form="kernel",
-                                 order=args.order)
-    via_transition = apply_semigroup(model, bump, x, args.t,
-                                     form="kolmogorov", order=args.order)
-    gap = max(abs(via_kernel - closed), abs(via_transition - closed))
-    rel = gap / max(abs(closed), 1e-300)
-    print(f"closed form        {closed:.12g}")
-    print(f"kernel quadrature  {via_kernel:.12g}")
-    print(f"transition form    {via_transition:.12g}")
+    routes = [apply_semigroup(model, bump, x, args.t, form=form,
+                              order=args.order)
+              for form in ("kernel", "kolmogorov")]
+    rel = max(abs(v - closed) for v in routes) / max(abs(closed), 1e-300)
+    for label, v in zip(("closed form", "kernel quadrature",
+                         "transition form"), (closed, *routes)):
+        print(f"{label:<18} {v:.12g}")
     print(f"max relative gap   {rel:.3e}")
     ok = rel <= 1e-6
     print("agreement:", "PASS" if ok else "FAIL")
@@ -256,67 +253,24 @@ def _cmd_probe_weak_type(args) -> int:
 
 
 def _cmd_probe_cz(args) -> int:
-    from .report import ProbeReport
-    from .semigroup import cz_size_sweep, cz_smoothness_sweep
-    model = _load_model(args.model)
-    size = cz_size_sweep(model, args.rho, n_dirs=args.dirs, seed=args.seed)
-    smooth = cz_smoothness_sweep(model, args.rho, n_triples=args.triples,
-                                 seed=args.seed)
-    report = ProbeReport(
-        name="cz-sweeps",
-        claim=("|x-u|^n times the near-part variation kernel norm and "
-               "|x-u|^{n+1}/|u-u'| times the difference norm stay bounded "
-               "and grid-stable over separations"),
-        inputs={"rho": args.rho, "model": args.model, "n_dirs": args.dirs,
-                "n_triples": args.triples},
-        statistics={"size_max": size["max_stat"],
-                    "size_drift": size["drift"],
-                    "smooth_max": smooth["max_stat"],
-                    "smooth_drift": smooth["drift"]},
-        tables={"cz_size": [{"radius": float(r), "stat": float(s)}
-                            for r, s in zip(size["radii"],
-                                            size["profile"])],
-                "cz_smooth": [{"radius": float(r), "stat": float(s)}
-                              for r, s in zip(smooth["radii"],
-                                              smooth["profile"])]},
-        pass_flags={"size_stable": size["stable"],
-                    "smooth_stable": smooth["stable"]},
-        ci={},
-        seed=args.seed)
-    print(f"size sweep   max {size['max_stat']:.6g}  drift "
-          f"{size['drift']:.3f}")
-    print(f"smooth sweep max {smooth['max_stat']:.6g}  drift "
-          f"{smooth['drift']:.3f}")
+    from .semigroup import cz_probe
+    report = cz_probe(_load_model(args.model), args.rho, n_dirs=args.dirs,
+                      n_triples=args.triples, seed=args.seed)
+    report.inputs["model"] = args.model
+    st = report.statistics
+    print(f"size sweep   max {st['size_max']:.6g}  drift "
+          f"{st['size_drift']:.3f}")
+    print(f"smooth sweep max {st['smooth_max']:.6g}  drift "
+          f"{st['smooth_drift']:.3f}")
     return _finalize(report, args)
 
 
 def _cmd_probe_kernel_bounds(args) -> int:
-    from .kernel import calibrate_bound
-    from .report import ProbeReport
-    model = _load_model(args.model)
-    rows, stats, flags = [], {}, {}
-    for w in _BOUND_NAMES:
-        cal = calibrate_bound(model, w, n_samples=args.samples,
-                              seed=args.seed)
-        rows.append({"bound": w, "rate": cal.exponent_rate,
-                     "prefactor_cap": cal.prefactor_cap,
-                     "stable": cal.stable})
-        stats[f"{w}/rate"] = cal.exponent_rate
-        stats[f"{w}/cap"] = cal.prefactor_cap
-        flags[f"{w}/stable"] = cal.stable
-        flags[f"{w}/finite"] = bool(cal.prefactor_cap < float("inf"))
-    report = ProbeReport(
-        name="kernel-bounds",
-        claim=("each pointwise kernel estimate holds with a finite "
-               "prefactor at its calibrated Gaussian rate, stable under "
-               "sample doubling"),
-        inputs={"model": args.model, "samples": args.samples},
-        statistics=stats,
-        tables={"calibrations": rows},
-        pass_flags=flags,
-        ci={},
-        seed=args.seed)
-    for r in rows:
+    from .kernel import kernel_bounds_probe
+    report = kernel_bounds_probe(_load_model(args.model),
+                                 n_samples=args.samples, seed=args.seed)
+    report.inputs["model"] = args.model
+    for r in report.tables["calibrations"]:
         print(f"{r['bound']}: c = {r['rate']:.6g}, cap = "
               f"{r['prefactor_cap']:.6g}")
     return _finalize(report, args)
@@ -339,73 +293,27 @@ def _cmd_probe_enhanced(args) -> int:
 
 
 def _cmd_torus_qian(args) -> int:
-    from .report import ProbeReport
-    from .torus import CounterexampleConfig, variation_growth_experiment
+    from .torus import variation_growth_report
     n_list = _parse_list(args.N, int)
-    reports = []
-    for N in n_list:
-        cfg = CounterexampleConfig(N=N, seed=args.seed,
-                                   sample_size=args.samples)
-        reports.append(variation_growth_experiment(cfg, args.operator))
-    if len(reports) == 1:
-        rep = reports[0]
-        print(f"N={n_list[0]}  median v(2)/sqrt(N) = "
-              f"{rep.statistics['median_scaled']:.6f}")
-        return _finalize(rep, args)
-    growth_rows, measure_rows, flags = [], [], {}
-    medians = []
-    for N, rep in zip(n_list, reports):
-        medians.append(rep.statistics["median_scaled"])
-        growth_rows.append({"N": N,
-                            "median_scaled": rep.statistics["median_scaled"],
-                            "drift": rep.statistics["drift"]})
-        for row in rep.tables["threshold_measure"]:
-            measure_rows.append({"N": N, **row})
-        for k, v in rep.pass_flags.items():
-            flags[f"N{N}/{k}"] = v
-        print(f"N={N}  median v(2)/sqrt(N) = "
-              f"{rep.statistics['median_scaled']:.6f}")
-    diffs = [b - a for a, b in zip(medians, medians[1:])]
-    flags["median_nondecreasing"] = all(d >= -1e-12 for d in diffs)
-    report = ProbeReport(
-        name="torus-growth",
-        claim=("the median of v(2)/sqrt(N) for the scale chain does not "
-               "decrease with N and the threshold exceedance curves climb"),
-        inputs={"n_list": n_list, "operator": args.operator,
-                "sample_size": args.samples},
-        statistics={"medians_scaled": medians},
-        tables={"qian_growth": growth_rows,
-                "threshold_measure": measure_rows},
-        pass_flags=flags,
-        ci={},
-        seed=args.seed)
+    report = variation_growth_report(n_list, args.operator,
+                                     sample_size=args.samples, seed=args.seed)
+    st = report.statistics
+    medians = st["medians_scaled"] if "medians_scaled" in st \
+        else [st["median_scaled"]]
+    for N, median in zip(n_list, medians):
+        print(f"N={N}  median v(2)/sqrt(N) = {median:.6f}")
     return _finalize(report, args)
 
 
 def _cmd_torus_fourier(args) -> int:
     import numpy as np
-    from .report import ProbeReport
     from .torus import fourier_kernel_gap
-    xi = np.geomspace(args.xi_min, args.xi_max, args.points)
-    res = fourier_kernel_gap(lmax=args.lmax, xi=xi)
-    curve = res.pop("curve")
-    grid_gap = abs(res["max"] - res["half_grid_max"])
-    report = ProbeReport(
-        name="fourier-gap",
-        claim=("the summed multiplier gap between Gaussian smoothing and "
-               "window means is bounded uniformly over frequencies"),
-        inputs={"lmax": args.lmax, "xi_min": args.xi_min,
-                "xi_max": args.xi_max, "points": args.points},
-        statistics=res,
-        tables={"fourier_sum": curve},
-        pass_flags={"finite": bool(np.isfinite(res["max"])),
-                    "grid_stable":
-                        bool(grid_gap <= 1e-3 * max(1.0, res["max"]))},
-        ci={},
-        seed=0)
-    print(f"sup of summed gap {res['max']:.6f} at xi = "
-          f"{res['argmax_xi']:.6g}; truncation tail <= "
-          f"{res['tail_bound']:.3e}")
+    report = fourier_kernel_gap(lmax=args.lmax, xi=np.geomspace(
+        args.xi_min, args.xi_max, args.points))
+    st = report.statistics
+    print(f"sup of summed gap {st['max']:.6f} at xi = "
+          f"{st['argmax_xi']:.6g}; truncation tail <= "
+          f"{st['tail_bound']:.3e}")
     return _finalize(report, args)
 
 

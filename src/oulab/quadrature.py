@@ -61,7 +61,6 @@ class QuadratureRule:
 
     nodes: np.ndarray       # (m, n)
     weights: np.ndarray     # (m,), sum to 1
-    anchor: GaussianMeasure
 
     def integrate(self, f) -> float:
         """int f d(anchor) for a vectorized integrand f((m, n)) -> (m,)."""
@@ -95,7 +94,7 @@ def gauss_hermite_rule(measure: GaussianMeasure,
     """Tensor Gauss-Hermite rule mapped onto the measure."""
     z, w = hermite_tensor(measure.n, order)
     nodes = measure.mean[None, :] + z @ measure.sqrt_cov.T
-    return QuadratureRule(nodes=nodes, weights=w, anchor=measure)
+    return QuadratureRule(nodes=nodes, weights=w)
 
 
 def product_gaussian(a: GaussianMeasure, prec_b: np.ndarray,

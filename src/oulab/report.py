@@ -117,16 +117,15 @@ def _fmt(v):
 
 
 def emit_plot_data(report: ProbeReport, out_dir: str) -> list[str]:
-    """One CSV per table in the report; returns the written paths."""
+    """One CSV per table of the report, a list of dicts whose first row's
+    keys give the header; returns the written paths."""
     written = []
     for name, table in report.tables.items():
         if not table:
             continue
         path = os.path.join(out_dir, f"{name}.csv")
-        header = list(table[0].keys()) if isinstance(table[0], dict) \
-            else [f"c{i}" for i in range(len(table[0]))]
-        rows = [[row[h] for h in header] for row in table] \
-            if isinstance(table[0], dict) else table
-        write_csv(path, header, rows, claim=report.claim)
+        header = list(table[0])
+        write_csv(path, header, [[row[h] for h in header] for row in table],
+                  claim=report.claim)
         written.append(path)
     return written

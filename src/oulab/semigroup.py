@@ -95,8 +95,7 @@ class TimeGrid:
         """Insert the geometric midpoint of every gap; the old points stay,
         so any variation along the grid can only grow."""
         p = self.points
-        mids = np.sqrt(p[:-1] * p[1:])
-        return TimeGrid(np.sort(np.concatenate([p, mids])))
+        return TimeGrid(_interleave(p, np.sqrt(p[:-1] * p[1:])))
 
     def __len__(self):
         return self.points.size
@@ -428,7 +427,7 @@ def _pair_cloud(model: OUModel, radii: np.ndarray, n_dirs: int, seed: int):
 
 
 def cz_size_sweep(model: OUModel, rho: float, n_dirs: int = 8,
-                  seed: int = 0) -> dict:
+                  seed: int = 0) -> tuple:
     """Sweep of |x-u|^n times the near-part variation norm over pair
     separations; bounded profiles back the size half of the kernel
     estimates.
@@ -436,7 +435,8 @@ def cz_size_sweep(model: OUModel, rho: float, n_dirs: int = 8,
     The fine pass extends the base pass: the time grid is refined (nested,
     so each path's variation can only grow) and the direction count is
     doubled keeping the original pairs.  Small drift therefore certifies
-    that the per-radius maximum has saturated in both grid and sample."""
+    that the per-radius maximum has saturated in both grid and sample.
+    Returns the radii and the per-radius maxima of both passes."""
     radii = np.geomspace(1e-3, 0.4, 16)
     grid = TimeGrid.geometric(1e-8, 1.0, 48)
     x, u, r = _pair_cloud(model, radii, 2 * n_dirs, seed)
@@ -448,17 +448,16 @@ def cz_size_sweep(model: OUModel, rho: float, n_dirs: int = 8,
         return (v * r[sub] ** model.n).reshape(radii.size, -1).max(axis=1)
 
     cols = np.arange(r.size).reshape(radii.size, 2 * n_dirs)
-    base = stat(grid, cols[:, :n_dirs].ravel())
-    fine = stat(grid.refine(), slice(None))
-    drift = float(np.max(np.abs(fine - base) / np.maximum(base, _TINY)))
-    return {"radii": radii, "profile": fine, "max_stat": float(fine.max()),
-            "drift": drift, "stable": bool(drift <= 0.10)}
+    return (radii, stat(grid, cols[:, :n_dirs].ravel()),
+            stat(grid.refine(), slice(None)))
 
 
 def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
-                        seed: int = 0) -> dict:
+                        seed: int = 0) -> tuple:
     """Sweep of |x-u|^{n+1} / |u-u2| times the variation norm of the
-    difference path over triples with |x-u| > 2 |u-u2|."""
+    difference path over triples with |x-u| > 2 |u-u2|.  Returns the
+    separations |x-u| and the statistic on the time grid and on its
+    refinement."""
     grid = TimeGrid.geometric(1e-8, 1.0, 96)
     n = model.n
     r = np.geomspace(2e-3, 0.4, n_triples)
@@ -478,11 +477,33 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
         sep = np.linalg.norm(u - u2, axis=1)
         return v * r ** (n + 1) / sep
 
-    base = stat(grid)
-    fine = stat(grid.refine())
-    drift = float(np.max(np.abs(fine - base) / np.maximum(base, _TINY)))
-    return {"radii": r, "profile": fine, "max_stat": float(fine.max()),
-            "drift": drift, "stable": bool(drift <= 0.10)}
+    return r, stat(grid), stat(grid.refine())
+
+
+def cz_probe(model: OUModel, rho: float, n_dirs: int = 8,
+             n_triples: int = 64, seed: int = 0) -> "ProbeReport":
+    """Both near-kernel sweeps in one report: each profile on the refined
+    grid, its maximum, and its drift, the largest relative move of a
+    profile point under the refinement.  A sweep is stable when its drift
+    is at most 10 percent."""
+    from .report import ProbeReport
+    stats, tables, flags = {}, {}, {}
+    for name, (radii, base, fine) in (
+            ("size", cz_size_sweep(model, rho, n_dirs=n_dirs, seed=seed)),
+            ("smooth", cz_smoothness_sweep(model, rho, n_triples=n_triples,
+                                           seed=seed))):
+        drift = float(np.max(np.abs(fine - base) / np.maximum(base, _TINY)))
+        stats[f"{name}_max"], stats[f"{name}_drift"] = float(fine.max()), drift
+        tables[f"cz_{name}"] = [{"radius": float(r), "stat": float(v)}
+                                for r, v in zip(radii, fine)]
+        flags[f"{name}_stable"] = bool(drift <= 0.10)
+    return ProbeReport(
+        name="cz-sweeps",
+        claim=("|x-u|^n times the near-part variation kernel norm and "
+               "|x-u|^{n+1}/|u-u'| times the difference norm stay bounded "
+               "and grid-stable over separations"),
+        inputs={"rho": rho, "n_dirs": n_dirs, "n_triples": n_triples},
+        statistics=stats, tables=tables, pass_flags=flags, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -665,5 +686,4 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
         tables={"superlevel": rows},
         pass_flags={"finite": bool(np.isfinite(worst)),
                     "stable": bool(growth <= 1.25 or worst == 0.0)},
-        ci={},
         seed=seed)

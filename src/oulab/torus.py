@@ -278,15 +278,54 @@ def variation_growth_experiment(config: CounterexampleConfig,
         seed=config.seed)
 
 
-def fourier_kernel_gap(lmax: int = 48, xi=None) -> dict:
+def variation_growth_report(n_list, operator: str = "E",
+                            sample_size: int = 1000,
+                            seed: int = 0) -> "ProbeReport":
+    """The growth experiment at every N of n_list: one N gives its own
+    report, several give one combined report, whose rows and flags are
+    read from the per-N reports, plus a flag that the scaled median does
+    not decrease with N."""
+    from .report import ProbeReport
+    reports = [variation_growth_experiment(
+        CounterexampleConfig(N=N, seed=seed, sample_size=sample_size),
+        operator) for N in n_list]
+    if len(reports) == 1:
+        return reports[0]
+    growth_rows, measure_rows, flags = [], [], {}
+    medians = [rep.statistics["median_scaled"] for rep in reports]
+    for N, rep in zip(n_list, reports):
+        growth_rows.append({"N": N,
+                            "median_scaled": rep.statistics["median_scaled"],
+                            "drift": rep.statistics["drift"]})
+        measure_rows += [{"N": N, **row}
+                         for row in rep.tables["threshold_measure"]]
+        flags.update({f"N{N}/{k}": v for k, v in rep.pass_flags.items()})
+    flags["median_nondecreasing"] = all(
+        b - a >= -1e-12 for a, b in zip(medians, medians[1:]))
+    return ProbeReport(
+        name="torus-growth",
+        claim=("the median of v(2)/sqrt(N) for the scale chain does not "
+               "decrease with N and the threshold exceedance curves climb"),
+        inputs={"n_list": list(n_list), "operator": operator,
+                "sample_size": sample_size},
+        statistics={"medians_scaled": medians},
+        tables={"qian_growth": growth_rows,
+                "threshold_measure": measure_rows},
+        pass_flags=flags,
+        seed=seed)
+
+
+def fourier_kernel_gap(lmax: int = 48, xi=None) -> "ProbeReport":
     """Max over a frequency grid of the summed gap between the Gaussian
     multiplier exp(-2 pi^2 (2^-l xi)^2) and the window-mean multiplier
     sin(2 pi 2^-l xi) / (2 pi 2^-l xi).
 
     A bounded sup is what lets the Gaussian chain inherit the variation
     behavior of the window-mean chain in L^2.  The truncation tail is
-    quadratic in 2^-lmax xi, reported as an explicit bound.
+    quadratic in 2^-lmax xi, reported as an explicit bound.  The sup must
+    agree to 1e-3 with the sup over every other grid point.
     """
+    from .report import ProbeReport
     if not 1 <= lmax <= 60:
         raise BadOrderError("lmax must lie in [1, 60]")
     if xi is None:
@@ -301,14 +340,24 @@ def fourier_kernel_gap(lmax: int = 48, xi=None) -> dict:
         mean = np.sinc(2.0 * w)
         total += np.abs(gauss - mean)
     imax = int(np.argmax(total))
-    half_max = float(total[::2].max())
+    top, half_max = float(total[imax]), float(total[::2].max())
     # per-term gap ~ (4 pi^2 / 3) w^2 for small w; geometric sum in l
     tail = (4.0 * math.pi ** 2 / 3.0) * (xi.max() * 2.0 ** (-lmax)) ** 2 / 3.0
-    return {"max": float(total[imax]), "argmax_xi": float(xi[imax]),
-            "half_grid_max": half_max, "tail_bound": float(tail),
-            "lmax": lmax, "grid_size": int(xi.size),
-            "curve": [{"xi": float(a), "total": float(b)}
-                      for a, b in zip(xi, total)]}
+    return ProbeReport(
+        name="fourier-gap",
+        claim=("the summed multiplier gap between Gaussian smoothing and "
+               "window means is bounded uniformly over frequencies"),
+        inputs={"lmax": lmax, "xi_min": float(xi[0]), "xi_max": float(xi[-1]),
+                "points": int(xi.size)},
+        statistics={"max": top, "argmax_xi": float(xi[imax]),
+                    "half_grid_max": half_max, "tail_bound": float(tail),
+                    "lmax": lmax, "grid_size": int(xi.size)},
+        tables={"fourier_sum": [{"xi": float(a), "total": float(b)}
+                                for a, b in zip(xi, total)]},
+        pass_flags={"finite": bool(np.isfinite(top)),
+                    "grid_stable":
+                        bool(abs(top - half_max) <= 1e-3 * max(1.0, top))},
+        seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +471,6 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
                     "diagonal_rate_ok":
                         bool(abs(slope - 0.5 * (2 - n)) <= 0.1),
                     "operator_bounded": bool(growth <= 1.25)},
-        ci={},
         seed=seed)
 
 
@@ -546,5 +594,4 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
                     "median_nondecreasing":
                         bool(np.all(np.diff(medians) > -1e-12)),
                     "stable": bool(stable)},
-        ci={},
         seed=seed)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -129,3 +130,61 @@ def test_budget_is_checked_after_the_report_is_written(tmp_path, capsys):
     name = "annulus-superlevel.json"
     assert (tmp_path / "spent" / name).read_bytes() == \
         (tmp_path / "free" / name).read_bytes()
+
+
+def test_parser_bound_choices_are_the_kernel_bound_names():
+    # the parser is built before numpy loads, so it keeps its own copy
+    from oulab import cli
+    from oulab.kernel import BOUND_NAMES
+    assert cli._BOUND_NAMES == BOUND_NAMES
+
+
+def test_combined_torus_qian_is_read_from_the_single_n_reports(tmp_path,
+                                                               capsys):
+    from oulab.torus import CounterexampleConfig, variation_growth_experiment
+    code = main(["torus", "qian", "--N", "6,8", "--samples", "1000",
+                 "--out", str(tmp_path)])
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "qian_growth.csv", "threshold_measure.csv", "torus-growth.json"]
+    report = json.loads((tmp_path / "torus-growth.json").read_text())
+    singles = {N: variation_growth_experiment(
+        CounterexampleConfig(N=N, seed=0, sample_size=1000), "E")
+        for N in (6, 8)}
+    medians = [singles[N].statistics["median_scaled"] for N in (6, 8)]
+    assert report["statistics"]["medians_scaled"] == medians
+    assert report["tables"]["qian_growth"] == [
+        {"N": N, "median_scaled": rep.statistics["median_scaled"],
+         "drift": rep.statistics["drift"]} for N, rep in singles.items()]
+    assert report["tables"]["threshold_measure"] == [
+        {"N": N, **row} for N, rep in singles.items()
+        for row in rep.tables["threshold_measure"]]
+    flags = report["pass_flags"]
+    assert flags == {
+        **{f"N{N}/{k}": v for N, rep in singles.items()
+           for k, v in rep.pass_flags.items()},
+        "median_nondecreasing": medians[1] >= medians[0] - 1e-12}
+    assert {"N6/finite", "N6/stable", "N6/lower_bound",
+            "N8/finite", "N8/stable", "N8/lower_bound"} <= set(flags)
+    # the exit code, the printed verdict and the JSON flags agree
+    for N, m in zip((6, 8), medians):
+        assert f"N={N}  median v(2)/sqrt(N) = {m:.6f}" in printed
+    for key, value in flags.items():
+        assert f"  {key}: {'pass' if value else 'FAIL'}" in printed
+    assert all(flags.values()) and "overall: PASS" in printed
+
+
+def test_kernel_bounds_verb_and_probe_print_one_calibration(tmp_path,
+                                                           capsys):
+    from oulab.kernel import BOUND_NAMES
+    argv = ["--model", "standard1", "--samples", "2000"]
+    assert main(["kernel", "bounds", *argv]) == 0
+    verb = re.findall(r"^(\S+): rate c = (\S+), prefactor cap = (\S+), "
+                      r"stable = True$", capsys.readouterr().out, re.M)
+    assert main(["probe", "kernel-bounds", *argv,
+                 "--out", str(tmp_path)]) == 0
+    probe = re.findall(r"^(\S+): c = (\S+), cap = (\S+)$",
+                       capsys.readouterr().out, re.M)
+    assert [row[0] for row in verb] == list(BOUND_NAMES)
+    assert verb == probe

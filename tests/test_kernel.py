@@ -28,6 +28,7 @@ from oulab.model import T_SWITCH, propagators
 from oulab.rng import substream
 from oulab.semigroup import _eta_kernel_paths
 from oulab.errors import (
+    BadOrderError,
     NonPositiveTimeError,
     RateTooLargeError,
 )
@@ -625,8 +626,22 @@ def test_auto_calibration_is_stable(std1, which):
 def test_calibration_validation(std1):
     with pytest.raises(RateTooLargeError):
         calibrate_bound(std1, "kernel-small-t", n_samples=2000, c=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadOrderError):
         calibrate_bound(std1, "no-such-bound", n_samples=2000)
+
+
+def test_unknown_bound_name_is_rejected_before_any_work(std1, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the name check")
+
+    for name in ("_calibration_sample", "_calibrate_tail_integral",
+                 "propagators"):
+        monkeypatch.setattr(kernel_mod, name, no_work)
+    for bad in ("no-such-bound", "all", "Kernel-small-t"):
+        with pytest.raises(BadOrderError, match="unknown bound name"):
+            calibrate_bound(std1, bad, n_samples=2000, c=0.05)
+        with pytest.raises(BadOrderError, match="unknown bound name"):
+            admissible_rate(std1, bad)
 
 
 def frozen_max_log_ratio(which, a, b, dnorm, ts, c, upto=None):
@@ -673,7 +688,7 @@ def test_prefix_maxima_bit_identical_to_separate_passes(which):
             assert all(type(v) is float for v in got)
 
 
-def frozen_tail_integral(model, n_samples, seed, t_max, grid_desc):
+def frozen_tail_integral(model, n_samples, seed, t_max):
     """_calibrate_tail_integral as it was with a separate half-sample
     log-kernel pass."""
     gen = substream(seed, 1)
@@ -697,16 +712,15 @@ def frozen_tail_integral(model, n_samples, seed, t_max, grid_desc):
     stable = (r_full <= 1.1 * r_half) and (r_fine <= 1.1 * r_full)
     mr = max(r_full, r_fine)
     return BoundCalibration(which="tail-integral", exponent_rate=rate,
-                            prefactor_cap=mr, grid=grid_desc,
-                            max_ratio=mr, stable=stable)
+                            prefactor_cap=mr, max_ratio=mr, stable=stable)
 
 
 @pytest.mark.parametrize("name", ["standard1", "general2"])
 def test_tail_integral_unchanged_by_half_sample_reuse(name, std1):
     model = std1 if name == "standard1" else build_model(*GENERAL2)
     for n_samples, seed in ((1000, 0), (777, 4)):
-        got = _calibrate_tail_integral(model, n_samples, seed, 50.0, "g")
-        want = frozen_tail_integral(model, n_samples, seed, 50.0, "g")
+        got = _calibrate_tail_integral(model, n_samples, seed, 50.0)
+        want = frozen_tail_integral(model, n_samples, seed, 50.0)
         assert got == want
 
 

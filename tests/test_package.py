@@ -60,3 +60,41 @@ def test_every_top_level_definition_has_a_caller():
             if node.name not in elsewhere | rest:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_cli_builds_no_report():
+    """cli.py hands each report on as the library returns it: it names no
+    ProbeReport, passes no report field by keyword, and a verb handler
+    writes into no dict but the report's inputs, so no statistics, table
+    or flag is put together in the command line driver."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "ProbeReport" not in _used_names([tree]) | imported
+    fields = {"statistics", "tables", "pass_flags", "ci"}
+    assert [kw.arg for kw in ast.walk(tree)
+            if isinstance(kw, ast.keyword) and kw.arg in fields] == []
+    writes = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            for t in targets:
+                for sub in ast.walk(t):
+                    if isinstance(sub, ast.Subscript) and not (
+                            isinstance(sub.value, ast.Attribute)
+                            and sub.value.attr == "inputs"):
+                        writes.append(f"{fn.name}:{sub.lineno}")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"update", "setdefault", "append",
+                                           "extend", "insert"}):
+                writes.append(f"{fn.name}:{node.lineno}")
+    assert writes == []

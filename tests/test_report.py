@@ -57,19 +57,12 @@ def test_atomic_write_replaces_and_leaves_no_temporary(tmp_path):
 def test_plot_data_csv_bytes(tmp_path):
     rows = [{"alpha": 0.5, "lambda": np.float64(0.1), "n": 3},
             {"alpha": 1.0 / 3.0, "lambda": 0.0, "n": np.int64(4)}]
-    report = _report(tables={"curve": rows, "empty": [],
-                             "pairs": [[1.5, 2], [0.25, 7]]})
+    report = _report(tables={"curve": rows, "empty": []})
     written = emit_plot_data(report, str(tmp_path))
-    assert written == [str(tmp_path / "curve.csv"),
-                       str(tmp_path / "pairs.csv")]
+    assert written == [str(tmp_path / "curve.csv")]
     assert (tmp_path / "curve.csv").read_bytes() == (
         b"# claim: a neutral claim\n"
         b"alpha,lambda,n\n"
         b"0.5,0.1,3\n"
         b"0.3333333333333333,0.0,4\n")
-    assert (tmp_path / "pairs.csv").read_bytes() == (
-        b"# claim: a neutral claim\n"
-        b"c0,c1\n"
-        b"1.5,2\n"
-        b"0.25,7\n")
-    assert sorted(os.listdir(tmp_path)) == ["curve.csv", "pairs.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["curve.csv"]

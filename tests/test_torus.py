@@ -140,15 +140,19 @@ def test_window_mean_is_the_exact_slot_average(N):
 
 def test_fourier_kernel_gap_tail_bound_holds():
     xi = np.geomspace(1e-3, 2.5e5, 801)
-    full = np.array([r["total"] for r in fourier_kernel_gap(60, xi)["curve"]])
+
+    def curve(report):
+        return np.array([r["total"] for r in report.tables["fourier_sum"]])
+
+    full = curve(fourier_kernel_gap(60, xi))
     for lmax in (20, 24, 32):
-        res = fourier_kernel_gap(lmax, xi)
-        part = np.array([r["total"] for r in res["curve"]])
-        tail = full - part
+        report = fourier_kernel_gap(lmax, xi)
+        bound = report.statistics["tail_bound"]
+        tail = full - curve(report)
         assert np.all(tail >= 0.0)
-        assert tail.max() <= res["tail_bound"]
+        assert tail.max() <= bound
         # the bound is the leading term of the tail at the top frequency
-        assert tail[-1] >= 0.5 * res["tail_bound"]
+        assert tail[-1] >= 0.5 * bound
 
 
 
