@@ -33,31 +33,28 @@ relative for t in [1e-4, 40].
 Both quantities take per-time factors from one propagator stack, with the
 time axis last, and form every product elementwise in a fixed order
 (_dot).  So a pair gets the same bits against a time grid (one block
-driver) as with one time per pair (one argument helper).
+driver, over whole rows) as with one time per pair (one argument helper).
+The zero counts and the tail integral reduce each block as it is
+evaluated, and keep no (pairs, times) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import (BadOrderError, NonPositiveTimeError,
-                     NumericalOverflowError, RateTooLargeError)
+from .errors import (ArgumentRangeError, BadOrderError,
+                     NonPositiveTimeError, NumericalOverflowError,
+                     RateTooLargeError)
 from .model import (OUModel, Propagators, T_SWITCH, propagators, quadratic_r)
 from .rng import substream
 
 _LOG_MAX = 700.0            # exp overflows just above this
-# pair-time cells per evaluation block of a grid route, and at most this
-# many times in one block: few pairs against a long run of times keeps the
-# inner loops long and the temporaries in cache
+# pair-time cells per evaluation block of a grid route, whole rows of few
+# pairs against all times: long inner loops, temporaries in cache
 _BLOCK_CELLS = 1 << 15
-_BLOCK_TIMES = 8192
-
-
-def _chunks(total: int, size: int):
-    for lo in range(0, total, size):
-        yield lo, min(lo + size, total)
 
 
 def _dot(row, vec):
@@ -83,23 +80,16 @@ def _pair_args(model: OUModel, ts, x, u, props: Propagators | None):
     return props, x, u
 
 
-def _on_grid(evaluate, n_out: int, factors: tuple, x, u) -> list:
-    """evaluate(factors, x, u) for every pair of x, u (p, n) and every
-    time of the factors, run over blocks of pairs and times; returns its
-    n_out outputs as (p, m) arrays."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    p, m = x.shape[0], factors[0].shape[-1]
-    outs = [np.empty((p, m)) for _ in range(n_out)]
-    times = max(1, min(m, _BLOCK_TIMES))
-    for lo, hi in _chunks(p, max(1, _BLOCK_CELLS // times)):
-        xs = x[lo:hi].T[:, :, None]                         # (n, c, 1)
-        us = u[lo:hi].T[:, :, None]
-        for t0, t1 in _chunks(m, times):
-            vals = evaluate([f[..., t0:t1] for f in factors], xs, us)
-            for out, val in zip(outs, vals):
-                out[lo:hi, t0:t1] = val
-    return outs
+def _on_grid(evaluate, factors: tuple, x, u):
+    """Yield (rows, evaluate(factors, xs, us)) for blocks of whole rows:
+    the slice rows of the pairs x, u (p, n) against every time of the
+    factors.  The values are elementwise, so bits ignore the block shape."""
+    xs, us = (np.atleast_2d(np.asarray(v, dtype=float)).T[:, :, None]
+              for v in (x, u))                      # (n, p, 1)
+    size = max(1, _BLOCK_CELLS // factors[0].shape[-1])
+    for lo in range(0, xs.shape[1], size):
+        rows = slice(lo, lo + size)
+        yield rows, evaluate(factors, xs[:, rows], us[:, rows])
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +123,14 @@ def _logk_eval(model: OUModel, factors: tuple, x, u):
 
 
 def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
-    """log K_t(x_i, u_i) for every pair i and every grid time, (p, m).
-
-    x, u: (p, n) paired points.  Memory is bounded by evaluating blocks
-    of pairs and times."""
-    out, = _on_grid(lambda f, xs, us: (_logk_eval(model, f, xs, us),), 1,
-                    _logk_factors(model, props), x, u)
-    out += quadratic_r(model, np.atleast_2d(x))[:, None]
+    """log K_t(x_i, u_i) for every pair i of x, u (p, n) and every grid
+    time, (p, m)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.empty((x.shape[0], props.ts.size))
+    for rows, val in _on_grid(partial(_logk_eval, model),
+                              _logk_factors(model, props), x, u):
+        out[rows] = val
+    out += quadratic_r(model, x)[:, None]
     return out
 
 
@@ -255,8 +246,12 @@ def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
     Returns (slope, rounding floor).  The per-time factors are formed once
     and shared by all pairs.
     """
-    return tuple(_on_grid(lambda f, xs, us: _slope_eval(model, f, xs, us),
-                          2, _slope_factors(model, props), x, u))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    slope, floor = (np.empty((x.shape[0], props.ts.size)) for _ in range(2))
+    for rows, (s, f) in _on_grid(partial(_slope_eval, model),
+                                 _slope_factors(model, props), x, u):
+        slope[rows], floor[rows] = s, f
+    return slope, floor
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +281,35 @@ def _sign_changes(slope: np.ndarray, floor: np.ndarray):
     return rows[1:][flip], cols[:-1][flip], cols[1:][flip]
 
 
+def _flip_counts(slope: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Per row of slope (p, m), the flips _sign_changes counts: a row with no
+    value within its floor flips where neighbouring signs differ."""
+    pos = slope > 0
+    counts = np.count_nonzero(pos[:, 1:] != pos[:, :-1], axis=1)
+    clear = np.abs(slope) > np.maximum(1e-13, 4.0 * floor)
+    near = np.flatnonzero(~clear.all(axis=1))
+    rows, _, _ = _sign_changes(slope[near], floor[near])
+    counts[near] = np.bincount(rows, minlength=near.size)
+    return counts
+
+
 def _count_zeros_once(model: OUModel, X: np.ndarray, U: np.ndarray,
                       t_lo: float, t_hi: float, n_scan: int,
                       want_zeros: bool):
     grid = np.geomspace(t_lo, t_hi, n_scan)
-    slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
-    rows, left, right = _sign_changes(slope, floor)
-    counts = np.bincount(rows, minlength=X.shape[0])
+    counts = np.empty(X.shape[0], dtype=np.intp)
+    brackets = []
+    for rows, (slope, floor) in _on_grid(
+            partial(_slope_eval, model),
+            _slope_factors(model, propagators(model, grid)), X, U):
+        counts[rows] = _flip_counts(slope, floor)
+        if want_zeros:
+            r, left, right = _sign_changes(slope, floor)
+            brackets.append((r + rows.start, grid[left], grid[right],
+                             np.sign(slope[r, left])))
     if not want_zeros:
         return counts, None
-    lo = grid[left]
-    hi = grid[right]
-    left_sign = np.sign(slope[rows, left])
+    rows, lo, hi, left_sign = map(np.concatenate, zip(*brackets))
     # bisect every flagged bracket of every pair at once
     while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -316,6 +328,8 @@ def _count_zeros(model: OUModel, X, U, t_interval: tuple[float, float],
     t_lo, t_hi = t_interval
     if t_lo <= 0 or t_hi <= t_lo:
         raise NonPositiveTimeError("need 0 < t_lo < t_hi")
+    if n_scan < 2:
+        raise ArgumentRangeError("the zero scan needs at least 2 times")
     counts, zeros = _count_zeros_once(model, X, U, t_lo, t_hi, n_scan,
                                       want_zeros)
     counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
@@ -440,22 +454,43 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
     return a, b, None
 
 
-def _prefix_max_log_ratios(which: str, a, b, dnorm, ts, c: float,
-                           uptos) -> list[float]:
-    """Largest finite log ratio at rate c over the first k pairs, for each k
-    in uptos (None for all pairs).  The per-pair suprema over times are
-    taken once; each prefix maximum then reads the same array."""
-    if which in ("kernel-small-t", "dkernel-small-t"):
-        vals = a + c * b
-    else:
-        vals = a + c * b - np.log(dnorm + np.exp(-c * ts)[None, :])
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    per_pair = vals.max(axis=1)
-    out = []
-    for k in uptos:
-        head = per_pair[:k]
-        out.append(float(head.max()) if head.size else -np.inf)
-    return out
+def _cell_groups(a, b, dnorm, uptos) -> list:
+    """The cells of the (pairs, times) pieces, flat (a, b, dnorm, time
+    column) in row order, grouped by the smallest prefix of the first k
+    pairs (k in uptos, ascending, None for all) that holds them."""
+    p, m = a.shape
+    cols = None if dnorm is None else np.tile(np.arange(m, dtype=np.intc), p)
+    ends = [0] + [m * (p if k is None else k) for k in uptos]
+    return [tuple(None if f is None else f.ravel()[lo:hi]
+                  for f in (a, b, dnorm, cols))
+            for lo, hi in zip(ends, ends[1:])]
+
+
+def _prefix_max_log_ratios(which: str, groups, ts, c: float):
+    """(maxima, ratios) at rate c: the largest finite log ratio up to each
+    group (-inf for none), and per group the log ratio of every cell."""
+    maxima, ratios, top = [], [], -np.inf
+    for a, b, dnorm, cols in groups:
+        if which in ("kernel-small-t", "dkernel-small-t"):
+            vals = a + c * b
+        else:
+            vals = a + c * b - np.log(dnorm + np.exp(-c * ts)[cols])
+        top = max(top, float(vals.max(where=np.isfinite(vals),
+                                      initial=-np.inf)))
+        maxima.append(top)
+        ratios.append(vals)
+    return maxima, ratios
+
+
+def _prune(groups, at_hi, at_lo, margin: float, spread: float):
+    """(groups, at_hi) less the cells with no finite a or a finite ratio at
+    hi below their group's maximum at lo less margin (1 + |max| + spread)."""
+    keeps = [np.isfinite(g[0]) & ~(np.isfinite(v) & (
+        v < top - margin * (1.0 + abs(top) + spread)))
+        for g, v, top in zip(groups, at_hi, at_lo)]
+    return ([tuple(None if f is None else f[k] for f in g)
+             for g, k in zip(groups, keeps)],
+            [v[k] for v, k in zip(at_hi, keeps)])
 
 
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
@@ -468,9 +503,20 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     at most 10 percent growth when the sample doubles.  Sustained growth
     across two doublings raises RateTooLarge.  Without c, the largest
     stable rate is found by bisection below the natural Gaussian rate.
+
+    The bisection drops cells that can no longer set a prefix maximum.  A
+    cell's log ratio a + c b [- log(dnorm + e^{-ct})] is nondecreasing in c
+    (b >= 0), and every later rate lies in [lo, hi].  So a cell whose ratio
+    at hi is below the maximum at lo of the smallest prefix (n/4, n/2, n)
+    holding it stays below that prefix's maximum.  Cells with no finite a
+    go at once; cells with no finite ratio at hi stay.  a + c b rounds
+    monotonically in c; exp and log need not, so dkernel-large-t keeps a
+    margin of 1e-12 (1 + |max| + log(max dnorm + 1)).
     """
     if which not in BOUND_NAMES:
         raise BadOrderError(f"unknown bound name {which!r}")
+    if n_samples < 4:
+        raise ArgumentRangeError("calibration needs at least 4 samples")
     if which == "tail-integral":
         return _calibrate_tail_integral(model, n_samples, seed, t_max)
     x, u = _calibration_sample(model, n_samples, seed)
@@ -479,10 +525,11 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     else:
         ts = np.geomspace(1.0, t_max, 48)
     a, b, dnorm = _ratio_pieces(model, which, x, u, ts)
+    groups = _cell_groups(a, b, dnorm,
+                          (n_samples // 4, n_samples // 2, None))
 
-    def stats(cc: float):
-        m4, m2, m1 = _prefix_max_log_ratios(
-            which, a, b, dnorm, ts, cc, (n_samples // 4, n_samples // 2, None))
+    def stats(maxima):
+        m4, m2, m1 = maxima
         growing = (m1 > m2 + np.log(1.1)) and (m2 > m4 + np.log(1.1))
         stable = m1 <= m2 + np.log(1.1)
         return m1, stable, growing
@@ -490,7 +537,8 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     if c is not None:
         if c <= 0:
             raise RateTooLargeError("rate must be positive")
-        m1, stable, growing = stats(c)
+        m1, stable, growing = stats(
+            _prefix_max_log_ratios(which, groups, ts, c)[0])
         if growing or not np.isfinite(m1):
             raise RateTooLargeError(
                 f"ratios diverge at c={c:g}; admissible rate is "
@@ -498,15 +546,21 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         mr = float(np.exp(m1))
         return BoundCalibration(which=which, exponent_rate=float(c),
                                 prefactor_cap=mr, max_ratio=mr, stable=stable)
+    margin, spread = ((0.0, 0.0) if dnorm is None
+                      else (1e-12, float(np.log(np.max(dnorm) + 1.0))))
     lo, hi = 0.0, natural_rate(model)
+    at_lo, _ = _prefix_max_log_ratios(which, groups, ts, lo)
+    _, at_hi = _prefix_max_log_ratios(which, groups, ts, hi)
     for _ in range(30):
+        groups, at_hi = _prune(groups, at_hi, at_lo, margin, spread)
         mid = 0.5 * (lo + hi)
-        _, stable, growing = stats(mid)
+        maxima, at_mid = _prefix_max_log_ratios(which, groups, ts, mid)
+        _, stable, growing = stats(maxima)
         if stable and not growing:
-            lo = mid
+            lo, at_lo = mid, maxima
         else:
-            hi = mid
-    m1, stable, _ = stats(lo)
+            hi, at_hi = mid, at_mid
+    m1, stable, _ = stats(at_lo)
     mr = float(np.exp(m1))
     return BoundCalibration(which=which, exponent_rate=float(lo),
                             prefactor_cap=mr, max_ratio=mr, stable=stable)
@@ -528,9 +582,13 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
     def tv_over_e_r(grid_size: int) -> np.ndarray:
         """Per-pair total variation of K / e^{R(x)} on the grid."""
         grid = np.geomspace(1.0, t_max, grid_size)
-        lk = log_kernel_grid(model, propagators(model, grid), x, u)
-        k = np.exp(lk - rx[:, None])      # K / e^{R(x)}, overflow-safe
-        return np.abs(np.diff(k, axis=1)).sum(axis=1)
+        tv = np.empty(m)
+        for rows, lk in _on_grid(partial(_logk_eval, model), _logk_factors(
+                model, propagators(model, grid)), x, u):
+            r = rx[rows, None]
+            k = np.exp(lk + r - r)    # K / e^{R(x)}, bits of log_kernel_grid
+            tv[rows] = np.abs(np.diff(k, axis=1)).sum(axis=1)
+        return tv
 
     tv = tv_over_e_r(1024)
     r_half = float(tv[:m // 2].max())

@@ -286,6 +286,8 @@ def variation_growth_report(n_list, operator: str = "E",
     read from the per-N reports, plus a flag that the scaled median does
     not decrease with N."""
     from .report import ProbeReport
+    if not n_list:
+        raise ArgumentRangeError("need at least one scale N")
     reports = [variation_growth_experiment(
         CounterexampleConfig(N=N, seed=seed, sample_size=sample_size),
         operator) for N in n_list]

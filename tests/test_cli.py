@@ -23,10 +23,37 @@ def test_unconverged_probe_fails_everywhere(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["torus", "qian", "--N", "20"],
-                                  ["torus", "failure", "--N", "2,4"]])
+                                  ["torus", "failure", "--N", "2,4"],
+                                  ["torus", "qian", "--N", ","],
+                                  ["probe", "kernel-bounds", "--model",
+                                   "standard1", "--samples", "2"]])
 def test_out_of_range_settings_exit_one_without_a_report(argv, tmp_path,
                                                          capsys):
     code = main([*argv, "--out", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--x", "1", "--u", "2", "--scan", "0"],
+    ["zeros", "--x", "1", "--u", "2", "--scan", "-5"],
+    ["zeros", "--x", "1", "--u", "2", "--scan", "1"],
+    ["bounds", "--samples", "0"],
+    ["bounds", "--samples", "2"],
+    ["bounds", "--samples", "3", "--which", "tail-integral"]])
+def test_bad_kernel_sizes_exit_one_before_any_work(argv, tmp_path, capsys,
+                                                   monkeypatch):
+    from importlib import import_module
+    kernel_mod = import_module("oulab.kernel")
+
+    def no_work(*args):
+        raise AssertionError("ran before the size check")
+
+    for name in ("propagators", "_calibration_sample"):
+        monkeypatch.setattr(kernel_mod, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    code = main(["kernel", argv[0], "--model", "standard1", *argv[1:]])
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -20,7 +20,9 @@ from oulab import (
     quadratic_r,
     standard_model,
 )
-from oulab.kernel import (BoundCalibration, _calibrate_tail_integral,
+from oulab.kernel import (BOUND_NAMES, BoundCalibration,
+                          _calibrate_tail_integral,
+                          _cell_groups, _flip_counts,
                           _prefix_max_log_ratios, _sign_changes,
                           log_kernel_grid, log_kernel_pairs,
                           logk_time_slope, logk_time_slope_grid)
@@ -337,7 +339,6 @@ def test_slope_grid_and_pair_routes_agree_bit_for_bit(model_factory,
                                                       monkeypatch):
     # ragged evaluation blocks on the grid route, for log K and its slope
     monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 77)
-    monkeypatch.setattr(kernel_mod, "_BLOCK_TIMES", 11)
     for n in (1, 2, 3):
         model = model_factory(7, n)
         gen = np.random.default_rng(n)
@@ -439,6 +440,84 @@ def test_sign_changes_match_frozen_mask_form():
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(right, want_right)
         assert np.array_equal(left, prev_last[want_rows, want_right])
+
+
+def frozen_count_zeros_once(model, X, U, t_lo, t_hi, n_scan):
+    """_count_zeros_once as it was before the counts were taken per block:
+    the whole (pairs, times) slope grid, every flip from _sign_changes, and
+    every bracket refined at once; returns (counts, zeros)."""
+    grid = np.geomspace(t_lo, t_hi, n_scan)
+    slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
+    rows, left, right = _sign_changes(slope, floor)
+    counts = np.bincount(rows, minlength=X.shape[0])
+    lo, hi = grid[left], grid[right]
+    left_sign = np.sign(slope[rows, left])
+    while np.max(hi - lo, initial=0.0) > 1e-10:
+        mid = 0.5 * (lo + hi)
+        sm, _ = logk_time_slope(model, mid, X[rows], U[rows])
+        same = np.sign(sm) == left_sign
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return counts, 0.5 * (lo + hi)
+
+
+def test_flip_counts_match_sign_changes():
+    gen = np.random.default_rng(21)
+    for trial in range(40):
+        p, m = int(gen.integers(1, 30)), int(gen.integers(2, 70))
+        slope = gen.choice([-1.0, 1.0], size=(p, m)) \
+            * gen.uniform(1e-3, 2.0, (p, m))
+        floor = np.full((p, m), 1e-16)
+        # some rows get cells within the floor, exact zeros or nans
+        hit = gen.random((p, m)) < (0.02 if trial % 2 else 0.2)
+        floor[hit & (gen.random((p, m)) < 0.5)] = 1.0
+        slope[hit & (gen.random((p, m)) < 0.3)] = 0.0
+        slope[hit & (gen.random((p, m)) < 0.1)] = np.nan
+        floor[hit & (gen.random((p, m)) < 0.1)] = np.nan
+        with np.errstate(invalid="ignore"):     # nan to int8 in both
+            rows, _, _ = _sign_changes(slope, floor)
+            got = _flip_counts(slope, floor)
+        assert np.array_equal(got, np.bincount(rows, minlength=p))
+
+
+def _within_floor_pairs(grid, k):
+    """Pairs (0, u) of a 1-d standard model whose slope is zero, to
+    rounding, at the grid times k: u^2 = 1 - e^{-2t}."""
+    u = np.sqrt(1.0 - np.exp(-2.0 * grid[k]))[:, None]
+    return np.zeros_like(u), u
+
+
+@pytest.mark.parametrize("n_scan", [4096, 10_000])
+def test_zero_counts_match_frozen_sign_change_route(n_scan, std1,
+                                                    monkeypatch):
+    grid = np.geomspace(1e-8, 1.0, n_scan)
+    X0, U0 = _within_floor_pairs(grid, np.array([5, 999, 2000, 3001]))
+    slope, floor = logk_time_slope_grid(std1, propagators(std1, grid), X0, U0)
+    assert (np.abs(slope) <= np.maximum(1e-13, 4.0 * floor)).any(axis=1).all()
+    gen = np.random.default_rng(n_scan)
+    X1, U1 = gen.normal(0.0, 2.0, (36, 1)), gen.normal(0.0, 2.0, (36, 1))
+    X, U = np.vstack([X0, X1]), np.vstack([U0, U1])
+    want, _ = frozen_count_zeros_once(std1, X, U, 1e-8, 1.0, n_scan)
+    want2, _ = frozen_count_zeros_once(std1, X, U, 1e-8, 1.0, 2 * n_scan)
+    assert want.max() >= 1
+    for cells in (1 << 15, 3 * n_scan + 5):      # one and several rows
+        monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", cells)
+        counts, stable = count_kdot_zeros_batch(std1, X, U, n_scan=n_scan)
+        assert np.array_equal(counts, want)
+        assert np.array_equal(stable, want == want2)
+    g2 = build_model(*GENERAL2)
+    X, U = _far_pairs(g2, 3, 60)
+    want, _ = frozen_count_zeros_once(g2, X, U, 1e-8, 1.0, n_scan)
+    want2, _ = frozen_count_zeros_once(g2, X, U, 1e-8, 1.0, 2 * n_scan)
+    counts, stable = count_kdot_zeros_batch(g2, X, U, n_scan=n_scan)
+    assert np.array_equal(counts, want)
+    assert np.array_equal(stable, want == want2)
+    for model, x, u in [*zip([std1] * 4, X0, U0), *zip([g2] * 3, X, U)]:
+        zc = count_kdot_zeros(model, x, u, n_scan=n_scan)
+        count, zeros = frozen_count_zeros_once(model, x[None], u[None],
+                                               1e-8, 1.0, n_scan)
+        assert zc.count == count[0]
+        assert np.array_equal(zc.zeros, np.sort(zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +759,128 @@ def test_prefix_maxima_bit_identical_to_separate_passes(which):
         uptos = (0, p // 4, p // 2, p - 1, None)
         for c in (1e-3, 0.07, 0.25, 2.0):
             with np.errstate(invalid="ignore"):     # inf - inf in a + c b
-                got = _prefix_max_log_ratios(which, a, b, dnorm, ts, c,
-                                             uptos)
+                got, _ = _prefix_max_log_ratios(
+                    which, _cell_groups(a, b, dnorm, uptos), ts, c)
                 want = [frozen_max_log_ratio(which, a, b, dnorm, ts, c, k)
                         for k in uptos]
             assert np.array_equal(got, want)
             assert all(type(v) is float for v in got)
+
+
+def frozen_prefix_max_log_ratios(which, a, b, dnorm, ts, c, uptos):
+    """_prefix_max_log_ratios as it was before the bisection pruned cells:
+    one full pass over the (pairs, times) grid, then the prefix maxima of
+    the per-pair suprema."""
+    if which in ("kernel-small-t", "dkernel-small-t"):
+        vals = a + c * b
+    else:
+        vals = a + c * b - np.log(dnorm + np.exp(-c * ts)[None, :])
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    per_pair = vals.max(axis=1)
+    out = []
+    for k in uptos:
+        head = per_pair[:k]
+        out.append(float(head.max()) if head.size else -np.inf)
+    return out
+
+
+def frozen_bisection(which, a, b, dnorm, ts, hi):
+    """calibrate_bound's rate bisection as it was, a full pass at every
+    rate; returns (rate, prefactor cap, stable)."""
+    n = a.shape[0]
+
+    def stats(cc):
+        m4, m2, m1 = frozen_prefix_max_log_ratios(
+            which, a, b, dnorm, ts, cc, (n // 4, n // 2, None))
+        growing = (m1 > m2 + np.log(1.1)) and (m2 > m4 + np.log(1.1))
+        stable = m1 <= m2 + np.log(1.1)
+        return m1, stable, growing
+
+    lo = 0.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        _, stable, growing = stats(mid)
+        if stable and not growing:
+            lo = mid
+        else:
+            hi = mid
+    m1, stable, _ = stats(lo)
+    return lo, float(np.exp(m1)), stable
+
+
+def _capture_pieces(monkeypatch):
+    """Record every (pieces, ts) calibrate_bound computes."""
+    seen = []
+    real = kernel_mod._ratio_pieces
+
+    def spy(model, which, x, u, ts):
+        pieces = real(model, which, x, u, ts)
+        seen.append((pieces, ts))
+        return pieces
+
+    monkeypatch.setattr(kernel_mod, "_ratio_pieces", spy)
+    return seen
+
+
+CALIBRATION_MODELS = ["standard1", "standard2", "standard3", "general2",
+                      "random2", "random3"]
+
+
+@pytest.mark.parametrize("name", CALIBRATION_MODELS)
+def test_pruned_bisection_matches_full_passes(name, model_factory,
+                                              monkeypatch):
+    model = (standard_model(int(name[-1])) if name.startswith("standard")
+             else build_model(*GENERAL2) if name == "general2"
+             else model_factory(17, int(name[-1])))
+    seen = _capture_pieces(monkeypatch)
+    with np.errstate(over="ignore"):            # exp of an infinite cap
+        for n_samples in (1000, 10_000):
+            for seed in (0, 7):
+                for which in BOUND_NAMES[:3]:
+                    cal = calibrate_bound(model, which, n_samples, seed)
+                    (a, b, dnorm), ts = seen.pop()
+                    want = frozen_bisection(which, a, b, dnorm, ts,
+                                            natural_rate(model))
+                    got = (cal.exponent_rate, cal.prefactor_cap, cal.stable)
+                    assert got == want, (which, n_samples, seed)
+
+
+@pytest.mark.parametrize("which", ["kernel-small-t", "dkernel-small-t",
+                                   "dkernel-large-t"])
+def test_pruned_bisection_matches_full_passes_on_synthetic_pieces(
+        which, std1, monkeypatch):
+    gen = np.random.default_rng(12)
+    p, m = 400, 48
+    ts = (np.geomspace(1.0, 50.0, m) if which == "dkernel-large-t"
+          else np.geomspace(1e-6, 1.0, m))
+    rates = set()
+    for trial in range(12):
+        # b grows along the sample, so that a large rate makes the prefix
+        # maxima climb and the bisection has a rate to find
+        a = 3.0 * gen.standard_normal((p, m))
+        b = np.abs(gen.standard_normal((p, m))) \
+            * np.linspace(1.0, 60.0, p)[:, None]
+        dnorm = np.abs(gen.standard_normal((p, m)))
+        dnorm[gen.random((p, m)) < 0.05] = 0.0
+        for arr in (a, b) + ((dnorm,) if trial % 3 == 2 else ()):
+            for bad in (np.nan, np.inf, -np.inf):
+                arr[gen.random((p, m)) < 0.01] = bad
+        a[gen.integers(p, size=5)] = -np.inf       # rows with no finite value
+        if trial % 4 == 0:
+            a[:p // 4] = -np.inf                    # an empty first quarter
+        if trial % 2:
+            # a maximum that no rate moves: ties must not prune it
+            r = int(gen.integers(p // 4, p))
+            a[r, 7], b[r, 7], dnorm[r, 7] = 9.0 + trial, 0.0, 0.0
+        pieces = (a, b, None if "small" in which else dnorm)
+        monkeypatch.setattr(kernel_mod, "_ratio_pieces",
+                            lambda *args: pieces)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cal = calibrate_bound(std1, which, n_samples=p)
+            want = frozen_bisection(which, *pieces, ts, natural_rate(std1))
+        assert (cal.exponent_rate, cal.prefactor_cap, cal.stable) == want
+        rates.add(want[0])
+    assert len(rates) > 2
 
 
 def frozen_tail_integral(model, n_samples, seed, t_max):
@@ -741,3 +936,28 @@ def test_probe_modules_load_without_scipy_stats_or_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _peak_mib(f, *args) -> float:
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_reductions_keep_no_full_grid():
+    # the zero counts and the tail integral reduce each block of whole rows
+    # as it is evaluated (they peaked at 138 and 125 MiB with full grids);
+    # the pruned bisection stays below the peak of its ratio pieces, which
+    # the full-pass bisection reached at 22.4 and 40.7 MiB
+    g2 = build_model(*GENERAL2)
+    X, U = _far_pairs(g2, 1, 400)
+    assert _peak_mib(count_kdot_zeros_batch, g2, X, U, (1e-8, 1.0),
+                     4096) < 16
+    assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0, 50.0) < 16
+    with np.errstate(over="ignore"):            # exp of an infinite cap
+        assert _peak_mib(calibrate_bound, g2, "kernel-small-t") < 22.5
+        assert _peak_mib(calibrate_bound, g2, "dkernel-large-t") < 40.75
