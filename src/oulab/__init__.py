@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # model
     "OUModel": "model", "build_model": "model", "standard_model": "model",
-    "model_from_dict": "model", "covariance_qt": "model",
-    "propagators": "model", "Propagators": "model",
-    "gamma_log_density": "model", "quadratic_r": "model",
+    "model_from_dict": "model", "propagators": "model",
+    "Propagators": "model", "quadratic_r": "model",
     # geometry
     "local_weight": "geometry", "polar_decompose": "geometry",
     "annulus_indicator": "geometry", "smooth_step": "geometry",
@@ -37,7 +36,7 @@ _EXPORTS = {
     "variation_values": "variation", "variation_batch": "variation",
     "variation_exhaustive": "variation",
     # semigroup
-    "TestFunction": "semigroup", "TimeGrid": "semigroup",
+    "GaussianBump": "semigroup", "TimeGrid": "semigroup",
     "gaussian_bump": "semigroup", "apply_semigroup": "semigroup",
     "bump_semigroup_value": "semigroup",
     "variation_batch_paths": "semigroup",

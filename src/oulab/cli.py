@@ -59,17 +59,21 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _parse_vector(text: str):
-    import numpy as np
-    try:
-        return np.array([float(v) for v in text.replace(",", " ").split()])
-    except ValueError as exc:
-        from .errors import ModelFileError
-        raise ModelFileError(f"bad vector {text!r}: {exc}") from None
-
-
 def _parse_list(text: str, cast):
-    return [cast(v) for v in text.replace(",", " ").split()]
+    try:
+        return [cast(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        from .errors import ArgumentRangeError
+        raise ArgumentRangeError(f"bad list {text!r}: {exc}") from None
+
+
+def _parse_point(text: str, model):
+    import numpy as np
+    x = np.array(_parse_list(text, float))
+    if x.size != model.n:
+        from .errors import DimensionError
+        raise DimensionError(f"point {text!r} needs {model.n} coordinates")
+    return x
 
 
 def _load_model(spec: str):
@@ -155,8 +159,8 @@ def _cmd_model_check(args) -> int:
 def _cmd_kernel_eval(args) -> int:
     from .kernel import kernel, log_kernel
     model = _load_model(args.model)
-    x = _parse_vector(args.x)
-    u = _parse_vector(args.u)
+    x = _parse_point(args.x, model)
+    u = _parse_point(args.u, model)
     lk = log_kernel(model, args.t, x, u)
     print(f"log K_t(x, u) = {lk:.12g}")
     print(f"K_t(x, u)     = {kernel(model, args.t, x, u):.12g}")
@@ -166,8 +170,8 @@ def _cmd_kernel_eval(args) -> int:
 def _cmd_kernel_zeros(args) -> int:
     from .kernel import count_kdot_zeros
     model = _load_model(args.model)
-    zc = count_kdot_zeros(model, _parse_vector(args.x),
-                          _parse_vector(args.u),
+    zc = count_kdot_zeros(model, _parse_point(args.x, model),
+                          _parse_point(args.u, model),
                           t_interval=(args.t_lo, args.t_hi),
                           n_scan=args.scan)
     print(f"sign changes of dK/dt on ({args.t_lo:g}, {args.t_hi:g}]: "
@@ -197,12 +201,12 @@ def _cmd_variation_path(args) -> int:
     from .errors import ModelFileError
     from .variation import variation_exhaustive, variation_values
     try:
-        values = _parse_vector(Path(args.file).read_text() if args.file
-                               else args.values)
+        values = _parse_list(Path(args.file).read_text() if args.file
+                             else args.values, float)
     except OSError as exc:
         raise ModelFileError(f"cannot read path file: {exc}") from None
     v = variation_values(values, args.rho)
-    if args.check and values.size <= 16:
+    if args.check and len(values) <= 16:
         ref = variation_exhaustive(values, args.rho)
         if abs(v - ref) > 1e-9 * max(1.0, abs(ref)):
             print(f"{v:.6f} (exhaustive check FAILED: {ref:.6f})")
@@ -216,8 +220,9 @@ def _cmd_semigroup_apply(args) -> int:
     from .semigroup import (apply_semigroup, bump_semigroup_value,
                             gaussian_bump)
     model = _load_model(args.model)
-    x = _parse_vector(args.x)
-    center = _parse_vector(args.center) if args.center else np.zeros(model.n)
+    x = _parse_point(args.x, model)
+    center = (_parse_point(args.center, model) if args.center
+              else np.zeros(model.n))
     bump = gaussian_bump(model, center, args.width)
     closed = bump_semigroup_value(model, bump, args.t, x)
     routes = [apply_semigroup(model, bump, x, args.t, form=form,
@@ -240,7 +245,7 @@ def _cmd_semigroup_apply(args) -> int:
 def _cmd_probe_weak_type(args) -> int:
     from .semigroup import weak_type_probe
     model = _load_model(args.model)
-    center = _parse_vector(args.center) if args.center else None
+    center = _parse_point(args.center, model) if args.center else None
     report = weak_type_probe(model, args.rho, regime=args.regime,
                              width=args.width, center=center,
                              sample_size=args.samples, seed=args.seed,
@@ -279,7 +284,7 @@ def _cmd_probe_kernel_bounds(args) -> int:
 def _cmd_probe_enhanced(args) -> int:
     from .semigroup import annulus_superlevel_probe
     model = _load_model(args.model)
-    center = _parse_vector(args.center) if args.center else None
+    center = _parse_point(args.center, model) if args.center else None
     report = annulus_superlevel_probe(
         model, _parse_list(args.alphas, float), args.delta,
         width=args.width, center=center, sample_size=args.samples,

@@ -34,7 +34,10 @@ class EmptyPathError(OULabError):
 
 
 class BadOrderError(OULabError):
-    """Variation order must satisfy rho >= 1."""
+    """An order, index or name lies outside what the routine defines: a
+    variation order rho < 1 (or below a probe's own floor), a quadrature
+    order or scale index out of range, an lmax or exponent p out of range,
+    or an unknown bound name, regime, form, part or operator."""
 
 
 class TooLongError(OULabError):
@@ -62,6 +65,6 @@ class RateTooLargeError(OULabError):
 
 
 class ArgumentRangeError(OULabError):
-    """A probe setting lies outside the range the probe supports, such as a
-    scale count N beyond the dyadic experiments' limits; raised before any
-    work is done, so no report is written."""
+    """A probe setting is malformed or lies outside the range the probe
+    supports, such as a scale count N beyond the dyadic experiments' limits;
+    raised before any work is done, so no report is written."""

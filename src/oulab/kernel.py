@@ -19,6 +19,10 @@ S = e^{tB^T} Qinf^-1 e^{tB}, whose factors all decay; the direct
 difference Qt^-1 - Qinf^-1 loses every digit to cancellation once t is
 large.
 
+log_kernel_grid returns log K - R(x), without the prefactor e^{R(x)} (up
+to e^{258} on the calibration samples); only log_kernel_pairs and
+log_kernel add R(x).
+
 The time slope comes from the backward equation d/dt K = L_x K with
 L = tr(Q D^2)/2 + <Bx, D>.  log K is quadratic in x, with x-gradient
 g = Qinf^-1 x + R^T G y and x-Hessian H = -N_t (N_t = M_t - Qinf^-1 below
@@ -113,8 +117,7 @@ def _logk_eval(model: OUModel, factors: tuple, x, u):
     """log K - R(x) from the factors of _logk_factors.
 
     x and u hold one point per component, (n, ...); their pair shape
-    broadcasts against the time shape of the factors.  The routes add R(x)
-    from quadratic_r, the same value their callers subtract again."""
+    broadcasts against the time shape of the factors."""
     P, R, G, const = factors
     n = model.n
     y = [_dot(P[i], u) - _dot(R[i], x) for i in range(n)]
@@ -123,14 +126,13 @@ def _logk_eval(model: OUModel, factors: tuple, x, u):
 
 
 def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
-    """log K_t(x_i, u_i) for every pair i of x, u (p, n) and every grid
-    time, (p, m)."""
+    """log K_t(x_i, u_i) - R(x_i) for every pair i of x, u (p, n) and
+    every grid time, (p, m)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty((x.shape[0], props.ts.size))
     for rows, val in _on_grid(partial(_logk_eval, model),
                               _logk_factors(model, props), x, u):
         out[rows] = val
-    out += quadratic_r(model, x)[:, None]
     return out
 
 
@@ -270,11 +272,11 @@ class ZeroCount:
 
 def _sign_changes(slope: np.ndarray, floor: np.ndarray):
     """(row, left column, right column) of every strict sign flip of the
-    rows of slope, (p, m), treating values within the rounding floor as
-    zero: left and right are neighbouring nonzero signs of one row, with
-    opposite signs."""
+    rows of slope, (p, m), treating NaN and values within the rounding
+    floor as zero: left and right are neighbouring nonzero signs of one
+    row, with opposite signs."""
     tol = np.maximum(1e-13, 4.0 * floor)
-    s = np.where(np.abs(slope) <= tol, 0, np.sign(slope)).astype(np.int8)
+    s = np.where(np.abs(slope) > tol, np.sign(slope), 0).astype(np.int8)
     rows, cols = np.nonzero(s)
     signs = s[rows, cols]
     flip = (rows[1:] == rows[:-1]) & (signs[1:] != signs[:-1])
@@ -374,7 +376,6 @@ class BoundCalibration:
     which: str
     exponent_rate: float        # the c actually used
     prefactor_cap: float        # smallest C making the bound hold on the grid
-    max_ratio: float
     stable: bool
 
 
@@ -433,8 +434,8 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
     Each piece is a (pairs, times) matrix over the shared deterministic
     time grid; the rate test later takes a per-pair supremum over times,
     which removes the sampling noise a random time per pair would add to
-    the max statistic."""
-    rx = quadratic_r(model, x)[:, None]
+    the max statistic.  log K enters less R(x): every right-hand side
+    carries the factor e^{R(x)}."""
     pr = propagators(model, ts)
     lk = log_kernel_grid(model, pr, x, u)
     if which != "kernel-small-t":
@@ -444,10 +445,10 @@ def _ratio_pieces(model: OUModel, which: str, x, u, ts):
     if which == "dkernel-large-t":
         dv = np.einsum("mij,pj->pmi", pr.Dmt, u)
         b = np.einsum("pmi,pmi->pm", dv - x[:, None, :], dv - x[:, None, :])
-        return lk - rx, b, np.linalg.norm(dv, axis=2)
+        return lk, b, np.linalg.norm(dv, axis=2)
     w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
     b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
-    a = lk - rx + 0.5 * model.n * np.log(ts)[None, :]
+    a = lk + 0.5 * model.n * np.log(ts)[None, :]
     if which == "dkernel-small-t":
         a = a - np.log(1.0 / ts[None, :] + np.linalg.norm(x, axis=1)[:, None]
                        / np.sqrt(ts)[None, :])
@@ -498,9 +499,9 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                     t_max: float = 50.0) -> BoundCalibration:
     """Calibrate one of the pointwise kernel bounds on a Monte Carlo grid.
 
-    For an explicit rate c the largest observed ratio (true quantity over
-    the c-rate right-hand side) is reported together with a stability flag:
-    at most 10 percent growth when the sample doubles.  Sustained growth
+    For an explicit rate c > 0 the largest observed ratio (true quantity
+    over the c-rate right-hand side) is reported together with a stability
+    flag: at most 10 percent growth when the sample doubles.  Sustained growth
     across two doublings raises RateTooLarge.  Without c, the largest
     stable rate is found by bisection below the natural Gaussian rate.
 
@@ -517,6 +518,8 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         raise BadOrderError(f"unknown bound name {which!r}")
     if n_samples < 4:
         raise ArgumentRangeError("calibration needs at least 4 samples")
+    if c is not None and not c > 0:
+        raise ArgumentRangeError(f"rate must be positive, got {c:g}")
     if which == "tail-integral":
         return _calibrate_tail_integral(model, n_samples, seed, t_max)
     x, u = _calibration_sample(model, n_samples, seed)
@@ -535,17 +538,15 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         return m1, stable, growing
 
     if c is not None:
-        if c <= 0:
-            raise RateTooLargeError("rate must be positive")
         m1, stable, growing = stats(
             _prefix_max_log_ratios(which, groups, ts, c)[0])
         if growing or not np.isfinite(m1):
             raise RateTooLargeError(
                 f"ratios diverge at c={c:g}; admissible rate is "
                 f"{admissible_rate(model, which):.4g}")
-        mr = float(np.exp(m1))
         return BoundCalibration(which=which, exponent_rate=float(c),
-                                prefactor_cap=mr, max_ratio=mr, stable=stable)
+                                prefactor_cap=float(np.exp(m1)),
+                                stable=stable)
     margin, spread = ((0.0, 0.0) if dnorm is None
                       else (1e-12, float(np.log(np.max(dnorm) + 1.0))))
     lo, hi = 0.0, natural_rate(model)
@@ -561,9 +562,8 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         else:
             hi, at_hi = mid, at_mid
     m1, stable, _ = stats(at_lo)
-    mr = float(np.exp(m1))
     return BoundCalibration(which=which, exponent_rate=float(lo),
-                            prefactor_cap=mr, max_ratio=mr, stable=stable)
+                            prefactor_cap=float(np.exp(m1)), stable=stable)
 
 
 def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
@@ -577,17 +577,13 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
     u = gen.standard_normal((m, n)) * 2.0
     rate = admissible_rate(model, "dkernel-large-t", t_max=t_max)
 
-    rx = quadratic_r(model, x)
-
     def tv_over_e_r(grid_size: int) -> np.ndarray:
         """Per-pair total variation of K / e^{R(x)} on the grid."""
         grid = np.geomspace(1.0, t_max, grid_size)
         tv = np.empty(m)
         for rows, lk in _on_grid(partial(_logk_eval, model), _logk_factors(
                 model, propagators(model, grid)), x, u):
-            r = rx[rows, None]
-            k = np.exp(lk + r - r)    # K / e^{R(x)}, bits of log_kernel_grid
-            tv[rows] = np.abs(np.diff(k, axis=1)).sum(axis=1)
+            tv[rows] = np.abs(np.diff(np.exp(lk), axis=1)).sum(axis=1)
         return tv
 
     tv = tv_over_e_r(1024)
@@ -595,9 +591,8 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
     r_full = float(tv.max())
     r_fine = float(tv_over_e_r(2048).max())
     stable = (r_full <= 1.1 * r_half) and (r_fine <= 1.1 * r_full)
-    mr = max(r_full, r_fine)
     return BoundCalibration(which="tail-integral", exponent_rate=rate,
-                            prefactor_cap=mr, max_ratio=mr, stable=stable)
+                            prefactor_cap=max(r_full, r_fine), stable=stable)
 
 
 def kernel_bounds_probe(model: OUModel, n_samples: int = 10_000,

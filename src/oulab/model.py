@@ -35,7 +35,6 @@ class OUModel:
     Qinf: np.ndarray
     Qinf_inv: np.ndarray
     Qinf_sqrt: np.ndarray
-    Qinf_inv_sqrt: np.ndarray
     logdet_Qinf: float
     spectral_abscissa: float            # max Re eig(B), < 0
     # eigendecomposition of B for batched propagators; eig_ok False means
@@ -44,9 +43,6 @@ class OUModel:
     eig_vecs: np.ndarray = field(repr=False)
     eig_vecs_inv: np.ndarray = field(repr=False)
     eig_ok: bool = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "Q": self.Q.tolist(), "B": self.B.tolist()}
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -104,10 +100,9 @@ def build_model(Q, B) -> OUModel:
         vecs_inv = np.eye(n, dtype=complex)
         eig_ok = False
     return OUModel(n=n, Q=Q, B=B, Qinf=qinf, Qinf_inv=qinf_inv,
-                   Qinf_sqrt=qinf_sqrt, Qinf_inv_sqrt=qinf_inv_sqrt,
-                   logdet_Qinf=logdet, spectral_abscissa=abscissa,
-                   eig_vals=vals, eig_vecs=vecs, eig_vecs_inv=vecs_inv,
-                   eig_ok=eig_ok)
+                   Qinf_sqrt=qinf_sqrt, logdet_Qinf=logdet,
+                   spectral_abscissa=abscissa, eig_vals=vals, eig_vecs=vecs,
+                   eig_vecs_inv=vecs_inv, eig_ok=eig_ok)
 
 
 def standard_model(n: int = 1) -> OUModel:
@@ -217,17 +212,6 @@ def propagators(model: OUModel, ts) -> Propagators:
                        A_small=A_small, M_large=M_large, N=N)
 
 
-def covariance_qt(model: OUModel, t: float) -> np.ndarray:
-    """Qt for a single time; t = inf returns the invariant covariance."""
-    if t == np.inf:
-        return model.Qinf.copy()
-    t = float(t)
-    if t <= 0:
-        raise NonPositiveTimeError("t must be positive")
-    exp_tB = expm_stack(model, np.array([t]))
-    return _qt_stack(model, np.array([t]), exp_tB)[0]
-
-
 def quadratic_r(model: OUModel, x) -> np.ndarray:
     """R(x) = <Qinf^-1 x, x> / 2, vectorized over leading axes.
 
@@ -245,19 +229,6 @@ def quadratic_r(model: OUModel, x) -> np.ndarray:
         i, j = divmod(k, n)
         acc = acc + (x[..., i] * q[i, j]) * x[..., j]
     return 0.5 * acc
-
-
-def gamma_log_density(model: OUModel, t: float, x) -> np.ndarray:
-    """log density of the Gaussian gamma_t (t = inf for the invariant one)."""
-    x = np.asarray(x, dtype=float)
-    if t == np.inf:
-        cov_inv, logdet = model.Qinf_inv, model.logdet_Qinf
-    else:
-        cov = covariance_qt(model, t)
-        cov_inv = np.linalg.inv(cov)
-        _, logdet = np.linalg.slogdet(cov)
-    q = np.einsum("...i,ij,...j->...", x, cov_inv, x)
-    return -0.5 * (model.n * np.log(2 * np.pi) + logdet + q)
 
 
 def model_from_dict(d: dict) -> OUModel:

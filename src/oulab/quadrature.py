@@ -36,9 +36,6 @@ class GaussianMeasure:
         q = np.einsum("...i,...i->...", d, sol)
         return -0.5 * (self.n * np.log(2 * np.pi) + self.logdet_cov + q)
 
-    def density(self, x) -> np.ndarray:
-        return np.exp(self.log_density(x))
-
 
 def gaussian_measure(mean, cov) -> GaussianMeasure:
     mean = np.asarray(mean, dtype=float).ravel()

@@ -46,7 +46,7 @@ class ProbeReport:
     statistics: dict                # named scalars
     tables: dict = field(default_factory=dict)   # name -> list of rows
     pass_flags: dict = field(default_factory=dict)
-    ci: dict = field(default_factory=dict)       # name -> half-width
+    ci: dict = field(default_factory=dict)       # name -> [lo, hi], 95 %
     seed: int = 0
 
     def effective_flags(self) -> dict:

@@ -22,8 +22,7 @@ from .errors import (AlphaTooSmallError, BadOrderError, DimensionError,
 from .geometry import (annulus_indicator, eta_plateaus, local_weight,
                        polar_decompose)
 from .kernel import log_kernel_grid
-from .model import (OUModel, Propagators, gamma_log_density, propagators,
-                    quadratic_r)
+from .model import OUModel, Propagators, propagators, quadratic_r
 from .quadrature import (gauss_hermite_rule, gaussian_measure, hermite_tensor,
                          product_gaussian)
 from .rng import substream
@@ -33,36 +32,31 @@ _TINY = 1e-300
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """A Gaussian bump on R^n, normalized to L^1 norm 1 against the
-    invariant measure."""
+class GaussianBump:
+    """f(u) = amplitude exp(-|u - center|^2 / (2 width^2)) on R^n, for
+    points u (m, n)."""
 
-    fn: object                  # callable (m, n) -> (m,)
-    params: dict
+    center: np.ndarray          # (n,)
+    width: float
+    amplitude: float
 
     def __call__(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return np.asarray(self.fn(u), dtype=float)
+        d = np.atleast_2d(np.asarray(u, dtype=float)) - self.center
+        return self.amplitude * np.exp(
+            -0.5 * np.einsum("mi,mi->m", d, d) / self.width ** 2)
 
 
-def gaussian_bump(model: OUModel, center, width: float) -> TestFunction:
-    """f(u) = A exp(-|u - center|^2 / (2 width^2)); A chosen so that the
-    L^1(gamma_inf) norm is 1."""
+def gaussian_bump(model: OUModel, center, width: float) -> GaussianBump:
+    """The Gaussian bump about center whose amplitude makes its
+    L^1(gamma_inf) norm 1."""
     if width <= 0:
         raise DimensionError("bump width must be positive")
     m = np.asarray(center, dtype=float).reshape(model.n)
     ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
     prec = np.eye(model.n) / width ** 2
     _, log_mass = product_gaussian(ginf, prec, m)
-    amp = math.exp(-log_mass)
-
-    def fn(u, _m=m, _w=width, _a=amp):
-        d = u - _m
-        return _a * np.exp(-0.5 * np.einsum("mi,mi->m", d, d) / _w ** 2)
-
-    return TestFunction(fn=fn,
-                        params={"center": m, "width": float(width),
-                                "amplitude": float(amp)})
+    return GaussianBump(center=m, width=float(width),
+                        amplitude=math.exp(-log_mass))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +107,8 @@ def t_max_for_tail(model: OUModel) -> float:
 # closed-form semigroup action on Gaussian bumps
 
 
-def _bump_stacks(model: OUModel, bump: TestFunction, props: Propagators):
-    w2 = bump.params["width"] ** 2
+def _bump_stacks(model: OUModel, bump: GaussianBump, props: Propagators):
+    w2 = bump.width ** 2
     cov = props.Qt + w2 * np.eye(model.n)[None]
     sinv = np.linalg.inv(cov)
     sign, ld = np.linalg.slogdet(cov)
@@ -125,7 +119,7 @@ def _bump_stacks(model: OUModel, bump: TestFunction, props: Propagators):
     return sinv, log_detfac
 
 
-def bump_semigroup_grid(model: OUModel, bump: TestFunction,
+def bump_semigroup_grid(model: OUModel, bump: GaussianBump,
                         props: Propagators, x) -> np.ndarray:
     """Closed-form H_t f for a Gaussian bump, over points x grid times, (p, m).
 
@@ -136,12 +130,12 @@ def bump_semigroup_grid(model: OUModel, bump: TestFunction,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     sinv, log_detfac = _bump_stacks(model, bump, props)
     z = np.einsum("mij,pj->pmi", props.exp_tB, x) \
-        - bump.params["center"][None, None, :]
+        - bump.center[None, None, :]
     q = np.einsum("pmi,mij,pmj->pm", z, sinv, z)
-    return bump.params["amplitude"] * np.exp(log_detfac[None, :] - 0.5 * q)
+    return bump.amplitude * np.exp(log_detfac[None, :] - 0.5 * q)
 
 
-def bump_semigroup_value(model: OUModel, bump: TestFunction, t: float,
+def bump_semigroup_value(model: OUModel, bump: GaussianBump, t: float,
                          x) -> float:
     pr = propagators(model, np.array([float(t)]))
     return float(bump_semigroup_grid(model, bump, pr, x)[0, 0])
@@ -151,7 +145,7 @@ def bump_semigroup_value(model: OUModel, bump: TestFunction, t: float,
 # quadrature application
 
 
-def apply_semigroup(model: OUModel, f: TestFunction, x, t: float,
+def apply_semigroup(model: OUModel, f: GaussianBump, x, t: float,
                     form: str = "kernel", order: int | None = None) -> float:
     """H_t f(x) by quadrature.
 
@@ -168,24 +162,24 @@ def apply_semigroup(model: OUModel, f: TestFunction, x, t: float,
     if form not in ("kernel", "kolmogorov"):
         raise BadOrderError(f"unknown form {form!r}")
     n = model.n
-    prec = np.eye(n) / f.params["width"] ** 2
+    prec = np.eye(n) / f.width ** 2
     props = propagators(model, np.array([float(t)]))
     ex = props.exp_tB[0] @ x
     if form == "kolmogorov":
         gt = gaussian_measure(np.zeros(n), props.Qt[0])
-        anchor, _ = product_gaussian(gt, prec, ex - f.params["center"])
+        anchor, _ = product_gaussian(gt, prec, ex - f.center)
         rule = gauss_hermite_rule(anchor, order)
         nodes = rule.nodes
         ratio = np.exp(gt.log_density(nodes) - anchor.log_density(nodes))
         return float(rule.weights @ (f(ex - nodes) * ratio))
     mu_t = gaussian_measure(ex, props.Qt[0])
-    anchor, _ = product_gaussian(mu_t, prec, f.params["center"])
+    anchor, _ = product_gaussian(mu_t, prec, f.center)
     rule = gauss_hermite_rule(anchor, order)
     nodes = rule.nodes
     lk = log_kernel_grid(model, props, np.broadcast_to(x, nodes.shape),
-                         nodes)[:, 0]
-    log_ratio = lk + gamma_log_density(model, np.inf, nodes) \
-        - anchor.log_density(nodes)
+                         nodes)[:, 0] + quadratic_r(model, x)
+    ginf = gaussian_measure(np.zeros(n), model.Qinf)
+    log_ratio = lk + ginf.log_density(nodes) - anchor.log_density(nodes)
     return float((rule.weights * f(nodes) * np.exp(log_ratio)).sum())
 
 
@@ -199,7 +193,7 @@ _BLOCK_MARGIN_REL = 1e-10
 _BLOCK_MARGIN_ABS = 1e-12
 
 
-def local_global_grid(model: OUModel, bump: TestFunction,
+def local_global_grid(model: OUModel, bump: GaussianBump,
                       props: Propagators, x, order: int | None = None):
     """(near, far) parts of H_t f over points x grid, (p, m) each, for a
     Gaussian bump.
@@ -238,8 +232,8 @@ def local_global_grid(model: OUModel, bump: TestFunction,
     n = model.n
     z, wq = hermite_tensor(n, order)                         # (q, n), (q,)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    w2 = bump.params["width"] ** 2
-    m_ctr = bump.params["center"]
+    w2 = bump.width ** 2
+    m_ctr = bump.center
     # product covariance (Qt^-1 + I/w2)^-1 and its square root, per time
     prec = props.Qt_inv + np.eye(n)[None] / w2
     cov = np.linalg.inv(prec)
@@ -342,7 +336,7 @@ def _node_r_range(model: OUModel, centre: np.ndarray,
 # variation along time grids
 
 
-def _part_values(model: OUModel, f: TestFunction, ts: np.ndarray, x,
+def _part_values(model: OUModel, f: GaussianBump, ts: np.ndarray, x,
                  part: str, order: int | None = None) -> np.ndarray:
     """Semigroup path values (p, m) at the times ts for the requested part
     of the split: the closed form for the full path, the near/far split of
@@ -365,7 +359,7 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return out
 
 
-def variation_batch_paths(model: OUModel, f: TestFunction, x, rho: float,
+def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
                           grid: TimeGrid, part: str = "full",
                           tol: float = 1e-3, max_refine: int = 3,
                           order: int | None = None):
@@ -405,12 +399,10 @@ def variation_batch_paths(model: OUModel, f: TestFunction, x, rho: float,
 
 def _eta_kernel_paths(model: OUModel, props: Propagators, x: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
-    """(pairs, m) values of eta(x, u) K_t(x, u) exp(-R(x)); the invariant
-    prefactor is removed so far points stay in floating range."""
-    lk = log_kernel_grid(model, props, x, u)
-    rx = quadratic_r(model, x)
+    """(pairs, m) values of eta(x, u) K_t(x, u) exp(-R(x)); without the
+    invariant prefactor far points stay in floating range."""
     eta = np.asarray(local_weight(model, x, u))
-    return eta[:, None] * np.exp(lk - rx[:, None])
+    return eta[:, None] * np.exp(log_kernel_grid(model, props, x, u))
 
 
 def _pair_cloud(model: OUModel, radii: np.ndarray, n_dirs: int, seed: int):
@@ -639,9 +631,9 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
     f = gaussian_bump(model, center, width)
     ginf = gaussian_measure(np.zeros(n), model.Qinf)
     prec = np.eye(n) / width ** 2
-    anchor, log_mass = product_gaussian(ginf, prec, f.params["center"])
+    # f dgamma_inf is the anchor, as int f dgamma_inf = 1
+    anchor, _ = product_gaussian(ginf, prec, f.center)
     rule = gauss_hermite_rule(anchor)
-    wf = rule.weights * f.params["amplitude"] * math.exp(log_mass)
     xs = substream(seed, 200).standard_normal((sample_size, n)) \
         @ model.Qinf_sqrt.T
     half = sample_size // 2
@@ -660,7 +652,7 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
             d2 = np.sum((x_proj[:, None, :] - u_proj[None, :, :]) ** 2,
                         axis=2)
             above = np.exp(quadratic_r(model, x_in)) * \
-                (np.exp(-delta_rate * d2) @ wf) > a
+                (np.exp(-delta_rate * d2) @ rule.weights) > a
             exceeded = int(np.sum(above))
             exceeded_half = int(np.sum(above[inside < half]))
         measure = exceeded / sample_size

@@ -9,11 +9,12 @@ from itertools import combinations
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+from scipy.stats import multivariate_normal
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
 from oulab.geometry import local_weight
 from oulab.kernel import kernel
-from oulab.model import T_SWITCH, gamma_log_density, quadratic_r
+from oulab.model import T_SWITCH
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import bump_semigroup_grid
 from oulab.variation import _check_order
@@ -42,8 +43,25 @@ def group_dt(model, t: float) -> np.ndarray:
     return model.Qinf @ e @ model.Qinf_inv
 
 
+def covariance_qt(model, t: float) -> np.ndarray:
+    """Qt = int_0^t e^(sB) Q e^(sB^T) ds by scipy's matrix exponential: up
+    to t = 1 from Van Loan's block exponential of [[-B, Q], [0, B^T]] t,
+    whose growing corner loses digits past it; above t = 1 as
+    Qinf - e^(tB) Qinf e^(tB^T), which no longer cancels there."""
+    n = model.n
+    if t > 1.0:
+        e = scipy.linalg.expm(float(t) * model.B)
+        return model.Qinf - e @ model.Qinf @ e.T
+    block = np.block([[-model.B, model.Q], [np.zeros((n, n)), model.B.T]])
+    e = scipy.linalg.expm(float(t) * block)
+    return e[n:, n:].T @ e[:n, n:]
+
+
 def gamma_density(model, t: float, x) -> np.ndarray:
-    return np.exp(gamma_log_density(model, t, x))
+    """Density of the centered Gaussian gamma_t (t = inf for the invariant
+    one) by scipy.stats."""
+    cov = model.Qinf if t == np.inf else covariance_qt(model, t)
+    return multivariate_normal.pdf(x, mean=np.zeros(model.n), cov=cov)
 
 
 def kernel_dt_raw(model, t: float, x, u, h: float) -> float:
@@ -55,8 +73,8 @@ def kernel_dt_raw(model, t: float, x, u, h: float) -> float:
 
 
 def log_kernel_grid_einsum(model, props, x, u):
-    """log K on a pairs x times grid by the two einsum contractions the
-    package used before its fixed-order evaluator: the direct form in
+    """log K - R(x) on a pairs x times grid by the two einsum contractions
+    the package used before its fixed-order evaluator: the direct form in
     w = u - Dt x for t <= T_SWITCH, the form in v = D_{-t} u - x above."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -70,7 +88,7 @@ def log_kernel_grid_einsum(model, props, x, u):
         v = np.einsum("mij,pj->pmi", props.Dmt[large], u) - x[:, None, :]
         q[:, large] = np.einsum("pmi,mij,pmj->pm", v, props.M_large[large], v)
     const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)
-    return -0.5 * q + const[None, :] + quadratic_r(model, x)[:, None]
+    return -0.5 * q + const[None, :]
 
 
 def adaptive_integral(f, measure, half_width: float = 10.0) -> float:
@@ -83,7 +101,7 @@ def adaptive_integral(f, measure, half_width: float = 10.0) -> float:
         def g(z):
             x = measure.mean + L[0, 0] * np.atleast_1d(z)
             fx = float(np.asarray(f(x[None, :])).reshape(-1)[0])
-            return fx * measure.density(x[None, :])[0] * L[0, 0]
+            return fx * np.exp(measure.log_density(x[None, :]))[0] * L[0, 0]
         val, _ = scipy.integrate.quad(g, -half_width, half_width, limit=400)
         return float(val)
     if n == 2:
@@ -92,7 +110,7 @@ def adaptive_integral(f, measure, half_width: float = 10.0) -> float:
         def g(z2, z1):
             x = measure.mean + L @ np.array([z1, z2])
             fx = float(np.asarray(f(x[None, :])).reshape(-1)[0])
-            return fx * measure.density(x[None, :])[0] * det
+            return fx * np.exp(measure.log_density(x[None, :]))[0] * det
         val, _ = scipy.integrate.dblquad(g, -half_width, half_width,
                                          -half_width, half_width)
         return float(val)
@@ -107,13 +125,13 @@ def split_blocks(model, bump, props, x, order=None):
     n = model.n
     z, wq = hermite_tensor(n, order)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    w2 = bump.params["width"] ** 2
+    w2 = bump.width ** 2
     prec = props.Qt_inv + np.eye(n)[None] / w2
     cov = np.linalg.inv(prec)
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     wv, vv = np.linalg.eigh(cov)
     L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
-    base_mean = np.einsum("mij,j->mi", cov, bump.params["center"] / w2)
+    base_mean = np.einsum("mij,j->mi", cov, bump.center / w2)
     ex = np.einsum("mij,pj->pmi", props.exp_tB, x)
     mean = np.einsum("mij,mjk,pmk->pmi", cov, props.Qt_inv, ex) \
         + base_mean[None, :, :]

@@ -41,7 +41,9 @@ def test_out_of_range_settings_exit_one_without_a_report(argv, tmp_path,
     ["zeros", "--x", "1", "--u", "2", "--scan", "1"],
     ["bounds", "--samples", "0"],
     ["bounds", "--samples", "2"],
-    ["bounds", "--samples", "3", "--which", "tail-integral"]])
+    ["bounds", "--samples", "3", "--which", "tail-integral"],
+    ["bounds", "--rate", "-1"],
+    ["bounds", "--rate", "0"]])
 def test_bad_kernel_sizes_exit_one_before_any_work(argv, tmp_path, capsys,
                                                    monkeypatch):
     from importlib import import_module
@@ -54,6 +56,29 @@ def test_bad_kernel_sizes_exit_one_before_any_work(argv, tmp_path, capsys,
         monkeypatch.setattr(kernel_mod, name, no_work)
     monkeypatch.chdir(tmp_path)
     code = main(["kernel", argv[0], "--model", "standard1", *argv[1:]])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "qian", "--N", "abc"],
+    ["torus", "failure", "--p", "x"],
+    ["probe", "enhanced", "--model", "standard1", "--alphas", "4,q"],
+    ["torus", "delta", "--N", "2,x"],
+    ["kernel", "eval", "--model", "standard1", "--t", "1", "--x", "1,2",
+     "--u", "1"],
+    ["kernel", "zeros", "--model", "standard1", "--x", "1,2", "--u", "1"],
+    ["semigroup", "apply", "--model", "standard1", "--t", "1",
+     "--x", "1,2"],
+    ["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+     "--center", "1,2"],
+    ["probe", "enhanced", "--model", "standard2", "--center", "1"]])
+def test_malformed_lists_and_points_exit_one_without_a_report(
+        argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "out"] if argv[0] in ("probe", "torus") else []
+    code = main([*argv, *out])
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

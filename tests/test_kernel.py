@@ -10,7 +10,6 @@ from oulab import (
     admissible_rate,
     build_model,
     calibrate_bound,
-    covariance_qt,
     count_kdot_zeros,
     count_kdot_zeros_batch,
     kernel,
@@ -30,11 +29,12 @@ from oulab.model import T_SWITCH, propagators
 from oulab.rng import substream
 from oulab.semigroup import _eta_kernel_paths
 from oulab.errors import (
+    ArgumentRangeError,
     BadOrderError,
     NonPositiveTimeError,
     RateTooLargeError,
 )
-from reference_routes import (gamma_density, kernel_dt_raw,
+from reference_routes import (covariance_qt, gamma_density, kernel_dt_raw,
                               log_kernel_grid_einsum)
 
 # the package exports a function named kernel over the module attribute
@@ -353,6 +353,7 @@ def test_slope_grid_and_pair_routes_agree_bit_for_bit(model_factory,
         s1, f1 = logk_time_slope(model, tt, XX, UU)
         assert np.array_equal(slope.ravel(), s1)
         assert np.array_equal(floor.ravel(), f1)
+        lk += quadratic_r(model, X)[:, None]
         assert np.array_equal(lk.ravel(), log_kernel_pairs(model, tt, XX, UU))
 
 
@@ -474,10 +475,23 @@ def test_flip_counts_match_sign_changes():
         slope[hit & (gen.random((p, m)) < 0.3)] = 0.0
         slope[hit & (gen.random((p, m)) < 0.1)] = np.nan
         floor[hit & (gen.random((p, m)) < 0.1)] = np.nan
-        with np.errstate(invalid="ignore"):     # nan to int8 in both
-            rows, _, _ = _sign_changes(slope, floor)
-            got = _flip_counts(slope, floor)
+        rows, _, _ = _sign_changes(slope, floor)
+        got = _flip_counts(slope, floor)
         assert np.array_equal(got, np.bincount(rows, minlength=p))
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_slope_counts_as_no_sign():
+    # a NaN between opposite signs flips as a 0 there does
+    slope = np.array([[1.0, 0.0, -1.0, 2.0, 0.0, 3.0, -2.0],
+                      [0.0, -1.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
+    floor = np.zeros_like(slope)
+    nan = np.where(slope == 0.0, np.nan, slope)
+    want = _sign_changes(slope, floor)
+    got = _sign_changes(nan, floor)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(_flip_counts(nan, floor), [3, 1])
+    assert np.array_equal(_flip_counts(slope, floor), [3, 1])
 
 
 def _within_floor_pairs(grid, k):
@@ -683,13 +697,13 @@ def test_calibration_accepts_admissible_rate(std1):
     cal = calibrate_bound(std1, "kernel-small-t", n_samples=2000, c=0.06)
     assert cal.stable
     assert cal.exponent_rate == 0.06
-    assert 1.0 <= cal.max_ratio < 3.0
+    assert 1.0 <= cal.prefactor_cap < 3.0
 
 
 def test_calibration_ratio_monotone_in_rate(std1):
     lo = calibrate_bound(std1, "kernel-small-t", n_samples=2000, c=0.02)
     hi = calibrate_bound(std1, "kernel-small-t", n_samples=2000, c=0.05)
-    assert lo.max_ratio <= hi.max_ratio + 1e-12
+    assert lo.prefactor_cap <= hi.prefactor_cap + 1e-12
 
 
 @pytest.mark.parametrize("which", ["kernel-small-t", "dkernel-small-t",
@@ -698,12 +712,12 @@ def test_auto_calibration_is_stable(std1, which):
     cal = calibrate_bound(std1, which, n_samples=2000)
     assert cal.stable
     assert cal.exponent_rate > 0
-    assert np.isfinite(cal.max_ratio)
+    assert np.isfinite(cal.prefactor_cap)
     assert cal.which == which
 
 
 def test_calibration_validation(std1):
-    with pytest.raises(RateTooLargeError):
+    with pytest.raises(ArgumentRangeError):
         calibrate_bound(std1, "kernel-small-t", n_samples=2000, c=-0.1)
     with pytest.raises(BadOrderError):
         calibrate_bound(std1, "no-such-bound", n_samples=2000)
@@ -897,8 +911,7 @@ def frozen_tail_integral(model, n_samples, seed, t_max):
         grid = np.geomspace(1.0, t_max, grid_size)
         pr = propagators(model, grid)
         lk = log_kernel_grid(model, pr, x[:upto], u[:upto])
-        rx = quadratic_r(model, x[:upto])
-        k = np.exp(lk - rx[:, None])
+        k = np.exp(lk)
         return float(np.abs(np.diff(k, axis=1)).sum(axis=1).max())
 
     r_half = tv_over_e_r(1024, m // 2)
@@ -907,7 +920,7 @@ def frozen_tail_integral(model, n_samples, seed, t_max):
     stable = (r_full <= 1.1 * r_half) and (r_fine <= 1.1 * r_full)
     mr = max(r_full, r_fine)
     return BoundCalibration(which="tail-integral", exponent_rate=rate,
-                            prefactor_cap=mr, max_ratio=mr, stable=stable)
+                            prefactor_cap=mr, stable=stable)
 
 
 @pytest.mark.parametrize("name", ["standard1", "general2"])

@@ -5,14 +5,13 @@ import scipy.linalg
 
 from oulab import (
     build_model,
-    covariance_qt,
-    gamma_log_density,
+    gaussian_measure,
     model_from_dict,
     propagators,
     quadratic_r,
 )
 from oulab.geometry import group_apply
-from reference_routes import gamma_density, group_dt
+from reference_routes import covariance_qt, gamma_density, group_dt
 from oulab.errors import (
     DimensionError,
     NonPositiveTimeError,
@@ -86,28 +85,32 @@ def test_qinf_solves_lyapunov_equation(std2, model_factory):
 # finite-time covariance
 
 
+def qt(model, t: float) -> np.ndarray:
+    return propagators(model, [t]).Qt[0]
+
+
 def test_qt_closed_form_value(std1):
     # 1 - e^(-2 ln 2) = 3/4
-    assert covariance_qt(std1, np.log(2.0))[0, 0] == pytest.approx(0.75)
+    assert qt(std1, np.log(2.0))[0, 0] == pytest.approx(0.75)
 
 
 def test_qt_at_infinity_is_invariant(std2):
-    assert covariance_qt(std2, np.inf) == pytest.approx(std2.Qinf)
+    # Qinf - Qt = e^(-2t) Qinf for the standard model
+    assert qt(std2, 40.0) == pytest.approx(std2.Qinf)
 
 
 def test_qt_short_time_linearization(std2, model_factory):
     for m in (std2, model_factory(7, 2)):
         for t, tol in ((1e-3, 1e-2), (1e-4, 1e-3)):
-            qt = covariance_qt(m, t)
-            rel = np.max(np.abs(qt / t - m.Q)) / np.max(np.abs(m.Q))
+            rel = np.max(np.abs(qt(m, t) / t - m.Q)) / np.max(np.abs(m.Q))
             assert rel < tol
 
 
 def test_qt_series_branch_continuous(std2, model_factory):
     # the series branch below 1e-3 must join the direct branch smoothly
     for m in (std2, model_factory(11, 3)):
-        lo = covariance_qt(m, 1e-3 * (1 - 1e-9))
-        hi = covariance_qt(m, 1e-3 * (1 + 1e-9))
+        lo = qt(m, 1e-3 * (1 - 1e-9))
+        hi = qt(m, 1e-3 * (1 + 1e-9))
         assert lo == pytest.approx(hi, rel=1e-8)
 
 
@@ -115,19 +118,19 @@ def test_qt_positive_and_monotone(model_factory):
     m = model_factory(13, 2)
     prev = np.zeros((2, 2))
     for t in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
-        qt = covariance_qt(m, t)
-        w = np.linalg.eigvalsh(qt - prev)
+        cur = qt(m, t)
+        w = np.linalg.eigvalsh(cur - prev)
         assert w.min() > -1e-12
-        prev = qt
+        prev = cur
     w = np.linalg.eigvalsh(m.Qinf - prev)
     assert w.min() > -1e-10
 
 
 def test_qt_rejects_nonpositive_time(std1):
     with pytest.raises(NonPositiveTimeError):
-        covariance_qt(std1, 0.0)
+        qt(std1, 0.0)
     with pytest.raises(NonPositiveTimeError):
-        covariance_qt(std1, -1.0)
+        qt(std1, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,7 @@ def test_invariant_density_at_origin(std1):
 def test_density_is_gaussian_in_level_function(std2):
     gen = np.random.default_rng(1)
     xs = gen.standard_normal((20, 2)) * 2.0
-    logd = gamma_log_density(std2, np.inf, xs)
+    logd = gaussian_measure(np.zeros(2), std2.Qinf).log_density(xs)
     # log density + R(x) is the same constant at every point
     c = logd + quadratic_r(std2, xs)
     assert np.ptp(c) < 1e-12

@@ -1,5 +1,6 @@
-"""The package surface: every export resolves, and every top-level
-function or class in the package has a caller outside its own body."""
+"""The package surface: every export resolves, every top-level function
+or class in the package has a caller outside its own body, and every
+dataclass field has a reader."""
 
 import ast
 from importlib import import_module
@@ -60,6 +61,29 @@ def test_every_top_level_definition_has_a_caller():
             if node.name not in elsewhere | rest:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def _is_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_has_a_reader():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{cls.name}.{stmt.target.id}"
+              for path, tree in trees.items() if path.parent == SRC
+              for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert unread == []
 
 
 def test_cli_builds_no_report():

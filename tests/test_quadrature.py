@@ -94,7 +94,7 @@ def test_measure_validation():
 def test_measure_density_normalized():
     g = gaussian_measure([0.3], [[0.5]])
     val, _ = scipy.integrate.quad(
-        lambda x: g.density(np.array([[x]]))[0], -10, 10)
+        lambda x: np.exp(g.log_density(np.array([[x]])))[0], -10, 10)
     assert val == pytest.approx(1.0)
 
 
@@ -109,7 +109,7 @@ def test_product_gaussian_closed_form_1d():
     # the mass is the integral of the extra factor against a
     ref, _ = scipy.integrate.quad(
         lambda x: np.exp(-0.5 * 4.0 * (x - 0.5) ** 2)
-        * a.density(np.array([[x]]))[0], -12, 12)
+        * np.exp(a.log_density(np.array([[x]])))[0], -12, 12)
     assert np.exp(log_mass) == pytest.approx(ref, rel=1e-10)
 
 
