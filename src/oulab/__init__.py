@@ -45,7 +45,7 @@ _EXPORTS = {
     "annulus_superlevel_probe": "semigroup", "t_max_for_tail": "semigroup",
     # torus
     "CounterexampleConfig": "torus",
-    "chain_values": "torus", "apply_gauss_smoother": "torus",
+    "chain_values": "torus",
     "apply_window_mean": "torus", "apply_dyadic_mean": "torus",
     "dyadic_moment": "torus", "line_moment": "torus",
     "variation_growth_experiment": "torus", "fourier_kernel_gap": "torus",

@@ -192,7 +192,9 @@ def _cmd_kernel_bounds(args) -> int:
                               seed=args.seed, c=args.rate)
         print(f"{w}: rate c = {cal.exponent_rate:.6g}, prefactor cap = "
               f"{cal.prefactor_cap:.6g}, stable = {cal.stable}")
-        worst = worst and cal.stable
+        # the finite flag of probe kernel-bounds: an infinite or NaN cap
+        # bounds nothing
+        worst = worst and cal.stable and cal.prefactor_cap < float("inf")
     return 0 if worst else 2
 
 

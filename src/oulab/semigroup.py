@@ -46,12 +46,22 @@ class GaussianBump:
             -0.5 * np.einsum("mi,mi->m", d, d) / self.width ** 2)
 
 
+def _model_point(model: OUModel, v, what: str) -> np.ndarray:
+    """v as one point of the model's space, or a DimensionError naming
+    what it is."""
+    point = np.asarray(v, dtype=float)
+    if point.size != model.n:
+        raise DimensionError(f"{what} needs {model.n} coordinates, "
+                             f"got {point.size}")
+    return point.reshape(model.n)
+
+
 def gaussian_bump(model: OUModel, center, width: float) -> GaussianBump:
     """The Gaussian bump about center whose amplitude makes its
     L^1(gamma_inf) norm 1."""
     if width <= 0:
         raise DimensionError("bump width must be positive")
-    m = np.asarray(center, dtype=float).reshape(model.n)
+    m = _model_point(model, center, "bump centre")
     ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
     prec = np.eye(model.n) / width ** 2
     _, log_mass = product_gaussian(ginf, prec, m)
@@ -158,7 +168,7 @@ def apply_semigroup(model: OUModel, f: GaussianBump, x, t: float,
     """
     if t <= 0:
         raise NonPositiveTimeError("semigroup time must be positive")
-    x = np.asarray(x, dtype=float).reshape(model.n)
+    x = _model_point(model, x, "point x")
     if form not in ("kernel", "kolmogorov"):
         raise BadOrderError(f"unknown form {form!r}")
     n = model.n

@@ -14,8 +14,11 @@ closed-form tent primitive in integer arithmetic; the Gaussian chain is a
 finite sum of error-function differences whose truncation error is below
 1e-30.  Its active scales share the finest one's slot grid, whose
 breakpoints are exactly theirs, and an integer table gives the sign sum
-on each fine slot, so each breakpoint's erf is evaluated once.  No
-quadrature error enters any operator chain.
+on each fine slot.  The grid does not depend on N, so the chains of a
+whole N grid share it, and each breakpoint's erf is evaluated once.  Only
+breakpoints within 6.5 sqrt(2) standard deviations of the point reach
+erf; beyond them erf is exactly +-1.0 in double precision.  No quadrature
+error enters any operator chain.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentRangeError, BadOrderError, DimensionError
 from .rng import BITS, dyadic_points, substream
@@ -31,6 +35,13 @@ from .variation import variation_batch
 
 # Gaussian window half-width in standard deviations; erfc(12/sqrt(2)) ~ 1e-32
 _WINDOW_SD = 12.0
+# |z| from which scipy's erf(z) is taken as exactly +-1.0; it already is
+# from 5.922 on, and the margin covers the rounding of the argument
+_ERF_ONE = 6.5
+# points per erf grid: its arrays stay near 400 kB, small enough for the
+# allocator to reuse one grid's memory for the next instead of mapping and
+# faulting in fresh pages for each
+_GRID_POINTS = 1024
 # k - l >= this: every square-wave harmonic is damped below exp(-pi^2 * 8),
 # about 7e-35, so the whole term falls under the 1e-30 truncation budget
 _DAMPED_GAP = 2
@@ -84,9 +95,59 @@ def perturb_boundaries(m, kmax: int) -> np.ndarray:
     return m
 
 
-def apply_gauss_smoother(N: int, ell: int, x) -> np.ndarray:
-    """Convolution of the periodized sum with the Gaussian of variance
-    4^-ell, evaluated at points of [0, 1].
+def _erf_grid(ell: int, k_fine: int, x: np.ndarray):
+    """The slot grid of scale k_fine around each point: the index j0 of
+    its first breakpoint and erf((x - b) / (sqrt(2) 2^-ell)) at its
+    count + 1 breakpoints b = (j0 2^-k_fine - 1) + k 2^-k_fine, k = 0..count,
+    each an exact float.  The grid spans the window of 12 standard
+    deviations of the Gaussian of variance 4^-ell and depends on nothing
+    else, so every N that uses it shares it.
+
+    Along a row the arguments fall with k, so the columns whose arguments
+    are all >= 6.5 lead and those whose arguments are all <= -6.5 trail.
+    There erf is exactly +-1.0 in double precision (from |z| = 5.922 on,
+    erfc(z) is below half an ulp of 1), and the columns get that value;
+    only the columns between reach erf: 38 of the 51 when k_fine = ell + 1.
+    """
+    from scipy.special import erf
+    sd = 2.0 ** (-ell)
+    s = math.sqrt(2.0) * sd
+    half_window = _WINDOW_SD * sd
+    w = 2.0 ** (-k_fine)
+    count = int(math.ceil(2.0 * half_window / w)) + 2
+    j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
+    z = np.add.outer(j0 * w - 1.0, np.arange(count + 1) * w)
+    np.subtract(x[:, None], z, out=z)
+    z /= s
+    lead = np.count_nonzero(z.min(axis=0) >= _ERF_ONE)
+    tail = z.shape[1] - np.count_nonzero(z.max(axis=0) <= -_ERF_ONE)
+    erf(z[:, lead:tail], out=z[:, lead:tail])
+    z[:, :lead] = 1.0
+    z[:, tail:] = -1.0
+    return j0, z
+
+
+def _slot_sums(n_scales: int, j0: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """0.5 sum_k F(j0 + k) (e_k - e_(k+1)) along each row of an erf grid,
+    where F(i) = sum over the n_scales active scales of (-1)^(bit of i) is
+    the periodized sign sum on fine slot i.  F depends only on i mod
+    2^n_scales, so each row's signs are one window of the periodic table."""
+    # F(r) = n - 2 popcount(r): each scale's bit doubles the table, +1
+    # where the bit is clear and -1 where it is set
+    table = np.zeros(1)
+    for _ in range(n_scales):
+        table = np.concatenate([table + 1.0, table - 1.0])
+    count = e.shape[1] - 1
+    ring = np.tile(table, count // table.size + 2)
+    terms = sliding_window_view(ring, count)[j0 & (table.size - 1)]
+    terms *= e[:, :-1] - e[:, 1:]
+    return 0.5 * np.sum(terms, axis=1)
+
+
+def _gauss_columns(pairs, x) -> np.ndarray:
+    """Convolution of the periodized sum of each scale N with the Gaussian
+    of variance 4^-ell, at points x of [0, 1]: one column per (N, ell)
+    pair.
 
     Scales finer than ell + 1 are skipped outright: convolution damps the
     m-th square-wave harmonic by exp(-pi^2 m^2 2^(2(k-ell)-1)), which at
@@ -94,41 +155,30 @@ def apply_gauss_smoother(N: int, ell: int, x) -> np.ndarray:
 
     The remaining active scales k <= kf = min(3N, ell + 1) share one slot
     grid: every breakpoint i 2^-k - 1 of a coarser scale is the breakpoint
-    i 2^(kf-k) 2^-kf - 1 of the finest one, the same float.  On fine slot
-    i the periodized sum is the integer F(i) = sum_k (-1)^(bit kf-k of i),
-    which depends only on i mod 2^|K|, so it is read from a table of
-    2^|K| entries.  The slots within 12 standard deviations of x are
-    summed by erf differences, one erf per fine breakpoint.  An active
-    scale needs ell >= 2N >= 4, so the window and its two spare slots
-    stay within 0.82 of [0, 1], inside the support [-1, 2] outside which
-    F would vanish.
+    i 2^(kf-k) 2^-kf - 1 of the finest one, the same float.  An active
+    scale needs ell >= 2N >= 4, so the window and its two spare slots stay
+    within 0.82 of [0, 1], inside the support [-1, 2] outside which the
+    sum would vanish.  The grid depends on (ell, kf) and not on N, so the
+    pairs are grouped by grid and each grid is built once, in order of
+    ell and in blocks of points, and dropped before the next one; the
+    chains of N = 6, 8, 10, 12 need 28 grids for their 40 columns.  A pair
+    with no active scale gives a zero column.
     """
-    from scipy.special import erf
-    cfg = CounterexampleConfig(N=N)
-    if ell < 1:
-        raise BadOrderError("scale index must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
         raise DimensionError("points must lie in [0, 1]")
-    k_fine = min(cfg.window.stop - 1, ell + _DAMPED_GAP - 1)
-    n_scales = k_fine - cfg.window.start + 1
-    if n_scales <= 0:
-        return np.zeros(x.shape)
-    # F(r) = |K| - 2 popcount(r): each scale's bit doubles the table, +1
-    # where the bit is clear and -1 where it is set
-    table = np.zeros(1, dtype=np.int64)
-    for _ in range(n_scales):
-        table = np.concatenate([table + 1, table - 1])
-    sd = 2.0 ** (-ell)
-    s = math.sqrt(2.0) * sd
-    half_window = _WINDOW_SD * sd
-    w = 2.0 ** (-k_fine)
-    count = int(math.ceil(2.0 * half_window / w)) + 2
-    j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
-    idx = j0[:, None] + np.arange(count + 1, dtype=np.int64)[None, :]
-    e = erf((x[:, None] - (idx * w - 1.0)) / s)
-    sign_sum = table[idx[:, :-1] & (table.size - 1)]
-    return 0.5 * np.sum(sign_sum * (e[:, :-1] - e[:, 1:]), axis=1)
+    out = np.zeros((x.size, len(pairs)))
+    grids = {}
+    for col, (N, ell) in enumerate(pairs):
+        k_fine = min(3 * N, ell + _DAMPED_GAP - 1)
+        if k_fine > 2 * N:
+            grids.setdefault((ell, k_fine), []).append((col, k_fine - 2 * N))
+    for (ell, k_fine), users in sorted(grids.items()):
+        for lo in range(0, x.size, _GRID_POINTS):
+            j0, e = _erf_grid(ell, k_fine, x[lo:lo + _GRID_POINTS])
+            for col, n_scales in users:
+                out[lo:lo + _GRID_POINTS, col] = _slot_sums(n_scales, j0, e)
+    return out
 
 
 def _tent(k: int, y: np.ndarray) -> np.ndarray:
@@ -185,12 +235,12 @@ def chain_values(config: CounterexampleConfig, operator: str,
     if operator not in _OPERATORS:
         raise BadOrderError(f"operator must be one of {_OPERATORS}")
     m = np.atleast_1d(np.asarray(m, dtype=np.int64))
+    if operator == "A":
+        return _gauss_columns([(config.N, ell) for ell in config.chain_indices],
+                              m.astype(float) * 2.0 ** (-BITS))
     cols = []
     for ell in config.chain_indices:
-        if operator == "A":
-            x = m.astype(float) * 2.0 ** (-BITS)
-            cols.append(apply_gauss_smoother(config.N, ell, x))
-        elif operator == "Dtorus":
+        if operator == "Dtorus":
             cols.append(apply_window_mean(config.N, ell, m))
         else:
             cols.append(apply_dyadic_mean(config.N, ell, m).astype(float))
@@ -548,12 +598,17 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
         raise DimensionError("failure experiment needs >= 1000 samples")
     m = perturb_boundaries(dyadic_points(seed, sample_size),
                            3 * max(n_grid))
+    # the chains of every N in one pass over ell, each grid built once
+    chains = np.split(
+        _gauss_columns([(N, ell) for N in n_grid for ell in
+                        CounterexampleConfig(N=N).chain_indices],
+                       m.astype(float) * 2.0 ** (-BITS)),
+        np.cumsum([N + 1 for N in n_grid])[:-1], axis=1)
     rows = []
     quotients = {p: [] for p in p_grid}
     medians = []
-    for N in n_grid:
-        cfg = CounterexampleConfig(N=N, seed=seed, sample_size=sample_size)
-        v2 = variation_batch(chain_values(cfg, "A", m), 2.0)
+    for N, chain in zip(n_grid, chains):
+        v2 = variation_batch(chain, 2.0)
         medians.append(float(np.median(v2) / math.sqrt(N)))
         row = {"N": N, "median_v2_scaled": medians[-1]}
         for p in p_grid:

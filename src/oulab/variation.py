@@ -81,13 +81,24 @@ def _turning_points(v: np.ndarray):
 
 def _dp(v: np.ndarray, rho: float) -> np.ndarray:
     """Largest sum of rho-th powers of increments over the subsequences of
-    each row, by the quadratic prefix program."""
+    each row, by the quadratic prefix program.  Each column's candidates
+    are formed in one reused buffer.  Once 1e-300 ** rho underflows to
+    0.0 (rho above about 1.08), every smaller increment's power does too,
+    and the flush cannot change a sum, so it is skipped."""
     m, n = v.shape
     best = np.zeros((m, n))
+    buf = np.empty(m * n)
+    flush = _TINY_INCREMENT ** rho != 0.0
     for j in range(1, n):
-        d = np.abs(v[:, j, None] - v[:, :j])
-        d[d < _TINY_INCREMENT] = 0.0
-        best[:, j] = np.max(best[:, :j] + d ** rho, axis=1)
+        # contiguous, so numpy runs each step as one flat loop
+        d = buf[:m * j].reshape(m, j)
+        np.subtract(v[:, j, None], v[:, :j], out=d)
+        np.abs(d, out=d)
+        if flush:
+            d[d < _TINY_INCREMENT] = 0.0
+        d **= rho
+        d += best[:, :j]
+        np.max(d, axis=1, out=best[:, j])
     return np.max(best, axis=1)
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +226,18 @@ def test_combined_torus_qian_is_read_from_the_single_n_reports(tmp_path,
     for key, value in flags.items():
         assert f"  {key}: {'pass' if value else 'FAIL'}" in printed
     assert all(flags.values()) and "overall: PASS" in printed
+
+
+def test_kernel_bounds_verb_fails_on_an_infinite_cap(capsys):
+    # on general2 the small-t bisection reaches the natural rate with an
+    # infinite cap; probe kernel-bounds fails it through its finite flag
+    model = str(Path(__file__).resolve().parents[1] / "bench" / "models"
+                / "general2.json")
+    code = main(["kernel", "bounds", "--model", model, "--which",
+                 "kernel-small-t"])
+    out = capsys.readouterr().out
+    assert "prefactor cap = inf, stable = True" in out
+    assert code == 2
 
 
 def test_kernel_bounds_verb_and_probe_print_one_calibration(tmp_path,

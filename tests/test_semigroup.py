@@ -7,7 +7,7 @@ from oulab import (TimeGrid, apply_semigroup, build_model,
                    bump_semigroup_value, gaussian_bump, local_weight,
                    propagators, quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
-from oulab.errors import BadOrderError
+from oulab.errors import BadOrderError, DimensionError
 from oulab.geometry import eta_plateaus
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import (_interleave, _node_r_range, _part_values,
@@ -307,6 +307,17 @@ def test_no_default_order_past_three_dimensions():
     with pytest.raises(BadOrderError):
         apply_semigroup(standard_model(4), gaussian_bump(
             standard_model(4), np.zeros(4), 0.5), np.zeros(4), 1.0)
+
+
+def test_a_centre_of_the_wrong_length_is_a_dimension_error():
+    with pytest.raises(DimensionError):
+        weak_type_probe(standard_model(2), 2.5, center=[0.3],
+                        sample_size=1000)
+    with pytest.raises(DimensionError):
+        gaussian_bump(standard_model(2), np.zeros(3), 0.5)
+    f = gaussian_bump(standard_model(2), np.zeros(2), 0.5)
+    with pytest.raises(DimensionError):
+        apply_semigroup(standard_model(2), f, [0.3], 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,26 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import erf
 
-from oulab import (CounterexampleConfig, apply_gauss_smoother,
-                   apply_window_mean, chain_values, dyadic_moment,
-                   dyadic_points, fourier_kernel_gap)
+from oulab import (CounterexampleConfig, apply_window_mean, chain_values,
+                   dyadic_moment, dyadic_points, fourier_kernel_gap,
+                   weak_type_failure)
 from oulab import build_model, log_kernel, quadratic_r, standard_model
-from oulab.torus import BITS, _difference_ratio_pieces, perturb_boundaries
+from oulab.torus import (BITS, _difference_ratio_pieces, _gauss_columns,
+                         perturb_boundaries)
+from reference_routes import merged_grid_smoother
+
+
+def smoother(N, ells, x):
+    """The smoothed sign sum of scale N at the points x, one column per
+    ell."""
+    return _gauss_columns([(N, ell) for ell in ells], np.asarray(x, float))
 
 
 def per_scale_smoother(N, ell, x):
-    """apply_gauss_smoother as it ran before the merged grid: one erf pass
+    """The Gaussian smoother as it ran before the merged grid: one erf pass
     over its own slot grid for every active scale, signs by slot parity."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sd = 2.0 ** (-ell)
@@ -51,10 +60,64 @@ def smoother_points(N, count=400):
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_merged_smoother_matches_per_scale_loop(N):
     x = smoother_points(N)
-    for ell in range(1, 3 * N + 2):
-        got = apply_gauss_smoother(N, ell, x)
+    ells = range(1, 3 * N + 2)
+    for ell, got in zip(ells, smoother(N, ells, x).T):
         want = per_scale_smoother(N, ell, x)
         assert np.max(np.abs(got - want)) <= 1e-13, ell
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_smoother_keeps_the_bits_of_one_grid_per_call(N):
+    # the saturated columns and the shared table must not move one bit
+    x = smoother_points(N)
+    ells = range(1, 3 * N + 2)
+    for ell, got in zip(ells, smoother(N, ells, x).T):
+        assert np.array_equal(got, merged_grid_smoother(N, ell, x)), ell
+
+
+@pytest.mark.parametrize("n_grid", [(4, 6, 8, 10), (6, 8, 10, 12)])
+def test_shared_grid_chains_match_per_n_chains(n_grid):
+    m = perturb_boundaries(dyadic_points(3, 1500), 3 * max(n_grid))
+    x = m.astype(float) * 2.0 ** (-BITS)
+    pairs = [(N, ell) for N in n_grid
+             for ell in CounterexampleConfig(N=N).chain_indices]
+    shared = _gauss_columns(pairs, x)
+    start = 0
+    for N in n_grid:
+        chain = shared[:, start:start + N + 1]
+        start += N + 1
+        cfg = CounterexampleConfig(N=N, sample_size=m.size)
+        assert np.array_equal(chain, chain_values(cfg, "A", m))
+        frozen = np.stack([merged_grid_smoother(N, ell, x)
+                           for ell in cfg.chain_indices], axis=1)
+        assert np.array_equal(chain, frozen)
+
+
+def test_erf_is_exactly_one_past_six_and_a_half():
+    # the premise of the saturated columns, on a dense grid and far out
+    z = np.concatenate([np.linspace(6.5, 40.0, 2_000_001),
+                        np.geomspace(40.0, 1e300, 2001), [np.inf]])
+    assert np.all(erf(z) == 1.0)
+    assert np.all(erf(-z) == -1.0)
+    # and 6.5 leaves a margin: erf first reaches 1.0 near 5.9
+    assert erf(5.8) < 1.0
+
+
+@pytest.mark.parametrize("n_grid,cap", [((6, 8, 10, 12), 1000),
+                                        ((4, 6, 8, 10), 920)])
+def test_failure_probe_evaluates_few_erfs_per_point(n_grid, cap,
+                                                    monkeypatch):
+    calls = []
+    plain = scipy.special.erf
+
+    def counted(z, *args, **kwargs):
+        calls.append(np.size(z))
+        return plain(z, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.special, "erf", counted)
+    weak_type_failure(n_grid=n_grid, sample_size=1000)
+    # a grid per (N, ell) with erf at every breakpoint made 1,944 and 1,536
+    assert 0 < sum(calls) <= cap * 1000
 
 
 def mp_smoother(N, ell, x):
@@ -88,16 +151,16 @@ def mp_smoother(N, ell, x):
 def test_smoother_matches_mpmath_reference():
     N = 4
     xs = [0.0, 1.0, float(np.nextafter(0.5, 1.0)), 0.61803398874989]
-    for ell in CounterexampleConfig(N=N).chain_indices:
-        got = apply_gauss_smoother(N, ell, np.array(xs))
+    ells = CounterexampleConfig(N=N).chain_indices
+    for ell, got in zip(ells, smoother(N, ells, xs).T):
         for g, x in zip(got, xs):
             assert abs(g - float(mp_smoother(N, ell, x))) <= 1e-14, (ell, x)
 
 
 @pytest.mark.parametrize("N,ell", [(4, 1), (4, 7), (10, 19)])
 def test_no_active_scale_gives_zeros(N, ell):
-    out = apply_gauss_smoother(N, ell, np.array([0.0, 0.25, 0.7, 1.0]))
-    assert np.array_equal(out, np.zeros(4))
+    out = smoother(N, [ell], [0.0, 0.25, 0.7, 1.0])
+    assert np.array_equal(out, np.zeros((4, 1)))
 
 
 @pytest.mark.parametrize("N", range(2, 15))

@@ -8,13 +8,13 @@ from oulab import (
     variation_exhaustive,
     variation_values,
 )
-from oulab.variation import _turning_points
+from oulab.variation import _dp, _turning_points
 from oulab.errors import (
     BadOrderError,
     EmptyPathError,
     TooLongError,
 )
-from reference_routes import variation_exhaustive_slow
+from reference_routes import dp_fresh_columns, variation_exhaustive_slow
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +186,27 @@ def test_variation_batch_matches_rowwise():
 def quadratic_dp_reference(values, rho):
     """The program over every sample point, as it ran before compression."""
     v = np.asarray(values, dtype=float)
-    m, n = v.shape
-    best = np.zeros((m, n))
-    for j in range(1, n):
-        d = np.abs(v[:, j, None] - v[:, :j])
-        d[d < 1e-300] = 0.0
-        best[:, j] = np.max(best[:, :j] + d ** rho, axis=1)
-    return np.max(best, axis=1) ** (1.0 / rho)
+    return dp_fresh_columns(v, rho) ** (1.0 / rho)
+
+
+# 1.078 still keeps 1e-300 ** rho as a denormal, 1.08 no longer does
+@pytest.mark.parametrize("rho", [1.0, 1.05, 1.078, 1.08, 1.5, 2.0, 2.5, 3.0,
+                                 7.0])
+def test_dp_buffer_and_skipped_flush_keep_the_bits(rho):
+    gen = np.random.default_rng(int(rho * 1000))
+    walk = np.cumsum(gen.standard_normal((5, 60)), axis=1)
+    # steps of 1e-302 sit below the flush threshold, on their own and
+    # between ordinary values
+    tiny = np.cumsum(gen.choice([-1e-302, 2e-302, 3e-302], (4, 30)), axis=1)
+    mixed = tiny.copy()
+    mixed[:, ::4] = walk[:4, :30:4]
+    near = 1e-299 * gen.standard_normal((3, 25))
+    for rows in (walk, tiny, mixed, near, walk[:1, :1]):
+        assert np.array_equal(_dp(rows, rho), dp_fresh_columns(rows, rho))
+    nan_rows = walk[:3, :12].copy()
+    nan_rows[1, 4] = np.nan
+    assert np.array_equal(_dp(nan_rows, rho), dp_fresh_columns(nan_rows, rho),
+                          equal_nan=True)
 
 
 def _cloud_row(gen, kind, n):
