@@ -35,6 +35,7 @@ the default BLAS thread count; --threads overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -199,14 +200,17 @@ def _cmd_kernel_bounds(args) -> int:
 
 
 def _cmd_variation_path(args) -> int:
+    import math
     from pathlib import Path
-    from .errors import ModelFileError
+    from .errors import ArgumentRangeError, ModelFileError
     from .variation import variation_exhaustive, variation_values
     try:
         values = _parse_list(Path(args.file).read_text() if args.file
                              else args.values, float)
     except OSError as exc:
         raise ModelFileError(f"cannot read path file: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ArgumentRangeError("path values must be finite")
     v = variation_values(values, args.rho)
     if args.check and len(values) <= 16:
         ref = variation_exhaustive(values, args.rho)
@@ -363,7 +367,10 @@ def _add_common(p, out=True):
                        help="directory for reports and plot CSVs")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verb tree, built once per process: parsing leaves the parser
+    as it was, and every call gets a fresh namespace."""
     root = _Parser(prog="oulab",
                    description="numerical laboratory for the "
                                "Ornstein-Uhlenbeck semigroup, its kernel, "
@@ -531,7 +538,8 @@ def main(argv=None) -> int:
     from .errors import OULabError, RateTooLargeError
     t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        # by name, so that the cached parser calls the module's handler
+        code = globals()[args.func.__name__](args)
     except RateTooLargeError as exc:
         print(f"oulab: bound failed: {exc}", file=sys.stderr)
         return 2

@@ -494,6 +494,12 @@ def _prune(groups, at_hi, at_lo, margin: float, spread: float):
             [v[k] for v, k in zip(at_hi, keeps)])
 
 
+def _prefactor_cap(log_cap) -> float:
+    """e^log_cap; a log cap past the largest double gives inf, quietly."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_cap))
+
+
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                     seed: int = 0, c: float | None = None,
                     t_max: float = 50.0) -> BoundCalibration:
@@ -545,7 +551,7 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                 f"ratios diverge at c={c:g}; admissible rate is "
                 f"{admissible_rate(model, which):.4g}")
         return BoundCalibration(which=which, exponent_rate=float(c),
-                                prefactor_cap=float(np.exp(m1)),
+                                prefactor_cap=_prefactor_cap(m1),
                                 stable=stable)
     margin, spread = ((0.0, 0.0) if dnorm is None
                       else (1e-12, float(np.log(np.max(dnorm) + 1.0))))
@@ -563,7 +569,7 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
             hi, at_hi = mid, at_mid
     m1, stable, _ = stats(at_lo)
     return BoundCalibration(which=which, exponent_rate=float(lo),
-                            prefactor_cap=float(np.exp(m1)), stable=stable)
+                            prefactor_cap=_prefactor_cap(m1), stable=stable)
 
 
 def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,

@@ -24,9 +24,42 @@ The program then runs on the compressed rows, grouped by length and padded
 with each row's last kept value (a zero increment adds exactly 0.0).  The
 sampled semigroup paths keep about one point in a hundred, so the
 quadratic cost falls on a handful of points per row.
+
+Rough rows keep far more: a random walk turns at about half its steps, so
+a 6,000-step walk keeps about 3,000 points and the full program fills
+about 4.4 M cells.  On such rows each column tries only the predecessors
+that can end an optimal increment:
+
+* inserting a point that lies outside an increment's range never lowers
+  the sum.  If v_i <= v_j < v_k with i < k < j, then
+  |v_k - v_i| > |v_j - v_i|, so the first of the two new increments alone
+  is at least the old one; rho-th powers and the flush keep that order.
+  So some optimal subsequence ending at j has a last increment (i, j)
+  whose endpoints are the minimum and the maximum of v on [i, j];
+* for an up-step (v_i < v_j) no point of (i, j) lies above v_j, so i
+  lies past the previous strictly greater point, and none lies below
+  v_i.  If a later point of (i, j) equals v_i, routing the subsequence
+  through the last such point adds an increment of exactly 0.0 and
+  leaves the last increment's bits as they were, so i can be taken to be
+  a strict suffix minimum of v[:j].  Down-steps are the mirror image;
+* the strict suffix minima of v[:j] below v_j are the entries of a
+  minimum stack that survive the pops at j, and those past the previous
+  strictly greater point (the top of the maximum stack after its pops)
+  form the top of that stack.
+
+A 6,000-step walk then has about 12,000 candidate pairs instead of 4.4 M.
+Their costs are formed in one numpy pass through the same ufuncs as the
+full program's, and a scalar loop takes each column's maximum, so the
+result has the full program's bits.  The selection is by kept count
+alone: rows keeping more than 512 points take this form one at a time,
+and shorter rows keep the full program, which runs each column over all
+the rows of a block at once.  Rows with a non-finite kept value also keep
+it, so their NaN or inf comes out as before.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -37,6 +70,8 @@ from .errors import BadOrderError, EmptyPathError, TooLongError
 _TINY_INCREMENT = 1e-300
 # values per block of rows in the turning-point compression
 _BLOCK = 1 << 17
+# rows keeping more than 2^_DENSE_CLASS points take the sparse program
+_DENSE_CLASS = 9
 
 
 def _check_order(rho: float) -> float:
@@ -79,27 +114,76 @@ def _turning_points(v: np.ndarray):
     return np.concatenate(kept), counts
 
 
+def _powers(d: np.ndarray, rho: float) -> np.ndarray:
+    """|d| ** rho in place, with increments below 1e-300 flushed to zero
+    first.  Once 1e-300 ** rho underflows to 0.0 (rho above about 1.08),
+    every smaller increment's power does too, and the flush cannot change
+    a sum, so it is skipped.  Both programs form their costs here, so a
+    pair's cost has the same bits in either."""
+    np.abs(d, out=d)
+    if _TINY_INCREMENT ** rho != 0.0:
+        d[d < _TINY_INCREMENT] = 0.0
+    d **= rho
+    return d
+
+
 def _dp(v: np.ndarray, rho: float) -> np.ndarray:
     """Largest sum of rho-th powers of increments over the subsequences of
     each row, by the quadratic prefix program.  Each column's candidates
-    are formed in one reused buffer.  Once 1e-300 ** rho underflows to
-    0.0 (rho above about 1.08), every smaller increment's power does too,
-    and the flush cannot change a sum, so it is skipped."""
+    are formed in one reused buffer."""
     m, n = v.shape
     best = np.zeros((m, n))
     buf = np.empty(m * n)
-    flush = _TINY_INCREMENT ** rho != 0.0
     for j in range(1, n):
         # contiguous, so numpy runs each step as one flat loop
         d = buf[:m * j].reshape(m, j)
         np.subtract(v[:, j, None], v[:, :j], out=d)
-        np.abs(d, out=d)
-        if flush:
-            d[d < _TINY_INCREMENT] = 0.0
-        d **= rho
+        _powers(d, rho)
         d += best[:, :j]
         np.max(d, axis=1, out=best[:, j])
     return np.max(best, axis=1)
+
+
+def _candidates(row: list) -> tuple[list, list]:
+    """Each column's predecessors that can end an optimal increment: the
+    flat list of their indices, and the bounds of each column's stretch
+    in it (column k's is ends[k]:ends[k + 1]).  One pass keeps two monotone stacks, of the strict suffix minima
+    and of the strict suffix maxima of the prefix."""
+    lo, hi = [], []
+    cand, ends = [], [0]
+    for j, x in enumerate(row):
+        while lo and row[lo[-1]] >= x:
+            lo.pop()
+        while hi and row[hi[-1]] <= x:
+            hi.pop()
+        # up-steps start past the previous strictly greater point, down-steps
+        # past the previous strictly smaller one
+        cand += lo[bisect_right(lo, hi[-1] if hi else -1):]
+        cand += hi[bisect_right(hi, lo[-1] if lo else -1):]
+        ends.append(len(cand))
+        lo.append(j)
+        hi.append(j)
+    return cand, ends
+
+
+def _dp_sparse(row: np.ndarray, rho: float) -> float:
+    """_dp's value for one row of finite values, with each column's maximum
+    taken over _candidates only."""
+    cand, ends = _candidates(row.tolist())
+    i = np.array(cand, dtype=np.intp)
+    j = np.repeat(np.arange(row.size), np.diff(ends))
+    cost = _powers(row[j] - row[i], rho).tolist()
+    best = [0.0] * row.size
+    for k in range(1, row.size):
+        # every sum is >= 0.0 and column k - 1 is always a candidate, so
+        # starting from 0.0 gives the maximum over the candidates
+        top = 0.0
+        for x in range(ends[k], ends[k + 1]):
+            s = best[cand[x]] + cost[x]
+            if s > top:
+                top = s
+        best[k] = top
+    return max(best)
 
 
 def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
@@ -113,8 +197,15 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
     # rows keeping between 2^(k-1) and 2^k points share one padded block
     size_class = np.ceil(np.log2(counts))
     out = np.empty(v.shape[0])
-    for k in np.unique(size_class):
-        sel = np.flatnonzero(size_class == k)
+    dense = size_class <= _DENSE_CLASS
+    for r in np.flatnonzero(~dense):
+        row = kept[starts[r]:starts[r] + counts[r]]
+        if np.isfinite(row).all():
+            out[r] = _dp_sparse(row, rho)
+        else:
+            dense[r] = True
+    for k in np.unique(size_class[dense]):
+        sel = np.flatnonzero(dense & (size_class == k))
         pos = np.minimum(np.arange(counts[sel].max()), counts[sel, None] - 1)
         out[sel] = _dp(kept[starts[sel, None] + pos], rho)
     return out ** (1.0 / rho)

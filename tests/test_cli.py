@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oulab.cli import main
+from oulab.cli import build_parser, main
 
 
 def test_unconverged_probe_fails_everywhere(tmp_path, capsys):
@@ -228,6 +228,7 @@ def test_combined_torus_qian_is_read_from_the_single_n_reports(tmp_path,
     assert all(flags.values()) and "overall: PASS" in printed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_bounds_verb_fails_on_an_infinite_cap(capsys):
     # on general2 the small-t bisection reaches the natural rate with an
     # infinite cap; probe kernel-bounds fails it through its finite flag
@@ -253,3 +254,78 @@ def test_kernel_bounds_verb_and_probe_print_one_calibration(tmp_path,
                        capsys.readouterr().out, re.M)
     assert [row[0] for row in verb] == list(BOUND_NAMES)
     assert verb == probe
+
+
+# cheap calls of several verbs, with and without their optional flags
+_SEQUENCE = [
+    ["variation", "path", "--rho", "2", "--values", "0,1,0.5,2,-1",
+     "--check"],
+    ["kernel", "zeros", "--model", "standard1", "--x", "1", "--u", "2",
+     "--scan", "512"],
+    ["variation", "path", "--rho", "2.5", "--values", "0,1,0.5,2,-1"],
+    ["kernel", "zeros", "--model", "standard1", "--x", "1", "--u", "2"],
+    ["model", "check", "standard2"],
+    ["kernel", "eval", "--model", "standard1", "--t", "0.5", "--x", "0.3",
+     "--u", "0.1"],
+    ["variation", "path", "--rho", "0.5", "--values", "1,2"],
+]
+
+
+def test_one_parser_serves_successive_calls_like_fresh_ones(capsys):
+    fresh = []
+    for argv in _SEQUENCE:
+        build_parser.cache_clear()
+        code = main(argv)
+        fresh.append((code, capsys.readouterr().out))
+    build_parser.cache_clear()
+    parser = build_parser()
+    for argv, expected in zip(_SEQUENCE, fresh):
+        assert (main(argv), capsys.readouterr().out) == expected
+        # a usage error in between leaves the parser as it was
+        with pytest.raises(SystemExit):
+            main(["kernel", "zeros", "--model", "standard1"])
+    assert build_parser() is parser
+
+
+def test_no_default_leaks_from_one_call_into_the_next():
+    parser = build_parser()
+    first = parser.parse_args(["kernel", "zeros", "--model", "standard1",
+                               "--x", "1", "--u", "2", "--scan", "64",
+                               "--t-hi", "3", "--threads", "2"])
+    again = parser.parse_args(["kernel", "zeros", "--model", "standard1",
+                               "--x", "1", "--u", "2"])
+    assert (first.scan, first.t_hi, first.threads) == (64, 3.0, 2)
+    assert (again.scan, again.t_hi, again.threads) == (4096, 1.0, None)
+    checked = parser.parse_args(["variation", "path", "--rho", "2",
+                                 "--values", "1,2", "--check"])
+    plain = parser.parse_args(["variation", "path", "--rho", "2",
+                               "--file", "path.txt"])
+    assert checked.check and checked.values == "1,2"
+    assert not plain.check and plain.values is None
+    assert plain.file == "path.txt" and checked.file is None
+    # namespaces of other verbs carry none of these attributes
+    other = parser.parse_args(["model", "check", "standard1"])
+    assert not hasattr(other, "scan") and not hasattr(other, "check")
+
+
+@pytest.mark.parametrize("values", ["1,nan,2", "1,inf,2", "0,-inf", "nan"])
+def test_variation_path_refuses_non_finite_values(values, monkeypatch,
+                                                  capsys):
+    from oulab import variation
+
+    def no_work(*args):
+        raise AssertionError("the variation ran")
+
+    monkeypatch.setattr(variation, "variation_values", no_work)
+    code = main(["variation", "path", "--rho", "2", "--values", values])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "error: path values must be finite" in err
+
+
+def test_variation_path_refuses_non_finite_values_in_a_file(tmp_path,
+                                                            capsys):
+    path = tmp_path / "path.txt"
+    path.write_text("0.5\n1e400\n-2\n")          # 1e400 reads as inf
+    code = main(["variation", "path", "--rho", "2", "--file", str(path)])
+    assert code == 1 and capsys.readouterr().out == ""

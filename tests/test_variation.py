@@ -8,7 +8,9 @@ from oulab import (
     variation_exhaustive,
     variation_values,
 )
-from oulab.variation import _dp, _turning_points
+from oulab import variation
+from oulab.rng import substream
+from oulab.variation import _candidates, _dp, _turning_points
 from oulab.errors import (
     BadOrderError,
     EmptyPathError,
@@ -291,6 +293,103 @@ def test_nan_and_empty_batches_behave_as_before():
     got = variation_batch(rows, 2.0)
     assert np.isnan(got[0]) and got[1] == pytest.approx(2.0)
     assert variation_batch(np.zeros((0, 4)), 2.0).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the sparse program on rows that keep more than 512 points
+
+
+def _walks(count=3, steps=6000):
+    # the benchmark's rough-paths walks for seed 0
+    return np.array([np.cumsum(substream(0, 500 + k).standard_normal(steps))
+                     for k in range(count)])
+
+
+def _kept_reference(row, rho):
+    """The quadratic program over the row's kept points."""
+    kept, _ = _turning_points(row[None])
+    return quadratic_dp_reference(kept[None], rho)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 2.5])
+def test_sparse_route_keeps_the_bits_on_long_walks(rho):
+    walks = _walks()
+    assert _turning_points(walks)[1].min() > 512
+    assert np.array_equal(variation_batch(walks, rho),
+                          quadratic_dp_reference(walks, rho))
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.05, 1.078, 1.08, 1.5, 2.0, 2.5, 3.0,
+                                 7.0])
+def test_sparse_route_keeps_the_bits_on_long_cloud_rows(rho):
+    # smooth rows (kind 4) keep a few points and stay on the full program;
+    # the other kinds keep about 300 to 1,300 points and cross the
+    # 512-point line on both sides
+    gen = np.random.default_rng(int(rho * 1000) + 1)
+    for kind in range(5):
+        for _ in range(2):
+            row = _cloud_row(gen, kind, int(gen.integers(600, 2001)))
+            assert np.array_equal(variation_batch(row[None], rho),
+                                  _kept_reference(row, rho))
+            if rho >= 1.5:
+                assert np.array_equal(variation_batch(row[None], rho),
+                                      quadratic_dp_reference(row[None], rho))
+
+
+@pytest.mark.parametrize("rho", [2.0, 2.5])
+def test_sparse_route_in_a_batch_of_long_and_short_rows(rho):
+    gen = np.random.default_rng(17)
+    n = 1500
+    long_walk = np.cumsum(gen.standard_normal(n))
+    half_walk = np.concatenate([long_walk[:800],
+                                np.full(n - 800, long_walk[799])])
+    short = np.cumsum(gen.standard_normal(n)) * (np.arange(n) % 300 < 4)
+    smooth = np.sin(np.linspace(0.0, 9.0, n))
+    rows = np.stack([long_walk, smooth, half_walk, short, np.full(n, 2.0),
+                     _cloud_row(gen, 0, n)])
+    counts = _turning_points(rows)[1]
+    assert (counts > 512).any() and (counts <= 512).any()
+    assert np.array_equal(variation_batch(rows, rho),
+                          quadratic_dp_reference(rows, rho))
+
+
+def test_long_rows_with_nan_or_inf_stay_on_the_full_program(monkeypatch):
+    gen = np.random.default_rng(23)
+    rows = np.cumsum(gen.standard_normal((5, 1500)), axis=1)
+    rows[0, 700] = np.nan
+    rows[1, 10] = rows[1, 900] = np.inf        # inf - inf is NaN
+    rows[2, 5] = -np.inf
+    rows[3, 1499] = np.nan
+    widths = []
+    full = variation._dp
+
+    def counted(v, rho):
+        widths.append(v.shape[1])
+        return full(v, rho)
+
+    monkeypatch.setattr(variation, "_dp", counted)
+    with np.errstate(invalid="ignore"):
+        got = variation_batch(rows, 2.0)
+        ref = quadratic_dp_reference(rows, 2.0)
+    assert np.isnan(got[[0, 1, 3]]).all()
+    assert np.array_equal(got, ref, equal_nan=True)
+    # the four non-finite rows ran on the full program, the finite one not
+    assert len(widths) == 1 and widths[0] > 512
+    widths.clear()
+    variation_batch(rows[4:], 2.0)
+    assert widths == []
+
+
+def test_walk_candidates_are_below_a_hundredth_of_the_cells():
+    kept, counts = _turning_points(_walks(1))
+    m = int(counts[0])
+    cand, ends = _candidates(kept.tolist())
+    assert len(ends) == m + 1 and ends[-1] == len(cand)
+    assert len(cand) < m * (m - 1) / 2 / 100
+    # every column keeps its left neighbour, and only earlier points
+    for k in range(1, m):
+        stretch = cand[ends[k]:ends[k + 1]]
+        assert k - 1 in stretch and max(stretch) < k
 
 
 # ---------------------------------------------------------------------------
