@@ -538,8 +538,7 @@ def main(argv=None) -> int:
     from .errors import OULabError, RateTooLargeError
     t0 = time.perf_counter()
     try:
-        # by name, so that the cached parser calls the module's handler
-        code = globals()[args.func.__name__](args)
+        code = args.func(args)
     except RateTooLargeError as exc:
         print(f"oulab: bound failed: {exc}", file=sys.stderr)
         return 2

@@ -50,11 +50,22 @@ that can end an optimal increment:
 A 6,000-step walk then has about 12,000 candidate pairs instead of 4.4 M.
 Their costs are formed in one numpy pass through the same ufuncs as the
 full program's, and a scalar loop takes each column's maximum, so the
-result has the full program's bits.  The selection is by kept count
-alone: rows keeping more than 512 points take this form one at a time,
-and shorter rows keep the full program, which runs each column over all
-the rows of a block at once.  Rows with a non-finite kept value also keep
-it, so their NaN or inf comes out as before.
+result has the full program's bits.
+
+Rows keeping more than 512 points take this form one at a time, and
+shorter rows keep the full program, which runs each column over all the
+rows of a block at once.  The line is not a crossover: on walks (2 to 5
+candidates a point) the sparse form is about five times faster for a
+single row of any length from 16 points, but a block of 16 such rows runs
+faster in the full program up to about 1,000 points, and one of 128 rows
+up to about 1,200.  Rows with a non-finite kept value keep the full
+program, so their NaN or inf comes out as before.  So do trending rows:
+a walk with drift has linearly many strict suffix minima, and on a rising
+sawtooth every earlier valley is a candidate at each peak, about m^2 / 8
+in all.  The candidate pass stops once a row has more than 32 a point;
+on drifting walks of 550 and 3,000 kept points that many take about half
+the full program's time, and the sparse form breaks even near 65 a point
+at 3,000.
 """
 
 from __future__ import annotations
@@ -70,8 +81,10 @@ from .errors import BadOrderError, EmptyPathError, TooLongError
 _TINY_INCREMENT = 1e-300
 # values per block of rows in the turning-point compression
 _BLOCK = 1 << 17
-# rows keeping more than 2^_DENSE_CLASS points take the sparse program
+# rows keeping more than 2^_DENSE_CLASS points take the sparse program,
+# unless they have more than _SPARSE_PER_POINT candidates per point
 _DENSE_CLASS = 9
+_SPARSE_PER_POINT = 32
 
 
 def _check_order(rho: float) -> float:
@@ -144,11 +157,12 @@ def _dp(v: np.ndarray, rho: float) -> np.ndarray:
     return np.max(best, axis=1)
 
 
-def _candidates(row: list) -> tuple[list, list]:
+def _candidates(row: list, limit: int) -> tuple[list, list] | None:
     """Each column's predecessors that can end an optimal increment: the
     flat list of their indices, and the bounds of each column's stretch
-    in it (column k's is ends[k]:ends[k + 1]).  One pass keeps two monotone stacks, of the strict suffix minima
-    and of the strict suffix maxima of the prefix."""
+    in it (column k's is ends[k]:ends[k + 1]).  None once there are more
+    than limit of them.  One pass keeps two monotone stacks, of the strict
+    suffix minima and of the strict suffix maxima of the prefix."""
     lo, hi = [], []
     cand, ends = [], [0]
     for j, x in enumerate(row):
@@ -161,15 +175,21 @@ def _candidates(row: list) -> tuple[list, list]:
         cand += lo[bisect_right(lo, hi[-1] if hi else -1):]
         cand += hi[bisect_right(hi, lo[-1] if lo else -1):]
         ends.append(len(cand))
+        if ends[-1] > limit:
+            return None
         lo.append(j)
         hi.append(j)
     return cand, ends
 
 
-def _dp_sparse(row: np.ndarray, rho: float) -> float:
+def _dp_sparse(row: np.ndarray, rho: float) -> float | None:
     """_dp's value for one row of finite values, with each column's maximum
-    taken over _candidates only."""
-    cand, ends = _candidates(row.tolist())
+    taken over _candidates only; None if the row has more than
+    _SPARSE_PER_POINT candidates per point."""
+    found = _candidates(row.tolist(), _SPARSE_PER_POINT * row.size)
+    if found is None:
+        return None
+    cand, ends = found
     i = np.array(cand, dtype=np.intp)
     j = np.repeat(np.arange(row.size), np.diff(ends))
     cost = _powers(row[j] - row[i], rho).tolist()
@@ -200,10 +220,11 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
     dense = size_class <= _DENSE_CLASS
     for r in np.flatnonzero(~dense):
         row = kept[starts[r]:starts[r] + counts[r]]
-        if np.isfinite(row).all():
-            out[r] = _dp_sparse(row, rho)
-        else:
+        got = _dp_sparse(row, rho) if np.isfinite(row).all() else None
+        if got is None:
             dense[r] = True
+        else:
+            out[r] = got
     for k in np.unique(size_class[dense]):
         sel = np.flatnonzero(dense & (size_class == k))
         pos = np.minimum(np.arange(counts[sel].max()), counts[sel, None] - 1)

@@ -380,10 +380,39 @@ def test_long_rows_with_nan_or_inf_stay_on_the_full_program(monkeypatch):
     assert widths == []
 
 
+def test_trending_rows_with_quadratic_candidates_take_the_full_program(
+        monkeypatch):
+    # on a rising sawtooth every point is kept, and at each peak every
+    # earlier valley is a candidate: about m^2 / 8 of them; a walk with
+    # drift has linearly many strict suffix minima
+    t = np.arange(6000.0)
+    rows = np.stack([t + 3.0 * (-1.0) ** t,
+                     np.cumsum(substream(0, 600).standard_normal(6000) + 0.5)])
+    counts = _turning_points(rows)[1]
+    assert counts.min() > 512
+    for r in range(2):
+        row = _turning_points(rows[r:r + 1])[0].tolist()
+        assert _candidates(row, variation._SPARSE_PER_POINT * len(row)) is None
+    widths = []
+    full = variation._dp
+
+    def counted(v, rho):
+        widths.append(v.shape)
+        return full(v, rho)
+
+    monkeypatch.setattr(variation, "_dp", counted)
+    for rho in (1.5, 2.0):
+        for r in range(2):
+            widths.clear()
+            assert np.array_equal(variation_batch(rows[r:r + 1], rho),
+                                  quadratic_dp_reference(rows[r:r + 1], rho))
+            assert widths == [(1, counts[r])]
+
+
 def test_walk_candidates_are_below_a_hundredth_of_the_cells():
     kept, counts = _turning_points(_walks(1))
     m = int(counts[0])
-    cand, ends = _candidates(kept.tolist())
+    cand, ends = _candidates(kept.tolist(), variation._SPARSE_PER_POINT * m)
     assert len(ends) == m + 1 and ends[-1] == len(cand)
     assert len(cand) < m * (m - 1) / 2 / 100
     # every column keeps its left neighbour, and only earlier points
