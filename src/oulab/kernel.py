@@ -467,15 +467,15 @@ def _cell_groups(a, b, dnorm, uptos) -> list:
             for lo, hi in zip(ends, ends[1:])]
 
 
-def _prefix_max_log_ratios(which: str, groups, ts, c: float):
+def _prefix_max_log_ratios(groups, ts, c: float):
     """(maxima, ratios) at rate c: the largest finite log ratio up to each
-    group (-inf for none), and per group the log ratio of every cell."""
+    group (-inf for none), and per group the log ratio a + c b of every
+    cell, less log(dnorm + e^{-ct}) where the groups carry dnorm."""
     maxima, ratios, top = [], [], -np.inf
     for a, b, dnorm, cols in groups:
-        if which in ("kernel-small-t", "dkernel-small-t"):
-            vals = a + c * b
-        else:
-            vals = a + c * b - np.log(dnorm + np.exp(-c * ts)[cols])
+        vals = a + c * b
+        if dnorm is not None:
+            vals = vals - np.log(dnorm + np.exp(-c * ts)[cols])
         top = max(top, float(vals.max(where=np.isfinite(vals),
                                       initial=-np.inf)))
         maxima.append(top)
@@ -500,6 +500,37 @@ def _prefactor_cap(log_cap) -> float:
         return float(np.exp(log_cap))
 
 
+def _rate_maxima(groups, ts, c: float | None, hi: float, steps: int,
+                 margin: float = 0.0, spread: float = 0.0):
+    """(rate, prefix maxima at that rate) over the cell groups: c if given,
+    else the largest rate in [0, hi], to `steps` halvings, whose last
+    prefix maximum exceeds the one before it by at most log 1.1.
+
+    The bisection drops cells that can no longer set a prefix maximum.  A
+    cell's log ratio a + c b [- log(dnorm + e^{-ct})] is nondecreasing in c
+    (b >= 0), and every later rate lies in [lo, hi].  So a cell whose ratio
+    at hi is below the maximum at lo of the smallest prefix holding it
+    stays below that prefix's maximum.  Cells with no finite a go at once;
+    cells with no finite ratio at hi stay.  a + c b rounds monotonically
+    in c; exp and log need not, so groups with dnorm take a margin (see
+    _prune).
+    """
+    if c is not None:
+        return c, _prefix_max_log_ratios(groups, ts, c)[0]
+    lo = 0.0
+    at_lo, _ = _prefix_max_log_ratios(groups, ts, lo)
+    _, at_hi = _prefix_max_log_ratios(groups, ts, hi)
+    for _ in range(steps):
+        groups, at_hi = _prune(groups, at_hi, at_lo, margin, spread)
+        mid = 0.5 * (lo + hi)
+        maxima, at_mid = _prefix_max_log_ratios(groups, ts, mid)
+        if maxima[-1] <= maxima[-2] + np.log(1.1):
+            lo, at_lo = mid, maxima
+        else:
+            hi, at_hi = mid, at_mid
+    return lo, at_lo
+
+
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                     seed: int = 0, c: float | None = None,
                     t_max: float = 50.0) -> BoundCalibration:
@@ -509,16 +540,10 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     over the c-rate right-hand side) is reported together with a stability
     flag: at most 10 percent growth when the sample doubles.  Sustained growth
     across two doublings raises RateTooLarge.  Without c, the largest
-    stable rate is found by bisection below the natural Gaussian rate.
-
-    The bisection drops cells that can no longer set a prefix maximum.  A
-    cell's log ratio a + c b [- log(dnorm + e^{-ct})] is nondecreasing in c
-    (b >= 0), and every later rate lies in [lo, hi].  So a cell whose ratio
-    at hi is below the maximum at lo of the smallest prefix (n/4, n/2, n)
-    holding it stays below that prefix's maximum.  Cells with no finite a
-    go at once; cells with no finite ratio at hi stay.  a + c b rounds
-    monotonically in c; exp and log need not, so dkernel-large-t keeps a
-    margin of 1e-12 (1 + |max| + log(max dnorm + 1)).
+    stable rate is found by bisection below the natural Gaussian rate
+    (_rate_maxima, 30 steps, prefixes of n/4, n/2 and n pairs);
+    dkernel-large-t prunes with a margin of 1e-12 (1 + |max| +
+    log(max dnorm + 1)).
     """
     if which not in BOUND_NAMES:
         raise BadOrderError(f"unknown bound name {which!r}")
@@ -536,39 +561,17 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     a, b, dnorm = _ratio_pieces(model, which, x, u, ts)
     groups = _cell_groups(a, b, dnorm,
                           (n_samples // 4, n_samples // 2, None))
-
-    def stats(maxima):
-        m4, m2, m1 = maxima
-        growing = (m1 > m2 + np.log(1.1)) and (m2 > m4 + np.log(1.1))
-        stable = m1 <= m2 + np.log(1.1)
-        return m1, stable, growing
-
-    if c is not None:
-        m1, stable, growing = stats(
-            _prefix_max_log_ratios(which, groups, ts, c)[0])
-        if growing or not np.isfinite(m1):
-            raise RateTooLargeError(
-                f"ratios diverge at c={c:g}; admissible rate is "
-                f"{admissible_rate(model, which):.4g}")
-        return BoundCalibration(which=which, exponent_rate=float(c),
-                                prefactor_cap=_prefactor_cap(m1),
-                                stable=stable)
     margin, spread = ((0.0, 0.0) if dnorm is None
                       else (1e-12, float(np.log(np.max(dnorm) + 1.0))))
-    lo, hi = 0.0, natural_rate(model)
-    at_lo, _ = _prefix_max_log_ratios(which, groups, ts, lo)
-    _, at_hi = _prefix_max_log_ratios(which, groups, ts, hi)
-    for _ in range(30):
-        groups, at_hi = _prune(groups, at_hi, at_lo, margin, spread)
-        mid = 0.5 * (lo + hi)
-        maxima, at_mid = _prefix_max_log_ratios(which, groups, ts, mid)
-        _, stable, growing = stats(maxima)
-        if stable and not growing:
-            lo, at_lo = mid, maxima
-        else:
-            hi, at_hi = mid, at_mid
-    m1, stable, _ = stats(at_lo)
-    return BoundCalibration(which=which, exponent_rate=float(lo),
+    rate, (m4, m2, m1) = _rate_maxima(groups, ts, c, natural_rate(model),
+                                      30, margin, spread)
+    stable = m1 <= m2 + np.log(1.1)
+    if c is not None and (not stable and m2 > m4 + np.log(1.1)
+                          or not np.isfinite(m1)):
+        raise RateTooLargeError(
+            f"ratios diverge at c={c:g}; admissible rate is "
+            f"{admissible_rate(model, which):.4g}")
+    return BoundCalibration(which=which, exponent_rate=float(rate),
                             prefactor_cap=_prefactor_cap(m1), stable=stable)
 
 

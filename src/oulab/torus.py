@@ -425,7 +425,6 @@ def _difference_ratio_pieces(model, x, u, ts):
     noise."""
     from .kernel import log_kernel_pairs
     from .model import quadratic_r
-    n = model.n
     w, v = np.linalg.eigh(model.Q)
     qinv = (v / w) @ v.T
     _, logdet_q = np.linalg.slogdet(model.Q)
@@ -433,14 +432,12 @@ def _difference_ratio_pieces(model, x, u, ts):
         - 0.5 * model.logdet_Qinf - quadratic_r(model, x)
     d = x - u
     qd = np.einsum("mi,ij,mj->m", d, qinv, d)
-    lc = -0.5 * logdet_q - 0.5 * n * np.log(ts) - 0.5 * qd / ts
+    lc = -0.5 * logdet_q - 0.5 * np.log(ts) - 0.5 * qd / ts
     gap = np.abs(lt - lc)
     with np.errstate(divide="ignore"):
         logdiff = np.maximum(lt, lc) + np.where(
             gap > 0, np.log(-np.expm1(-gap)), -1e6)
-    a = logdiff - 0.5 * (1 - n) * np.log(ts)
-    b = qd / ts
-    return a, b
+    return logdiff, qd / ts
 
 
 def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
@@ -450,52 +447,48 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     unit boxes: pointwise size of the gap, its t -> 0 rate on the
     diagonal, and the L^2 effect of the gap operator on sign sums.
 
-    The gap obeys |difference| <= C t^((1-n)/2) exp(-c |Q^(-1/2)(x-u)|^2/t)
+    In one dimension the gap obeys |difference| <= C exp(-c (x-u)^2/(q t))
     for some c < 1/2; squaring and summing over dyadic times then bounds
     the v(2) seminorm of the gap chain by the L^2 norm of the input.
+    Without c, a 25-step bisection on [0, 0.45] calibrates it
+    (kernel._rate_maxima on the first half of the sample and the whole).
     """
     from .report import ProbeReport
     from .errors import RateTooLargeError
+    from .kernel import _cell_groups, _rate_maxima
     n = model.n
     if n != 1:
         raise DimensionError("difference bound is probed for n = 1")
+    if c is not None and not c > 0:
+        raise ArgumentRangeError(f"rate must be positive, got {c:g}")
+    if sample_size < 4:
+        raise ArgumentRangeError("calibration needs at least 4 samples")
+    if x_points < 1:
+        raise ArgumentRangeError("the operator ratio needs an x point")
+    if not n_grid or not all(2 <= N <= 5 for N in n_grid):
+        raise ArgumentRangeError("scale grid must be nonempty, in [2, 5]")
     rng = substream(seed, 11)
     xs = rng.random((sample_size, n))
     us = substream(seed, 12).random((sample_size, n))
     ts = np.exp(substream(seed, 13).uniform(math.log(1e-6), 0.0,
                                             sample_size))
     a, b = _difference_ratio_pieces(model, xs, us, ts)
-
-    def max_log_ratio(rate: float, count: int) -> float:
-        return float(np.max(a[:count] + rate * b[:count]))
-
-    if c is None:
-        lo, hi = 0.0, 0.45
-        for _ in range(25):
-            mid = 0.5 * (lo + hi)
-            full = max_log_ratio(mid, sample_size)
-            halfv = max_log_ratio(mid, sample_size // 2)
-            if np.isfinite(full) and full <= math.log(1.10) + halfv:
-                lo = mid
-            else:
-                hi = mid
-        c = lo
-    lr_full = max_log_ratio(c, sample_size)
-    lr_half = max_log_ratio(c, sample_size // 2)
+    groups = _cell_groups(a[:, None], b[:, None], None,
+                          (sample_size // 2, None))
+    c, (lr_half, lr_full) = _rate_maxima(groups, None, c, 0.45, 25)
     if not np.isfinite(lr_full) or lr_full > math.log(1.5) + lr_half:
         raise RateTooLargeError(f"rate {c} is unstable under doubling")
     ratio_full = math.exp(lr_full)
     ratio_half = math.exp(lr_half)
 
     # diagonal rate: the gap's leading term comes from the covariance
-    # curvature, so the log-log slope is (2-n)/2 rather than the off-
-    # diagonal envelope's (1-n)/2
+    # curvature, so the log-log slope is 1/2 rather than the off-diagonal
+    # envelope's 0
     ts_diag = np.geomspace(1e-6, 1e-2, 40)
     x0 = np.full(n, 0.3)
-    a_diag, _ = _difference_ratio_pieces(
+    logd, _ = _difference_ratio_pieces(
         model, np.broadcast_to(x0, (40, n)).copy(),
         np.broadcast_to(x0, (40, n)).copy(), ts_diag)
-    logd = a_diag + 0.5 * (1 - n) * np.log(ts_diag)
     slope = float(np.polyfit(np.log(ts_diag), logd, 1)[0])
 
     rows = []
@@ -516,12 +509,11 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
         statistics={"max_ratio": ratio_full,
                     "half_sample_max_ratio": ratio_half,
                     "diagonal_rate": slope,
-                    "expected_diagonal_rate": 0.5 * (2 - n),
+                    "expected_diagonal_rate": 0.5,
                     "l2_ratio_growth": growth},
         tables={"operator_ratio": rows},
         pass_flags={"pointwise_stable": bool(ratio_full <= 1.5 * ratio_half),
-                    "diagonal_rate_ok":
-                        bool(abs(slope - 0.5 * (2 - n)) <= 0.1),
+                    "diagonal_rate_ok": bool(abs(slope - 0.5) <= 0.1),
                     "operator_bounded": bool(growth <= 1.25)},
         seed=seed)
 

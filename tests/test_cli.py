@@ -100,10 +100,37 @@ def test_difference_bound_rejects_n_other_than_one_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--rate", "-1"],
+    ["--rate", "0"],
+    ["--rate", "nan"],
+    ["--samples", "0"],
+    ["--samples", "1"],
+    ["--samples", "3"],
+    ["--xpoints", "0"],
+    ["--N", "1"],
+    ["--N", "2,6"],
+    ["--N", "9"],
+    ["--N", ","]])
+def test_bad_difference_settings_exit_one_before_any_work(
+        argv, tmp_path, capsys, monkeypatch):
+    import oulab.torus
+
+    def no_work(*args):
+        raise AssertionError("ran before the range check")
+
+    monkeypatch.setattr(oulab.torus, "_difference_ratio_pieces", no_work)
+    code = main(["torus", "delta", *argv, "--out", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # the report each report-writing verb below names its JSON after
 REPORTS = {("torus", "fourier"): "fourier-gap",
            ("torus", "qian"): "variation-growth-E",
            ("torus", "failure"): "weak-type-failure",
+           ("torus", "delta"): "kernel-difference-bound",
            ("probe", "enhanced"): "annulus-superlevel",
            ("probe", "cz"): "cz-sweeps",
            ("probe", "kernel-bounds"): "kernel-bounds"}
@@ -129,6 +156,7 @@ REPORTS = {("torus", "fourier"): "fourier-gap",
      "size sweep"),
     (["probe", "kernel-bounds", "--model", "standard1", "--samples",
       "2000"], 0, "tail-integral: c = "),
+    (["torus", "delta"], 0, "  operator_bounded: pass"),
 ])
 def test_verbs_keep_the_exit_code_contract(argv, code, printed, tmp_path,
                                            capsys):

@@ -768,13 +768,15 @@ def test_prefix_maxima_bit_identical_to_separate_passes(which):
         a[gen.integers(p, size=5)] = -np.inf       # rows with no finite value
         a[gen.integers(p, size=2)] = np.nan
         dnorm[gen.random((p, m)) < 0.02] = 0.0
+        if "small" in which:
+            dnorm = None                            # the small-t forms
         if trial == 0:
             a[:60] = -np.inf                        # an empty first quarter
         uptos = (0, p // 4, p // 2, p - 1, None)
         for c in (1e-3, 0.07, 0.25, 2.0):
             with np.errstate(invalid="ignore"):     # inf - inf in a + c b
                 got, _ = _prefix_max_log_ratios(
-                    which, _cell_groups(a, b, dnorm, uptos), ts, c)
+                    _cell_groups(a, b, dnorm, uptos), ts, c)
                 want = [frozen_max_log_ratio(which, a, b, dnorm, ts, c, k)
                         for k in uptos]
             assert np.array_equal(got, want)

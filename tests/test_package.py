@@ -122,3 +122,18 @@ def test_cli_builds_no_report():
                                            "extend", "insert"}):
                 writes.append(f"{fn.name}:{node.lineno}")
     assert writes == []
+
+
+def test_importing_torus_loads_neither_kernel_nor_scipy():
+    """A fresh `import oulab.torus` stays light: the kernel layer and scipy
+    load only when a torus probe that needs them runs."""
+    import os
+    import subprocess
+    import sys
+    code = ("import sys, oulab.torus\n"
+            "print(sorted(m for m in sys.modules if m == 'oulab.kernel'"
+            " or m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

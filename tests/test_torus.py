@@ -10,8 +10,9 @@ from oulab import (CounterexampleConfig, apply_window_mean, chain_values,
                    dyadic_moment, dyadic_points, fourier_kernel_gap,
                    weak_type_failure)
 from oulab import build_model, log_kernel, quadratic_r, standard_model
+import oulab.torus as torus_mod
 from oulab.torus import (BITS, _difference_ratio_pieces, _gauss_columns,
-                         perturb_boundaries)
+                         kernel_difference_bound, perturb_boundaries)
 from reference_routes import merged_grid_smoother
 
 
@@ -254,3 +255,55 @@ def test_difference_pieces_match_the_per_pair_loop(model):
     want = frozen_difference_ratio_pieces(model, x, u, ts)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=1e-14, atol=0.0)
+
+
+def frozen_difference_bisection(a, b, c):
+    """kernel_difference_bound's rate search as it was, two full passes at
+    every rate; returns (rate, max ratio, half-sample max ratio)."""
+    n = a.size
+
+    def max_log_ratio(rate, count):
+        return float(np.max(a[:count] + rate * b[:count]))
+
+    if c is None:
+        lo, hi = 0.0, 0.45
+        for _ in range(25):
+            mid = 0.5 * (lo + hi)
+            full = max_log_ratio(mid, n)
+            halfv = max_log_ratio(mid, n // 2)
+            if np.isfinite(full) and full <= math.log(1.10) + halfv:
+                lo = mid
+            else:
+                hi = mid
+        c = lo
+    return (c, math.exp(max_log_ratio(c, n)),
+            math.exp(max_log_ratio(c, n // 2)))
+
+
+@pytest.mark.parametrize("model", [standard_model(1),
+                                   build_model([[0.7]], [[-0.3]]),
+                                   build_model([[3.0]], [[-2.0]])])
+def test_difference_rate_matches_the_full_pass_bisection(model,
+                                                         monkeypatch):
+    seen = []
+    real = torus_mod._difference_ratio_pieces
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(torus_mod, "_difference_ratio_pieces", spy)
+    rates = set()
+    for seed in range(5):
+        for c, size in ((None, 400), (None, 37), (0.2, 400), (0.44, 400)):
+            seen.clear()
+            report = kernel_difference_bound(model, n_grid=(2,), c=c,
+                                             sample_size=size, seed=seed)
+            st = report.statistics
+            got = (report.inputs["rate"], st["max_ratio"],
+                   st["half_sample_max_ratio"])
+            # the first pieces are the calibration sample's
+            assert got == frozen_difference_bisection(*seen[0], c)
+            rates.add(got[0])
+    # bisected rates below the top of the bracket are exercised too
+    assert len(rates) > 3
