@@ -36,8 +36,8 @@ _EXPORTS = {
     "variation_values": "variation", "variation_batch": "variation",
     "variation_exhaustive": "variation",
     # semigroup
-    "GaussianBump": "semigroup", "TimeGrid": "semigroup",
-    "gaussian_bump": "semigroup", "apply_semigroup": "semigroup",
+    "GaussianBump": "semigroup", "gaussian_bump": "semigroup",
+    "apply_semigroup": "semigroup",
     "bump_semigroup_value": "semigroup",
     "variation_batch_paths": "semigroup",
     "cz_size_sweep": "semigroup", "cz_smoothness_sweep": "semigroup",

@@ -130,9 +130,8 @@ def _finalize(report, args) -> int:
     print(f"report {path}")
     for p in written:
         print(f"plot-data {p}")
-    flags = report.effective_flags()
-    for key in sorted(flags):
-        print(f"  {key}: {'pass' if flags[key] else 'FAIL'}")
+    for key, flag in sorted(report.pass_flags.items()):
+        print(f"  {key}: {'pass' if flag else 'FAIL'}")
     ok = report.overall_pass()
     print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 2

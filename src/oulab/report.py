@@ -3,7 +3,9 @@
 Reports are pure functions of (config, seed): rerunning a probe with the
 same inputs must produce byte-identical files.  Wall-clock runtime is
 therefore kept out of the serialized payload (it goes to stderr) and all
-writes are atomic so a crash never leaves a partial file behind.
+writes are atomic so a crash never leaves a partial file behind.  A
+report's pass flags are written exactly as the probe decided them; a probe
+whose estimate is not to be trusted sets its own flags False.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ def config_fingerprint(config: dict) -> str:
 
 @dataclass
 class ProbeReport:
+    """One probe's result.  pass_flags are exactly as the probe decided
+    them: the JSON document, overall_pass and so the printed verdict and
+    the exit code all read this one dict."""
+
     name: str
     claim: str                      # neutral statement of what is probed
     inputs: dict
@@ -49,21 +55,10 @@ class ProbeReport:
     ci: dict = field(default_factory=dict)       # name -> [lo, hi], 95 %
     seed: int = 0
 
-    def effective_flags(self) -> dict:
-        """The pass flags as reported: a report with any unstable or
-        unconverged marker among its statistics cannot claim a pass, so
-        such a marker turns every flag False."""
-        shaky = any(("unstable" in k or "unconverged" in k) and bool(v)
-                    for k, v in self.statistics.items())
-        if shaky:
-            return {k: False for k in self.pass_flags}
-        return dict(self.pass_flags)
-
     def overall_pass(self) -> bool:
-        return all(bool(v) for v in self.effective_flags().values())
+        return all(bool(v) for v in self.pass_flags.values())
 
     def to_dict(self) -> dict:
-        flags = self.effective_flags()
         return {
             "name": self.name,
             "claim": self.claim,
@@ -71,7 +66,7 @@ class ProbeReport:
             "fingerprint": config_fingerprint(self.inputs),
             "statistics": _canonical(self.statistics),
             "tables": _canonical(self.tables),
-            "pass_flags": _canonical(flags),
+            "pass_flags": _canonical(self.pass_flags),
             "ci": _canonical(self.ci),
             "seed": self.seed,
         }

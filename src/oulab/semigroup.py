@@ -26,7 +26,7 @@ from .model import OUModel, Propagators, propagators, quadratic_r
 from .quadrature import (gauss_hermite_rule, gaussian_measure, hermite_tensor,
                          product_gaussian)
 from .rng import substream
-from .variation import variation_batch
+from .variation import exceedance, variation_batch
 
 _TINY = 1e-300
 
@@ -70,39 +70,35 @@ def gaussian_bump(model: OUModel, center, width: float) -> GaussianBump:
 
 
 # ---------------------------------------------------------------------------
-# time grids
+# time grids: plain increasing arrays of positive times, built by
+# _geometric_times and refined only by _refine
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    points: np.ndarray
+def _geometric_times(t_min: float, t_max: float,
+                     points_per_decade: int) -> np.ndarray:
+    """Geometric times from t_min to t_max, at least points_per_decade a
+    decade and never fewer than two."""
+    if not 0 < t_min < t_max:
+        raise NonPositiveTimeError("need 0 < t_min < t_max")
+    decades = math.log10(t_max / t_min)
+    count = max(2, int(math.ceil(decades * points_per_decade)) + 1)
+    return np.geomspace(t_min, t_max, count)
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise NonPositiveTimeError("grid needs at least two points")
-        if pts[0] <= 0 or np.any(np.diff(pts) <= 0):
-            raise NonPositiveTimeError(
-                "grid must be strictly increasing and positive")
-        object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def geometric(cls, t_min: float, t_max: float,
-                  points_per_decade: int = 64) -> "TimeGrid":
-        if not 0 < t_min < t_max:
-            raise NonPositiveTimeError("need 0 < t_min < t_max")
-        decades = math.log10(t_max / t_min)
-        count = max(2, int(math.ceil(decades * points_per_decade)) + 1)
-        return cls(np.geomspace(t_min, t_max, count))
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Columns old[0], new[0], old[1], ..., old[-1] along the last axis."""
+    out = np.empty(old.shape[:-1] + (old.shape[-1] + new.shape[-1],))
+    out[..., 0::2] = old
+    out[..., 1::2] = new
+    return out
 
-    def refine(self) -> "TimeGrid":
-        """Insert the geometric midpoint of every gap; the old points stay,
-        so any variation along the grid can only grow."""
-        p = self.points
-        return TimeGrid(_interleave(p, np.sqrt(p[:-1] * p[1:])))
 
-    def __len__(self):
-        return self.points.size
+def _refine(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(refined, mids): the times with the geometric midpoint of every gap
+    inserted, and those midpoints.  The old times stay, at the even
+    places, so any variation along the times can only grow."""
+    mids = np.sqrt(ts[:-1] * ts[1:])
+    return _interleave(ts, mids), mids
 
 
 def t_max_for_tail(model: OUModel) -> float:
@@ -361,39 +357,28 @@ def _part_values(model: OUModel, f: GaussianBump, ts: np.ndarray, x,
     return loc if part == "local" else glob
 
 
-def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Columns old[0], new[0], old[1], ..., old[-1] along the last axis."""
-    out = np.empty(old.shape[:-1] + (old.shape[-1] + new.shape[-1],))
-    out[..., 0::2] = old
-    out[..., 1::2] = new
-    return out
-
-
 def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
-                          grid: TimeGrid, part: str = "full",
+                          ts: np.ndarray, part: str = "full",
                           tol: float = 1e-3, max_refine: int = 3,
                           order: int | None = None):
-    """Batched variation over many starting points; refinement is applied to
-    the whole batch until the largest relative increment drops below tol.
+    """Batched variation over many starting points along the times ts;
+    refinement is applied to the whole batch until the largest relative
+    increment drops below tol.
 
-    A refinement inserts the geometric midpoint of every gap, as
-    TimeGrid.refine does, and keeps the old points; so only the midpoints
-    are evaluated, and their columns interleave with the known ones.
-    Returns (values, converged_flag, grid_size)."""
+    Each round refines the times by _refine, which keeps the old times;
+    so only its midpoints are evaluated, and their columns interleave with
+    the known ones.  Returns (values, converged_flag, grid_size)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    ts = grid.points
     vals = _part_values(model, f, ts, x, part, order)
     # the convergence test is relative to the path scale, so a flat path
     # (variation at rounding level) converges instead of chasing noise
     floor = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     prev = variation_batch(vals, rho)
-    rel = math.inf
     for _ in range(max_refine):
-        mids = np.sqrt(ts[:-1] * ts[1:])
+        ts, mids = _refine(ts)
         new = _part_values(model, f, mids, x, part, order)
         vals = _interleave(vals, new)
         del new     # only the merged paths stay alive through the DP
-        ts = _interleave(ts, mids)
         cur = variation_batch(vals, rho)
         rel = float(np.max(np.abs(cur - prev) /
                            np.maximum(np.abs(cur), floor)))
@@ -440,18 +425,18 @@ def cz_size_sweep(model: OUModel, rho: float, n_dirs: int = 8,
     that the per-radius maximum has saturated in both grid and sample.
     Returns the radii and the per-radius maxima of both passes."""
     radii = np.geomspace(1e-3, 0.4, 16)
-    grid = TimeGrid.geometric(1e-8, 1.0, 48)
+    ts = _geometric_times(1e-8, 1.0, 48)
     x, u, r = _pair_cloud(model, radii, 2 * n_dirs, seed)
 
-    def stat(g: TimeGrid, sub) -> np.ndarray:
-        paths = _eta_kernel_paths(model, propagators(model, g.points),
+    def stat(times: np.ndarray, sub) -> np.ndarray:
+        paths = _eta_kernel_paths(model, propagators(model, times),
                                   x[sub], u[sub])
         v = variation_batch(paths, rho)
         return (v * r[sub] ** model.n).reshape(radii.size, -1).max(axis=1)
 
     cols = np.arange(r.size).reshape(radii.size, 2 * n_dirs)
-    return (radii, stat(grid, cols[:, :n_dirs].ravel()),
-            stat(grid.refine(), slice(None)))
+    return (radii, stat(ts, cols[:, :n_dirs].ravel()),
+            stat(_refine(ts)[0], slice(None)))
 
 
 def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
@@ -460,7 +445,7 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
     difference path over triples with |x-u| > 2 |u-u2|.  Returns the
     separations |x-u| and the statistic on the time grid and on its
     refinement."""
-    grid = TimeGrid.geometric(1e-8, 1.0, 96)
+    ts = _geometric_times(1e-8, 1.0, 96)
     n = model.n
     r = np.geomspace(2e-3, 0.4, n_triples)
     dirs = substream(seed, 3).standard_normal((n_triples, n))
@@ -471,15 +456,15 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
     u = x + r[:, None] * dirs
     u2 = u + 0.25 * r[:, None] * dirs2
 
-    def stat(g: TimeGrid) -> np.ndarray:
-        props = propagators(model, g.points)
+    def stat(times: np.ndarray) -> np.ndarray:
+        props = propagators(model, times)
         pa = _eta_kernel_paths(model, props, x, u)
         pb = _eta_kernel_paths(model, props, x, u2)
         v = variation_batch(pa - pb, rho)
         sep = np.linalg.norm(u - u2, axis=1)
         return v * r ** (n + 1) / sep
 
-    return r, stat(grid), stat(grid.refine())
+    return r, stat(ts), stat(_refine(ts)[0])
 
 
 def cz_probe(model: OUModel, rho: float, n_dirs: int = 8,
@@ -517,14 +502,14 @@ _REGIMES = {"full": "full", "large-t": "full", "global-small-t": "global",
             "local-small-t": "local"}
 
 
-def _regime_grid(model: OUModel, regime: str,
-                 points_per_decade: int) -> TimeGrid:
+def _regime_times(model: OUModel, regime: str,
+                  points_per_decade: int) -> np.ndarray:
     tmax = t_max_for_tail(model)
     if regime == "large-t":
-        return TimeGrid.geometric(1.0, tmax, points_per_decade)
+        return _geometric_times(1.0, tmax, points_per_decade)
     if regime in ("global-small-t", "local-small-t"):
-        return TimeGrid.geometric(1e-6, 1.0, points_per_decade)
-    return TimeGrid.geometric(1e-6, tmax, points_per_decade)
+        return _geometric_times(1e-6, 1.0, points_per_decade)
+    return _geometric_times(1e-6, tmax, points_per_decade)
 
 
 def _sup_weighted_tail(alphas: np.ndarray, lam: np.ndarray,
@@ -549,7 +534,9 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
     The distribution-function curve should stay bounded by a multiple of
     the L^1 norm of f; over the tail regime the same holds with an extra
     sqrt(log a) factor.  Partial regimes probe the near and far parts of
-    the kernel split separately on times up to one.
+    the kernel split separately on times up to one.  The curve is
+    variation.exceedance at geometric levels; when the variation has not
+    converged after max_refine refinements, every pass flag is False.
     """
     from .report import ProbeReport
     if regime not in _REGIMES:
@@ -565,21 +552,21 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
     if center is None:
         center = substream(seed, 100).standard_normal(n) @ model.Qinf_sqrt.T
     f = gaussian_bump(model, center, width)
-    grid = _regime_grid(model, regime, points_per_decade)
+    ts = _regime_times(model, regime, points_per_decade)
     xs = substream(seed, 200).standard_normal((sample_size, n)) \
         @ model.Qinf_sqrt.T
     v, converged, grid_size = variation_batch_paths(
-        model, f, xs, rho, grid, part=part, max_refine=max_refine)
+        model, f, xs, rho, ts, part=part, max_refine=max_refine)
     vpos = v[v > 0]
     lo = float(np.quantile(vpos, 0.5)) if vpos.size else 1e-10
     hi = max(float(v.max()) * 1.05, lo * 10.0)
     alphas = np.geomspace(max(lo, 1e-12), hi, n_alphas)
-    lam = (v[None, :] > alphas[:, None]).mean(axis=1)
+    lam = exceedance(v, alphas)
     weighted = regime == "large-t"
     stat = _sup_weighted_tail(alphas, lam, weighted)
     half = sample_size // 2
-    lam_half = (v[None, :half] > alphas[:, None]).mean(axis=1)
-    stat_half = _sup_weighted_tail(alphas, lam_half, weighted)
+    stat_half = _sup_weighted_tail(alphas, exceedance(v[:half], alphas),
+                                   weighted)
     growth = stat / max(stat_half, _TINY)
 
     boot = substream(seed, 300)
@@ -587,8 +574,8 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
     idx = boot.integers(0, sample_size, size=(reps, sample_size))
     stats_b = np.empty(reps)
     for r in range(reps):
-        lam_b = (v[idx[r]][None, :] > alphas[:, None]).mean(axis=1)
-        stats_b[r] = _sup_weighted_tail(alphas, lam_b, weighted)
+        stats_b[r] = _sup_weighted_tail(
+            alphas, exceedance(v[idx[r]], alphas), weighted)
     ci_lo, ci_hi = np.percentile(stats_b, [2.5, 97.5])
 
     rows = [{"alpha": float(a), "lambda": float(l),
@@ -611,8 +598,9 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
                     "v_max": float(v.max()), "v_mean": float(v.mean()),
                     "l1_mass": 1.0},
         tables={"alpha_lambda": rows},
-        pass_flags={"finite": bool(np.isfinite(stat)),
-                    "stable": bool(growth <= 1.1)},
+        # a variation that has not converged cannot pass
+        pass_flags={"finite": converged and bool(np.isfinite(stat)),
+                    "stable": converged and bool(growth <= 1.1)},
         ci={"statistic": [float(ci_lo), float(ci_hi)]},
         seed=seed)
 

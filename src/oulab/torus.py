@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentRangeError, BadOrderError, DimensionError
 from .rng import BITS, dyadic_points, substream
-from .variation import variation_batch
+from .variation import exceedance, variation_batch
 
 # Gaussian window half-width in standard deviations; erfc(12/sqrt(2)) ~ 1e-32
 _WINDOW_SD = 12.0
@@ -292,12 +292,12 @@ def variation_growth_experiment(config: CounterexampleConfig,
     rows = []
     loglog = math.log(math.log(N)) if N >= 3 else float("nan")
     if N >= 3 and loglog > 0:
-        thresh_base = math.sqrt(N * loglog)
-        for c in np.arange(0.1, 1.05, 0.1):
-            measure = float(np.mean(v2 > c * thresh_base))
-            rows.append({"c": round(float(c), 2),
-                         "threshold": float(c * thresh_base),
-                         "measure": measure})
+        cs = np.arange(0.1, 1.05, 0.1)
+        thresholds = cs * math.sqrt(N * loglog)
+        rows = [{"c": round(float(c), 2), "threshold": float(t),
+                 "measure": float(lam)}
+                for c, t, lam in zip(cs, thresholds,
+                                     exceedance(v2, thresholds))]
     half = config.sample_size // 2
     med_half = float(np.median(v2[:half]) / math.sqrt(N))
     drift = abs(qs[0.5] - med_half) / max(med_half, 1e-300)
@@ -478,7 +478,11 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     c, (lr_half, lr_full) = _rate_maxima(groups, None, c, 0.45, 25)
     if not np.isfinite(lr_full) or lr_full > math.log(1.5) + lr_half:
         raise RateTooLargeError(f"rate {c} is unstable under doubling")
-    ratio_full = math.exp(lr_full)
+    try:
+        ratio_full = math.exp(lr_full)
+    except OverflowError:
+        raise RateTooLargeError(
+            f"rate {c} overflows the maximal ratio") from None
     ratio_half = math.exp(lr_half)
 
     # diagonal rate: the gap's leading term comes from the covariance
@@ -603,14 +607,13 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
         v2 = variation_batch(chain, 2.0)
         medians.append(float(np.median(v2) / math.sqrt(N)))
         row = {"N": N, "median_v2_scaled": medians[-1]}
+        alphas = np.quantile(v2, np.linspace(0.05, 0.995, 96))
+        alphas = np.unique(alphas[alphas > 0])
+        lam = exceedance(v2, alphas)
+        lam_h = exceedance(v2[:sample_size // 2], alphas)
         for p in p_grid:
             norm_p = line_moment(N, p)
-            alphas = np.quantile(v2, np.linspace(0.05, 0.995, 96))
-            alphas = np.unique(alphas[alphas > 0])
-            lam = (v2[None, :] > alphas[:, None]).mean(axis=1)
             w_full = float(np.max(alphas ** p * lam) / norm_p)
-            half = sample_size // 2
-            lam_h = (v2[None, :half] > alphas[:, None]).mean(axis=1)
             w_half = float(np.max(alphas ** p * lam_h) / norm_p)
             quotients[p].append(w_full)
             row[f"W_{p:g}"] = w_full

@@ -235,6 +235,16 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
     return out ** (1.0 / rho)
 
 
+def exceedance(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The empirical distribution function #{v > a} / values.size at each
+    level a, where a NaN value exceeds no level.  The counts come from one
+    sort and a right-sided search, so they are exact integers and each
+    share has the bits of the mean of the booleans v > a."""
+    v = np.asarray(values, dtype=float)
+    s = np.sort(v[~np.isnan(v)])
+    return (s.size - np.searchsorted(s, levels, side="right")) / v.size
+
+
 def variation_exhaustive(values: np.ndarray, rho: float) -> float:
     """Enumerate every subsequence by bitmask; independent of the prefix DP.
 

@@ -126,6 +126,16 @@ def test_bad_difference_settings_exit_one_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rate", ["0.6", "5"])
+def test_overflowing_difference_rate_fails_the_bound(rate, tmp_path, capsys):
+    # the maximal ratio exp(a + c b) leaves the float range at these rates
+    code = main(["torus", "delta", "--rate", rate, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "oulab: bound failed:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # the report each report-writing verb below names its JSON after
 REPORTS = {("torus", "fourier"): "fourier-gap",
            ("torus", "qian"): "variation-growth-E",

@@ -3,38 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from oulab import (TimeGrid, apply_semigroup, build_model,
+from oulab import (apply_semigroup, build_model,
                    bump_semigroup_value, gaussian_bump, local_weight,
                    propagators, quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
 from oulab.errors import BadOrderError, DimensionError
 from oulab.geometry import eta_plateaus
 from oulab.quadrature import hermite_tensor
-from oulab.semigroup import (_interleave, _node_r_range, _part_values,
-                             _spread, _tiles, bump_semigroup_grid,
+from oulab.semigroup import (_geometric_times, _node_r_range, _part_values,
+                             _refine, _spread, _tiles, bump_semigroup_grid,
                              local_global_grid, variation_batch_paths)
 from reference_routes import (block_nodes, local_global_grid_all_nodes,
                               split_blocks)
 
 
-def full_reevaluation(model, f, x, rho, grid, part, tol, max_refine, order):
+def full_reevaluation(model, f, x, rho, ts, part, tol, max_refine, order):
     """variation_batch_paths as it ran before midpoint reuse: every
-    refinement evaluates the whole refined grid again."""
+    refinement evaluates the whole refined grid again.  The refined grid
+    is the sorted union of the times and their geometric midpoints, built
+    here without _refine."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    g = grid
-    vals = _part_values(model, f, g.points, x, part, order)
+    vals = _part_values(model, f, ts, x, part, order)
     floor = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     prev = variation_batch(vals, rho)
     for _ in range(max_refine):
-        g = g.refine()
-        cur = variation_batch(_part_values(model, f, g.points, x, part, order),
-                              rho)
+        ts = np.sort(np.concatenate([ts, np.sqrt(ts[:-1] * ts[1:])]))
+        cur = variation_batch(_part_values(model, f, ts, x, part, order), rho)
         rel = float(np.max(np.abs(cur - prev) /
                            np.maximum(np.abs(cur), floor)))
         prev = cur
         if rel < tol:
-            return prev, True, len(g)
-    return prev, False, len(g)
+            return prev, True, ts.size
+    return prev, False, ts.size
 
 
 def _case(name, model_factory=None):
@@ -52,37 +52,50 @@ def _case(name, model_factory=None):
 @pytest.mark.parametrize("part", ["full", "local", "global"])
 def test_midpoint_reuse_matches_full_reevaluation(name, part, model_factory):
     model, f, xs = _case(name, model_factory)
-    grid = TimeGrid.geometric(1e-3, 1.0, 4)
+    ts = _geometric_times(1e-3, 1.0, 4)
     # a tolerance no path meets, so every refinement round runs
     for tol in (0.0, 1e-3):
-        got = variation_batch_paths(model, f, xs, 2.5, grid, part=part,
+        got = variation_batch_paths(model, f, xs, 2.5, ts, part=part,
                                     tol=tol, max_refine=3, order=12)
-        ref = full_reevaluation(model, f, xs, 2.5, grid, part, tol, 3, 12)
+        ref = full_reevaluation(model, f, xs, 2.5, ts, part, tol, 3, 12)
         assert got[1:] == ref[1:]
         assert np.array_equal(got[0], ref[0])
 
 
 @pytest.mark.parametrize("part", ["full", "local"])
 def test_midpoint_reuse_from_a_two_point_grid(part):
-    # the first refinement has a single midpoint, which TimeGrid refuses
+    # the first refinement has a single midpoint
     model, f, xs = _case("standard1")
-    grid = TimeGrid(np.array([0.05, 0.8]))
-    got = variation_batch_paths(model, f, xs, 2.0, grid, part=part,
+    ts = np.array([0.05, 0.8])
+    got = variation_batch_paths(model, f, xs, 2.0, ts, part=part,
                                 tol=0.0, max_refine=4, order=12)
-    ref = full_reevaluation(model, f, xs, 2.0, grid, part, 0.0, 4, 12)
+    ref = full_reevaluation(model, f, xs, 2.0, ts, part, 0.0, 4, 12)
     assert got[1:] == ref[1:] == (False, 17)
     assert np.array_equal(got[0], ref[0])
 
 
-def test_midpoints_match_the_refined_grid():
-    grid = TimeGrid.geometric(1e-6, 40.0, 16)
-    ts = grid.points
+def test_refine_keeps_the_old_times_and_puts_midpoints_between():
+    ts = _geometric_times(1e-6, 40.0, 16)
     for _ in range(3):
-        merged = _interleave(ts, np.sqrt(ts[:-1] * ts[1:]))
-        grid = grid.refine()
-        assert np.array_equal(merged, grid.points)
-        ts = merged
+        refined, mids = _refine(ts)
+        assert refined.size == 2 * ts.size - 1
+        assert np.array_equal(refined[0::2], ts)
+        assert np.array_equal(refined[1::2], mids)
+        assert np.all(ts[:-1] < mids) and np.all(mids < ts[1:])
+        ts = refined
     assert math.isclose(ts[0], 1e-6) and math.isclose(ts[-1], 40.0)
+
+
+@pytest.mark.parametrize("t_min,t_max,per_decade,count", [
+    (1e-6, 40.0, 16, 123), (1e-8, 1.0, 48, 385), (1e-8, 1.0, 96, 769),
+    (1.0, 10.0, 16, 17), (1e-3, 1.0, 4, 13), (0.5, 0.6, 1, 2)])
+def test_geometric_times_follow_the_count_formula(t_min, t_max, per_decade,
+                                                  count):
+    # count = max(2, ceil(decades * per_decade) + 1)
+    assert count == max(
+        2, math.ceil(math.log10(t_max / t_min) * per_decade) + 1)
+    assert np.array_equal(_geometric_times(t_min, t_max, per_decade),
+                          np.geomspace(t_min, t_max, count))
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +340,14 @@ def test_a_centre_of_the_wrong_length_is_a_dimension_error():
 @pytest.mark.parametrize("part", ["full", "local", "global"])
 def test_variation_never_decreases_under_nested_refinement(part):
     model, f, xs = _case("standard1")
-    grid = TimeGrid.geometric(1e-4, 1.0, 4)
+    ts = _geometric_times(1e-4, 1.0, 4)
     prev = None
     for rounds in range(4):
         # tol = 0 runs every round, so this is the grid refined `rounds` times
-        v, _, size = variation_batch_paths(model, f, xs, 2.5, grid, part=part,
+        v, _, size = variation_batch_paths(model, f, xs, 2.5, ts, part=part,
                                            tol=0.0, max_refine=rounds,
                                            order=12)
-        assert size == (len(grid) - 1) * 2 ** rounds + 1
+        assert size == (ts.size - 1) * 2 ** rounds + 1
         if prev is not None:
             assert np.all(v >= prev)
         prev = v
@@ -346,3 +359,14 @@ def test_weak_type_probe_reruns_byte_identical():
                                n_alphas=12, points_per_decade=4,
                                max_refine=1, seed=3).to_json()
     assert run() == run()
+
+
+def test_unconverged_probe_decides_its_own_failing_verdict():
+    # no refinement round, so the variation cannot be shown to converge
+    rep = weak_type_probe(standard_model(1), 2.5, sample_size=1000,
+                          n_alphas=12, points_per_decade=4, max_refine=0,
+                          seed=3)
+    assert rep.statistics["variation_unconverged"] is True
+    assert rep.pass_flags and not any(rep.pass_flags.values())
+    assert rep.overall_pass() is False
+    assert rep.to_dict()["pass_flags"] == rep.pass_flags

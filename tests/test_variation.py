@@ -462,3 +462,46 @@ def test_derivative_bound_sine_rho2():
     # best partition keeps the three extreme swings: 1, 2, 1
     assert v == pytest.approx(np.sqrt(6.0), rel=1e-3)
     assert v <= integral + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the empirical distribution function
+
+
+def _broadcast_exceedance(values, levels):
+    """The broadcast form the probes used: the mean of v > a per level."""
+    return (values[None, :] > levels[:, None]).mean(axis=1)
+
+
+def test_exceedance_matches_the_broadcast_form_on_ties_and_sample_levels():
+    gen = np.random.default_rng(5)
+    v = np.round(gen.standard_normal(997), 1)          # many ties
+    levels = np.concatenate([np.unique(v), np.linspace(-3, 3, 41),
+                             v[:7], [v.min() - 1.0, v.max(), v.max() + 1.0,
+                                     -np.inf, np.inf]])
+    got = variation.exceedance(v, levels)
+    assert np.array_equal(got, _broadcast_exceedance(v, levels))
+    assert got[-5] == 1.0 and got[-4] == got[-3] == got[-1] == 0.0
+    assert got[-2] == 1.0
+
+
+def test_exceedance_nan_values_exceed_no_level():
+    v = np.array([0.5, np.nan, 1.5, 0.5, np.nan, -2.0, np.inf])
+    levels = np.array([-np.inf, -2.0, 0.0, 0.5, 1.0, 1.5, 10.0, np.inf])
+    got = variation.exceedance(v, levels)
+    assert np.array_equal(got, _broadcast_exceedance(v, levels))
+    # the NaN entries count in the size but never above a level
+    assert got[0] == 5 / 7
+    assert np.array_equal(variation.exceedance(np.full(4, np.nan), levels),
+                          np.zeros(levels.size))
+
+
+def test_exceedance_on_a_half_sample_and_bootstrap_rows():
+    gen = np.random.default_rng(9)
+    v = gen.lognormal(size=2001)
+    before = v.copy()
+    levels = np.geomspace(np.quantile(v, 0.5), v.max() * 1.05, 48)
+    for sample in (v, v[:1000], v[gen.integers(0, v.size, v.size)]):
+        assert np.array_equal(variation.exceedance(sample, levels),
+                              _broadcast_exceedance(sample, levels))
+    assert np.array_equal(v, before)    # the sample is not sorted in place
