@@ -27,7 +27,7 @@ _EXPORTS = {
     "gaussian_measure": "quadrature", "product_gaussian": "quadrature",
     "gauss_hermite_rule": "quadrature",
     # kernel
-    "kernel": "kernel", "log_kernel": "kernel",
+    "log_kernel": "kernel",
     "count_kdot_zeros": "kernel", "count_kdot_zeros_batch": "kernel",
     "calibrate_bound": "kernel", "BoundCalibration": "kernel",
     "admissible_rate": "kernel", "natural_rate": "kernel",
@@ -46,7 +46,7 @@ _EXPORTS = {
     # torus
     "CounterexampleConfig": "torus",
     "chain_values": "torus",
-    "apply_window_mean": "torus", "apply_dyadic_mean": "torus",
+    "apply_window_mean": "torus",
     "dyadic_moment": "torus", "line_moment": "torus",
     "variation_growth_experiment": "torus", "fourier_kernel_gap": "torus",
     "kernel_difference_bound": "torus", "weak_type_failure": "torus",
@@ -69,15 +69,7 @@ def __getattr__(name):
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute "
                              f"{name!r}") from None
-    value = getattr(import_module(f".{module}", __name__), name)
-    # importing a submodule binds it as a package attribute, shadowing the
-    # same-named export kernel; pin the loaded submodules' exports over it
-    import sys
-    for n, m in _EXPORTS.items():
-        sub = sys.modules.get(f"{__name__}.{m}")
-        if sub is not None and hasattr(sub, n):
-            globals()[n] = getattr(sub, n)
-    return value
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 def __dir__():

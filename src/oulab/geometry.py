@@ -174,26 +174,21 @@ def polar_decompose(model: OUModel, x,
     def r_orbit(sig):
         return np.asarray(quadratic_r(model, group_apply(model, x, sig)))
 
-    lo = np.full(m, -1.0)
-    for _ in range(60):
-        bad = r_orbit(lo) >= beta
-        if not np.any(bad):
-            break
-        lo[bad] *= 2.0
-        if np.any(lo < -_S_MAX):
-            raise BracketFailError("orbit does not reach the level set")
-    else:
+    def bracket(side):
+        """Bracket end on the given side of the level set: start at sigma =
+        side and double every row whose R(D_sigma x) has not crossed beta."""
+        end = np.full(m, side)
+        for _ in range(60):
+            r = r_orbit(end)
+            bad = r <= beta if side > 0 else r >= beta
+            if not np.any(bad):
+                return end
+            end[bad] *= 2.0
+            if np.any(np.abs(end) > _S_MAX):
+                break
         raise BracketFailError("orbit does not reach the level set")
-    hi = np.full(m, 1.0)
-    for _ in range(60):
-        bad = r_orbit(hi) <= beta
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-        if np.any(hi > _S_MAX):
-            raise BracketFailError("orbit does not reach the level set")
-    else:
-        raise BracketFailError("orbit does not reach the level set")
+
+    lo, hi = bracket(-1.0), bracket(1.0)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         take = r_orbit(mid) < beta

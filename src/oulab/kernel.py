@@ -70,7 +70,7 @@ def _dot(row, vec):
     return acc
 
 
-def _pair_args(model: OUModel, ts, x, u, props: Propagators | None):
+def _pair_args(model: OUModel, ts, x, u):
     """(props, x, u) for a route with one time per pair, x and u (m, n)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -79,9 +79,7 @@ def _pair_args(model: OUModel, ts, x, u, props: Propagators | None):
     if x.shape[0] == 1 and ts.size > 1:
         x = np.broadcast_to(x, (ts.size, x.shape[1]))
         u = np.broadcast_to(u, (ts.size, u.shape[1]))
-    if props is None:
-        props = propagators(model, ts)
-    return props, x, u
+    return propagators(model, ts), x, u
 
 
 def _on_grid(evaluate, factors: tuple, x, u):
@@ -136,11 +134,9 @@ def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
     return out
 
 
-def log_kernel_pairs(model: OUModel, ts, x, u,
-                     props: Propagators | None = None) -> np.ndarray:
-    """log K_{t_i}(x_i, u_i) with one time per pair, (m,).  props, when
-    given, must be the propagators of ts."""
-    props, x, u = _pair_args(model, ts, x, u, props)
+def log_kernel_pairs(model: OUModel, ts, x, u) -> np.ndarray:
+    """log K_{t_i}(x_i, u_i) with one time per pair, (m,)."""
+    props, x, u = _pair_args(model, ts, x, u)
     return (_logk_eval(model, _logk_factors(model, props), x.T, u.T)
             + quadratic_r(model, x))
 
@@ -227,16 +223,14 @@ def _slope_eval(model: OUModel, factors: tuple, x, u):
     return slope, kappa * (np.abs(h0) + half_quad + np.abs(lin))
 
 
-def logk_time_slope(model: OUModel, ts, x, u,
-                    props: Propagators | None = None
+def logk_time_slope(model: OUModel, ts, x, u
                     ) -> tuple[np.ndarray, np.ndarray]:
     """d/dt log K_{t_i}(x_i, u_i) with one time per pair, (m,) each.
 
     Returns (slope, rounding floor).  The slope is L_x K / K from the
-    backward equation, exact up to rounding; see _slope_factors.  props,
-    when given, must be the propagators of ts.
+    backward equation, exact up to rounding; see _slope_factors.
     """
-    props, x, u = _pair_args(model, ts, x, u, props)
+    props, x, u = _pair_args(model, ts, x, u)
     return _slope_eval(model, _slope_factors(model, props), x.T, u.T)
 
 
@@ -369,6 +363,7 @@ def count_kdot_zeros_batch(model: OUModel, X, U,
 
 BOUND_NAMES = ("kernel-small-t", "dkernel-small-t", "dkernel-large-t",
                "tail-integral")
+_T_LARGE = 50.0             # top of the large-time calibration range
 
 
 @dataclass(frozen=True)
@@ -385,7 +380,7 @@ def natural_rate(model: OUModel) -> float:
     return 0.5 / float(np.linalg.eigvalsh(model.Q).max())
 
 
-def admissible_rate(model: OUModel, which: str, t_max: float = 50.0) -> float:
+def admissible_rate(model: OUModel, which: str) -> float:
     """Largest exponent rate the kernel's own quadratic form supports,
     from eigenvalue infima over the relevant time range (512 times),
     shrunk by the safety factor 0.9."""
@@ -398,7 +393,7 @@ def admissible_rate(model: OUModel, which: str, t_max: float = 50.0) -> float:
         lam = np.linalg.eigvalsh(pr.A_small).min(axis=1)
         cap = float(np.min(ts * lam) / 2.0)
     else:
-        ts = np.geomspace(1.0, t_max, 512)
+        ts = np.geomspace(1.0, _T_LARGE, 512)
         pr = propagators(model, ts)
         lam = np.linalg.eigvalsh(pr.M_large).min(axis=1)
         cap = float(min(lam.min() / 2.0, -model.spectral_abscissa))
@@ -532,8 +527,8 @@ def _rate_maxima(groups, ts, c: float | None, hi: float, steps: int,
 
 
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
-                    seed: int = 0, c: float | None = None,
-                    t_max: float = 50.0) -> BoundCalibration:
+                    seed: int = 0, c: float | None = None
+                    ) -> BoundCalibration:
     """Calibrate one of the pointwise kernel bounds on a Monte Carlo grid.
 
     For an explicit rate c > 0 the largest observed ratio (true quantity
@@ -552,12 +547,12 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     if c is not None and not c > 0:
         raise ArgumentRangeError(f"rate must be positive, got {c:g}")
     if which == "tail-integral":
-        return _calibrate_tail_integral(model, n_samples, seed, t_max)
+        return _calibrate_tail_integral(model, n_samples, seed)
     x, u = _calibration_sample(model, n_samples, seed)
     if which in ("kernel-small-t", "dkernel-small-t"):
         ts = np.geomspace(1e-6, 1.0, 48)
     else:
-        ts = np.geomspace(1.0, t_max, 48)
+        ts = np.geomspace(1.0, _T_LARGE, 48)
     a, b, dnorm = _ratio_pieces(model, which, x, u, ts)
     groups = _cell_groups(a, b, dnorm,
                           (n_samples // 4, n_samples // 2, None))
@@ -575,20 +570,20 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                             prefactor_cap=_prefactor_cap(m1), stable=stable)
 
 
-def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
-                             t_max: float) -> BoundCalibration:
-    """max over (x, u) of int_1^tmax |dK/dt| dt / e^{R(x)}; the integral is
+def _calibrate_tail_integral(model: OUModel, n_samples: int,
+                             seed: int) -> BoundCalibration:
+    """max over (x, u) of int_1^50 |dK/dt| dt / e^{R(x)}; the integral is
     the total variation of t -> K_t on a fine log grid."""
     gen = substream(seed, 1)
     n = model.n
     m = min(n_samples, 2000)
     x = gen.standard_normal((m, n)) * 2.0
     u = gen.standard_normal((m, n)) * 2.0
-    rate = admissible_rate(model, "dkernel-large-t", t_max=t_max)
+    rate = admissible_rate(model, "dkernel-large-t")
 
     def tv_over_e_r(grid_size: int) -> np.ndarray:
         """Per-pair total variation of K / e^{R(x)} on the grid."""
-        grid = np.geomspace(1.0, t_max, grid_size)
+        grid = np.geomspace(1.0, _T_LARGE, grid_size)
         tv = np.empty(m)
         for rows, lk in _on_grid(partial(_logk_eval, model), _logk_factors(
                 model, propagators(model, grid)), x, u):

@@ -19,17 +19,15 @@ from dataclasses import dataclass, field
 
 
 def _canonical(obj):
-    """Round-trip through JSON-compatible types with sorted keys and floats
-    rendered via repr for stability."""
+    """Round-trip through JSON-compatible types with sorted keys; NumPy
+    values become Python ones through tolist."""
     if isinstance(obj, dict):
         return {str(k): _canonical(obj[k]) for k in sorted(obj, key=str)}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
     if hasattr(obj, "tolist"):
         return _canonical(obj.tolist())
-    if isinstance(obj, float):
-        return float(repr(obj))
-    if isinstance(obj, (str, int, bool)) or obj is None:
+    if isinstance(obj, (str, int, float)) or obj is None:
         return obj
     return str(obj)
 

@@ -75,14 +75,10 @@ class CounterexampleConfig:
         return range(2 * self.N, 3 * self.N + 1)
 
 
-def rademacher_bits(k: int, m) -> np.ndarray:
-    """Sign values from int64 dyadic numerators m / 2^BITS, exact."""
-    if k < 1:
-        raise BadOrderError("sign-function index must be >= 1")
-    m = np.asarray(m, dtype=np.int64)
-    if k > BITS:
-        return np.ones(m.shape, dtype=np.int64)
-    digit = (m >> (BITS - k)) & 1
+def rademacher_bits(k, m) -> np.ndarray:
+    """Sign values of the scales k, 1 <= k <= BITS, at int64 dyadic
+    numerators m / 2^BITS, exact; k and m broadcast."""
+    digit = (np.asarray(m, dtype=np.int64) >> (BITS - np.asarray(k))) & 1
     return 1 - 2 * digit
 
 
@@ -206,21 +202,6 @@ def apply_window_mean(N: int, ell: int, m):
     return total
 
 
-def apply_dyadic_mean(N: int, ell: int, m) -> np.ndarray:
-    """Mean of the sign sum over the dyadic interval of length 2^-ell
-    containing each point: the active signs of scale <= ell survive,
-    finer ones average to zero.  Exact integer output."""
-    cfg = CounterexampleConfig(N=N)
-    if ell < 0:
-        raise BadOrderError("scale index must be >= 0")
-    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    out = np.zeros(m.shape, dtype=np.int64)
-    for k in cfg.window:
-        if k <= ell:
-            out += rademacher_bits(k, m)
-    return out
-
-
 _OPERATORS = ("A", "Dtorus", "E")
 
 
@@ -230,7 +211,10 @@ def chain_values(config: CounterexampleConfig, operator: str,
 
     The chain starts at the baseline index 2N, where the conditional
     expectation is exactly zero and the smoothing operators are already
-    averaging far below every active scale.
+    averaging far below every active scale.  The conditional expectation
+    on the dyadic intervals of length 2^-ell keeps the active signs of
+    scale <= ell, so the E chain is the running sum of the window's
+    signs after a leading zero.
     """
     if operator not in _OPERATORS:
         raise BadOrderError(f"operator must be one of {_OPERATORS}")
@@ -238,13 +222,13 @@ def chain_values(config: CounterexampleConfig, operator: str,
     if operator == "A":
         return _gauss_columns([(config.N, ell) for ell in config.chain_indices],
                               m.astype(float) * 2.0 ** (-BITS))
-    cols = []
-    for ell in config.chain_indices:
-        if operator == "Dtorus":
-            cols.append(apply_window_mean(config.N, ell, m))
-        else:
-            cols.append(apply_dyadic_mean(config.N, ell, m).astype(float))
-    return np.stack(cols, axis=1)
+    if operator == "Dtorus":
+        return np.stack([apply_window_mean(config.N, ell, m)
+                         for ell in config.chain_indices], axis=1)
+    chain = np.zeros((m.size, config.N + 1))
+    chain[:, 1:] = np.cumsum(
+        rademacher_bits(np.asarray(config.window), m[:, None]), axis=1)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +519,8 @@ def _difference_operator_ratio(model, N: int, x_points: int,
     slots = 1 << (3 * N)
     edges_m = np.arange(slots + 1, dtype=np.int64) << (BITS - 3 * N)
     mids_m = (edges_m[:-1] + (np.int64(1) << (BITS - 3 * N - 1)))
-    fvals = apply_dyadic_mean(N, 3 * N, mids_m).astype(float)
+    # the E chain ends at scale 3N, where it is the whole sign sum
+    fvals = chain_values(CounterexampleConfig(N=N), "E", mids_m)[:, -1]
     edges = edges_m.astype(float) * 2.0 ** (-BITS)
     xg = (np.arange(x_points) + 0.5) / x_points
     ells = np.arange(1, 3 * N + 3)

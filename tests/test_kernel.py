@@ -1,5 +1,3 @@
-from importlib import import_module
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -12,7 +10,6 @@ from oulab import (
     calibrate_bound,
     count_kdot_zeros,
     count_kdot_zeros_batch,
-    kernel,
     local_weight,
     log_kernel,
     natural_rate,
@@ -23,8 +20,9 @@ from oulab.kernel import (BOUND_NAMES, BoundCalibration,
                           _calibrate_tail_integral,
                           _cell_groups, _flip_counts,
                           _prefix_max_log_ratios, _sign_changes,
-                          log_kernel_grid, log_kernel_pairs,
+                          kernel, log_kernel_grid, log_kernel_pairs,
                           logk_time_slope, logk_time_slope_grid)
+import oulab.kernel as kernel_mod
 from oulab.model import T_SWITCH, propagators
 from oulab.rng import substream
 from oulab.semigroup import _eta_kernel_paths
@@ -36,9 +34,6 @@ from oulab.errors import (
 )
 from reference_routes import (covariance_qt, gamma_density, kernel_dt_raw,
                               log_kernel_grid_einsum)
-
-# the package exports a function named kernel over the module attribute
-kernel_mod = import_module("oulab.kernel")
 
 
 def mehler_1d(t, x, u):
@@ -907,7 +902,7 @@ def frozen_tail_integral(model, n_samples, seed, t_max):
     m = min(n_samples, 2000)
     x = gen.standard_normal((m, n)) * 2.0
     u = gen.standard_normal((m, n)) * 2.0
-    rate = admissible_rate(model, "dkernel-large-t", t_max=t_max)
+    rate = admissible_rate(model, "dkernel-large-t")
 
     def tv_over_e_r(grid_size, upto):
         grid = np.geomspace(1.0, t_max, grid_size)
@@ -929,7 +924,7 @@ def frozen_tail_integral(model, n_samples, seed, t_max):
 def test_tail_integral_unchanged_by_half_sample_reuse(name, std1):
     model = std1 if name == "standard1" else build_model(*GENERAL2)
     for n_samples, seed in ((1000, 0), (777, 4)):
-        got = _calibrate_tail_integral(model, n_samples, seed, 50.0)
+        got = _calibrate_tail_integral(model, n_samples, seed)
         want = frozen_tail_integral(model, n_samples, seed, 50.0)
         assert got == want
 
@@ -972,7 +967,7 @@ def test_block_reductions_keep_no_full_grid():
     X, U = _far_pairs(g2, 1, 400)
     assert _peak_mib(count_kdot_zeros_batch, g2, X, U, (1e-8, 1.0),
                      4096) < 16
-    assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0, 50.0) < 16
+    assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0) < 16
     with np.errstate(over="ignore"):            # exp of an infinite cap
         assert _peak_mib(calibrate_bound, g2, "kernel-small-t") < 22.5
         assert _peak_mib(calibrate_bound, g2, "dkernel-large-t") < 40.75

@@ -23,6 +23,13 @@ def test_every_export_resolves_through_the_lazy_getattr(name):
     assert oulab.__getattr__(name) is getattr(module, name)
 
 
+def test_no_export_shares_a_submodule_name():
+    """Importing a submodule binds it as a package attribute, so an export
+    of the same name would be shadowed by it."""
+    submodules = {path.stem for path in SRC.glob("*.py")}
+    assert submodules & set(oulab._EXPORTS) == set()
+
+
 def test_unknown_export_raises_attribute_error():
     with pytest.raises(AttributeError):
         oulab.__getattr__("no_such_name")

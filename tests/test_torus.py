@@ -181,6 +181,42 @@ def test_conditional_expectation_chain_is_the_bit_walk(N):
     assert np.array_equal(chain_values(cfg, "E", m), walk)
 
 
+def per_scale_dyadic_means(N, m):
+    """The conditional expectation chain by its definition, one scale at a
+    time: at ell, the sum of the active signs of scale k <= ell, each read
+    off the k-th binary digit of the numerator."""
+    cols = []
+    for ell in range(2 * N, 3 * N + 1):
+        col = np.zeros(m.size, dtype=np.int64)
+        for k in range(2 * N + 1, ell + 1):
+            col += 1 - 2 * ((m >> (BITS - k)) & 1)
+        cols.append(col.astype(float))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("N", [2, 7, 14])
+def test_e_chain_is_the_per_scale_conditional_expectation(N):
+    m = perturb_boundaries(dyadic_points(5, 1500), 3 * N)
+    cfg = CounterexampleConfig(N=N, sample_size=m.size)
+    assert np.array_equal(chain_values(cfg, "E", m),
+                          per_scale_dyadic_means(N, m))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_e_chain_at_the_slot_midpoints_of_the_operator_ratio(N):
+    # the operator ratio reads the sign sum off the chain's last column at
+    # the midpoints of the 2^(3N) slots, where no digit is ambiguous
+    half = np.int64(1) << (BITS - 3 * N - 1)
+    mids = (np.arange(1 << (3 * N), dtype=np.int64) << (BITS - 3 * N)) + half
+    want = per_scale_dyadic_means(N, mids)
+    assert np.array_equal(chain_values(CounterexampleConfig(N=N), "E", mids),
+                          want)
+    slot_sums = [sum(1 - 2 * ((j >> (3 * N - k)) & 1)
+                     for k in range(2 * N + 1, 3 * N + 1))
+                 for j in range(1 << (3 * N))]
+    assert np.array_equal(want[:, -1], np.array(slot_sums, dtype=float))
+
+
 @pytest.mark.parametrize("N", [2, 3])
 def test_window_mean_is_the_exact_slot_average(N):
     # the sign sum is constant on the 2^(3N) slots of the circle, so the
