@@ -38,6 +38,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -48,8 +49,22 @@ _BOUND_NAMES = ("kernel-small-t", "dkernel-small-t", "dkernel-large-t",
                 "tail-integral")
 
 
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+# a negative number, or a list of numbers (split as _parse_list splits)
+# that starts with one, such as the point -0.4,0.2
+_NEGATIVE_VALUE = re.compile(rf"^-{_NUMBER}([,\s]+[-+]?{_NUMBER})*$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit 2; the contract here wants 1."""
+    """argparse maps usage errors to exit 2; the contract here wants 1.
+
+    An argument that reads as a negative number or a list starting with
+    one is a value, not an option (argparse alone takes -0.4,0.2 for an
+    option); no option of the parser looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         self.print_usage(sys.stderr)

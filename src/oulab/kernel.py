@@ -38,14 +38,15 @@ Both quantities take per-time factors from one propagator stack, with the
 time axis last, and form every product elementwise in a fixed order
 (_dot).  So a pair gets the same bits against a time grid (one block
 driver, over whole rows) as with one time per pair (one argument helper).
-The zero counts and the tail integral reduce each block as it is
-evaluated, and keep no (pairs, times) array.
+The zero counts, the tail integral and the bound calibration reduce each
+block as it is evaluated, and keep no (pairs, times) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,8 +58,11 @@ from .rng import substream
 
 _LOG_MAX = 700.0            # exp overflows just above this
 # pair-time cells per evaluation block of a grid route, whole rows of few
-# pairs against all times: long inner loops, temporaries in cache
-_BLOCK_CELLS = 1 << 15
+# pairs against all times: long inner loops, temporaries in cache.  A block
+# temporary of 8192 doubles is 64 KiB, under glibc's default 128 KiB mmap
+# threshold, so the blocks reuse heap memory instead of mapping (and
+# faulting in) fresh pages for every temporary
+_BLOCK_CELLS = 1 << 13
 
 
 def _dot(row, vec):
@@ -82,16 +86,22 @@ def _pair_args(model: OUModel, ts, x, u):
     return propagators(model, ts), x, u
 
 
-def _on_grid(evaluate, factors: tuple, x, u):
-    """Yield (rows, evaluate(factors, xs, us)) for blocks of whole rows:
-    the slice rows of the pairs x, u (p, n) against every time of the
-    factors.  The values are elementwise, so bits ignore the block shape."""
+def _on_grid(evaluate, m: int, x, u):
+    """Yield (rows, evaluate(xs, us)) for blocks of whole rows: the slice
+    rows of the pairs x, u (p, n), as (n, rows, 1), against m times.  The
+    values are elementwise, so bits ignore the block shape."""
     xs, us = (np.atleast_2d(np.asarray(v, dtype=float)).T[:, :, None]
               for v in (x, u))                      # (n, p, 1)
-    size = max(1, _BLOCK_CELLS // factors[0].shape[-1])
+    size = max(1, _BLOCK_CELLS // m)
     for lo in range(0, xs.shape[1], size):
         rows = slice(lo, lo + size)
-        yield rows, evaluate(factors, xs[:, rows], us[:, rows])
+        yield rows, evaluate(xs[:, rows], us[:, rows])
+
+
+def _time_last(a: np.ndarray) -> np.ndarray:
+    """A (m, n, n) stack of per-time matrices as (n, n, m), so that every
+    matrix entry is one contiguous row over the times."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +117,8 @@ def _logk_factors(model: OUModel, props: Propagators) -> tuple:
     P = np.where(small, eye, props.Dmt)
     R = np.where(small, props.Dt, eye)
     G = np.where(small, props.A_small, props.M_large)
-    P, R, G = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (P, R, G))
-    return P, R, G, 0.5 * (model.logdet_Qinf - props.logdet_Qt)
+    return (_time_last(P), _time_last(R), _time_last(G),
+            0.5 * (model.logdet_Qinf - props.logdet_Qt))
 
 
 def _logk_eval(model: OUModel, factors: tuple, x, u):
@@ -128,8 +138,9 @@ def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
     every grid time, (p, m)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty((x.shape[0], props.ts.size))
-    for rows, val in _on_grid(partial(_logk_eval, model),
-                              _logk_factors(model, props), x, u):
+    for rows, val in _on_grid(
+            partial(_logk_eval, model, _logk_factors(model, props)),
+            props.ts.size, x, u):
         out[rows] = val
     return out
 
@@ -201,8 +212,7 @@ def _slope_factors(model: OUModel, props: Propagators) -> tuple:
     kappa = model.n * np.finfo(float).eps * (
         _inf_norm(model.Qinf) * qt_inv_norm * amp
         + _inf_norm(model.B) * props.ts)
-    C, N = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (C, props.N))
-    return C, N, h0, kappa
+    return _time_last(C), _time_last(props.N), h0, kappa
 
 
 def _slope_eval(model: OUModel, factors: tuple, x, u):
@@ -244,8 +254,9 @@ def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     slope, floor = (np.empty((x.shape[0], props.ts.size)) for _ in range(2))
-    for rows, (s, f) in _on_grid(partial(_slope_eval, model),
-                                 _slope_factors(model, props), x, u):
+    for rows, (s, f) in _on_grid(
+            partial(_slope_eval, model, _slope_factors(model, props)),
+            props.ts.size, x, u):
         slope[rows], floor[rows] = s, f
     return slope, floor
 
@@ -289,48 +300,27 @@ def _flip_counts(slope: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _count_zeros_once(model: OUModel, X: np.ndarray, U: np.ndarray,
-                      t_lo: float, t_hi: float, n_scan: int,
-                      want_zeros: bool):
-    grid = np.geomspace(t_lo, t_hi, n_scan)
-    counts = np.empty(X.shape[0], dtype=np.intp)
-    brackets = []
-    for rows, (slope, floor) in _on_grid(
-            partial(_slope_eval, model),
-            _slope_factors(model, propagators(model, grid)), X, U):
-        counts[rows] = _flip_counts(slope, floor)
-        if want_zeros:
-            r, left, right = _sign_changes(slope, floor)
-            brackets.append((r + rows.start, grid[left], grid[right],
-                             np.sign(slope[r, left])))
-    if not want_zeros:
-        return counts, None
-    rows, lo, hi, left_sign = map(np.concatenate, zip(*brackets))
-    # bisect every flagged bracket of every pair at once
-    while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
-        mid = 0.5 * (lo + hi)
-        sm, _ = logk_time_slope(model, mid, X[rows], U[rows])
-        same = np.sign(sm) == left_sign
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return counts, 0.5 * (lo + hi)
-
-
-def _count_zeros(model: OUModel, X, U, t_interval: tuple[float, float],
-                 n_scan: int, want_zeros: bool):
-    """(counts, stable mask, zeros): the count is rerun on a doubled grid
-    and a pair is unstable if its count moves.  zeros, when wanted, are
-    the refined flips of all pairs in row order."""
+def _scan_grid(t_interval: tuple[float, float], n_scan: int) -> np.ndarray:
+    """The log-spaced scan grid of n_scan times over the interval."""
     t_lo, t_hi = t_interval
     if t_lo <= 0 or t_hi <= t_lo:
         raise NonPositiveTimeError("need 0 < t_lo < t_hi")
     if n_scan < 2:
         raise ArgumentRangeError("the zero scan needs at least 2 times")
-    counts, zeros = _count_zeros_once(model, X, U, t_lo, t_hi, n_scan,
-                                      want_zeros)
-    counts2, _ = _count_zeros_once(model, X, U, t_lo, t_hi, 2 * n_scan,
-                                   False)
-    return counts, counts == counts2, zeros
+    return np.geomspace(t_lo, t_hi, n_scan)
+
+
+def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
+                 grid: np.ndarray) -> np.ndarray:
+    """Per pair of X, U, the slope's sign flips on the grid (_flip_counts),
+    reduced block by block."""
+    counts = np.empty(X.shape[0], dtype=np.intp)
+    for rows, (slope, floor) in _on_grid(
+            partial(_slope_eval, model,
+                    _slope_factors(model, propagators(model, grid))),
+            grid.size, X, U):
+        counts[rows] = _flip_counts(slope, floor)
+    return counts
 
 
 def count_kdot_zeros(model: OUModel, x, u,
@@ -343,19 +333,35 @@ def count_kdot_zeros(model: OUModel, x, u,
     """
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
-    counts, stable, zeros = _count_zeros(model, X, U, t_interval, n_scan,
-                                         want_zeros=True)
-    return ZeroCount(count=int(counts[0]), zeros=np.sort(zeros),
-                     stable=bool(stable[0]))
+    grid = _scan_grid(t_interval, n_scan)
+    fine = _scan_grid(t_interval, 2 * n_scan)
+    slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
+    _, left, right = _sign_changes(slope, floor)
+    lo, hi, left_sign = grid[left], grid[right], np.sign(slope[0, left])
+    # bisect every flagged bracket at once
+    while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        sm, _ = logk_time_slope(model, mid, X, U)
+        same = np.sign(sm) == left_sign
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    count = _flip_counts(slope, floor)[0]
+    return ZeroCount(count=int(count), zeros=np.sort(0.5 * (lo + hi)),
+                     stable=bool(count == _scan_counts(model, X, U, fine)[0]))
 
 
 def count_kdot_zeros_batch(model: OUModel, X, U,
                            t_interval: tuple[float, float] = (1e-8, 1.0),
                            n_scan: int = 4096):
-    """Zero counts for many pairs at once; returns (counts, stable mask)."""
+    """Zero counts for many pairs at once; returns (counts, stable mask).
+    The count is rerun on a doubled grid and a pair is unstable if its
+    count moves."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    return _count_zeros(model, X, U, t_interval, n_scan, want_zeros=False)[:2]
+    grid = _scan_grid(t_interval, n_scan)
+    fine = _scan_grid(t_interval, 2 * n_scan)
+    counts = _scan_counts(model, X, U, grid)
+    return counts, counts == _scan_counts(model, X, U, fine)
 
 
 # ---------------------------------------------------------------------------
@@ -423,70 +429,151 @@ def _calibration_sample(model: OUModel, n_samples: int, seed: int):
     return x, u
 
 
-def _ratio_pieces(model: OUModel, which: str, x, u, ts):
-    """Everything c-independent in log(true / rhs-with-C-1).
+def _ratio_eval(model: OUModel, which: str, factors: tuple, x, u):
+    """(a, b, dnorm) of one block: everything c-independent in log(true /
+    rhs with C = 1).  At rate c the log ratio is a + c b, less
+    log(dnorm + e^{-ct}) for dkernel-large-t (dnorm is None otherwise).
 
-    Each piece is a (pairs, times) matrix over the shared deterministic
-    time grid; the rate test later takes a per-pair supremum over times,
-    which removes the sampling noise a random time per pair would add to
-    the max statistic.  log K enters less R(x): every right-hand side
-    carries the factor e^{R(x)}."""
-    pr = propagators(model, ts)
-    lk = log_kernel_grid(model, pr, x, u)
-    if which != "kernel-small-t":
-        slope, _ = logk_time_slope_grid(model, pr, x, u)
+    x and u are as in _logk_eval; factors are (log K factors, slope
+    factors or None, D, ts), with D = Dt, or D_{-t} for dkernel-large-t,
+    as (n, n, m).  log K enters less R(x): every right-hand side carries
+    the factor e^{R(x)}."""
+    logk, slope, D, ts = factors
+    n = model.n
+    lk = _logk_eval(model, logk, x, u)
+    if slope is not None:
+        s, _ = _slope_eval(model, slope, x, u)
         with np.errstate(divide="ignore"):
-            lk = lk + np.log(np.abs(slope))             # log |dK/dt|
+            lk = lk + np.log(np.abs(s))                 # log |dK/dt|
     if which == "dkernel-large-t":
-        dv = np.einsum("mij,pj->pmi", pr.Dmt, u)
-        b = np.einsum("pmi,pmi->pm", dv - x[:, None, :], dv - x[:, None, :])
-        return lk, b, np.linalg.norm(dv, axis=2)
-    w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
-    b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
-    a = lk + 0.5 * model.n * np.log(ts)[None, :]
+        dv = [_dot(D[i], u) for i in range(n)]
+        v = [dv[i] - x[i] for i in range(n)]
+        return lk, _dot(v, v), np.sqrt(_dot(dv, dv))
+    w = [u[i] - _dot(D[i], x) for i in range(n)]
+    a = lk + 0.5 * n * np.log(ts)
     if which == "dkernel-small-t":
-        a = a - np.log(1.0 / ts[None, :] + np.linalg.norm(x, axis=1)[:, None]
-                       / np.sqrt(ts)[None, :])
-    return a, b, None
+        a = a - np.log(1.0 / ts + np.sqrt(_dot(x, x)) / np.sqrt(ts))
+    return a, _dot(w, w) / ts, None
 
 
-def _cell_groups(a, b, dnorm, uptos) -> list:
-    """The cells of the (pairs, times) pieces, flat (a, b, dnorm, time
-    column) in row order, grouped by the smallest prefix of the first k
-    pairs (k in uptos, ascending, None for all) that holds them."""
-    p, m = a.shape
-    cols = None if dnorm is None else np.tile(np.arange(m, dtype=np.intc), p)
-    ends = [0] + [m * (p if k is None else k) for k in uptos]
-    return [tuple(None if f is None else f.ravel()[lo:hi]
-                  for f in (a, b, dnorm, cols))
-            for lo, hi in zip(ends, ends[1:])]
+def _ratio_blocks(model: OUModel, which: str, x, u, ts, ends):
+    """(group, a, b, dnorm) of _ratio_eval for blocks of whole rows of the
+    pairs x, u (p, n) against the times ts, in pair order; group k holds
+    the pairs ends[k]:ends[k + 1], and no block spans two groups.
+
+    Every pair meets the same deterministic time grid; the rate test
+    takes a per-pair supremum over it, which removes the sampling noise a
+    random time per pair would add to the max statistic."""
+    pr = propagators(model, ts)
+    factors = (_logk_factors(model, pr),
+               None if which == "kernel-small-t" else _slope_factors(model,
+                                                                     pr),
+               _time_last(pr.Dmt if which == "dkernel-large-t" else pr.Dt),
+               ts)
+    evaluate = partial(_ratio_eval, model, which, factors)
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        for _, pieces in _on_grid(evaluate, ts.size, x[lo:hi], u[lo:hi]):
+            yield (k, *pieces)
+
+
+def _log_ratios(a, b, dnorm, decay, c: float) -> np.ndarray:
+    """The log ratio a + c b of every cell at rate c, less log(dnorm +
+    decay) where the cells carry dnorm (decay: e^{-ct} at their times),
+    formed in one buffer.  Sums and products commute, so the bits are
+    those of a + c b - log(dnorm + decay)."""
+    vals = np.multiply(b, c)
+    vals += a
+    if dnorm is not None:
+        d = np.add(dnorm, decay)
+        vals -= np.log(d, out=d)
+    return vals
+
+
+def _finite_max(vals: np.ndarray) -> float:
+    """The largest finite value, -inf for none."""
+    return float(vals.max(where=np.isfinite(vals), initial=-np.inf))
+
+
+def _live(a, at_hi, top: float, margin: float, spread: float) -> np.ndarray:
+    """The cells that may still set a prefix maximum that is at least top
+    at the bottom of the bracket: a finite a, and a log ratio at its top
+    that is not finite or not below top - margin (1 + |top| + spread)."""
+    return np.isfinite(a) & ~(np.isfinite(at_hi) & (
+        at_hi < top - margin * (1.0 + abs(top) + spread)))
 
 
 def _prefix_max_log_ratios(groups, ts, c: float):
-    """(maxima, ratios) at rate c: the largest finite log ratio up to each
-    group (-inf for none), and per group the log ratio a + c b of every
-    cell, less log(dnorm + e^{-ct}) where the groups carry dnorm."""
+    """(maxima, ratios) at rate c over flat groups of cells (a, b, dnorm,
+    time column): the largest finite log ratio up to each group (-inf for
+    none), and per group the log ratio of every cell (_log_ratios)."""
+    decay = None if ts is None else np.exp(-c * ts)
     maxima, ratios, top = [], [], -np.inf
     for a, b, dnorm, cols in groups:
-        vals = a + c * b
-        if dnorm is not None:
-            vals = vals - np.log(dnorm + np.exp(-c * ts)[cols])
-        top = max(top, float(vals.max(where=np.isfinite(vals),
-                                      initial=-np.inf)))
+        vals = _log_ratios(a, b, dnorm,
+                           None if dnorm is None else decay[cols], c)
+        top = max(top, _finite_max(vals))
         maxima.append(top)
         ratios.append(vals)
     return maxima, ratios
 
 
 def _prune(groups, at_hi, at_lo, margin: float, spread: float):
-    """(groups, at_hi) less the cells with no finite a or a finite ratio at
-    hi below their group's maximum at lo less margin (1 + |max| + spread)."""
-    keeps = [np.isfinite(g[0]) & ~(np.isfinite(v) & (
-        v < top - margin * (1.0 + abs(top) + spread)))
-        for g, v, top in zip(groups, at_hi, at_lo)]
+    """(groups, at_hi) less the cells that are not _live against their
+    group's prefix maximum at lo."""
+    keeps = [_live(g[0], v, top, margin, spread)
+             for g, v, top in zip(groups, at_hi, at_lo)]
     return ([tuple(None if f is None else f[k] for f in g)
              for g, k in zip(groups, keeps)],
             [v[k] for v, k in zip(at_hi, keeps)])
+
+
+def _flat_group(parts):
+    """One flat group (a, b, dnorm, time column) and its log ratios at hi,
+    joined from the kept (a, b, dnorm, column, ratio) parts of its
+    blocks."""
+    if not parts:
+        return (np.empty(0), np.empty(0), None, None), np.empty(0)
+    *cells, at_hi = (None if f[0] is None else np.concatenate(f)
+                     for f in zip(*parts))
+    return tuple(cells), at_hi
+
+
+def _score_blocks(blocks, n_groups: int, ts, c: float,
+                  hi: float | None = None, margin: float = 0.0):
+    """Score a stream of (group, a, b, dnorm) blocks at rate c as it comes.
+
+    Returns (maxima, groups, at_hi, spread).  maxima are the prefix maxima
+    at c over the n_groups groups, as _prefix_max_log_ratios gives them.
+    Given hi, each block is scored at hi too, and keeps only its cells
+    that are _live against the running maximum at c and the running
+    spread log(max dnorm + 1), both over the blocks so far; groups and
+    at_hi are then the flat groups of the kept cells and their log ratios
+    at hi, and spread is the final one (0 without dnorm).  Without hi they
+    are None and nothing is kept."""
+    decay = None if ts is None else np.exp(-c * ts)
+    decay_hi = None if ts is None or hi is None else np.exp(-hi * ts)
+    tops = [-np.inf] * n_groups
+    kept = [[] for _ in range(n_groups)]
+    top, dmax, spread = -np.inf, -np.inf, 0.0
+    for k, a, b, dnorm in blocks:
+        top = max(top, _finite_max(_log_ratios(a, b, dnorm, decay, c)))
+        tops[k] = top
+        if hi is None:
+            continue
+        if dnorm is not None:
+            dmax = np.maximum(dmax, dnorm.max(initial=-np.inf))
+            spread = float(np.log(dmax + 1.0))
+        at_hi = _log_ratios(a, b, dnorm, decay_hi, hi)
+        keep = _live(a, at_hi, top, margin, spread)
+        kept[k].append((a[keep], b[keep]) + (
+            (None, None) if dnorm is None
+            else (dnorm[keep], np.nonzero(keep)[-1].astype(np.intc)))
+            + (at_hi[keep],))
+    maxima = list(accumulate(tops, max))
+    if hi is None:
+        return maxima, None, None, spread
+    groups, at_hi = zip(*map(_flat_group, kept))
+    return maxima, list(groups), list(at_hi), spread
 
 
 def _prefactor_cap(log_cap) -> float:
@@ -495,26 +582,35 @@ def _prefactor_cap(log_cap) -> float:
         return float(np.exp(log_cap))
 
 
-def _rate_maxima(groups, ts, c: float | None, hi: float, steps: int,
-                 margin: float = 0.0, spread: float = 0.0):
-    """(rate, prefix maxima at that rate) over the cell groups: c if given,
-    else the largest rate in [0, hi], to `steps` halvings, whose last
-    prefix maximum exceeds the one before it by at most log 1.1.
+def _rate_maxima(blocks, n_groups: int, ts, c: float | None, hi: float,
+                 steps: int, margin: float = 0.0):
+    """(rate, prefix maxima at that rate) over a stream of (group, a, b,
+    dnorm) blocks in pair order, group k the cells that the k-th prefix
+    adds, with times ts for dnorm: c if given, else the largest rate in
+    [0, hi], to `steps` halvings, whose last prefix maximum exceeds the
+    one before it by at most log 1.1.
 
     The bisection drops cells that can no longer set a prefix maximum.  A
     cell's log ratio a + c b [- log(dnorm + e^{-ct})] is nondecreasing in c
     (b >= 0), and every later rate lies in [lo, hi].  So a cell whose ratio
-    at hi is below the maximum at lo of the smallest prefix holding it
-    stays below that prefix's maximum.  Cells with no finite a go at once;
-    cells with no finite ratio at hi stay.  a + c b rounds monotonically
-    in c; exp and log need not, so groups with dnorm take a margin (see
-    _prune).
+    at hi is below a maximum at lo of cells that every prefix holding it
+    holds stays below each such prefix's maximum.  The blocks are scored
+    at 0 and at hi as they come, and a cell is kept only if it is not
+    below the running maximum at 0 over the blocks so far: those cells lie
+    in the block's group or before it, so the running maximum is at most
+    the group's prefix maximum, and no (pairs, times) array is formed.
+    Each step then prunes against the full prefix maxima at lo.  Cells
+    with no finite a go at once; cells with no finite ratio at hi stay.
+    a + c b rounds monotonically in c; exp and log need not, so groups
+    with dnorm take a margin (see _live), whose spread log(max dnorm + 1)
+    runs over the cells seen so far and so bounds the log term of both the
+    dropped cell and the cell that sets the maximum.
     """
     if c is not None:
-        return c, _prefix_max_log_ratios(groups, ts, c)[0]
+        return c, _score_blocks(blocks, n_groups, ts, c)[0]
     lo = 0.0
-    at_lo, _ = _prefix_max_log_ratios(groups, ts, lo)
-    _, at_hi = _prefix_max_log_ratios(groups, ts, hi)
+    at_lo, groups, at_hi, spread = _score_blocks(blocks, n_groups, ts, lo,
+                                                 hi, margin)
     for _ in range(steps):
         groups, at_hi = _prune(groups, at_hi, at_lo, margin, spread)
         mid = 0.5 * (lo + hi)
@@ -536,9 +632,13 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     flag: at most 10 percent growth when the sample doubles.  Sustained growth
     across two doublings raises RateTooLarge.  Without c, the largest
     stable rate is found by bisection below the natural Gaussian rate
-    (_rate_maxima, 30 steps, prefixes of n/4, n/2 and n pairs);
-    dkernel-large-t prunes with a margin of 1e-12 (1 + |max| +
-    log(max dnorm + 1)).
+    (_rate_maxima, 30 steps, prefixes of n/4, n/2 and n pairs).  The
+    ratio pieces are evaluated block by block of pairs and scored as they
+    come: a cell is kept only while it is not below the running maximum
+    at rate 0, which no later rate lowers, so memory stays with the cells
+    that can still set a prefix maximum.  dkernel-large-t prunes with a
+    margin of 1e-12 (1 + |max| + log(max dnorm + 1)), the dnorm maximum
+    running over the cells seen so far.
     """
     if which not in BOUND_NAMES:
         raise BadOrderError(f"unknown bound name {which!r}")
@@ -553,13 +653,11 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         ts = np.geomspace(1e-6, 1.0, 48)
     else:
         ts = np.geomspace(1.0, _T_LARGE, 48)
-    a, b, dnorm = _ratio_pieces(model, which, x, u, ts)
-    groups = _cell_groups(a, b, dnorm,
-                          (n_samples // 4, n_samples // 2, None))
-    margin, spread = ((0.0, 0.0) if dnorm is None
-                      else (1e-12, float(np.log(np.max(dnorm) + 1.0))))
-    rate, (m4, m2, m1) = _rate_maxima(groups, ts, c, natural_rate(model),
-                                      30, margin, spread)
+    ends = (0, n_samples // 4, n_samples // 2, n_samples)
+    margin = 1e-12 if which == "dkernel-large-t" else 0.0
+    rate, (m4, m2, m1) = _rate_maxima(
+        _ratio_blocks(model, which, x, u, ts, ends), len(ends) - 1, ts, c,
+        natural_rate(model), 30, margin)
     stable = m1 <= m2 + np.log(1.1)
     if c is not None and (not stable and m2 > m4 + np.log(1.1)
                           or not np.isfinite(m1)):
@@ -585,8 +683,8 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int,
         """Per-pair total variation of K / e^{R(x)} on the grid."""
         grid = np.geomspace(1.0, _T_LARGE, grid_size)
         tv = np.empty(m)
-        for rows, lk in _on_grid(partial(_logk_eval, model), _logk_factors(
-                model, propagators(model, grid)), x, u):
+        for rows, lk in _on_grid(partial(_logk_eval, model, _logk_factors(
+                model, propagators(model, grid))), grid_size, x, u):
             tv[rows] = np.abs(np.diff(np.exp(lk), axis=1)).sum(axis=1)
         return tv
 

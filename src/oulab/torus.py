@@ -439,7 +439,7 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     """
     from .report import ProbeReport
     from .errors import RateTooLargeError
-    from .kernel import _cell_groups, _rate_maxima
+    from .kernel import _rate_maxima
     n = model.n
     if n != 1:
         raise DimensionError("difference bound is probed for n = 1")
@@ -457,9 +457,9 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     ts = np.exp(substream(seed, 13).uniform(math.log(1e-6), 0.0,
                                             sample_size))
     a, b = _difference_ratio_pieces(model, xs, us, ts)
-    groups = _cell_groups(a[:, None], b[:, None], None,
-                          (sample_size // 2, None))
-    c, (lr_half, lr_full) = _rate_maxima(groups, None, c, 0.45, 25)
+    half = sample_size // 2
+    blocks = [(0, a[:half], b[:half], None), (1, a[half:], b[half:], None)]
+    c, (lr_half, lr_full) = _rate_maxima(blocks, 2, None, c, 0.45, 25)
     if not np.isfinite(lr_full) or lr_full > math.log(1.5) + lr_half:
         raise RateTooLargeError(f"rate {c} is unstable under doubling")
     try:

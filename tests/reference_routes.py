@@ -15,8 +15,8 @@ from scipy.stats import multivariate_normal
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
 from oulab.geometry import local_weight
-from oulab.kernel import kernel
-from oulab.model import T_SWITCH
+from oulab.kernel import kernel, log_kernel_grid, logk_time_slope_grid
+from oulab.model import T_SWITCH, propagators
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import bump_semigroup_grid
 from oulab.variation import _check_order
@@ -91,6 +91,30 @@ def log_kernel_grid_einsum(model, props, x, u):
         q[:, large] = np.einsum("pmi,mij,pmj->pm", v, props.M_large[large], v)
     const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)
     return -0.5 * q + const[None, :]
+
+
+def ratio_pieces_einsum(model, which, x, u, ts):
+    """calibrate_bound's c-independent pieces (a, b, dnorm) on the whole
+    (pairs, times) grid, by the einsum contractions the package used before
+    it built them block by block: at rate c the log ratio is a + c b, less
+    log(dnorm + e^{-ct}) for dkernel-large-t (dnorm None otherwise)."""
+    pr = propagators(model, ts)
+    lk = log_kernel_grid(model, pr, x, u)
+    if which != "kernel-small-t":
+        slope, _ = logk_time_slope_grid(model, pr, x, u)
+        with np.errstate(divide="ignore"):
+            lk = lk + np.log(np.abs(slope))             # log |dK/dt|
+    if which == "dkernel-large-t":
+        dv = np.einsum("mij,pj->pmi", pr.Dmt, u)
+        b = np.einsum("pmi,pmi->pm", dv - x[:, None, :], dv - x[:, None, :])
+        return lk, b, np.linalg.norm(dv, axis=2)
+    w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
+    b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
+    a = lk + 0.5 * model.n * np.log(ts)[None, :]
+    if which == "dkernel-small-t":
+        a = a - np.log(1.0 / ts[None, :] + np.linalg.norm(x, axis=1)[:, None]
+                       / np.sqrt(ts)[None, :])
+    return a, b, None
 
 
 def adaptive_integral(f, measure, half_width: float = 10.0) -> float:

@@ -367,3 +367,57 @@ def test_variation_path_refuses_non_finite_values_in_a_file(tmp_path,
     path.write_text("0.5\n1e400\n-2\n")          # 1e400 reads as inf
     code = main(["variation", "path", "--rho", "2", "--file", str(path)])
     assert code == 1 and capsys.readouterr().out == ""
+
+
+# runs with a point of --x, --u or --center that starts with a negative
+# number, which argparse alone takes for an option when it is spaced
+NEGATIVE_POINT_ARGVS = [
+    ["kernel", "eval", "--model", "standard2", "--t", "0.7",
+     "--x", "0.3,0.1", "--u", "-0.4,0.2"],
+    ["kernel", "eval", "--model", "standard3", "--t", "1.5",
+     "--x", "-0.3,0.1,-2e-1", "--u", "-.4, 0.2,1"],
+    ["kernel", "zeros", "--model", "standard2", "--x", "-1,0.5",
+     "--u", "-0.5,1", "--scan", "64"],
+    ["semigroup", "apply", "--model", "standard2", "--t", "0.5",
+     "--x", "-0.3,0.2", "--center", "-0.1,0.4"],
+    ["probe", "enhanced", "--model", "standard2", "--center", "-0.2,0.1",
+     "--samples", "200"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_POINT_ARGVS)
+def test_negative_points_parse_alike_spaced_and_joined(argv, tmp_path,
+                                                       capsys):
+    out = ["--out", str(tmp_path)] if argv[0] == "probe" else []
+    joined, it = [], iter(argv)
+    for a in it:
+        joined.append(f"{a}={next(it)}" if a in ("--x", "--u", "--center")
+                      else a)
+    runs = []
+    for form in (argv, joined):
+        code = main([*form, *out])
+        captured = capsys.readouterr()
+        assert "error" not in captured.err
+        runs.append((code, captured.out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2) and runs[0][1]
+
+
+def test_no_option_looks_like_a_negative_number():
+    import argparse
+
+    def parsers(p):
+        yield p
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    seen = 0
+    for p in parsers(build_parser()):
+        assert not p._has_negative_number_optionals
+        for action in p._actions:
+            for opt in action.option_strings:
+                assert not p._negative_number_matcher.match(opt)
+        seen += 1
+    assert seen > 14

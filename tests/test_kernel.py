@@ -17,9 +17,9 @@ from oulab import (
     standard_model,
 )
 from oulab.kernel import (BOUND_NAMES, BoundCalibration,
-                          _calibrate_tail_integral,
-                          _cell_groups, _flip_counts,
-                          _prefix_max_log_ratios, _sign_changes,
+                          _calibrate_tail_integral, _flip_counts,
+                          _prefix_max_log_ratios, _rate_maxima,
+                          _score_blocks, _sign_changes,
                           kernel, log_kernel_grid, log_kernel_pairs,
                           logk_time_slope, logk_time_slope_grid)
 import oulab.kernel as kernel_mod
@@ -33,7 +33,7 @@ from oulab.errors import (
     RateTooLargeError,
 )
 from reference_routes import (covariance_qt, gamma_density, kernel_dt_raw,
-                              log_kernel_grid_einsum)
+                              log_kernel_grid_einsum, ratio_pieces_einsum)
 
 
 def mehler_1d(t, x, u):
@@ -747,12 +747,25 @@ def frozen_max_log_ratio(which, a, b, dnorm, ts, c, upto=None):
     return float(per_pair.max()) if per_pair.size else -np.inf
 
 
+def _stream(a, b, dnorm, ends, rows=37, empty_blocks=False):
+    """(pairs, times) pieces as calibrate_bound's block stream: (group, a,
+    b, dnorm) blocks of at most `rows` pairs in pair order, group k the
+    pairs ends[k]:ends[k + 1]; an empty group yields one empty block if
+    empty_blocks, else none."""
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        for r in range(lo, max(hi, lo + empty_blocks), rows):
+            sl = slice(r, min(r + rows, hi))
+            yield k, a[sl], b[sl], None if dnorm is None else dnorm[sl]
+
+
 @pytest.mark.parametrize("which", ["kernel-small-t", "dkernel-small-t",
                                    "dkernel-large-t"])
 def test_prefix_maxima_bit_identical_to_separate_passes(which):
     gen = np.random.default_rng(3)
     p, m = 203, 48
     ts = np.geomspace(1.0, 50.0, m)
+    hi = 2.0
+    margin = 0.0 if "small" in which else 1e-12
     for trial in range(20):
         a = 40.0 * gen.standard_normal((p, m))
         b = np.abs(30.0 * gen.standard_normal((p, m)))
@@ -767,15 +780,29 @@ def test_prefix_maxima_bit_identical_to_separate_passes(which):
             dnorm = None                            # the small-t forms
         if trial == 0:
             a[:60] = -np.inf                        # an empty first quarter
-        uptos = (0, p // 4, p // 2, p - 1, None)
-        for c in (1e-3, 0.07, 0.25, 2.0):
-            with np.errstate(invalid="ignore"):     # inf - inf in a + c b
-                got, _ = _prefix_max_log_ratios(
-                    _cell_groups(a, b, dnorm, uptos), ts, c)
+        if trial == 1:
+            # a last cell whose ratio sets the maximum below c = 0.1 and
+            # overflows above it: a cell with no finite ratio at hi stays
+            a[-1, -1], b[-1, -1] = 1.7e308, 1e308
+        # empty first and middle groups
+        uptos = (0, p // 4, p // 4, p // 2, p - 1, None)
+        ends = (0, 0, p // 4, p // 4, p // 2, p - 1, p)
+
+        def blocks():
+            return _stream(a, b, dnorm, ends, empty_blocks=trial % 2 == 0)
+
+        # inf - inf and overflow in a + c b
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the cells the stream keeps for the bracket [0, hi]
+            _, kept, _, _ = _score_blocks(blocks(), 6, ts, 0.0, hi, margin)
+            for c in (0.0, 1e-3, 0.07, 0.25, hi):
                 want = [frozen_max_log_ratio(which, a, b, dnorm, ts, c, k)
                         for k in uptos]
-            assert np.array_equal(got, want)
-            assert all(type(v) is float for v in got)
+                _, streamed = _rate_maxima(blocks(), 6, ts, c, hi, 30)
+                pruned, _ = _prefix_max_log_ratios(kept, ts, c)
+                assert np.array_equal(streamed, want)
+                assert np.array_equal(pruned, want)
+                assert all(type(v) is float for v in streamed + pruned)
 
 
 def frozen_prefix_max_log_ratios(which, a, b, dnorm, ts, c, uptos):
@@ -819,18 +846,53 @@ def frozen_bisection(which, a, b, dnorm, ts, hi):
     return lo, float(np.exp(m1)), stable
 
 
+def frozen_explicit_rate(which, a, b, dnorm, ts, c):
+    """calibrate_bound at an explicit rate as it was, one full pass;
+    returns (rate, prefactor cap, stable), or None where it raised
+    RateTooLargeError."""
+    n = a.shape[0]
+    m4, m2, m1 = frozen_prefix_max_log_ratios(
+        which, a, b, dnorm, ts, c, (n // 4, n // 2, None))
+    stable = m1 <= m2 + np.log(1.1)
+    if not stable and m2 > m4 + np.log(1.1) or not np.isfinite(m1):
+        return None
+    return c, float(np.exp(m1)), stable
+
+
 def _capture_pieces(monkeypatch):
-    """Record every (pieces, ts) calibrate_bound computes."""
+    """Record every block stream calibrate_bound reads, joined back into
+    (pairs, times) pieces: entries ((a, b, dnorm), x, u, ts)."""
     seen = []
-    real = kernel_mod._ratio_pieces
+    real = kernel_mod._ratio_blocks
 
-    def spy(model, which, x, u, ts):
-        pieces = real(model, which, x, u, ts)
-        seen.append((pieces, ts))
-        return pieces
+    def spy(model, which, x, u, ts, ends):
+        blocks = list(real(model, which, x, u, ts, ends))
+        groups = [k for k, *_ in blocks]
+        rows = np.bincount(groups, [blk[1].shape[0] for blk in blocks],
+                           minlength=len(ends) - 1)
+        assert groups == sorted(groups)
+        assert np.array_equal(rows, np.diff(ends))
+        assert all(blk[1].size <= kernel_mod._BLOCK_CELLS for blk in blocks)
+        pieces = tuple(None if parts[0] is None else np.concatenate(parts)
+                       for parts in list(zip(*blocks))[1:])
+        seen.append((pieces, x, u, ts))
+        yield from blocks
 
-    monkeypatch.setattr(kernel_mod, "_ratio_pieces", spy)
+    monkeypatch.setattr(kernel_mod, "_ratio_blocks", spy)
     return seen
+
+
+def _term_scales(model, which, x, u, ts):
+    """b and dnorm formed from the magnitudes of their terms: the scale of
+    their rounding, where u - Dt x or D_{-t} u - x cancels."""
+    pr = propagators(model, ts)
+    if which == "dkernel-large-t":
+        dv = np.einsum("mij,pj->pmi", np.abs(pr.Dmt), np.abs(u))
+        v = dv + np.abs(x)[:, None, :]
+        return ((v * v).sum(axis=2), np.sqrt((dv * dv).sum(axis=2)))
+    w = np.abs(u)[:, None, :] + np.einsum("mij,pj->pmi", np.abs(pr.Dt),
+                                          np.abs(x))
+    return (w * w).sum(axis=2) / ts, None
 
 
 CALIBRATION_MODELS = ["standard1", "standard2", "standard3", "general2",
@@ -849,7 +911,25 @@ def test_pruned_bisection_matches_full_passes(name, model_factory,
             for seed in (0, 7):
                 for which in BOUND_NAMES[:3]:
                     cal = calibrate_bound(model, which, n_samples, seed)
-                    (a, b, dnorm), ts = seen.pop()
+                    (a, b, dnorm), x, u, ts = seen.pop()
+                    # the fixed-order blocks against the einsum grid: the
+                    # same bits for n <= 2, where every sum has at most two
+                    # terms; for n = 3 the sums may run in another order,
+                    # which b and dnorm feel relative to their terms' size
+                    ref = ratio_pieces_einsum(model, which, x, u, ts)
+                    scales = (np.abs(ref[0]),
+                              *_term_scales(model, which, x, u, ts))
+                    for got, want, scale in zip((a, b, dnorm), ref, scales):
+                        if want is None:
+                            assert got is None
+                        elif model.n <= 2:
+                            np.testing.assert_array_equal(got, want)
+                        else:
+                            np.testing.assert_array_equal(
+                                np.isfinite(got), np.isfinite(want))
+                            ok = np.isfinite(want)
+                            assert np.all(np.abs(got - want)[ok]
+                                          <= 1e-15 * scale[ok])
                     want = frozen_bisection(which, a, b, dnorm, ts,
                                             natural_rate(model))
                     got = (cal.exponent_rate, cal.prefactor_cap, cal.stable)
@@ -864,7 +944,7 @@ def test_pruned_bisection_matches_full_passes_on_synthetic_pieces(
     p, m = 400, 48
     ts = (np.geomspace(1.0, 50.0, m) if which == "dkernel-large-t"
           else np.geomspace(1e-6, 1.0, m))
-    rates = set()
+    rates, outcomes = set(), set()
     for trial in range(12):
         # b grows along the sample, so that a large rate makes the prefix
         # maxima climb and the bisection has a rate to find
@@ -884,14 +964,25 @@ def test_pruned_bisection_matches_full_passes_on_synthetic_pieces(
             r = int(gen.integers(p // 4, p))
             a[r, 7], b[r, 7], dnorm[r, 7] = 9.0 + trial, 0.0, 0.0
         pieces = (a, b, None if "small" in which else dnorm)
-        monkeypatch.setattr(kernel_mod, "_ratio_pieces",
-                            lambda *args: pieces)
+        monkeypatch.setattr(kernel_mod, "_ratio_blocks",
+                            lambda *args: _stream(*pieces, args[-1]))
         with np.errstate(invalid="ignore", over="ignore"):
             cal = calibrate_bound(std1, which, n_samples=p)
             want = frozen_bisection(which, *pieces, ts, natural_rate(std1))
-        assert (cal.exponent_rate, cal.prefactor_cap, cal.stable) == want
-        rates.add(want[0])
+            assert (cal.exponent_rate, cal.prefactor_cap, cal.stable) == want
+            rates.add(want[0])
+            for c in (0.02, 0.3, 4.0):
+                want = frozen_explicit_rate(which, *pieces, ts, c)
+                outcomes.add(want is None)
+                if want is None:
+                    with pytest.raises(RateTooLargeError):
+                        calibrate_bound(std1, which, n_samples=p, c=c)
+                    continue
+                cal = calibrate_bound(std1, which, n_samples=p, c=c)
+                assert (cal.exponent_rate, cal.prefactor_cap,
+                        cal.stable) == want
     assert len(rates) > 2
+    assert outcomes == {True, False}
 
 
 def frozen_tail_integral(model, n_samples, seed, t_max):
@@ -960,14 +1051,18 @@ def _peak_mib(f, *args) -> float:
 
 def test_block_reductions_keep_no_full_grid():
     # the zero counts and the tail integral reduce each block of whole rows
-    # as it is evaluated (they peaked at 138 and 125 MiB with full grids);
-    # the pruned bisection stays below the peak of its ratio pieces, which
-    # the full-pass bisection reached at 22.4 and 40.7 MiB
+    # as it is evaluated (they peaked at 138 and 125 MiB with full grids)
     g2 = build_model(*GENERAL2)
     X, U = _far_pairs(g2, 1, 400)
     assert _peak_mib(count_kdot_zeros_batch, g2, X, U, (1e-8, 1.0),
                      4096) < 16
     assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0) < 16
+
+
+@pytest.mark.parametrize("which", BOUND_NAMES[:3])
+def test_streamed_calibration_keeps_no_full_grid(which):
+    # the bisected calibrations score their pieces block by block and keep
+    # only the cells that can still set a prefix maximum; the (pairs,
+    # times) pieces and their einsum temporaries peaked at 19, 33 and 37 MiB
     with np.errstate(over="ignore"):            # exp of an infinite cap
-        assert _peak_mib(calibrate_bound, g2, "kernel-small-t") < 22.5
-        assert _peak_mib(calibrate_bound, g2, "dkernel-large-t") < 40.75
+        assert _peak_mib(calibrate_bound, build_model(*GENERAL2), which) <= 8
