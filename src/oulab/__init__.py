@@ -38,7 +38,6 @@ _EXPORTS = {
     # semigroup
     "GaussianBump": "semigroup", "gaussian_bump": "semigroup",
     "apply_semigroup": "semigroup",
-    "bump_semigroup_value": "semigroup",
     "variation_batch_paths": "semigroup",
     "cz_size_sweep": "semigroup", "cz_smoothness_sweep": "semigroup",
     "weak_type_probe": "semigroup", "cz_probe": "semigroup",

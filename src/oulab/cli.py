@@ -236,14 +236,16 @@ def _cmd_variation_path(args) -> int:
 
 def _cmd_semigroup_apply(args) -> int:
     import numpy as np
-    from .semigroup import (apply_semigroup, bump_semigroup_value,
+    from .model import propagators
+    from .semigroup import (apply_semigroup, bump_semigroup_grid,
                             gaussian_bump)
     model = _load_model(args.model)
     x = _parse_point(args.x, model)
     center = (_parse_point(args.center, model) if args.center
               else np.zeros(model.n))
     bump = gaussian_bump(model, center, args.width)
-    closed = bump_semigroup_value(model, bump, args.t, x)
+    closed = float(bump_semigroup_grid(
+        model, bump, propagators(model, np.array([args.t])), x)[0, 0])
     routes = [apply_semigroup(model, bump, x, args.t, form=form,
                               order=args.order)
               for form in ("kernel", "kolmogorov")]

@@ -658,7 +658,7 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     rate, (m4, m2, m1) = _rate_maxima(
         _ratio_blocks(model, which, x, u, ts, ends), len(ends) - 1, ts, c,
         natural_rate(model), 30, margin)
-    stable = m1 <= m2 + np.log(1.1)
+    stable = bool(m1 <= m2 + np.log(1.1))
     if c is not None and (not stable and m2 > m4 + np.log(1.1)
                           or not np.isfinite(m1)):
         raise RateTooLargeError(

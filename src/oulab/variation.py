@@ -7,12 +7,25 @@ points finds it exactly.
 
 Only endpoints and turning points need to enter that program (Butkus and
 Norvaisa, "Computation of p-variation", 2018).  Each row is compressed
-first:
+first, by one mask pass over each block of rows that forms the step signs
+s = sign(diff(v)).  A step moves unless it is exactly 0; a NaN step
+moves, and compares unequal to every sign.
 
-* consecutive equal values collapse to one point.  Their increments to
-  every other point are bit-identical and the increment between them is
-  exactly 0.0, so no subsequence sum changes;
-* inside a strictly monotone run only the ends stay.  For rho >= 1,
+* consecutive equal values collapse to the first of their run: a column
+  starts a run when the step into it moves, and column 0 always does.
+  The run's increments to every other point are bit-identical and the
+  increment inside it is exactly 0.0, so no subsequence sum changes.  The
+  pass reads the step into a run start, v[b] - v[b-1], where the collapsed
+  row has w[k] - w[k-1], and the two have the same bits: a zero step
+  x - y == 0 means x == y as floats, and inf - inf is NaN, so infinities
+  never form a run.  The two can differ only between +0.0 and -0.0 in a
+  zero result, and the signs of those compare equal;
+* inside a strictly monotone run only the ends stay.  A run start is kept
+  when it is column 0, the row's last run start, or when the sign of the
+  step into it differs from the sign of the next moving step at or after
+  it.  In a block with a zero step that next sign is filled in by a
+  reversed np.minimum.accumulate over step indices; in any other block it
+  is the sign of the run start's own step.  For rho >= 1,
   |a + b|^rho >= |a|^rho + |b|^rho when a and b have the same sign, so a
   subsequence through an interior point of the run never beats the one
   that skips it.  Increments below 1e-300 are flushed to zero before the
@@ -22,6 +35,9 @@ first:
   powers are subnormal, the merged power and the sum of its parts round
   apart, and the result can come out low (0.6 % on values near 1e-299 at
   rho 1.078).
+
+The kept values are the block's values under the mask, row after row, and
+no temporary is larger than the block.
 
 The program then runs on the compressed rows, grouped by length and padded
 with each row's last kept value (a zero increment adds exactly 0.0).  The
@@ -84,6 +100,10 @@ from .errors import BadOrderError, EmptyPathError, TooLongError
 _TINY_INCREMENT = 1e-300
 # values per block of rows in the turning-point compression
 _BLOCK = 1 << 17
+# ranks per block of resamples in exceedance; blocks this small stay in
+# cache, where one bincount over all 200 x 2,000 ranks of a bootstrap, with
+# its fresh 3.2 MB temporaries, ran about twice as slow inside the probe
+_RANK_BLOCK = 1 << 15
 # rows keeping more than 2^_DENSE_CLASS points take the sparse program,
 # unless they have more than _SPARSE_PER_POINT candidates per point
 _DENSE_CLASS = 9
@@ -116,17 +136,28 @@ def _turning_points(v: np.ndarray):
     step = max(1, _BLOCK // m)
     for lo in range(0, p, step):
         blk = v[lo:lo + step]
-        # the first point of each run of equal values; x - y == 0 only for
-        # x == y, while NaN and inf - inf never compare equal and stay
-        rows, cols = np.nonzero(np.diff(blk, axis=1, prepend=np.nan) != 0)
-        w = blk[rows, cols]
-        edge = rows[1:] != rows[:-1]
-        s = np.sign(np.diff(w))
-        keep = np.ones(w.size, dtype=bool)
-        keep[1:-1] = edge[:-1] | edge[1:] | (s[:-1] != s[1:])
-        kept.append(w[keep])
-        counts[lo:lo + step] = np.bincount(rows[keep],
-                                           minlength=blk.shape[0])
+        # a step moves unless it is exactly 0; a NaN step (inf - inf among
+        # them) moves and differs from every sign
+        with np.errstate(invalid="ignore"):
+            s = np.diff(blk, axis=1)
+        np.sign(s, out=s)
+        move = s != 0
+        # the sign of the first moving step at or after each step, 0 past
+        # the row's last one
+        out = s
+        if not move.all():
+            nxt = np.where(move, np.arange(m - 1), m - 1)
+            nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+            out = np.zeros(blk.shape)
+            out[:, :-1] = s
+            out = np.take_along_axis(out, nxt, axis=1)
+        # column 0, the last run start, and every run start whose incoming
+        # sign differs from its outgoing one
+        keep = np.ones(blk.shape, dtype=bool)
+        keep[:, 1:] = move
+        keep[:, 1:-1] &= s[:, :-1] != out[:, 1:]
+        kept.append(blk[keep])
+        counts[lo:lo + step] = np.count_nonzero(keep, axis=1)
     return np.concatenate(kept), counts
 
 
@@ -235,14 +266,41 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
     return out ** (1.0 / rho)
 
 
-def exceedance(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def exceedance(values: np.ndarray, levels: np.ndarray,
+               resamples: np.ndarray | None = None) -> np.ndarray:
     """The empirical distribution function #{v > a} / values.size at each
-    level a, where a NaN value exceeds no level.  The counts come from one
-    sort and a right-sided search, so they are exact integers and each
-    share has the bits of the mean of the booleans v > a."""
+    level a, where a NaN value exceeds no level.  With resamples, a
+    (reps, n) index array, it is that of every values[resamples[r]], one
+    row of shares per resample.
+
+    Each value is ranked once against the sorted levels: its rank is
+    #{levels < v}, and 0 for NaN.  The level in sorted place k lies below v
+    exactly when the rank exceeds k, so a histogram of the ranks summed
+    from the top gives the counts.  They are exact integers, and each share
+    has the bits of the mean of the booleans v > a.  Levels may be unsorted
+    or repeated.  Resamples are counted in blocks of about _RANK_BLOCK
+    ranks, one bincount a block."""
     v = np.asarray(values, dtype=float)
-    s = np.sort(v[~np.isnan(v)])
-    return (s.size - np.searchsorted(s, levels, side="right")) / v.size
+    a = np.asarray(levels, dtype=float)
+    order = np.argsort(a, axis=None)
+    rank = np.searchsorted(a.ravel()[order], v)
+    rank[np.isnan(v)] = 0
+    idx = np.arange(v.size)[None] if resamples is None else resamples
+    reps, n = idx.shape
+    width = a.size + 1
+    step = max(1, _RANK_BLOCK // max(n, 1))
+    hist = np.empty((reps, width), dtype=np.intp)
+    for lo in range(0, reps, step):
+        # each resample's ranks, moved into its own stretch of width bins
+        x = rank[idx[lo:lo + step]]
+        x += width * np.arange(x.shape[0])[:, None]
+        hist[lo:lo + step] = np.bincount(
+            x.ravel(), minlength=x.shape[0] * width).reshape(-1, width)
+    counts = np.empty((reps, a.size), dtype=np.intp)
+    counts[:, order] = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+    shares = counts / n
+    return (shares[0].reshape(a.shape) if resamples is None
+            else shares.reshape((reps,) + a.shape))
 
 
 def variation_exhaustive(values: np.ndarray, rho: float) -> float:

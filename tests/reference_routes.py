@@ -215,3 +215,45 @@ def dp_fresh_columns(v: np.ndarray, rho: float) -> np.ndarray:
         d[d < 1e-300] = 0.0
         best[:, j] = np.max(best[:, :j] + d ** rho, axis=1)
     return np.max(best, axis=1)
+
+
+def turning_points_nonzero(v: np.ndarray):
+    """Endpoints and turning points of every row of a (paths, length)
+    array by the index route the package used before its dense pass, on
+    the whole array at once: the first point of each run of equal values
+    from np.nonzero, then a run start stays at a row end or where the
+    sign of the step between consecutive run starts flips."""
+    with np.errstate(invalid="ignore"):
+        rows, cols = np.nonzero(np.diff(v, axis=1, prepend=np.nan) != 0)
+        w = v[rows, cols]
+        s = np.sign(np.diff(w))
+    edge = rows[1:] != rows[:-1]
+    keep = np.ones(w.size, dtype=bool)
+    keep[1:-1] = edge[:-1] | edge[1:] | (s[:-1] != s[1:])
+    return w[keep], np.bincount(rows[keep], minlength=v.shape[0])
+
+
+def exceedance_sorted(values, levels) -> np.ndarray:
+    """#{v > a} / values.size from one sort of the non-NaN values and a
+    right-sided search, the form the probes used before the rank count."""
+    v = np.asarray(values, dtype=float)
+    s = np.sort(v[~np.isnan(v)])
+    return (s.size - np.searchsorted(s, levels, side="right")) / v.size
+
+
+def bootstrap_statistics_loop(v, alphas, idx, weighted: bool) -> np.ndarray:
+    """The weak-type statistic of every resample v[idx[r]], one replicate
+    at a time: sup of a lambda(a), or when weighted of a sqrt(log a)
+    lambda(a) over the levels above e (0.0 if there is none)."""
+    out = np.empty(len(idx))
+    for r, rows in enumerate(idx):
+        lam = exceedance_sorted(v[rows], alphas)
+        w = alphas * lam
+        if weighted:
+            mask = alphas > math.e
+            if not mask.any():
+                out[r] = 0.0
+                continue
+            w = alphas[mask] * np.sqrt(np.log(alphas[mask])) * lam[mask]
+        out[r] = float(w.max()) if w.size else 0.0
+    return out

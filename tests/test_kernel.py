@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -709,6 +712,14 @@ def test_auto_calibration_is_stable(std1, which):
     assert cal.exponent_rate > 0
     assert np.isfinite(cal.prefactor_cap)
     assert cal.which == which
+
+
+def test_every_calibration_dumps_to_json(std1):
+    for which in BOUND_NAMES:
+        cal = calibrate_bound(std1, which, n_samples=2000)
+        assert type(cal.stable) is bool
+        assert json.loads(json.dumps(dataclasses.asdict(cal)))["which"] \
+            == which
 
 
 def test_calibration_validation(std1):

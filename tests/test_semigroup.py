@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from oulab import (apply_semigroup, build_model,
-                   bump_semigroup_value, gaussian_bump, local_weight,
+from oulab import (apply_semigroup, build_model, gaussian_bump, local_weight,
                    propagators, quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
 from oulab.errors import BadOrderError, DimensionError
 from oulab.geometry import eta_plateaus
 from oulab.quadrature import hermite_tensor
+from oulab.variation import exceedance
+from oulab import semigroup
 from oulab.semigroup import (_geometric_times, _node_r_range, _part_values,
-                             _refine, _spread, _tiles, bump_semigroup_grid,
-                             local_global_grid, variation_batch_paths)
-from reference_routes import (block_nodes, local_global_grid_all_nodes,
-                              split_blocks)
+                             _refine, _spread, _sup_weighted_tail, _tiles,
+                             bump_semigroup_grid, local_global_grid,
+                             variation_batch_paths)
+from reference_routes import (block_nodes, bootstrap_statistics_loop,
+                              local_global_grid_all_nodes, split_blocks)
 
 
 def full_reevaluation(model, f, x, rho, ts, part, tol, max_refine, order):
@@ -112,7 +114,8 @@ def test_closed_kernel_and_transition_forms_agree(t, model_factory):
                   gen.standard_normal(n) @ random_model.Qinf_sqrt.T))
         for model, center, x in cases:
             f = gaussian_bump(model, center, 0.5)
-            closed = bump_semigroup_value(model, f, t, x)
+            closed = bump_semigroup_grid(
+                model, f, propagators(model, np.array([t])), x)[0, 0]
             for form in ("kernel", "kolmogorov"):
                 got = apply_semigroup(model, f, x, t, form=form)
                 assert got == pytest.approx(closed, rel=1e-12), (n, form)
@@ -370,3 +373,52 @@ def test_unconverged_probe_decides_its_own_failing_verdict():
     assert rep.pass_flags and not any(rep.pass_flags.values())
     assert rep.overall_pass() is False
     assert rep.to_dict()["pass_flags"] == rep.pass_flags
+
+
+# ---------------------------------------------------------------------------
+# the bootstrap statistic
+
+
+@pytest.mark.parametrize("regime, seed", [("large-t", 7), ("full", 1)])
+def test_bootstrap_statistics_match_a_loop_over_replicates(regime, seed,
+                                                            monkeypatch):
+    """The rank-counted statistics of all 200 resamples equal those of a
+    loop that resamples the values and counts each replicate on its own,
+    weighted for large-t and unweighted for full."""
+    calls = []
+
+    def record(alphas, lam, weighted):
+        out = _sup_weighted_tail(alphas, lam, weighted)
+        calls.append((alphas, lam, weighted, out))
+        return out
+
+    def record_exceedance(values, levels, resamples=None):
+        if resamples is not None:
+            calls.append((values, resamples))
+        return exceedance(values, levels, resamples)
+
+    monkeypatch.setattr(semigroup, "_sup_weighted_tail", record)
+    monkeypatch.setattr(semigroup, "exceedance", record_exceedance)
+    rep = weak_type_probe(standard_model(1), 2.5, regime=regime,
+                          sample_size=1000, seed=seed)
+    (v, idx), (alphas, lam, weighted, stats) = calls[-2:]
+    assert weighted == (regime == "large-t")
+    assert lam.shape == stats.shape + alphas.shape == (200, 48)
+    assert np.array_equal(stats,
+                          bootstrap_statistics_loop(v, alphas, idx, weighted))
+    assert rep.ci["statistic"] == np.percentile(stats, [2.5, 97.5]).tolist()
+
+
+def test_weighted_statistic_without_a_level_above_e_is_zero():
+    gen = np.random.default_rng(2)
+    v = gen.lognormal(size=300)
+    idx = gen.integers(0, v.size, (5, v.size))
+    alphas = np.geomspace(0.1, math.e, 12)          # none lies above e
+    lam = exceedance(v, alphas, idx)
+    assert np.array_equal(_sup_weighted_tail(alphas, lam, True), np.zeros(5))
+    assert _sup_weighted_tail(alphas, lam[0], True) == 0.0
+    assert np.array_equal(bootstrap_statistics_loop(v, alphas, idx, True),
+                          np.zeros(5))
+    # unweighted, every level counts
+    assert np.array_equal(_sup_weighted_tail(alphas, lam, False),
+                          bootstrap_statistics_loop(v, alphas, idx, False))

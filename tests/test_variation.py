@@ -16,7 +16,9 @@ from oulab.errors import (
     EmptyPathError,
     TooLongError,
 )
-from reference_routes import dp_fresh_columns, variation_exhaustive_slow
+from reference_routes import (dp_fresh_columns, exceedance_sorted,
+                              turning_points_nonzero,
+                              variation_exhaustive_slow)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,84 @@ def test_turning_points_keep_ends_and_extrema():
     assert kept.tolist() == [0.0, 3.0, 0.0, 5.0, 0.0, -3.0, 0.0, -5.0, 4.0]
 
 
+def _same_kept(got, want):
+    """Kept values (NaN equal to NaN, and the sign of every zero) and
+    counts agree bit for bit."""
+    (kept, counts), (ref, ref_counts) = got, want
+    assert np.array_equal(kept, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(kept), np.signbit(ref))
+    assert np.array_equal(counts, ref_counts)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, 5e-324, np.nan, np.inf,
+            -np.inf]
+
+
+@st.composite
+def _row_batches(draw):
+    """A (rows, length) batch of length 1 to 11: small integers with ties,
+    or a mix of signed zeros, NaN, infinities and tiny values."""
+    m = draw(st.integers(1, 11))
+    p = draw(st.integers(1, 8))
+    elem = draw(st.sampled_from([
+        st.integers(-2, 2).map(float), st.sampled_from(_SPECIAL),
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_SPECIAL))]))
+    return np.array(draw(st.lists(st.lists(elem, min_size=m, max_size=m),
+                                  min_size=p, max_size=p)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_batches())
+def test_dense_turning_points_match_the_index_route(v):
+    _same_kept(_turning_points(v), turning_points_nonzero(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_batches(), st.integers(1, 24))
+def test_dense_turning_points_across_blocks(v, block):
+    # blocks of a few values, so that one batch spans many of them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variation, "_BLOCK", block)
+        _same_kept(_turning_points(v), turning_points_nonzero(v))
+
+
+def test_dense_turning_points_on_full_size_blocks():
+    gen = np.random.default_rng(4)
+    for m in (1, 2, 3, 40):
+        # about 3.7 blocks of _BLOCK values, with ties and flat runs
+        v = gen.integers(0, 3, (int(3.7 * variation._BLOCK) // m, m))
+        v = v.astype(float)
+        v[::7] = np.repeat(v[::7, :1], m, axis=1)
+        _same_kept(_turning_points(v), turning_points_nonzero(v))
+
+
+def _weak_full_paths(seed):
+    """The arrays a full-regime weak-type probe on standard1 hands to
+    variation_batch, one per time grid it refines to."""
+    from oulab import semigroup, standard_model
+    seen = []
+
+    def keep(values, rho):
+        seen.append(np.array(values))
+        return variation_batch(values, rho)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "variation_batch", keep)
+        semigroup.weak_type_probe(standard_model(1), 2.5, seed=seed)
+    return seen
+
+
+def test_batch_bit_identical_to_the_index_route_on_probe_paths_and_walks():
+    rows = _weak_full_paths(0) + [walk[None] for walk in _walks()]
+    assert [r.shape[1] for r in rows[:-3]] == [114, 227, 453]
+    for v in rows:
+        _same_kept(_turning_points(v), turning_points_nonzero(v))
+        want = variation_batch(v, 2.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variation, "_turning_points", turning_points_nonzero)
+            assert np.array_equal(variation_batch(v, 2.5), want)
+
+
 @pytest.mark.parametrize("rho", [1.0, 2.0, 2.5])
 def test_edge_rows(rho):
     assert variation_batch(np.array([[3.0], [-1.0]]), rho).tolist() == [0.0, 0.0]
@@ -505,3 +585,45 @@ def test_exceedance_on_a_half_sample_and_bootstrap_rows():
         assert np.array_equal(variation.exceedance(sample, levels),
                               _broadcast_exceedance(sample, levels))
     assert np.array_equal(v, before)    # the sample is not sorted in place
+
+
+def test_exceedance_on_unsorted_and_repeated_levels():
+    gen = np.random.default_rng(12)
+    v = np.round(gen.standard_normal(501), 1)
+    v[::17] = np.nan
+    levels = np.concatenate([v[:40], [0.0, -0.0, 0.0, np.inf, -np.inf]])
+    levels = levels[~np.isnan(levels)][gen.permutation(42)]
+    got = variation.exceedance(v, levels)
+    assert np.array_equal(got, _broadcast_exceedance(v, levels))
+    assert np.array_equal(got, exceedance_sorted(v, levels))
+    idx = gen.integers(0, v.size, (9, v.size))
+    rows = variation.exceedance(v, levels, idx)
+    assert rows.shape == (9, levels.size)
+    for r in range(9):
+        assert np.array_equal(rows[r], _broadcast_exceedance(v[idx[r]], levels))
+
+
+def test_exceedance_of_an_all_nan_sample_and_its_resamples():
+    v = np.full(6, np.nan)
+    levels = np.array([3.0, -np.inf, 0.0, 3.0])
+    assert np.array_equal(variation.exceedance(v, levels), np.zeros(4))
+    idx = np.zeros((3, 6), dtype=np.intp)
+    assert np.array_equal(variation.exceedance(v, levels, idx),
+                          np.zeros((3, 4)))
+
+
+_samples = st.lists(st.one_of(st.integers(-3, 3).map(float),
+                              st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
+                    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples, _samples, st.integers(0, 2 ** 32 - 1))
+def test_exceedance_matches_the_sorted_route_property(vals, levels, seed):
+    v, levels = np.array(vals), np.array(levels)
+    assert np.array_equal(variation.exceedance(v, levels),
+                          exceedance_sorted(v, levels))
+    idx = np.random.default_rng(seed).integers(0, v.size, (4, v.size))
+    rows = variation.exceedance(v, levels, idx)
+    for r in range(4):
+        assert np.array_equal(rows[r], exceedance_sorted(v[idx[r]], levels))
