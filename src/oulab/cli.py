@@ -89,6 +89,10 @@ def _parse_point(text: str, model):
     if x.size != model.n:
         from .errors import DimensionError
         raise DimensionError(f"point {text!r} needs {model.n} coordinates")
+    if not np.isfinite(x).all():
+        from .errors import ArgumentRangeError
+        raise ArgumentRangeError(f"point {text!r} must have finite "
+                                 "coordinates")
     return x
 
 

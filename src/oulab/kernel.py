@@ -86,16 +86,17 @@ def _pair_args(model: OUModel, ts, x, u):
     return propagators(model, ts), x, u
 
 
-def _on_grid(evaluate, m: int, x, u):
-    """Yield (rows, evaluate(xs, us)) for blocks of whole rows: the slice
-    rows of the pairs x, u (p, n), as (n, rows, 1), against m times.  The
-    values are elementwise, so bits ignore the block shape."""
-    xs, us = (np.atleast_2d(np.asarray(v, dtype=float)).T[:, :, None]
-              for v in (x, u))                      # (n, p, 1)
+def _on_grid(evaluate, m: int, *points):
+    """Yield (rows, evaluate(*blocks)) for blocks of whole rows: the slice
+    rows of each point array (p, n) of points, such as the pairs x, u, as
+    (n, rows, 1), against m times.  The values are elementwise, so bits
+    ignore the block shape."""
+    blocks = [np.atleast_2d(np.asarray(v, dtype=float)).T[:, :, None]
+              for v in points]                      # (n, p, 1) each
     size = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, xs.shape[1], size):
+    for lo in range(0, blocks[0].shape[1], size):
         rows = slice(lo, lo + size)
-        yield rows, evaluate(xs[:, rows], us[:, rows])
+        yield rows, evaluate(*(b[:, rows] for b in blocks))
 
 
 def _time_last(a: np.ndarray) -> np.ndarray:

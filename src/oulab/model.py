@@ -163,8 +163,9 @@ class Propagators:
 
 def propagators(model: OUModel, ts) -> Propagators:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts <= 0):
-        raise NonPositiveTimeError("propagator times must be positive")
+    if not ((ts > 0) & np.isfinite(ts)).all():
+        raise NonPositiveTimeError("propagator times must be positive and "
+                                   "finite")
     exp_tB = expm_stack(model, ts)
     Qt = _qt_stack(model, ts, exp_tB)
     Qt_inv = np.linalg.inv(Qt)

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import (AlphaTooSmallError, BadOrderError, DimensionError,
-                     NonPositiveTimeError)
+from .errors import (AlphaTooSmallError, ArgumentRangeError, BadOrderError,
+                     DimensionError, NonPositiveTimeError)
 from .geometry import (annulus_indicator, eta_plateaus, local_weight,
                        polar_decompose)
-from .kernel import log_kernel_grid
+from .kernel import _dot, _on_grid, _time_last, log_kernel_grid
 from .model import OUModel, Propagators, propagators, quadratic_r
 from .quadrature import (gauss_hermite_rule, gaussian_measure, hermite_tensor,
                          product_gaussian)
@@ -59,9 +60,11 @@ def _model_point(model: OUModel, v, what: str) -> np.ndarray:
 def gaussian_bump(model: OUModel, center, width: float) -> GaussianBump:
     """The Gaussian bump about center whose amplitude makes its
     L^1(gamma_inf) norm 1."""
-    if width <= 0:
-        raise DimensionError("bump width must be positive")
+    if not (math.isfinite(width) and width > 0):
+        raise DimensionError("bump width must be finite and positive")
     m = _model_point(model, center, "bump centre")
+    if not np.isfinite(m).all():
+        raise ArgumentRangeError("bump centre must be finite")
     ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
     prec = np.eye(model.n) / width ** 2
     _, log_mass = product_gaussian(ginf, prec, m)
@@ -85,20 +88,14 @@ def _geometric_times(t_min: float, t_max: float,
     return np.geomspace(t_min, t_max, count)
 
 
-def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Columns old[0], new[0], old[1], ..., old[-1] along the last axis."""
-    out = np.empty(old.shape[:-1] + (old.shape[-1] + new.shape[-1],))
-    out[..., 0::2] = old
-    out[..., 1::2] = new
-    return out
-
-
 def _refine(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(refined, mids): the times with the geometric midpoint of every gap
     inserted, and those midpoints.  The old times stay, at the even
     places, so any variation along the times can only grow."""
     mids = np.sqrt(ts[:-1] * ts[1:])
-    return _interleave(ts, mids), mids
+    refined = np.empty(2 * ts.size - 1)
+    refined[0::2], refined[1::2] = ts, mids
+    return refined, mids
 
 
 def t_max_for_tail(model: OUModel) -> float:
@@ -125,20 +122,51 @@ def _bump_stacks(model: OUModel, bump: GaussianBump, props: Propagators):
     return sinv, log_detfac
 
 
+def _bump_eval(bump: GaussianBump, factors: tuple, x):
+    """H_t f from the factors (E, S, log_detfac) of bump_semigroup_grid,
+    for points x (n, ...) whose shape broadcasts against the times."""
+    E, S, log_detfac = factors
+    n = bump.center.size
+    z = [_dot(E[i], x) - bump.center[i] for i in range(n)]
+    ij = [(i, j) for i in range(n) for j in range(n)]
+    q = _dot([z[i] * S[i, j] for i, j in ij], [z[j] for _, j in ij])
+    return bump.amplitude * np.exp(log_detfac - 0.5 * q)
+
+
 def bump_semigroup_grid(model: OUModel, bump: GaussianBump,
-                        props: Propagators, x) -> np.ndarray:
+                        props: Propagators, x, out=None) -> np.ndarray:
     """Closed-form H_t f for a Gaussian bump, over points x grid times, (p, m).
 
     The semigroup of a Gaussian is the Gaussian of the broadened
     covariance: H_t f(x) = A det(I + Qt/w^2)^{-1/2}
-    exp(-<(Qt + w^2 I)^{-1} z, z>/2), z = e^{tB} x - center.
+    exp(-<S z, z>/2), S = (Qt + w^2 I)^{-1}, z = e^{tB} x - center.
+
+    Every sum runs in a fixed order (kernel._dot): z_i sums E_ij x_j
+    (E = e^{tB}) over j in order and then subtracts c_i, and <S z, z>
+    sums (z_i S_ij) z_j over (i, j) in row-major order.  The two einsum
+    contractions over (p, m, n) stacks that this replaces summed <S z, z>
+    in that order too, and z_i as well for n <= 2, so their bits are
+    kept there.  For n >= 3 numpy's einsum adds the products of z_i in
+    interleaved vector lanes, (E_i0 x_0 + E_i2 x_2) + E_i1 x_1 on a
+    two-lane build, so where e^{tB} has off-diagonal entries the values
+    move in the last bits; they no longer depend on the build.
+
+    The factors are laid out time last (one contiguous row over the times
+    per matrix entry), and kernel._on_grid fills the grid in blocks of
+    whole rows of about kernel._BLOCK_CELLS cells: every temporary stays
+    in cache, no (p, m, n) stack is built, and the bits do not depend on
+    the blocks.  The values land in the rows of out, a (p, m) array or
+    view such as a strided column view, when given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     sinv, log_detfac = _bump_stacks(model, bump, props)
-    z = np.einsum("mij,pj->pmi", props.exp_tB, x) \
-        - bump.center[None, None, :]
-    q = np.einsum("pmi,mij,pmj->pm", z, sinv, z)
-    return bump.amplitude * np.exp(log_detfac[None, :] - 0.5 * q)
+    if out is None:
+        out = np.empty((x.shape[0], props.ts.size))
+    factors = (_time_last(props.exp_tB), _time_last(sinv), log_detfac)
+    for rows, val in _on_grid(partial(_bump_eval, bump, factors),
+                              props.ts.size, x):
+        out[rows] = val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +222,8 @@ _BLOCK_MARGIN_ABS = 1e-12
 
 
 def local_global_grid(model: OUModel, bump: GaussianBump,
-                      props: Propagators, x, order: int | None = None):
+                      props: Propagators, x, order: int | None = None,
+                      out=None):
     """(near, far) parts of H_t f over points x grid, (p, m) each, for a
     Gaussian bump.
 
@@ -228,6 +257,12 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     put back in the rule's node order before (eta * wq).sum(), so the near
     weight keeps its bits.  Undecided blocks are expanded in chunks of
     about _SPLIT_NODES nodes.
+
+    The mass is evaluated last, into out when given (a (p, m) array or
+    view), and the parts are formed in place: near = mass w in the array
+    of near weights w, then far = mass - near in the mass's array.  So
+    with out, far lands in out, and no (p, m) array but the weights is
+    held beside it.
     """
     n = model.n
     z, wq = hermite_tensor(n, order)                         # (q, n), (q,)
@@ -242,13 +277,14 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     if np.min(wv) <= 0:
         raise NonPositiveTimeError("degenerate product covariance")
     L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
-    mass = bump_semigroup_grid(model, bump, props, x)        # (p, mt)
     base_mean = np.einsum("mij,j->mi", cov, m_ctr / w2)      # (mt, n)
     mean = _product_means(props, cov, x) + base_mean[None, :, :]
     rx = quadratic_r(model, x)
     spread = _spread(model, L)                               # (mt,)
+    kappa = np.linalg.cond(model.Qinf)
     ru_lo, ru_hi = _node_r_range(
-        model, mean, spread * np.sqrt(np.max(np.einsum("qi,qi->q", z, z))))
+        model, mean, spread * np.sqrt(np.max(np.einsum("qi,qi->q", z, z))),
+        kappa)
     one, zero = eta_plateaus(rx[:, None], ru_lo, ru_hi)
     loc = one * wq.sum()
     pi, ti = np.nonzero(~(one | zero))
@@ -263,7 +299,7 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
         bp, bt = pi[lo:lo + step], ti[lo:lo + step]
         mb = mean[bp, bt]                                    # (nb, n)
         t_one, t_zero = eta_plateaus(rx[bp, None], *_node_r_range(
-            model, mb[:, None, :] + Lzc[bt], tile_r[bt]))
+            model, mb[:, None, :] + Lzc[bt], tile_r[bt], kappa))
         eta = np.repeat(t_one.astype(float), k)              # tile order
         op = np.flatnonzero(~(t_one | t_zero))               # open tiles
         ob = op // n_t
@@ -275,8 +311,9 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
         eta = np.take(eta.reshape(bp.size, -1), pos, axis=1)
         eta *= wq
         loc[bp, bt] = eta.sum(axis=-1)
-    loc = mass * loc
-    return loc, mass - loc
+    mass = bump_semigroup_grid(model, bump, props, x, out=out)
+    loc *= mass
+    return loc, np.subtract(mass, loc, out=mass)
 
 
 def _product_means(props: Propagators, cov: np.ndarray,
@@ -320,13 +357,13 @@ def _spread(model: OUModel, L: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[:, -1], 0.0))
 
 
-def _node_r_range(model: OUModel, centre: np.ndarray,
-                  radius) -> tuple[np.ndarray, np.ndarray]:
+def _node_r_range(model: OUModel, centre: np.ndarray, radius,
+                  kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) on R over every point within radius of centre in
-    the norm sqrt(2 R), with the rounding margin of local_global_grid."""
+    the norm sqrt(2 R), with the rounding margin of local_global_grid;
+    kappa is the condition number of Qinf."""
     s = np.sqrt(2.0 * quadratic_r(model, centre))
-    margin = _BLOCK_MARGIN_REL * np.linalg.cond(model.Qinf) * (s + radius) \
-        + _BLOCK_MARGIN_ABS
+    margin = _BLOCK_MARGIN_REL * kappa * (s + radius) + _BLOCK_MARGIN_ABS
     lo = np.maximum(s - radius - margin, 0.0)
     hi = s + radius + margin
     return 0.5 * lo * lo, 0.5 * hi * hi
@@ -337,18 +374,25 @@ def _node_r_range(model: OUModel, centre: np.ndarray,
 
 
 def _part_values(model: OUModel, f: GaussianBump, ts: np.ndarray, x,
-                 part: str, order: int | None = None) -> np.ndarray:
+                 part: str, order: int | None = None,
+                 out=None) -> np.ndarray:
     """Semigroup path values (p, m) at the times ts for the requested part
     of the split: the closed form for the full path, the near/far split of
     local_global_grid otherwise.  Every time is evaluated on its own, so
-    the values at a time do not depend on the other times."""
+    the values at a time do not depend on the other times.  The values
+    land in out, a (p, m) array or view, when given."""
     if part not in ("full", "local", "global"):
         raise BadOrderError(f"unknown part {part!r}")
     props = propagators(model, ts)
     if part == "full":
-        return bump_semigroup_grid(model, f, props, x)
-    loc, glob = local_global_grid(model, f, props, x, order=order)
-    return loc if part == "local" else glob
+        return bump_semigroup_grid(model, f, props, x, out=out)
+    loc, glob = local_global_grid(model, f, props, x, order=order, out=out)
+    if part == "global":
+        return glob
+    if out is None:
+        return loc
+    out[...] = loc
+    return out
 
 
 def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
@@ -360,8 +404,11 @@ def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
     increment drops below tol.
 
     Each round refines the times by _refine, which keeps the old times;
-    so only its midpoints are evaluated, and their columns interleave with
-    the known ones.  Returns (values, converged_flag, grid_size)."""
+    so only its midpoints are evaluated.  The refined grid of values is
+    allocated once per round: the known columns are copied into its even
+    places and the midpoints are evaluated straight into its odd places,
+    so no other array of a round's width is built.  Returns (values,
+    converged_flag, grid_size)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     vals = _part_values(model, f, ts, x, part, order)
     # the convergence test is relative to the path scale, so a flat path
@@ -370,9 +417,10 @@ def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
     prev = variation_batch(vals, rho)
     for _ in range(max_refine):
         ts, mids = _refine(ts)
-        new = _part_values(model, f, mids, x, part, order)
-        vals = _interleave(vals, new)
-        del new     # only the merged paths stay alive through the DP
+        vals, old = np.empty((x.shape[0], ts.size)), vals
+        vals[:, 0::2] = old
+        del old     # only the refined paths stay alive from here
+        _part_values(model, f, mids, x, part, order, out=vals[:, 1::2])
         cur = variation_batch(vals, rho)
         rel = float(np.max(np.abs(cur - prev) /
                            np.maximum(np.abs(cur), floor)))

@@ -18,7 +18,7 @@ from oulab.geometry import local_weight
 from oulab.kernel import kernel, log_kernel_grid, logk_time_slope_grid
 from oulab.model import T_SWITCH, propagators
 from oulab.quadrature import hermite_tensor
-from oulab.semigroup import bump_semigroup_grid
+from oulab.semigroup import _bump_stacks, bump_semigroup_grid
 from oulab.variation import _check_order
 
 
@@ -167,6 +167,18 @@ def split_blocks(model, bump, props, x, order=None):
 def block_nodes(mean, L, z):
     """Every node mean + L_t z_k of every block, (p, m, q, n)."""
     return mean[:, :, None, :] + np.einsum("mij,qj->mqi", L, z)[None]
+
+
+def bump_semigroup_grid_einsum(model, bump, props, x):
+    """Closed-form H_t f over points x grid times as it ran before the
+    blocked evaluator: both sums as einsum contractions over (p, m, n)
+    stacks."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    sinv, log_detfac = _bump_stacks(model, bump, props)
+    z = np.einsum("mij,pj->pmi", props.exp_tB, x) \
+        - bump.center[None, None, :]
+    q = np.einsum("pmi,mij,pmj->pm", z, sinv, z)
+    return bump.amplitude * np.exp(log_detfac[None, :] - 0.5 * q)
 
 
 def local_global_grid_all_nodes(model, bump, props, x, order=None):

@@ -369,6 +369,37 @@ def test_variation_path_refuses_non_finite_values_in_a_file(tmp_path,
     assert code == 1 and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", "enhanced", "--model", "standard1", "--center", "nan"],
+    ["probe", "enhanced", "--model", "standard1", "--width", "nan"],
+    ["kernel", "zeros", "--model", "standard1", "--x", "nan", "--u", "1.0"],
+    ["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+     "--regime", "full", "--center", "nan"],
+    ["kernel", "eval", "--model", "standard1", "--t", "nan", "--x", "0.1",
+     "--u", "0.2"],
+    ["kernel", "eval", "--model", "standard2", "--t", "1", "--x", "nan,0",
+     "--u", "0,0"]])
+def test_non_finite_inputs_exit_one_before_any_work(argv, tmp_path, capsys,
+                                                    monkeypatch):
+    # each of these printed a verdict (or ran for half a minute) on NaN
+    from importlib import import_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran on a non-finite input")
+
+    for module, name in (("oulab.semigroup", "variation_batch_paths"),
+                         ("oulab.semigroup", "annulus_indicator"),
+                         ("oulab.kernel", "_scan_counts")):
+        monkeypatch.setattr(import_module(module), name, no_work)
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "out"] if argv[0] == "probe" else []
+    code = main([*argv, *out])
+    printed, err = capsys.readouterr()
+    assert code == 1 and printed == ""
+    assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # runs with a point of --x, --u or --center that starts with a negative
 # number, which argparse alone takes for an option when it is spaced
 NEGATIVE_POINT_ARGVS = [

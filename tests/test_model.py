@@ -356,6 +356,13 @@ def test_propagators_reject_nonpositive_times(std1):
         propagators(std1, np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagators_reject_non_finite_times(std1, bad):
+    # NaN fails every comparison, so a test for t <= 0 alone lets it pass
+    with pytest.raises(NonPositiveTimeError):
+        propagators(std1, np.array([0.5, bad, 1.0]))
+
+
 def test_propagators_reject_indefinite_qt(std2, monkeypatch):
     # -I has a positive determinant, so only the eigenvalue guard sees it
     import oulab.model as model_mod

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oulab import (apply_semigroup, build_model, gaussian_bump, local_weight,
                    propagators, quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
-from oulab.errors import BadOrderError, DimensionError
+from oulab.errors import ArgumentRangeError, BadOrderError, DimensionError
+from oulab.kernel import _BLOCK_CELLS
 from oulab.geometry import eta_plateaus
 from oulab.quadrature import hermite_tensor
 from oulab.variation import exceedance
@@ -15,7 +19,9 @@ from oulab.semigroup import (_geometric_times, _node_r_range, _part_values,
                              _refine, _spread, _sup_weighted_tail, _tiles,
                              bump_semigroup_grid, local_global_grid,
                              variation_batch_paths)
+from conftest import random_stable_model
 from reference_routes import (block_nodes, bootstrap_statistics_loop,
+                              bump_semigroup_grid_einsum,
                               local_global_grid_all_nodes, split_blocks)
 
 
@@ -37,6 +43,20 @@ def full_reevaluation(model, f, x, rho, ts, part, tol, max_refine, order):
         if rel < tol:
             return prev, True, ts.size
     return prev, False, ts.size
+
+
+def interleaved_grids(model, f, x, ts, part, rounds, order):
+    """The grids of variation_batch_paths as they were built before the
+    in-place grid: each round's midpoints evaluated into an array of their
+    own, then interleaved with the known columns in a fresh array."""
+    grids = [_part_values(model, f, ts, x, part, order)]
+    for _ in range(rounds):
+        ts, mids = _refine(ts)
+        new = _part_values(model, f, mids, x, part, order)
+        grid = np.empty((x.shape[0], ts.size))
+        grid[:, 0::2], grid[:, 1::2] = grids[-1], new
+        grids.append(grid)
+    return grids
 
 
 def _case(name, model_factory=None):
@@ -74,6 +94,29 @@ def test_midpoint_reuse_from_a_two_point_grid(part):
     ref = full_reevaluation(model, f, xs, 2.0, ts, part, 0.0, 4, 12)
     assert got[1:] == ref[1:] == (False, 17)
     assert np.array_equal(got[0], ref[0])
+
+
+@pytest.mark.parametrize("name", ["standard1", "random2"])
+@pytest.mark.parametrize("part", ["full", "local", "global"])
+def test_in_place_grid_matches_evaluate_then_interleave(name, part,
+                                                        model_factory,
+                                                        monkeypatch):
+    # every grid the DP sees, not only the variation, keeps its bits
+    model, f, xs = _case(name, model_factory)
+    ts = _geometric_times(1e-3, 1.0, 4)
+    seen = []
+
+    def record(values, rho):
+        seen.append(values.copy())
+        return variation_batch(values, rho)
+
+    monkeypatch.setattr(semigroup, "variation_batch", record)
+    # tol = 0 runs every round
+    variation_batch_paths(model, f, xs, 2.5, ts, part=part, tol=0.0,
+                          max_refine=3, order=12)
+    grids = interleaved_grids(model, f, xs, ts, part, 3, 12)
+    assert len(seen) == len(grids) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(seen, grids))
 
 
 def test_refine_keeps_the_old_times_and_puts_midpoints_between():
@@ -121,6 +164,115 @@ def test_closed_kernel_and_transition_forms_agree(t, model_factory):
                 assert got == pytest.approx(closed, rel=1e-12), (n, form)
 
 
+# ---------------------------------------------------------------------------
+# the blocked closed form keeps the bits of the einsum route
+
+
+@st.composite
+def _bump_grid_cases(draw):
+    """(model, bump, props, x, out view or None, the array it views) for
+    one of the block layouts of bump_semigroup_grid: rows no multiple of a
+    block's rows, a single time, rows longer than a block, or out as a
+    strided column view."""
+    n = draw(st.integers(1, 3))
+    model = random_stable_model(draw(st.integers(0, 10 ** 6)), n)
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = gaussian_bump(model, gen.standard_normal(n),
+                      draw(st.floats(0.1, 2.0)))
+    layout = draw(st.sampled_from(["ragged", "one time", "long rows",
+                                   "strided out"]))
+    if layout == "one time":
+        m = 1
+        p = draw(st.integers(1, 2 * _BLOCK_CELLS + 3))
+    elif layout == "long rows":
+        m = draw(st.integers(_BLOCK_CELLS + 1, _BLOCK_CELLS + 300))
+        p = draw(st.integers(1, 3))
+    else:
+        m = draw(st.integers(2, 700))
+        per_block = _BLOCK_CELLS // m
+        p = per_block * draw(st.integers(1, 3)) + draw(
+            st.integers(1, max(1, per_block - 1)))
+    ts = np.sort(10.0 ** gen.uniform(-6.0, 1.6, m))
+    x = 1.5 * gen.standard_normal((p, n)) @ model.Qinf_sqrt.T
+    if layout != "strided out":
+        return model, f, propagators(model, ts), x, None, None
+    whole = np.full((p, 2 * m + 1), -7.0)
+    return model, f, propagators(model, ts), x, whole[:, 1::2], whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bump_grid_cases())
+def test_bump_grid_keeps_the_bits_of_the_einsum_route(case):
+    model, f, props, x, out, whole = case
+    got = bump_semigroup_grid(model, f, props, x, out=out)
+    ref = bump_semigroup_grid_einsum(model, f, props, x)
+    if out is not None:
+        assert got is out and np.all(whole[:, 0::2] == -7.0)
+    if model.n <= 2:
+        assert np.array_equal(got, ref)
+    else:
+        # numpy's einsum sums the three products of z_i in two interleaved
+        # partial sums, (T0 + T2) + T1, and so rounds apart from the fixed
+        # j order wherever e^{tB} has off-diagonal entries
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-300)
+    # one row at a time is one block per row: the bits ignore the blocks
+    rows = np.vstack([bump_semigroup_grid(model, f, props, xi[None])
+                      for xi in x[:4]])
+    assert np.array_equal(rows, got[:4])
+
+
+@pytest.mark.parametrize("spec", ["standard1", "standard2", "standard3",
+                                  "general2"])
+def test_bump_grid_of_the_reported_models_keeps_the_einsum_bits(spec):
+    # standard3 has a diagonal drift, so its off-diagonal sums add zeros
+    model = build_model(*GENERAL2) if spec == "general2" \
+        else standard_model(int(spec[-1]))
+    gen = np.random.default_rng(3)
+    f = gaussian_bump(model, gen.standard_normal(model.n), 0.5)
+    props = propagators(model, _geometric_times(1e-6, 40.0, 16))
+    x = gen.standard_normal((500, model.n)) @ model.Qinf_sqrt.T
+    assert np.array_equal(bump_semigroup_grid(model, f, props, x),
+                          bump_semigroup_grid_einsum(model, f, props, x))
+
+
+def _traced_peak_mib(f, *args, **kwargs) -> float:
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def _weak_full_inputs(seed=0):
+    """The bump, sample and starting times of a standard1 full probe."""
+    model = standard_model(1)
+    f = gaussian_bump(model, semigroup.substream(seed, 100).standard_normal(1)
+                      @ model.Qinf_sqrt.T, 0.5)
+    xs = semigroup.substream(seed, 200).standard_normal((2000, 1)) \
+        @ model.Qinf_sqrt.T
+    return model, f, xs, semigroup._regime_times(model, "full", 16)
+
+
+def test_bump_grid_keeps_no_stack_beside_its_result():
+    # the einsum route peaked at 27.7 MiB for this 6.9 MiB result
+    model, f, xs, ts = _weak_full_inputs()
+    props = propagators(model, _refine(_refine(ts)[0])[0])
+    assert props.ts.size == 453
+    result = xs.shape[0] * props.ts.size * 8 / 2 ** 20
+    peak = _traced_peak_mib(bump_semigroup_grid, model, f, props, xs)
+    assert peak <= result + 1.0
+
+
+def test_full_refinement_peak_stays_small():
+    # the refined grid is the only array of a round's width (about 17 MiB
+    # at its peak with an interleaved copy and an einsum route)
+    model, f, xs, ts = _weak_full_inputs()
+    peak = _traced_peak_mib(variation_batch_paths, model, f, xs, 2.5, ts,
+                            part="full")
+    assert peak <= 12.0
+
+
 @pytest.mark.parametrize("name", ["standard1", "standard2", "random1",
                                   "random2"])
 def test_near_and_far_parts_add_to_the_closed_form(name, model_factory):
@@ -147,7 +299,8 @@ def _block_range(model, mean, L, z):
     """The R range local_global_grid gives each (point, time) block: about
     its mean, with radius |Qinf^-1/2 L_t|_2 max_k |z_k|."""
     zmax = np.sqrt(np.max(np.einsum("qi,qi->q", z, z)))
-    return _node_r_range(model, mean, _spread(model, L) * zmax)
+    return _node_r_range(model, mean, _spread(model, L) * zmax,
+                         np.linalg.cond(model.Qinf))
 
 
 def _split_case(name, model_factory):
@@ -240,7 +393,8 @@ def _tile_ranges(model, mean, L, z):
     tiles, _, zc, z_rad = _tiles(z)
     centre = mean[:, :, None, :] + np.einsum("mij,tj->mti", L, zc)[None]
     return tiles, _node_r_range(model, centre,
-                                _spread(model, L)[:, None] * z_rad)
+                                _spread(model, L)[:, None] * z_rad,
+                                np.linalg.cond(model.Qinf))
 
 
 _TILE_CASES = [("standard1", 12), ("standard1", 13), ("standard1", None),
@@ -323,6 +477,16 @@ def test_no_default_order_past_three_dimensions():
     with pytest.raises(BadOrderError):
         apply_semigroup(standard_model(4), gaussian_bump(
             standard_model(4), np.zeros(4), 0.5), np.zeros(4), 1.0)
+
+
+@pytest.mark.parametrize("center,width,error", [
+    ([np.nan], 0.5, ArgumentRangeError), ([np.inf], 0.5, ArgumentRangeError),
+    ([0.3], np.nan, DimensionError), ([0.3], np.inf, DimensionError),
+    ([0.3], 0.0, DimensionError), ([0.3], -0.5, DimensionError)])
+def test_a_bump_needs_a_finite_centre_and_a_finite_positive_width(
+        center, width, error):
+    with pytest.raises(error):
+        gaussian_bump(standard_model(1), center, width)
 
 
 def test_a_centre_of_the_wrong_length_is_a_dimension_error():
