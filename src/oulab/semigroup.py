@@ -148,8 +148,10 @@ def bump_semigroup_grid(model: OUModel, bump: GaussianBump,
     in that order too, and z_i as well for n <= 2, so their bits are
     kept there.  For n >= 3 numpy's einsum adds the products of z_i in
     interleaved vector lanes, (E_i0 x_0 + E_i2 x_2) + E_i1 x_1 on a
-    two-lane build, so where e^{tB} has off-diagonal entries the values
-    move in the last bits; they no longer depend on the build.
+    two-lane build, and for n = 2 it summed <S z, z> of a grid of one
+    time and at most two points in another order than on larger grids;
+    there the values move in the last bits, and they no longer depend on
+    the build or on the size of the grid.
 
     The factors are laid out time last (one contiguous row over the times
     per matrix entry), and kernel._on_grid fills the grid in blocks of
