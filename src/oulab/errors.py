@@ -25,6 +25,11 @@ class NonPositiveTimeError(OULabError):
     """A time parameter that must be positive is not."""
 
 
+class SingularPropagatorError(OULabError):
+    """e^{tB} is singular in floating point at a grid time, so the group
+    D_t = Qinf e^{-tB^T} Qinf^-1 cannot be formed there."""
+
+
 class NumericalOverflowError(OULabError):
     """exp() of a computed log-value overflows float64; use the log form."""
 

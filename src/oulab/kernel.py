@@ -53,7 +53,8 @@ import numpy as np
 from .errors import (ArgumentRangeError, BadOrderError,
                      NonPositiveTimeError, NumericalOverflowError,
                      RateTooLargeError)
-from .model import (OUModel, Propagators, T_SWITCH, propagators, quadratic_r)
+from .model import (OUModel, Propagators, T_SWITCH, isotropic_rates,
+                    propagators, quadratic_r)
 from .rng import substream
 
 _LOG_MAX = 700.0            # exp overflows just above this
@@ -363,6 +364,86 @@ def count_kdot_zeros_batch(model: OUModel, X, U,
     fine = _scan_grid(t_interval, 2 * n_scan)
     counts = _scan_counts(model, X, U, grid)
     return counts, counts == _scan_counts(model, X, U, fine)
+
+
+# ---------------------------------------------------------------------------
+# critical times on isotropic models, B = -b I and Qinf = lam I
+
+
+def time_critical_cubic(model: OUModel, x, c, width: float):
+    """The cubic P in s = e^{-bt} whose roots are the critical times of
+    t -> H_t f(x), f the Gaussian bump of the given width about c, on a
+    model with B = -b I and Qinf = lam I (model.isotropic_rates).
+
+    H_t f(x) is a constant times D^{-n/2} exp(-|s x - c|^2 / (2 D)) with
+    D = lam (1 - s^2) + w^2, so with kappa = lam + w^2
+    d/ds log H_t f(x) = P(s) / D^2 and
+
+        P(s) = -n lam^2 s^3 + lam <c, x> s^2
+               + (kappa (n lam - |x|^2) - lam |c|^2) s + kappa <c, x>.
+
+    At width 0 and c = u, H_t f(x) is K_t(x, u) times a factor that does
+    not depend on t, and P / lam is the cubic of d/dt log K: its roots in
+    (e^{-b t_hi}, e^{-b t_lo}) are the zeros that count_kdot_zeros scans
+    for on [t_lo, t_hi].
+
+    x is (points, n) and c is (n,) or (points, n).  Returns (coef, mag),
+    each (points, 4) with the highest power first: the coefficients, and
+    the sums of their terms in absolute value (|<c, x>| read as |c| |x|),
+    which bound the terms that their rounding errors scale with."""
+    rates = isotropic_rates(model)
+    if rates is None:
+        raise ArgumentRangeError("the critical-time cubic needs B = -b I "
+                                 "and Qinf = lam I")
+    lam, n = rates[1], model.n
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
+    kappa = lam + float(width) ** 2
+    cx, xx, cc = (np.einsum("pi,pi->p", a, b)
+                  for a, b in ((c, x), (x, x), (c, c)))
+    top = np.full(cx.shape, n * lam * lam)
+    norm = np.sqrt(cc * xx)
+    coef = np.stack([-top, lam * cx, kappa * (n * lam - xx) - lam * cc,
+                     kappa * cx], axis=1)
+    mag = np.stack([top, lam * norm, kappa * (n * lam + xx) + lam * cc,
+                    kappa * norm], axis=1)
+    return coef, mag
+
+
+def real_roots(coef: np.ndarray) -> np.ndarray:
+    """The real roots of each row's polynomial, (rows, k), for coef
+    (rows, k + 1) of degree k <= 3 with the highest power first and
+    nonzero; NaN where a root is not real.  Closed forms: the stable
+    quadratic formula, and for the cubic Cardano's (one real root) or the
+    trigonometric one (three).  Roots near a multiple root keep only about
+    half their digits, and a multiple root may come out as a complex pair,
+    NaN."""
+    k = coef.shape[1] - 1
+    # monic, one contiguous row per coefficient
+    a = np.ascontiguousarray((coef[:, 1:] / coef[:, :1]).T)
+    if k == 1:
+        return -a.T
+    with np.errstate(all="ignore"):
+        if k == 2:
+            h = -0.5 * a[0]
+            q = h + np.copysign(np.sqrt(h * h - a[1]), h)
+            return np.stack([q, np.where(q != 0, a[1] / q, 0.0)], axis=1)
+        # s = y - a0 / 3 turns the cubic into y^3 + p y + q
+        shift = a[0] / 3.0
+        p = a[1] - a[0] * shift
+        q = (2.0 * shift * shift - a[1]) * shift + a[2]
+        third = p / 3.0
+        disc = 0.25 * q * q + third * third * third
+        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+        one = np.where(u != 0, u - third / u, 0.0)
+        r = np.sqrt(-third)
+        phi = np.arccos(np.clip(-0.5 * q / (r * r * r), -1.0, 1.0)) / 3.0
+        y = 2.0 * r * np.cos(phi - (2.0 * np.pi / 3.0) * np.arange(3)[:, None])
+        y[:, r == 0] = 0.0
+        real = disc > 0
+        y[0, real] = one[real]
+        y[1:, real] = np.nan
+    return (y - shift).T
 
 
 # ---------------------------------------------------------------------------

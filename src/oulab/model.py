@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionError, NonPositiveTimeError, NotSPDError,
-                     NotStableError)
+                     NotStableError, SingularPropagatorError)
 
 _SYM_TOL = 1e-12
 _LYAP_TOL = 1e-10
@@ -142,6 +142,25 @@ def _qt_stack(model: OUModel, ts: np.ndarray, exp_tB: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
+def _inverse_stack(exp_tB: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """inv(e^(tB)) per time, or a SingularPropagatorError naming the first
+    time whose e^(tB) is singular in floating point.  On slowly decaying
+    non-normal drifts e^(tB) can lose rank long before its entries
+    underflow."""
+    try:
+        return np.linalg.inv(exp_tB)
+    except np.linalg.LinAlgError:
+        for t, e in zip(ts, exp_tB):
+            try:
+                np.linalg.inv(e)
+            except np.linalg.LinAlgError:
+                raise SingularPropagatorError(
+                    f"e^(tB) is singular in floating point at t = {t:.6g}, "
+                    "so D_t = Qinf e^(-tB^T) Qinf^-1 cannot be formed "
+                    "there") from None
+        raise
+
+
 @dataclass(frozen=True)
 class Propagators:
     """Matrix functions of t stacked over a time grid, shared across points."""
@@ -177,7 +196,7 @@ def propagators(model: OUModel, ts) -> Propagators:
         raise NotSPDError("Qt lost positive definiteness on the grid")
 
     # Dt has growing entries, Dmt decaying ones; e^(-tB^T) = inv(e^(tB))^T
-    exp_tB_inv = np.linalg.inv(exp_tB)
+    exp_tB_inv = _inverse_stack(exp_tB, ts)
     Dt = np.einsum("ij,mkj,kl->mil", model.Qinf, exp_tB_inv, model.Qinf_inv)
     Dmt = np.einsum("ij,mkj,kl->mil", model.Qinf, exp_tB, model.Qinf_inv)
 
@@ -211,6 +230,18 @@ def propagators(model: OUModel, ts) -> Propagators:
     return Propagators(ts=ts, exp_tB=exp_tB, Qt=Qt, Qt_inv=Qt_inv,
                        logdet_Qt=logdet, Dt=Dt, Dmt=Dmt,
                        A_small=A_small, M_large=M_large, N=N)
+
+
+def isotropic_rates(model: OUModel) -> tuple[float, float] | None:
+    """(b, lam) when B = -b I and Qinf = lam I exactly, else None.  On
+    such models every matrix function of t is a multiple of I: e^(tB) is
+    s = e^(-bt) times I and Qt is lam (1 - s^2) I."""
+    b, lam = -float(model.B[0, 0]), float(model.Qinf[0, 0])
+    eye = np.eye(model.n)
+    if np.array_equal(model.B, -b * eye) and \
+            np.array_equal(model.Qinf, lam * eye):
+        return b, lam
+    return None
 
 
 def quadratic_r(model: OUModel, x) -> np.ndarray:

@@ -452,3 +452,20 @@ def test_no_option_looks_like_a_negative_number():
                 assert not p._negative_number_matcher.match(opt)
         seen += 1
     assert seen > 14
+
+
+def test_a_singular_propagator_exits_one_with_an_error_line(tmp_path,
+                                                           capsys):
+    model = tmp_path / "slow.json"
+    model.write_text(json.dumps(
+        {"n": 3, "Q": [[1, .3, .1], [.3, .5, 0], [.1, 0, .8]],
+         "B": [[-1, 2, .3], [0, -.5, .4], [.2, 0, -.7]]}))
+    out = tmp_path / "out"
+    code = main(["probe", "weak-type", "--model", str(model), "--rho", "2.5",
+                 "--regime", "full", "--samples", "1000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "oulab: error: e^(tB) is singular in floating point at t = 50" \
+        in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []

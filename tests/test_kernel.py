@@ -24,7 +24,8 @@ from oulab.kernel import (BOUND_NAMES, BoundCalibration,
                           _prefix_max_log_ratios, _rate_maxima,
                           _score_blocks, _sign_changes,
                           kernel, log_kernel_grid, log_kernel_pairs,
-                          logk_time_slope, logk_time_slope_grid)
+                          logk_time_slope, logk_time_slope_grid, real_roots,
+                          time_critical_cubic)
 import oulab.kernel as kernel_mod
 from oulab.model import T_SWITCH, propagators
 from oulab.rng import substream
@@ -1077,3 +1078,68 @@ def test_streamed_calibration_keeps_no_full_grid(which):
     # times) pieces and their einsum temporaries peaked at 19, 33 and 37 MiB
     with np.errstate(over="ignore"):            # exp of an infinite cap
         assert _peak_mib(calibrate_bound, build_model(*GENERAL2), which) <= 8
+
+
+# ---------------------------------------------------------------------------
+# the critical-time cubic of isotropic models
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_critical_cubic_at_width_zero_counts_the_kernel_slope_zeros(n):
+    # at width 0 and c = u the cubic is that of d/dt log K(x, u): its real
+    # roots in (e^{-b}, e^{-b 1e-8}) are the zeros the scan finds on
+    # [1e-8, 1]
+    model = standard_model(n)
+    X, U = _far_pairs(model, 3, 200)
+    coef, mag = time_critical_cubic(model, X, U, 0.0)
+    assert coef.shape == mag.shape == (200, 4)
+    # |c| |x| and |<c, x>| round apart when they are equal (n = 1)
+    assert np.all(mag >= np.abs(coef) * (1 - 1e-12))
+    roots = real_roots(coef)
+    inside = (roots > np.exp(-1.0)) & (roots < np.exp(-1e-8))
+    counts, stable = count_kdot_zeros_batch(model, X, U)
+    assert stable.all()
+    assert np.array_equal(inside.sum(axis=1), counts)
+    assert set(counts.tolist()) > {0}
+
+
+def test_critical_cubic_matches_the_closed_form_slope():
+    # d/ds log H_t f(x) = P(s) / D^2 against a central difference of the
+    # closed form, on a model with b = 0.7 and lam = 1.8
+    model = build_model(2.52 * np.eye(2), -0.7 * np.eye(2))
+    gen = np.random.default_rng(5)
+    x, c, w = gen.standard_normal((6, 2)), gen.standard_normal(2), 0.6
+    coef, _ = time_critical_cubic(model, x, c, w)
+    lam, kappa = 1.8, 1.8 + w * w
+
+    def log_h(s):
+        d = lam * (1 - s * s) + w * w
+        z = s * x - c
+        return -np.log(d) - 0.5 * np.einsum("pi,pi->p", z, z) / d
+
+    for s in (0.05, 0.4, 0.9):
+        d = kappa - lam * s * s
+        slope = (log_h(s + 1e-6) - log_h(s - 1e-6)) / 2e-6
+        assert np.polyval(coef.T, s) / d ** 2 == pytest.approx(slope,
+                                                               rel=1e-6)
+
+
+def test_critical_cubic_needs_an_isotropic_model():
+    with pytest.raises(ArgumentRangeError):
+        time_critical_cubic(build_model(*GENERAL2), np.zeros((1, 2)),
+                            np.zeros(2), 0.5)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_real_roots_match_numpy_roots(degree):
+    # random coefficients have simple roots; a multiple root may come out
+    # as a complex pair, which real_roots reports as NaN
+    gen = np.random.default_rng(degree)
+    coef = gen.standard_normal((400, degree + 1))
+    got = real_roots(coef)
+    assert got.shape == (400, degree)
+    for row, roots in zip(coef, got):
+        want = np.roots(row)
+        want = np.sort(want[np.abs(want.imag) < 1e-9].real)
+        have = np.sort(roots[~np.isnan(roots)])
+        assert have == pytest.approx(want, rel=1e-6, abs=1e-9)

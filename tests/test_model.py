@@ -17,7 +17,14 @@ from oulab.errors import (
     NonPositiveTimeError,
     NotSPDError,
     NotStableError,
+    SingularPropagatorError,
 )
+from oulab.model import isotropic_rates
+
+# a slowly decaying non-normal drift: e^(tB) loses rank in floating point
+# near t = 50, long before its entries underflow
+SLOW_NON_NORMAL = {"n": 3, "Q": [[1, .3, .1], [.3, .5, 0], [.1, 0, .8]],
+                   "B": [[-1, 2, .3], [0, -.5, .4], [.2, 0, -.7]]}
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +377,29 @@ def test_propagators_reject_indefinite_qt(std2, monkeypatch):
                         lambda model, ts, exp_tB: -np.eye(2)[None])
     with pytest.raises(NotSPDError):
         propagators(std2, np.array([0.5]))
+
+
+# ---------------------------------------------------------------------------
+# singular e^(tB) and the isotropic test
+
+
+def test_a_singular_propagator_is_an_error_that_names_its_time():
+    model = model_from_dict(SLOW_NON_NORMAL)
+    assert propagators(model, [1.0, 10.0]).ts.size == 2
+    with pytest.raises(SingularPropagatorError, match=r"at t = 50\b"):
+        propagators(model, [1.0, 10.0, 50.0])
+    # the first singular time is the one named
+    with pytest.raises(SingularPropagatorError, match=r"at t = 49\b"):
+        propagators(model, [1.0, 49.0, 50.0])
+
+
+@pytest.mark.parametrize("Q, B, rates", [
+    (2 * np.eye(1), -np.eye(1), (1.0, 1.0)),
+    (2 * np.eye(2), -np.eye(2), (1.0, 1.0)),
+    (np.eye(3), -0.5 * np.eye(3), (0.5, 1.0)),
+    (np.diag([1.0, 2.0]), -np.eye(2), None),
+    ([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 2.0], [0.0, -0.5]], None),
+    (np.eye(2), [[-1.0, 0.5], [-0.5, -1.0]], None)])
+def test_isotropic_rates_need_b_and_qinf_multiples_of_the_identity(Q, B,
+                                                                   rates):
+    assert isotropic_rates(build_model(Q, B)) == rates

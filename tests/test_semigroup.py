@@ -10,10 +10,11 @@ from oulab import (apply_semigroup, build_model, gaussian_bump, local_weight,
                    propagators, quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
 from oulab.errors import ArgumentRangeError, BadOrderError, DimensionError
+from oulab.model import isotropic_rates
 from oulab.kernel import _BLOCK_CELLS
 from oulab.geometry import eta_plateaus
 from oulab.quadrature import hermite_tensor
-from oulab.variation import exceedance
+from oulab.variation import _turning_points, exceedance
 from oulab import semigroup
 from oulab.semigroup import (_geometric_times, _node_r_range, _part_values,
                              _refine, _spread, _sup_weighted_tail, _tiles,
@@ -101,7 +102,9 @@ def test_midpoint_reuse_from_a_two_point_grid(part):
 def test_in_place_grid_matches_evaluate_then_interleave(name, part,
                                                         model_factory,
                                                         monkeypatch):
-    # every grid the DP sees, not only the variation, keeps its bits
+    # every grid the DP sees, not only the variation, keeps its bits; on
+    # standard1 the full part takes the critical-time route, whose rows of
+    # candidate columns keep exactly the turning points of the whole grid
     model, f, xs = _case(name, model_factory)
     ts = _geometric_times(1e-3, 1.0, 4)
     seen = []
@@ -116,7 +119,15 @@ def test_in_place_grid_matches_evaluate_then_interleave(name, part,
                           max_refine=3, order=12)
     grids = interleaved_grids(model, f, xs, ts, part, 3, 12)
     assert len(seen) == len(grids) == 4
-    assert all(np.array_equal(a, b) for a, b in zip(seen, grids))
+    if name == "standard1" and part == "full":
+        for cand, grid in zip(seen, grids):
+            assert cand.shape[0] == grid.shape[0]
+            assert cand.shape[1] < grid.shape[1]
+            got, want = _turning_points(cand), _turning_points(grid)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(seen, grids))
 
 
 def test_refine_keeps_the_old_times_and_puts_midpoints_between():
@@ -141,6 +152,145 @@ def test_geometric_times_follow_the_count_formula(t_min, t_max, per_decade,
         2, math.ceil(math.log10(t_max / t_min) * per_decade) + 1)
     assert np.array_equal(_geometric_times(t_min, t_max, per_decade),
                           np.geomspace(t_min, t_max, count))
+
+
+# ---------------------------------------------------------------------------
+# the critical-time route of isotropic models
+
+
+def _critical_point(model, c, width, s_star):
+    """A point x = a u, u = c / |c| (or e_1), whose path has d/ds log H = 0
+    at s = s_star, or None: P(s_star) = 0 is a quadratic in a."""
+    lam = isotropic_rates(model)[1]
+    n, kappa = model.n, lam + width ** 2
+    u = c / np.linalg.norm(c) if np.any(c) else np.eye(n)[0]
+    g = float(c @ u)
+    quad = [-kappa * s_star, g * (lam * s_star ** 2 + kappa),
+            s_star * (n * lam * (kappa - lam * s_star ** 2) - lam * (c @ c))]
+    a = np.roots(quad)
+    a = a[np.abs(a.imag) == 0].real
+    return a[0] * u if a.size else None
+
+
+def _tangent_pair(model, width, s_star):
+    """(x, c) whose P has a double root at s_star, or None: P is then
+    -n lam^2 (s - s_star)^2 (s - r), which fixes r, <c, x> and
+    kappa |x|^2 + lam |c|^2 = A."""
+    lam = isotropic_rates(model)[1]
+    n, kappa = model.n, lam + width ** 2
+    sig = lam * s_star ** 2
+    r = 2 * kappa * s_star / (sig - kappa)
+    cx = n * lam * (2 * s_star + r)
+    big_a = n * lam * (kappa + lam * (s_star ** 2 + 2 * s_star * r))
+    disc = big_a ** 2 - 4 * kappa * lam * cx ** 2
+    if big_a <= 0 or disc < 0:
+        return None
+    if n == 1:
+        x2 = (big_a + math.sqrt(disc)) / (2 * kappa)
+        x = math.sqrt(x2)
+        return np.array([x]), np.array([cx / x])
+    xx = big_a / (2 * kappa)
+    x = math.sqrt(xx) * np.eye(n)[0]
+    c = cx / math.sqrt(xx) * np.eye(n)[0] + \
+        math.sqrt(max(big_a / (2 * lam) - cx ** 2 / xx, 0.0)) * np.eye(n)[1]
+    return x, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), b=st.floats(0.2, 4.0), q=st.floats(0.1, 6.0),
+       width=st.floats(0.05, 2.0), regime=st.sampled_from(["full", "large-t"]),
+       case=st.sampled_from(["random", "x = 0", "c = 0", "near t_min",
+                             "near t_max", "tangent"]),
+       where=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 20))
+def test_critical_route_matches_the_grid_route(n, b, q, width, regime, case,
+                                               where, seed):
+    model = build_model(q * np.eye(n), -b * np.eye(n))
+    assert isotropic_rates(model) is not None
+    gen = np.random.default_rng(seed)
+    c = 0.0 * gen.standard_normal(n) if case == "c = 0" \
+        else gen.standard_normal(n) @ model.Qinf_sqrt.T
+    xs = gen.standard_normal((24, n)) @ model.Qinf_sqrt.T
+    ts = semigroup._regime_times(model, regime, 4)
+    fine = _refine(_refine(_refine(ts)[0])[0])[0]
+    t_star = {"near t_min": math.sqrt(fine[0] * fine[1]),
+              "near t_max": math.sqrt(fine[-2] * fine[-1])}.get(
+        case, ts[0] * (ts[-1] / ts[0]) ** where)
+    s_star = math.exp(-b * t_star)
+    if case == "x = 0":
+        xs[0] = 0.0
+    elif case == "tangent":
+        pair = _tangent_pair(model, width, s_star)
+        if pair is not None:
+            xs[0], c = pair
+    elif case != "random":
+        x = _critical_point(model, c, width, s_star)
+        if x is not None:
+            xs[0] = x
+    f = gaussian_bump(model, c, width)
+    for tol in (1e-3, 0.0):
+        got = variation_batch_paths(model, f, xs, 2.5, ts, tol=tol,
+                                    max_refine=3)
+        ref = full_reevaluation(model, f, xs, 2.5, ts, "full", tol, 3, None)
+        assert got[1:] == ref[1:]
+        assert np.array_equal(got[0], ref[0])
+
+
+def _anisotropic():
+    return build_model(np.diag([1.0, 3.0]), -0.8 * np.eye(2))
+
+
+@pytest.mark.parametrize("name, part", [
+    ("general2", "full"), ("random2", "full"), ("anisotropic", "full"),
+    ("standard1", "local"), ("standard1", "global")])
+def test_other_models_and_parts_keep_the_grid_route(name, part,
+                                                    model_factory,
+                                                    monkeypatch):
+    model = {"general2": lambda: build_model([[1.0, 0.3], [0.3, 0.5]],
+                                             [[-1.0, 2.0], [0.0, -0.5]]),
+             "random2": lambda: model_factory(4, 2),
+             "anisotropic": _anisotropic,
+             "standard1": lambda: standard_model(1)}[name]()
+    assert (isotropic_rates(model) is None) == (name != "standard1")
+
+    def refuse(*args):
+        raise AssertionError("took the critical-time route")
+
+    monkeypatch.setattr(semigroup, "_critical_rounds", refuse)
+    gen = np.random.default_rng(2)
+    xs = gen.standard_normal((12, model.n)) @ model.Qinf_sqrt.T
+    f = gaussian_bump(model, 0.5 * np.ones(model.n), 0.5)
+    ts = _geometric_times(1e-3, 1.0, 4)
+    got = variation_batch_paths(model, f, xs, 2.5, ts, part=part, tol=0.0,
+                                max_refine=2, order=12)
+    ref = full_reevaluation(model, f, xs, 2.5, ts, part, 0.0, 2, 12)
+    assert got[1:] == ref[1:]
+    assert np.array_equal(got[0], ref[0])
+
+
+def test_rows_that_fail_the_certificate_take_the_whole_grid(monkeypatch):
+    model, f, xs, ts = _weak_full_inputs(3)
+    xs = xs[:300]
+    bound = semigroup._bump_log_error
+    kept = []
+
+    def every_other_row_fails(*args):
+        err = bound(*args)
+        err[1::2] = np.inf
+        return err
+
+    def record(*args):
+        starts, keep = windows(*args)
+        kept.append(keep)
+        return starts, keep
+
+    windows = semigroup._critical_windows
+    monkeypatch.setattr(semigroup, "_bump_log_error", every_other_row_fails)
+    monkeypatch.setattr(semigroup, "_critical_windows", record)
+    got = variation_batch_paths(model, f, xs, 2.5, ts, part="full")
+    ref = full_reevaluation(model, f, xs, 2.5, ts, "full", 1e-3, 3, None)
+    assert got[1:] == ref[1:]
+    assert np.array_equal(got[0], ref[0])
+    assert not kept[0][1::2].any() and kept[0][0::2].mean() > 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +420,13 @@ def test_bump_grid_keeps_no_stack_beside_its_result():
 
 
 def test_full_refinement_peak_stays_small():
-    # the refined grid is the only array of a round's width (about 17 MiB
-    # at its peak with an interleaved copy and an einsum route)
+    # on standard1 the full part evaluates only candidate columns (10.4 MiB
+    # at its peak on the whole refined grid, about 17 MiB with an
+    # interleaved copy and an einsum route)
     model, f, xs, ts = _weak_full_inputs()
     peak = _traced_peak_mib(variation_batch_paths, model, f, xs, 2.5, ts,
                             part="full")
-    assert peak <= 12.0
+    assert peak <= 4.0
 
 
 @pytest.mark.parametrize("name", ["standard1", "standard2", "random1",

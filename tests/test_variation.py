@@ -327,7 +327,8 @@ def test_dense_turning_points_on_full_size_blocks():
 
 def _weak_full_paths(seed):
     """The arrays a full-regime weak-type probe on standard1 hands to
-    variation_batch, one per time grid it refines to."""
+    variation_batch on the whole-grid route, one per time grid it refines
+    to."""
     from oulab import semigroup, standard_model
     seen = []
 
@@ -337,6 +338,8 @@ def _weak_full_paths(seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroup, "variation_batch", keep)
+        # standard1 would take the critical-time route
+        mp.setattr(semigroup, "isotropic_rates", lambda model: None)
         semigroup.weak_type_probe(standard_model(1), 2.5, seed=seed)
     return seen
 
