@@ -27,7 +27,6 @@ _EXPORTS = {
     "gaussian_measure": "quadrature", "product_gaussian": "quadrature",
     "gauss_hermite_rule": "quadrature",
     # kernel
-    "log_kernel": "kernel",
     "count_kdot_zeros": "kernel", "count_kdot_zeros_batch": "kernel",
     "calibrate_bound": "kernel", "BoundCalibration": "kernel",
     "admissible_rate": "kernel", "natural_rate": "kernel",

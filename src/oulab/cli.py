@@ -47,6 +47,8 @@ import time
 # so the parser's choices repeat kernel.BOUND_NAMES.
 _BOUND_NAMES = ("kernel-small-t", "dkernel-small-t", "dkernel-large-t",
                 "tail-integral")
+# largest log K whose e^{log K} kernel eval prints; exp overflows at 709.8
+_LOG_MAX = 700.0
 
 
 _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
@@ -175,13 +177,18 @@ def _cmd_model_check(args) -> int:
 
 
 def _cmd_kernel_eval(args) -> int:
-    from .kernel import kernel, log_kernel
+    import numpy as np
+    from .errors import NumericalOverflowError
+    from .kernel import log_kernel_pairs
     model = _load_model(args.model)
     x = _parse_point(args.x, model)
     u = _parse_point(args.u, model)
-    lk = log_kernel(model, args.t, x, u)
+    lk = float(log_kernel_pairs(model, np.array([args.t]), x, u)[0])
     print(f"log K_t(x, u) = {lk:.12g}")
-    print(f"K_t(x, u)     = {kernel(model, args.t, x, u):.12g}")
+    if lk > _LOG_MAX:
+        raise NumericalOverflowError(
+            f"K = e^(log K) overflows at log K = {lk:.3e}; read log K above")
+    print(f"K_t(x, u)     = {float(np.exp(lk)):.12g}")
     return 0
 
 

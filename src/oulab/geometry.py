@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (AlphaTooSmallError, BracketFailError, DimensionError,
                      ZeroPointError)
-from .model import OUModel, quadratic_r
+from .model import OUModel, expm_stack, quadratic_r
 
 # polar_decompose gives up once a flow-time bracket passes this size
 _S_MAX = 1e3
@@ -135,20 +135,12 @@ def _ring_plateau_idx(R, j):
 
 
 def group_apply(model: OUModel, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """D_{s_i} x_i = Qinf e^{-s_i B^T} Qinf^-1 x_i, s varying per row."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    w = x @ model.Qinf_inv.T
-    if model.eig_ok:
-        # e^{-sB^T} w = (V e^{-s lam} V^-1)^T w, evaluated in eigencoords
-        phase = np.exp(-s[:, None] * model.eig_vals[None, :])
-        a = (w.astype(complex) @ model.eig_vecs) * phase
-        return (a @ model.eig_vecs_inv).real @ model.Qinf.T
-    import scipy.linalg
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = model.Qinf @ (scipy.linalg.expm(-s[i] * model.B.T) @ w[i])
-    return out
+    """D_{s_i} x_i = Qinf e^{-s_i B^T} Qinf^-1 x_i for the rows x_i of x
+    and the flow times s_i of s, one per row, with e^{-s_i B} from the
+    package's one matrix exponential, model.expm_stack."""
+    w = np.atleast_2d(np.asarray(x, dtype=float)) @ model.Qinf_inv.T
+    e = expm_stack(model, -np.asarray(s, dtype=float))
+    return np.einsum("mj,mjk->mk", w, e) @ model.Qinf.T
 
 
 def polar_decompose(model: OUModel, x,

@@ -20,8 +20,7 @@ difference Qt^-1 - Qinf^-1 loses every digit to cancellation once t is
 large.
 
 log_kernel_grid returns log K - R(x), without the prefactor e^{R(x)} (up
-to e^{258} on the calibration samples); only log_kernel_pairs and
-log_kernel add R(x).
+to e^{258} on the calibration samples); only log_kernel_pairs adds R(x).
 
 The time slope comes from the backward equation d/dt K = L_x K with
 L = tr(Q D^2)/2 + <Bx, D>.  log K is quadratic in x, with x-gradient
@@ -37,9 +36,10 @@ relative for t in [1e-4, 40].
 Both quantities take per-time factors from one propagator stack, with the
 time axis last, and form every product elementwise in a fixed order
 (_dot).  So a pair gets the same bits against a time grid (one block
-driver, over whole rows) as with one time per pair (one argument helper).
-The zero counts, the tail integral and the bound calibration reduce each
-block as it is evaluated, and keep no (pairs, times) array.
+driver, over whole rows) as with one time per pair (log_kernel_pairs),
+and the slope needs only the grid route.  The zero counts, the tail
+integral and the bound calibration reduce each block as it is evaluated,
+and keep no (pairs, times) array.
 """
 
 from __future__ import annotations
@@ -51,13 +51,11 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import (ArgumentRangeError, BadOrderError,
-                     NonPositiveTimeError, NumericalOverflowError,
-                     RateTooLargeError)
+                     NonPositiveTimeError, RateTooLargeError)
 from .model import (OUModel, Propagators, T_SWITCH, isotropic_rates,
                     propagators, quadratic_r)
 from .rng import substream
 
-_LOG_MAX = 700.0            # exp overflows just above this
 # pair-time cells per evaluation block of a grid route, whole rows of few
 # pairs against all times: long inner loops, temporaries in cache.  A block
 # temporary of 8192 doubles is 64 KiB, under glibc's default 128 KiB mmap
@@ -73,18 +71,6 @@ def _dot(row, vec):
     for j in range(1, len(vec)):
         acc = acc + row[j] * vec[j]
     return acc
-
-
-def _pair_args(model: OUModel, ts, x, u):
-    """(props, x, u) for a route with one time per pair, x and u (m, n)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    x, u = np.broadcast_arrays(x, u)
-    if x.shape[0] == 1 and ts.size > 1:
-        x = np.broadcast_to(x, (ts.size, x.shape[1]))
-        u = np.broadcast_to(u, (ts.size, u.shape[1]))
-    return propagators(model, ts), x, u
 
 
 def _on_grid(evaluate, m: int, *points):
@@ -148,24 +134,13 @@ def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
 
 
 def log_kernel_pairs(model: OUModel, ts, x, u) -> np.ndarray:
-    """log K_{t_i}(x_i, u_i) with one time per pair, (m,)."""
-    props, x, u = _pair_args(model, ts, x, u)
+    """log K_{t_i}(x_i, u_i) with one time per pair, (m,); x and u (m, n),
+    or one point (n,) or (1, n) taken at every time."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    props = propagators(model, ts)
     return (_logk_eval(model, _logk_factors(model, props), x.T, u.T)
             + quadratic_r(model, x))
-
-
-def log_kernel(model: OUModel, t: float, x, u) -> float:
-    if t <= 0:
-        raise NonPositiveTimeError("kernel time must be positive")
-    return float(log_kernel_pairs(model, np.array([float(t)]), x, u)[0])
-
-
-def kernel(model: OUModel, t: float, x, u) -> float:
-    lk = log_kernel(model, t, x, u)
-    if lk > _LOG_MAX:
-        raise NumericalOverflowError(
-            f"log K = {lk:.3e} overflows; use log_kernel")
-    return float(np.exp(lk))
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +210,14 @@ def _slope_eval(model: OUModel, factors: tuple, x, u):
     return slope, kappa * (np.abs(h0) + half_quad + np.abs(lin))
 
 
-def logk_time_slope(model: OUModel, ts, x, u
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """d/dt log K_{t_i}(x_i, u_i) with one time per pair, (m,) each.
-
-    Returns (slope, rounding floor).  The slope is L_x K / K from the
-    backward equation, exact up to rounding; see _slope_factors.
-    """
-    props, x, u = _pair_args(model, ts, x, u)
-    return _slope_eval(model, _slope_factors(model, props), x.T, u.T)
-
-
 def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """d/dt log K_t(x_i, u_i) for every pair i and every time of props,
-    (p, m) each, as in logk_time_slope.
+    """d/dt log K_t(x_i, u_i) for every pair i of x, u (p, n) and every
+    time of props, (p, m) each.
 
-    Returns (slope, rounding floor).  The per-time factors are formed once
-    and shared by all pairs.
+    Returns (slope, rounding floor).  The slope is L_x K / K from the
+    backward equation, exact up to rounding; see _slope_factors.  The
+    per-time factors are formed once and shared by all pairs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     slope, floor = (np.empty((x.shape[0], props.ts.size)) for _ in range(2))
@@ -328,28 +293,29 @@ def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
 def count_kdot_zeros(model: OUModel, x, u,
                      t_interval: tuple[float, float] = (1e-8, 1.0),
                      n_scan: int = 4096) -> ZeroCount:
-    """Count sign changes of t -> dK/dt(x, u) on the interval.
+    """Count sign changes of t -> dK/dt(x, u) on the interval, and locate
+    them.
 
-    Log-spaced scan, each flip refined by bisection; the count is rerun on
-    a doubled grid and flagged unstable if it moves.
+    The count and its stability are count_kdot_zeros_batch's on the one
+    pair.  Each flip of the scan is then refined by bisection, every
+    bracket at once: the slope at the midpoints is logk_time_slope_grid's
+    with the midpoints as its times.
     """
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
+    counts, stable = count_kdot_zeros_batch(model, X, U, t_interval, n_scan)
     grid = _scan_grid(t_interval, n_scan)
-    fine = _scan_grid(t_interval, 2 * n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
     _, left, right = _sign_changes(slope, floor)
     lo, hi, left_sign = grid[left], grid[right], np.sign(slope[0, left])
-    # bisect every flagged bracket at once
     while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
-        sm, _ = logk_time_slope(model, mid, X, U)
-        same = np.sign(sm) == left_sign
+        sm, _ = logk_time_slope_grid(model, propagators(model, mid), X, U)
+        same = np.sign(sm[0]) == left_sign
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    count = _flip_counts(slope, floor)[0]
-    return ZeroCount(count=int(count), zeros=np.sort(0.5 * (lo + hi)),
-                     stable=bool(count == _scan_counts(model, X, U, fine)[0]))
+    return ZeroCount(count=int(counts[0]), zeros=np.sort(0.5 * (lo + hi)),
+                     stable=bool(stable[0]))
 
 
 def count_kdot_zeros_batch(model: OUModel, X, U,

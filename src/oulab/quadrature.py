@@ -59,11 +59,6 @@ class QuadratureRule:
     nodes: np.ndarray       # (m, n)
     weights: np.ndarray     # (m,), sum to 1
 
-    def integrate(self, f) -> float:
-        """int f d(anchor) for a vectorized integrand f((m, n)) -> (m,)."""
-        vals = np.asarray(f(self.nodes), dtype=float)
-        return float(self.weights @ vals)
-
 
 def hermite_tensor(n: int, order: int | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:

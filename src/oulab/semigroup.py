@@ -36,7 +36,8 @@ from functools import partial
 import numpy as np
 
 from .errors import (AlphaTooSmallError, ArgumentRangeError, BadOrderError,
-                     DimensionError, NonPositiveTimeError)
+                     DimensionError, NonPositiveTimeError,
+                     NumericalOverflowError)
 from .geometry import (annulus_indicator, eta_plateaus, local_weight,
                        polar_decompose)
 from .kernel import (_dot, _on_grid, _time_last, log_kernel_grid, real_roots,
@@ -78,17 +79,29 @@ def _model_point(model: OUModel, v, what: str) -> np.ndarray:
 
 def gaussian_bump(model: OUModel, center, width: float) -> GaussianBump:
     """The Gaussian bump about center whose amplitude makes its
-    L^1(gamma_inf) norm 1."""
+    L^1(gamma_inf) norm 1.  A width whose square overflows, or a centre so
+    far out that the amplitude e^{-log mass} does, is a
+    NumericalOverflowError."""
     if not (math.isfinite(width) and width > 0):
         raise DimensionError("bump width must be finite and positive")
     m = _model_point(model, center, "bump centre")
     if not np.isfinite(m).all():
         raise ArgumentRangeError("bump centre must be finite")
+    try:
+        prec = np.eye(model.n) / width ** 2
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"bump width {width:g} is too large: its square overflows"
+        ) from None
     ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
-    prec = np.eye(model.n) / width ** 2
     _, log_mass = product_gaussian(ginf, prec, m)
-    return GaussianBump(center=m, width=float(width),
-                        amplitude=math.exp(-log_mass))
+    try:
+        amplitude = math.exp(-log_mass)
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"bump centre {m.tolist()} is too far out: its amplitude "
+            f"e^{-log_mass:.6g} overflows") from None
+    return GaussianBump(center=m, width=float(width), amplitude=amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +688,9 @@ def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
     certificate is evaluated on the whole grid.  Every other model, and
     the parts "local" and "global", take _grid_rounds, which evaluates
     the whole refined grid."""
+    if max_refine < 0:
+        raise ArgumentRangeError(
+            f"the refinement count must be >= 0, got {max_refine}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     rates = isotropic_rates(model) if part == "full" else None
     if rates is None:
@@ -780,6 +796,10 @@ def cz_probe(model: OUModel, rho: float, n_dirs: int = 8,
     profile point under the refinement.  A sweep is stable when its drift
     is at most 10 percent."""
     from .report import ProbeReport
+    if n_dirs < 1 or n_triples < 1:
+        raise ArgumentRangeError(
+            f"the sweeps need at least one direction and one triple, got "
+            f"{n_dirs} and {n_triples}")
     stats, tables, flags = {}, {}, {}
     for name, (radii, base, fine) in (
             ("size", cz_size_sweep(model, rho, n_dirs=n_dirs, seed=seed)),
@@ -858,6 +878,9 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
         raise BadOrderError(f"regime {regime!r} needs rho > 2")
     if sample_size < 1000:
         raise DimensionError("weak-type probe needs >= 1000 sample points")
+    if n_alphas < 2:
+        raise ArgumentRangeError(
+            f"the weak-type curve needs at least 2 levels, got {n_alphas}")
     part = _REGIMES[regime]
     n = model.n
     if center is None:
@@ -932,6 +955,10 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
     for a in alphas:
         if a <= 2.0:
             raise AlphaTooSmallError("levels must exceed 2")
+    if not (math.isfinite(delta_rate) and delta_rate > 0):
+        raise ArgumentRangeError(
+            f"the averaging rate must be finite and positive, got "
+            f"{delta_rate:g}")
     n = model.n
     if center is None:
         center = substream(seed, 100).standard_normal(n) @ model.Qinf_sqrt.T

@@ -15,7 +15,8 @@ from scipy.stats import multivariate_normal
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
 from oulab.geometry import local_weight
-from oulab.kernel import kernel, log_kernel_grid, logk_time_slope_grid
+from oulab.kernel import (log_kernel_grid, log_kernel_pairs,
+                          logk_time_slope_grid)
 from oulab.model import T_SWITCH, propagators
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import _bump_stacks, bump_semigroup_grid
@@ -64,6 +65,12 @@ def gamma_density(model, t: float, x) -> np.ndarray:
     one) by scipy.stats."""
     cov = model.Qinf if t == np.inf else covariance_qt(model, t)
     return multivariate_normal.pdf(x, mean=np.zeros(model.n), cov=cov)
+
+
+def kernel(model, t: float, x, u) -> float:
+    """K_t(x, u) at one time, as e^{log K} from log_kernel_pairs."""
+    lk = log_kernel_pairs(model, np.array([float(t)]), x, u)[0]
+    return float(np.exp(lk))
 
 
 def kernel_dt_raw(model, t: float, x, u, h: float) -> float:

@@ -469,3 +469,113 @@ def test_a_singular_propagator_exits_one_with_an_error_line(tmp_path,
         in err
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+GENERAL2_JSON = ('{"Q": [[1.0, 0.3], [0.3, 0.5]], '
+                 '"B": [[-1.0, 2.0], [0.0, -0.5]]}')
+
+
+def _with_general2(argv, tmp_path):
+    """argv with the model name general2 replaced by a model file."""
+    path = tmp_path / "general2.json"
+    path.write_text(GENERAL2_JSON)
+    return [str(path) if a == "general2" else a for a in argv]
+
+
+# the exact stdout of the kernel verbs on standard1 and general2: every
+# printed digit is pinned, so a route that moves a bit of log K, of the
+# slope or of a bisected zero shows here
+KERNEL_GOLDEN = [
+    (["eval", "--model", "standard1", "--t", "0.5", "--x", "0.3",
+      "--u", "-1.2"], 0,
+     "log K_t(x, u) = -0.561300863302\nK_t(x, u)     = 0.570466482043\n"),
+    (["eval", "--model", "standard1", "--t", "40", "--x", "-2", "--u", "1"],
+     0, "log K_t(x, u) = 0\nK_t(x, u)     = 1\n"),
+    (["eval", "--model", "general2", "--t", "1e-4", "--x", "0.3,0.1",
+      "--u", "0.31,0.1"], 0,
+     "log K_t(x, u) = 8.56514815549\nK_t(x, u)     = 5245.61703006\n"),
+    (["eval", "--model", "general2", "--t", "3", "--x", "1.7,2",
+      "--u", "0.2,-0.3"], 0,
+     "log K_t(x, u) = -0.0574170192874\nK_t(x, u)     = 0.944200237544\n"),
+    # log K > 700: the log line, then an overflow error
+    (["eval", "--model", "standard1", "--t", "0.5", "--x", "70",
+      "--u", "42.4571"], 1, "log K_t(x, u) = 901.532007776\n"),
+    (["zeros", "--model", "standard1", "--x", "1", "--u", "2"], 0,
+     "sign changes of dK/dt on (1e-08, 1]: 1\n"
+     "  zero near t = 0.448012153\n"
+     "grid-doubling stable: yes\n"),
+    (["zeros", "--model", "standard1", "--x", "-0.28", "--u", "0.5",
+      "--t-lo", "1e-3", "--t-hi", "5"], 0,
+     "sign changes of dK/dt on (0.001, 5]: 2\n"
+     "  zero near t = 0.5210318993\n"
+     "  zero near t = 1.420320804\n"
+     "grid-doubling stable: yes\n"),
+    (["zeros", "--model", "general2", "--x", "1,2", "--u", "2,3",
+      "--scan", "512"], 0,
+     "sign changes of dK/dt on (1e-08, 1]: 1\n"
+     "  zero near t = 0.2655117968\n"
+     "grid-doubling stable: yes\n"),
+    (["zeros", "--model", "general2", "--x", "4.36,0.52",
+      "--u", "4.97,-1.65", "--t-lo", "1e-3", "--t-hi", "5"], 0,
+     "sign changes of dK/dt on (0.001, 5]: 3\n"
+     "  zero near t = 0.6068211383\n"
+     "  zero near t = 3.026388854\n"
+     "  zero near t = 4.230992027\n"
+     "grid-doubling stable: yes\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", KERNEL_GOLDEN)
+def test_kernel_verbs_print_their_golden_lines(argv, code, stdout, tmp_path,
+                                               capsys):
+    assert main(["kernel", *_with_general2(argv, tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    if code == 1:
+        assert "oulab: error: K = e^(log K) overflows" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    # the critical-time route (standard1) and the grid route (general2)
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--refine", "-1"], "refinement count"),
+    (["probe", "weak-type", "--model", "general2", "--rho", "2.5",
+      "--refine", "-1", "--samples", "1000"], "refinement count"),
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--center", "45"], "bump centre [45.0]"),
+    (["probe", "enhanced", "--model", "standard1", "--center", "45"],
+     "bump centre [45.0]"),
+    (["semigroup", "apply", "--model", "standard1", "--t", "0.5",
+      "--x", "0.3", "--center", "45"], "bump centre [45.0]"),
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--width", "1e200"], "bump width 1e+200"),
+    (["probe", "enhanced", "--model", "standard1", "--width", "1e200"],
+     "bump width 1e+200"),
+    (["semigroup", "apply", "--model", "standard1", "--t", "0.5",
+      "--x", "0.3", "--width", "1e200"], "bump width 1e+200"),
+    (["probe", "cz", "--model", "standard1", "--rho", "2.5", "--dirs", "0"],
+     "at least one direction"),
+    (["probe", "cz", "--model", "standard1", "--rho", "2.5",
+      "--triples", "0"], "at least one direction and one triple"),
+    # a curve of fewer than 2 levels reads nothing, so it must not pass
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--alphas", "0"], "at least 2 levels"),
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--alphas", "1"], "at least 2 levels"),
+    # a negative rate turns the Gaussian average into a growing exponential
+    (["probe", "enhanced", "--model", "standard1", "--delta", "-1"],
+     "finite and positive"),
+])
+def test_refused_settings_exit_one_with_an_error_line_and_no_report(
+        argv, named, tmp_path, capsys, monkeypatch):
+    argv = _with_general2(argv, tmp_path)
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    out = ["--out", "out"] if argv[0] == "probe" else []
+    code = main([*argv, *out])
+    printed, err = capsys.readouterr()
+    assert code == 1
+    assert "oulab: error: " in err and named in err
+    assert "overall" not in printed
+    assert list(run.iterdir()) == []

@@ -14,7 +14,6 @@ from oulab import (
     count_kdot_zeros,
     count_kdot_zeros_batch,
     local_weight,
-    log_kernel,
     natural_rate,
     quadratic_r,
     standard_model,
@@ -23,8 +22,8 @@ from oulab.kernel import (BOUND_NAMES, BoundCalibration,
                           _calibrate_tail_integral, _flip_counts,
                           _prefix_max_log_ratios, _rate_maxima,
                           _score_blocks, _sign_changes,
-                          kernel, log_kernel_grid, log_kernel_pairs,
-                          logk_time_slope, logk_time_slope_grid, real_roots,
+                          log_kernel_grid, log_kernel_pairs,
+                          logk_time_slope_grid, real_roots,
                           time_critical_cubic)
 import oulab.kernel as kernel_mod
 from oulab.model import T_SWITCH, propagators
@@ -36,8 +35,9 @@ from oulab.errors import (
     NonPositiveTimeError,
     RateTooLargeError,
 )
-from reference_routes import (covariance_qt, gamma_density, kernel_dt_raw,
-                              log_kernel_grid_einsum, ratio_pieces_einsum)
+from reference_routes import (covariance_qt, gamma_density, kernel,
+                              kernel_dt_raw, log_kernel_grid_einsum,
+                              ratio_pieces_einsum)
 
 
 def mehler_1d(t, x, u):
@@ -91,16 +91,10 @@ def test_kernel_reproduces_the_transition_density(std1):
         assert val == pytest.approx(1.0, rel=1e-9)
 
 
-def test_log_kernel_consistency(std2):
-    x = np.array([0.4, -0.6])
-    u = np.array([1.0, 0.2])
-    assert np.exp(log_kernel(std2, 0.7, x, u)) == pytest.approx(
-        kernel(std2, 0.7, x, u), rel=1e-13)
-
-
 def test_kernel_rejects_nonpositive_time(std1):
     with pytest.raises(NonPositiveTimeError):
-        kernel(std1, 0.0, np.array([0.0]), np.array([0.0]))
+        log_kernel_pairs(std1, np.array([0.0]), np.array([0.0]),
+                         np.array([0.0]))
 
 
 def test_stripped_kernel_relation(std1, std2):
@@ -184,9 +178,17 @@ def test_conv_kernel_approximates_kernel_at_short_times(std1, std2):
 # time derivative
 
 
+def slope_path(model, ts, x, u):
+    """(slope, rounding floor) of d/dt log K_t(x, u) for one pair along the
+    times ts, (m,) each: the one row of the grid route."""
+    slope, floor = logk_time_slope_grid(
+        model, propagators(model, np.atleast_1d(ts)), x, u)
+    return slope[0], floor[0]
+
+
 def kernel_dt(model, t, x, u):
     """(dK/dt, rounding floor) as K times the analytic log slope."""
-    slope, floor = logk_time_slope(model, np.array([float(t)]), x, u)
+    slope, floor = slope_path(model, float(t), x, u)
     k = kernel(model, t, x, u)
     return float(k * slope[0]), float(k * floor[0])
 
@@ -286,7 +288,7 @@ def test_slope_matches_mehler_closed_form(n):
              (np.full(n, 2.0), np.full(n, 2.01))]
     pairs += [tuple(1.5 * gen.standard_normal((2, n))) for _ in range(6)]
     for x, u in pairs:
-        got, floor = logk_time_slope(model, ts, x, u)
+        got, floor = slope_path(model, ts, x, u)
         want = mehler_log_slope(ts, x, u)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         # the floor covers the error, the closed form's own included, and
@@ -311,7 +313,7 @@ def test_slope_matches_frozen_finite_difference(n, model_factory):
         for _ in range(3):
             x = gen.standard_normal(n)
             u = gen.standard_normal(n)
-            got, _ = logk_time_slope(model, ts, x, u)
+            got, _ = slope_path(model, ts, x, u)
             fd, _ = fd_log_slope(model, ts, x, u)
             gap = np.abs(got - fd) / (np.abs(fd) + 1.0 / ts)
             assert gap[~loose].max() <= 1e-8
@@ -327,16 +329,16 @@ def test_slope_continuous_across_the_form_switch(n, model_factory):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal(n)
         u = gen.standard_normal(n)
-        got, floor = logk_time_slope(model, ts, x, u)
+        got, floor = slope_path(model, ts, x, u)
         # the first two use the direct form, the last the resolvent form
         assert abs(got[2] - got[1]) <= 4 * (floor[1] + floor[2])
         assert abs(got[1] - got[0]) <= 4 * (floor[0] + floor[1])
         assert got[2] == pytest.approx(got[1], rel=1e-12, abs=1e-13)
 
 
-def test_slope_grid_and_pair_routes_agree_bit_for_bit(model_factory,
-                                                      monkeypatch):
-    # ragged evaluation blocks on the grid route, for log K and its slope
+def test_log_kernel_grid_and_pair_routes_agree_bit_for_bit(model_factory,
+                                                           monkeypatch):
+    # ragged evaluation blocks on the grid route
     monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 77)
     for n in (1, 2, 3):
         model = model_factory(7, n)
@@ -344,14 +346,9 @@ def test_slope_grid_and_pair_routes_agree_bit_for_bit(model_factory,
         ts = np.concatenate([np.geomspace(1e-8, 30.0, 37), [T_SWITCH]])
         X = 2.0 * gen.standard_normal((300, n))
         U = 2.0 * gen.standard_normal((300, n))
-        props = propagators(model, ts)
-        slope, floor = logk_time_slope_grid(model, props, X, U)
-        lk = log_kernel_grid(model, props, X, U)
+        lk = log_kernel_grid(model, propagators(model, ts), X, U)
         tt = np.tile(ts, X.shape[0])
         XX, UU = np.repeat(X, ts.size, axis=0), np.repeat(U, ts.size, axis=0)
-        s1, f1 = logk_time_slope(model, tt, XX, UU)
-        assert np.array_equal(slope.ravel(), s1)
-        assert np.array_equal(floor.ravel(), f1)
         lk += quadratic_r(model, X)[:, None]
         assert np.array_equal(lk.ravel(), log_kernel_pairs(model, tt, XX, UU))
 
@@ -454,8 +451,10 @@ def frozen_count_zeros_once(model, X, U, t_lo, t_hi, n_scan):
     left_sign = np.sign(slope[rows, left])
     while np.max(hi - lo, initial=0.0) > 1e-10:
         mid = 0.5 * (lo + hi)
-        sm, _ = logk_time_slope(model, mid, X[rows], U[rows])
-        same = np.sign(sm) == left_sign
+        # bracket k's slope at its own midpoint: the diagonal of the grid
+        sm, _ = logk_time_slope_grid(model, propagators(model, mid), X[rows],
+                                     U[rows])
+        same = np.sign(np.diagonal(sm)) == left_sign
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return counts, 0.5 * (lo + hi)

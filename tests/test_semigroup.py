@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oulab import (apply_semigroup, build_model, gaussian_bump, local_weight,
-                   propagators, quadratic_r, standard_model, variation_batch,
+from oulab import (annulus_superlevel_probe, apply_semigroup, build_model,
+                   cz_probe, gaussian_bump, local_weight, propagators,
+                   quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
-from oulab.errors import ArgumentRangeError, BadOrderError, DimensionError
+from oulab.errors import (ArgumentRangeError, BadOrderError,
+                          DimensionError, NumericalOverflowError)
 from oulab.model import isotropic_rates
 from oulab.kernel import _BLOCK_CELLS
 from oulab.geometry import eta_plateaus
@@ -643,6 +646,51 @@ def test_a_bump_needs_a_finite_centre_and_a_finite_positive_width(
         center, width, error):
     with pytest.raises(error):
         gaussian_bump(standard_model(1), center, width)
+
+
+@pytest.mark.parametrize("center,width,named", [
+    ([45.0], 0.5, "bump centre [45.0]"), ([0.3], 1e200, "bump width 1e+200"),
+    ([0.3], 1e160, "bump width 1e+160")])
+def test_an_overflowing_bump_names_its_centre_or_width(center, width, named):
+    with pytest.raises(NumericalOverflowError, match=re.escape(named)):
+        gaussian_bump(standard_model(1), center, width)
+
+
+def test_a_bump_at_centre_42_keeps_its_amplitude_bits():
+    # e^{-log mass} is still finite here, and keeps these bits
+    f = gaussian_bump(standard_model(1), [42.0], 0.5)
+    assert f.amplitude == float.fromhex("0x1.177a11e0ed02ep+1019")
+
+
+def test_a_negative_refinement_count_is_refused_on_both_routes():
+    ts = _geometric_times(1e-4, 1.0, 4)
+    for name in ("standard1", "general2"):
+        model = standard_model(1) if name == "standard1" \
+            else build_model(*GENERAL2)
+        f = gaussian_bump(model, np.full(model.n, 0.3), 0.5)
+        xs = np.full((3, model.n), 0.5)
+        with pytest.raises(ArgumentRangeError):
+            variation_batch_paths(model, f, xs, 2.5, ts, max_refine=-1)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_dirs": 0}, {"n_triples": 0},
+                                    {"n_dirs": -3}])
+def test_cz_probe_refuses_empty_sweeps(kwargs):
+    with pytest.raises(ArgumentRangeError):
+        cz_probe(standard_model(1), 2.5, **kwargs)
+
+
+@pytest.mark.parametrize("n_alphas", [0, 1, -2])
+def test_weak_type_probe_refuses_fewer_than_two_levels(n_alphas):
+    with pytest.raises(ArgumentRangeError):
+        weak_type_probe(standard_model(1), 2.5, sample_size=1000,
+                        n_alphas=n_alphas)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, np.inf, np.nan])
+def test_superlevel_probe_refuses_a_non_positive_rate(delta):
+    with pytest.raises(ArgumentRangeError):
+        annulus_superlevel_probe(standard_model(1), [4.0], delta)
 
 
 def test_a_centre_of_the_wrong_length_is_a_dimension_error():

@@ -9,7 +9,8 @@ from scipy.special import erf
 from oulab import (CounterexampleConfig, apply_window_mean, chain_values,
                    dyadic_moment, dyadic_points, fourier_kernel_gap,
                    weak_type_failure)
-from oulab import build_model, log_kernel, quadratic_r, standard_model
+from oulab import build_model, quadratic_r, standard_model
+from oulab.kernel import log_kernel_pairs
 import oulab.torus as torus_mod
 from oulab.torus import (BITS, _difference_ratio_pieces, _gauss_columns,
                          kernel_difference_bound, perturb_boundaries)
@@ -257,7 +258,7 @@ def test_fourier_kernel_gap_tail_bound_holds():
 
 
 def frozen_difference_ratio_pieces(model, x, u, ts):
-    """_difference_ratio_pieces as it was, one scalar log_kernel per pair."""
+    """_difference_ratio_pieces as it was, one log K per pair."""
     n = model.n
     w, v = np.linalg.eigh(model.Q)
     qinv = (v / w) @ v.T
@@ -265,7 +266,7 @@ def frozen_difference_ratio_pieces(model, x, u, ts):
     logdiff = np.empty(ts.size)
     for i, t in enumerate(ts):
         t = float(t)
-        lt = log_kernel(model, t, x[i], u[i]) \
+        lt = float(log_kernel_pairs(model, np.array([t]), x[i], u[i])[0]) \
             - 0.5 * model.logdet_Qinf - float(quadratic_r(model, x[i]))
         y = x[i] - u[i]
         lc = -0.5 * logdet_q - 0.5 * n * math.log(t) \
