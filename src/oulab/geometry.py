@@ -104,8 +104,13 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
     with ten ramps per pair (below R = 2^53, where every integer j <= R
     is a float).
     """
-    Ru = np.asarray(quadratic_r(model, u))
-    Rx = np.asarray(quadratic_r(model, x))
+    return _eta_from_r(np.asarray(quadratic_r(model, x)),
+                       np.asarray(quadratic_r(model, u)))
+
+
+def _eta_from_r(Rx: np.ndarray, Ru: np.ndarray) -> np.ndarray:
+    """local_weight from R(x) and R(u), arrays that broadcast: the same
+    bits, for callers that already hold both."""
     near, far = eta_plateaus(Rx, Ru, Ru)
     out = np.array(near, dtype=float)
     band = np.flatnonzero(~(near | far))

@@ -297,15 +297,18 @@ def count_kdot_zeros(model: OUModel, x, u,
     them.
 
     The count and its stability are count_kdot_zeros_batch's on the one
-    pair.  Each flip of the scan is then refined by bisection, every
-    bracket at once: the slope at the midpoints is logk_time_slope_grid's
-    with the midpoints as its times.
+    pair: the flips of one scan of the slope (_flip_counts), compared with
+    those on the doubled grid.  The same scan gives the brackets, and each
+    flip is refined by bisection, every bracket at once: the slope at the
+    midpoints is logk_time_slope_grid's with the midpoints as its times.
     """
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
-    counts, stable = count_kdot_zeros_batch(model, X, U, t_interval, n_scan)
     grid = _scan_grid(t_interval, n_scan)
+    fine = _scan_grid(t_interval, 2 * n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
+    count = _flip_counts(slope, floor)[0]
+    stable = count == _scan_counts(model, X, U, fine)[0]
     _, left, right = _sign_changes(slope, floor)
     lo, hi, left_sign = grid[left], grid[right], np.sign(slope[0, left])
     while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
@@ -314,8 +317,8 @@ def count_kdot_zeros(model: OUModel, x, u,
         same = np.sign(sm[0]) == left_sign
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return ZeroCount(count=int(counts[0]), zeros=np.sort(0.5 * (lo + hi)),
-                     stable=bool(stable[0]))
+    return ZeroCount(count=int(count), zeros=np.sort(0.5 * (lo + hi)),
+                     stable=bool(stable))
 
 
 def count_kdot_zeros_batch(model: OUModel, X, U,

@@ -7,7 +7,14 @@ Gaussian; for Gaussian bumps the anchor is the exact product of the bump
 with the relevant transition Gaussian, so node placement follows the
 integrand mass at every (x, t).  Gaussian bumps also admit closed-form
 semigroup values, used as the fast path for Monte Carlo probes and
-cross-checked against quadrature in the test suite.
+cross-checked against quadrature in the test suite.  The near/far split
+(local_global_grid) averages the cutoff eta under that product Gaussian
+by a tensor Gauss-Hermite rule cut into tiles of consecutive nodes.  It
+streams over blocks of whole rows of points, decides each (point, time)
+block and then each tile from a bound on R over its nodes, expands only
+the open tiles, in slices under one node budget (_NODE_BUDGET), and sums
+the weights tile by tile in one fixed order, so the result has the same
+bits however the blocks, tiles and slices fall.
 
 Critical times.  On models with B = -b I and Qinf = lam I (all the
 standard models; model.isotropic_rates), d/ds log H_t f(x) = P(s) / D^2
@@ -38,8 +45,8 @@ import numpy as np
 from .errors import (AlphaTooSmallError, ArgumentRangeError, BadOrderError,
                      DimensionError, NonPositiveTimeError,
                      NumericalOverflowError)
-from .geometry import (annulus_indicator, eta_plateaus, local_weight,
-                       polar_decompose)
+from .geometry import (_eta_from_r, annulus_indicator, eta_plateaus,
+                       local_weight, polar_decompose)
 from .kernel import (_dot, _on_grid, _time_last, log_kernel_grid, real_roots,
                      time_critical_cubic)
 from .model import (_QT_SERIES_T, _QT_SERIES_TERMS, OUModel, Propagators,
@@ -79,20 +86,25 @@ def _model_point(model: OUModel, v, what: str) -> np.ndarray:
 
 def gaussian_bump(model: OUModel, center, width: float) -> GaussianBump:
     """The Gaussian bump about center whose amplitude makes its
-    L^1(gamma_inf) norm 1.  A width whose square overflows, or a centre so
-    far out that the amplitude e^{-log mass} does, is a
-    NumericalOverflowError."""
+    L^1(gamma_inf) norm 1.  A width whose square overflows or underflows
+    (falls below the smallest normal float, so that 1 / width^2 can
+    overflow), or a centre so far out that the amplitude e^{-log mass}
+    overflows, is a NumericalOverflowError."""
     if not (math.isfinite(width) and width > 0):
         raise DimensionError("bump width must be finite and positive")
     m = _model_point(model, center, "bump centre")
     if not np.isfinite(m).all():
         raise ArgumentRangeError("bump centre must be finite")
     try:
-        prec = np.eye(model.n) / width ** 2
+        w2 = float(width) ** 2
     except OverflowError:
         raise NumericalOverflowError(
             f"bump width {width:g} is too large: its square overflows"
         ) from None
+    if w2 < np.finfo(float).tiny:
+        raise NumericalOverflowError(
+            f"bump width {width:g} is too small: its square underflows")
+    prec = np.eye(model.n) / w2
     ginf = gaussian_measure(np.zeros(model.n), model.Qinf)
     _, log_mass = product_gaussian(ginf, prec, m)
     try:
@@ -245,8 +257,9 @@ def apply_semigroup(model: OUModel, f: GaussianBump, x, t: float,
     return float((rule.weights * f(nodes) * np.exp(log_ratio)).sum())
 
 
-# undecided near/far blocks are expanded about this many nodes at a time
-_SPLIT_NODES = 1 << 17
+# the near/far split bounds about this many tiles of a row block at once,
+# and expands at most this many nodes of its open tiles at once
+_NODE_BUDGET = 1 << 15
 # consecutive nodes per axis in a tile of the tensor rule
 _TILE = 8
 # relative rounding margin on sqrt(2 R) of a block's nodes, per unit of
@@ -267,7 +280,20 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     Gauss-Hermite rule, so the only quadrature error comes from the smooth
     cutoff itself.
 
-    Each (point, time) block is decided before its nodes are expanded.
+    The rule's nodes are split into tiles of _TILE consecutive nodes per
+    axis (the last one shorter where the order is no multiple of _TILE;
+    its repeated slots weigh 0.0), and every weight is summed in one fixed
+    order: each tile's nodes in tile order, then the tiles in order, as
+    running sums (np.cumsum), whose order does not depend on the layout.
+    So a block's near weight is the sum over its tiles of the tile's
+    eta * w, and it has the same bits however the tiles were decided.
+
+    The points are taken in blocks of whole rows, as many as keep the
+    block's tile bounds within _NODE_BUDGET (one row at least).  The
+    means of a row block's (point, time) blocks, their decisions and
+    their tiles are formed per row block, so no (points, times) array is
+    held but the near weights and the mass.  Each block is decided before
+    its nodes are expanded.
     The nodes are mean + L_t z_k, so in the norm |v|_R = sqrt(2 R(v)) a
     node lies within |Qinf^-1/2 L_t|_2 |z_k - z_c| of the centre
     mean + L_t z_c.  _node_r_range turns a centre c and radius r into
@@ -275,22 +301,21 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     1e-10 kappa(Qinf) (s + r) + 1e-12, far more than the few n^2 eps kappa
     by which the rounding of the nodes and of R can move a node's computed
     R, and eta_plateaus tells where eta is the same constant over the
-    whole range.  A block is bounded with z_c = 0.  Such a block's near
-    weight is wq.sum() or 0.0: the weights times 1.0 are the weights
-    themselves, and summing them alone is the same contiguous pairwise
-    reduction as a row of eta * wq, so the bits match the expanded sum.
+    whole range.  A block is bounded with z_c = 0; one decided whole
+    takes the sum of all tile weights, or 0.0.
 
-    The other blocks are split into tiles of _TILE consecutive nodes per
-    axis (the last one shorter where the order is no multiple of _TILE),
-    each bounded about the centre z_c of its nodes' box with radius
-    max_k |z_k - z_c|.  At the default orders, and at orders 12 and 13, a
-    tile's radius is at least 9 % of its block's, so |mean|_R is at most a
-    dozen times the tile's s + r, and the same margin still dwarfs the
-    rounding of the nodes.  A decided tile's eta is written as 1.0 or 0.0,
-    and only the open tiles' nodes reach local_weight.  The row of eta is
-    put back in the rule's node order before (eta * wq).sum(), so the near
-    weight keeps its bits.  Undecided blocks are expanded in chunks of
-    about _SPLIT_NODES nodes.
+    The tiles of the other blocks are bounded about the centre z_c of
+    their nodes' box with radius max_k |z_k - z_c|.  At the default
+    orders, and at orders 12 and 13, a tile's radius is at least 9 % of
+    its block's, so |mean|_R is at most a dozen times the tile's s + r,
+    and the same margin still dwarfs the rounding of the nodes.  A tile
+    decided 1 adds its tile weight, one decided 0 adds nothing, and only
+    the open tiles are expanded, in slices of at most _NODE_BUDGET nodes.
+    L_t z is formed for a slice's tiles alone, each coordinate summing
+    L_ij z_j over j in order (_tile_nodes; the einsum over all nodes that
+    this replaces had the same bits for n <= 2, and added in vector lanes
+    for n >= 3), and eta comes from R(x) and the nodes' R
+    (geometry._eta_from_r).
 
     The mass is evaluated last, into out when given (a (p, m) array or
     view), and the parts are formed in place: near = mass w in the array
@@ -312,42 +337,63 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
         raise NonPositiveTimeError("degenerate product covariance")
     L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
     base_mean = np.einsum("mij,j->mi", cov, m_ctr / w2)      # (mt, n)
-    mean = _product_means(props, cov, x) + base_mean[None, :, :]
-    rx = quadratic_r(model, x)
     spread = _spread(model, L)                               # (mt,)
+    block_r = spread * np.sqrt(np.max(np.einsum("qi,qi->q", z, z)))
     kappa = np.linalg.cond(model.Qinf)
-    ru_lo, ru_hi = _node_r_range(
-        model, mean, spread * np.sqrt(np.max(np.einsum("qi,qi->q", z, z))),
-        kappa)
-    one, zero = eta_plateaus(rx[:, None], ru_lo, ru_hi)
-    loc = one * wq.sum()
-    pi, ti = np.nonzero(~(one | zero))
-    tiles, pos, zc, z_rad = _tiles(z)
+    tiles, first, zc, z_rad = _tiles(z)
+    n_t, k = tiles.shape
+    zt = np.moveaxis(z[tiles], -1, 0).copy()                 # (n, T, k)
+    wt = np.where(first, wq[tiles], 0.0)                     # (T, k)
+    tile_w = np.cumsum(wt, axis=1)[:, -1]
+    w_all = np.cumsum(tile_w)[-1]
     tile_r = spread[:, None] * z_rad                         # (mt, T)
     Lzc = np.einsum("mij,tj->mti", L, zc)                    # (mt, T, n)
-    n_t, k = tiles.shape
-    # L_t z for the nodes of tile i at time t in row t * n_t + i
-    Lz = np.einsum("mij,qj->mqi", L, z[tiles.ravel()]).reshape(-1, k, n)
-    step = max(1, _SPLIT_NODES // wq.size)
-    for lo in range(0, pi.size, step):
-        bp, bt = pi[lo:lo + step], ti[lo:lo + step]
+    mt = props.ts.size
+    loc = np.empty((x.shape[0], mt))
+    rows = max(1, _NODE_BUDGET // (n_t * mt))
+    per_slice = max(1, _NODE_BUDGET // k)
+    for lo in range(0, x.shape[0], rows):
+        xb = x[lo:lo + rows]
+        rx = quadratic_r(model, xb)
+        mean = _product_means(props, cov, xb) + base_mean[None, :, :]
+        one, zero = eta_plateaus(rx[:, None], *_node_r_range(
+            model, mean, block_r, kappa))
+        loc[lo:lo + rows] = one * w_all
+        bp, bt = np.nonzero(~(one | zero))
         mb = mean[bp, bt]                                    # (nb, n)
         t_one, t_zero = eta_plateaus(rx[bp, None], *_node_r_range(
             model, mb[:, None, :] + Lzc[bt], tile_r[bt], kappa))
-        eta = np.repeat(t_one.astype(float), k)              # tile order
+        sums = t_one * tile_w                                # (nb, T)
         op = np.flatnonzero(~(t_one | t_zero))               # open tiles
-        ob = op // n_t
-        eta.reshape(-1, k)[op] = local_weight(
-            model, x[bp[ob]][:, None, :],
-            mb[ob][:, None, :] + Lz[bt[ob] * n_t + op % n_t])
-        # take, unlike eta[:, pos], keeps the rows contiguous, and so the
-        # pairwise reduction of every row
-        eta = np.take(eta.reshape(bp.size, -1), pos, axis=1)
-        eta *= wq
-        loc[bp, bt] = eta.sum(axis=-1)
+        for s in range(0, op.size, per_slice):
+            o = op[s:s + per_slice]
+            ob, ot = np.divmod(o, n_t)
+            eta = _eta_from_r(rx[bp[ob], None], quadratic_r(
+                model, _tile_nodes(mb[ob], L[bt[ob]], zt[:, ot])))
+            eta *= wt[ot]
+            sums.ravel()[o] = np.cumsum(eta, axis=1, out=eta)[:, -1]
+        loc[lo + bp, bt] = np.cumsum(sums, axis=1)[:, -1]
     mass = bump_semigroup_grid(model, bump, props, x, out=out)
     loc *= mass
     return loc, np.subtract(mass, loc, out=mass)
+
+
+def _tile_nodes(mean: np.ndarray, L: np.ndarray,
+                zt: np.ndarray) -> np.ndarray:
+    """The nodes mean + L z of s tiles, (s, k, n) as a view of (n, s, k),
+    for each tile's block mean (s, n), square root L (s, n, n) and rule
+    nodes z, one (s, k) array per axis in zt (n, s, k).  Every coordinate
+    sums L_ij z_j over j in order, as kernel._dot does, and then adds the
+    mean (one addition, which commutes), in place in its row of nodes."""
+    n = mean.shape[1]
+    nodes = np.empty(zt.shape)
+    term = np.empty(zt.shape[1:])
+    for i in range(n):
+        np.multiply(L[:, i, 0, None], zt[0], out=nodes[i])
+        for j in range(1, n):
+            nodes[i] += np.multiply(L[:, i, j, None], zt[j], out=term)
+        nodes[i] += mean[:, i, None]
+    return np.moveaxis(nodes, 0, -1)
 
 
 def _product_means(props: Propagators, cov: np.ndarray,
@@ -360,28 +406,29 @@ def _product_means(props: Propagators, cov: np.ndarray,
 def _tiles(z: np.ndarray):
     """The tensor rule's nodes z (q, n) in tiles of _TILE consecutive
     nodes per axis.  Returns tiles (T, _TILE^n), each tile's node indices
-    (a short last tile along an axis repeats its last node); pos (q,),
-    each node's place in tiles.ravel(); and the centre (T, n) of each
-    tile's bounding box with the largest distance (T,) of its nodes from
-    it."""
+    (a short last tile along an axis repeats its last node); first
+    (T, _TILE^n), True on the one slot of every node that is no repeat;
+    and the centre (T, n) of each tile's bounding box with the largest
+    distance (T,) of its nodes from it."""
     q, n = z.shape
     order = round(q ** (1.0 / n))
     per_axis = -(-order // _TILE)
-    ax = np.minimum(np.arange(per_axis)[:, None] * _TILE
-                    + np.arange(_TILE)[None, :], order - 1)
+    at = np.arange(per_axis)[:, None] * _TILE + np.arange(_TILE)[None, :]
+    ax = np.minimum(at, order - 1)
     # axes (tile_1, .., tile_n, node_1, .., node_n), rule index row-major
     tiles = np.zeros((1,) * (2 * n), dtype=int)
+    first = np.ones((1,) * (2 * n), dtype=bool)
     for d in range(n):
         shape = [1] * (2 * n)
         shape[d], shape[n + d] = per_axis, _TILE
         tiles = tiles * order + ax.reshape(shape)
+        first = first & (at < order).reshape(shape)
     tiles = tiles.reshape(per_axis ** n, _TILE ** n)
-    pos = np.empty(q, dtype=int)
-    pos[tiles.ravel()] = np.arange(tiles.size)
+    first = first.reshape(tiles.shape)
     zt = z[tiles]
     centre = 0.5 * (zt.min(axis=1) + zt.max(axis=1))
     off = zt - centre[:, None, :]
-    return tiles, pos, centre, np.sqrt(np.max(
+    return tiles, first, centre, np.sqrt(np.max(
         np.einsum("tki,tki->tk", off, off), axis=1))
 
 

@@ -19,7 +19,7 @@ from oulab.kernel import (log_kernel_grid, log_kernel_pairs,
                           logk_time_slope_grid)
 from oulab.model import T_SWITCH, propagators
 from oulab.quadrature import hermite_tensor
-from oulab.semigroup import _bump_stacks, bump_semigroup_grid
+from oulab.semigroup import _bump_stacks, _tiles, bump_semigroup_grid
 from oulab.variation import _check_order
 
 
@@ -190,13 +190,45 @@ def bump_semigroup_grid_einsum(model, bump, props, x):
 
 def local_global_grid_all_nodes(model, bump, props, x, order=None):
     """The near/far split with no per-block decision: every node of every
-    (point, time) block goes through local_weight."""
+    (point, time) block goes through local_weight.  The near weight sums
+    eta * w over each tile of the rule in tile order, a repeated slot of
+    a short tile weighing 0.0, and then the tiles in order, one term at a
+    time.  Each node's offset L_t z sums L_ij z_j over j in order, where
+    block_nodes' einsum may add them in vector lanes for n >= 3."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    mean, L, z, wq = split_blocks(model, bump, props, x, order)
+    n = model.n
+    offset = np.zeros((len(props), z.shape[0], n))
+    for i in range(n):
+        acc = L[:, i, 0, None] * z[None, :, 0]
+        for j in range(1, n):
+            acc = acc + L[:, i, j, None] * z[None, :, j]
+        offset[:, :, i] = acc
+    eta = local_weight(model, x[:, None, None, :], mean[:, :, None, :]
+                       + offset[None])
+    tiles, first, _, _ = _tiles(z)
+    terms = eta[:, :, tiles] * np.where(first, wq[tiles], 0.0)
+    tile_sums = [terms[:, :, t, 0] for t in range(tiles.shape[0])]
+    for t, acc in enumerate(tile_sums):
+        for j in range(1, tiles.shape[1]):
+            acc = acc + terms[:, :, t, j]
+        tile_sums[t] = acc
+    w = tile_sums[0]
+    for acc in tile_sums[1:]:
+        w = w + acc
+    mass = bump_semigroup_grid(model, bump, props, x)
+    loc = mass * w
+    return loc, mass - loc
+
+
+def near_weights_rule_order(model, bump, props, x, order=None):
+    """The near weight (p, m) as local_global_grid summed it over whole
+    rows: eta * w over all nodes in the rule's order, numpy's pairwise
+    sum of each contiguous row, with every node through local_weight."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     mean, L, z, wq = split_blocks(model, bump, props, x, order)
     eta = local_weight(model, x[:, None, None, :], block_nodes(mean, L, z))
-    mass = bump_semigroup_grid(model, bump, props, x)
-    loc = mass * (eta * wq[None, None, :]).sum(axis=2)
-    return loc, mass - loc
+    return (eta * wq).sum(axis=-1)
 
 
 def merged_grid_smoother(N: int, ell: int, x) -> np.ndarray:

@@ -565,6 +565,11 @@ def test_kernel_verbs_print_their_golden_lines(argv, code, stdout, tmp_path,
     # a negative rate turns the Gaussian average into a growing exponential
     (["probe", "enhanced", "--model", "standard1", "--delta", "-1"],
      "finite and positive"),
+    # a width whose square is subnormal: 1 / width^2 overflows
+    (["semigroup", "apply", "--model", "standard1", "--t", "0.5",
+      "--x", "0.3", "--width", "1e-160"], "bump width 1e-160"),
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--width", "1e-160"], "bump width 1e-160"),
 ])
 def test_refused_settings_exit_one_with_an_error_line_and_no_report(
         argv, named, tmp_path, capsys, monkeypatch):
@@ -577,5 +582,6 @@ def test_refused_settings_exit_one_with_an_error_line_and_no_report(
     printed, err = capsys.readouterr()
     assert code == 1
     assert "oulab: error: " in err and named in err
+    assert "Warning" not in err
     assert "overall" not in printed
     assert list(run.iterdir()) == []

@@ -190,8 +190,11 @@ def _full_ring_plateau_idx(R, j):
 
 
 def full_local_weight(model, x, u):
-    Ru = np.asarray(quadratic_r(model, u))
-    Rx = np.asarray(quadratic_r(model, x))
+    return full_eta_from_r(np.asarray(quadratic_r(model, x)),
+                           np.asarray(quadratic_r(model, u)))
+
+
+def full_eta_from_r(Rx, Ru):
     base = np.maximum(np.floor(Ru).astype(int), 1)
     out = np.zeros(np.broadcast_shapes(Ru.shape, Rx.shape))
     for off in (-1, 0):
@@ -374,7 +377,7 @@ def test_local_global_grid_unchanged_by_band_restriction(
     props = propagators(m, np.geomspace(1e-3, 1.0, 24))
     x = np.random.default_rng(8).standard_normal((9, m.n)) * 1.5
     loc, glob = sg.local_global_grid(m, bump, props, x)
-    monkeypatch.setattr(sg, "local_weight", full_local_weight)
+    monkeypatch.setattr(sg, "_eta_from_r", full_eta_from_r)
     ref_loc, ref_glob = sg.local_global_grid(m, bump, props, x)
     assert np.array_equal(loc, ref_loc) and np.array_equal(glob, ref_glob)
     # the points see both sides of the cutoff

@@ -615,6 +615,27 @@ def test_zero_count_batch_matches_single(std1):
     assert stable.all()
 
 
+def test_single_pair_count_scans_the_coarse_grid_once(std2, monkeypatch):
+    # one slope evaluation on the coarse grid gives the count and the
+    # brackets, one on the doubled grid the stability; the batch route
+    # on the one pair agrees
+    x, u, n_scan = np.array([1.0, 0.5]), np.array([2.0, 1.0]), 512
+    sizes = []
+    real = kernel_mod.propagators
+
+    def spy(model, ts):
+        sizes.append(np.size(ts))
+        return real(model, ts)
+
+    monkeypatch.setattr(kernel_mod, "propagators", spy)
+    zc = count_kdot_zeros(std2, x, u, n_scan=n_scan)
+    assert sizes.count(n_scan) == 1 and sizes.count(2 * n_scan) == 1
+    counts, stable = count_kdot_zeros_batch(std2, x[None], u[None],
+                                            n_scan=n_scan)
+    assert zc.count == counts[0] and zc.stable == stable[0]
+    assert zc.count == zc.zeros.size == 1
+
+
 def test_zero_count_interval_validation(std1):
     with pytest.raises(NonPositiveTimeError):
         count_kdot_zeros(std1, np.array([0.0]), np.array([1.0]),

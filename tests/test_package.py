@@ -166,3 +166,27 @@ def test_importing_torus_loads_neither_kernel_nor_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_timed_cold_starts_load_no_scipy():
+    """The cold starts that the benchmark times stay free of scipy: a
+    fresh interpreter imports every module they import and builds every
+    model they build, and no scipy module loads."""
+    import os
+    import subprocess
+    import sys
+    code = ("import sys\n"
+            "import oulab.cli, oulab.semigroup, oulab.kernel, oulab.torus\n"
+            "import oulab.variation, oulab.report\n"
+            "from oulab import (CounterexampleConfig, build_model,\n"
+            "                   standard_model)\n"
+            "standard_model(1)\n"
+            "build_model([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 2.0], "
+            "[0.0, -0.5]])\n"
+            "CounterexampleConfig(N=12)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oulab import (annulus_superlevel_probe, apply_semigroup, build_model,
-                   cz_probe, gaussian_bump, local_weight, propagators,
+                   cz_probe, gaussian_bump, propagators,
                    quadratic_r, standard_model, variation_batch,
                    weak_type_probe)
 from oulab.errors import (ArgumentRangeError, BadOrderError,
                           DimensionError, NumericalOverflowError)
 from oulab.model import isotropic_rates
 from oulab.kernel import _BLOCK_CELLS
-from oulab.geometry import eta_plateaus
+from oulab.geometry import _eta_from_r, eta_plateaus
 from oulab.quadrature import hermite_tensor
 from oulab.variation import _turning_points, exceedance
 from oulab import semigroup
@@ -26,7 +26,8 @@ from oulab.semigroup import (_geometric_times, _node_r_range, _part_values,
 from conftest import random_stable_model
 from reference_routes import (block_nodes, bootstrap_statistics_loop,
                               bump_semigroup_grid_einsum,
-                              local_global_grid_all_nodes, split_blocks)
+                              local_global_grid_all_nodes,
+                              near_weights_rule_order, split_blocks)
 
 
 def full_reevaluation(model, f, x, rho, ts, part, tol, max_refine, order):
@@ -585,12 +586,14 @@ def test_tile_decision_matches_every_node(name, order, model_factory):
 def test_tiles_are_consecutive_nodes_per_axis():
     # order 13 in 2-d: tiles of 8 x 8, 8 x 5, 5 x 8 and 5 x 5 nodes
     z, _ = hermite_tensor(2, 13)
-    tiles, pos, _, _ = _tiles(z)
-    assert tiles.shape == (4, 64)
-    assert np.array_equal(tiles.ravel()[pos], np.arange(169))
+    tiles, first, _, _ = _tiles(z)
+    assert tiles.shape == first.shape == (4, 64)
+    # the first slots hold every node once, the others repeat a node
+    # of their own tile
+    assert np.array_equal(np.sort(tiles[first]), np.arange(169))
     rows, cols = np.divmod(tiles, 13)
     sizes = [np.unique(t).size for t in tiles]
-    assert sizes == [64, 40, 40, 25]
+    assert sizes == [64, 40, 40, 25] == first.sum(axis=1).tolist()
     assert np.array_equal(np.unique(rows[0]), np.arange(8))
     assert np.array_equal(np.unique(cols[3]), np.arange(8, 13))
 
@@ -615,17 +618,102 @@ def test_undecided_block_with_every_tile_decided(monkeypatch):
     p, t = np.argwhere(found)[0]
     seen = []
 
-    def spy(model, x, u):
-        seen.append(u.shape[0] * u.shape[1])
-        return local_weight(model, x, u)
+    def spy(rx, ru):
+        seen.append(ru.size)
+        return _eta_from_r(rx, ru)
 
-    monkeypatch.setattr(sg, "local_weight", spy)
+    monkeypatch.setattr(sg, "_eta_from_r", spy)
     one_t = propagators(model, props.ts[t:t + 1])
     near, far = local_global_grid(model, f, one_t, xs[p], order=12)
     assert sum(seen) == 0
     ref_near, ref_far = local_global_grid_all_nodes(model, f, one_t, xs[p],
                                                     order=12)
     assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+
+
+@pytest.mark.parametrize("name,order", [("standard1", None),
+                                        ("standard2", 12),
+                                        ("general2", None)])
+def test_row_blocks_and_slices_do_not_move_the_split(name, order,
+                                                     model_factory,
+                                                     monkeypatch):
+    # a budget of a few tiles puts row-block boundaries inside the points
+    # and splits the open tiles of one block over several slices
+    model, f, props, xs, order = _tile_case(name, model_factory, order)
+    near, far = local_global_grid(model, f, props, xs, order=order)
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs,
+                                                    order=order)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+    tiles, _, _, _ = _tiles(hermite_tensor(model.n, order)[0])
+    n_t, k = tiles.shape
+    budget = 3 * k
+    assert max(1, budget // (n_t * props.ts.size)) < xs.shape[0]
+    seen = []
+
+    def spy(rx, ru):
+        seen.append(ru.shape[0])
+        return _eta_from_r(rx, ru)
+
+    monkeypatch.setattr(semigroup, "_NODE_BUDGET", budget)
+    monkeypatch.setattr(semigroup, "_eta_from_r", spy)
+    small_near, small_far = local_global_grid(model, f, props, xs,
+                                              order=order)
+    assert np.array_equal(small_near, near)
+    assert np.array_equal(small_far, far)
+    # some block had more open tiles than a slice holds
+    mean, L, z, _ = split_blocks(model, f, props, xs, order)
+    rx = quadratic_r(model, xs)
+    b_one, b_zero = eta_plateaus(rx[:, None],
+                                 *_block_range(model, mean, L, z))
+    _, (lo, hi) = _tile_ranges(model, mean, L, z)
+    t_one, t_zero = eta_plateaus(rx[:, None, None], lo, hi)
+    open_tiles = np.sum(~(t_one | t_zero), axis=-1)[~(b_one | b_zero)]
+    assert open_tiles.max() > 3 and max(seen) == 3
+
+
+@pytest.mark.parametrize("points,times", [(1, 9), (12, 1), (1, 1)])
+def test_one_point_or_one_time(points, times):
+    model = standard_model(1)
+    f = gaussian_bump(model, [0.4], 0.5)
+    props = propagators(model, np.geomspace(1e-3, 0.5, 9)[-times:])
+    xs = np.linspace(-2.5, 2.5, 12)[:points, None]
+    near, far = local_global_grid(model, f, props, xs)
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs)
+    assert near.shape == (points, times)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "general2"])
+def test_tile_sums_stay_within_rounding_of_the_row_sum(name, model_factory):
+    # the near weight sums eta * w tile by tile; the split summed whole
+    # rows in the rule's order with numpy's pairwise sum, and the two
+    # orders differ by a few eps of the sum of the terms, eta * w >= 0
+    model, f, props, xs, order = _tile_case(name, model_factory, None)
+    near, _ = local_global_grid(model, f, props, xs)
+    mass = bump_semigroup_grid(model, f, props, xs)
+    old = mass * near_weights_rule_order(model, f, props, xs)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(near - old) <= 16 * eps * old)
+    assert np.any(near != old)
+
+
+def test_split_peak_stays_small():
+    # one call on the last round of a standard1 local probe, 1,000 points
+    # and 192 midpoints; with the means, block ranges and decisions of
+    # every (point, time) block held at once it peaked 8.3 MiB above its
+    # two 1.5 MiB outputs
+    model = standard_model(1)
+    f = gaussian_bump(model, semigroup.substream(0, 100).standard_normal(1)
+                      @ model.Qinf_sqrt.T, 0.5)
+    xs = semigroup.substream(0, 200).standard_normal((1000, 1)) \
+        @ model.Qinf_sqrt.T
+    ts = semigroup._regime_times(model, "local-small-t", 16)
+    mids = _refine(_refine(ts)[0])[1]
+    props = propagators(model, mids)
+    assert mids.size == 192
+    outputs = 2 * xs.shape[0] * mids.size * 8 / 2 ** 20
+    peak = _traced_peak_mib(local_global_grid, model, f, props, xs)
+    assert peak <= outputs + 2.0
 
 
 def test_no_default_order_past_three_dimensions():
@@ -650,7 +738,12 @@ def test_a_bump_needs_a_finite_centre_and_a_finite_positive_width(
 
 @pytest.mark.parametrize("center,width,named", [
     ([45.0], 0.5, "bump centre [45.0]"), ([0.3], 1e200, "bump width 1e+200"),
-    ([0.3], 1e160, "bump width 1e+160")])
+    ([0.3], 1e160, "bump width 1e+160"),
+    # a NumPy float's square overflows to inf with a warning, not an error
+    ([0.3], np.float64(1e200), "bump width 1e+200"),
+    # the square is subnormal, and 1 / width^2 overflows
+    ([0.3], 1e-160, "bump width 1e-160"),
+    ([0.3], np.float64(1e-170), "bump width 1e-170")])
 def test_an_overflowing_bump_names_its_centre_or_width(center, width, named):
     with pytest.raises(NumericalOverflowError, match=re.escape(named)):
         gaussian_bump(standard_model(1), center, width)
