@@ -108,11 +108,15 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
                        np.asarray(quadratic_r(model, u)))
 
 
-def _eta_from_r(Rx: np.ndarray, Ru: np.ndarray) -> np.ndarray:
+def _eta_from_r(Rx: np.ndarray, Ru: np.ndarray, out=None) -> np.ndarray:
     """local_weight from R(x) and R(u), arrays that broadcast: the same
-    bits, for callers that already hold both."""
+    bits, for callers that already hold both; into out when given (an
+    array of the broadcast shape)."""
     near, far = eta_plateaus(Rx, Ru, Ru)
-    out = np.array(near, dtype=float)
+    if out is None:
+        out = np.array(near, dtype=float)
+    else:
+        np.copyto(out, near)
     band = np.flatnonzero(~(near | far))
     ru = np.broadcast_to(Ru, out.shape).ravel()[band]
     rx = np.broadcast_to(Rx, out.shape).ravel()[band]

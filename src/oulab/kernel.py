@@ -36,8 +36,13 @@ relative for t in [1e-4, 40].
 Both quantities take per-time factors from one propagator stack, with the
 time axis last, and form every product elementwise in a fixed order
 (_dot).  So a pair gets the same bits against a time grid (one block
-driver, over whole rows) as with one time per pair (log_kernel_pairs),
-and the slope needs only the grid route.  The zero counts, the tail
+driver, _row_blocks, over whole rows) as with one time per pair
+(log_kernel_pairs), and the slope needs only the grid route.  The sums
+accumulate in place, so a block of _BLOCK_CELLS pair-time cells holds a
+handful of arrays of its shape, not one per product and sum.  On a grid
+whose times below T_SWITCH come first, as on every sorted grid, log K
+skips the identity factor on each side of the switch: P = I below it and
+R = I above it, and 1 x + 0 x' is x exactly.  The zero counts, the tail
 integral and the bound calibration reduce each block as it is evaluated,
 and keep no (pairs, times) array.
 """
@@ -45,7 +50,6 @@ and keep no (pairs, times) array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -57,33 +61,39 @@ from .model import (OUModel, Propagators, T_SWITCH, isotropic_rates,
 from .rng import substream
 
 # pair-time cells per evaluation block of a grid route, whole rows of few
-# pairs against all times: long inner loops, temporaries in cache.  A block
-# temporary of 8192 doubles is 64 KiB, under glibc's default 128 KiB mmap
-# threshold, so the blocks reuse heap memory instead of mapping (and
-# faulting in) fresh pages for every temporary
-_BLOCK_CELLS = 1 << 13
+# pairs against all times: long inner loops, and few enough blocks that
+# their Python overhead stays small.  The evaluators accumulate every sum
+# in place, so a block holds a handful of (rows, times) arrays of 256 KiB.
+# Those pass glibc's default 128 KiB mmap threshold, but the threshold
+# rises to the size of the first such array freed, and every later block
+# reuses heap memory
+_BLOCK_CELLS = 1 << 15
 
 
-def _dot(row, vec):
+def _dot(row, vec, out=None, tmp=None):
     """sum_j row[j] vec[j], in a fixed order so that every shape of the
-    operands rounds alike."""
-    acc = row[0] * vec[0]
+    operands rounds alike: accumulated in place in out (a new array when
+    None), with each later product formed in tmp."""
+    acc = np.multiply(row[0], vec[0], out=out)
     for j in range(1, len(vec)):
-        acc = acc + row[j] * vec[j]
+        if tmp is None:
+            tmp = np.empty_like(acc)
+        acc += np.multiply(row[j], vec[j], out=tmp)
     return acc
 
 
-def _on_grid(evaluate, m: int, *points):
-    """Yield (rows, evaluate(*blocks)) for blocks of whole rows: the slice
-    rows of each point array (p, n) of points, such as the pairs x, u, as
-    (n, rows, 1), against m times.  The values are elementwise, so bits
-    ignore the block shape."""
+def _row_blocks(m: int, *points, cells: int | None = None):
+    """Yield (rows, *blocks) for blocks of whole rows of about cells
+    (_BLOCK_CELLS when None) pair-time cells against m times: the slice
+    rows, and those rows of each point array (p, n) of points, such as
+    the pairs x, u, as (n, rows, 1).  The evaluators are elementwise, so
+    bits ignore the block shape."""
     blocks = [np.atleast_2d(np.asarray(v, dtype=float)).T[:, :, None]
               for v in points]                      # (n, p, 1) each
-    size = max(1, _BLOCK_CELLS // m)
+    size = max(1, (_BLOCK_CELLS if cells is None else cells) // m)
     for lo in range(0, blocks[0].shape[1], size):
         rows = slice(lo, lo + size)
-        yield rows, evaluate(*(b[:, rows] for b in blocks))
+        yield (rows, *(b[:, rows] for b in blocks))
 
 
 def _time_last(a: np.ndarray) -> np.ndarray:
@@ -96,29 +106,57 @@ def _time_last(a: np.ndarray) -> np.ndarray:
 # log K
 
 
-def _logk_factors(model: OUModel, props: Propagators) -> tuple:
-    """Per-time factors (P, R, G, const) of log K for every time of props,
-    as in the module docstring: P, R and G as (n, n, m), const as (m,).
-    Below T_SWITCH they are (I, Dt, A), above it (D_{-t}, I, M)."""
-    small = (props.ts <= T_SWITCH)[:, None, None]
+def _logk_factors(model: OUModel, props: Propagators,
+                  split: bool = True) -> tuple:
+    """Per-time factors (P, R, G, const, k) of log K for every time of
+    props, as in the module docstring: P, R and G as (n, n, m), const as
+    (m,).  Below T_SWITCH they are (I, Dt, A), above it (D_{-t}, I, M).
+    k is the number of times below T_SWITCH when split is asked for and
+    those times come first, as on a sorted grid, and None otherwise."""
+    small = props.ts <= T_SWITCH
     eye = np.eye(model.n)
-    P = np.where(small, eye, props.Dmt)
-    R = np.where(small, props.Dt, eye)
-    G = np.where(small, props.A_small, props.M_large)
+    P = np.where(small[:, None, None], eye, props.Dmt)
+    R = np.where(small[:, None, None], props.Dt, eye)
+    G = np.where(small[:, None, None], props.A_small, props.M_large)
+    k = int(np.count_nonzero(small))
     return (_time_last(P), _time_last(R), _time_last(G),
-            0.5 * (model.logdet_Qinf - props.logdet_Qt))
+            0.5 * (model.logdet_Qinf - props.logdet_Qt),
+            k if split and small[:k].all() else None)
 
 
-def _logk_eval(model: OUModel, factors: tuple, x, u):
-    """log K - R(x) from the factors of _logk_factors.
+def _logk_eval(model: OUModel, factors: tuple, x, u, out=None):
+    """log K - R(x) from the factors of _logk_factors, in out when given.
 
     x and u hold one point per component, (n, ...); their pair shape
-    broadcasts against the time shape of the factors."""
-    P, R, G, const = factors
+    broadcasts against the time shape of the factors.  Every sum is
+    _dot's, accumulated in place in a few arrays of the result's shape.
+    Given k, the first k times take y = u - R x and the others y = P u - x:
+    there P = I and R = I, and 1 x + 0 x' is x exactly."""
+    P, R, G, const, k = factors
     n = model.n
-    y = [_dot(P[i], u) - _dot(R[i], x) for i in range(n)]
-    gy = [_dot(G[i], y) for i in range(n)]
-    return -0.5 * _dot(gy, y) + const
+    shape = np.broadcast_shapes(x[0].shape, u[0].shape, const.shape)
+    y = np.empty((n, *shape))
+    g, tmp = np.empty(shape), np.empty(shape)
+    lo, hi = (..., slice(None, k)), (..., slice(k, None))
+    for i in range(n):
+        if k is None:
+            _dot(P[i], u, y[i], tmp)
+            y[i] -= _dot(R[i], x, g, tmp)
+        else:
+            np.subtract(u[i], _dot(R[i][:, :k], x, g[lo], tmp[lo]),
+                        out=y[i][lo])
+            _dot(P[i][:, k:], u, y[i][hi], tmp[hi])
+            y[i][hi] -= x[i]
+    # -<G y, y>/2 + const, the products (G y)_i y_i summed in i order
+    acc = np.empty(shape) if out is None else out
+    for i in range(n):
+        gy = _dot(G[i], y, acc if i == 0 else g, tmp)
+        gy *= y[i]
+        if i:
+            acc += gy
+    acc *= -0.5
+    acc += const
+    return acc
 
 
 def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
@@ -126,10 +164,9 @@ def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
     every grid time, (p, m)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty((x.shape[0], props.ts.size))
-    for rows, val in _on_grid(
-            partial(_logk_eval, model, _logk_factors(model, props)),
-            props.ts.size, x, u):
-        out[rows] = val
+    factors = _logk_factors(model, props)
+    for rows, xb, ub in _row_blocks(props.ts.size, x, u):
+        _logk_eval(model, factors, xb, ub, out[rows])
     return out
 
 
@@ -139,7 +176,8 @@ def log_kernel_pairs(model: OUModel, ts, x, u) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
     props = propagators(model, ts)
-    return (_logk_eval(model, _logk_factors(model, props), x.T, u.T)
+    return (_logk_eval(model, _logk_factors(model, props, split=False),
+                       x.T, u.T)
             + quadratic_r(model, x))
 
 
@@ -192,22 +230,40 @@ def _slope_factors(model: OUModel, props: Propagators) -> tuple:
     return _time_last(C), _time_last(props.N), h0, kappa
 
 
-def _slope_eval(model: OUModel, factors: tuple, x, u):
-    """d/dt log K and its rounding floor from the factors of _slope_factors.
+def _slope_eval(model: OUModel, factors: tuple, x, u, out=(None, None),
+                floor: bool = True):
+    """d/dt log K and its rounding floor from the factors of _slope_factors,
+    into the arrays of out where given; the floor is None unless asked
+    for.
 
-    x and u are as in _logk_eval.  The floor is kappa times the sum of the
-    magnitudes of the three terms: the factors' relative error carried
-    through each of them.
+    x and u are as in _logk_eval, and every sum is accumulated in place
+    as there.  The floor is kappa times the sum of the magnitudes of the
+    three terms: the factors' relative error carried through each of them.
     """
     C, N, h0, kappa = factors
     n = model.n
-    g = [_dot(C[i], u) - _dot(N[i], x) for i in range(n)]
-    qg = [_dot(model.Q[i], g) for i in range(n)]
-    bx = [_dot(model.B[i], x) for i in range(n)]
-    half_quad = 0.5 * _dot(qg, g)
-    lin = _dot(bx, g)
-    slope = h0 + half_quad + lin
-    return slope, kappa * (np.abs(h0) + half_quad + np.abs(lin))
+    shape = np.broadcast_shapes(x[0].shape, u[0].shape, h0.shape)
+    g = np.empty((n, *shape))
+    half, q, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    for i in range(n):
+        _dot(C[i], u, g[i], tmp)
+        g[i] -= _dot(N[i], x, q, tmp)
+    # <Q g, g>/2, the products (Q g)_i g_i summed in i order
+    for i in range(n):
+        qg = _dot(model.Q[i], g, half if i == 0 else q, tmp)
+        qg *= g[i]
+        if i:
+            half += qg
+    half *= 0.5
+    lin = _dot([_dot(model.B[i], x) for i in range(n)], g, q, tmp)
+    slope = np.add(h0, half, out=out[0])
+    slope += lin
+    if not floor:
+        return slope, None
+    # kappa (|h0| + <Q g, g>/2 + |<Bx, g>|)
+    half += np.abs(h0)
+    half += np.abs(lin, out=lin)
+    return slope, np.multiply(half, kappa, out=out[1])
 
 
 def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
@@ -221,10 +277,9 @@ def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     slope, floor = (np.empty((x.shape[0], props.ts.size)) for _ in range(2))
-    for rows, (s, f) in _on_grid(
-            partial(_slope_eval, model, _slope_factors(model, props)),
-            props.ts.size, x, u):
-        slope[rows], floor[rows] = s, f
+    factors = _slope_factors(model, props)
+    for rows, xb, ub in _row_blocks(props.ts.size, x, u):
+        _slope_eval(model, factors, xb, ub, (slope[rows], floor[rows]))
     return slope, floor
 
 
@@ -282,11 +337,9 @@ def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
     """Per pair of X, U, the slope's sign flips on the grid (_flip_counts),
     reduced block by block."""
     counts = np.empty(X.shape[0], dtype=np.intp)
-    for rows, (slope, floor) in _on_grid(
-            partial(_slope_eval, model,
-                    _slope_factors(model, propagators(model, grid))),
-            grid.size, X, U):
-        counts[rows] = _flip_counts(slope, floor)
+    factors = _slope_factors(model, propagators(model, grid))
+    for rows, xb, ub in _row_blocks(grid.size, X, U):
+        counts[rows] = _flip_counts(*_slope_eval(model, factors, xb, ub))
     return counts
 
 
@@ -488,23 +541,43 @@ def _ratio_eval(model: OUModel, which: str, factors: tuple, x, u):
     x and u are as in _logk_eval; factors are (log K factors, slope
     factors or None, D, ts), with D = Dt, or D_{-t} for dkernel-large-t,
     as (n, n, m).  log K enters less R(x): every right-hand side carries
-    the factor e^{R(x)}."""
+    the factor e^{R(x)}.  The sums are accumulated in place, in _dot's
+    order."""
     logk, slope, D, ts = factors
     n = model.n
-    lk = _logk_eval(model, logk, x, u)
+    a = _logk_eval(model, logk, x, u)
+    tmp = np.empty(a.shape)
     if slope is not None:
-        s, _ = _slope_eval(model, slope, x, u)
+        s, _ = _slope_eval(model, slope, x, u, floor=False)
         with np.errstate(divide="ignore"):
-            lk = lk + np.log(np.abs(s))                 # log |dK/dt|
+            a += np.log(np.abs(s, out=s), out=s)        # log |dK/dt|
+    b, v = np.empty(a.shape), np.empty(a.shape)
     if which == "dkernel-large-t":
-        dv = [_dot(D[i], u) for i in range(n)]
-        v = [dv[i] - x[i] for i in range(n)]
-        return lk, _dot(v, v), np.sqrt(_dot(dv, dv))
-    w = [u[i] - _dot(D[i], x) for i in range(n)]
-    a = lk + 0.5 * n * np.log(ts)
+        # |D_{-t} u - x|^2 and |D_{-t} u|, the squares summed in i order
+        d = np.empty(a.shape)
+        for i in range(n):
+            dv = _dot(D[i], u, v, tmp)
+            sq = np.multiply(dv, dv, out=d if i == 0 else tmp)
+            if i:
+                d += sq
+            dv -= x[i]
+            sq = np.multiply(dv, dv, out=b if i == 0 else tmp)
+            if i:
+                b += sq
+        return a, b, np.sqrt(d, out=d)
+    # |u - Dt x|^2 / t, the squares summed in i order
+    for i in range(n):
+        w = np.subtract(u[i], _dot(D[i], x, v, tmp), out=v)
+        sq = np.multiply(w, w, out=b if i == 0 else tmp)
+        if i:
+            b += sq
+    b /= ts
+    a += 0.5 * n * np.log(ts)
     if which == "dkernel-small-t":
-        a = a - np.log(1.0 / ts + np.sqrt(_dot(x, x)) / np.sqrt(ts))
-    return a, _dot(w, w) / ts, None
+        r = np.divide(np.sqrt(_dot(x, x)), np.sqrt(ts), out=v)
+        r += 1.0 / ts
+        a -= np.log(r, out=r)
+    return a, b, None
 
 
 def _ratio_blocks(model: OUModel, which: str, x, u, ts, ends):
@@ -521,10 +594,9 @@ def _ratio_blocks(model: OUModel, which: str, x, u, ts, ends):
                                                                      pr),
                _time_last(pr.Dmt if which == "dkernel-large-t" else pr.Dt),
                ts)
-    evaluate = partial(_ratio_eval, model, which, factors)
     for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
-        for _, pieces in _on_grid(evaluate, ts.size, x[lo:hi], u[lo:hi]):
-            yield (k, *pieces)
+        for _, xb, ub in _row_blocks(ts.size, x[lo:hi], u[lo:hi]):
+            yield (k, *_ratio_eval(model, which, factors, xb, ub))
 
 
 def _log_ratios(a, b, dnorm, decay, c: float) -> np.ndarray:
@@ -540,9 +612,9 @@ def _log_ratios(a, b, dnorm, decay, c: float) -> np.ndarray:
     return vals
 
 
-def _finite_max(vals: np.ndarray) -> float:
-    """The largest finite value, -inf for none."""
-    return float(vals.max(where=np.isfinite(vals), initial=-np.inf))
+def _finite_max(vals: np.ndarray, where=True) -> float:
+    """The largest finite value (among those where says), -inf for none."""
+    return float(vals.max(where=np.isfinite(vals) & where, initial=-np.inf))
 
 
 def _live(a, at_hi, top: float, margin: float, spread: float) -> np.ndarray:
@@ -569,13 +641,17 @@ def _prefix_max_log_ratios(groups, ts, c: float):
 
 
 def _prune(groups, at_hi, at_lo, margin: float, spread: float):
-    """(groups, at_hi) less the cells that are not _live against their
-    group's prefix maximum at lo."""
+    """(groups, at_hi, at_lo) less the cells that are not _live against
+    their group's prefix maximum at lo over the cells whose log ratio at
+    hi is finite; at_hi and at_lo hold the log ratios of the cells."""
+    tops = accumulate((_finite_max(lo, np.isfinite(hi))
+                       for lo, hi in zip(at_lo, at_hi)), max)
     keeps = [_live(g[0], v, top, margin, spread)
-             for g, v, top in zip(groups, at_hi, at_lo)]
+             for g, v, top in zip(groups, at_hi, tops)]
     return ([tuple(None if f is None else f[k] for f in g)
              for g, k in zip(groups, keeps)],
-            [v[k] for v, k in zip(at_hi, keeps)])
+            [v[k] for v, k in zip(at_hi, keeps)],
+            [v[k] for v, k in zip(at_lo, keeps)])
 
 
 def _flat_group(parts):
@@ -596,18 +672,20 @@ def _score_blocks(blocks, n_groups: int, ts, c: float,
     Returns (maxima, groups, at_hi, spread).  maxima are the prefix maxima
     at c over the n_groups groups, as _prefix_max_log_ratios gives them.
     Given hi, each block is scored at hi too, and keeps only its cells
-    that are _live against the running maximum at c and the running
-    spread log(max dnorm + 1), both over the blocks so far; groups and
-    at_hi are then the flat groups of the kept cells and their log ratios
-    at hi, and spread is the final one (0 without dnorm).  Without hi they
-    are None and nothing is kept."""
+    that are _live against the running maximum at c of the cells with a
+    finite log ratio at hi and the running spread log(max dnorm + 1),
+    both over the blocks so far; groups and at_hi are then the flat
+    groups of the kept cells and their log ratios at hi, and spread is
+    the final one (0 without dnorm).  Without hi they are None and
+    nothing is kept."""
     decay = None if ts is None else np.exp(-c * ts)
     decay_hi = None if ts is None or hi is None else np.exp(-hi * ts)
     tops = [-np.inf] * n_groups
     kept = [[] for _ in range(n_groups)]
-    top, dmax, spread = -np.inf, -np.inf, 0.0
+    top, ref, dmax, spread = -np.inf, -np.inf, -np.inf, 0.0
     for k, a, b, dnorm in blocks:
-        top = max(top, _finite_max(_log_ratios(a, b, dnorm, decay, c)))
+        vals = _log_ratios(a, b, dnorm, decay, c)
+        top = max(top, _finite_max(vals))
         tops[k] = top
         if hi is None:
             continue
@@ -615,7 +693,8 @@ def _score_blocks(blocks, n_groups: int, ts, c: float,
             dmax = np.maximum(dmax, dnorm.max(initial=-np.inf))
             spread = float(np.log(dmax + 1.0))
         at_hi = _log_ratios(a, b, dnorm, decay_hi, hi)
-        keep = _live(a, at_hi, top, margin, spread)
+        ref = max(ref, _finite_max(vals, np.isfinite(at_hi)))
+        keep = _live(a, at_hi, ref, margin, spread)
         kept[k].append((a[keep], b[keep]) + (
             (None, None) if dnorm is None
             else (dnorm[keep], np.nonzero(keep)[-1].astype(np.intc)))
@@ -644,14 +723,19 @@ def _rate_maxima(blocks, n_groups: int, ts, c: float | None, hi: float,
     The bisection drops cells that can no longer set a prefix maximum.  A
     cell's log ratio a + c b [- log(dnorm + e^{-ct})] is nondecreasing in c
     (b >= 0), and every later rate lies in [lo, hi].  So a cell whose ratio
-    at hi is below a maximum at lo of cells that every prefix holding it
-    holds stays below each such prefix's maximum.  The blocks are scored
-    at 0 and at hi as they come, and a cell is kept only if it is not
-    below the running maximum at 0 over the blocks so far: those cells lie
-    in the block's group or before it, so the running maximum is at most
-    the group's prefix maximum, and no (pairs, times) array is formed.
-    Each step then prunes against the full prefix maxima at lo.  Cells
-    with no finite a go at once; cells with no finite ratio at hi stay.
+    at hi is below the maximum at lo of cells that every prefix holding it
+    holds, and whose ratios at hi are finite, stays below each such
+    prefix's maximum: those cells keep a finite ratio, at least their
+    ratio at lo, at every rate in [lo, hi].  (A cell whose ratio overflows
+    at hi drops out of the maxima where it does, so no cell is pruned
+    against it.)  The blocks are scored at 0 and at hi as they come, and a
+    cell is kept only if it is not below the running maximum at 0 of the
+    cells over the blocks so far that are finite at hi: those cells lie in
+    the block's group or before it, so the running maximum is at most the
+    group's, and no (pairs, times) array is formed.  Each step then
+    prunes against the prefix maxima at lo of the kept cells finite at hi.
+    Cells with no finite a go at once; cells with no finite ratio at hi
+    stay.
     a + c b rounds monotonically in c; exp and log need not, so groups
     with dnorm take a margin (see _live), whose spread log(max dnorm + 1)
     runs over the cells seen so far and so bounds the log term of both the
@@ -660,17 +744,18 @@ def _rate_maxima(blocks, n_groups: int, ts, c: float | None, hi: float,
     if c is not None:
         return c, _score_blocks(blocks, n_groups, ts, c)[0]
     lo = 0.0
-    at_lo, groups, at_hi, spread = _score_blocks(blocks, n_groups, ts, lo,
-                                                 hi, margin)
+    maxima_lo, groups, at_hi, spread = _score_blocks(blocks, n_groups, ts,
+                                                     lo, hi, margin)
+    _, at_lo = _prefix_max_log_ratios(groups, ts, lo)
     for _ in range(steps):
-        groups, at_hi = _prune(groups, at_hi, at_lo, margin, spread)
+        groups, at_hi, at_lo = _prune(groups, at_hi, at_lo, margin, spread)
         mid = 0.5 * (lo + hi)
         maxima, at_mid = _prefix_max_log_ratios(groups, ts, mid)
         if maxima[-1] <= maxima[-2] + np.log(1.1):
-            lo, at_lo = mid, maxima
+            lo, maxima_lo, at_lo = mid, maxima, at_mid
         else:
             hi, at_hi = mid, at_mid
-    return lo, at_lo
+    return lo, maxima_lo
 
 
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
@@ -734,9 +819,12 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int,
         """Per-pair total variation of K / e^{R(x)} on the grid."""
         grid = np.geomspace(1.0, _T_LARGE, grid_size)
         tv = np.empty(m)
-        for rows, lk in _on_grid(partial(_logk_eval, model, _logk_factors(
-                model, propagators(model, grid))), grid_size, x, u):
-            tv[rows] = np.abs(np.diff(np.exp(lk), axis=1)).sum(axis=1)
+        factors = _logk_factors(model, propagators(model, grid))
+        for rows, xb, ub in _row_blocks(grid_size, x, u):
+            k = _logk_eval(model, factors, xb, ub)
+            np.exp(k, out=k)
+            step = np.subtract(k[:, 1:], k[:, :-1])
+            tv[rows] = np.abs(step, out=step).sum(axis=1)
         return tv
 
     tv = tv_over_e_r(1024)

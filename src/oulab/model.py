@@ -244,8 +244,9 @@ def isotropic_rates(model: OUModel) -> tuple[float, float] | None:
     return None
 
 
-def quadratic_r(model: OUModel, x) -> np.ndarray:
-    """R(x) = <Qinf^-1 x, x> / 2, vectorized over leading axes.
+def quadratic_r(model: OUModel, x, out=None) -> np.ndarray:
+    """R(x) = <Qinf^-1 x, x> / 2, vectorized over leading axes, into out
+    when given (an array of the leading shape).
 
     The terms (x_i Qinf^-1_ij) x_j are summed in (i, j) order, so a
     point's R has the same bits alone as in any batch, whatever the
@@ -256,11 +257,13 @@ def quadratic_r(model: OUModel, x) -> np.ndarray:
     if x.shape[-1] != n:
         raise DimensionError(f"points must have last axis {n}")
     q = model.Qinf_inv
-    acc = (x[..., 0] * q[0, 0]) * x[..., 0]
+    acc = np.multiply(x[..., 0], q[0, 0], out=out)
+    acc *= x[..., 0]
     for k in range(1, n * n):
         i, j = divmod(k, n)
-        acc = acc + (x[..., i] * q[i, j]) * x[..., j]
-    return 0.5 * acc
+        acc += (x[..., i] * q[i, j]) * x[..., j]
+    acc *= 0.5
+    return acc
 
 
 def model_from_dict(d: dict) -> OUModel:

@@ -14,19 +14,24 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 
 def _canonical(obj):
     """Round-trip through JSON-compatible types with sorted keys; NumPy
-    values become Python ones through tolist."""
+    values become Python ones through tolist.  JSON has no non-finite
+    numbers, so inf, -inf and NaN are written as the strings "inf",
+    "-inf" and "nan"."""
     if isinstance(obj, dict):
         return {str(k): _canonical(obj[k]) for k in sorted(obj, key=str)}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
     if hasattr(obj, "tolist"):
         return _canonical(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     if isinstance(obj, (str, int, float)) or obj is None:
         return obj
     return str(obj)
@@ -34,7 +39,7 @@ def _canonical(obj):
 
 def config_fingerprint(config: dict) -> str:
     blob = json.dumps(_canonical(config), sort_keys=True,
-                      separators=(",", ":"))
+                      separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -70,7 +75,8 @@ class ProbeReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, data: str) -> None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -47,8 +46,8 @@ from .errors import (AlphaTooSmallError, ArgumentRangeError, BadOrderError,
                      NumericalOverflowError)
 from .geometry import (_eta_from_r, annulus_indicator, eta_plateaus,
                        local_weight, polar_decompose)
-from .kernel import (_dot, _on_grid, _time_last, log_kernel_grid, real_roots,
-                     time_critical_cubic)
+from .kernel import (_dot, _row_blocks, _time_last, log_kernel_grid,
+                     real_roots, time_critical_cubic)
 from .model import (_QT_SERIES_T, _QT_SERIES_TERMS, OUModel, Propagators,
                     isotropic_rates, propagators, quadratic_r)
 from .quadrature import (gauss_hermite_rule, gaussian_measure, hermite_tensor,
@@ -57,6 +56,9 @@ from .rng import substream
 from .variation import exceedance, variation_batch
 
 _TINY = 1e-300
+# pair-time cells per block of bump_semigroup_grid: its temporaries of
+# 8192 doubles, 64 KiB, stay under glibc's default 128 KiB mmap threshold
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,11 @@ class GaussianBump:
     amplitude: float
 
     def __call__(self, u):
-        d = np.atleast_2d(np.asarray(u, dtype=float)) - self.center
+        return self.at_offsets(
+            np.atleast_2d(np.asarray(u, dtype=float)) - self.center)
+
+    def at_offsets(self, d):
+        """f at the points center + d, for offsets d (m, n)."""
         return self.amplitude * np.exp(
             -0.5 * np.einsum("mi,mi->m", d, d) / self.width ** 2)
 
@@ -198,8 +204,8 @@ def bump_semigroup_grid(model: OUModel, bump: GaussianBump,
     the build or on the size of the grid.
 
     The factors are laid out time last (one contiguous row over the times
-    per matrix entry), and kernel._on_grid fills the grid in blocks of
-    whole rows of about kernel._BLOCK_CELLS cells: every temporary stays
+    per matrix entry), and kernel._row_blocks fills the grid in blocks of
+    whole rows of about _BLOCK_CELLS cells: every temporary stays
     in cache, no (p, m, n) stack is built, and the bits do not depend on
     the blocks.  The values land in the rows of out, a (p, m) array or
     view such as a strided column view, when given.
@@ -209,9 +215,8 @@ def bump_semigroup_grid(model: OUModel, bump: GaussianBump,
     if out is None:
         out = np.empty((x.shape[0], props.ts.size))
     factors = (_time_last(props.exp_tB), _time_last(sinv), log_detfac)
-    for rows, val in _on_grid(partial(_bump_eval, bump, factors),
-                              props.ts.size, x):
-        out[rows] = val
+    for rows, xb in _row_blocks(props.ts.size, x, cells=_BLOCK_CELLS):
+        out[rows] = _bump_eval(bump, factors, xb)
     return out
 
 
@@ -229,6 +234,13 @@ def apply_semigroup(model: OUModel, f: GaussianBump, x, t: float,
     of its Gaussian with the bump, so node placement follows the integrand
     mass, and the density ratio to the anchor is what the rule averages.
     The two routes share no kernel formula.
+
+    In the transition form the anchor is centred near ex - c, and a node
+    y = mean + S z (S the anchor's covariance root) lies at
+    ex - y - c = cov Qt^-1 (ex - c) - S z from the bump centre.  That
+    offset and the anchor's density at the node are formed from z, not
+    from the node, so that they keep their digits at any width: below
+    about 1e-16 |ex - c| the node itself no longer resolves the bump.
     """
     if t <= 0:
         raise NonPositiveTimeError("semigroup time must be positive")
@@ -242,10 +254,13 @@ def apply_semigroup(model: OUModel, f: GaussianBump, x, t: float,
     if form == "kolmogorov":
         gt = gaussian_measure(np.zeros(n), props.Qt[0])
         anchor, _ = product_gaussian(gt, prec, ex - f.center)
-        rule = gauss_hermite_rule(anchor, order)
-        nodes = rule.nodes
-        ratio = np.exp(gt.log_density(nodes) - anchor.log_density(nodes))
-        return float(rule.weights @ (f(ex - nodes) * ratio))
+        z, weights = hermite_tensor(n, order)
+        step = z @ anchor.sqrt_cov.T                    # S z
+        offset = anchor.cov @ props.Qt_inv[0] @ (ex - f.center)
+        log_anchor = -0.5 * (n * np.log(2 * np.pi) + anchor.logdet_cov
+                             + np.einsum("qi,qi->q", z, z))
+        ratio = np.exp(gt.log_density(anchor.mean + step) - log_anchor)
+        return float(weights @ (f.at_offsets(offset - step) * ratio))
     mu_t = gaussian_measure(ex, props.Qt[0])
     anchor, _ = product_gaussian(mu_t, prec, f.center)
     rule = gauss_hermite_rule(anchor, order)
@@ -365,12 +380,26 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
             model, mb[:, None, :] + Lzc[bt], tile_r[bt], kappa))
         sums = t_one * tile_w                                # (nb, T)
         op = np.flatnonzero(~(t_one | t_zero))               # open tiles
+        # one workspace for the slices of the row block: the rule nodes of
+        # a slice's tiles and their weights, the nodes, R and eta there.
+        # Freed with each row block, it also lifts glibc's mmap and trim
+        # thresholds to its size after the first one, so the slices' other
+        # temporaries stay on the heap rather than going back to the OS
+        # and faulting in again (on 2-D models, 2 MB a slice)
+        size = min(per_slice, op.size)
+        z_ws, node_ws = np.empty((2, n, size, k))
+        w_ws, r_ws, eta_ws = np.empty((3, size, k))
         for s in range(0, op.size, per_slice):
             o = op[s:s + per_slice]
             ob, ot = np.divmod(o, n_t)
-            eta = _eta_from_r(rx[bp[ob], None], quadratic_r(
-                model, _tile_nodes(mb[ob], L[bt[ob]], zt[:, ot])))
-            eta *= wt[ot]
+            zs, nodes, w, r, eta = (a[..., :o.size, :] for a in (
+                z_ws, node_ws, w_ws, r_ws, eta_ws))
+            for j in range(n):
+                np.take(zt[j], ot, axis=0, out=zs[j], mode="clip")
+            _tile_nodes(mb[ob], L[bt[ob]], zs, nodes, w)
+            _eta_from_r(rx[bp[ob], None], quadratic_r(
+                model, np.moveaxis(nodes, 0, -1), out=r), out=eta)
+            eta *= np.take(wt, ot, axis=0, out=w, mode="clip")
             sums.ravel()[o] = np.cumsum(eta, axis=1, out=eta)[:, -1]
         loc[lo + bp, bt] = np.cumsum(sums, axis=1)[:, -1]
     mass = bump_semigroup_grid(model, bump, props, x, out=out)
@@ -378,22 +407,20 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     return loc, np.subtract(mass, loc, out=mass)
 
 
-def _tile_nodes(mean: np.ndarray, L: np.ndarray,
-                zt: np.ndarray) -> np.ndarray:
-    """The nodes mean + L z of s tiles, (s, k, n) as a view of (n, s, k),
-    for each tile's block mean (s, n), square root L (s, n, n) and rule
-    nodes z, one (s, k) array per axis in zt (n, s, k).  Every coordinate
-    sums L_ij z_j over j in order, as kernel._dot does, and then adds the
-    mean (one addition, which commutes), in place in its row of nodes."""
+def _tile_nodes(mean: np.ndarray, L: np.ndarray, zt: np.ndarray,
+                nodes: np.ndarray, term: np.ndarray) -> None:
+    """The nodes mean + L z of s tiles into nodes (n, s, k), for each
+    tile's block mean (s, n), square root L (s, n, n) and rule nodes z,
+    one (s, k) array per axis in zt (n, s, k); term (s, k) is scratch.
+    Every coordinate sums L_ij z_j over j in order, as kernel._dot does,
+    and then adds the mean (one addition, which commutes), in place in its
+    row of nodes."""
     n = mean.shape[1]
-    nodes = np.empty(zt.shape)
-    term = np.empty(zt.shape[1:])
     for i in range(n):
         np.multiply(L[:, i, 0, None], zt[0], out=nodes[i])
         for j in range(1, n):
             nodes[i] += np.multiply(L[:, i, j, None], zt[j], out=term)
         nodes[i] += mean[:, i, None]
-    return np.moveaxis(nodes, 0, -1)
 
 
 def _product_means(props: Propagators, cov: np.ndarray,

@@ -15,9 +15,9 @@ from scipy.stats import multivariate_normal
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
 from oulab.geometry import local_weight
-from oulab.kernel import (log_kernel_grid, log_kernel_pairs,
-                          logk_time_slope_grid)
-from oulab.model import T_SWITCH, propagators
+from oulab.kernel import (_logk_factors, _slope_factors, log_kernel_grid,
+                          log_kernel_pairs, logk_time_slope_grid)
+from oulab.model import T_SWITCH, propagators, quadratic_r
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import _bump_stacks, _tiles, bump_semigroup_grid
 from oulab.variation import _check_order
@@ -98,6 +98,78 @@ def log_kernel_grid_einsum(model, props, x, u):
         q[:, large] = np.einsum("pmi,mij,pmj->pm", v, props.M_large[large], v)
     const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)
     return -0.5 * q + const[None, :]
+
+
+# Frozen copies of the kernel's fixed-order evaluators as they were before
+# they accumulated in place: one new array for every product and sum.
+
+
+def dot_allocating(row, vec):
+    """sum_j row[j] vec[j], in j order, one new array per step."""
+    acc = row[0] * vec[0]
+    for j in range(1, len(vec)):
+        acc = acc + row[j] * vec[j]
+    return acc
+
+
+def _grid_operands(x, u):
+    """Pairs x, u (p, n) as (n, p, 1) operands against the times."""
+    return tuple(np.atleast_2d(np.asarray(v, dtype=float)).T[:, :, None]
+                 for v in (x, u))
+
+
+def logk_eval_allocating(model, factors, x, u):
+    """log K - R(x) from the per-time factors (P, R, G, const), for points
+    x and u (n, ...) that broadcast against the times."""
+    P, R, G, const = factors[:4]
+    n = model.n
+    y = [dot_allocating(P[i], u) - dot_allocating(R[i], x)
+         for i in range(n)]
+    gy = [dot_allocating(G[i], y) for i in range(n)]
+    return -0.5 * dot_allocating(gy, y) + const
+
+
+def slope_eval_allocating(model, factors, x, u):
+    """(d/dt log K, rounding floor) from the per-time factors (C, N, h0,
+    kappa), for points as in logk_eval_allocating."""
+    C, N, h0, kappa = factors
+    n = model.n
+    g = [dot_allocating(C[i], u) - dot_allocating(N[i], x)
+         for i in range(n)]
+    qg = [dot_allocating(model.Q[i], g) for i in range(n)]
+    bx = [dot_allocating(model.B[i], x) for i in range(n)]
+    half_quad = 0.5 * dot_allocating(qg, g)
+    lin = dot_allocating(bx, g)
+    slope = h0 + half_quad + lin
+    return slope, kappa * (np.abs(h0) + half_quad + np.abs(lin))
+
+
+def log_kernel_grid_allocating(model, props, x, u):
+    """log K - R(x) on the pairs x times grid in one allocating pass."""
+    return logk_eval_allocating(model, _logk_factors(model, props, False),
+                                *_grid_operands(x, u))
+
+
+def log_kernel_pairs_allocating(model, ts, x, u):
+    """log K with one time per pair in one allocating pass."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    props = propagators(model, ts)
+    return (logk_eval_allocating(model, _logk_factors(model, props, False),
+                                 x.T, u.T)
+            + quadratic_r(model, x))
+
+
+def slope_grid_allocating(model, props, x, u):
+    """(slope, floor) on the pairs x times grid in one allocating pass."""
+    return slope_eval_allocating(model, _slope_factors(model, props),
+                                 *_grid_operands(x, u))
+
+
+def tail_tv_allocating(model, grid, x, u):
+    """Per pair, the total variation of K / e^{R(x)} over the grid."""
+    lk = log_kernel_grid_allocating(model, propagators(model, grid), x, u)
+    return np.abs(np.diff(np.exp(lk), axis=1)).sum(axis=1)
 
 
 def ratio_pieces_einsum(model, which, x, u, ts):

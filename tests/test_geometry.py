@@ -194,14 +194,17 @@ def full_local_weight(model, x, u):
                            np.asarray(quadratic_r(model, u)))
 
 
-def full_eta_from_r(Rx, Ru):
+def full_eta_from_r(Rx, Ru, out=None):
     base = np.maximum(np.floor(Ru).astype(int), 1)
-    out = np.zeros(np.broadcast_shapes(Ru.shape, Rx.shape))
+    eta = np.zeros(np.broadcast_shapes(Ru.shape, Rx.shape))
     for off in (-1, 0):
         j = np.maximum(base + off, 0)
-        out = out + _full_ring_plateau_idx(Rx, j) * _full_ring_weight_idx(
+        eta = eta + _full_ring_plateau_idx(Rx, j) * _full_ring_weight_idx(
             Ru, j)
-    return out if out.shape else float(out)
+    if out is not None:
+        out[...] = eta
+        return out
+    return eta if eta.shape else float(eta)
 
 
 def _cloud(seed, n, pairs=20_000):

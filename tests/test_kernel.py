@@ -36,8 +36,11 @@ from oulab.errors import (
     RateTooLargeError,
 )
 from reference_routes import (covariance_qt, gamma_density, kernel,
-                              kernel_dt_raw, log_kernel_grid_einsum,
-                              ratio_pieces_einsum)
+                              kernel_dt_raw, log_kernel_grid_allocating,
+                              log_kernel_grid_einsum,
+                              log_kernel_pairs_allocating,
+                              ratio_pieces_einsum, slope_grid_allocating,
+                              tail_tv_allocating)
 
 
 def mehler_1d(t, x, u):
@@ -373,6 +376,78 @@ def test_log_kernel_matches_frozen_einsum_route(n, model_factory):
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
         if n == 1:
             assert np.array_equal(got, want)
+
+
+NONNORMAL3 = ([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]],
+              [[-1.0, 2.0, 0.3], [0.0, -0.5, 0.4], [0.2, 0.0, -0.7]])
+
+
+def _bits_model(name, model_factory):
+    return {"standard1": lambda: standard_model(1),
+            "general2": lambda: build_model(*GENERAL2),
+            "random2": lambda: model_factory(23, 2),
+            "random3": lambda: model_factory(23, 3),
+            "nonnormal3": lambda: build_model(*NONNORMAL3)}[name]()
+
+
+@pytest.mark.parametrize("name", ["standard1", "general2", "random2",
+                                  "random3", "nonnormal3"])
+def test_in_place_evaluators_keep_the_allocating_bits(name, model_factory,
+                                                      monkeypatch):
+    # the in-place sums against frozen copies of the evaluators that
+    # allocated every product and sum: on a sorted grid that straddles
+    # T_SWITCH with t = 1.0 exactly (which skips the identity factors), on
+    # the same times shuffled, and on blocks of one row, of a few rows
+    # with a ragged last block, and of the default size
+    model = _bits_model(name, model_factory)
+    n = model.n
+    gen = np.random.default_rng(21)
+    X = 2.0 * gen.standard_normal((90, n))
+    U = 2.0 * gen.standard_normal((90, n))
+    X[0] = 0.0
+    ts = np.concatenate([np.geomspace(1e-6, T_SWITCH, 30),
+                         np.geomspace(T_SWITCH, 30.0, 20)[1:]])
+    assert np.count_nonzero(ts == 1.0) == 1
+    m = ts.size
+    for cells in (m, 7 * m + 3, kernel_mod._BLOCK_CELLS):
+        monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", cells)
+        for grid in (ts, gen.permutation(ts)):
+            props = propagators(model, grid)
+            assert np.array_equal(log_kernel_grid(model, props, X, U),
+                                  log_kernel_grid_allocating(model, props,
+                                                             X, U))
+            got = logk_time_slope_grid(model, props, X, U)
+            want = slope_grid_allocating(model, props, X, U)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+    # one unsorted time per pair, 1.0 among them; one point at every time
+    tp = 10.0 ** gen.uniform(-6.0, 1.4, X.shape[0])
+    tp[5] = 1.0
+    assert np.array_equal(log_kernel_pairs(model, tp, X, U),
+                          log_kernel_pairs_allocating(model, tp, X, U))
+    assert np.array_equal(log_kernel_pairs(model, tp, X[3], U),
+                          log_kernel_pairs_allocating(model, tp, X[3], U))
+
+
+@pytest.mark.parametrize("name", ["standard1", "general2", "random3"])
+def test_tail_integral_keeps_the_allocating_bits(name, model_factory,
+                                                 monkeypatch):
+    # the in-place total variation against the allocating one, on blocks
+    # of the default size and on ragged blocks of three rows
+    model = _bits_model(name, model_factory)
+    n_samples, seed = 300, 3
+    gen = substream(seed, 1)
+    x = gen.standard_normal((n_samples, model.n)) * 2.0
+    u = gen.standard_normal((n_samples, model.n)) * 2.0
+    tv = tail_tv_allocating(model, np.geomspace(1.0, 50.0, 1024), x, u)
+    fine = tail_tv_allocating(model, np.geomspace(1.0, 50.0, 2048), x,
+                              u).max()
+    for cells in (kernel_mod._BLOCK_CELLS, 3 * 2048 + 5):
+        monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", cells)
+        cal = _calibrate_tail_integral(model, n_samples, seed)
+        assert cal.prefactor_cap == max(tv.max(), fine)
+        assert cal.stable == (tv.max() <= 1.1 * tv[:n_samples // 2].max()
+                              and fine <= 1.1 * tv.max())
 
 
 def _far_pairs(model, seed, count):
@@ -816,6 +891,10 @@ def test_prefix_maxima_bit_identical_to_separate_passes(which):
             # a last cell whose ratio sets the maximum below c = 0.1 and
             # overflows above it: a cell with no finite ratio at hi stays
             a[-1, -1], b[-1, -1] = 1.7e308, 1e308
+        if trial == 2:
+            # the same cell inside the pairs: it sets the maximum at 0 of
+            # the cells after it, which must not be pruned against it
+            a[150, 7], b[150, 7] = 1.7e308, 1e308
         # empty first and middle groups
         uptos = (0, p // 4, p // 4, p // 2, p - 1, None)
         ends = (0, 0, p // 4, p // 4, p // 2, p - 1, p)
@@ -1083,12 +1162,15 @@ def _peak_mib(f, *args) -> float:
 
 def test_block_reductions_keep_no_full_grid():
     # the zero counts and the tail integral reduce each block of whole rows
-    # as it is evaluated (they peaked at 138 and 125 MiB with full grids)
+    # as it is evaluated (they peaked at 138 and 125 MiB with full grids),
+    # and the in-place evaluators' larger blocks hold at most 1.5 MiB more
+    # than the 3.50 and 1.05 MiB of the allocating ones on blocks of 8192
+    # cells
     g2 = build_model(*GENERAL2)
     X, U = _far_pairs(g2, 1, 400)
     assert _peak_mib(count_kdot_zeros_batch, g2, X, U, (1e-8, 1.0),
-                     4096) < 16
-    assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0) < 16
+                     4096) <= 3.50 + 1.5
+    assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0) <= 1.05 + 1.5
 
 
 @pytest.mark.parametrize("which", BOUND_NAMES[:3])

@@ -31,6 +31,30 @@ def test_json_has_sorted_keys_and_repr_floats():
     assert text.endswith("}\n")
 
 
+def _strict_json(text):
+    """json.loads that refuses the Infinity, -Infinity and NaN tokens."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_values_are_strict_json_strings():
+    report = _report(
+        statistics={"cap": float("inf"), "low": -np.inf,
+                    "gap": np.float64("nan"), "count": 3},
+        tables={"rows": [{"cap": np.array([1.5, np.inf])[1]}]},
+        pass_flags={"finite": False})
+    text = report.to_json()
+    doc = _strict_json(text)
+    assert doc["statistics"] == {"cap": "inf", "count": 3, "gap": "nan",
+                                 "low": "-inf"}
+    assert doc["tables"]["rows"] == [{"cap": "inf"}]
+    # the verdict stays in the flags
+    assert doc["pass_flags"] == {"finite": False}
+    assert _strict_json(_report().to_json()) == json.loads(
+        _report().to_json())
+
+
 def test_json_bytes_do_not_depend_on_insertion_order():
     a = _report(inputs={"b": 1.5, "a": [1, 2], "c": {"y": 1, "x": 2}})
     b = _report(inputs={"c": {"x": 2, "y": 1}, "a": [1, 2], "b": 1.5})

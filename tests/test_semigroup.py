@@ -14,7 +14,7 @@ from oulab import (annulus_superlevel_probe, apply_semigroup, build_model,
 from oulab.errors import (ArgumentRangeError, BadOrderError,
                           DimensionError, NumericalOverflowError)
 from oulab.model import isotropic_rates
-from oulab.kernel import _BLOCK_CELLS
+from oulab.semigroup import _BLOCK_CELLS
 from oulab.geometry import _eta_from_r, eta_plateaus
 from oulab.quadrature import hermite_tensor
 from oulab.variation import _turning_points, exceedance
@@ -618,9 +618,9 @@ def test_undecided_block_with_every_tile_decided(monkeypatch):
     p, t = np.argwhere(found)[0]
     seen = []
 
-    def spy(rx, ru):
+    def spy(rx, ru, out=None):
         seen.append(ru.size)
-        return _eta_from_r(rx, ru)
+        return _eta_from_r(rx, ru, out)
 
     monkeypatch.setattr(sg, "_eta_from_r", spy)
     one_t = propagators(model, props.ts[t:t + 1])
@@ -650,9 +650,9 @@ def test_row_blocks_and_slices_do_not_move_the_split(name, order,
     assert max(1, budget // (n_t * props.ts.size)) < xs.shape[0]
     seen = []
 
-    def spy(rx, ru):
+    def spy(rx, ru, out=None):
         seen.append(ru.shape[0])
-        return _eta_from_r(rx, ru)
+        return _eta_from_r(rx, ru, out)
 
     monkeypatch.setattr(semigroup, "_NODE_BUDGET", budget)
     monkeypatch.setattr(semigroup, "_eta_from_r", spy)
