@@ -49,6 +49,8 @@ _BOUND_NAMES = ("kernel-small-t", "dkernel-small-t", "dkernel-large-t",
                 "tail-integral")
 # largest log K whose e^{log K} kernel eval prints; exp overflows at 709.8
 _LOG_MAX = 700.0
+# longest path that variation path --check enumerates (2^16 subsequences)
+_CHECK_MAX = 16
 
 
 _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
@@ -235,8 +237,11 @@ def _cmd_variation_path(args) -> int:
         raise ModelFileError(f"cannot read path file: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise ArgumentRangeError("path values must be finite")
+    if args.check and len(values) > _CHECK_MAX:
+        raise ArgumentRangeError(f"--check enumerates at most {_CHECK_MAX} "
+                                 f"values, got {len(values)}")
     v = variation_values(values, args.rho)
-    if args.check and len(values) <= 16:
+    if args.check:
         ref = variation_exhaustive(values, args.rho)
         if abs(v - ref) > 1e-9 * max(1.0, abs(ref)):
             print(f"{v:.6f} (exhaustive check FAILED: {ref:.6f})")
@@ -448,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="text file of path values")
     src.add_argument("--values", help="inline comma-separated values")
     p.add_argument("--check", action="store_true",
-                   help="cross-check against exhaustive enumeration")
+                   help="cross-check against exhaustive enumeration "
+                        f"(at most {_CHECK_MAX} values)")
     _add_common(p, out=False)
     p.set_defaults(func=_cmd_variation_path)
 

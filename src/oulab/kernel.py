@@ -19,8 +19,8 @@ S = e^{tB^T} Qinf^-1 e^{tB}, whose factors all decay; the direct
 difference Qt^-1 - Qinf^-1 loses every digit to cancellation once t is
 large.
 
-log_kernel_grid returns log K - R(x), without the prefactor e^{R(x)} (up
-to e^{258} on the calibration samples); only log_kernel_pairs adds R(x).
+log_kernel_grid returns log K - R(x), without the prefactor e^{R(x)},
+which every bound and weight divides out; only log_kernel_pairs adds it.
 
 The time slope comes from the backward equation d/dt K = L_x K with
 L = tr(Q D^2)/2 + <Bx, D>.  log K is quadratic in x, with x-gradient
@@ -42,15 +42,14 @@ accumulate in place, so a block of _BLOCK_CELLS pair-time cells holds a
 handful of arrays of its shape, not one per product and sum.  On a grid
 whose times below T_SWITCH come first, as on every sorted grid, log K
 skips the identity factor on each side of the switch: P = I below it and
-R = I above it, and 1 x + 0 x' is x exactly.  The zero counts, the tail
-integral and the bound calibration reduce each block as it is evaluated,
-and keep no (pairs, times) array.
+R = I above it, and 1 x + 0 x' is x exactly.  The zero counts and the
+tail integral reduce each block as it is evaluated, and keep no (pairs,
+times) array; the Gaussian pointwise bounds take no pairs (_log_caps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -230,11 +229,9 @@ def _slope_factors(model: OUModel, props: Propagators) -> tuple:
     return _time_last(C), _time_last(props.N), h0, kappa
 
 
-def _slope_eval(model: OUModel, factors: tuple, x, u, out=(None, None),
-                floor: bool = True):
+def _slope_eval(model: OUModel, factors: tuple, x, u, out=(None, None)):
     """d/dt log K and its rounding floor from the factors of _slope_factors,
-    into the arrays of out where given; the floor is None unless asked
-    for.
+    into the arrays of out where given.
 
     x and u are as in _logk_eval, and every sum is accumulated in place
     as there.  The floor is kappa times the sum of the magnitudes of the
@@ -258,8 +255,6 @@ def _slope_eval(model: OUModel, factors: tuple, x, u, out=(None, None),
     lin = _dot([_dot(model.B[i], x) for i in range(n)], g, q, tmp)
     slope = np.add(h0, half, out=out[0])
     slope += lin
-    if not floor:
-        return slope, None
     # kappa (|h0| + <Q g, g>/2 + |<Bx, g>|)
     half += np.abs(h0)
     half += np.abs(lin, out=lin)
@@ -297,12 +292,19 @@ class ZeroCount:
     stable: bool
 
 
-def _sign_changes(slope: np.ndarray, floor: np.ndarray):
+def _sign_tol(floor: np.ndarray, out=None) -> np.ndarray:
+    """The magnitude up to which a slope value with the given rounding
+    floor counts as zero, max(1e-13, 4 floor) (NaN for a NaN floor), in
+    out when given."""
+    tol = np.multiply(floor, 4.0, out=out)
+    return np.maximum(tol, 1e-13, out=tol)
+
+
+def _sign_changes(slope: np.ndarray, tol: np.ndarray):
     """(row, left column, right column) of every strict sign flip of the
-    rows of slope, (p, m), treating NaN and values within the rounding
-    floor as zero: left and right are neighbouring nonzero signs of one
-    row, with opposite signs."""
-    tol = np.maximum(1e-13, 4.0 * floor)
+    rows of slope, (p, m), treating NaN and values within their tolerance
+    tol (_sign_tol) as zero: left and right are neighbouring nonzero signs
+    of one row, with opposite signs."""
     s = np.where(np.abs(slope) > tol, np.sign(slope), 0).astype(np.int8)
     rows, cols = np.nonzero(s)
     signs = s[rows, cols]
@@ -310,14 +312,14 @@ def _sign_changes(slope: np.ndarray, floor: np.ndarray):
     return rows[1:][flip], cols[:-1][flip], cols[1:][flip]
 
 
-def _flip_counts(slope: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Per row of slope (p, m), the flips _sign_changes counts: a row with no
-    value within its floor flips where neighbouring signs differ."""
+def _flip_counts(slope: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per row of slope (p, m), the flips _sign_changes counts against the
+    tolerance tol: a row with no value within it flips where neighbouring
+    signs differ."""
     pos = slope > 0
     counts = np.count_nonzero(pos[:, 1:] != pos[:, :-1], axis=1)
-    clear = np.abs(slope) > np.maximum(1e-13, 4.0 * floor)
-    near = np.flatnonzero(~clear.all(axis=1))
-    rows, _, _ = _sign_changes(slope[near], floor[near])
+    near = np.flatnonzero(~(np.abs(slope) > tol).all(axis=1))
+    rows, _, _ = _sign_changes(slope[near], tol[near])
     counts[near] = np.bincount(rows, minlength=near.size)
     return counts
 
@@ -339,7 +341,8 @@ def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
     counts = np.empty(X.shape[0], dtype=np.intp)
     factors = _slope_factors(model, propagators(model, grid))
     for rows, xb, ub in _row_blocks(grid.size, X, U):
-        counts[rows] = _flip_counts(*_slope_eval(model, factors, xb, ub))
+        slope, floor = _slope_eval(model, factors, xb, ub)
+        counts[rows] = _flip_counts(slope, _sign_tol(floor, out=floor))
     return counts
 
 
@@ -360,9 +363,10 @@ def count_kdot_zeros(model: OUModel, x, u,
     grid = _scan_grid(t_interval, n_scan)
     fine = _scan_grid(t_interval, 2 * n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
-    count = _flip_counts(slope, floor)[0]
+    tol = _sign_tol(floor)
+    count = _flip_counts(slope, tol)[0]
     stable = count == _scan_counts(model, X, U, fine)[0]
-    _, left, right = _sign_changes(slope, floor)
+    _, left, right = _sign_changes(slope, tol)
     lo, hi, left_sign = grid[left], grid[right], np.sign(slope[0, left])
     while np.max(hi - lo, initial=0.0) > _REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -510,271 +514,88 @@ def admissible_rate(model: OUModel, which: str) -> float:
     return safety * min(cap, natural_rate(model) / safety)
 
 
-def _calibration_sample(model: OUModel, n_samples: int, seed: int):
-    """(x, u) pairs: Gaussian cloud plus deterministic far-field spikes.
+def _log_caps(model: OUModel, which: str, ts: np.ndarray,
+              c: float) -> np.ndarray:
+    """log sup over (x, u) of one Gaussian bound's ratio at rate c, at
+    each time of ts, (m,).  Over e^{R(x)}, the ratios are K t^{n/2}
+    e^{c |y|^2 / t} (kernel-small-t), |dK/dt| t^{n/2} e^{c |y|^2 / t} /
+    (|x| / sqrt t + 1/t) (dkernel-small-t) with y = u - Dt x, and
+    |dK/dt| e^{c |y|^2} / (|x + y| + e^{-ct}) with y = D_{-t} u - x
+    (dkernel-large-t); x and y range over all pairs.
 
-    Spikes sit at evenly spaced positions with radius growing through the
-    sample, so each doubling of the prefix sees strictly more extreme pairs;
-    an inadmissible rate then makes the prefix maxima climb instead of
-    saturating on whichever spike a shuffle happened to put first."""
-    gen = substream(seed, 0)
-    n = model.n
-    x = gen.standard_normal((n_samples, n)) * 2.0
-    u = gen.standard_normal((n_samples, n)) * 2.0
-    # spikes along the least-decaying direction, large |u| and moderate |x|
-    w, v = np.linalg.eigh(model.Qinf_inv)
-    d = v[:, 0]
-    spikes = max(4, n_samples // 100)
-    pos = (np.arange(spikes, dtype=np.int64) * n_samples) // spikes
-    radii = 5.0 + 25.0 * np.arange(spikes) / max(spikes - 1, 1)
-    for k, (i, r) in enumerate(zip(pos, radii)):
-        u[i] = r * d * (1 if k % 2 == 0 else -1)
-        x[i] = (r / 4) * d
-    return x, u
+    log K - R(x) = const - <G y, y>/2, G = A or M, and the Lyapunov
+    equation cancels the x-quadratic of the slope (_slope_factors):
+    d/dt log K = h0 + <Q w, w>/2 - <x, V y>, with w = F y, F = Dt^T A or
+    M and V = Qinf^-1 B Qinf F.  Over x, the slope's ratio to the x
+    factor of the right-hand side is a Moebius function of |x| (of
+    |x + y| for large t), largest at 0 or at infinity: max(t |alpha|,
+    sqrt t |V y|), or max(e^{ct} |alpha + <y, V y>|, |V y|), alpha = h0 +
+    <Q w, w>/2.  Both quadratics are h0 + <H y, y>/2, H = F^T Q F, or for
+    large t N Q N - B^T N - N B, the form of F^T Q F + V + V^T that does
+    not cancel.  With P = G - (2c/t) I or G - 2c I and z = P^{1/2} y the
+    exponent is -|z|^2/2, so the sup of the quadratic term is max(log
+    |h0|, log |h| - 1 + h0/h) over the extreme eigenvalues h of
+    P^{-1/2} H P^{-1/2} with h0/h < 1, that of the linear term log
+    |V P^{-1/2}|_2 - 1/2, and that of kernel-small-t is at y = 0.
 
-
-def _ratio_eval(model: OUModel, which: str, factors: tuple, x, u):
-    """(a, b, dnorm) of one block: everything c-independent in log(true /
-    rhs with C = 1).  At rate c the log ratio is a + c b, less
-    log(dnorm + e^{-ct}) for dkernel-large-t (dnorm is None otherwise).
-
-    x and u are as in _logk_eval; factors are (log K factors, slope
-    factors or None, D, ts), with D = Dt, or D_{-t} for dkernel-large-t,
-    as (n, n, m).  log K enters less R(x): every right-hand side carries
-    the factor e^{R(x)}.  The sums are accumulated in place, in _dot's
-    order."""
-    logk, slope, D, ts = factors
-    n = model.n
-    a = _logk_eval(model, logk, x, u)
-    tmp = np.empty(a.shape)
-    if slope is not None:
-        s, _ = _slope_eval(model, slope, x, u, floor=False)
-        with np.errstate(divide="ignore"):
-            a += np.log(np.abs(s, out=s), out=s)        # log |dK/dt|
-    b, v = np.empty(a.shape), np.empty(a.shape)
-    if which == "dkernel-large-t":
-        # |D_{-t} u - x|^2 and |D_{-t} u|, the squares summed in i order
-        d = np.empty(a.shape)
-        for i in range(n):
-            dv = _dot(D[i], u, v, tmp)
-            sq = np.multiply(dv, dv, out=d if i == 0 else tmp)
-            if i:
-                d += sq
-            dv -= x[i]
-            sq = np.multiply(dv, dv, out=b if i == 0 else tmp)
-            if i:
-                b += sq
-        return a, b, np.sqrt(d, out=d)
-    # |u - Dt x|^2 / t, the squares summed in i order
-    for i in range(n):
-        w = np.subtract(u[i], _dot(D[i], x, v, tmp), out=v)
-        sq = np.multiply(w, w, out=b if i == 0 else tmp)
-        if i:
-            b += sq
-    b /= ts
-    a += 0.5 * n * np.log(ts)
-    if which == "dkernel-small-t":
-        r = np.divide(np.sqrt(_dot(x, x)), np.sqrt(ts), out=v)
-        r += 1.0 / ts
-        a -= np.log(r, out=r)
-    return a, b, None
-
-
-def _ratio_blocks(model: OUModel, which: str, x, u, ts, ends):
-    """(group, a, b, dnorm) of _ratio_eval for blocks of whole rows of the
-    pairs x, u (p, n) against the times ts, in pair order; group k holds
-    the pairs ends[k]:ends[k + 1], and no block spans two groups.
-
-    Every pair meets the same deterministic time grid; the rate test
-    takes a per-pair supremum over it, which removes the sampling noise a
-    random time per pair would add to the max statistic."""
+    Raises RateTooLargeError, naming the critical rate, where P is not
+    positive definite at some time: the ratio is unbounded there."""
     pr = propagators(model, ts)
-    factors = (_logk_factors(model, pr),
-               None if which == "kernel-small-t" else _slope_factors(model,
-                                                                     pr),
-               _time_last(pr.Dmt if which == "dkernel-large-t" else pr.Dt),
-               ts)
-    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
-        for _, xb, ub in _row_blocks(ts.size, x[lo:hi], u[lo:hi]):
-            yield (k, *_ratio_eval(model, which, factors, xb, ub))
-
-
-def _log_ratios(a, b, dnorm, decay, c: float) -> np.ndarray:
-    """The log ratio a + c b of every cell at rate c, less log(dnorm +
-    decay) where the cells carry dnorm (decay: e^{-ct} at their times),
-    formed in one buffer.  Sums and products commute, so the bits are
-    those of a + c b - log(dnorm + decay)."""
-    vals = np.multiply(b, c)
-    vals += a
-    if dnorm is not None:
-        d = np.add(dnorm, decay)
-        vals -= np.log(d, out=d)
-    return vals
-
-
-def _finite_max(vals: np.ndarray, where=True) -> float:
-    """The largest finite value (among those where says), -inf for none."""
-    return float(vals.max(where=np.isfinite(vals) & where, initial=-np.inf))
-
-
-def _live(a, at_hi, top: float, margin: float, spread: float) -> np.ndarray:
-    """The cells that may still set a prefix maximum that is at least top
-    at the bottom of the bracket: a finite a, and a log ratio at its top
-    that is not finite or not below top - margin (1 + |top| + spread)."""
-    return np.isfinite(a) & ~(np.isfinite(at_hi) & (
-        at_hi < top - margin * (1.0 + abs(top) + spread)))
-
-
-def _prefix_max_log_ratios(groups, ts, c: float):
-    """(maxima, ratios) at rate c over flat groups of cells (a, b, dnorm,
-    time column): the largest finite log ratio up to each group (-inf for
-    none), and per group the log ratio of every cell (_log_ratios)."""
-    decay = None if ts is None else np.exp(-c * ts)
-    maxima, ratios, top = [], [], -np.inf
-    for a, b, dnorm, cols in groups:
-        vals = _log_ratios(a, b, dnorm,
-                           None if dnorm is None else decay[cols], c)
-        top = max(top, _finite_max(vals))
-        maxima.append(top)
-        ratios.append(vals)
-    return maxima, ratios
-
-
-def _prune(groups, at_hi, at_lo, margin: float, spread: float):
-    """(groups, at_hi, at_lo) less the cells that are not _live against
-    their group's prefix maximum at lo over the cells whose log ratio at
-    hi is finite; at_hi and at_lo hold the log ratios of the cells."""
-    tops = accumulate((_finite_max(lo, np.isfinite(hi))
-                       for lo, hi in zip(at_lo, at_hi)), max)
-    keeps = [_live(g[0], v, top, margin, spread)
-             for g, v, top in zip(groups, at_hi, tops)]
-    return ([tuple(None if f is None else f[k] for f in g)
-             for g, k in zip(groups, keeps)],
-            [v[k] for v, k in zip(at_hi, keeps)],
-            [v[k] for v, k in zip(at_lo, keeps)])
-
-
-def _flat_group(parts):
-    """One flat group (a, b, dnorm, time column) and its log ratios at hi,
-    joined from the kept (a, b, dnorm, column, ratio) parts of its
-    blocks."""
-    if not parts:
-        return (np.empty(0), np.empty(0), None, None), np.empty(0)
-    *cells, at_hi = (None if f[0] is None else np.concatenate(f)
-                     for f in zip(*parts))
-    return tuple(cells), at_hi
-
-
-def _score_blocks(blocks, n_groups: int, ts, c: float,
-                  hi: float | None = None, margin: float = 0.0):
-    """Score a stream of (group, a, b, dnorm) blocks at rate c as it comes.
-
-    Returns (maxima, groups, at_hi, spread).  maxima are the prefix maxima
-    at c over the n_groups groups, as _prefix_max_log_ratios gives them.
-    Given hi, each block is scored at hi too, and keeps only its cells
-    that are _live against the running maximum at c of the cells with a
-    finite log ratio at hi and the running spread log(max dnorm + 1),
-    both over the blocks so far; groups and at_hi are then the flat
-    groups of the kept cells and their log ratios at hi, and spread is
-    the final one (0 without dnorm).  Without hi they are None and
-    nothing is kept."""
-    decay = None if ts is None else np.exp(-c * ts)
-    decay_hi = None if ts is None or hi is None else np.exp(-hi * ts)
-    tops = [-np.inf] * n_groups
-    kept = [[] for _ in range(n_groups)]
-    top, ref, dmax, spread = -np.inf, -np.inf, -np.inf, 0.0
-    for k, a, b, dnorm in blocks:
-        vals = _log_ratios(a, b, dnorm, decay, c)
-        top = max(top, _finite_max(vals))
-        tops[k] = top
-        if hi is None:
-            continue
-        if dnorm is not None:
-            dmax = np.maximum(dmax, dnorm.max(initial=-np.inf))
-            spread = float(np.log(dmax + 1.0))
-        at_hi = _log_ratios(a, b, dnorm, decay_hi, hi)
-        ref = max(ref, _finite_max(vals, np.isfinite(at_hi)))
-        keep = _live(a, at_hi, ref, margin, spread)
-        kept[k].append((a[keep], b[keep]) + (
-            (None, None) if dnorm is None
-            else (dnorm[keep], np.nonzero(keep)[-1].astype(np.intc)))
-            + (at_hi[keep],))
-    maxima = list(accumulate(tops, max))
-    if hi is None:
-        return maxima, None, None, spread
-    groups, at_hi = zip(*map(_flat_group, kept))
-    return maxima, list(groups), list(at_hi), spread
-
-
-def _prefactor_cap(log_cap) -> float:
-    """e^log_cap; a log cap past the largest double gives inf, quietly."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_cap))
-
-
-def _rate_maxima(blocks, n_groups: int, ts, c: float | None, hi: float,
-                 steps: int, margin: float = 0.0):
-    """(rate, prefix maxima at that rate) over a stream of (group, a, b,
-    dnorm) blocks in pair order, group k the cells that the k-th prefix
-    adds, with times ts for dnorm: c if given, else the largest rate in
-    [0, hi], to `steps` halvings, whose last prefix maximum exceeds the
-    one before it by at most log 1.1.
-
-    The bisection drops cells that can no longer set a prefix maximum.  A
-    cell's log ratio a + c b [- log(dnorm + e^{-ct})] is nondecreasing in c
-    (b >= 0), and every later rate lies in [lo, hi].  So a cell whose ratio
-    at hi is below the maximum at lo of cells that every prefix holding it
-    holds, and whose ratios at hi are finite, stays below each such
-    prefix's maximum: those cells keep a finite ratio, at least their
-    ratio at lo, at every rate in [lo, hi].  (A cell whose ratio overflows
-    at hi drops out of the maxima where it does, so no cell is pruned
-    against it.)  The blocks are scored at 0 and at hi as they come, and a
-    cell is kept only if it is not below the running maximum at 0 of the
-    cells over the blocks so far that are finite at hi: those cells lie in
-    the block's group or before it, so the running maximum is at most the
-    group's, and no (pairs, times) array is formed.  Each step then
-    prunes against the prefix maxima at lo of the kept cells finite at hi.
-    Cells with no finite a go at once; cells with no finite ratio at hi
-    stay.
-    a + c b rounds monotonically in c; exp and log need not, so groups
-    with dnorm take a margin (see _live), whose spread log(max dnorm + 1)
-    runs over the cells seen so far and so bounds the log term of both the
-    dropped cell and the cell that sets the maximum.
-    """
-    if c is not None:
-        return c, _score_blocks(blocks, n_groups, ts, c)[0]
-    lo = 0.0
-    maxima_lo, groups, at_hi, spread = _score_blocks(blocks, n_groups, ts,
-                                                     lo, hi, margin)
-    _, at_lo = _prefix_max_log_ratios(groups, ts, lo)
-    for _ in range(steps):
-        groups, at_hi, at_lo = _prune(groups, at_hi, at_lo, margin, spread)
-        mid = 0.5 * (lo + hi)
-        maxima, at_mid = _prefix_max_log_ratios(groups, ts, mid)
-        if maxima[-1] <= maxima[-2] + np.log(1.1):
-            lo, maxima_lo, at_lo = mid, maxima, at_mid
-        else:
-            hi, at_hi = mid, at_mid
-    return lo, maxima_lo
+    small = which != "dkernel-large-t"
+    shift = 2.0 * c / ts if small else np.full(ts.size, 2.0 * c)
+    lam, vec = np.linalg.eigh((pr.A_small if small else pr.M_large)
+                              - shift[:, None, None] * np.eye(model.n))
+    if not lam[:, 0].min() > 0:
+        crit = 0.5 * np.min((lam[:, 0] + shift) * (ts if small else 1.0))
+        raise RateTooLargeError(
+            f"no finite cap at c={c:g}: the bound's exponent is not "
+            f"negative definite above the critical rate {crit:.3g}")
+    log_t = np.log(ts)
+    const = 0.5 * (model.logdet_Qinf - pr.logdet_Qt)
+    if which == "kernel-small-t":
+        return const + 0.5 * model.n * log_t
+    root = (vec / np.sqrt(lam)[:, None, :]) @ np.swapaxes(vec, -1, -2)
+    N = pr.N
+    if small:
+        F = np.swapaxes(pr.Dt, -1, -2) @ pr.A_small
+        H = np.swapaxes(F, -1, -2) @ model.Q @ F
+    else:
+        F = pr.M_large
+        BN = model.B.T @ N
+        H = N @ model.Q @ N - BN - np.swapaxes(BN, -1, -2)
+    V = model.Qinf_inv @ model.B @ model.Qinf @ F
+    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, N)
+    h = np.linalg.eigvalsh(root @ H @ root)[:, [0, -1]]
+    # a vanishing h0 or h contributes log 0 = -inf, and h0/h >= 1 nothing
+    ratio = np.divide(h0[:, None], h, out=np.full(h.shape, np.inf),
+                      where=h != 0)
+    peak = np.full(h.shape, -np.inf)
+    at = ratio < 1
+    peak[at] = np.log(np.abs(h[at])) - 1.0 + ratio[at]
+    quad = np.maximum(peak.max(axis=1),
+                      np.log(np.abs(h0), out=np.full(h0.shape, -np.inf),
+                             where=h0 != 0))
+    lin = np.log(np.linalg.norm(V @ root, ord=2, axis=(-2, -1))) - 0.5
+    if small:
+        return const + 0.5 * model.n * log_t + np.maximum(
+            log_t + quad, 0.5 * log_t + lin)
+    return const + np.maximum(c * ts + quad, lin)
 
 
 def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                     seed: int = 0, c: float | None = None
                     ) -> BoundCalibration:
-    """Calibrate one of the pointwise kernel bounds on a Monte Carlo grid.
+    """Calibrate one of the pointwise kernel bounds at rate c, by default
+    admissible_rate's.
 
-    For an explicit rate c > 0 the largest observed ratio (true quantity
-    over the c-rate right-hand side) is reported together with a stability
-    flag: at most 10 percent growth when the sample doubles.  Sustained growth
-    across two doublings raises RateTooLarge.  Without c, the largest
-    stable rate is found by bisection below the natural Gaussian rate
-    (_rate_maxima, 30 steps, prefixes of n/4, n/2 and n pairs).  The
-    ratio pieces are evaluated block by block of pairs and scored as they
-    come: a cell is kept only while it is not below the running maximum
-    at rate 0, which no later rate lowers, so memory stays with the cells
-    that can still set a prefix maximum.  dkernel-large-t prunes with a
-    margin of 1e-12 (1 + |max| + log(max dnorm + 1)), the dnorm maximum
-    running over the cells seen so far.
+    For the three Gaussian bounds the cap is the exact supremum of the
+    ratio (true quantity over the c-rate right-hand side) over all (x, u),
+    in closed form (_log_caps), maximised over 48 log-spaced times; it is
+    stable if the cap moves by at most 10 percent when the time grid
+    doubles.  A rate at which the supremum is infinite at some time of
+    either grid raises RateTooLargeError with the critical rate.
+    n_samples and seed feed only the sampled tail-integral bound
+    (_calibrate_tail_integral).
     """
     if which not in BOUND_NAMES:
         raise BadOrderError(f"unknown bound name {which!r}")
@@ -784,24 +605,16 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         raise ArgumentRangeError(f"rate must be positive, got {c:g}")
     if which == "tail-integral":
         return _calibrate_tail_integral(model, n_samples, seed)
-    x, u = _calibration_sample(model, n_samples, seed)
-    if which in ("kernel-small-t", "dkernel-small-t"):
-        ts = np.geomspace(1e-6, 1.0, 48)
-    else:
-        ts = np.geomspace(1.0, _T_LARGE, 48)
-    ends = (0, n_samples // 4, n_samples // 2, n_samples)
-    margin = 1e-12 if which == "dkernel-large-t" else 0.0
-    rate, (m4, m2, m1) = _rate_maxima(
-        _ratio_blocks(model, which, x, u, ts, ends), len(ends) - 1, ts, c,
-        natural_rate(model), 30, margin)
-    stable = bool(m1 <= m2 + np.log(1.1))
-    if c is not None and (not stable and m2 > m4 + np.log(1.1)
-                          or not np.isfinite(m1)):
-        raise RateTooLargeError(
-            f"ratios diverge at c={c:g}; admissible rate is "
-            f"{admissible_rate(model, which):.4g}")
-    return BoundCalibration(which=which, exponent_rate=float(rate),
-                            prefactor_cap=_prefactor_cap(m1), stable=stable)
+    rate = admissible_rate(model, which) if c is None else float(c)
+    span = (1.0, _T_LARGE) if which == "dkernel-large-t" else (1e-6, 1.0)
+    caps = _log_caps(model, which, np.concatenate(
+        [np.geomspace(*span, 48), np.geomspace(*span, 96)]), rate)
+    cap, fine = caps[:48].max(), caps[48:].max()
+    with np.errstate(over="ignore"):        # a cap past the largest double
+        prefactor_cap = float(np.exp(cap))
+    return BoundCalibration(which=which, exponent_rate=rate,
+                            prefactor_cap=prefactor_cap,
+                            stable=bool(abs(fine - cap) <= np.log(1.1)))
 
 
 def _calibrate_tail_integral(model: OUModel, n_samples: int,
@@ -838,8 +651,12 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int,
 
 def kernel_bounds_probe(model: OUModel, n_samples: int = 10_000,
                         seed: int = 0) -> "ProbeReport":
-    """Every bound in BOUND_NAMES calibrated on one sample: its rate, its
-    prefactor cap, and whether the cap is finite and stable."""
+    """Every bound in BOUND_NAMES calibrated (calibrate_bound): its rate,
+    its prefactor cap, and whether the cap is finite and stable.  The
+    three Gaussian caps are exact suprema, stable if they move by at most
+    10 percent when the time grid doubles; n_samples and seed feed only
+    the sampled tail-integral bound, stable under sample and grid
+    doubling."""
     from .report import ProbeReport
     rows, stats, flags = [], {}, {}
     for w in BOUND_NAMES:
@@ -855,7 +672,7 @@ def kernel_bounds_probe(model: OUModel, n_samples: int = 10_000,
         name="kernel-bounds",
         claim=("each pointwise kernel estimate holds with a finite "
                "prefactor at its calibrated Gaussian rate, stable under "
-               "sample doubling"),
+               "grid doubling"),
         inputs={"samples": n_samples},
         statistics=stats,
         tables={"calibrations": rows},

@@ -424,6 +424,31 @@ def _difference_ratio_pieces(model, x, u, ts):
     return logdiff, qd / ts
 
 
+def _difference_rate(a, b, half: int, c: float | None):
+    """(rate, (m_half, m_full)): the largest finite log ratio a + rate b
+    over the first half of the cells and over all of them, at c if given,
+    else at the largest rate in [0, 0.45], to 25 halvings, at which m_full
+    exceeds m_half by at most log 1.1."""
+    def maxima(rate):
+        vals = np.multiply(b, rate)
+        vals += a
+        vals[~np.isfinite(vals)] = -np.inf
+        return (float(vals[:half].max(initial=-np.inf)),
+                float(vals.max(initial=-np.inf)))
+
+    if c is not None:
+        return c, maxima(c)
+    lo, hi, best = 0.0, 0.45, maxima(0.0)
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        m = maxima(mid)
+        if m[1] <= m[0] + np.log(1.1):
+            lo, best = mid, m
+        else:
+            hi = mid
+    return lo, best
+
+
 def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
                             sample_size: int = 400, x_points: int = 96,
                             seed: int = 0) -> "ProbeReport":
@@ -435,11 +460,10 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     for some c < 1/2; squaring and summing over dyadic times then bounds
     the v(2) seminorm of the gap chain by the L^2 norm of the input.
     Without c, a 25-step bisection on [0, 0.45] calibrates it
-    (kernel._rate_maxima on the first half of the sample and the whole).
+    (_difference_rate on the first half of the sample and the whole).
     """
     from .report import ProbeReport
     from .errors import RateTooLargeError
-    from .kernel import _rate_maxima
     n = model.n
     if n != 1:
         raise DimensionError("difference bound is probed for n = 1")
@@ -457,9 +481,7 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     ts = np.exp(substream(seed, 13).uniform(math.log(1e-6), 0.0,
                                             sample_size))
     a, b = _difference_ratio_pieces(model, xs, us, ts)
-    half = sample_size // 2
-    blocks = [(0, a[:half], b[:half], None), (1, a[half:], b[half:], None)]
-    c, (lr_half, lr_full) = _rate_maxima(blocks, 2, None, c, 0.45, 25)
+    c, (lr_half, lr_full) = _difference_rate(a, b, sample_size // 2, c)
     if not np.isfinite(lr_full) or lr_full > math.log(1.5) + lr_half:
         raise RateTooLargeError(f"rate {c} is unstable under doubling")
     try:

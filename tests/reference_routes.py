@@ -172,11 +172,47 @@ def tail_tv_allocating(model, grid, x, u):
     return np.abs(np.diff(np.exp(lk), axis=1)).sum(axis=1)
 
 
+def slope_lyapunov(model, props, x, u):
+    """d/dt log K for every pair of x, u (p, n) and every time of props,
+    (p, m), by the form in which the Lyapunov equation has cancelled the
+    x-quadratic: h0 + <Q w, w>/2 - <x, V y> with w = F y and V = Qinf^-1
+    B Qinf F.  Up to T_SWITCH y = u - Dt x and F = Dt^T A.  Above it y =
+    D_{-t} u - x and F = M, and the terms of <Q w, w>/2 + <y, V y> that
+    the Lyapunov equation cancels once more are left out: with x = z - y,
+    z = D_{-t} u, the slope is h0 + <H y, y>/2 - <z, V y>, H = N Q N -
+    B^T N - N B.  The sums run in extended precision, so that the route's
+    own rounding stays below the package's slope floor."""
+    ld = np.longdouble
+    small = props.ts <= T_SWITCH
+    Q, B = model.Q.astype(ld), model.B.astype(ld)
+    x, u = np.asarray(x, dtype=ld), np.asarray(u, dtype=ld)
+    Dt, Dmt, N = (a.astype(ld) for a in (props.Dt, props.Dmt, props.N))
+    F = np.where(small[:, None, None],
+                 np.einsum("mji,mjk->mik", Dt, props.A_small.astype(ld)),
+                 props.M_large.astype(ld))
+    V = np.einsum("ij,jk,kl,mlp->mip", model.Qinf_inv.astype(ld), B,
+                  model.Qinf.astype(ld), F)
+    z = np.einsum("mij,pj->pmi", Dmt, u)
+    y = np.where(small[None, :, None],
+                 u[:, None, :] - np.einsum("mij,pj->pmi", Dt, x),
+                 z - x[:, None, :])
+    BN = np.einsum("ji,mjk->mik", B, N)
+    H = np.where(small[:, None, None],
+                 np.einsum("mji,jk,mkl->mil", F, Q, F),
+                 np.einsum("mij,jk,mkl->mil", N, Q, N)
+                 - BN - np.swapaxes(BN, 1, 2))
+    lin = np.where(small[None, :, None], x[:, None, :], z)
+    h0 = -0.5 * np.einsum("ij,mji->m", Q, N)
+    return (h0 + 0.5 * np.einsum("pmi,mij,pmj->pm", y, H, y)
+            - np.einsum("pmi,mij,pmj->pm", lin, V, y)).astype(float)
+
+
 def ratio_pieces_einsum(model, which, x, u, ts):
-    """calibrate_bound's c-independent pieces (a, b, dnorm) on the whole
-    (pairs, times) grid, by the einsum contractions the package used before
-    it built them block by block: at rate c the log ratio is a + c b, less
-    log(dnorm + e^{-ct}) for dkernel-large-t (dnorm None otherwise)."""
+    """The c-independent pieces (a, b, dnorm) of a Gaussian bound's ratio
+    (kernel._log_caps) on the whole (pairs, times) grid, from the package's
+    log_kernel_grid and logk_time_slope_grid and einsum contractions: at
+    rate c the log ratio is a + c b, less log(dnorm + e^{-ct}) for
+    dkernel-large-t (dnorm None otherwise)."""
     pr = propagators(model, ts)
     lk = log_kernel_grid(model, pr, x, u)
     if which != "kernel-small-t":
@@ -194,6 +230,85 @@ def ratio_pieces_einsum(model, which, x, u, ts):
         a = a - np.log(1.0 / ts[None, :] + np.linalg.norm(x, axis=1)[:, None]
                        / np.sqrt(ts)[None, :])
     return a, b, None
+
+
+def sampled_log_ratio(model, which, x, u, ts, c):
+    """A Gaussian bound's log ratio at rate c for every pair of x, u (p, n)
+    and every time of ts, (p, m), from ratio_pieces_einsum."""
+    a, b, dnorm = ratio_pieces_einsum(model, which, x, u, ts)
+    vals = a + c * b
+    if dnorm is not None:
+        vals = vals - np.log(dnorm + np.exp(-c * ts))
+    return vals
+
+
+def calibration_pairs(model, n_samples: int, seed: int):
+    """(x, u) pairs for the bound ratios: 2 N(0, I) pairs, and one in a
+    hundred replaced by a far spike along the least-decaying direction d
+    of Qinf^-1: u = +-r d with r from 5 to 30 and alternating sign, and
+    x = r d / 4."""
+    gen = np.random.default_rng(seed)
+    x = 2.0 * gen.standard_normal((n_samples, model.n))
+    u = 2.0 * gen.standard_normal((n_samples, model.n))
+    d = np.linalg.eigh(model.Qinf_inv)[1][:, 0]
+    spikes = max(4, n_samples // 100)
+    pos = np.arange(spikes) * n_samples // spikes
+    radii = np.linspace(5.0, 30.0, spikes) * (-1.0) ** np.arange(spikes)
+    u[pos] = radii[:, None] * d
+    x[pos] = np.abs(radii)[:, None] * d / 4.0
+    return x, u
+
+
+def bound_maximisers(model, which, ts, c, radius: float = 1e6):
+    """Candidate maximisers (x, u), (4, m, n) each, of a Gaussian bound's
+    ratio at rate c at every time of ts, from the closed form of
+    kernel._log_caps derived anew.  In the bound's variable y (u - Dt x,
+    or D_{-t} u - x for dkernel-large-t) the candidates are y = 0, y at
+    the stationary radius of the quadratic term along the extreme
+    eigenvectors of P^{-1/2} H P^{-1/2}, and y along the top singular
+    direction of V P^{-1/2}.  The quadratic term peaks at |x| = 0 (small
+    t) or D_{-t} u = 0 (large t), and the linear one as that norm grows:
+    it is taken at radius, along -sign(alpha) V y."""
+    pr = propagators(model, ts)
+    m, n = ts.size, model.n
+    small = which != "dkernel-large-t"
+    shift = 2.0 * c / ts if small else np.full(m, 2.0 * c)
+    lam, vec = np.linalg.eigh((pr.A_small if small else pr.M_large)
+                              - shift[:, None, None] * np.eye(n))
+    root = np.einsum("mij,mj,mkj->mik", vec, lam ** -0.5, vec)
+    F = (np.einsum("mji,mjk->mik", pr.Dt, pr.A_small) if small
+         else pr.M_large)
+    V = np.einsum("ij,jk,kl,mlp->mip", model.Qinf_inv, model.B, model.Qinf,
+                  F)
+    H = np.einsum("mji,jk,mkl->mil", F, model.Q, F)
+    if not small:
+        H = H + V + np.swapaxes(V, 1, 2)
+    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, pr.N)
+    hs, es = np.linalg.eigh(np.einsum("mij,mjk,mkl->mil", root, H, root))
+    zs = [np.zeros((m, n))]
+    for j in (0, -1):
+        s = 2.0 * np.maximum(1.0 - h0 / hs[:, j], 0.0)
+        zs.append(np.sqrt(s)[:, None] * es[:, :, j])
+    zs.append(np.linalg.svd(np.einsum("mij,mjk->mik", V, root))[2][:, 0, :])
+    xs, us = [], []
+    for k, z in enumerate(zs):
+        y = np.einsum("mij,mj->mi", root, z)
+        v = np.zeros((m, n))
+        if k == len(zs) - 1:
+            w = np.einsum("mij,mj->mi", F, y)
+            vy = np.einsum("mij,mj->mi", V, y)
+            alpha = h0 + 0.5 * np.einsum("mi,ij,mj->m", w, model.Q, w)
+            if not small:
+                alpha = alpha + np.einsum("mi,mi->m", y, vy)
+            v = np.where(alpha < 0, 1.0, -1.0)[:, None] * radius * vy \
+                / np.linalg.norm(vy, axis=1)[:, None]
+        if small:
+            xs.append(v)
+            us.append(y + np.einsum("mij,mj->mi", pr.Dt, v))
+        else:
+            xs.append(v - y)
+            us.append(np.einsum("mij,mj->mi", pr.Dt, v))
+    return np.array(xs), np.array(us)
 
 
 def adaptive_integral(f, measure, half_width: float = 10.0) -> float:

@@ -53,7 +53,7 @@ def test_bad_kernel_sizes_exit_one_before_any_work(argv, tmp_path, capsys,
     def no_work(*args):
         raise AssertionError("ran before the size check")
 
-    for name in ("propagators", "_calibration_sample"):
+    for name in ("propagators", "_log_caps"):
         monkeypatch.setattr(kernel_mod, name, no_work)
     monkeypatch.chdir(tmp_path)
     code = main(["kernel", argv[0], "--model", "standard1", *argv[1:]])
@@ -267,16 +267,22 @@ def test_combined_torus_qian_is_read_from_the_single_n_reports(tmp_path,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_kernel_bounds_verb_fails_on_an_infinite_cap(capsys):
-    # on general2 the small-t bisection reaches the natural rate with an
-    # infinite cap; probe kernel-bounds fails it through its finite flag
+def test_kernel_bounds_verb_names_the_critical_rate(capsys):
+    # general2's Gaussian caps are finite at their default rates
     model = str(Path(__file__).resolve().parents[1] / "bench" / "models"
                 / "general2.json")
-    code = main(["kernel", "bounds", "--model", model, "--which",
-                 "kernel-small-t"])
-    out = capsys.readouterr().out
-    assert "prefactor cap = inf, stable = True" in out
-    assert code == 2
+    for which in ("kernel-small-t", "dkernel-small-t", "dkernel-large-t"):
+        assert main(["kernel", "bounds", "--model", model, "--which",
+                     which]) == 0
+        out = capsys.readouterr().out
+        assert "stable = True" in out and "cap = inf" not in out
+    # above standard1's critical rate 1 / (2 (e^2 - 1)), set at t = 1, the
+    # supremum is infinite: the verb fails and names the critical rate
+    code = main(["kernel", "bounds", "--model", "standard1", "--which",
+                 "dkernel-small-t", "--rate", "0.2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "bound failed" in err and "critical rate 0.0783" in err
 
 
 def test_kernel_bounds_verb_and_probe_print_one_calibration(tmp_path,
@@ -359,6 +365,25 @@ def test_variation_path_refuses_non_finite_values(values, monkeypatch,
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert "error: path values must be finite" in err
+
+
+def test_variation_path_check_refuses_more_than_16_values(monkeypatch,
+                                                         capsys):
+    # the exhaustive check enumerates 2^n subsequences; past 16 values it
+    # is refused before any work, not skipped with exit 0
+    from oulab import variation
+
+    def no_work(*args):
+        raise AssertionError("the variation ran")
+
+    monkeypatch.setattr(variation, "variation_values", no_work)
+    values = ",".join(str(v) for v in range(20))
+    code = main(["variation", "path", "--rho", "2", "--values", values,
+                 "--check"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "oulab: error: --check enumerates at most 16 values, got 20" \
+        in err
 
 
 def test_variation_path_refuses_non_finite_values_in_a_file(tmp_path,

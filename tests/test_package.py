@@ -92,6 +92,32 @@ def test_every_top_level_definition_has_a_caller():
     assert unused == []
 
 
+def test_every_top_level_function_is_referenced_in_the_package():
+    """No function without a caller, within the package alone: every
+    top-level function of src/oulab is read, or named by a string such as
+    a lazy export, somewhere in src/oulab outside its own definition.  A
+    function that only the bench or the tests call is dead package code.
+    The module hooks __getattr__ and __dir__ are called by the language."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    seen = []                   # (names, the top-level node they sit in)
+    for tree in trees.values():
+        for node in tree.body:
+            names = _used_names([node]) | {
+                sub.value for sub in ast.walk(node)
+                if isinstance(sub, ast.Constant)
+                and isinstance(sub.value, str)}
+            seen.append((names, node))
+    unreferenced = [
+        f"{path.name}:{node.name}" for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in ("__getattr__", "__dir__")
+        and not any(node.name in names for names, owner in seen
+                    if owner is not node)]
+    assert unreferenced == []
+
+
 def _is_dataclass(node) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
