@@ -27,9 +27,10 @@ and exit on their own check.
 
 Exit codes: 0 success / probe passed, 1 usage or configuration error,
 2 probe ran but its statistic failed the stated criterion.  Reports and
-plot CSVs land under --out and are written atomically; timing goes to
-stderr so identical runs produce identical files.  OULAB_THREADS sets
-the default BLAS thread count; --threads overrides it.
+plot CSVs land under --out and are written atomically; timing, and the
+route that kernel zeros took, go to stderr so identical runs produce
+identical files.  OULAB_THREADS sets the default BLAS thread count;
+--threads overrides it.
 """
 
 from __future__ import annotations
@@ -206,6 +207,10 @@ def _cmd_kernel_zeros(args) -> int:
     for t in zc.zeros:
         print(f"  zero near t = {t:.10g}")
     print("grid-doubling stable:", "yes" if zc.stable else "NO")
+    # stdout stays as the scan printed it; the route goes with the timing
+    print(f"zero-count route: {zc.route}"
+          + ("" if zc.degree is None else f", degree {zc.degree}"),
+          file=sys.stderr)
     return 0 if zc.stable else 2
 
 
@@ -431,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--t-lo", type=float, default=1e-8)
     p.add_argument("--t-hi", type=float, default=1.0)
-    p.add_argument("--scan", type=int, default=4096)
+    p.add_argument("--scan", type=int, default=4096,
+                   help="scan points, on the scan route only: models whose "
+                        "B has eigenvalues -k_i b with small integers k_i "
+                        "take the exact slope polynomial and ignore it")
     _add_common(p, out=False)
     p.set_defaults(func=_cmd_kernel_zeros)
     p = sub.add_parser("bounds", help="calibrate a pointwise bound")

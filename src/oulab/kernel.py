@@ -42,9 +42,18 @@ accumulate in place, so a block of _BLOCK_CELLS pair-time cells holds a
 handful of arrays of its shape, not one per product and sum.  On a grid
 whose times below T_SWITCH come first, as on every sorted grid, log K
 skips the identity factor on each side of the switch: P = I below it and
-R = I above it, and 1 x + 0 x' is x exactly.  The zero counts and the
-tail integral reduce each block as it is evaluated, and keep no (pairs,
-times) array; the Gaussian pointwise bounds take no pairs (_log_caps).
+R = I above it, and 1 x + 0 x' is x exactly.  The zero scan and the tail
+integral reduce each block as it is evaluated, and keep no (pairs, times)
+array; the Gaussian pointwise bounds take no pairs (_log_caps).
+
+The zeros of t -> dK/dt take one of two routes, chosen by the model.
+Where B's eigenvalues are -k_i b with small integers k_i
+(model.commensurate_rates; general2 and the standard models), they are
+exactly the roots of a polynomial N in tau = 1 - e^{-bt}, of degree
+4 sum k - 2n + 1 (kdot_polynomial): the count is the sign changes of N
+at the midpoints between its roots' real parts, and needs no time grid.  On
+every other model the slope is scanned on a log grid and the count is
+called stable if the doubled grid gives the same one.
 """
 
 from __future__ import annotations
@@ -55,8 +64,8 @@ import numpy as np
 
 from .errors import (ArgumentRangeError, BadOrderError,
                      NonPositiveTimeError, RateTooLargeError)
-from .model import (OUModel, Propagators, T_SWITCH, isotropic_rates,
-                    propagators, quadratic_r)
+from .model import (OUModel, Propagators, T_SWITCH, commensurate_rates,
+                    isotropic_rates, propagators, quadratic_r)
 from .rng import substream
 
 # pair-time cells per evaluation block of a grid route, whole rows of few
@@ -279,9 +288,10 @@ def logk_time_slope_grid(model: OUModel, props: Propagators, x, u
 
 
 # ---------------------------------------------------------------------------
-# zeros of t -> dK/dt on (0, 1]
+# zeros of t -> dK/dt on an interval, (0, 1] by default
 
-# bisection stops once every bracket of a zero is narrower than this
+# on the scan route, bisection stops once every bracket of a zero is
+# narrower than this
 _REFINE_WIDTH = 1e-10
 
 
@@ -290,6 +300,8 @@ class ZeroCount:
     count: int
     zeros: np.ndarray
     stable: bool
+    route: str                  # "polynomial" or "scan"
+    degree: int | None          # of the slope polynomial; None on the scan
 
 
 def _sign_tol(floor: np.ndarray, out=None) -> np.ndarray:
@@ -324,14 +336,14 @@ def _flip_counts(slope: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _scan_grid(t_interval: tuple[float, float], n_scan: int) -> np.ndarray:
-    """The log-spaced scan grid of n_scan times over the interval."""
+def _check_scan(t_interval: tuple[float, float], n_scan: int) -> None:
+    """Refuse an interval that is not 0 < t_lo < t_hi < inf, and n_scan
+    below 2, alike on both zero-count routes."""
     t_lo, t_hi = t_interval
-    if t_lo <= 0 or t_hi <= t_lo:
-        raise NonPositiveTimeError("need 0 < t_lo < t_hi")
+    if not 0 < t_lo < t_hi < np.inf:
+        raise NonPositiveTimeError("need 0 < t_lo < t_hi, both finite")
     if n_scan < 2:
         raise ArgumentRangeError("the zero scan needs at least 2 times")
-    return np.geomspace(t_lo, t_hi, n_scan)
 
 
 def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
@@ -346,22 +358,216 @@ def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
     return counts
 
 
+# The exact route.  Where B's eigenvalues are -k_i b with small integers
+# k_i (model.commensurate_rates), put tau = 1 - s, s = e^{-bt}, which runs
+# from 0 to 1 as t does from 0 to infinity, and v = u - e^{tB} x.  In B's
+# eigenvector coordinates (V^-1 a, V^-1 a V^-T) e^{tB} is diag((1 -
+# tau)^k_i) and Qt = tau W with W_ij = Qinf_ij g_{k_i + k_j}, g_m = (1 -
+# (1 - tau)^m) / tau, so Qt never forms the cancelling difference Qinf -
+# e^{tB} Qinf e^{tB^T}.  With d = det W, of degree D = 2 sum k - n, and
+# a = <adj W v, v>, of degree D + 1,
+#
+#     log K = const - (n log tau + log d) / 2 - a / (2 tau d),
+#
+# and since dtau/dt = b s > 0, d/dt log K has the sign of d/dtau log K,
+# which is -N / (2 tau^2 d^2) with the polynomial
+#
+#     N = n tau d^2 + tau^2 d d' + tau d a' - (tau d' + d) a.
+#
+# Its a-terms cancel at tau^{2D+1}, so N has degree 2D + 1 exactly, with
+# leading coefficient (n + D) lead(d)^2: 9 on general2, 2n + 1 on the
+# standard models.  a is quadratic in (u - x, x), so N's coefficients are
+# one product of the pair's quadratic features with a per-model matrix.
+# With u - x kept apart, the constant coefficient -d(0) <adj W(0)(u - x),
+# u - x> carries no cancellation at small t.
+
+
+def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for 1-D coefficient arrays, lowest power first."""
+    out = np.zeros(max(a.size, b.size))
+    out[:a.size] += a
+    out[:b.size] += b
+    return out
+
+
+def _poly_deriv(a: np.ndarray) -> np.ndarray:
+    """a' for a 1-D coefficient array, lowest power first."""
+    return a[1:] * np.arange(1, a.size) if a.size > 1 else np.zeros(1)
+
+
+def _times_tau(a: np.ndarray) -> np.ndarray:
+    """tau a for a 1-D coefficient array, lowest power first."""
+    return np.concatenate([[0.0], a])
+
+
+def _poly_det(M: list) -> np.ndarray:
+    """det M for a square list of rows of polynomials (1-D coefficient
+    arrays, lowest power first), by cofactors along the first row; 1 for
+    an empty M."""
+    if not M:
+        return np.ones(1)
+    det = np.zeros(1)
+    for j, entry in enumerate(M[0]):
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        det = _poly_add(det, (-1.0) ** j * np.convolve(entry,
+                                                       _poly_det(minor)))
+    return det
+
+
+def _one_minus_power(m: int) -> np.ndarray:
+    """1 - (1 - tau)^m, lowest power first (its constant term is 0)."""
+    p = np.ones(1)
+    for _ in range(m):
+        p = np.convolve(p, [1.0, -1.0])
+    p[0] = 0.0
+    return -p
+
+
+def _kdot_poly_factors(model: OUModel, rates: tuple) -> tuple:
+    """The per-model part of N (see above): (Vinv, rows, const), so that
+    a pair's coefficients, lowest power first, are feats @ rows + const
+    for feats the products (u - x)~_i (u - x)~_j, (u - x)~_i x~_j and
+    x~_i x~_j in that order, ~ being Vinv applied."""
+    _, k = rates
+    n = model.n
+    vinv = np.real(model.eig_vecs_inv)
+    q = vinv @ model.Qinf @ vinv.T
+    W = [[q[i, j] * _one_minus_power(k[i] + k[j])[1:] for j in range(n)]
+         for i in range(n)]
+    d = _poly_det(W)
+    tau_d = _times_tau(d)
+    # adj W_ij is the (j, i) cofactor
+    adj = [[(-1.0) ** (i + j) * _poly_det(
+        [row[:i] + row[i + 1:] for r, row in enumerate(W) if r != j])
+        for j in range(n)] for i in range(n)]
+    # v~_i = (u - x)~_i + (1 - (1 - tau)^k_i) x~_i
+    grow = [_one_minus_power(ki) for ki in k]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    parts = ([adj[i][j] for i, j in pairs]
+             + [2.0 * np.convolve(adj[i][j], grow[j]) for i, j in pairs]
+             + [np.convolve(np.convolve(adj[i][j], grow[i]), grow[j])
+                for i, j in pairs])
+    # N = tau d (n d + tau d') + tau d a' - (tau d' + d) a
+    const = np.convolve(tau_d, _poly_add(n * d, _times_tau(_poly_deriv(d))))
+    rows = np.zeros((len(parts), const.size))
+    for row, a in zip(rows, parts):
+        term = _poly_add(np.convolve(tau_d, _poly_deriv(a)),
+                         -np.convolve(_poly_deriv(tau_d), a))
+        row[:term.size] = term
+    # the a-terms of tau^{2D+1} cancel exactly; drop their rounding
+    rows[:, -1] = 0.0
+    return vinv, rows, const
+
+
+def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomial N in tau = 1 - e^{-bt} whose roots in tau are the
+    zeros of t -> d/dt K_t(x, u), for every pair of X, U (p, n), on a
+    model with a commensurate real spectrum (model.commensurate_rates,
+    taken as given when rates is passed); d/dt log K has the sign of -N.
+
+    Returns (coef, mag), each (p, deg + 1) with the lowest power first:
+    the coefficients, of exact degree deg = 4 sum k - 2n + 1, and the
+    sums of their terms in absolute value, which bound what their
+    rounding errors scale with.  See the comment above for the form."""
+    rates = commensurate_rates(model) if rates is None else rates
+    if rates is None:
+        raise ArgumentRangeError("the slope polynomial needs B's eigenvalues "
+                                 "to be -k_i b with small integers k_i")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    vinv, rows, const = _kdot_poly_factors(model, rates)
+    dx, x = (U - X) @ vinv.T, X @ vinv.T
+    feats = np.concatenate([(a[:, :, None] * c[:, None, :]).reshape(
+        X.shape[0], -1) for a, c in ((dx, dx), (dx, x), (x, x))], axis=1)
+    return (feats @ rows + const,
+            np.abs(feats) @ np.abs(rows) + np.abs(const))
+
+
+def _horner(coef: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Each row's polynomial (coef lowest power first) at that row of ts."""
+    acc = np.repeat(coef[:, -1:], ts.shape[1], axis=1)
+    for j in range(coef.shape[1] - 2, -1, -1):
+        acc *= ts
+        acc += coef[:, j, None]
+    return acc
+
+
+def _poly_signs(coef: np.ndarray, mag: np.ndarray, lo: float, hi: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, values, tol) that decide each row's sign changes on
+    [lo, hi]: the ends, and the midpoints between consecutive real parts
+    of the roots (batched companion eigenvalues) clipped to [lo, hi], with
+    each value's rounding tolerance.
+
+    Neighbouring real roots always have a point between them, so
+    _flip_counts counts every simple root once.  A complex pair puts a
+    point at its real part, so a double root counts 0 or 2 by the sign
+    there, also when rounding returns it as a complex pair.  A row with a
+    non-finite coefficient evaluates to NaN, which counts no flip."""
+    p, deg = coef.shape[0], coef.shape[1] - 1
+    comp = np.zeros((p, deg, deg))
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
+    comp[~np.isfinite(comp).all(axis=(1, 2))] = 0.0
+    cuts = np.sort(np.clip(np.linalg.eigvals(comp).real, lo, hi), axis=1)
+    ends = np.concatenate([np.full((p, 1), lo), cuts, np.full((p, 1), hi)],
+                          axis=1)
+    pts = np.concatenate([ends[:, :1], 0.5 * (ends[:, 1:] + ends[:, :-1]),
+                          ends[:, -1:]], axis=1)
+    tol = _horner(mag, pts)
+    tol *= 8 * deg * np.finfo(float).eps
+    return pts, _horner(coef, pts), tol
+
+
+def _poly_route(model: OUModel, rates: tuple, X, U,
+               t_interval: tuple[float, float]) -> tuple:
+    """(coef, points, values, tol) of the exact route on the interval, in
+    tau (_poly_signs)."""
+    coef, mag = kdot_polynomial(model, X, U, rates)
+    lo, hi = -np.expm1(-rates[0] * np.asarray(t_interval, dtype=float))
+    return (coef, *_poly_signs(coef, mag, lo, hi))
+
+
 def count_kdot_zeros(model: OUModel, x, u,
                      t_interval: tuple[float, float] = (1e-8, 1.0),
                      n_scan: int = 4096) -> ZeroCount:
     """Count sign changes of t -> dK/dt(x, u) on the interval, and locate
     them.
 
-    The count and its stability are count_kdot_zeros_batch's on the one
-    pair: the flips of one scan of the slope (_flip_counts), compared with
-    those on the doubled grid.  The same scan gives the brackets, and each
-    flip is refined by bisection, every bracket at once: the slope at the
-    midpoints is logk_time_slope_grid's with the midpoints as its times.
+    On a model with a commensurate real spectrum (commensurate_rates)
+    the count is exact: the sign changes of the slope polynomial
+    (kdot_polynomial) on the interval, each zero bisected on it to the
+    last bit of tau; stable is true by construction and n_scan plays no
+    part.  On every other model the count and its stability are
+    count_kdot_zeros_batch's on the one pair: the flips of one scan of
+    the slope (_flip_counts), compared with those on the doubled grid.
+    The same scan gives the brackets, and each flip is refined by
+    bisection, every bracket at once: the slope at the midpoints is
+    logk_time_slope_grid's with the midpoints as its times.
     """
+    _check_scan(t_interval, n_scan)
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
-    grid = _scan_grid(t_interval, n_scan)
-    fine = _scan_grid(t_interval, 2 * n_scan)
+    rates = commensurate_rates(model)
+    if rates is not None:
+        coef, pts, val, tol = _poly_route(model, rates, X, U, t_interval)
+        _, left, right = _sign_changes(val, tol)
+        lo, hi, left_sign = pts[0, left], pts[0, right], np.sign(val[0, left])
+        coef = np.repeat(coef, left.size, axis=0)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not ((lo < mid) & (mid < hi)).any():
+                break
+            same = np.sign(_horner(coef, mid[:, None])[:, 0]) == left_sign
+            lo = np.where(same, mid, lo)
+            hi = np.where(same, hi, mid)
+        return ZeroCount(count=int(left.size),
+                         zeros=np.sort(-np.log1p(-mid) / rates[0]),
+                         stable=True, route="polynomial",
+                         degree=coef.shape[1] - 1)
+    grid = np.geomspace(*t_interval, n_scan)
+    fine = np.geomspace(*t_interval, 2 * n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
     tol = _sign_tol(floor)
     count = _flip_counts(slope, tol)[0]
@@ -375,19 +581,26 @@ def count_kdot_zeros(model: OUModel, x, u,
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return ZeroCount(count=int(count), zeros=np.sort(0.5 * (lo + hi)),
-                     stable=bool(stable))
+                     stable=bool(stable), route="scan", degree=None)
 
 
 def count_kdot_zeros_batch(model: OUModel, X, U,
                            t_interval: tuple[float, float] = (1e-8, 1.0),
                            n_scan: int = 4096):
     """Zero counts for many pairs at once; returns (counts, stable mask).
-    The count is rerun on a doubled grid and a pair is unstable if its
-    count moves."""
+    On a model with a commensurate real spectrum the counts are exact
+    (count_kdot_zeros) and every pair is stable; on every other model the
+    count is rerun on a doubled grid and a pair is unstable if its count
+    moves."""
+    _check_scan(t_interval, n_scan)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    grid = _scan_grid(t_interval, n_scan)
-    fine = _scan_grid(t_interval, 2 * n_scan)
+    rates = commensurate_rates(model)
+    if rates is not None:
+        _, _, val, tol = _poly_route(model, rates, X, U, t_interval)
+        return _flip_counts(val, tol), np.ones(X.shape[0], dtype=bool)
+    grid = np.geomspace(*t_interval, n_scan)
+    fine = np.geomspace(*t_interval, 2 * n_scan)
     counts = _scan_counts(model, X, U, grid)
     return counts, counts == _scan_counts(model, X, U, fine)
 

@@ -25,6 +25,13 @@ _QT_SERIES_TERMS = 12
 # switch between the direct small-t quadratic form and the factored large-t
 # one (all factors decaying) in the Mehler kernel exponent
 T_SWITCH = 1.0
+# commensurate spectra (commensurate_rates): eigenvalues -k_i b with
+# integers k_i up to this cap, matched to this relative tolerance, on
+# eigenvectors conditioned at most this badly, since whatever is built in
+# their coordinates carries about cond^2 eps of rounding
+_MAX_RATE_MULTIPLE = 3
+_RATE_TOL = 1e-12
+_MAX_EIGVEC_COND = 1e3
 
 
 @dataclass(frozen=True)
@@ -241,6 +248,32 @@ def isotropic_rates(model: OUModel) -> tuple[float, float] | None:
     if np.array_equal(model.B, -b * eye) and \
             np.array_equal(model.Qinf, lam * eye):
         return b, lam
+    return None
+
+
+def commensurate_rates(model: OUModel) -> tuple[float, np.ndarray] | None:
+    """(b, k) when B is diagonalizable with real eigenvalues -k_i b, the
+    k_i positive integers with no common factor and at most
+    _MAX_RATE_MULTIPLE, k aligned with model.eig_vals; else None.
+
+    On such models e^(tB) = V diag(s^k_i) V^-1 with s = e^(-bt), so every
+    matrix function of t is a polynomial in s.  Refused: a complex
+    spectrum; eigenvalue ratios that are not integers to _RATE_TOL, or
+    that need a multiple above the cap; and eigenvectors that are
+    ill-conditioned, with eig_ok False (which a defective B gives) or a
+    condition number above _MAX_EIGVEC_COND."""
+    vals = model.eig_vals
+    if not model.eig_ok or np.any(np.imag(vals) != 0) or \
+            np.linalg.cond(model.eig_vecs) > _MAX_EIGVEC_COND:
+        return None
+    lam = -np.real(vals)
+    ratio = lam / lam.min()
+    for q in range(1, _MAX_RATE_MULTIPLE + 1):
+        k = np.rint(q * ratio)
+        if k.max() > _MAX_RATE_MULTIPLE:
+            break
+        if np.all(np.abs(q * ratio - k) <= _RATE_TOL * k):
+            return float(lam.sum() / k.sum()), k.astype(int)
     return None
 
 

@@ -207,6 +207,62 @@ def slope_lyapunov(model, props, x, u):
             - np.einsum("pmi,mij,pmj->pm", lin, V, y)).astype(float)
 
 
+def sympy_slope_numerator(Q, B, x, u) -> list:
+    """The exact coefficients, highest power first, of the polynomial N in
+    tau = 1 - e^{-bt} with d/dt log K_t(x, u) = -N (b s) / (2 tau^2 d^2),
+    for a 2-d upper triangular B with eigenvalues -k_1 b, -k_2 b, that are
+    equal only where B is diagonal; every entry a sympy Rational.
+
+    e^{tB} comes from its triangular closed form, Qinf from the Lyapunov
+    equation solved exactly, and d = det Qt / tau^2; then N = -2 tau^2 d^2
+    d/dtau log K, differentiated and cancelled by sympy."""
+    import sympy as sp
+    tau = sp.Symbol("tau")
+    Q, B = sp.Matrix(Q), sp.Matrix(B)
+    x, u = sp.Matrix(x), sp.Matrix(u)
+    (l1, c), l2 = B[0, :], B[1, 1]
+    b = sp.gcd(sp.Rational(l1), sp.Rational(l2))
+    s1, s2 = ((1 - tau) ** int(-lam / b) for lam in (l1, l2))
+    off = c * (s1 - s2) / (l1 - l2) if l1 != l2 else 0
+    E = sp.Matrix([[s1, off], [0, s2]])
+    q11, q12, q22 = sp.symbols("q11 q12 q22")
+    qinf = sp.Matrix([[q11, q12], [q12, q22]])
+    qinf = qinf.subs(sp.solve(list(B * qinf + qinf * B.T + Q),
+                              [q11, q12, q22]))
+    qt = (qinf - E * qinf * E.T).applyfunc(sp.expand)
+    det = sp.expand(qt.det())
+    d = sp.cancel(det / tau ** 2)
+    v = u - E * x
+    quad = sp.expand((v.T * qt.adjugate() * v)[0, 0])
+    # log K = const - log(det Qt) / 2 - <Qt^-1 v, v> / 2
+    slope = -sp.diff(det, tau) / (2 * det) \
+        - sp.diff(quad / det, tau) / 2
+    num, den = sp.fraction(sp.cancel(-2 * tau ** 2 * d ** 2 * slope))
+    assert den.free_symbols == set()
+    return [coef / den for coef in sp.Poly(num, tau).all_coeffs()]
+
+
+def slope_zeros_bisected(model, x, u, t_interval, n_grid: int = 4096,
+                         rel: float = 1e-13) -> np.ndarray:
+    """The zeros of t -> d/dt log K_t(x, u) on the interval: the sign
+    flips of logk_time_slope_grid on a log grid, each bisected in log t on
+    the same slope until its bracket is rel wide."""
+    from oulab.kernel import _sign_changes, _sign_tol
+    x, u = (np.asarray(v, dtype=float).reshape(1, model.n) for v in (x, u))
+    grid = np.geomspace(*t_interval, n_grid)
+    slope, floor = logk_time_slope_grid(model, propagators(model, grid), x,
+                                        u)
+    _, left, right = _sign_changes(slope, _sign_tol(floor))
+    lo, hi, left_sign = grid[left], grid[right], np.sign(slope[0, left])
+    while left.size and np.max(hi / lo) > 1.0 + rel:
+        mid = np.sqrt(lo * hi)
+        sm, _ = logk_time_slope_grid(model, propagators(model, mid), x, u)
+        same = np.sign(sm[0]) == left_sign
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return np.sqrt(lo * hi)
+
+
 def ratio_pieces_einsum(model, which, x, u, ts):
     """The c-independent pieces (a, b, dnorm) of a Gaussian bound's ratio
     (kernel._log_caps) on the whole (pairs, times) grid, from the package's

@@ -414,7 +414,8 @@ def test_non_finite_inputs_exit_one_before_any_work(argv, tmp_path, capsys,
 
     for module, name in (("oulab.semigroup", "variation_batch_paths"),
                          ("oulab.semigroup", "annulus_indicator"),
-                         ("oulab.kernel", "_scan_counts")):
+                         ("oulab.kernel", "_scan_counts"),
+                         ("oulab.kernel", "kdot_polynomial")):
         monkeypatch.setattr(import_module(module), name, no_work)
     monkeypatch.chdir(tmp_path)
     out = ["--out", "out"] if argv[0] == "probe" else []
@@ -509,7 +510,9 @@ def _with_general2(argv, tmp_path):
 
 # the exact stdout of the kernel verbs on standard1 and general2: every
 # printed digit is pinned, so a route that moves a bit of log K, of the
-# slope or of a bisected zero shows here
+# slope or of a bisected zero shows here.  The zeros lines were printed by
+# the scan; both models now take the slope polynomial, whose zeros read
+# the same to every printed digit
 KERNEL_GOLDEN = [
     (["eval", "--model", "standard1", "--t", "0.5", "--x", "0.3",
       "--u", "-1.2"], 0,
@@ -558,6 +561,26 @@ def test_kernel_verbs_print_their_golden_lines(argv, code, stdout, tmp_path,
     assert out == stdout
     if code == 1:
         assert "oulab: error: K = e^(log K) overflows" in err
+
+
+@pytest.mark.parametrize("model,route", [
+    ("standard2", "zero-count route: polynomial, degree 5\n"),
+    ("general2", "zero-count route: polynomial, degree 9\n"),
+    ("rotating", "zero-count route: scan\n")])
+def test_kernel_zeros_names_its_route_on_stderr(model, route, tmp_path,
+                                                capsys):
+    # B = [[-1, 1/2], [-1/2, -1]] has complex eigenvalues: it takes the scan
+    rotating = tmp_path / "rotating.json"
+    rotating.write_text('{"Q": [[1.0, 0.3], [0.3, 0.5]], '
+                        '"B": [[-1.0, 0.5], [-0.5, -1.0]]}')
+    argv = ["kernel", "zeros", "--model", model, "--x", "1,2", "--u", "2,3",
+            "--scan", "512"]
+    argv = [str(rotating) if a == "rotating" else a
+            for a in _with_general2(argv, tmp_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("grid-doubling stable: yes\n")
+    assert route in err.splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("argv,named", [

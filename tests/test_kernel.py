@@ -22,12 +22,12 @@ from oulab import (
 )
 from oulab.kernel import (BOUND_NAMES, BoundCalibration,
                           _calibrate_tail_integral, _flip_counts,
-                          _sign_changes, _sign_tol,
+                          _sign_changes, _sign_tol, kdot_polynomial,
                           log_kernel_grid, log_kernel_pairs,
                           logk_time_slope_grid, real_roots,
                           time_critical_cubic)
 import oulab.kernel as kernel_mod
-from oulab.model import T_SWITCH, propagators
+from oulab.model import T_SWITCH, commensurate_rates, propagators
 from oulab.rng import substream
 from oulab.semigroup import _eta_kernel_paths
 from oulab.errors import (
@@ -42,7 +42,8 @@ from reference_routes import (bound_maximisers, calibration_pairs,
                               log_kernel_grid_einsum,
                               log_kernel_pairs_allocating,
                               sampled_log_ratio, slope_grid_allocating,
-                              slope_lyapunov, tail_tv_allocating)
+                              slope_lyapunov, slope_zeros_bisected,
+                              sympy_slope_numerator, tail_tv_allocating)
 
 
 def mehler_1d(t, x, u):
@@ -462,6 +463,9 @@ def _far_pairs(model, seed, count):
 
 
 GENERAL2 = ([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 2.0], [0.0, -0.5]])
+# a drift with complex eigenvalues -1 +- i/2: no commensurate real
+# spectrum, so every zero count on it takes the scan
+ROTATING2 = ([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 0.5], [-0.5, -1.0]])
 
 
 @pytest.mark.parametrize("which", ["general2", "random3"])
@@ -569,42 +573,51 @@ def test_nan_slope_counts_as_no_sign():
     assert np.array_equal(_flip_counts(slope, _sign_tol(floor)), [3, 1])
 
 
-def _within_floor_pairs(grid, k):
-    """Pairs (0, u) of a 1-d standard model whose slope is zero, to
-    rounding, at the grid times k: u^2 = 1 - e^{-2t}."""
-    u = np.sqrt(1.0 - np.exp(-2.0 * grid[k]))[:, None]
+def _within_floor_pairs(model, grid, k):
+    """Pairs (0, u) whose slope is zero, to rounding, at the grid times k:
+    at x = 0 the slope is h0 + <Q C u, C u>/2 (_slope_factors), so u is
+    the multiple of e_1 that cancels h0 < 0."""
+    C, _, h0, _ = kernel_mod._slope_factors(model,
+                                            propagators(model, grid[k]))
+    cu = C[:, 0, :]                                    # C e_1, (n, times)
+    scale = np.sqrt(-2.0 * h0 / np.einsum("im,ij,jm->m", cu, model.Q, cu))
+    u = np.zeros((k.size, model.n))
+    u[:, 0] = scale
     return np.zeros_like(u), u
 
 
 @pytest.mark.parametrize("n_scan", [4096, 10_000])
-def test_zero_counts_match_frozen_sign_change_route(n_scan, std1,
-                                                    monkeypatch):
+def test_zero_counts_match_frozen_sign_change_route(n_scan, monkeypatch):
+    # pinned on a model without a commensurate spectrum, where the scan is
+    # the route; commensurate models are compared with the scan below
+    rot = build_model(*ROTATING2)
     grid = np.geomspace(1e-8, 1.0, n_scan)
-    X0, U0 = _within_floor_pairs(grid, np.array([5, 999, 2000, 3001]))
-    slope, floor = logk_time_slope_grid(std1, propagators(std1, grid), X0, U0)
+    X0, U0 = _within_floor_pairs(rot, grid, np.array([5, 999, 2000, 3001]))
+    slope, floor = logk_time_slope_grid(rot, propagators(rot, grid), X0, U0)
     assert (np.abs(slope) <= np.maximum(1e-13, 4.0 * floor)).any(axis=1).all()
     gen = np.random.default_rng(n_scan)
-    X1, U1 = gen.normal(0.0, 2.0, (36, 1)), gen.normal(0.0, 2.0, (36, 1))
+    X1, U1 = gen.normal(0.0, 2.0, (36, 2)), gen.normal(0.0, 2.0, (36, 2))
     X, U = np.vstack([X0, X1]), np.vstack([U0, U1])
-    want, _ = frozen_count_zeros_once(std1, X, U, 1e-8, 1.0, n_scan)
-    want2, _ = frozen_count_zeros_once(std1, X, U, 1e-8, 1.0, 2 * n_scan)
+    want, _ = frozen_count_zeros_once(rot, X, U, 1e-8, 1.0, n_scan)
+    want2, _ = frozen_count_zeros_once(rot, X, U, 1e-8, 1.0, 2 * n_scan)
     assert want.max() >= 1
     for cells in (1 << 15, 3 * n_scan + 5):      # one and several rows
         monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", cells)
-        counts, stable = count_kdot_zeros_batch(std1, X, U, n_scan=n_scan)
+        counts, stable = count_kdot_zeros_batch(rot, X, U, n_scan=n_scan)
         assert np.array_equal(counts, want)
         assert np.array_equal(stable, want == want2)
-    g2 = build_model(*GENERAL2)
-    X, U = _far_pairs(g2, 3, 60)
-    want, _ = frozen_count_zeros_once(g2, X, U, 1e-8, 1.0, n_scan)
-    want2, _ = frozen_count_zeros_once(g2, X, U, 1e-8, 1.0, 2 * n_scan)
-    counts, stable = count_kdot_zeros_batch(g2, X, U, n_scan=n_scan)
+    X, U = _far_pairs(rot, 3, 60)
+    want, _ = frozen_count_zeros_once(rot, X, U, 1e-8, 1.0, n_scan)
+    want2, _ = frozen_count_zeros_once(rot, X, U, 1e-8, 1.0, 2 * n_scan)
+    counts, stable = count_kdot_zeros_batch(rot, X, U, n_scan=n_scan)
     assert np.array_equal(counts, want)
     assert np.array_equal(stable, want == want2)
-    for model, x, u in [*zip([std1] * 4, X0, U0), *zip([g2] * 3, X, U)]:
-        zc = count_kdot_zeros(model, x, u, n_scan=n_scan)
-        count, zeros = frozen_count_zeros_once(model, x[None], u[None],
+    assert counts.max() >= 1
+    for x, u in [*zip(X0, U0), *zip(X[:3], U[:3])]:
+        zc = count_kdot_zeros(rot, x, u, n_scan=n_scan)
+        count, zeros = frozen_count_zeros_once(rot, x[None], u[None],
                                                1e-8, 1.0, n_scan)
+        assert zc.route == "scan" and zc.degree is None
         assert zc.count == count[0]
         assert np.array_equal(zc.zeros, np.sort(zeros))
 
@@ -692,10 +705,11 @@ def test_zero_count_batch_matches_single(std1):
     assert stable.all()
 
 
-def test_single_pair_count_scans_the_coarse_grid_once(std2, monkeypatch):
+def test_single_pair_count_scans_the_coarse_grid_once(monkeypatch):
     # one slope evaluation on the coarse grid gives the count and the
     # brackets, one on the doubled grid the stability; the batch route
-    # on the one pair agrees
+    # on the one pair agrees.  Pinned on a model that takes the scan
+    rot = build_model(*ROTATING2)
     x, u, n_scan = np.array([1.0, 0.5]), np.array([2.0, 1.0]), 512
     sizes = []
     real = kernel_mod.propagators
@@ -705,9 +719,9 @@ def test_single_pair_count_scans_the_coarse_grid_once(std2, monkeypatch):
         return real(model, ts)
 
     monkeypatch.setattr(kernel_mod, "propagators", spy)
-    zc = count_kdot_zeros(std2, x, u, n_scan=n_scan)
+    zc = count_kdot_zeros(rot, x, u, n_scan=n_scan)
     assert sizes.count(n_scan) == 1 and sizes.count(2 * n_scan) == 1
-    counts, stable = count_kdot_zeros_batch(std2, x[None], u[None],
+    counts, stable = count_kdot_zeros_batch(rot, x[None], u[None],
                                             n_scan=n_scan)
     assert zc.count == counts[0] and zc.stable == stable[0]
     assert zc.count == zc.zeros.size == 1
@@ -720,6 +734,305 @@ def test_zero_count_interval_validation(std1):
     with pytest.raises(NonPositiveTimeError):
         count_kdot_zeros_batch(std1, np.array([[0.0]]), np.array([[1.0]]),
                                t_interval=(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the exact route: zero counts from the slope polynomial on commensurate
+# spectra
+
+# eigenvalues -1 and -2: b = 1, k = (1, 2)
+K12 = ([[1.0, 0.2], [0.2, 0.7]], [[-1.0, 0.7], [0.0, -2.0]])
+INTERVALS = [(1e-8, 1.0), (1e-3, 5.0), (0.5, 20.0), (1.0, 50.0)]
+
+
+def _named_model(name):
+    if name.startswith("standard"):
+        return standard_model(int(name[-1]))
+    return build_model(*{"general2": GENERAL2, "k12": K12,
+                         "rotating2": ROTATING2}[name])
+
+
+@pytest.mark.parametrize("name,b,k,degree", [
+    ("standard1", 1.0, [1], 3), ("standard2", 1.0, [1, 1], 5),
+    ("standard3", 1.0, [1, 1, 1], 7), ("general2", 0.5, [2, 1], 9),
+    ("k12", 1.0, [1, 2], 9)])
+def test_commensurate_models_take_the_polynomial(name, b, k, degree):
+    # degree 4 sum k - 2n + 1, with a nonzero leading coefficient
+    model = _named_model(name)
+    rates = commensurate_rates(model)
+    assert rates[0] == pytest.approx(b, rel=1e-14)
+    assert sorted(rates[1].tolist()) == sorted(k)
+    assert -rates[0] * rates[1] == pytest.approx(model.eig_vals, rel=1e-14)
+    coef, mag = kdot_polynomial(model, np.ones((3, model.n)),
+                                np.zeros((3, model.n)))
+    assert coef.shape == mag.shape == (3, degree + 1)
+    assert (coef[:, -1] != 0).all() and (mag >= np.abs(coef)).all()
+    zc = count_kdot_zeros(model, np.full(model.n, 1.0),
+                          np.full(model.n, 2.0))
+    assert (zc.route, zc.degree, zc.stable) == ("polynomial", degree, True)
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "standard3",
+                                  "general2", "k12"])
+def test_polynomial_counts_match_the_scan(name, monkeypatch):
+    # 500 pairs on each of four intervals, 2,000 a model: the exact counts
+    # equal the scan's, which is stable on every one of these pairs
+    model = _named_model(name)
+    gen = np.random.default_rng(41)
+    for t_interval in INTERVALS:
+        X = 2.0 * gen.standard_normal((500, model.n))
+        U = 2.0 * gen.standard_normal((500, model.n))
+        exact, stable = count_kdot_zeros_batch(model, X, U, t_interval)
+        assert stable.all()
+        with monkeypatch.context() as m:
+            m.setattr(kernel_mod, "commensurate_rates", lambda model: None)
+            scan, scan_stable = count_kdot_zeros_batch(model, X, U,
+                                                       t_interval)
+        assert scan_stable.all()
+        assert np.array_equal(exact, scan), t_interval
+        assert exact.max() >= 1
+
+
+@pytest.mark.parametrize("B,degree", [
+    ([[-1.0, 0.7], [0.0, -1.0 / 3.0]], 13),
+    ([[-0.5, 0.7], [0.0, -1.0 / 3.0]], 17),
+    ([[-1.0, 0.5, 0.3], [0.0, -2.0 / 3.0, 0.4], [0.0, 0.0, -1.0 / 3.0]], 19)])
+def test_polynomial_counts_match_the_scan_up_to_the_cap(B, degree,
+                                                        monkeypatch):
+    # k = (3, 1), (3, 2) and (3, 2, 1): the largest multiples routed
+    n = len(B)
+    Q = 0.1 * np.ones((n, n)) + np.diag(np.linspace(1.0, 0.5, n))
+    model = build_model(Q, B)
+    gen = np.random.default_rng(5)
+    X, U = 2.0 * gen.standard_normal((2, 200, n))
+    for t_interval in INTERVALS[:2]:
+        exact, _ = count_kdot_zeros_batch(model, X, U, t_interval)
+        with monkeypatch.context() as m:
+            m.setattr(kernel_mod, "commensurate_rates", lambda model: None)
+            scan, stable = count_kdot_zeros_batch(model, X, U, t_interval)
+        assert stable.all() and np.array_equal(exact, scan)
+    assert count_kdot_zeros(model, X[0], U[0]).degree == degree
+
+
+def test_general2_coefficients_match_sympy():
+    sp = pytest.importorskip("sympy")
+    half, tenth = sp.Rational(1, 2), sp.Rational(1, 10)
+    Q, B = [[1, 3 * tenth], [3 * tenth, half]], [[-1, 2], [0, -half]]
+    for x, u in (([3 * half, -half], [half / 2, 2]), ([0, 1], [2, -1])):
+        want = np.array([float(c) for c in
+                         sympy_slope_numerator(Q, B, x, u)])
+        got, _ = kdot_polynomial(build_model(*GENERAL2),
+                                 np.array(x, dtype=float),
+                                 np.array(u, dtype=float))
+        got = got[0, ::-1]
+        assert got.size == want.size == 10
+        # equal up to the constant det(V)^4 of the eigenvector coordinates
+        assert np.abs(got / got[0] - want / want[0]).max() \
+            <= 1e-12 * np.abs(want / want[0]).max()
+
+
+_EIGS = [-1, (-1, 2), (-1, 3)]
+_QUARTERS = st.integers(-8, 8).map(lambda k: (k, 4))
+
+
+@settings(max_examples=6, deadline=None)
+@given(l1=st.sampled_from(_EIGS), l2=st.sampled_from(_EIGS),
+       c=_QUARTERS, q=st.tuples(st.integers(2, 8), st.integers(-3, 3),
+                                st.integers(2, 8)),
+       x=st.tuples(_QUARTERS, _QUARTERS), u=st.tuples(_QUARTERS, _QUARTERS))
+def test_drawn_triangular_coefficients_match_sympy(l1, l2, c, q, x, u):
+    # eigenvalues in {-1, -1/2, -1/3}: k up to 3, degree up to 17
+    sp = pytest.importorskip("sympy")
+    rat = (lambda v: sp.Rational(*v) if isinstance(v, tuple)
+           else sp.Integer(v))
+    l1, l2, c = rat(l1), rat(l2), rat(c)
+    assume(q[0] * q[2] > q[1] ** 2)
+    if l1 == l2:
+        c = sp.Integer(0)              # a nonzero corner would be defective
+    Q = [[sp.Rational(q[0], 4), sp.Rational(q[1], 4)],
+         [sp.Rational(q[1], 4), sp.Rational(q[2], 4)]]
+    B = [[l1, c], [0, l2]]
+    x, u = [rat(v) for v in x], [rat(v) for v in u]
+    assume(x != u)
+    model = build_model(np.array(Q, dtype=float), np.array(B, dtype=float))
+    assert commensurate_rates(model) is not None
+    want = np.array([float(v) for v in sympy_slope_numerator(Q, B, x, u)])
+    got, _ = kdot_polynomial(model, np.array(x, dtype=float),
+                             np.array(u, dtype=float))
+    got = got[0, ::-1]
+    assert got.size == want.size
+    assert np.abs(got / got[0] - want / want[0]).max() \
+        <= 1e-11 * np.abs(want / want[0]).max()
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "general2",
+                                  "k12"])
+def test_polynomial_zeros_match_bisection(name):
+    # each zero, bisected on tau's last bit, against a bisection of the
+    # slope itself in log t to 1e-13
+    model = _named_model(name)
+    gen = np.random.default_rng(7)
+    seen = 0
+    for t_interval in INTERVALS[:2]:
+        for _ in range(12):
+            x, u = 2.0 * gen.standard_normal((2, model.n))
+            zc = count_kdot_zeros(model, x, u, t_interval)
+            want = slope_zeros_bisected(model, x, u, t_interval)
+            assert zc.count == zc.zeros.size == want.size
+            assert zc.zeros == pytest.approx(want, rel=1e-9)
+            seen += zc.count
+    assert seen >= 5
+
+
+def test_zeros_closer_than_a_scan_step_count_two(std1):
+    # at x = -0.28 two zeros near t = 0.9097 merge as u rises to
+    # 0.5565278936305966 (bisected on the count); 1e-9 below it they are
+    # 1.3e-4 apart relative, a thirtieth of the 4,096-time scan's step on
+    # (1e-8, 1], a factor of 1.0045
+    x, u = np.array([-0.28]), np.array([0.5565278936305966 - 1e-9])
+    zc = count_kdot_zeros(std1, x, u)
+    assert zc.count == 2 and zc.stable
+    t1, t2 = zc.zeros
+    step = (1.0 / 1e-8) ** (1.0 / 4095)
+    assert 1.0 < t2 / t1 < 1.0 + 0.05 * (step - 1.0)
+    # the slope itself: one sign outside the pair, the other between
+    ts = np.array([t1 / step, np.sqrt(t1 * t2), t2 * step])
+    slope, floor = logk_time_slope_grid(std1, propagators(std1, ts), x[None],
+                                        u[None])
+    assert (np.abs(slope) > 4.0 * floor).all()
+    assert np.sign(slope[0, 0]) == np.sign(slope[0, 2]) != np.sign(
+        slope[0, 1])
+    assert zc.zeros == pytest.approx(
+        slope_zeros_bisected(std1, x, u, (0.9, 0.92), n_grid=1 << 16),
+        rel=1e-9)
+
+
+@pytest.mark.parametrize("t_star", [1e-9, 1e-12])
+def test_zero_below_1e8_with_a_lowered_t_lo(t_star, std1):
+    # at x = 0 the slope of standard1 vanishes where 1 - e^{-2t} = u^2
+    x, u = np.array([0.0]), np.array([np.sqrt(-np.expm1(-2.0 * t_star))])
+    assert count_kdot_zeros(std1, x, u).count == 0
+    zc = count_kdot_zeros(std1, x, u, t_interval=(0.1 * t_star, 1.0))
+    assert zc.count == 1
+    assert zc.zeros[0] == pytest.approx(t_star, rel=1e-9)
+    counts, _ = count_kdot_zeros_batch(std1, x[None], u[None],
+                                       t_interval=(0.1 * t_star, 1.0))
+    assert counts[0] == 1
+
+
+def test_general2_zero_below_1e8(monkeypatch):
+    # a pair (0, u) whose slope vanishes at t = 3e-9, from the slope's
+    # factors there; the scan on a lowered interval agrees
+    g2 = build_model(*GENERAL2)
+    X, U = _within_floor_pairs(g2, np.array([3e-9]), np.array([0]))
+    zc = count_kdot_zeros(g2, X[0], U[0], t_interval=(1e-9, 1e-8))
+    assert zc.count == 1
+    assert zc.zeros[0] == pytest.approx(3e-9, rel=1e-6)
+    monkeypatch.setattr(kernel_mod, "commensurate_rates", lambda model: None)
+    scan = count_kdot_zeros(g2, X[0], U[0], t_interval=(1e-9, 1e-8))
+    assert scan.count == 1
+    assert scan.zeros[0] == pytest.approx(zc.zeros[0], rel=1e-6)
+
+
+def _poly_counts(coef, lo, hi):
+    coef = np.asarray(coef, dtype=float)[None]
+    _, val, tol = kernel_mod._poly_signs(coef, np.abs(coef), lo, hi)
+    return int(_flip_counts(val, tol)[0])
+
+
+def test_polynomial_signs_count_simple_roots_and_no_tangency():
+    # (tau - 0.2)(tau - 0.3)(tau - 0.5) and (tau - 0.25)^2 (tau - 0.5),
+    # lowest power first: two zeros on [0.1, 0.4], and a tangency that
+    # flips no sign
+    assert _poly_counts([-0.03, 0.31, -1.0, 1.0], 0.1, 0.4) == 2
+    assert _poly_counts([-0.03125, 0.3125, -1.0, 1.0], 0.1, 0.4) == 0
+    assert _poly_counts([-0.03125, 0.3125, -1.0, 1.0], 0.1, 0.6) == 1
+
+
+def test_a_real_pair_returned_complex_still_counts(monkeypatch):
+    # ((tau - 0.25)^2 - 1e-6)(tau - 0.5) has zeros at 0.249 and 0.251; if
+    # the eigenvalues come back as 0.25 +- 1e-3 i, the sign at their real
+    # part still finds both
+    coef = [-0.03125 + 5e-7, 0.3125 - 1e-6, -1.0, 1.0]
+    assert _poly_counts(coef, 0.1, 0.45) == 2
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array(
+        [[0.25 + 1e-3j, 0.25 - 1e-3j, 0.5]]))
+    assert _poly_counts(coef, 0.1, 0.45) == 2
+
+
+def test_non_finite_pairs_count_no_zero():
+    # as on the scan, where a NaN slope has no sign
+    g2 = build_model(*GENERAL2)
+    counts, stable = count_kdot_zeros_batch(
+        g2, np.array([[np.nan, 0.0], [1.0, 2.0]]),
+        np.array([[1.0, 1.0], [2.0, 3.0]]))
+    assert counts.tolist() == [0, 1] and stable.all()
+
+
+_REFUSED = {
+    "complex spectrum": ROTATING2,
+    "ratio 4 above the cap": ([[1.0, 0.3], [0.3, 0.5]],
+                              [[-1.0, 0.5], [0.0, -0.25]]),
+    "ratio not an integer": ([[1.0, 0.3], [0.3, 0.5]],
+                             [[-1.0, 0.5], [0.0, -0.7]]),
+    "ratio 1e-9 off an integer": ([[1.0, 0.3], [0.3, 0.5]],
+                                  [[-1.0, 0.5], [0.0, -0.5 - 1e-9]]),
+    "defective": ([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 1.0], [0.0, -1.0]]),
+    "eigenvector condition 2e3": ([[1.0, 0.2], [0.2, 0.7]],
+                                  [[-1.0, 1e3], [0.0, -2.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_refused_models_take_the_scan(case, monkeypatch):
+    model = build_model(*_REFUSED[case])
+    assert commensurate_rates(model) is None
+    calls = []
+    real = kernel_mod._scan_counts
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernel_mod, "_scan_counts", spy)
+    monkeypatch.setattr(kernel_mod, "kdot_polynomial", None)
+    x, u = np.array([1.0, 0.5]), np.array([2.0, 1.0])
+    zc = count_kdot_zeros(model, x, u, n_scan=64)
+    assert (zc.route, zc.degree) == ("scan", None)
+    count_kdot_zeros_batch(model, x[None], u[None], n_scan=64)
+    assert len(calls) == 3
+
+
+def test_unreliable_eigenvectors_take_the_scan():
+    # eig_ok False sends propagators to expm per time, and the polynomial
+    # to the scan, whatever the spectrum
+    g2 = build_model(*GENERAL2)
+    assert commensurate_rates(dataclasses.replace(g2, eig_ok=False)) is None
+
+
+@pytest.mark.parametrize("name", ["general2", "rotating2"])
+@pytest.mark.parametrize("t_interval,n_scan,error", [
+    ((0.0, 1.0), 4096, NonPositiveTimeError),
+    ((0.5, 0.5), 4096, NonPositiveTimeError),
+    ((1.0, 0.5), 4096, NonPositiveTimeError),
+    ((np.nan, 1.0), 4096, NonPositiveTimeError),
+    ((1e-8, np.inf), 4096, NonPositiveTimeError),
+    ((1e-8, 1.0), 1, ArgumentRangeError),
+    ((1e-8, 1.0), 0, ArgumentRangeError)])
+def test_both_routes_refuse_bad_intervals_alike(name, t_interval, n_scan,
+                                                error):
+    model = _named_model(name)
+    x = np.ones(model.n)
+    with pytest.raises(error):
+        count_kdot_zeros(model, x, 2 * x, t_interval, n_scan)
+    with pytest.raises(error):
+        count_kdot_zeros_batch(model, x[None], 2 * x[None], t_interval,
+                               n_scan)
+
+
+def test_kdot_polynomial_refuses_a_model_without_commensurate_rates():
+    with pytest.raises(ArgumentRangeError):
+        kdot_polynomial(build_model(*ROTATING2), np.ones(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -1054,11 +1367,13 @@ def test_block_reductions_keep_no_full_grid():
     # as it is evaluated (they peaked at 138 and 125 MiB with full grids),
     # and the in-place evaluators' larger blocks hold at most 1.5 MiB more
     # than the 3.50 and 1.05 MiB of the allocating ones on blocks of 8192
-    # cells
-    g2 = build_model(*GENERAL2)
-    X, U = _far_pairs(g2, 1, 400)
-    assert _peak_mib(count_kdot_zeros_batch, g2, X, U, (1e-8, 1.0),
+    # cells.  The zero counts are pinned on a 2-d model that takes the
+    # scan; general2 takes the slope polynomial
+    rot = build_model(*ROTATING2)
+    X, U = _far_pairs(rot, 1, 400)
+    assert _peak_mib(count_kdot_zeros_batch, rot, X, U, (1e-8, 1.0),
                      4096) <= 3.50 + 1.5
+    g2 = build_model(*GENERAL2)
     assert _peak_mib(_calibrate_tail_integral, g2, 10_000, 0) <= 1.05 + 1.5
 
 
