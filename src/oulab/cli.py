@@ -353,10 +353,9 @@ def _cmd_torus_qian(args) -> int:
 
 
 def _cmd_torus_fourier(args) -> int:
-    import numpy as np
     from .torus import fourier_kernel_gap
-    report = fourier_kernel_gap(lmax=args.lmax, xi=np.geomspace(
-        args.xi_min, args.xi_max, args.points))
+    report = fourier_kernel_gap(lmax=args.lmax, xi_min=args.xi_min,
+                                xi_max=args.xi_max, points=args.points)
     st = report.statistics
     print(f"sup of summed gap {st['max']:.6f} at xi = "
           f"{st['argmax_xi']:.6g}; truncation tail <= "

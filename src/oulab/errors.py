@@ -26,8 +26,8 @@ class NonPositiveTimeError(OULabError):
 
 
 class SingularPropagatorError(OULabError):
-    """e^{tB} is singular in floating point at a grid time, so the group
-    D_t = Qinf e^{-tB^T} Qinf^-1 cannot be formed there."""
+    """e^{tB} is singular in floating point at a time t <= T_SWITCH, so
+    the kernel's group D_t = Qinf e^{-tB^T} Qinf^-1 cannot be formed."""
 
 
 class NumericalOverflowError(OULabError):

@@ -17,7 +17,11 @@ A = Qt^-1 - Qinf^-1.  For t > 1 they are (D_{-t}, I, M_t), the form in
 v = D_{-t} u - x with M_t = Qinf^-1 + N_t, N_t = (I - S Qinf)^-1 S and
 S = e^{tB^T} Qinf^-1 e^{tB}, whose factors all decay; the direct
 difference Qt^-1 - Qinf^-1 loses every digit to cancellation once t is
-large.
+large.  kernel_forms builds each factor from the semigroup's stacks
+(model.propagators) only where it is read: Dt and A up to T_SWITCH, D_{-t}
+above it, M_t and N_t at every time.  So e^{tB} is inverted, for Dt, only
+at t <= T_SWITCH, and a drift whose e^{tB} loses rank at larger t, as
+slowly decaying non-normal ones do, keeps every kernel route there.
 
 log_kernel_grid returns log K - R(x), without the prefactor e^{R(x)},
 which every bound and weight divides out; only log_kernel_pairs adds it.
@@ -63,10 +67,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ArgumentRangeError, BadOrderError,
-                     NonPositiveTimeError, RateTooLargeError)
-from .model import (OUModel, Propagators, T_SWITCH, commensurate_rates,
+                     NonPositiveTimeError, RateTooLargeError,
+                     SingularPropagatorError)
+from .model import (OUModel, Propagators, commensurate_rates,
                     isotropic_rates, propagators, quadratic_r)
 from .rng import substream
+
+# switch between the direct small-t quadratic form and the factored large-t
+# one (all factors decaying) in the kernel exponent
+T_SWITCH = 1.0
 
 # pair-time cells per evaluation block of a grid route, whole rows of few
 # pairs against all times: long inner loops, and few enough blocks that
@@ -111,6 +120,76 @@ def _time_last(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the kernel's two forms
+
+
+def _inverse_stack(exp_tB: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """inv(e^(tB)) per time, or a SingularPropagatorError naming the first
+    time whose e^(tB) is singular in floating point."""
+    try:
+        return np.linalg.inv(exp_tB)
+    except np.linalg.LinAlgError:
+        for t, e in zip(ts, exp_tB):
+            try:
+                np.linalg.inv(e)
+            except np.linalg.LinAlgError:
+                raise SingularPropagatorError(
+                    f"e^(tB) is singular in floating point at t = {t:.6g}, "
+                    "so D_t = Qinf e^(-tB^T) Qinf^-1 cannot be formed "
+                    "there") from None
+        raise
+
+
+@dataclass(frozen=True)
+class KernelForms:
+    """The factors of both forms, each only where it is read."""
+
+    small: np.ndarray         # ts <= T_SWITCH
+    Dt: np.ndarray            # Qinf e^(-tB^T) Qinf^-1, at the small times
+    A: np.ndarray             # Qt^-1 - Qinf^-1, at the small times
+    Dmt: np.ndarray           # D_{-t}, at the other times
+    M: np.ndarray             # Dt^T A Dt, at every time
+    N: np.ndarray             # M - Qinf^-1, at every time
+
+
+def kernel_forms(model: OUModel, props: Propagators) -> KernelForms:
+    """The factors of both forms (module docstring) at the times of props.
+    Up to T_SWITCH M is the direct product Dt^T A Dt, above it Qinf^-1 +
+    N, where the resolvent (I - S Qinf)^-1 in N is regular and every
+    factor decays.  N is the slope's x-Hessian of log K, negated: above
+    T_SWITCH the resolvent term itself, below it M - Qinf^-1, which M ~
+    1/t dominates, so neither side cancels."""
+    ts, exp_tB = props.ts, props.exp_tB
+    small = ts <= T_SWITCH
+    large = ~small
+    # e^(-tB^T) = inv(e^(tB))^T
+    Dt = np.einsum("ij,mkj,kl->mil", model.Qinf,
+                   _inverse_stack(exp_tB[small], ts[small]), model.Qinf_inv)
+    Dmt = np.einsum("ij,mkj,kl->mil", model.Qinf, exp_tB[large],
+                    model.Qinf_inv)
+    A = props.Qt_inv[small] - model.Qinf_inv[None]
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    M, N = np.empty_like(props.Qt_inv), np.empty_like(props.Qt_inv)
+    S = np.einsum("mji,jk,mkl->mil", exp_tB[large], model.Qinf_inv,
+                  exp_tB[large])
+    N[large] = np.linalg.solve(np.eye(model.n) - S @ model.Qinf, S)
+    M[large] = model.Qinf_inv[None] + N[large]
+    M[small] = np.einsum("mji,mjk,mkl->mil", Dt, A, Dt)
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    N[small] = M[small] - model.Qinf_inv[None]
+    N = 0.5 * (N + np.swapaxes(N, -1, -2))
+    return KernelForms(small=small, Dt=Dt, A=A, Dmt=Dmt, M=M, N=N)
+
+
+def _by_side(small: np.ndarray, below, above) -> np.ndarray:
+    """below at the times of small, above at the others, (m, n, n); either
+    may be one (n, n) matrix for all its times."""
+    out = np.empty((small.size, *np.shape(above)[-2:]))
+    out[small], out[~small] = below, above
+    return out
+
+
+# ---------------------------------------------------------------------------
 # log K
 
 
@@ -121,11 +200,11 @@ def _logk_factors(model: OUModel, props: Propagators,
     (m,).  Below T_SWITCH they are (I, Dt, A), above it (D_{-t}, I, M).
     k is the number of times below T_SWITCH when split is asked for and
     those times come first, as on a sorted grid, and None otherwise."""
-    small = props.ts <= T_SWITCH
-    eye = np.eye(model.n)
-    P = np.where(small[:, None, None], eye, props.Dmt)
-    R = np.where(small[:, None, None], props.Dt, eye)
-    G = np.where(small[:, None, None], props.A_small, props.M_large)
+    f = kernel_forms(model, props)
+    small, eye = f.small, np.eye(model.n)
+    P = _by_side(small, eye, f.Dmt)
+    R = _by_side(small, f.Dt, eye)
+    G = _by_side(small, f.A, f.M[~small])
     k = int(np.count_nonzero(small))
     return (_time_last(P), _time_last(R), _time_last(G),
             0.5 * (model.logdet_Qinf - props.logdet_Qt),
@@ -210,32 +289,35 @@ def _slope_factors(model: OUModel, props: Propagators) -> tuple:
 
     Returns (C, N, h0, kappa): C and N as (n, n, m), so that every matrix
     entry is one row over the times, then (m,) rows of h0 and of kappa,
-    n eps times a first-order bound on the relative error of the factors,
-    which sets the slope's rounding floor: Qt = Qinf - e^{tB} Qinf
-    e^{tB^T} carries an absolute error of about eps |Qinf|, so Qt^-1 a
-    relative one of eps |Qinf| |Qt^-1| (generously so below t = 1e-3,
+    n eps times a first-order estimate of the relative error of the
+    factors, which sets the slope's rounding floor: Qt = Qinf - e^{tB}
+    Qinf e^{tB^T} carries an absolute error of about eps |Qinf|, so Qt^-1
+    a relative one of eps |Qinf| |Qt^-1| (generously so below t = 1e-3,
     where Qt comes from a series); the differences A and N amplify it by
     their cancellation ratios; and e^{tB} adds the error eps t |B| of its
-    argument.
+    argument.  The floor is an estimate, not a bound: e^{tB} comes from
+    B's eigenvectors, whose rounding the last term does not see, and
+    against 50-digit mpmath the slope reaches 1.35 floors on standard1 at
+    t = 1.05 and 37 on general2 at t = 16.
     """
-    small = props.ts <= T_SWITCH
-    C = np.empty_like(props.N)
-    C[small] = np.swapaxes(props.Dt[small], -1, -2) @ props.A_small[small]
-    C[~small] = props.M_large[~small] @ props.Dmt[~small]
-    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, props.N)
+    f = kernel_forms(model, props)
+    small = f.small
+    C = _by_side(small, np.swapaxes(f.Dt, -1, -2) @ f.A,
+                 f.M[~small] @ f.Dmt)
+    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, f.N)
     qt_inv_norm = _inf_norm(props.Qt_inv)
     # below T_SWITCH, A = Qt^-1 - Qinf^-1 and N = M - Qinf^-1 are formed as
     # differences, which cancel as t approaches 1
     amp = np.ones_like(props.ts)
     qinf_inv_norm = _inf_norm(model.Qinf_inv)
     amp[small] = ((qt_inv_norm[small] + qinf_inv_norm)
-                  / _inf_norm(props.A_small[small])
-                  * (_inf_norm(props.M_large[small]) + qinf_inv_norm)
-                  / _inf_norm(props.N[small]))
+                  / _inf_norm(f.A)
+                  * (_inf_norm(f.M[small]) + qinf_inv_norm)
+                  / _inf_norm(f.N[small]))
     kappa = model.n * np.finfo(float).eps * (
         _inf_norm(model.Qinf) * qt_inv_norm * amp
         + _inf_norm(model.B) * props.ts)
-    return _time_last(C), _time_last(props.N), h0, kappa
+    return _time_last(C), _time_last(f.N), h0, kappa
 
 
 def _slope_eval(model: OUModel, factors: tuple, x, u, out=(None, None)):
@@ -716,13 +798,13 @@ def admissible_rate(model: OUModel, which: str) -> float:
     safety = 0.9
     if which in ("kernel-small-t", "dkernel-small-t"):
         ts = np.geomspace(1e-6, 1.0, 512)
-        pr = propagators(model, ts)
-        lam = np.linalg.eigvalsh(pr.A_small).min(axis=1)
+        lam = np.linalg.eigvalsh(
+            kernel_forms(model, propagators(model, ts)).A).min(axis=1)
         cap = float(np.min(ts * lam) / 2.0)
     else:
         ts = np.geomspace(1.0, _T_LARGE, 512)
-        pr = propagators(model, ts)
-        lam = np.linalg.eigvalsh(pr.M_large).min(axis=1)
+        lam = np.linalg.eigvalsh(
+            kernel_forms(model, propagators(model, ts)).M).min(axis=1)
         cap = float(min(lam.min() / 2.0, -model.spectral_abscissa))
     return safety * min(cap, natural_rate(model) / safety)
 
@@ -754,9 +836,10 @@ def _log_caps(model: OUModel, which: str, ts: np.ndarray,
     Raises RateTooLargeError, naming the critical rate, where P is not
     positive definite at some time: the ratio is unbounded there."""
     pr = propagators(model, ts)
+    f = kernel_forms(model, pr)
     small = which != "dkernel-large-t"
     shift = 2.0 * c / ts if small else np.full(ts.size, 2.0 * c)
-    lam, vec = np.linalg.eigh((pr.A_small if small else pr.M_large)
+    lam, vec = np.linalg.eigh((f.A if small else f.M)
                               - shift[:, None, None] * np.eye(model.n))
     if not lam[:, 0].min() > 0:
         crit = 0.5 * np.min((lam[:, 0] + shift) * (ts if small else 1.0))
@@ -768,12 +851,12 @@ def _log_caps(model: OUModel, which: str, ts: np.ndarray,
     if which == "kernel-small-t":
         return const + 0.5 * model.n * log_t
     root = (vec / np.sqrt(lam)[:, None, :]) @ np.swapaxes(vec, -1, -2)
-    N = pr.N
+    N = f.N
     if small:
-        F = np.swapaxes(pr.Dt, -1, -2) @ pr.A_small
+        F = np.swapaxes(f.Dt, -1, -2) @ f.A
         H = np.swapaxes(F, -1, -2) @ model.Q @ F
     else:
-        F = pr.M_large
+        F = f.M
         BN = model.B.T @ N
         H = N @ model.Q @ N - BN - np.swapaxes(BN, -1, -2)
     V = model.Qinf_inv @ model.B @ model.Qinf @ F

@@ -5,6 +5,8 @@ Conventions.  The generator is (1/2)tr(Q D^2) + <Bx, D>.  The finite-time
 covariance is Qt = integral_0^t e^(sB) Q e^(sB*) ds, the invariant one
 solves B Qinf + Qinf B^T + Q = 0, and the group Dt = Qinf e^(-tB^T) Qinf^-1
 carries the polar-type decomposition used by the ring geometry.
+propagators stacks only the semigroup's matrix functions of t (e^(tB), Qt,
+its inverse and log det); the kernel's forms, Dt among them, are kernel.py's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionError, NonPositiveTimeError, NotSPDError,
-                     NotStableError, SingularPropagatorError)
+                     NotStableError)
 
 _SYM_TOL = 1e-12
 _LYAP_TOL = 1e-10
@@ -22,9 +24,6 @@ _LYAP_TOL = 1e-10
 # a short exponential series is exact to machine precision instead
 _QT_SERIES_T = 1e-3
 _QT_SERIES_TERMS = 12
-# switch between the direct small-t quadratic form and the factored large-t
-# one (all factors decaying) in the Mehler kernel exponent
-T_SWITCH = 1.0
 # commensurate spectra (commensurate_rates): eigenvalues -k_i b with
 # integers k_i up to this cap, matched to this relative tolerance, on
 # eigenvectors conditioned at most this badly, since whatever is built in
@@ -149,39 +148,17 @@ def _qt_stack(model: OUModel, ts: np.ndarray, exp_tB: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _inverse_stack(exp_tB: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """inv(e^(tB)) per time, or a SingularPropagatorError naming the first
-    time whose e^(tB) is singular in floating point.  On slowly decaying
-    non-normal drifts e^(tB) can lose rank long before its entries
-    underflow."""
-    try:
-        return np.linalg.inv(exp_tB)
-    except np.linalg.LinAlgError:
-        for t, e in zip(ts, exp_tB):
-            try:
-                np.linalg.inv(e)
-            except np.linalg.LinAlgError:
-                raise SingularPropagatorError(
-                    f"e^(tB) is singular in floating point at t = {t:.6g}, "
-                    "so D_t = Qinf e^(-tB^T) Qinf^-1 cannot be formed "
-                    "there") from None
-        raise
-
-
 @dataclass(frozen=True)
 class Propagators:
-    """Matrix functions of t stacked over a time grid, shared across points."""
+    """The semigroup's matrix functions of t stacked over a time grid,
+    shared across points: e^(tB), Qt, Qt^-1 and log det Qt.  Nothing here
+    inverts e^(tB); the kernel's forms are kernel.kernel_forms'."""
 
     ts: np.ndarray
     exp_tB: np.ndarray        # e^(tB)
     Qt: np.ndarray
     Qt_inv: np.ndarray
     logdet_Qt: np.ndarray
-    Dt: np.ndarray            # Qinf e^(-tB^T) Qinf^-1
-    Dmt: np.ndarray           # D_{-t}
-    A_small: np.ndarray       # Qt^-1 - Qinf^-1, used for t <= T_SWITCH
-    M_large: np.ndarray       # Dt^T A Dt in the cancellation-free form
-    N: np.ndarray             # M_large - Qinf^-1, resolvent above T_SWITCH
 
     def __len__(self):
         return self.ts.size
@@ -201,42 +178,8 @@ def propagators(model: OUModel, ts) -> Propagators:
         raise NotSPDError("Qt lost positive definiteness on the grid")
     if np.min(np.linalg.eigvalsh(Qt)) <= 0:
         raise NotSPDError("Qt lost positive definiteness on the grid")
-
-    # Dt has growing entries, Dmt decaying ones; e^(-tB^T) = inv(e^(tB))^T
-    exp_tB_inv = _inverse_stack(exp_tB, ts)
-    Dt = np.einsum("ij,mkj,kl->mil", model.Qinf, exp_tB_inv, model.Qinf_inv)
-    Dmt = np.einsum("ij,mkj,kl->mil", model.Qinf, exp_tB, model.Qinf_inv)
-
-    A_small = Qt_inv - model.Qinf_inv[None]
-    A_small = 0.5 * (A_small + np.swapaxes(A_small, -1, -2))
-
-    # Dt^T (Qt^-1 - Qinf^-1) Dt = Qinf^-1 + (I - S Qinf)^-1 S with
-    # S = e^(tB^T) Qinf^-1 e^(tB); every factor decays, so this form holds
-    # full precision where the direct difference cancels catastrophically.
-    # For t <= T_SWITCH the resolvent becomes singular instead (S Qinf -> I),
-    # so the direct product is used there; only the t > T_SWITCH rows are
-    # ever consumed in that regime anyway.
-    # N = M - Qinf^-1 is kept for the time slope, whose x-Hessian of log K
-    # is -N: above T_SWITCH it is the resolvent term itself, below it the
-    # difference, which is then dominated by M ~ 1/t and does not cancel.
-    M = np.empty_like(A_small)
-    N = np.empty_like(A_small)
-    lg = ts > T_SWITCH
-    if np.any(lg):
-        S = np.einsum("mji,jk,mkl->mil", exp_tB[lg], model.Qinf_inv,
-                      exp_tB[lg])
-        eye = np.eye(model.n)
-        N[lg] = np.linalg.solve(eye[None] - S @ model.Qinf, S)
-        M[lg] = model.Qinf_inv[None] + N[lg]
-    if np.any(~lg):
-        M[~lg] = np.einsum("mji,mjk,mkl->mil", Dt[~lg], A_small[~lg],
-                           Dt[~lg])
-    M_large = 0.5 * (M + np.swapaxes(M, -1, -2))
-    N[~lg] = M_large[~lg] - model.Qinf_inv[None]
-    N = 0.5 * (N + np.swapaxes(N, -1, -2))
     return Propagators(ts=ts, exp_tB=exp_tB, Qt=Qt, Qt_inv=Qt_inv,
-                       logdet_Qt=logdet, Dt=Dt, Dmt=Dmt,
-                       A_small=A_small, M_large=M_large, N=N)
+                       logdet_Qt=logdet)
 
 
 def isotropic_rates(model: OUModel) -> tuple[float, float] | None:

@@ -64,15 +64,22 @@ def hermite_tensor(n: int, order: int | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Tensor probabilist Gauss-Hermite rule for N(0, I_n): nodes (q, n)
     and probability weights (q,), q = order^n.  Without an order the
-    dimension's DEFAULT_ORDER is used; dimensions past it have none."""
+    dimension's DEFAULT_ORDER is used; dimensions past it have none.  From
+    order 371 hermegauss's weights underflow to 0 or turn NaN, with
+    overflow warnings: an order whose weights do not sum to 1 raises
+    BadOrderError."""
     if order is None:
         if n not in DEFAULT_ORDER:
             raise BadOrderError(f"no default order for dimension {n}")
         order = DEFAULT_ORDER[n]
     if order < 1:
         raise BadOrderError("order must be >= 1")
-    x1, w1 = hermegauss(order)
+    with np.errstate(all="ignore"):
+        x1, w1 = hermegauss(order)
     w1 = w1 / np.sqrt(2 * np.pi)            # probability weights for N(0,1)
+    if not abs(w1.sum() - 1.0) <= 1e-10:    # NaN fails too
+        raise BadOrderError(f"order {order} is past what hermegauss builds: "
+                            "its weights do not sum to 1")
     grids = np.meshgrid(*([x1] * n), indexing="ij")
     z = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(order ** n)

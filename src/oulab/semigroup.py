@@ -1022,13 +1022,20 @@ def annulus_superlevel_probe(model: OUModel, alphas, delta_rate: float,
 
     where x~, u~ project x and u along the flow onto the level set
     R = log(alpha).  The product alpha sqrt(log alpha) measure{g > alpha}
-    should stay bounded, uniformly in alpha, by the L1 mass of f.
+    should stay bounded, uniformly in alpha, by the L1 mass of f.  The
+    half sample needs sample_size >= 2.
     """
     from .report import ProbeReport
     alphas = [float(a) for a in np.atleast_1d(alphas)]
+    if not alphas or not all(map(math.isfinite, alphas)):
+        raise ArgumentRangeError(f"need at least one level, each finite, "
+                                 f"got {alphas}")
     for a in alphas:
         if a <= 2.0:
             raise AlphaTooSmallError("levels must exceed 2")
+    if sample_size < 2:
+        raise ArgumentRangeError(f"the probe needs at least 2 samples, got "
+                                 f"{sample_size}")
     if not (math.isfinite(delta_rate) and delta_rate > 0):
         raise ArgumentRangeError(
             f"the averaging rate must be finite and positive, got "

@@ -351,22 +351,30 @@ def variation_growth_report(n_list, operator: str = "E",
         seed=seed)
 
 
-def fourier_kernel_gap(lmax: int = 48, xi=None) -> "ProbeReport":
-    """Max over a frequency grid of the summed gap between the Gaussian
-    multiplier exp(-2 pi^2 (2^-l xi)^2) and the window-mean multiplier
+def fourier_kernel_gap(lmax: int = 48, xi_min: float = 1e-3,
+                       xi_max: float = 1e9, points: int = 4001
+                       ) -> "ProbeReport":
+    """Max over points frequencies xi, evenly spaced in log from xi_min to
+    xi_max, of the summed gap between the Gaussian multiplier
+    exp(-2 pi^2 (2^-l xi)^2) and the window-mean multiplier
     sin(2 pi 2^-l xi) / (2 pi 2^-l xi).
 
     A bounded sup is what lets the Gaussian chain inherit the variation
     behavior of the window-mean chain in L^2.  The truncation tail is
     quadratic in 2^-lmax xi, reported as an explicit bound.  The sup must
-    agree to 1e-3 with the sup over every other grid point.
+    agree to 1e-3 with the sup over every other grid point, so the grid
+    needs at least 2 points, and both ends finite and positive.
     """
     from .report import ProbeReport
     if not 1 <= lmax <= 60:
         raise BadOrderError("lmax must lie in [1, 60]")
-    if xi is None:
-        xi = np.geomspace(1e-3, 1e9, 4001)
-    xi = np.asarray(xi, dtype=float)
+    if not (0.0 < xi_min < np.inf and 0.0 < xi_max < np.inf):
+        raise ArgumentRangeError(f"frequencies must be finite and positive, "
+                                 f"got xi from {xi_min:g} to {xi_max:g}")
+    if points < 2:
+        raise ArgumentRangeError(
+            f"the frequency grid needs at least 2 points, got {points}")
+    xi = np.geomspace(xi_min, xi_max, points)
     if 2.0 ** (-lmax) * xi.max() > 0.5:
         raise BadOrderError("lmax too small for the top frequency")
     total = np.zeros(xi.shape)
@@ -537,6 +545,7 @@ def _difference_operator_ratio(model, N: int, x_points: int,
     to erf evaluation.
     """
     from scipy.special import erf as _erf
+    from .kernel import kernel_forms
     from .model import propagators
     slots = 1 << (3 * N)
     edges_m = np.arange(slots + 1, dtype=np.int64) << (BITS - 3 * N)
@@ -550,13 +559,16 @@ def _difference_operator_ratio(model, N: int, x_points: int,
     chain = np.empty((x_points, ells.size))
     ts = 4.0 ** -ells.astype(float)
     pr = propagators(model, ts)
+    # every t = 4^-ell is below T_SWITCH, so the small-time forms hold
+    # every time, in order
+    forms = kernel_forms(model, pr)
     for j, t in enumerate(ts):
         t = float(t)
         # both kernels are Gaussians in u, so each slot integrates to an
         # erf difference; the short-time one is centered at D_t x with
         # inverse variance a_t, the flat one at x with variance t q
-        a_t = float(pr.A_small[j, 0, 0])
-        dt_x = float(pr.Dt[j, 0, 0]) * xg
+        a_t = float(forms.A[j, 0, 0])
+        dt_x = float(forms.Dt[j, 0, 0]) * xg
         det_qt = float(pr.Qt[j, 0, 0])
         coef_tilde = det_qt ** -0.5 * math.sqrt(math.pi / (2.0 * a_t))
         coef_flat = math.sqrt(math.pi / 2.0)
@@ -591,6 +603,9 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
     from .report import ProbeReport
     p_grid = [float(p) for p in p_grid]
     n_grid = sorted(int(N) for N in n_grid)
+    if not p_grid or not n_grid:
+        raise ArgumentRangeError("the failure experiment needs at least one "
+                                 "exponent p and one scale N")
     for p in p_grid:
         if not 1.0 <= p <= 4.0:
             raise BadOrderError("p must lie in [1, 4]")

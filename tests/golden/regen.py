@@ -1,0 +1,152 @@
+"""The golden corpus: exit code, stdout and report files of a few CLI runs.
+
+Each case runs `oulab.cli.main` in-process from a fresh working directory
+that holds the model files under fixed names, with reports written to the
+relative directory `out`, so no path of the machine reaches stdout or a
+report.  The runtime line goes to stderr and is not kept.  One JSON file
+per case under tests/golden/ holds its argv, exit code, stdout and the
+text of every file it wrote; versions.json names the Python, numpy and
+scipy versions that made the corpus.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+rewrites the corpus and prints, for each text that moved, its largest
+absolute and relative move of any number in it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import platform
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+
+MODEL_FILES = {
+    "general2.json": {"Q": [[1.0, 0.3], [0.3, 0.5]],
+                      "B": [[-1.0, 2.0], [0.0, -0.5]]},
+    # a complex spectrum, so its zero count takes the scan route
+    "rotating2.json": {"Q": [[1.0, 0.3], [0.3, 0.5]],
+                       "B": [[-1.0, 0.5], [-0.5, -1.0]]},
+}
+
+CASES = {
+    "kernel-eval-general2-small-t": [
+        "kernel", "eval", "--model", "general2.json", "--t", "0.7",
+        "--x", "0.3,-0.4", "--u", "1.1,0.2"],
+    "kernel-eval-general2-large-t": [
+        "kernel", "eval", "--model", "general2.json", "--t", "12",
+        "--x", "0.3,-0.4", "--u", "1.1,0.2"],
+    "kernel-zeros-general2": [
+        "kernel", "zeros", "--model", "general2.json", "--x", "1,2",
+        "--u", "2,3"],
+    "kernel-zeros-rotating2": [
+        "kernel", "zeros", "--model", "rotating2.json", "--x", "1,2",
+        "--u", "2,3"],
+    "kernel-bounds-standard2": [
+        "kernel", "bounds", "--model", "standard2", "--samples", "1000"],
+    "probe-kernel-bounds-standard1": [
+        "probe", "kernel-bounds", "--model", "standard1", "--samples",
+        "1000", "--out", "out"],
+    "probe-kernel-bounds-general2": [
+        "probe", "kernel-bounds", "--model", "general2.json", "--samples",
+        "1000", "--out", "out"],
+    "probe-cz-general2": [
+        "probe", "cz", "--model", "general2.json", "--rho", "2.5",
+        "--dirs", "2", "--triples", "8", "--out", "out"],
+    "torus-delta-standard1": [
+        "torus", "delta", "--samples", "40", "--xpoints", "16",
+        "--out", "out"],
+    "semigroup-apply-general2": [
+        "semigroup", "apply", "--model", "general2.json", "--t", "4.5",
+        "--x", "0.3,-0.4"],
+}
+
+
+def versions() -> dict:
+    import numpy
+    import scipy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code, stdout and the written files of one in-process run."""
+    from oulab.cli import main
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in MODEL_FILES.items():
+            Path(tmp, name).write_text(json.dumps(spec))
+        os.chdir(tmp)
+        try:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+        out = Path(tmp, "out")
+        files = ({p.name: p.read_text() for p in sorted(out.iterdir())}
+                 if out.exists() else {})
+    return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
+            "files": files}
+
+
+def load(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+_NUM = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def largest_move(old: str, new: str) -> tuple[float, float] | None:
+    """The largest absolute and relative move between the numbers of two
+    texts read in order, or None when they hold different counts."""
+    a, b = _NUM.findall(old), _NUM.findall(new)
+    if len(a) != len(b):
+        return None
+    absolute = relative = 0.0
+    for x, y in zip(map(float, a), map(float, b)):
+        if x == y or (x != x and y != y):
+            continue
+        d = abs(x - y)
+        absolute = max(absolute, d)
+        relative = max(relative, d / max(abs(x), abs(y)))
+    return absolute, relative
+
+
+def _texts(case: dict) -> dict:
+    return {"exit": str(case["exit"]), "stdout": case["stdout"],
+            **case["files"]}
+
+
+def main() -> int:
+    (GOLDEN / "versions.json").write_text(
+        json.dumps(versions(), indent=2, sort_keys=True) + "\n")
+    for name, argv in CASES.items():
+        path = GOLDEN / f"{name}.json"
+        new = run_case(argv)
+        if path.exists():
+            old = _texts(load(name))
+            for key, text in _texts(new).items():
+                if old.get(key) == text:
+                    continue
+                move = (largest_move(old[key], text) if key in old
+                        else None)
+                what = ("new or restructured" if move is None else
+                        f"abs {move[0]:.3e}, rel {move[1]:.3e}")
+                print(f"{name}/{key}: moved, {what}")
+            for key in old.keys() - _texts(new).keys():
+                print(f"{name}/{key}: no longer written")
+        path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,9 +15,10 @@ from scipy.stats import multivariate_normal
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
 from oulab.geometry import local_weight
-from oulab.kernel import (_logk_factors, _slope_factors, log_kernel_grid,
-                          log_kernel_pairs, logk_time_slope_grid)
-from oulab.model import T_SWITCH, propagators, quadratic_r
+from oulab.kernel import (_by_side, _logk_factors, _slope_factors,
+                          kernel_forms, log_kernel_grid, log_kernel_pairs,
+                          logk_time_slope_grid)
+from oulab.model import propagators, quadratic_r
 from oulab.quadrature import hermite_tensor
 from oulab.semigroup import _bump_stacks, _tiles, bump_semigroup_grid
 from oulab.variation import _check_order
@@ -44,6 +45,11 @@ def group_dt(model, t: float) -> np.ndarray:
     """Dt = Qinf e^(-tB^T) Qinf^-1 by scipy's matrix exponential."""
     e = scipy.linalg.expm(-float(t) * model.B.T)
     return model.Qinf @ e @ model.Qinf_inv
+
+
+def group_dt_stack(model, ts) -> np.ndarray:
+    """group_dt at every time of ts, (m, n, n)."""
+    return np.array([group_dt(model, t) for t in np.atleast_1d(ts)])
 
 
 def covariance_qt(model, t: float) -> np.ndarray:
@@ -87,15 +93,16 @@ def log_kernel_grid_einsum(model, props, x, u):
     w = u - Dt x for t <= T_SWITCH, the form in v = D_{-t} u - x above."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    small = props.ts <= T_SWITCH
+    f = kernel_forms(model, props)
+    small = f.small
     large = ~small
     q = np.empty((x.shape[0], len(props)))
     if np.any(small):
-        w = u[:, None, :] - np.einsum("mij,pj->pmi", props.Dt[small], x)
-        q[:, small] = np.einsum("pmi,mij,pmj->pm", w, props.A_small[small], w)
+        w = u[:, None, :] - np.einsum("mij,pj->pmi", f.Dt, x)
+        q[:, small] = np.einsum("pmi,mij,pmj->pm", w, f.A, w)
     if np.any(large):
-        v = np.einsum("mij,pj->pmi", props.Dmt[large], u) - x[:, None, :]
-        q[:, large] = np.einsum("pmi,mij,pmj->pm", v, props.M_large[large], v)
+        v = np.einsum("mij,pj->pmi", f.Dmt, u) - x[:, None, :]
+        q[:, large] = np.einsum("pmi,mij,pmj->pm", v, f.M[large], v)
     const = 0.5 * (model.logdet_Qinf - props.logdet_Qt)
     return -0.5 * q + const[None, :]
 
@@ -180,16 +187,21 @@ def slope_lyapunov(model, props, x, u):
     D_{-t} u - x and F = M, and the terms of <Q w, w>/2 + <y, V y> that
     the Lyapunov equation cancels once more are left out: with x = z - y,
     z = D_{-t} u, the slope is h0 + <H y, y>/2 - <z, V y>, H = N Q N -
-    B^T N - N B.  The sums run in extended precision, so that the route's
-    own rounding stays below the package's slope floor."""
+    B^T N - N B.  The factors are the package's (kernel_forms), each read
+    on its own side of T_SWITCH: the Lyapunov cancellation above it holds
+    to the slope floor only with D_{-t} rounded as M and N are.  The sums
+    run in extended precision, so that the route's own rounding stays
+    below the package's slope floor."""
     ld = np.longdouble
-    small = props.ts <= T_SWITCH
+    f = kernel_forms(model, props)
+    small, eye = f.small, np.eye(model.n)
     Q, B = model.Q.astype(ld), model.B.astype(ld)
     x, u = np.asarray(x, dtype=ld), np.asarray(u, dtype=ld)
-    Dt, Dmt, N = (a.astype(ld) for a in (props.Dt, props.Dmt, props.N))
-    F = np.where(small[:, None, None],
-                 np.einsum("mji,mjk->mik", Dt, props.A_small.astype(ld)),
-                 props.M_large.astype(ld))
+    Dt, Dmt = (_by_side(small, *sides).astype(ld)
+               for sides in ((f.Dt, eye), (eye, f.Dmt)))
+    N = f.N.astype(ld)
+    F = f.M.astype(ld)
+    F[small] = np.einsum("mji,mjk->mik", Dt[small], f.A.astype(ld))
     V = np.einsum("ij,jk,kl,mlp->mip", model.Qinf_inv.astype(ld), B,
                   model.Qinf.astype(ld), F)
     z = np.einsum("mij,pj->pmi", Dmt, u)
@@ -276,10 +288,10 @@ def ratio_pieces_einsum(model, which, x, u, ts):
         with np.errstate(divide="ignore"):
             lk = lk + np.log(np.abs(slope))             # log |dK/dt|
     if which == "dkernel-large-t":
-        dv = np.einsum("mij,pj->pmi", pr.Dmt, u)
+        dv = np.einsum("mij,pj->pmi", group_dt_stack(model, -ts), u)
         b = np.einsum("pmi,pmi->pm", dv - x[:, None, :], dv - x[:, None, :])
         return lk, b, np.linalg.norm(dv, axis=2)
-    w = u[:, None, :] - np.einsum("mij,pj->pmi", pr.Dt, x)
+    w = u[:, None, :] - np.einsum("mij,pj->pmi", group_dt_stack(model, ts), x)
     b = np.einsum("pmi,pmi->pm", w, w) / ts[None, :]
     a = lk + 0.5 * model.n * np.log(ts)[None, :]
     if which == "dkernel-small-t":
@@ -324,22 +336,23 @@ def bound_maximisers(model, which, ts, c, radius: float = 1e6):
     eigenvectors of P^{-1/2} H P^{-1/2}, and y along the top singular
     direction of V P^{-1/2}.  The quadratic term peaks at |x| = 0 (small
     t) or D_{-t} u = 0 (large t), and the linear one as that norm grows:
-    it is taken at radius, along -sign(alpha) V y."""
-    pr = propagators(model, ts)
+    it is taken at radius, along -sign(alpha) V y.  Dt comes from scipy's
+    matrix exponential (group_dt), A, M and N from the package."""
+    f = kernel_forms(model, propagators(model, ts))
+    Dt = group_dt_stack(model, ts)
     m, n = ts.size, model.n
     small = which != "dkernel-large-t"
     shift = 2.0 * c / ts if small else np.full(m, 2.0 * c)
-    lam, vec = np.linalg.eigh((pr.A_small if small else pr.M_large)
+    lam, vec = np.linalg.eigh((f.A if small else f.M)
                               - shift[:, None, None] * np.eye(n))
     root = np.einsum("mij,mj,mkj->mik", vec, lam ** -0.5, vec)
-    F = (np.einsum("mji,mjk->mik", pr.Dt, pr.A_small) if small
-         else pr.M_large)
+    F = np.einsum("mji,mjk->mik", Dt, f.A) if small else f.M
     V = np.einsum("ij,jk,kl,mlp->mip", model.Qinf_inv, model.B, model.Qinf,
                   F)
     H = np.einsum("mji,jk,mkl->mil", F, model.Q, F)
     if not small:
         H = H + V + np.swapaxes(V, 1, 2)
-    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, pr.N)
+    h0 = -0.5 * np.einsum("ij,mji->m", model.Q, f.N)
     hs, es = np.linalg.eigh(np.einsum("mij,mjk,mkl->mil", root, H, root))
     zs = [np.zeros((m, n))]
     for j in (0, -1):
@@ -360,10 +373,10 @@ def bound_maximisers(model, which, ts, c, radius: float = 1e6):
                 / np.linalg.norm(vy, axis=1)[:, None]
         if small:
             xs.append(v)
-            us.append(y + np.einsum("mij,mj->mi", pr.Dt, v))
+            us.append(y + np.einsum("mij,mj->mi", Dt, v))
         else:
             xs.append(v - y)
-            us.append(np.einsum("mij,mj->mi", pr.Dt, v))
+            us.append(np.einsum("mij,mj->mi", Dt, v))
     return np.array(xs), np.array(us)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from oulab.cli import build_parser, main
+from test_model import SLOW_NON_NORMAL
 
 
 def test_unconverged_probe_fails_everywhere(tmp_path, capsys):
@@ -482,19 +483,54 @@ def test_no_option_looks_like_a_negative_number():
 
 def test_a_singular_propagator_exits_one_with_an_error_line(tmp_path,
                                                            capsys):
-    model = tmp_path / "slow.json"
-    model.write_text(json.dumps(
-        {"n": 3, "Q": [[1, .3, .1], [.3, .5, 0], [.1, 0, .8]],
-         "B": [[-1, 2, .3], [0, -.5, .4], [.2, 0, -.7]]}))
-    out = tmp_path / "out"
-    code = main(["probe", "weak-type", "--model", str(model), "--rho", "2.5",
-                 "--regime", "full", "--samples", "1000", "--out", str(out)])
-    err = capsys.readouterr().err
+    # e^(-800 t) underflows to 0 from t = 0.931, so e^(tB) is singular at
+    # t = 1, where the kernel's small-time form inverts it
+    model = tmp_path / "stiff.json"
+    model.write_text(json.dumps({"Q": [[1, 0], [0, 1]],
+                                 "B": [[-1, 0], [0, -800]]}))
+    code = main(["kernel", "eval", "--model", str(model), "--t", "1",
+                 "--x", "0.3,0.2", "--u", "0.1,0.4"])
+    printed, err = capsys.readouterr()
     assert code == 1
-    assert "oulab: error: e^(tB) is singular in floating point at t = 50" \
+    assert "oulab: error: e^(tB) is singular in floating point at t = 1," \
         in err
     assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert printed == ""
+
+
+SLOW_NON_NORMAL_JSON = json.dumps(SLOW_NON_NORMAL)
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "weak-type", "--rho", "2.5", "--regime", "full",
+     "--samples", "1000", "--refine", "1"],
+    ["probe", "weak-type", "--rho", "2.5", "--regime", "large-t",
+     "--samples", "1000", "--refine", "1"],
+    ["probe", "kernel-bounds"]])
+def test_a_drift_singular_only_above_the_switch_runs_its_probes(
+        argv, tmp_path, capsys):
+    # this e^(tB) loses rank near t = 50, where no form inverts it
+    model = tmp_path / "slow.json"
+    model.write_text(SLOW_NON_NORMAL_JSON)
+    out = tmp_path / "out"
+    code = main([*argv[:2], "--model", str(model), *argv[2:],
+                 "--out", str(out)])
+    printed, err = capsys.readouterr()
+    assert "error" not in err
+    (report,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
+    passed = all(report["pass_flags"].values())
+    assert code == (0 if passed else 2)
+    assert ("overall: PASS" if passed else "overall: FAIL") in printed
+
+
+def test_semigroup_apply_routes_agree_where_e_tb_is_singular(tmp_path,
+                                                             capsys):
+    model = tmp_path / "slow.json"
+    model.write_text(SLOW_NON_NORMAL_JSON)
+    code = main(["semigroup", "apply", "--model", str(model), "--t", "45",
+                 "--x", "0.3,0.2,0.1"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("agreement: PASS\n")
 
 
 GENERAL2_JSON = ('{"Q": [[1.0, 0.3], [0.3, 0.5]], '
@@ -618,6 +654,26 @@ def test_kernel_zeros_names_its_route_on_stderr(model, route, tmp_path,
       "--x", "0.3", "--width", "1e-160"], "bump width 1e-160"),
     (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
       "--width", "1e-160"], "bump width 1e-160"),
+    # a frequency grid that np.geomspace cannot build, or builds of NaN
+    (["torus", "fourier", "--xi-min", "0"], "finite and positive"),
+    (["torus", "fourier", "--xi-min", "-5"], "finite and positive"),
+    (["torus", "fourier", "--points", "0"], "at least 2 points"),
+    # an empty half sample, and levels that the probe would read as none
+    (["probe", "enhanced", "--model", "standard1", "--samples", "0"],
+     "at least 2 samples"),
+    (["probe", "enhanced", "--model", "standard1", "--samples", "1"],
+     "at least 2 samples"),
+    (["probe", "enhanced", "--model", "standard1", "--alphas", ",,"],
+     "at least one level"),
+    (["probe", "enhanced", "--model", "standard1", "--alphas", "4,nan"],
+     "each finite"),
+    (["probe", "enhanced", "--model", "standard1", "--alphas", "4,inf"],
+     "each finite"),
+    (["torus", "failure", "--p", ","], "at least one exponent p"),
+    (["torus", "failure", "--N", ","], "one scale N"),
+    # a Gauss-Hermite order past what hermegauss builds
+    (["semigroup", "apply", "--model", "standard1", "--t", "1",
+      "--x", "0.3", "--order", "400"], "order 400 is past"),
 ])
 def test_refused_settings_exit_one_with_an_error_line_and_no_report(
         argv, named, tmp_path, capsys, monkeypatch):

@@ -11,7 +11,8 @@ from oulab import (
     quadratic_r,
 )
 from oulab.geometry import group_apply
-from reference_routes import covariance_qt, gamma_density, group_dt
+from reference_routes import (covariance_qt, gamma_density, group_dt,
+                              group_dt_stack)
 from oulab.errors import (
     DimensionError,
     NonPositiveTimeError,
@@ -19,10 +20,12 @@ from oulab.errors import (
     NotStableError,
     SingularPropagatorError,
 )
+from oulab.kernel import kernel_forms
 from oulab.model import isotropic_rates
 
 # a slowly decaying non-normal drift: e^(tB) loses rank in floating point
-# near t = 50, long before its entries underflow
+# near t = 50, long before its entries underflow, and far above T_SWITCH,
+# so nothing inverts it there
 SLOW_NON_NORMAL = {"n": 3, "Q": [[1, .3, .1], [.3, .5, 0], [.1, 0, .8]],
                    "B": [[-1, 2, .3], [0, -.5, .4], [.2, 0, -.7]]}
 
@@ -282,7 +285,8 @@ def test_finite_time_density_uses_qt(std1):
 
 
 # ---------------------------------------------------------------------------
-# the stacked propagators agree with the single-time functions
+# the stacked propagators and the kernel's forms agree with the single-time
+# functions
 
 
 def test_propagator_stack_consistency(model_factory):
@@ -292,38 +296,44 @@ def test_propagator_stack_consistency(model_factory):
     for i, t in enumerate(ts):
         assert pr.exp_tB[i] == pytest.approx(scipy.linalg.expm(t * m.B))
         assert pr.Qt[i] == pytest.approx(covariance_qt(m, t), rel=1e-12)
-        assert pr.Dt[i] == pytest.approx(group_dt(m, t), rel=1e-10)
-        assert pr.Dmt[i] == pytest.approx(group_dt(m, -t), rel=1e-10)
         assert pr.Qt_inv[i] @ pr.Qt[i] == pytest.approx(np.eye(2), abs=1e-8)
         _, logdet = np.linalg.slogdet(pr.Qt[i])
         assert pr.logdet_Qt[i] == pytest.approx(logdet)
+    # Dt up to T_SWITCH, D_{-t} above it
+    f = kernel_forms(m, pr)
+    assert f.small.tolist() == [True] * 4 + [False] * 2
+    assert f.Dt == pytest.approx(group_dt_stack(m, ts[:4]), rel=1e-10)
+    assert f.Dmt == pytest.approx(group_dt_stack(m, -ts[4:]), rel=1e-10)
 
 
 def test_propagator_quadratic_forms(model_factory):
     m = model_factory(31, 2)
     ts = np.array([0.05, 0.5, 2.0, 20.0])
     pr = propagators(m, ts)
+    f = kernel_forms(m, pr)
     for i, t in enumerate(ts):
         a = pr.Qt_inv[i] - m.Qinf_inv
-        assert pr.A_small[i] == pytest.approx(a, rel=1e-8, abs=1e-10)
-        if t > 1.0:
-            direct = pr.Dt[i].T @ a @ pr.Dt[i]
-            assert pr.M_large[i] == pytest.approx(direct, rel=1e-6)
+        if t <= 1.0:
+            assert f.A[i] == pytest.approx(a, rel=1e-8, abs=1e-10)
+        else:
+            dt = group_dt(m, t)
+            assert f.M[i] == pytest.approx(dt.T @ a @ dt, rel=1e-6)
 
 
 def test_propagator_large_t_form_beats_cancellation(std1):
     # at t = 40 the direct difference loses all digits; the resolvent form
     # must still produce the analytic limit Qinf^-1 / (1 - e^(-2t)) ~ 1
-    pr = propagators(std1, np.array([40.0]))
+    f = kernel_forms(std1, propagators(std1, np.array([40.0])))
     q = np.exp(-40.0)
     exact = (1.0 + q ** 2 / (1.0 - q ** 2)) / 1.0
-    assert pr.M_large[0, 0, 0] == pytest.approx(exact, rel=1e-12)
+    assert f.M[0, 0, 0] == pytest.approx(exact, rel=1e-12)
 
 
-def frozen_m_large(model, pr):
-    """M_large as built before the resolvent term N was kept."""
+def frozen_m_large(model, pr, f):
+    """M_large as built before the resolvent term N was kept, from the
+    small-time forms f.Dt and f.A."""
     ts = pr.ts
-    M = np.empty_like(pr.A_small)
+    M = np.empty_like(pr.Qt)
     lg = ts > 1.0
     if np.any(lg):
         S = np.einsum("mji,jk,mkl->mil", pr.exp_tB[lg], model.Qinf_inv,
@@ -332,8 +342,7 @@ def frozen_m_large(model, pr):
         M[lg] = model.Qinf_inv[None] + np.linalg.solve(
             eye[None] - S @ model.Qinf, S)
     if np.any(~lg):
-        M[~lg] = np.einsum("mji,mjk,mkl->mil", pr.Dt[~lg], pr.A_small[~lg],
-                           pr.Dt[~lg])
+        M[~lg] = np.einsum("mji,mjk,mkl->mil", f.Dt, f.A, f.Dt)
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
@@ -342,20 +351,22 @@ def test_propagator_n_keeps_m_large_bit_identical(n, model_factory):
     m = model_factory(40 + n, n)
     ts = np.concatenate([np.geomspace(1e-8, 60.0, 97), [1.0]])
     pr = propagators(m, ts)
-    assert np.array_equal(pr.M_large, frozen_m_large(m, pr))
-    assert np.array_equal(pr.N, np.swapaxes(pr.N, -1, -2))
+    f = kernel_forms(m, pr)
+    assert np.array_equal(f.M, frozen_m_large(m, pr, f))
+    assert np.array_equal(f.N, np.swapaxes(f.N, -1, -2))
     for i, t in enumerate(ts):
-        assert pr.N[i] == pytest.approx(pr.M_large[i] - m.Qinf_inv,
-                                        rel=1e-9, abs=1e-12 * (1 + 1 / t))
+        assert f.N[i] == pytest.approx(f.M[i] - m.Qinf_inv,
+                                       rel=1e-9, abs=1e-12 * (1 + 1 / t))
 
 
 def test_propagator_n_holds_precision_at_large_t(std1):
     # N = e^(-2t) / (1 - e^(-2t)) for the standard model; the difference
     # M_large - Qinf^-1 keeps no digit of it at t = 30
-    pr = propagators(std1, np.array([2.0, 30.0]))
-    q2 = np.exp(-2.0 * pr.ts)
-    assert pr.N[:, 0, 0] == pytest.approx(q2 / -np.expm1(-2.0 * pr.ts),
-                                          rel=1e-14)
+    ts = np.array([2.0, 30.0])
+    f = kernel_forms(std1, propagators(std1, ts))
+    q2 = np.exp(-2.0 * ts)
+    assert f.N[:, 0, 0] == pytest.approx(q2 / -np.expm1(-2.0 * ts),
+                                         rel=1e-14)
 
 
 def test_propagators_reject_nonpositive_times(std1):
@@ -384,13 +395,19 @@ def test_propagators_reject_indefinite_qt(std2, monkeypatch):
 
 
 def test_a_singular_propagator_is_an_error_that_names_its_time():
-    model = model_from_dict(SLOW_NON_NORMAL)
-    assert propagators(model, [1.0, 10.0]).ts.size == 2
-    with pytest.raises(SingularPropagatorError, match=r"at t = 50\b"):
-        propagators(model, [1.0, 10.0, 50.0])
+    # e^(-800 t) underflows to 0 from t = 0.931, so e^(tB) is singular at
+    # times up to T_SWITCH, where the small-time form inverts it
+    model = build_model(np.eye(2), np.diag([-1.0, -800.0]))
+    with pytest.raises(SingularPropagatorError, match=r"at t = 1\b"):
+        kernel_forms(model, propagators(model, [0.5, 1.0, 3.0]))
     # the first singular time is the one named
-    with pytest.raises(SingularPropagatorError, match=r"at t = 49\b"):
-        propagators(model, [1.0, 49.0, 50.0])
+    with pytest.raises(SingularPropagatorError, match=r"at t = 0.95\b"):
+        kernel_forms(model, propagators(model, [0.5, 0.95, 1.0]))
+    # above T_SWITCH nothing inverts e^(tB): neither here nor on the slow
+    # non-normal drift, whose e^(tB) loses rank near t = 50
+    for m in (model, model_from_dict(SLOW_NON_NORMAL)):
+        f = kernel_forms(m, propagators(m, [3.0, 10.0, 49.0, 50.0]))
+        assert np.isfinite(f.M).all() and np.isfinite(f.Dmt).all()
 
 
 @pytest.mark.parametrize("Q, B, rates", [

@@ -78,6 +78,19 @@ def test_bad_order_rejected():
         hermite_tensor(1, order=0)
 
 
+@pytest.mark.parametrize("order", [371, 380, 400, 1000])
+def test_orders_past_hermegauss_are_refused_without_warnings(order):
+    # hermegauss's weights underflow to 0 at order 371 and turn NaN, with
+    # overflow warnings, from 372; RuntimeWarnings are errors in the suite
+    with pytest.raises(BadOrderError, match=f"order {order} "):
+        hermite_tensor(1, order=order)
+
+
+def test_the_highest_order_hermegauss_builds_is_kept():
+    z, w = hermite_tensor(1, order=370)
+    assert np.isfinite(z).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rule_is_the_tensor_mapped_through_the_measure(n):
     z, w = hermite_tensor(n)
