@@ -31,7 +31,9 @@ class SingularPropagatorError(OULabError):
 
 
 class NumericalOverflowError(OULabError):
-    """exp() of a computed log-value overflows float64; use the log form."""
+    """A value leaves float64's reach: exp() of a computed log-value
+    overflows (use the log form), or the kernel's small-time form A =
+    Qt^-1 - Qinf^-1 cancels to a matrix that is not positive definite."""
 
 
 class EmptyPathError(OULabError):

@@ -57,6 +57,10 @@ CASES = {
     "probe-kernel-bounds-general2": [
         "probe", "kernel-bounds", "--model", "general2.json", "--samples",
         "1000", "--out", "out"],
+    # the tail integral's grid route
+    "probe-kernel-bounds-rotating2": [
+        "probe", "kernel-bounds", "--model", "rotating2.json", "--samples",
+        "1000", "--out", "out"],
     "probe-cz-general2": [
         "probe", "cz", "--model", "general2.json", "--rho", "2.5",
         "--dirs", "2", "--triples", "8", "--out", "out"],

@@ -564,3 +564,54 @@ def bootstrap_statistics_loop(v, alphas, idx, weighted: bool) -> np.ndarray:
             w = alphas[mask] * np.sqrt(np.log(alphas[mask])) * lam[mask]
         out[r] = float(w.max()) if w.size else 0.0
     return out
+
+
+def tail_integral_mpmath(model, x, u, splits, dps: int = 20) -> float:
+    """int_1^50 |dK/dt| dt / e^{R(x)} for one pair by mpmath's quadrature
+    in dps digits, on pieces split at the given times in (1, 50) and at
+    16 log-spaced ones, since K may climb by tens of orders in a piece.
+
+    K / e^{R(x)} = (det Qinf / det Qt)^{1/2} exp(R(u) - R(x) - <Qt^-1 v,
+    v>/2) with v = u - e^{tB} x, Qt = Qinf - e^{tB} Qinf e^{tB^T}, e^{tB}
+    from mpmath's eigenvectors of B and Qinf solved anew from B Qinf +
+    Qinf B^T = -Q.  Its time derivative differentiates this Gaussian form
+    directly, with dQt/dt = e^{tB} Q e^{tB^T} and dv/dt = -B e^{tB} x:
+
+        d/dt log K = -tr(Qt^-1 Qt')/2 - <Qt^-1 v, v'>
+                     + <Qt' Qt^-1 v, Qt^-1 v>/2."""
+    import mpmath as mp
+    n = model.n
+    with mp.workdps(dps):
+        B, Q = mp.matrix(model.B.tolist()), mp.matrix(model.Q.tolist())
+        lyap, rhs = mp.zeros(n * n, n * n), mp.zeros(n * n, 1)
+        for i in range(n):
+            for j in range(n):
+                rhs[n * i + j] = -Q[i, j]
+                for k in range(n):
+                    lyap[n * i + j, n * k + j] += B[i, k]
+                    lyap[n * i + j, n * i + k] += B[j, k]
+        vec = mp.lu_solve(lyap, rhs)
+        qinf = mp.matrix([[vec[n * i + j] for j in range(n)]
+                          for i in range(n)])
+        xv, uv = mp.matrix(list(x)), mp.matrix(list(u))
+        r_diff = ((uv.T * qinf ** -1 * uv)[0]
+                  - (xv.T * qinf ** -1 * xv)[0]) / 2
+        lam, vecs = mp.eig(B)
+        vecs_inv = vecs ** -1
+
+        def k_dot(t):
+            e = (vecs * mp.diag([mp.exp(v * t) for v in lam])
+                 * vecs_inv).apply(mp.re)
+            qt = qinf - e * qinf * e.T
+            qt_dot = e * Q * e.T
+            w = qt ** -1 * (uv - e * xv)
+            k = mp.sqrt(mp.det(qinf) / mp.det(qt)) * mp.exp(
+                r_diff - (w.T * (uv - e * xv))[0] / 2)
+            slope = (-sum((qt ** -1 * qt_dot)[i, i] for i in range(n)) / 2
+                     + (w.T * B * e * xv)[0] + (w.T * qt_dot * w)[0] / 2)
+            return k * slope
+
+        cuts = np.union1d(np.geomspace(1.0, 50.0, 17), splits)
+        return float(mp.quad(lambda t: abs(k_dot(t)),
+                             [mp.mpf(float(c)) for c in cuts],
+                             method="gauss-legendre"))

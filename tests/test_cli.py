@@ -498,6 +498,25 @@ def test_a_singular_propagator_exits_one_with_an_error_line(tmp_path,
     assert printed == ""
 
 
+@pytest.mark.parametrize("t", ["0.5", "0.9"])
+def test_a_cancelled_small_time_form_exits_one_with_an_error_line(
+        t, tmp_path, capsys):
+    # on the same drift A = Qt^-1 - Qinf^-1 is only semidefinite from
+    # t = 0.0234; log K read 32.2287109445 at t = 0.5 (true 0.2287109445)
+    # and nan at t = 0.9, both with exit 0
+    model = tmp_path / "stiff.json"
+    model.write_text(json.dumps({"Q": [[1, 0], [0, 1]],
+                                 "B": [[-1, 0], [0, -800]]}))
+    code = main(["kernel", "eval", "--model", str(model), "--t", t,
+                 "--x", "0.3,0.2", "--u", "0.1,0.4"])
+    printed, err = capsys.readouterr()
+    assert code == 1
+    assert ("oulab: error: A = Qt^-1 - Qinf^-1 is not positive definite "
+            f"in floating point at t = {t}:") in err
+    assert "Traceback" not in err
+    assert printed == ""
+
+
 SLOW_NON_NORMAL_JSON = json.dumps(SLOW_NON_NORMAL)
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from scipy.stats import multivariate_normal
@@ -34,7 +34,9 @@ from oulab.errors import (
     ArgumentRangeError,
     BadOrderError,
     NonPositiveTimeError,
+    NumericalOverflowError,
     RateTooLargeError,
+    SingularPropagatorError,
 )
 from reference_routes import (bound_maximisers, calibration_pairs,
                               covariance_qt, gamma_density, group_dt,
@@ -44,7 +46,8 @@ from reference_routes import (bound_maximisers, calibration_pairs,
                               log_kernel_pairs_allocating,
                               sampled_log_ratio, slope_grid_allocating,
                               slope_lyapunov, slope_zeros_bisected,
-                              sympy_slope_numerator, tail_tv_allocating)
+                              sympy_slope_numerator, tail_integral_mpmath,
+                              tail_tv_allocating)
 
 
 def mehler_1d(t, x, u):
@@ -149,6 +152,31 @@ def test_conv_kernel_normalized_mass(std1):
         lambda y: conv_kernel(std1, 0.05, np.array([y]), normalized=True),
         -6, 6)
     assert val == pytest.approx(1.0, rel=1e-10)
+
+
+def test_a_cancelled_small_time_form_is_an_error_that_names_its_time():
+    # from t = 0.0234 the stiff entries of Qt^-1 and Qinf^-1 agree to every
+    # digit, so A = Qt^-1 - Qinf^-1 is only semidefinite while D_t x grows
+    # like e^{800 t}: log K read 32.2287109445 at t = 0.5, where scipy's
+    # densities give 0.2287109445, and nan at t = 0.9
+    model = build_model(np.eye(2), np.diag([-1.0, -800.0]))
+    x, u = np.array([0.3, 0.2]), np.array([0.1, 0.4])
+    for t in (0.5, 0.9):
+        with pytest.raises(NumericalOverflowError,
+                           match=rf"definite in floating point at t = {t}\b"):
+            log_kernel_pairs(model, [t], x, u)
+    # the first such time is the one named
+    with pytest.raises(NumericalOverflowError, match=r"at t = 0.03\b"):
+        kernel_forms(model, propagators(model, [0.01, 0.03, 0.5, 3.0]))
+    # at t = 1 e^(tB) itself is singular, which is named first
+    with pytest.raises(SingularPropagatorError, match=r"at t = 1\b"):
+        log_kernel_pairs(model, [1.0], x, u)
+    # below 0.0234, and above T_SWITCH, the forms build
+    lk = log_kernel_pairs(model, [0.01, 3.0], x, u)
+    want = [np.log(gamma_density(model, t, u - scipy.linalg.expm(
+        t * model.B) @ x) / gamma_density(model, np.inf, u))
+            for t in (0.01, 3.0)]
+    assert lk == pytest.approx(want, rel=1e-6)
 
 
 def test_kernel_matches_transition_density(std1, std2):
@@ -389,6 +417,7 @@ NONNORMAL3 = ([[1.0, 0.3, 0.1], [0.3, 0.5, 0.0], [0.1, 0.0, 0.8]],
 def _bits_model(name, model_factory):
     return {"standard1": lambda: standard_model(1),
             "general2": lambda: build_model(*GENERAL2),
+            "rotating2": lambda: build_model(*ROTATING2),
             "random2": lambda: model_factory(23, 2),
             "random3": lambda: model_factory(23, 3),
             "nonnormal3": lambda: build_model(*NONNORMAL3)}[name]()
@@ -433,12 +462,14 @@ def test_in_place_evaluators_keep_the_allocating_bits(name, model_factory,
                           log_kernel_pairs_allocating(model, tp, X[3], U))
 
 
-@pytest.mark.parametrize("name", ["standard1", "general2", "random3"])
+@pytest.mark.parametrize("name", ["random2", "rotating2", "random3"])
 def test_tail_integral_keeps_the_allocating_bits(name, model_factory,
                                                  monkeypatch):
     # the in-place total variation against the allocating one, on blocks
-    # of the default size and on ragged blocks of three rows
+    # of the default size and on ragged blocks of three rows, on models
+    # without a commensurate spectrum: the grid route's only users
     model = _bits_model(name, model_factory)
+    assert commensurate_rates(model) is None
     n_samples, seed = 300, 3
     gen = substream(seed, 1)
     x = gen.standard_normal((n_samples, model.n)) * 2.0
@@ -1217,9 +1248,10 @@ def two_d_models(draw):
     keep propagators' own rounding below the 1e-12 that the caps are
     checked to: e <= 1.5 keeps Qinf within a few hundred of Qt at t = 1,
     whose difference it forms there (at e = 3 and a1 = a2 = 0.25 log det
-    Qt is off by 1e-12), and B's eigenvectors, from which it forms e^{tB},
-    have a condition number of at most 1e3 (near-equal real eigenvalues
-    with e or w > 0 reach 1e5 and cost 3e-12)."""
+    Qt is off by 1e-12), and B's eigenvectors have a condition number of
+    at most 1e3 (near-equal real eigenvalues with e or w > 0 reach 1e5
+    and cost 3e-12 where e^{tB} came from them; above 16 it now comes
+    from scipy)."""
     f = st.floats
     q1, q2 = draw(f(0.2, 3.0)), draw(f(0.2, 3.0))
     r = draw(f(-0.9, 0.9)) * np.sqrt(q1 * q2)
@@ -1232,8 +1264,17 @@ def two_d_models(draw):
     return model
 
 
+# drawn at th = 0, e = 0, w = 2, a1 = 0.3046875 and a2 = 0.375: near-equal
+# rates and a strong coupling give eigenvectors of condition number 57,
+# from which e^{tB} carried 18 ulp, and the kernel-small-t cap, read from
+# Qt = Qinf - e^{tB} Qinf e^{tB^T}, 1.05e-12 against 50-digit mpmath
+NEAR_EQUAL_RATES = ([[2.0, 0.0], [0.0, 0.25]],
+                    [[-0.3046875, 0.0], [-2.0, -0.375]])
+
+
 @settings(max_examples=25, deadline=None)
 @given(two_d_models(), st.integers(0, 2 ** 16))
+@example(build_model(*NEAR_EQUAL_RATES), 0)
 def test_closed_form_caps_bound_the_sampled_ratio_on_drawn_models(model,
                                                                   seed):
     check_closed_form_caps(model, seed)
@@ -1324,13 +1365,154 @@ def frozen_tail_integral(model, n_samples, seed, t_max):
                             prefactor_cap=mr, stable=stable)
 
 
-@pytest.mark.parametrize("name", ["standard1", "general2"])
-def test_tail_integral_unchanged_by_half_sample_reuse(name, std1):
-    model = std1 if name == "standard1" else build_model(*GENERAL2)
+@pytest.mark.parametrize("name", ["random2", "rotating2"])
+def test_tail_integral_unchanged_by_half_sample_reuse(name, model_factory):
+    # the grid route, on models without a commensurate spectrum
+    model = _bits_model(name, model_factory)
+    assert commensurate_rates(model) is None
     for n_samples, seed in ((1000, 0), (777, 4)):
         got = _calibrate_tail_integral(model, n_samples, seed)
         want = frozen_tail_integral(model, n_samples, seed, 50.0)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the tail integral's exact route on commensurate spectra
+
+
+def _grid_tail(model, m, x, u):
+    """Per pair of x, u, the total variation of K / e^{R(x)} on an m-time
+    log grid of [1, 50], and what the grid's own rounding may add to it:
+    each K carries about eps (1 + |log K|) of relative error, and where K
+    is flat, as it becomes at large t, those errors turn into hundreds of
+    sign flips whose sizes the grid sums (on drawn models, up to 3e-11 of
+    the integral on 16,384 times).  Evaluated 40 pairs at a time."""
+    props = propagators(model, np.geomspace(1.0, 50.0, m))
+    tv, noise = [], []
+    for lo in range(0, x.shape[0], 40):
+        lk = log_kernel_grid(model, props, x[lo:lo + 40], u[lo:lo + 40])
+        k = np.exp(lk)
+        tv.append(np.abs(np.diff(k, axis=1)).sum(axis=1))
+        noise.append((4.0 * np.finfo(float).eps * (1.0 + np.abs(lk))
+                      * k).sum(axis=1))
+    return np.concatenate(tv), np.concatenate(noise)
+
+
+def check_exact_tail_integral(model, x, u, fine=16384):
+    """The exact integral bounds the total variation on 1,024, 2,048 and
+    fine times from above, less 1e-12 relative and the grid's rounding,
+    and meets the finest within 1e-6 relative."""
+    exact = kernel_mod._tail_tv_exact(model, commensurate_rates(model), x,
+                                      u)
+    assert np.isfinite(exact).all()
+    for m in (1024, 2048, fine):
+        tv, noise = _grid_tail(model, m, x, u)
+        assert np.all(exact >= tv - 1e-12 * exact - noise), m
+    assert np.all(np.abs(exact - tv) <= 1e-6 * exact)
+
+
+def _tail_sample(model, count, seed):
+    """The first count pairs of the tail calibration's sample."""
+    gen = substream(seed, 1)
+    x = gen.standard_normal((count, model.n)) * 2.0
+    u = gen.standard_normal((count, model.n)) * 2.0
+    return x, u
+
+
+@pytest.mark.parametrize("name", ["general2", "standard1", "standard2"])
+def test_exact_tail_integral_bounds_the_grids(name):
+    model = _named_model(name)
+    check_exact_tail_integral(model, *_tail_sample(model, 300, 3))
+
+
+@st.composite
+def commensurate_two_d_models(draw):
+    """2-d models whose eigenvalues are -k1 b and -k2 b, k one of (1, 2),
+    (1, 3) and (2, 3) and b in [0.3, 1], on unit eigenvectors at least
+    0.3 rad apart (condition number at most 6.6), with Q drawn as in
+    two_d_models."""
+    f = st.floats
+    q1, q2 = draw(f(0.2, 3.0)), draw(f(0.2, 3.0))
+    r = draw(f(-0.9, 0.9)) * np.sqrt(q1 * q2)
+    b, k = draw(f(0.3, 1.0)), draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+    th, gap = draw(f(0.0, np.pi)), draw(f(0.3, np.pi - 0.3))
+    vecs = np.array([[np.cos(th), np.cos(th + gap)],
+                     [np.sin(th), np.sin(th + gap)]])
+    B = vecs @ np.diag([-k[0] * b, -k[1] * b]) @ np.linalg.inv(vecs)
+    model = build_model([[q1, r], [r, q2]], B)
+    assume(commensurate_rates(model) is not None)
+    return model
+
+
+@settings(max_examples=10, deadline=None)
+@given(commensurate_two_d_models(), st.integers(0, 2 ** 16))
+def test_exact_tail_integral_bounds_the_grids_on_drawn_models(model, seed):
+    # rates up to 3 and slopes of log K near 100, where the 16,384-time
+    # grid itself is off by up to 1.1e-6 (it converges to the exact value
+    # at second order: 5.2e-8 on 65,536 times, 3.5e-9 on 262,144)
+    gen = np.random.default_rng(seed)
+    check_exact_tail_integral(
+        model, *(2.0 * gen.standard_normal((2, 50, 2))), fine=65536)
+
+
+def test_exact_tail_integral_matches_an_mpmath_quadrature():
+    # five general2 pairs with 0, 1, 1, 1 and 2 zeros on (1, 50), two of
+    # them with K below 1e-60; the quadrature is split at the zeros
+    pytest.importorskip("mpmath")
+    g2 = build_model(*GENERAL2)
+    x, u = 2.0 * np.random.default_rng(3).standard_normal((2, 5, 2))
+    exact = kernel_mod._tail_tv_exact(g2, commensurate_rates(g2), x, u)
+    counts = []
+    for xi, ui, value in zip(x, u, exact):
+        zeros = count_kdot_zeros(g2, xi, ui, (1.0, 50.0)).zeros
+        counts.append(zeros.size)
+        assert value == pytest.approx(
+            tail_integral_mpmath(g2, xi, ui, zeros), rel=1e-9, abs=0.0)
+    assert sorted(counts) == [0, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "general2"])
+def test_a_pair_without_zeros_gives_the_change_of_k(name):
+    # K is monotone on [1, 50], so the integral is |K(50) - K(1)|, with
+    # the bits of log_kernel_grid at the two ends
+    model = _named_model(name)
+    x, u = 2.0 * np.random.default_rng(11).standard_normal((2, 200,
+                                                            model.n))
+    counts, _ = count_kdot_zeros_batch(model, x, u, (1.0, 50.0))
+    none = counts == 0
+    assert 0 < none.sum() < none.size
+    exact = kernel_mod._tail_tv_exact(model, commensurate_rates(model), x, u)
+    k = np.exp(log_kernel_grid(model, propagators(model, [1.0, 50.0]),
+                               x[none], u[none]))
+    assert np.array_equal(exact[none], np.abs(k[:, 1] - k[:, 0]))
+
+
+def test_exact_tail_integral_keeps_its_bits_on_ragged_blocks(monkeypatch):
+    # blocks of 404 pairs by default, and of 7 pairs: one of them one
+    # pair long, others holding no zero at all
+    g2 = build_model(*GENERAL2)
+    x, u = _tail_sample(g2, 1000, 5)
+    rates = commensurate_rates(g2)
+    want = kernel_mod._tail_tv_exact(g2, rates, x, u)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 7 * 81 + 3)
+    assert np.array_equal(kernel_mod._tail_tv_exact(g2, rates, x[:995],
+                                                    u[:995]), want[:995])
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "general2"])
+def test_exact_tail_cap_and_its_stability_read_one_sample(name):
+    # the cap is the largest exact integral, and stable is the half-sample
+    # test alone: there is no grid to double
+    model = _named_model(name)
+    for n_samples, seed in ((1000, 0), (777, 4), (10_000, 2)):
+        m = min(n_samples, 2000)
+        tv = kernel_mod._tail_tv_exact(model, commensurate_rates(model),
+                                       *_tail_sample(model, m, seed))
+        cal = _calibrate_tail_integral(model, n_samples, seed)
+        assert cal.prefactor_cap == tv.max()
+        assert cal.stable == (tv.max() <= 1.1 * tv[:m // 2].max())
+        assert cal.exponent_rate == admissible_rate(model,
+                                                    "dkernel-large-t")
 
 
 def test_probe_modules_load_without_scipy_stats_or_integrate():

@@ -21,7 +21,7 @@ from oulab.errors import (
     SingularPropagatorError,
 )
 from oulab.kernel import kernel_forms
-from oulab.model import isotropic_rates
+from oulab.model import expm_stack, isotropic_rates
 
 # a slowly decaying non-normal drift: e^(tB) loses rank in floating point
 # near t = 50, long before its entries underflow, and far above T_SWITCH,
@@ -408,6 +408,31 @@ def test_a_singular_propagator_is_an_error_that_names_its_time():
     for m in (model, model_from_dict(SLOW_NON_NORMAL)):
         f = kernel_forms(m, propagators(m, [3.0, 10.0, 49.0, 50.0]))
         assert np.isfinite(f.M).all() and np.isfinite(f.Dmt).all()
+
+
+def test_ill_conditioned_eigenvectors_take_scipys_exponential():
+    # near-equal rates and a strong coupling give eigenvectors of condition
+    # number 57, from which e^(tB) carried 12 ulp at t = 0.1, and the
+    # kernel-small-t cap, read from Qinf - e^(tB) Qinf e^(tB^T), 1.05e-12
+    mp = pytest.importorskip("mpmath")
+    model = build_model(np.diag([2.0, 0.25]),
+                        [[-0.3046875, 0.0], [-2.0, -0.375]])
+    assert np.linalg.cond(model.eig_vecs) == pytest.approx(57.0, rel=0.01)
+    ts = np.geomspace(1e-3, 1.0, 20)
+    got = expm_stack(model, ts)
+    assert np.array_equal(got, scipy.linalg.expm(ts[:, None, None]
+                                                 * model.B))
+    with mp.workdps(40):
+        want = np.array([np.array(mp.expm(mp.matrix(model.B.tolist())
+                                          * float(t)).tolist(), dtype=float)
+                         for t in ts])
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() <= np.finfo(float).eps
+    # general2's eigenvectors, of condition number 8.1, keep their route
+    g2 = build_model([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 2.0], [0.0, -0.5]])
+    phase = np.exp(ts[:, None] * g2.eig_vals[None, :])
+    assert np.array_equal(expm_stack(g2, ts), np.einsum(
+        "ij,mj,jk->mik", g2.eig_vecs, phase, g2.eig_vecs_inv).real)
 
 
 @pytest.mark.parametrize("Q, B, rates", [
