@@ -102,14 +102,14 @@ def _parse_point(text: str, model):
 
 
 def _load_model(spec: str):
-    """Builtin name (standard1 / standard2 / standard3) or a JSON or TOML
+    """Builtin name (exactly standard1 .. standard6) or a JSON or TOML
     file with keys Q and B (n optional)."""
     from .errors import ModelFileError
     from .model import build_model, model_from_dict, standard_model
     if spec.startswith("standard"):
-        tail = spec[len("standard"):].rstrip("d")
-        if tail.isdigit() and 1 <= int(tail) <= 6:
-            return standard_model(int(tail))
+        builtin = re.fullmatch(r"standard([1-6])", spec)
+        if builtin:
+            return standard_model(int(builtin[1]))
         raise ModelFileError(f"unknown builtin model {spec!r}")
     if not os.path.exists(spec):
         raise ModelFileError(f"model file not found: {spec}")

@@ -734,13 +734,12 @@ def time_critical_cubic(model: OUModel, x, c, width: float):
 
     At width 0 and c = u, H_t f(x) is K_t(x, u) times a factor that does
     not depend on t, and P / lam is the cubic of d/dt log K: its roots in
-    (e^{-b t_hi}, e^{-b t_lo}) are the zeros that count_kdot_zeros scans
-    for on [t_lo, t_hi].
+    (e^{-b t_hi}, e^{-b t_lo}) are the zeros of the time slope on
+    [t_lo, t_hi], which count_kdot_zeros reads from its slope polynomial
+    (kdot_polynomial).
 
-    x is (points, n) and c is (n,) or (points, n).  Returns (coef, mag),
-    each (points, 4) with the highest power first: the coefficients, and
-    the sums of their terms in absolute value (|<c, x>| read as |c| |x|),
-    which bound the terms that their rounding errors scale with."""
+    x is (points, n) and c is (n,) or (points, n).  Returns the
+    coefficients, (points, 4) with the highest power first."""
     rates = isotropic_rates(model)
     if rates is None:
         raise ArgumentRangeError("the critical-time cubic needs B = -b I "
@@ -751,33 +750,20 @@ def time_critical_cubic(model: OUModel, x, c, width: float):
     kappa = lam + float(width) ** 2
     cx, xx, cc = (np.einsum("pi,pi->p", a, b)
                   for a, b in ((c, x), (x, x), (c, c)))
-    top = np.full(cx.shape, n * lam * lam)
-    norm = np.sqrt(cc * xx)
-    coef = np.stack([-top, lam * cx, kappa * (n * lam - xx) - lam * cc,
-                     kappa * cx], axis=1)
-    mag = np.stack([top, lam * norm, kappa * (n * lam + xx) + lam * cc,
-                    kappa * norm], axis=1)
-    return coef, mag
+    return np.stack([np.full(cx.shape, -n * lam * lam), lam * cx,
+                     kappa * (n * lam - xx) - lam * cc, kappa * cx], axis=1)
 
 
 def real_roots(coef: np.ndarray) -> np.ndarray:
-    """The real roots of each row's polynomial, (rows, k), for coef
-    (rows, k + 1) of degree k <= 3 with the highest power first and
-    nonzero; NaN where a root is not real.  Closed forms: the stable
-    quadratic formula, and for the cubic Cardano's (one real root) or the
-    trigonometric one (three).  Roots near a multiple root keep only about
-    half their digits, and a multiple root may come out as a complex pair,
-    NaN."""
-    k = coef.shape[1] - 1
+    """The real roots of each row's cubic, (rows, 3), for coef (rows, 4)
+    with the highest power first and nonzero; NaN where a root is not
+    real.  Closed forms: Cardano's (one real root, in the first column)
+    or the trigonometric one (three).  Roots near a multiple root keep
+    only about half their digits, and a multiple root may come out as a
+    complex pair, NaN."""
     # monic, one contiguous row per coefficient
     a = np.ascontiguousarray((coef[:, 1:] / coef[:, :1]).T)
-    if k == 1:
-        return -a.T
     with np.errstate(all="ignore"):
-        if k == 2:
-            h = -0.5 * a[0]
-            q = h + np.copysign(np.sqrt(h * h - a[1]), h)
-            return np.stack([q, np.where(q != 0, a[1] / q, 0.0)], axis=1)
         # s = y - a0 / 3 turns the cubic into y^3 + p y + q
         shift = a[0] / 3.0
         p = a[1] - a[0] * shift

@@ -48,12 +48,13 @@ class OUModel:
     Qinf_sqrt: np.ndarray
     logdet_Qinf: float
     spectral_abscissa: float            # max Re eig(B), < 0
-    # eigendecomposition of B for batched propagators; eig_ok False means
-    # ill-conditioned eigenvectors, and expm_stack falls back to scipy
+    # eigendecomposition of B for batched propagators, and the condition
+    # number of its eigenvectors, inf when they do not invert; expm_stack
+    # and commensurate_rates compare it with their thresholds
     eig_vals: np.ndarray = field(repr=False)
     eig_vecs: np.ndarray = field(repr=False)
     eig_vecs_inv: np.ndarray = field(repr=False)
-    eig_ok: bool = field(repr=False)
+    eig_cond: float = field(repr=False)
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -106,14 +107,14 @@ def build_model(Q, B) -> OUModel:
     vals, vecs = np.linalg.eig(B)
     try:
         vecs_inv = np.linalg.inv(vecs)
-        eig_ok = np.linalg.cond(vecs) < 1e8
+        eig_cond = float(np.linalg.cond(vecs))
     except np.linalg.LinAlgError:
         vecs_inv = np.eye(n, dtype=complex)
-        eig_ok = False
+        eig_cond = np.inf
     return OUModel(n=n, Q=Q, B=B, Qinf=qinf, Qinf_inv=qinf_inv,
                    Qinf_sqrt=qinf_sqrt, logdet_Qinf=logdet,
                    spectral_abscissa=abscissa, eig_vals=vals, eig_vecs=vecs,
-                   eig_vecs_inv=vecs_inv, eig_ok=eig_ok)
+                   eig_vecs_inv=vecs_inv, eig_cond=eig_cond)
 
 
 def standard_model(n: int = 1) -> OUModel:
@@ -125,7 +126,7 @@ def expm_stack(model: OUModel, ts: np.ndarray) -> np.ndarray:
     """e^(t B) for an array of times, (m, n, n): from B's eigenvectors
     where they are well conditioned (_EXPM_EIG_COND), else by scipy."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if model.eig_ok and np.linalg.cond(model.eig_vecs) <= _EXPM_EIG_COND:
+    if model.eig_cond <= _EXPM_EIG_COND:
         phase = np.exp(ts[:, None] * model.eig_vals[None, :])
         out = np.einsum("ij,mj,jk->mik", model.eig_vecs, phase,
                         model.eig_vecs_inv)
@@ -179,9 +180,7 @@ def propagators(model: OUModel, ts) -> Propagators:
     Qt = _qt_stack(model, ts, exp_tB)
     Qt_inv = np.linalg.inv(Qt)
     Qt_inv = 0.5 * (Qt_inv + np.swapaxes(Qt_inv, -1, -2))
-    sign, logdet = np.linalg.slogdet(Qt)
-    if np.any(sign <= 0):
-        raise NotSPDError("Qt lost positive definiteness on the grid")
+    logdet = np.linalg.slogdet(Qt)[1]
     if np.min(np.linalg.eigvalsh(Qt)) <= 0:
         raise NotSPDError("Qt lost positive definiteness on the grid")
     return Propagators(ts=ts, exp_tB=exp_tB, Qt=Qt, Qt_inv=Qt_inv,
@@ -209,11 +208,10 @@ def commensurate_rates(model: OUModel) -> tuple[float, np.ndarray] | None:
     matrix function of t is a polynomial in s.  Refused: a complex
     spectrum; eigenvalue ratios that are not integers to _RATE_TOL, or
     that need a multiple above the cap; and eigenvectors that are
-    ill-conditioned, with eig_ok False (which a defective B gives) or a
-    condition number above _MAX_EIGVEC_COND."""
+    conditioned worse than _MAX_EIGVEC_COND (model.eig_cond, which is
+    inf when they do not invert and huge for a defective B)."""
     vals = model.eig_vals
-    if not model.eig_ok or np.any(np.imag(vals) != 0) or \
-            np.linalg.cond(model.eig_vecs) > _MAX_EIGVEC_COND:
+    if np.any(np.imag(vals) != 0) or model.eig_cond > _MAX_EIGVEC_COND:
         return None
     lam = -np.real(vals)
     ratio = lam / lam.min()

@@ -21,17 +21,13 @@ standard models; model.isotropic_rates), d/ds log H_t f(x) = P(s) / D^2
 for s = e^{-bt}, with P a cubic (kernel.time_critical_cubic), so a bump
 path turns at most three times.  variation_batch_paths then evaluates the
 full path only at the two ends of its time grid and in windows of four
-columns about the roots of P, P' and P'' (_critical_rounds), with the
-factors of the whole grid, so every value keeps its bits.  A certificate
-per row, read from the two end columns of every skipped run, shows that
-P, P' and P'' keep one sign there and that the smallest exact step of
-the run exceeds twice a stated rounding bound of the closed form
-(_critical_windows, _bump_log_error).  The computed row is then strictly
-monotone on every skipped run, so it compresses to the same turning
-points as the whole row, and the variation, the convergence test and the
-grid size come out as on the whole grid.  A row that fails the
-certificate, every other model and the near and far parts evaluate the
-whole grid.
+columns about the real roots of P (_critical_rounds), with the factors of
+the whole grid, so every value it reads is a value of the whole-grid row,
+bit for bit.  Its variation never exceeds the whole grid's and equals it
+wherever the computed whole-grid row is monotone between the roots; it
+falls short only by turns that rounding makes where the path sits within
+rounding error of a saturated limit.  Every other model and the near and
+far parts evaluate the whole grid.
 """
 
 from __future__ import annotations
@@ -48,8 +44,8 @@ from .geometry import (_eta_from_r, annulus_indicator, eta_plateaus,
                        local_weight, polar_decompose)
 from .kernel import (_dot, _row_blocks, _time_last, log_kernel_grid,
                      real_roots, time_critical_cubic)
-from .model import (_QT_SERIES_T, _QT_SERIES_TERMS, OUModel, Propagators,
-                    isotropic_rates, propagators, quadratic_r)
+from .model import (OUModel, Propagators, isotropic_rates, propagators,
+                    quadratic_r)
 from .quadrature import (gauss_hermite_rule, gaussian_measure, hermite_tensor,
                          product_gaussian)
 from .rng import substream
@@ -526,112 +522,27 @@ def _grid_rounds(model: OUModel, f: GaussianBump, x: np.ndarray, rho: float,
         yield ts.size, variation_batch(vals, rho), None
 
 
-# the rounding bound of _bump_eval on isotropic models, in units of eps
-# times the terms it rounds: each term is rounded a handful of times
-_EVAL_ULPS = 64.0
 # a window of grid columns about a root: the two that bracket it and one
 # more on each side, so the first column at or after the root less two
 _WINDOW = 4
-# exp of a log-value above this is a normal float
-_LOG_NORMAL = -700.0
-
-
-def _run_minima(g: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(g[lo:hi]) for index arrays lo, hi < g.size, elementwise, from a
-    sparse table: level k holds the minima of g over spans of 2^k.  Where
-    lo >= hi the value is some entry of g."""
-    table = np.full((max(1, g.size.bit_length()), g.size), np.inf)
-    table[0] = g
-    for k in range(1, table.shape[0]):
-        h = 1 << (k - 1)
-        np.minimum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
-    k = np.frexp(np.maximum(hi - lo, 1))[1] - 1     # floor(log2(hi - lo))
-    flat, row = table.ravel(), k * g.size
-    return np.minimum(flat[row + lo],
-                      flat[row + np.maximum(hi - (1 << k), lo)])
-
-
-def _increasing(cols: np.ndarray, m: int) -> np.ndarray:
-    """Rows (rows, K) of K < m strictly increasing columns of [0, m) that
-    hold every column below m of cols (K, rows).  The first entry of cols
-    is 0, the last m - 1, and the others form runs of consecutive columns
-    in increasing order of their first.  A repeat is moved to the next
-    free column, and the columns past m - 1 back below it, so no row
-    repeats a column: repeats would add zero steps, which the turning-point
-    compression handles on a slower path."""
-    i = np.arange(cols.shape[0])[:, None]
-    up = np.maximum.accumulate(cols - i, axis=0)
-    up[-1] = m - cols.shape[0]
-    return np.ascontiguousarray(
-        (np.minimum.accumulate(up[::-1], axis=0)[::-1] + i).T)
-
-
-def _bump_log_error(model: OUModel, f: GaussianBump,
-                    rates: tuple[float, float], big: np.ndarray,
-                    slope: np.ndarray) -> np.ndarray:
-    """A bound (rows,) on |log v - log H_t f(x)| for the values v of
-    _bump_eval on a model with B = -b I and Qinf = lam I, for points x
-    with |x| + |c| <= big (rows,); slope (rows,) bounds |P(s)| / D(s)^2 =
-    |d/ds log H_t f(x)| over s = e^{-bt} in [0, 1].
-
-    On such a model every factor is diagonal.  e^{tB} = s I is computed
-    as exp(-b t), with a relative error of a few eps (1 + b t); since
-    s (1 + b t) <= 1, that moves log H by a few eps slope.
-    D = Qt + w^2 = lam (1 - s^2) + w^2 >= w^2 carries an error of a few
-    eps kappa, kappa = lam + w^2; z = s x - c has |z| <= big, and
-    q = |z|^2 / D <= big^2 / w^2; log_detfac = -(n/2) log(D / w^2).  Each
-    term below is the size of what is rounded a handful of times, and
-    _EVAL_ULPS eps covers them.  Below t = _QT_SERIES_T, Qt is a truncated
-    series in t, whose tail adds at most lam (2 b T)^(K+1) / (K+1)! / w^2
-    per dimension."""
-    b, lam = rates
-    n, w2 = model.n, f.width ** 2
-    kappa = lam + w2
-    terms = (1.0 + n * (kappa / w2 + abs(math.log(kappa)) +
-                        abs(math.log(w2))) + big * big / w2 + slope)
-    k = _QT_SERIES_TERMS + 1
-    tail = n * lam / w2 * (2.0 * b * _QT_SERIES_T) ** k / math.factorial(k)
-    return _EVAL_ULPS * np.finfo(float).eps * terms + tail
 
 
 def _critical_windows(model: OUModel, f: GaussianBump, x: np.ndarray,
-                      ts: np.ndarray, rates: tuple[float, float]):
-    """(starts, keep) for the critical-time route on the grid ts: the first
-    column of each row's windows of _WINDOW columns about the roots of P,
-    P' and P'' in the grid's interval, (roots, rows) in increasing order
-    and ts.size where a row has fewer roots; and the rows whose
-    certificate holds.
+                      ts: np.ndarray, b: float) -> np.ndarray:
+    """The first column of each row's window of _WINDOW columns about each
+    root of P in the grid's interval, (roots, rows) in increasing order,
+    and ts.size where a row has fewer roots.
 
     d/ds log H_t f(x) = P(s) / D^2 with s = e^{-bt}
-    (kernel.time_critical_cubic), so a path turns only at roots of P.  The
-    candidate columns of a row are its windows and the two end columns;
-    its skipped runs lie between them.  The certificate reads the two end
-    columns of each run:
-
-    * P'', P' and P each have one sign, clear of their rounding margins,
-      at both ends.  P'' is linear, so it has no root on the run; so P' is
-      monotone there and has none; so P is monotone and has none, and H is
-      strictly monotone on the run;
-    * each gap j of the run has |s_j - s_(j+1)| >= g_j =
-      b (t_(j+1) - t_j) s_(j+1), and |delta log H| >= g_j min|P| / max D^2:
-      |P| is smallest at an end of the run, and D = kappa - lam s^2 is
-      largest at the later end.  With the smallest g_j of the run
-      (_run_minima) that bound is more than twice _bump_log_error, so
-      every computed step has the sign of the exact one and none is zero;
-    * every value of the row stays a normal float, where _bump_log_error
-      holds."""
-    b, lam = rates
-    p, m = x.shape[0], ts.size
-    coef, mag = time_critical_cubic(model, x, f.center, f.width)
-    # P, P' and P'' with the rounding margins of their magnitudes at any s
-    # in [0, 1], one row per power
-    scale = _EVAL_ULPS * np.finfo(float).eps
-    polys = [(coef.T, scale * mag.T)]
-    for _ in range(2):
-        c, g = polys[-1]
-        powers = np.arange(c.shape[0] - 1, 0, -1)[:, None]
-        polys.append((c[:-1] * powers, g[:-1] * powers))
-    roots = np.concatenate([real_roots(c.T) for c, _ in polys], axis=1)
+    (kernel.time_critical_cubic), so a path turns only at the roots of P.
+    A near-double root can round to a complex pair, which real_roots
+    reports as NaN; such a pair puts a window at its real part, where the
+    two real roots it stands for lie close together."""
+    coef = time_critical_cubic(model, x, f.center, f.width)
+    roots = real_roots(coef)
+    pair = np.isnan(roots[:, 1])
+    # the three roots sum to -coef_1 / coef_0
+    roots[pair, 1] = -0.5 * (coef[pair, 1] / coef[pair, 0] + roots[pair, 0])
     with np.errstate(invalid="ignore"):
         inside = ((roots > math.exp(-b * ts[-1])) &
                   (roots < math.exp(-b * ts[0])))
@@ -640,79 +551,42 @@ def _critical_windows(model: OUModel, f: GaussianBump, x: np.ndarray,
     t_roots = np.ascontiguousarray(
         t_roots[:, :np.max(inside.sum(axis=1), initial=0)].T)
     found = np.isfinite(t_roots)
-    starts = np.full(t_roots.shape, m)
+    starts = np.full(t_roots.shape, ts.size)
     starts[found] = np.maximum(np.searchsorted(ts, t_roots[found]) - 2, 0)
-
-    # the ends of the runs, one row each: the first column, the first and
-    # the last of each window, the last column; a running maximum merges
-    # windows that overlap, and a run lies between a window and the next
-    col = np.concatenate([
-        np.zeros((1, p), dtype=np.intp),
-        (starts[:, None] + np.array([[0], [_WINDOW - 1]])).reshape(-1, p),
-        np.full((1, p), m - 1, dtype=np.intp)])
-    np.minimum(col, m - 1, out=col)
-    np.maximum.accumulate(col, axis=0, out=col)
-    lo, hi = col[0::2], col[1::2]
-    s = np.exp(-b * ts)
-    s_lo, s_hi = s[lo], s[hi]
-    held = np.ones(lo.shape, dtype=bool)
-    for c, g in polys:
-        margin = g.sum(axis=0)
-        # one row of c per power, so np.polyval evaluates every row at once
-        at_lo, at_hi = np.polyval(c, s_lo), np.polyval(c, s_hi)
-        small = np.minimum(np.abs(at_lo), np.abs(at_hi))
-        held &= (np.signbit(at_lo) == np.signbit(at_hi)) & (small > margin)
-        if c is polys[0][0]:
-            low = small - margin
-    w2 = f.width ** 2
-    kappa = lam + w2
-    big = np.sqrt(np.einsum("pi,pi->p", x, x)) + np.linalg.norm(f.center)
-    err = _bump_log_error(model, f, rates, big, mag.sum(axis=1) / w2 ** 2)
-    gaps = np.append(b * np.diff(ts) * s[1:], np.inf)
-    top = kappa - lam * s_hi * s_hi
-    held &= _run_minima(gaps, lo, hi) * low > 2.0 * err * top * top
-    normal = (math.log(f.amplitude) - 0.5 * model.n * math.log(kappa / w2)
-              - 0.5 * big * big / w2) > _LOG_NORMAL
-    return starts, normal & np.all(held | (hi - lo < 2), axis=0)
+    return starts
 
 
 def _critical_rounds(model: OUModel, f: GaussianBump, x: np.ndarray,
-                     rho: float, ts: np.ndarray, rates: tuple[float, float],
-                     max_refine: int):
+                     rho: float, ts: np.ndarray, b: float, max_refine: int):
     """The rounds of variation_batch_paths for part "full" on a model with
-    B = -b I and Qinf = lam I, as _grid_rounds yields them, from a few
-    candidate columns of each row.
+    B = -b I and Qinf = lam I, in the form _grid_rounds yields them, from a
+    few candidate columns of each row.
 
-    The roots and the certificate are taken once, on the last grid that a
-    round can reach (_critical_windows); the propagators too, since each
-    time's factors do not depend on the other times.  The grids are
-    nested: round k's grid is every step-th column of the last one,
-    step = 2^(max_refine - k).  A round evaluates, per row, its two end
-    columns and, for each window [l, r] of the last grid, its columns
+    The roots are taken once, on the last grid that a round can reach
+    (_critical_windows); the propagators too, since each time's factors
+    do not depend on the other times.  The grids are nested: round k's
+    grid is every step-th column of the last one, step =
+    2^(max_refine - k).  A round evaluates, per row, its two end columns
+    and, for each window [l, r] of the last grid, its columns
     floor(l / step) .. ceil(r / step), gathering the factors at those
-    times, so every value has the bits of the grid route.  _increasing
-    turns the columns into strictly increasing rows.
+    times, so every value has the bits of the whole-grid row.  A running
+    maximum puts the columns in time order; a column may repeat, and
+    variation._turning_points collapses a repeat to the same kept value.
 
-    Every other column of the round lies, with both of its neighbours in
-    the round's grid, between two consecutive candidates of the last grid,
-    where the certified values are strictly monotone; so it is no turning
-    point, and the candidate row compresses (variation._turning_points)
-    to the kept values of the whole row: the same floor and the same
-    variation.  Rows whose certificate fails are evaluated on the whole
-    grid."""
+    The candidate row is thus a subsequence of the whole-grid row: its
+    variation never exceeds the whole grid's, and equals it wherever the
+    computed whole-grid row is monotone between the windows.  It falls
+    short only by turns that rounding makes where the path sits within
+    rounding error of a saturated limit."""
     p = x.shape[0]
     grids = [ts]
     for _ in range(max_refine):
         grids.append(_refine(grids[-1])[0])
-    starts, keep = _critical_windows(model, f, x, grids[-1], rates)
+    starts = _critical_windows(model, f, x, grids[-1], b)
     props = propagators(model, grids[-1])
     sinv, log_detfac = _bump_stacks(model, f, props)
     E, S = _time_last(props.exp_tB), _time_last(sinv)
-
-    def values(rows, idx):
-        return _bump_eval(f, (E[:, :, idx], S[:, :, idx], log_detfac[idx]),
-                          x[rows].T[:, :, None])
-
+    xt = x.T[:, :, None]
     for k, grid in enumerate(grids):
         step, m = 1 << (max_refine - k), grid.size
         first = starts // step
@@ -722,17 +596,15 @@ def _critical_rounds(model: OUModel, f: GaussianBump, x: np.ndarray,
             np.zeros((1, p), dtype=np.intp),
             (first[:, None] + np.arange(width)[:, None]).reshape(-1, p),
             np.full((1, p), m - 1, dtype=np.intp)])
-        cols = _increasing(cols, m) if cols.shape[0] < m else \
-            np.broadcast_to(np.arange(m), (p, m))
-        cur = np.empty(p)
-        tops = []
-        for rows, idx in ((keep, cols[keep] * step),
-                          (~keep, np.arange(m) * step)):
-            if rows.any():
-                vals = values(rows, idx)
-                cur[rows] = variation_batch(vals, rho)
-                tops.append(np.max(np.abs(vals)))
-        yield m, cur, float(np.max(tops)) if k == 0 else None
+        # the windows of missing roots fall on the last column, and the
+        # running maximum merges windows that overlap
+        np.minimum(cols, m - 1, out=cols)
+        np.maximum.accumulate(cols, axis=0, out=cols)
+        idx = np.ascontiguousarray(cols.T) * step
+        vals = _bump_eval(f, (E[:, :, idx], S[:, :, idx], log_detfac[idx]),
+                          xt)
+        yield (m, variation_batch(vals, rho),
+               float(np.max(np.abs(vals))) if k == 0 else None)
 
 
 def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
@@ -744,24 +616,22 @@ def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
     increment drops below tol.  Returns (values, converged_flag,
     grid_size).
 
-    Two routes give the same values, convergence flag and grid size, bit
-    for bit.  On models with B = -b I and Qinf = lam I
-    (model.isotropic_rates), part "full" takes the critical-time route,
-    _critical_rounds.  A path turns only at roots of the cubic P in
-    s = e^{-bt} (kernel.time_critical_cubic), so each round evaluates a
-    row at the two ends of its grid and at the columns j - 2 .. j + 1
-    about each root t* of P, P' and P'' in (t_(j-1), t_j], with the
-    factors of the whole grid.  A certificate per row, read from the two
-    end columns of every skipped run, shows that P'', P' and P each keep
-    one sign on the run, so H is strictly monotone there, and that the
-    smallest exact step of the run, |delta log H| >= min delta s min|P| /
-    max D^2, is more than twice the rounding bound of the closed form
-    (_critical_windows).  The row of candidates then compresses to the
-    same turning points as the whole row: the same floor, the same
-    variation, the same convergence test.  A row that fails the
-    certificate is evaluated on the whole grid.  Every other model, and
-    the parts "local" and "global", take _grid_rounds, which evaluates
-    the whole refined grid."""
+    Two routes refine the same grids and run the same convergence test.
+    On models with B = -b I and Qinf = lam I (model.isotropic_rates), part
+    "full" takes the critical-time route, _critical_rounds.  A path turns
+    only at roots of the cubic P in s = e^{-bt}
+    (kernel.time_critical_cubic), so each round evaluates a row at the two
+    ends of its grid and at the columns j - 2 .. j + 1 about each real
+    root t* of P in (t_(j-1), t_j], with the factors of the whole grid.
+    Those values are a subsequence of the whole-grid row, with the same
+    bits, so the variation never exceeds the whole grid's, and equals it
+    wherever the computed whole-grid row is monotone between the roots.
+    It falls short only by turns that rounding makes where the path sits
+    within rounding error of a saturated limit, by a few eps max|H|
+    m^(1/rho) on a grid of m times, so the flag and the grid size differ
+    only where such a shortfall moves a relative increment across tol.
+    Every other model, and the parts "local" and "global", take
+    _grid_rounds, which evaluates the whole refined grid."""
     if max_refine < 0:
         raise ArgumentRangeError(
             f"the refinement count must be >= 0, got {max_refine}")
@@ -770,7 +640,8 @@ def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
     if rates is None:
         rounds = _grid_rounds(model, f, x, rho, ts, part, order, max_refine)
     else:
-        rounds = _critical_rounds(model, f, x, rho, ts, rates, max_refine)
+        rounds = _critical_rounds(model, f, x, rho, ts, rates[0],
+                                  max_refine)
     size, prev, top = next(rounds)
     # the convergence test is relative to the path scale, so a flat path
     # (variation at rounding level) converges instead of chasing noise

@@ -34,6 +34,15 @@ MODEL_FILES = {
     # a complex spectrum, so its zero count takes the scan route
     "rotating2.json": {"Q": [[1.0, 0.3], [0.3, 0.5]],
                        "B": [[-1.0, 0.5], [-0.5, -1.0]]},
+    # tests/conftest.py's random_stable_model(3, 3): non-diagonal, 3-D
+    "random3.json": {
+        "Q": [[2.1601090781079533, -0.7267806813666141, 1.262415308515468],
+              [-0.7267806813666141, 0.64547059873153, -0.9431980170358136],
+              [1.262415308515468, -0.9431980170358136, 3.5720425650472287]],
+        "B": [[-0.7272562356131882, -0.5211541317036479, 1.068067051744655],
+              [0.38592879075267894, -0.9114415924235513, 0.3608398553729169],
+              [-1.0614897956704012, -0.09945136215029404,
+               -0.34727167860364283]]},
 }
 
 CASES = {
@@ -70,6 +79,45 @@ CASES = {
     "semigroup-apply-general2": [
         "semigroup", "apply", "--model", "general2.json", "--t", "4.5",
         "--x", "0.3,-0.4"],
+    # the critical-time route of isotropic models
+    "probe-weak-type-full-standard1": [
+        "probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+        "--samples", "1000", "--out", "out"],
+    "probe-weak-type-large-t-standard1": [
+        "probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+        "--regime", "large-t", "--samples", "1000", "--out", "out"],
+    "probe-weak-type-full-standard2": [
+        "probe", "weak-type", "--model", "standard2", "--rho", "2.5",
+        "--samples", "1000", "--out", "out"],
+    "probe-weak-type-large-t-standard2": [
+        "probe", "weak-type", "--model", "standard2", "--rho", "2.5",
+        "--regime", "large-t", "--samples", "1000", "--out", "out"],
+    # the whole-grid route
+    "probe-weak-type-full-general2": [
+        "probe", "weak-type", "--model", "general2.json", "--rho", "2.5",
+        "--samples", "1000", "--out", "out"],
+    "probe-weak-type-local-small-t-standard1": [
+        "probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+        "--regime", "local-small-t", "--samples", "1000", "--out", "out"],
+    "probe-weak-type-global-small-t-standard1": [
+        "probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+        "--regime", "global-small-t", "--samples", "1000", "--out", "out"],
+    "probe-enhanced-standard1": [
+        "probe", "enhanced", "--model", "standard1", "--samples", "400",
+        "--out", "out"],
+    "probe-kernel-bounds-random3": [
+        "probe", "kernel-bounds", "--model", "random3.json", "--samples",
+        "1000", "--out", "out"],
+    "variation-path-check": [
+        "variation", "path", "--rho", "2.5", "--values",
+        "0,1.5,-0.5,2,1.25,3,-1,0.5", "--check"],
+    "model-check-general2": ["model", "check", "general2.json"],
+    "torus-qian": [
+        "torus", "qian", "--N", "4", "--samples", "1000", "--out", "out"],
+    "torus-failure": [
+        "torus", "failure", "--N", "4,6", "--samples", "1000", "--out",
+        "out"],
+    "torus-fourier": ["torus", "fourier", "--points", "401", "--out", "out"],
 }
 
 

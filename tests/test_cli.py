@@ -563,6 +563,38 @@ def _with_general2(argv, tmp_path):
     return [str(path) if a == "general2" else a for a in argv]
 
 
+@pytest.mark.parametrize("name", ["standard01", "standard1dd",
+                                  "standard2ddd", "standard7", "standard"])
+def test_only_the_six_builtin_names_load(name, capsys):
+    assert main(["model", "check", name]) == 1
+    assert f"unknown builtin model {name!r}" in capsys.readouterr().err
+
+
+GENERAL2_TOML = """Q = [[1.0, 0.3], [0.3, 0.5]]
+B = [[-1.0, 2.0], [0.0, -0.5]]
+"""
+
+
+def test_toml_model_checks_as_its_json_twin(tmp_path, capsys):
+    pytest.importorskip("tomllib")
+    printed = []
+    for name, text in (("general2.json", GENERAL2_JSON),
+                       ("general2.toml", GENERAL2_TOML)):
+        (tmp_path / name).write_text(text)
+        assert main(["model", "check", str(tmp_path / name)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "check: PASS" in printed[1]
+
+
+def test_malformed_toml_model_exits_one(tmp_path, capsys):
+    pytest.importorskip("tomllib")
+    path = tmp_path / "broken.toml"
+    path.write_text("Q = [[1.0, 0.3], [0.3\nB = ]\n")
+    assert main(["model", "check", str(path)]) == 1
+    assert "cannot read model" in capsys.readouterr().err
+
+
 # the exact stdout of the kernel verbs on standard1 and general2: every
 # printed digit is pinned, so a route that moves a bit of log K, of the
 # slope or of a bisected zero shows here.  The zeros lines were printed by

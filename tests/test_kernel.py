@@ -1038,10 +1038,10 @@ def test_refused_models_take_the_scan(case, monkeypatch):
 
 
 def test_unreliable_eigenvectors_take_the_scan():
-    # eig_ok False sends propagators to expm per time, and the polynomial
-    # to the scan, whatever the spectrum
+    # eigenvectors that do not invert send e^(tB) to scipy's expm, and the
+    # polynomial to the scan, whatever the spectrum
     g2 = build_model(*GENERAL2)
-    assert commensurate_rates(dataclasses.replace(g2, eig_ok=False)) is None
+    assert commensurate_rates(dataclasses.replace(g2, eig_cond=np.inf)) is None
 
 
 @pytest.mark.parametrize("name", ["general2", "rotating2"])
@@ -1574,14 +1574,12 @@ def test_streamed_calibration_keeps_no_full_grid(which):
 @pytest.mark.parametrize("n", [1, 2])
 def test_critical_cubic_at_width_zero_counts_the_kernel_slope_zeros(n):
     # at width 0 and c = u the cubic is that of d/dt log K(x, u): its real
-    # roots in (e^{-b}, e^{-b 1e-8}) are the zeros the scan finds on
-    # [1e-8, 1]
+    # roots in (e^{-b}, e^{-b 1e-8}) are the zeros on [1e-8, 1] that
+    # count_kdot_zeros_batch counts from its slope polynomial
     model = standard_model(n)
     X, U = _far_pairs(model, 3, 200)
-    coef, mag = time_critical_cubic(model, X, U, 0.0)
-    assert coef.shape == mag.shape == (200, 4)
-    # |c| |x| and |<c, x>| round apart when they are equal (n = 1)
-    assert np.all(mag >= np.abs(coef) * (1 - 1e-12))
+    coef = time_critical_cubic(model, X, U, 0.0)
+    assert coef.shape == (200, 4)
     roots = real_roots(coef)
     inside = (roots > np.exp(-1.0)) & (roots < np.exp(-1e-8))
     counts, stable = count_kdot_zeros_batch(model, X, U)
@@ -1596,7 +1594,7 @@ def test_critical_cubic_matches_the_closed_form_slope():
     model = build_model(2.52 * np.eye(2), -0.7 * np.eye(2))
     gen = np.random.default_rng(5)
     x, c, w = gen.standard_normal((6, 2)), gen.standard_normal(2), 0.6
-    coef, _ = time_critical_cubic(model, x, c, w)
+    coef = time_critical_cubic(model, x, c, w)
     lam, kappa = 1.8, 1.8 + w * w
 
     def log_h(s):
@@ -1617,10 +1615,10 @@ def test_critical_cubic_needs_an_isotropic_model():
                             np.zeros(2), 0.5)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [3])
 def test_real_roots_match_numpy_roots(degree):
-    # random coefficients have simple roots; a multiple root may come out
-    # as a complex pair, which real_roots reports as NaN
+    # random cubics have simple roots; a multiple root may come out as a
+    # complex pair, which real_roots reports as NaN
     gen = np.random.default_rng(degree)
     coef = gen.standard_normal((400, degree + 1))
     got = real_roots(coef)

@@ -13,6 +13,7 @@ from oulab import (annulus_superlevel_probe, apply_semigroup, build_model,
                    weak_type_probe)
 from oulab.errors import (ArgumentRangeError, BadOrderError,
                           DimensionError, NumericalOverflowError)
+from oulab.kernel import real_roots, time_critical_cubic
 from oulab.model import isotropic_rates
 from oulab.semigroup import _BLOCK_CELLS
 from oulab.geometry import _eta_from_r, eta_plateaus
@@ -236,7 +237,48 @@ def test_critical_route_matches_the_grid_route(n, b, q, width, regime, case,
                                     max_refine=3)
         ref = full_reevaluation(model, f, xs, 2.5, ts, "full", tol, 3, None)
         assert got[1:] == ref[1:]
-        assert np.array_equal(got[0], ref[0])
+        # the candidate row is a subsequence of the whole-grid row, and
+        # falls short of it only by turns that rounding makes
+        grid = ts
+        while grid.size < ref[2]:
+            grid = _refine(grid)[0]
+        top = np.max(np.abs(bump_semigroup_grid(
+            model, f, propagators(model, grid), xs)), axis=1)
+        assert np.all(got[0] <= ref[0])
+        eps = np.finfo(float).eps
+        assert np.all(ref[0] - got[0] <= 64 * eps * top * ref[2] ** (1 / 2.5))
+
+
+def test_a_double_root_that_rounds_complex_keeps_its_window():
+    # P has a double root at s_star; where it comes out as a complex pair,
+    # the window sits at the pair's real part, s_star to rounding
+    model = build_model(np.eye(1), -0.5 * np.eye(1))
+    ts = _geometric_times(1e-6, 10.0, 16)
+    seen = 0
+    for s_star in np.linspace(0.05, 0.95, 19):
+        pair = _tangent_pair(model, 0.5, s_star)
+        if pair is None:
+            continue
+        x, c = pair
+        f = gaussian_bump(model, c, 0.5)
+        coef = time_critical_cubic(model, x[None], c, 0.5)
+        if not np.isnan(real_roots(coef)[0, 1]):
+            continue
+        seen += 1
+        starts = semigroup._critical_windows(model, f, x[None], ts, 0.5)
+        t_star = -math.log(s_star) / 0.5
+        assert np.searchsorted(ts, t_star) - 2 in starts[:, 0]
+    assert seen >= 3
+
+
+@pytest.mark.parametrize("regime", ["full", "large-t"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_critical_route_keeps_the_bits_of_the_default_probes(n, regime):
+    model, f, xs, ts = _weak_full_inputs(n=n, regime=regime)
+    got = variation_batch_paths(model, f, xs, 2.5, ts)
+    ref = full_reevaluation(model, f, xs, 2.5, ts, "full", 1e-3, 3, None)
+    assert got[1:] == ref[1:]
+    assert np.array_equal(got[0], ref[0])
 
 
 def _anisotropic():
@@ -269,32 +311,6 @@ def test_other_models_and_parts_keep_the_grid_route(name, part,
     ref = full_reevaluation(model, f, xs, 2.5, ts, part, 0.0, 2, 12)
     assert got[1:] == ref[1:]
     assert np.array_equal(got[0], ref[0])
-
-
-def test_rows_that_fail_the_certificate_take_the_whole_grid(monkeypatch):
-    model, f, xs, ts = _weak_full_inputs(3)
-    xs = xs[:300]
-    bound = semigroup._bump_log_error
-    kept = []
-
-    def every_other_row_fails(*args):
-        err = bound(*args)
-        err[1::2] = np.inf
-        return err
-
-    def record(*args):
-        starts, keep = windows(*args)
-        kept.append(keep)
-        return starts, keep
-
-    windows = semigroup._critical_windows
-    monkeypatch.setattr(semigroup, "_bump_log_error", every_other_row_fails)
-    monkeypatch.setattr(semigroup, "_critical_windows", record)
-    got = variation_batch_paths(model, f, xs, 2.5, ts, part="full")
-    ref = full_reevaluation(model, f, xs, 2.5, ts, "full", 1e-3, 3, None)
-    assert got[1:] == ref[1:]
-    assert np.array_equal(got[0], ref[0])
-    assert not kept[0][1::2].any() and kept[0][0::2].mean() > 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +419,15 @@ def _traced_peak_mib(f, *args, **kwargs) -> float:
         tracemalloc.stop()
 
 
-def _weak_full_inputs(seed=0):
-    """The bump, sample and starting times of a standard1 full probe."""
-    model = standard_model(1)
-    f = gaussian_bump(model, semigroup.substream(seed, 100).standard_normal(1)
+def _weak_full_inputs(seed=0, n=1, regime="full"):
+    """The bump, sample and starting times of a default weak-type probe of
+    the full part on standard_n."""
+    model = standard_model(n)
+    f = gaussian_bump(model, semigroup.substream(seed, 100).standard_normal(n)
                       @ model.Qinf_sqrt.T, 0.5)
-    xs = semigroup.substream(seed, 200).standard_normal((2000, 1)) \
+    xs = semigroup.substream(seed, 200).standard_normal((2000, n)) \
         @ model.Qinf_sqrt.T
-    return model, f, xs, semigroup._regime_times(model, "full", 16)
+    return model, f, xs, semigroup._regime_times(model, regime, 16)
 
 
 def test_bump_grid_keeps_no_stack_beside_its_result():
