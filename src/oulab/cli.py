@@ -102,16 +102,16 @@ def _parse_point(text: str, model):
 
 
 def _load_model(spec: str):
-    """Builtin name (exactly standard1 .. standard6) or a JSON or TOML
-    file with keys Q and B (n optional)."""
+    """A JSON or TOML file with keys Q and B (n optional), or, where no
+    such file exists, a builtin name (exactly standard1 .. standard6)."""
     from .errors import ModelFileError
     from .model import build_model, model_from_dict, standard_model
-    if spec.startswith("standard"):
+    if not os.path.exists(spec):
         builtin = re.fullmatch(r"standard([1-6])", spec)
         if builtin:
             return standard_model(int(builtin[1]))
-        raise ModelFileError(f"unknown builtin model {spec!r}")
-    if not os.path.exists(spec):
+        if spec.startswith("standard"):
+            raise ModelFileError(f"unknown builtin model {spec!r}")
         raise ModelFileError(f"model file not found: {spec}")
     try:
         if spec.endswith(".toml"):

@@ -54,10 +54,11 @@ The zeros of t -> dK/dt take one of two routes, chosen by the model.
 Where B's eigenvalues are -k_i b with small integers k_i
 (model.commensurate_rates; general2 and the standard models), they are
 exactly the roots of a polynomial N in tau = 1 - e^{-bt}, of degree
-4 sum k - 2n + 1 (kdot_polynomial): the count is the sign changes of N
-at the midpoints between its roots' real parts, and needs no time grid.  On
-every other model the slope is scanned on a log grid and the count is
-called stable if the doubled grid gives the same one.
+4 sum k - 2n + 1 (kdot_polynomial): the count is the sign changes of N,
+isolated by Descartes' rule in the Bernstein basis (bernstein.isolate),
+and needs no time grid and no eigenvalues.  On every other model the
+slope is scanned on a log grid and the count is called stable if the
+doubled grid gives the same one.
 
 The tail integral int_1^50 |dK/dt| dt / e^{R(x)} of calibrate_bound
 takes the same two routes.  On commensurate spectra K is monotone between
@@ -479,7 +480,9 @@ def _scan_counts(model: OUModel, X: np.ndarray, U: np.ndarray,
 # standard models.  a is quadratic in (u - x, x), so N's coefficients are
 # one product of the pair's quadratic features with a per-model matrix.
 # With u - x kept apart, the constant coefficient -d(0) <adj W(0)(u - x),
-# u - x> carries no cancellation at small t.
+# u - x> carries no cancellation at small t.  The sign changes of N on an
+# interval come from its coefficients and their magnitudes alone, in the
+# Bernstein basis (bernstein.isolate); no root of N is computed.
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -559,7 +562,8 @@ def _kdot_poly_factors(model: OUModel, rates: tuple) -> tuple:
     return vinv, rows, const
 
 
-def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None
+def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None,
+                    _factors: tuple | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The polynomial N in tau = 1 - e^{-bt} whose roots in tau are the
     zeros of t -> d/dt K_t(x, u), for every pair of X, U (p, n), on a
@@ -569,14 +573,19 @@ def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None
     Returns (coef, mag), each (p, deg + 1) with the lowest power first:
     the coefficients, of exact degree deg = 4 sum k - 2n + 1, and the
     sums of their terms in absolute value, which bound what their
-    rounding errors scale with.  See the comment above for the form."""
-    rates = commensurate_rates(model) if rates is None else rates
-    if rates is None:
-        raise ArgumentRangeError("the slope polynomial needs B's eigenvalues "
-                                 "to be -k_i b with small integers k_i")
+    rounding errors scale with.  See the comment above for the form.
+    The routes that call it on many blocks of pairs pass the per-model
+    part, _kdot_poly_factors(model, rates), as _factors."""
+    if _factors is None:
+        rates = commensurate_rates(model) if rates is None else rates
+        if rates is None:
+            raise ArgumentRangeError("the slope polynomial needs B's "
+                                     "eigenvalues to be -k_i b with small "
+                                     "integers k_i")
+        _factors = _kdot_poly_factors(model, rates)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    vinv, rows, const = _kdot_poly_factors(model, rates)
+    vinv, rows, const = _factors
     dx, x = (U - X) @ vinv.T, X @ vinv.T
     feats = np.concatenate([(a[:, :, None] * c[:, None, :]).reshape(
         X.shape[0], -1) for a, c in ((dx, dx), (dx, x), (x, x))], axis=1)
@@ -584,69 +593,25 @@ def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None
             np.abs(feats) @ np.abs(rows) + np.abs(const))
 
 
-def _horner(coef: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Each row's polynomial (coef lowest power first) at that row of ts."""
-    acc = np.repeat(coef[:, -1:], ts.shape[1], axis=1)
-    for j in range(coef.shape[1] - 2, -1, -1):
-        acc *= ts
-        acc += coef[:, j, None]
-    return acc
-
-
-def _poly_signs(coef: np.ndarray, mag: np.ndarray, lo: float, hi: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, values, tol) that decide each row's sign changes on
-    [lo, hi]: the ends, and the midpoints between consecutive real parts
-    of the roots (batched companion eigenvalues) clipped to [lo, hi], with
-    each value's rounding tolerance.
-
-    Neighbouring real roots always have a point between them, so
-    _flip_counts counts every simple root once.  A complex pair puts a
-    point at its real part, so a double root counts 0 or 2 by the sign
-    there, also when rounding returns it as a complex pair.  A row with a
-    non-finite coefficient evaluates to NaN, which counts no flip."""
-    p, deg = coef.shape[0], coef.shape[1] - 1
-    comp = np.zeros((p, deg, deg))
-    comp[:, 1:, :-1] = np.eye(deg - 1)
-    comp[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
-    comp[~np.isfinite(comp).all(axis=(1, 2))] = 0.0
-    cuts = np.sort(np.clip(np.linalg.eigvals(comp).real, lo, hi), axis=1)
-    ends = np.concatenate([np.full((p, 1), lo), cuts, np.full((p, 1), hi)],
-                          axis=1)
-    pts = np.concatenate([ends[:, :1], 0.5 * (ends[:, 1:] + ends[:, :-1]),
-                          ends[:, -1:]], axis=1)
-    tol = _horner(mag, pts)
-    tol *= 8 * deg * np.finfo(float).eps
-    return pts, _horner(coef, pts), tol
-
-
 def _poly_route(model: OUModel, rates: tuple, X, U,
-               t_interval: tuple[float, float]) -> tuple:
-    """(coef, points, values, tol) of the exact route on the interval, in
-    tau (_poly_signs)."""
-    coef, mag = kdot_polynomial(model, X, U, rates)
+               t_interval: tuple[float, float], factors=None) -> tuple:
+    """(coef, *brackets) of the exact route on the interval:
+    kdot_polynomial's coefficients, from the per-model factors where
+    given, and bernstein.isolate's result in tau.
+
+    The slope decays as e^{-min(k) b t}, so N vanishes to order min(k) -
+    1 at tau = 1, and within rounding long before it: on a 2-D drift with
+    k = (2, 3) a zero at t = 9.3 has N within 0.7 of its rounding bound.
+    That factor 1 - tau, positive below tau = 1, is divided out: the
+    quotient's coefficients are the partial sums of N's from the constant
+    one up, and so are their magnitudes, so the quotient keeps N's
+    constant coefficient and its bound."""
+    from .bernstein import isolate
+    coef, mag = kdot_polynomial(model, X, U, rates, _factors=factors)
+    for _ in range(int(min(rates[1])) - 1):
+        coef, mag = (np.cumsum(a, axis=1)[:, :-1] for a in (coef, mag))
     lo, hi = -np.expm1(-rates[0] * np.asarray(t_interval, dtype=float))
-    return (coef, *_poly_signs(coef, mag, lo, hi))
-
-
-def _poly_zeros(coef: np.ndarray, pts: np.ndarray, val: np.ndarray,
-                tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, tau) of every sign change of _poly_route's (coef, points,
-    values, tol), in row order and ascending tau within a row: each
-    bracket between neighbouring points of opposite sign is bisected on
-    its row's polynomial, all at once, to the last bit of tau."""
-    rows, left, right = _sign_changes(val, tol)
-    lo, hi = pts[rows, left], pts[rows, right]
-    left_sign = np.sign(val[rows, left])
-    coef = coef[rows]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
-            break
-        same = np.sign(_horner(coef, mid[:, None])[:, 0]) == left_sign
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return rows, mid
+    return (coef, *isolate(coef, mag, lo, hi))
 
 
 def count_kdot_zeros(model: OUModel, x, u,
@@ -657,26 +622,30 @@ def count_kdot_zeros(model: OUModel, x, u,
 
     On a model with a commensurate real spectrum (commensurate_rates)
     the count is exact: the sign changes of the slope polynomial
-    (kdot_polynomial) on the interval, each zero bisected on it to the
-    last bit of tau; stable is true by construction and n_scan plays no
-    part.  On every other model the count and its stability are
-    count_kdot_zeros_batch's on the one pair: the flips of one scan of
-    the slope (_flip_counts), compared with those on the doubled grid.
-    The same scan gives the brackets, and each flip is refined by
-    bisection, every bracket at once: the slope at the midpoints is
-    logk_time_slope_grid's with the midpoints as its times.
+    (kdot_polynomial) on the interval, isolated in the Bernstein basis
+    (bernstein.isolate), each zero bisected on it to the last bit of tau;
+    stable is true unless a part of the interval stayed undecided within
+    rounding, as about a double root, and n_scan plays no part.  On every
+    other model the count and its stability are count_kdot_zeros_batch's
+    on the one pair: the flips of one scan of the slope (_flip_counts),
+    compared with those on the doubled grid.  The same scan gives the
+    brackets, and each flip is refined by bisection, every bracket at
+    once: the slope at the midpoints is logk_time_slope_grid's with the
+    midpoints as its times.
     """
     _check_scan(t_interval, n_scan)
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
     rates = commensurate_rates(model)
     if rates is not None:
-        coef, pts, val, tol = _poly_route(model, rates, X, U, t_interval)
-        _, tau = _poly_zeros(coef, pts, val, tol)
+        from .bernstein import bisect_brackets
+        coef, rows, lo, hi, left_sign, stable = _poly_route(
+            model, rates, X, U, t_interval)
+        tau = bisect_brackets(coef[rows], lo, hi, left_sign)
         return ZeroCount(count=int(tau.size),
                          zeros=np.sort(-np.log1p(-tau) / rates[0]),
-                         stable=True, route="polynomial",
-                         degree=coef.shape[1] - 1)
+                         stable=bool(stable[0]), route="polynomial",
+                         degree=4 * int(np.sum(rates[1])) - 2 * model.n + 1)
     grid = np.geomspace(*t_interval, n_scan)
     fine = np.geomspace(*t_interval, 2 * n_scan)
     slope, floor = logk_time_slope_grid(model, propagators(model, grid), X, U)
@@ -700,16 +669,18 @@ def count_kdot_zeros_batch(model: OUModel, X, U,
                            n_scan: int = 4096):
     """Zero counts for many pairs at once; returns (counts, stable mask).
     On a model with a commensurate real spectrum the counts are exact
-    (count_kdot_zeros) and every pair is stable; on every other model the
-    count is rerun on a doubled grid and a pair is unstable if its count
-    moves."""
+    (count_kdot_zeros): the sign changes that bernstein.isolate brackets,
+    and a pair is unstable only where a part of the interval stayed
+    undecided within rounding.  On every other model the count is rerun on a
+    doubled grid and a pair is unstable if its count moves."""
     _check_scan(t_interval, n_scan)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     rates = commensurate_rates(model)
     if rates is not None:
-        _, _, val, tol = _poly_route(model, rates, X, U, t_interval)
-        return _flip_counts(val, tol), np.ones(X.shape[0], dtype=bool)
+        _, rows, _, _, _, stable = _poly_route(model, rates, X, U,
+                                               t_interval)
+        return np.bincount(rows, minlength=X.shape[0]), stable
     grid = np.geomspace(*t_interval, n_scan)
     fine = np.geomspace(*t_interval, 2 * n_scan)
     counts = _scan_counts(model, X, U, grid)
@@ -917,7 +888,8 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
     if c is not None and not c > 0:
         raise ArgumentRangeError(f"rate must be positive, got {c:g}")
     if which == "tail-integral":
-        return _calibrate_tail_integral(model, n_samples, seed)
+        return _calibrate_tail_integral(model, n_samples, seed,
+                                        None if c is None else float(c))
     rate = admissible_rate(model, which) if c is None else float(c)
     span = (1.0, _T_LARGE) if which == "dkernel-large-t" else (1e-6, 1.0)
     caps = _log_caps(model, which, np.concatenate(
@@ -930,44 +902,62 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                             stable=bool(abs(fine - cap) <= np.log(1.1)))
 
 
+def _tail_zeros(model: OUModel, rates: tuple, x: np.ndarray,
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, t) of every sign change of the slope polynomial of the pairs
+    of x, u (p, n) on [1, 50], in pair order and ascending t within a
+    pair.  bernstein.isolate brackets them in blocks of pairs, whose
+    features, coefficients and Bernstein forms are some eight (pairs, deg
+    + 1) arrays of about _BLOCK_CELLS entries in all, and
+    bernstein.bisect_brackets bisects all the brackets at once."""
+    from .bernstein import bisect_brackets
+    poly = _kdot_poly_factors(model, rates)
+    found = []
+    for rows, _, _ in _row_blocks(8 * poly[1].shape[1], x, u):
+        coef, at, lo, hi, left_sign, _ = _poly_route(
+            model, rates, x[rows], u[rows], (1.0, _T_LARGE), poly)
+        found.append((coef[at], rows.start + at, lo, hi, left_sign))
+    coef, at, lo, hi, left_sign = (np.concatenate(a) for a in zip(*found))
+    tau = bisect_brackets(coef, lo, hi, left_sign)
+    # clipped: tau rounds to 1 where e^{-bt} < eps / 2
+    return at, np.clip(-np.log1p(-tau) / rates[0], 1.0, _T_LARGE)
+
+
 def _tail_tv_exact(model: OUModel, rates: tuple, x: np.ndarray,
                    u: np.ndarray) -> np.ndarray:
     """Per pair of x, u (p, n), int_1^50 |dK/dt| dt / e^{R(x)} exactly,
     on a model with a commensurate real spectrum: K is monotone between
-    the sign changes of the slope polynomial on [1, 50] (_poly_zeros), so
+    the sign changes of the slope polynomial on [1, 50] (_tail_zeros), so
     the integral is the sum of |K(b) - K(a)| over the stretches [a, b]
-    that they, 1 and 50 bound.  Pairs go in blocks of _BLOCK_CELLS
-    entries of the companion matrices that locate the zeros."""
-    tv = np.empty(x.shape[0])
+    that they, 1 and 50 bound.  A bracket left undecided counts as its
+    ends say, as in count_kdot_zeros.  K is evaluated at the zeros in
+    blocks whose kernel factors, some dozen (zeros, n, n) arrays, hold
+    about _BLOCK_CELLS entries."""
+    at, ts = _tail_zeros(model, rates, x, u)
+    # K / e^{R(x)} at 1, at each pair's zeros in order and at 50, the rows
+    # padded with K(50) to the longest
+    count = np.bincount(at, minlength=x.shape[0])
+    kt = np.empty((count.size, count.max(initial=0) + 2))
     ends = _logk_factors(model, propagators(model, [1.0, _T_LARGE]))
-    deg = 4 * int(np.sum(rates[1])) - 2 * model.n + 1     # kdot_polynomial
-    for rows, xb, ub in _row_blocks(deg * deg, x, u):
-        coef, pts, val, tol = _poly_route(model, rates, x[rows], u[rows],
-                                          (1.0, _T_LARGE))
-        at, tau = _poly_zeros(coef, pts, val, tol)
-        # K / e^{R(x)} at 1, at each pair's zeros in order and at 50, the
-        # rows padded with K(50) to the longest
-        count = np.bincount(at, minlength=coef.shape[0])
-        kt = np.empty((count.size, count.max(initial=0) + 2))
-        kt[:, [0, -1]] = _logk_eval(model, ends, xb, ub)
-        kt[:, 1:-1] = kt[:, -1:]
-        if at.size:
-            # clipped: tau rounds to 1 where e^{-bt} < eps / 2
-            ts = np.clip(-np.log1p(-tau) / rates[0], 1.0, _T_LARGE)
-            factors = _logk_factors(model, propagators(model, ts),
-                                    split=False)
-            kt[at, 1 + np.arange(at.size) - (np.cumsum(count) - count)[at]] \
-                = _logk_eval(model, factors, xb[:, at, 0], ub[:, at, 0])
-        np.exp(kt, out=kt)
-        step = np.subtract(kt[:, 1:], kt[:, :-1])
-        tv[rows] = np.abs(step, out=step).sum(axis=1)
-    return tv
+    kt[:, [0, -1]] = _logk_eval(model, ends, x.T[:, :, None],
+                                u.T[:, :, None])
+    kt[:, 1:-1] = kt[:, -1:]
+    slot = 1 + np.arange(at.size) - (np.cumsum(count) - count)[at]
+    for z, xz, uz in _row_blocks(12 * model.n ** 2, x[at], u[at]):
+        factors = _logk_factors(model, propagators(model, ts[z]),
+                                split=False)
+        kt[at[z], slot[z]] = _logk_eval(model, factors, xz[..., 0],
+                                        uz[..., 0])
+    np.exp(kt, out=kt)
+    step = np.subtract(kt[:, 1:], kt[:, :-1])
+    return np.abs(step, out=step).sum(axis=1)
 
 
-def _calibrate_tail_integral(model: OUModel, n_samples: int,
-                             seed: int) -> BoundCalibration:
+def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
+                             rate: float | None = None) -> BoundCalibration:
     """max over (x, u) of int_1^50 |dK/dt| dt / e^{R(x)}, over
-    min(n_samples, 2000) sampled pairs, at the large-time rate.
+    min(n_samples, 2000) sampled pairs, reported at rate, by default the
+    large-time admissible_rate.
 
     On a model with a commensurate real spectrum the integral is exact
     (_tail_tv_exact), the cap is its maximum, and stable means that it is
@@ -982,7 +972,8 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int,
     m = min(n_samples, 2000)
     x = gen.standard_normal((m, n)) * 2.0
     u = gen.standard_normal((m, n)) * 2.0
-    rate = admissible_rate(model, "dkernel-large-t")
+    if rate is None:
+        rate = admissible_rate(model, "dkernel-large-t")
     rates = commensurate_rates(model)
     if rates is not None:
         tv = _tail_tv_exact(model, rates, x, u)
@@ -1022,8 +1013,14 @@ def kernel_bounds_probe(model: OUModel, n_samples: int = 10_000,
     under grid doubling where its integral takes the grid route."""
     from .report import ProbeReport
     rows, stats, flags = [], {}, {}
+    # two rates serve the four bounds: the small-time one and the
+    # large-time one (admissible_rate)
+    small, large = (admissible_rate(model, w)
+                    for w in ("kernel-small-t", "dkernel-large-t"))
     for w in BOUND_NAMES:
-        cal = calibrate_bound(model, w, n_samples=n_samples, seed=seed)
+        cal = calibrate_bound(model, w, n_samples=n_samples, seed=seed,
+                              c=large if w in ("dkernel-large-t",
+                                               "tail-integral") else small)
         rows.append({"bound": w, "rate": cal.exponent_rate,
                      "prefactor_cap": cal.prefactor_cap,
                      "stable": cal.stable})

@@ -275,6 +275,38 @@ def slope_zeros_bisected(model, x, u, t_interval, n_grid: int = 4096,
     return np.sqrt(lo * hi)
 
 
+def poly_counts_companion(coef, mag, lo: float, hi: float) -> np.ndarray:
+    """Per row of coef (p, deg + 1, lowest power first), the sign changes
+    of its polynomial on [lo, hi], decided at the ends and at the
+    midpoints between consecutive real parts of its roots (batched
+    companion eigenvalues) clipped to [lo, hi]; a value within 8 deg eps
+    of its magnitude (mag at the point) has no sign.  The route the
+    Bernstein isolator replaced: it states no bound on the roots it may
+    miss, and a double root counts 0 or 2 by the sign between."""
+    from oulab.kernel import _flip_counts
+
+    def horner(coef, ts):
+        acc = np.repeat(coef[:, -1:], ts.shape[1], axis=1)
+        for j in range(coef.shape[1] - 2, -1, -1):
+            acc *= ts
+            acc += coef[:, j, None]
+        return acc
+
+    p, deg = coef.shape[0], coef.shape[1] - 1
+    comp = np.zeros((p, deg, deg))
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
+    comp[~np.isfinite(comp).all(axis=(1, 2))] = 0.0
+    cuts = np.sort(np.clip(np.linalg.eigvals(comp).real, lo, hi), axis=1)
+    ends = np.concatenate([np.full((p, 1), lo), cuts, np.full((p, 1), hi)],
+                          axis=1)
+    pts = np.concatenate([ends[:, :1], 0.5 * (ends[:, 1:] + ends[:, :-1]),
+                          ends[:, -1:]], axis=1)
+    tol = horner(mag, pts)
+    tol *= 8 * deg * np.finfo(float).eps
+    return _flip_counts(horner(coef, pts), tol)
+
+
 def ratio_pieces_einsum(model, which, x, u, ts):
     """The c-independent pieces (a, b, dnorm) of a Gaussian bound's ratio
     (kernel._log_caps) on the whole (pairs, times) grid, from the package's

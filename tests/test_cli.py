@@ -570,6 +570,23 @@ def test_only_the_six_builtin_names_load(name, capsys):
     assert f"unknown builtin model {name!r}" in capsys.readouterr().err
 
 
+def test_a_model_file_named_like_a_builtin_loads(tmp_path, capsys,
+                                                monkeypatch):
+    # standard_ou.json was refused as an unknown builtin name; only a
+    # name with no such file is tried as a builtin
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "standard_ou.json").write_text(
+        '{"Q": [[2.0]], "B": [[-1.0]]}')
+    (tmp_path / "my_ou.json").write_text('{"Q": [[2.0]], "B": [[-1.0]]}')
+    printed = []
+    for name in ("standard_ou.json", "my_ou.json"):
+        assert main(["model", "check", name]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and "check: PASS" in printed[0]
+    assert main(["model", "check", "standard7"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 GENERAL2_TOML = """Q = [[1.0, 0.3], [0.3, 0.5]]
 B = [[-1.0, 2.0], [0.0, -0.5]]
 """

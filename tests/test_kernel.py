@@ -38,6 +38,7 @@ from oulab.errors import (
     RateTooLargeError,
     SingularPropagatorError,
 )
+from test_bernstein import poly_counts
 from reference_routes import (bound_maximisers, calibration_pairs,
                               covariance_qt, gamma_density, group_dt,
                               kernel,
@@ -45,7 +46,8 @@ from reference_routes import (bound_maximisers, calibration_pairs,
                               log_kernel_grid_einsum,
                               log_kernel_pairs_allocating,
                               sampled_log_ratio, slope_grid_allocating,
-                              slope_lyapunov, slope_zeros_bisected,
+                              poly_counts_companion, slope_lyapunov,
+                              slope_zeros_bisected,
                               sympy_slope_numerator, tail_integral_mpmath,
                               tail_tv_allocating)
 
@@ -776,13 +778,16 @@ def test_zero_count_interval_validation(std1):
 
 # eigenvalues -1 and -2: b = 1, k = (1, 2)
 K12 = ([[1.0, 0.2], [0.2, 0.7]], [[-1.0, 0.7], [0.0, -2.0]])
+# eigenvalues -1, -2/3 and -1/3: b = 1/3, k = (3, 2, 1)
+K321 = (0.1 * np.ones((3, 3)) + np.diag([1.0, 0.75, 0.5]),
+        [[-1.0, 0.5, 0.3], [0.0, -2.0 / 3.0, 0.4], [0.0, 0.0, -1.0 / 3.0]])
 INTERVALS = [(1e-8, 1.0), (1e-3, 5.0), (0.5, 20.0), (1.0, 50.0)]
 
 
 def _named_model(name):
     if name.startswith("standard"):
         return standard_model(int(name[-1]))
-    return build_model(*{"general2": GENERAL2, "k12": K12,
+    return build_model(*{"general2": GENERAL2, "k12": K12, "k321": K321,
                          "rotating2": ROTATING2}[name])
 
 
@@ -968,30 +973,82 @@ def test_general2_zero_below_1e8(monkeypatch):
     assert scan.zeros[0] == pytest.approx(zc.zeros[0], rel=1e-6)
 
 
-def _poly_counts(coef, lo, hi):
-    coef = np.asarray(coef, dtype=float)[None]
-    _, val, tol = kernel_mod._poly_signs(coef, np.abs(coef), lo, hi)
-    return int(_flip_counts(val, tol)[0])
-
-
 def test_polynomial_signs_count_simple_roots_and_no_tangency():
     # (tau - 0.2)(tau - 0.3)(tau - 0.5) and (tau - 0.25)^2 (tau - 0.5),
     # lowest power first: two zeros on [0.1, 0.4], and a tangency that
-    # flips no sign
-    assert _poly_counts([-0.03, 0.31, -1.0, 1.0], 0.1, 0.4) == 2
-    assert _poly_counts([-0.03125, 0.3125, -1.0, 1.0], 0.1, 0.4) == 0
-    assert _poly_counts([-0.03125, 0.3125, -1.0, 1.0], 0.1, 0.6) == 1
+    # flips no sign; it is exact in floating point, so no halving decides
+    # it and its row is not stable
+    assert poly_counts([-0.03, 0.31, -1.0, 1.0], 0.1, 0.4) == (2, True)
+    assert poly_counts([-0.03125, 0.3125, -1.0, 1.0], 0.1, 0.4) == (0, False)
+    assert poly_counts([-0.03125, 0.3125, -1.0, 1.0], 0.1, 0.6) == (1, False)
 
 
-def test_a_real_pair_returned_complex_still_counts(monkeypatch):
-    # ((tau - 0.25)^2 - 1e-6)(tau - 0.5) has zeros at 0.249 and 0.251; if
-    # the eigenvalues come back as 0.25 +- 1e-3 i, the sign at their real
-    # part still finds both
-    coef = [-0.03125 + 5e-7, 0.3125 - 1e-6, -1.0, 1.0]
-    assert _poly_counts(coef, 0.1, 0.45) == 2
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array(
-        [[0.25 + 1e-3j, 0.25 - 1e-3j, 0.5]]))
-    assert _poly_counts(coef, 0.1, 0.45) == 2
+def test_merging_kernel_zeros_are_a_bracket_not_a_silent_zero(std1):
+    # standard1 at x = -0.28, where two zeros merge as u rises to
+    # 0.5565278936305966 (test_zeros_closer_than_a_scan_step_count_two):
+    # 1e-13 below it they are within N's rounding, and the count of 0 is
+    # not stable; 1e-12 below it they are 3.8e-6 apart and certified
+    x = np.array([-0.28])
+    zc = count_kdot_zeros(std1, x, np.array([0.5565278936305966 - 1e-13]))
+    assert (zc.count, zc.stable) == (0, False)
+    zc = count_kdot_zeros(std1, x, np.array([0.5565278936305966 - 1e-12]))
+    assert (zc.count, zc.stable) == (2, True)
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "standard3",
+                                  "general2", "k12", "k321"])
+def test_isolator_counts_match_the_companion_route(name):
+    # 2,000 pairs on each of the four INTERVALS: equal counts, every
+    # one certified
+    model = _named_model(name)
+    rates = commensurate_rates(model)
+    gen = np.random.default_rng(43)
+    for t_interval in INTERVALS:
+        X, U = 2.0 * gen.standard_normal((2, 2000, model.n))
+        counts, stable = count_kdot_zeros_batch(model, X, U, t_interval)
+        coef, mag = kdot_polynomial(model, X, U)
+        lo, hi = -np.expm1(-rates[0] * np.asarray(t_interval))
+        assert stable.all(), t_interval
+        assert np.array_equal(counts, poly_counts_companion(coef, mag, lo,
+                                                            hi)), t_interval
+
+
+@pytest.mark.parametrize("model,x,u,t_interval,t_star,rel", [
+    (([[1.0, 0.2], [0.2, 0.7]], [[-2.0, 0.7], [0.0, -3.0]]),
+     [2.3016083709249893, -3.326782903180051],
+     [0.9446023965398073, 2.36540871317514], (0.5, 20.0),
+     8.47510607152277, 1e-6),
+    (([[1.0, 0.3], [0.3, 0.5]], [[-1.0, 0.5], [0.0, -1.5]]),
+     [-2.0989380197685366, 2.0994900508560024],
+     [-1.1187433381668508, -1.3924479310635764], (1.0, 50.0),
+     23.6825444951595, 2e-5)])
+def test_late_zeros_on_a_slowest_rate_above_b_are_counted(model, x, u,
+                                                          t_interval,
+                                                          t_star, rel):
+    # k = (2, 3): N vanishes at tau = 1, and these zeros lie where N is
+    # within its rounding bound; with 1 - tau divided out they are
+    # certified.  t_star is the sign change of a 60-digit slope
+    model = build_model(*model)
+    assert min(commensurate_rates(model)[1]) == 2
+    zc = count_kdot_zeros(model, np.array(x), np.array(u), t_interval)
+    assert (zc.count, zc.stable) == (1, True)
+    assert zc.zeros[0] == pytest.approx(t_star, rel=rel)
+
+
+def test_no_route_needs_eigenvalues(monkeypatch):
+    # the zero counts and the kernel-bounds probe on general2 run with
+    # numpy's general eigenvalue solver gone, once the model is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    g2 = build_model(*GENERAL2)
+    X, U = 2.0 * np.random.default_rng(2).standard_normal((2, 200, 2))
+    want = count_kdot_zeros_batch(g2, X, U)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    got = count_kdot_zeros_batch(g2, X, U)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    report = kernel_mod.kernel_bounds_probe(g2, n_samples=400)
+    assert report.pass_flags["tail-integral/finite"]
 
 
 def test_non_finite_pairs_count_no_zero():
@@ -1488,13 +1545,14 @@ def test_a_pair_without_zeros_gives_the_change_of_k(name):
 
 
 def test_exact_tail_integral_keeps_its_bits_on_ragged_blocks(monkeypatch):
-    # blocks of 404 pairs by default, and of 7 pairs: one of them one
-    # pair long, others holding no zero at all
+    # isolated in blocks of 409 pairs by default, and of 7 pairs: one of
+    # them one pair long, others holding no zero at all; K at the zeros in
+    # blocks of 682 zeros, and of 11
     g2 = build_model(*GENERAL2)
     x, u = _tail_sample(g2, 1000, 5)
     rates = commensurate_rates(g2)
     want = kernel_mod._tail_tv_exact(g2, rates, x, u)
-    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 7 * 81 + 3)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 7 * 80 + 3)
     assert np.array_equal(kernel_mod._tail_tv_exact(g2, rates, x[:995],
                                                     u[:995]), want[:995])
 
