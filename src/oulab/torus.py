@@ -10,15 +10,15 @@ of any weak (p, p) bound for the variation of the Gaussian chain.
 
 Exactness.  Points are 60-bit dyadic rationals held as int64 numerators.
 Digit extraction gives the sign functions exactly; window means use the
-closed-form tent primitive in integer arithmetic; the Gaussian chain is a
-finite sum of error-function differences whose truncation error is below
-1e-30.  Its active scales share the finest one's slot grid, whose
-breakpoints are exactly theirs, and an integer table gives the sign sum
-on each fine slot.  The grid does not depend on N, so the chains of a
-whole N grid share it, and each breakpoint's erf is evaluated once.  Only
-breakpoints within 6.5 sqrt(2) standard deviations of the point reach
-erf; beyond them erf is exactly +-1.0 in double precision.  No quadrature
-error enters any operator chain.
+closed-form tent primitive in integer arithmetic.  The Gaussian chain
+drops scales k >= ell + 2 (below 7e-35) and sums k = ell, ell + 1 from
+damped odd harmonics (the first left out is below 1e-54) at phases exact
+in int64; coarser scales share one slot grid of 2 standard deviations,
+with an integer table for the sign sum on each slot, and so do the chains
+of a whole N grid.  Offsets from the breakpoints are int64, exact as
+doubles from ell = 11 on and rounded once below, and only those within
+5.93 sqrt(2) sd reach erf: beyond, erf is exactly +-1.0 in double
+precision.  No quadrature error enters any operator chain.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from .variation import exceedance, variation_batch
 
 # Gaussian window half-width in standard deviations; erfc(12/sqrt(2)) ~ 1e-32
 _WINDOW_SD = 12.0
-# |z| from which scipy's erf(z) is taken as exactly +-1.0; it already is
-# from 5.922 on, and the margin covers the rounding of the argument
-_ERF_ONE = 6.5
-# points per erf grid: its arrays stay near 400 kB, small enough for the
-# allocator to reuse one grid's memory for the next instead of mapping and
-# faulting in fresh pages for each
+# |z| from which scipy's erf(z) is exactly +-1.0: it is from 5.922 on
+_ERF_ONE = 5.93
+# points per erf grid, so one grid's arrays stay small and are reused
 _GRID_POINTS = 1024
-# k - l >= this: every square-wave harmonic is damped below exp(-pi^2 * 8),
-# about 7e-35, so the whole term falls under the 1e-30 truncation budget
-_DAMPED_GAP = 2
+# odd harmonics kept of scale ell + gap: the first left out is below
+# 1e-54, and from gap 2 on even h = 1 is below 7e-35, so those are dropped
+_SERIES = {0: (1, 3), 1: (1,)}
 
 
 @dataclass(frozen=True)
@@ -91,36 +88,45 @@ def perturb_boundaries(m, kmax: int) -> np.ndarray:
     return m
 
 
-def _erf_grid(ell: int, k_fine: int, x: np.ndarray):
-    """The slot grid of scale k_fine around each point: the index j0 of
-    its first breakpoint and erf((x - b) / (sqrt(2) 2^-ell)) at its
-    count + 1 breakpoints b = (j0 2^-k_fine - 1) + k 2^-k_fine, k = 0..count,
-    each an exact float.  The grid spans the window of 12 standard
-    deviations of the Gaussian of variance 4^-ell and depends on nothing
-    else, so every N that uses it shares it.
-
-    Along a row the arguments fall with k, so the columns whose arguments
-    are all >= 6.5 lead and those whose arguments are all <= -6.5 trail.
-    There erf is exactly +-1.0 in double precision (from |z| = 5.922 on,
-    erfc(z) is below half an ulp of 1), and the columns get that value;
-    only the columns between reach erf: 38 of the 51 when k_fine = ell + 1.
+def _erf_grid(ell: int, k_fine: int, m: np.ndarray):
+    """The slot grid of scale k_fine about each point x = m 2^-BITS: the
+    index j0 of its first breakpoint and erf((x - b) / (sqrt(2) 2^-ell)) at
+    its 2H + 2 breakpoints b = (j0 + k) 2^-k_fine - 1, where H 2^-k_fine is
+    the first multiple of the spacing to reach 12 standard deviations.
+    With r = m mod 2^(BITS - k_fine), x - b = (r + (H - k) 2^(BITS -
+    k_fine)) 2^-BITS exactly, in int64.  Column k lies between its steps k
+    and k - 1, so the columns wholly >= 5.93 lead and those wholly <= -5.93
+    trail, at erf's exact +-1.0: 10 of 14 columns reach erf at 2 sd.
     """
     from scipy.special import erf
-    sd = 2.0 ** (-ell)
-    s = math.sqrt(2.0) * sd
-    half_window = _WINDOW_SD * sd
-    w = 2.0 ** (-k_fine)
-    count = int(math.ceil(2.0 * half_window / w)) + 2
-    j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
-    z = np.add.outer(j0 * w - 1.0, np.arange(count + 1) * w)
-    np.subtract(x[:, None], z, out=z)
-    z /= s
-    lead = np.count_nonzero(z.min(axis=0) >= _ERF_ONE)
-    tail = z.shape[1] - np.count_nonzero(z.max(axis=0) <= -_ERF_ONE)
+    shift = BITS - k_fine
+    half = math.ceil(_WINDOW_SD * 2.0 ** (k_fine - ell))
+    j0 = (m >> shift) + ((1 << k_fine) - half)
+    steps = (half - np.arange(2 * half + 2, dtype=np.int64)) << shift
+    scale = 2.0 ** (ell - BITS) / math.sqrt(2.0)
+    z = np.add.outer(m & ((1 << shift) - 1), steps) * scale
+    edges = steps * scale
+    lead = np.count_nonzero(edges >= _ERF_ONE)
+    tail = 1 + np.count_nonzero(edges > -_ERF_ONE)
     erf(z[:, lead:tail], out=z[:, lead:tail])
     z[:, :lead] = 1.0
     z[:, tail:] = -1.0
     return j0, z
+
+
+def _damped_series(ell: int, k: int, m: np.ndarray) -> np.ndarray:
+    """Scale k's sign pattern smoothed at scale ell, at x = m 2^-BITS, from
+    its odd harmonics (4 / pi h) sin(2 pi h 2^(k-1) x) of _SERIES[k - ell];
+    each phase h x 2^(k-1) mod 1 is (h m mod 2^(BITS+1-k)) / 2^(BITS+1-k),
+    exact in int64."""
+    gap, period = k - ell, 1 << (BITS + 1 - k)
+    total = np.zeros(m.shape)
+    for h in _SERIES[gap]:
+        phase = ((h * m) & (period - 1)).astype(float)
+        phase *= 2.0 * math.pi / period
+        total += (4.0 / (math.pi * h) * math.exp(
+            -math.pi ** 2 * h * h * 2.0 ** (2 * gap - 1))) * np.sin(phase)
+    return total
 
 
 def _slot_sums(n_scales: int, j0: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -128,8 +134,7 @@ def _slot_sums(n_scales: int, j0: np.ndarray, e: np.ndarray) -> np.ndarray:
     where F(i) = sum over the n_scales active scales of (-1)^(bit of i) is
     the periodized sign sum on fine slot i.  F depends only on i mod
     2^n_scales, so each row's signs are one window of the periodic table."""
-    # F(r) = n - 2 popcount(r): each scale's bit doubles the table, +1
-    # where the bit is clear and -1 where it is set
+    # F(r) = n - 2 popcount(r): each scale's bit doubles the table, +-1
     table = np.zeros(1)
     for _ in range(n_scales):
         table = np.concatenate([table + 1.0, table - 1.0])
@@ -140,40 +145,36 @@ def _slot_sums(n_scales: int, j0: np.ndarray, e: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(terms, axis=1)
 
 
-def _gauss_columns(pairs, x) -> np.ndarray:
+def _gauss_columns(pairs, m) -> np.ndarray:
     """Convolution of the periodized sum of each scale N with the Gaussian
-    of variance 4^-ell, at points x of [0, 1]: one column per (N, ell)
-    pair.
+    of variance 4^-ell at the points of [0, 1] with int64 numerators m: one
+    column per (N, ell) pair.
 
-    Scales finer than ell + 1 are skipped outright: convolution damps the
-    m-th square-wave harmonic by exp(-pi^2 m^2 2^(2(k-ell)-1)), which at
-    k - ell = 2 is below 7e-35, inside the stated truncation budget.
-
-    The remaining active scales k <= kf = min(3N, ell + 1) share one slot
-    grid: every breakpoint i 2^-k - 1 of a coarser scale is the breakpoint
-    i 2^(kf-k) 2^-kf - 1 of the finest one, the same float.  An active
-    scale needs ell >= 2N >= 4, so the window and its two spare slots stay
-    within 0.82 of [0, 1], inside the support [-1, 2] outside which the
-    sum would vanish.  The grid depends on (ell, kf) and not on N, so the
-    pairs are grouped by grid and each grid is built once, in order of
-    ell and in blocks of points, and dropped before the next one; the
-    chains of N = 6, 8, 10, 12 need 28 grids for their 40 columns.  A pair
-    with no active scale gives a zero column.
+    Active scales k = ell, ell + 1 come from _damped_series; those k <= kf
+    = min(3N, ell - 1) share kf's slot grid, whose breakpoints are exactly
+    theirs.  A grid needs ell >= 2N + 2 >= 6, so its window stays within
+    0.25 of [0, 1], inside the support [-1, 2] of the sum.  Each grid is
+    built once, in blocks of points, for all the pairs that use it.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise DimensionError("points must lie in [0, 1]")
-    out = np.zeros((x.size, len(pairs)))
-    grids = {}
+    m = np.asarray(m, dtype=np.int64)
+    if np.any((m < 0) | (m > 1 << BITS)):
+        raise DimensionError(f"numerators must lie in [0, 2^{BITS}]")
+    out = np.zeros((m.size, len(pairs)))
+    grids, series = {}, {}
     for col, (N, ell) in enumerate(pairs):
-        k_fine = min(3 * N, ell + _DAMPED_GAP - 1)
+        k_fine = min(3 * N, ell - 1)
         if k_fine > 2 * N:
             grids.setdefault((ell, k_fine), []).append((col, k_fine - 2 * N))
+        for k in range(max(ell, 2 * N + 1),
+                       min(ell + len(_SERIES), 3 * N + 1)):
+            series.setdefault((ell, k), []).append(col)
     for (ell, k_fine), users in sorted(grids.items()):
-        for lo in range(0, x.size, _GRID_POINTS):
-            j0, e = _erf_grid(ell, k_fine, x[lo:lo + _GRID_POINTS])
+        for lo in range(0, m.size, _GRID_POINTS):
+            j0, e = _erf_grid(ell, k_fine, m[lo:lo + _GRID_POINTS])
             for col, n_scales in users:
                 out[lo:lo + _GRID_POINTS, col] = _slot_sums(n_scales, j0, e)
+    for (ell, k), cols in sorted(series.items()):
+        out[:, cols] += _damped_series(ell, k, m)[:, None]
     return out
 
 
@@ -220,8 +221,8 @@ def chain_values(config: CounterexampleConfig, operator: str,
         raise BadOrderError(f"operator must be one of {_OPERATORS}")
     m = np.atleast_1d(np.asarray(m, dtype=np.int64))
     if operator == "A":
-        return _gauss_columns([(config.N, ell) for ell in config.chain_indices],
-                              m.astype(float) * 2.0 ** (-BITS))
+        return _gauss_columns(
+            [(config.N, ell) for ell in config.chain_indices], m)
     if operator == "Dtorus":
         return np.stack([apply_window_mean(config.N, ell, m)
                          for ell in config.chain_indices], axis=1)
@@ -619,8 +620,7 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
     # the chains of every N in one pass over ell, each grid built once
     chains = np.split(
         _gauss_columns([(N, ell) for N in n_grid for ell in
-                        CounterexampleConfig(N=N).chain_indices],
-                       m.astype(float) * 2.0 ** (-BITS)),
+                        CounterexampleConfig(N=N).chain_indices], m),
         np.cumsum([N + 1 for N in n_grid])[:-1], axis=1)
     rows = []
     quotients = {p: [] for p in p_grid}

@@ -8,10 +8,11 @@ per case under tests/golden/ holds its argv, exit code, stdout and the
 text of every file it wrote; versions.json names the Python, numpy and
 scipy versions that made the corpus.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
-rewrites the corpus and prints, for each text that moved, its largest
-absolute and relative move of any number in it.
+rewrites the named cases, or the whole corpus when no name is given, and
+prints, for each text that moved, its largest absolute and relative move
+of any number in it.
 """
 
 from __future__ import annotations
@@ -114,6 +115,10 @@ CASES = {
     "model-check-general2": ["model", "check", "general2.json"],
     "torus-qian": [
         "torus", "qian", "--N", "4", "--samples", "1000", "--out", "out"],
+    # the Gaussian chain
+    "torus-qian-A": [
+        "torus", "qian", "--operator", "A", "--N", "4", "--samples", "1000",
+        "--out", "out"],
     "torus-failure": [
         "torus", "failure", "--N", "4,6", "--samples", "1000", "--out",
         "out"],
@@ -178,10 +183,15 @@ def _texts(case: dict) -> dict:
             **case["files"]}
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        print(f"no golden case named {', '.join(unknown)}", file=sys.stderr)
+        return 1
     (GOLDEN / "versions.json").write_text(
         json.dumps(versions(), indent=2, sort_keys=True) + "\n")
-    for name, argv in CASES.items():
+    for name in names or CASES:
+        argv = CASES[name]
         path = GOLDEN / f"{name}.json"
         new = run_case(argv)
         if path.exists():
@@ -201,4 +211,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

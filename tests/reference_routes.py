@@ -10,7 +10,6 @@ from itertools import combinations
 import numpy as np
 import scipy.integrate
 import scipy.linalg
-from scipy.special import erf
 from scipy.stats import multivariate_normal
 
 from oulab.errors import BadOrderError, EmptyPathError, TooLongError
@@ -517,30 +516,6 @@ def near_weights_rule_order(model, bump, props, x, order=None):
     mean, L, z, wq = split_blocks(model, bump, props, x, order)
     eta = local_weight(model, x[:, None, None, :], block_nodes(mean, L, z))
     return (eta * wq).sum(axis=-1)
-
-
-def merged_grid_smoother(N: int, ell: int, x) -> np.ndarray:
-    """The Gaussian smoother of the periodized sum as one call per (N, ell):
-    its own slot grid of scale min(3N, ell + 1), an int64 index grid, erf at
-    every breakpoint of the 12 sd window, and the integer sign table."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k_fine = min(3 * N, ell + 1)
-    n_scales = k_fine - 2 * N
-    if n_scales <= 0:
-        return np.zeros(x.shape)
-    table = np.zeros(1, dtype=np.int64)
-    for _ in range(n_scales):
-        table = np.concatenate([table + 1, table - 1])
-    sd = 2.0 ** (-ell)
-    s = math.sqrt(2.0) * sd
-    half_window = 12.0 * sd
-    w = 2.0 ** (-k_fine)
-    count = int(math.ceil(2.0 * half_window / w)) + 2
-    j0 = np.floor((x - half_window + 1.0) / w).astype(np.int64)
-    idx = j0[:, None] + np.arange(count + 1, dtype=np.int64)[None, :]
-    e = erf((x[:, None] - (idx * w - 1.0)) / s)
-    sign_sum = table[idx[:, :-1] & (table.size - 1)]
-    return 0.5 * np.sum(sign_sum * (e[:, :-1] - e[:, 1:]), axis=1)
 
 
 def dp_fresh_columns(v: np.ndarray, rho: float) -> np.ndarray:

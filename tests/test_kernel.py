@@ -1443,7 +1443,9 @@ def _grid_tail(model, m, x, u):
     each K carries about eps (1 + |log K|) of relative error, and where K
     is flat, as it becomes at large t, those errors turn into hundreds of
     sign flips whose sizes the grid sums (on drawn models, up to 3e-11 of
-    the integral on 16,384 times).  Evaluated 40 pairs at a time."""
+    the integral on 16,384 times).  A subnormal K rounds at 2^-1074
+    absolute, which no relative error carries, so each value adds that
+    too.  Evaluated 40 pairs at a time."""
     props = propagators(model, np.geomspace(1.0, 50.0, m))
     tv, noise = [], []
     for lo in range(0, x.shape[0], 40):
@@ -1451,7 +1453,7 @@ def _grid_tail(model, m, x, u):
         k = np.exp(lk)
         tv.append(np.abs(np.diff(k, axis=1)).sum(axis=1))
         noise.append((4.0 * np.finfo(float).eps * (1.0 + np.abs(lk))
-                      * k).sum(axis=1))
+                      * k + 2.0 ** -1074).sum(axis=1))
     return np.concatenate(tv), np.concatenate(noise)
 
 

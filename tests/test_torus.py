@@ -10,17 +10,18 @@ from oulab import (CounterexampleConfig, apply_window_mean, chain_values,
                    dyadic_moment, dyadic_points, fourier_kernel_gap,
                    weak_type_failure)
 from oulab import build_model, quadratic_r, standard_model
+from oulab.errors import DimensionError
 from oulab.kernel import log_kernel_pairs
 import oulab.torus as torus_mod
 from oulab.torus import (BITS, _difference_ratio_pieces, _gauss_columns,
                          kernel_difference_bound, perturb_boundaries)
-from reference_routes import merged_grid_smoother
 
 
-def smoother(N, ells, x):
-    """The smoothed sign sum of scale N at the points x, one column per
-    ell."""
-    return _gauss_columns([(N, ell) for ell in ells], np.asarray(x, float))
+def smoother(N, ells, m):
+    """The smoothed sign sum of scale N at the numerators m, one column
+    per ell."""
+    return _gauss_columns([(N, ell) for ell in ells],
+                          np.asarray(m, dtype=np.int64))
 
 
 def per_scale_smoother(N, ell, x):
@@ -47,66 +48,93 @@ def per_scale_smoother(N, ell, x):
     return out
 
 
-def smoother_points(N, count=400):
-    """Random points, points one ulp either side of slot boundaries of
-    every active scale, and the ends 0 and 1."""
-    x = dyadic_points(5, count).astype(float) * 2.0 ** (-BITS)
+def exact_double_points(N, count=400):
+    """Numerators whose points are exact doubles: random ones, ones 2^-53
+    either side of slot boundaries of every active scale, and the ends 0
+    and 1."""
+    ulp = np.int64(1) << (BITS - 53)
+    m = dyadic_points(5, count) & -ulp
     gen = np.random.default_rng(N)
     near = []
     for k in CounterexampleConfig(N=N).window:
-        b = gen.integers(1, 1 << k, 6) * 2.0 ** (-k)
-        near += [np.nextafter(b, 0.0), np.nextafter(b, 1.0)]
-    return np.concatenate([x, *near, [0.0, 1.0]])
+        b = gen.integers(1, 1 << k, 6) << (BITS - k)
+        near += [b - ulp, b + ulp]
+    return np.concatenate([m, *near, [0, 1 << BITS]])
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_merged_smoother_matches_per_scale_loop(N):
-    x = smoother_points(N)
+    m = exact_double_points(N)
+    x = m * 2.0 ** (-BITS)
     ells = range(1, 3 * N + 2)
-    for ell, got in zip(ells, smoother(N, ells, x).T):
+    for ell, got in zip(ells, smoother(N, ells, m).T):
         want = per_scale_smoother(N, ell, x)
         assert np.max(np.abs(got - want)) <= 1e-13, ell
 
 
 @pytest.mark.parametrize("N", range(2, 15))
 def test_smoother_keeps_the_bits_of_one_grid_per_call(N):
-    # the saturated columns and the shared table must not move one bit
-    x = smoother_points(N)
+    # the columns of one call over every ell equal those of one (N, ell)
+    # pair, one grid, per call: sharing grids moves no bit
+    m = exact_double_points(N)
     ells = range(1, 3 * N + 2)
-    for ell, got in zip(ells, smoother(N, ells, x).T):
-        assert np.array_equal(got, merged_grid_smoother(N, ell, x)), ell
+    for ell, got in zip(ells, smoother(N, ells, m).T):
+        assert np.array_equal(got, smoother(N, [ell], m)[:, 0]), ell
 
 
 @pytest.mark.parametrize("n_grid", [(4, 6, 8, 10), (6, 8, 10, 12)])
 def test_shared_grid_chains_match_per_n_chains(n_grid):
     m = perturb_boundaries(dyadic_points(3, 1500), 3 * max(n_grid))
-    x = m.astype(float) * 2.0 ** (-BITS)
     pairs = [(N, ell) for N in n_grid
              for ell in CounterexampleConfig(N=N).chain_indices]
-    shared = _gauss_columns(pairs, x)
+    shared = _gauss_columns(pairs, m)
     start = 0
     for N in n_grid:
         chain = shared[:, start:start + N + 1]
         start += N + 1
         cfg = CounterexampleConfig(N=N, sample_size=m.size)
         assert np.array_equal(chain, chain_values(cfg, "A", m))
-        frozen = np.stack([merged_grid_smoother(N, ell, x)
-                           for ell in cfg.chain_indices], axis=1)
-        assert np.array_equal(chain, frozen)
 
 
-def test_erf_is_exactly_one_past_six_and_a_half():
+def test_erf_is_exactly_one_from_5_93():
     # the premise of the saturated columns, on a dense grid and far out
-    z = np.concatenate([np.linspace(6.5, 40.0, 2_000_001),
+    z = np.concatenate([np.linspace(torus_mod._ERF_ONE, 40.0, 2_000_001),
                         np.geomspace(40.0, 1e300, 2001), [np.inf]])
+    assert torus_mod._ERF_ONE == 5.93
     assert np.all(erf(z) == 1.0)
     assert np.all(erf(-z) == -1.0)
-    # and 6.5 leaves a margin: erf first reaches 1.0 near 5.9
-    assert erf(5.8) < 1.0
+    # and the band is tight: erf first reaches 1.0 near 5.922
+    assert erf(5.921) < 1.0
 
 
-@pytest.mark.parametrize("n_grid,cap", [((6, 8, 10, 12), 1000),
-                                        ((4, 6, 8, 10), 920)])
+def damped_harmonic(gap, h):
+    """The size of the h-th odd harmonic of scale ell + gap, smoothed at
+    scale ell: (4 / pi h) exp(-pi^2 h^2 2^(2 gap - 1))."""
+    mpmath.mp.dps = 30
+    return 4 / (mpmath.pi * h) * mpmath.exp(
+        -mpmath.pi ** 2 * h * h * mpmath.mpf(2) ** (2 * gap - 1))
+
+
+def test_series_leaves_out_no_harmonic_above_1e_30():
+    series = torus_mod._SERIES
+    assert sorted(series) == [0, 1]
+    for gap, kept in series.items():
+        assert kept == tuple(range(1, max(kept) + 1, 2))
+        # the last harmonic kept counts; the first left out, with all the
+        # harmonics after it, does not
+        assert damped_harmonic(gap, max(kept)) > 1e-30
+        tail = sum(damped_harmonic(gap, h)
+                   for h in range(max(kept) + 2, max(kept) + 40, 2))
+        assert tail < 1e-30, gap
+    # the scales from gap 2 on are dropped whole, and with them every
+    # scale finer still
+    dropped = sum(damped_harmonic(gap, h) for gap in range(2, 10)
+                  for h in range(1, 40, 2))
+    assert dropped < 1e-30
+
+
+@pytest.mark.parametrize("n_grid,cap", [((6, 8, 10, 12), 250),
+                                        ((4, 6, 8, 10), 220)])
 def test_failure_probe_evaluates_few_erfs_per_point(n_grid, cap,
                                                     monkeypatch):
     calls = []
@@ -118,50 +146,102 @@ def test_failure_probe_evaluates_few_erfs_per_point(n_grid, cap,
 
     monkeypatch.setattr(scipy.special, "erf", counted)
     weak_type_failure(n_grid=n_grid, sample_size=1000)
-    # a grid per (N, ell) with erf at every breakpoint made 1,944 and 1,536
+    # 230 and 200 now; a grid per (N, ell) with erf at every breakpoint
+    # made 1,944 and 1,536, and grids of half a standard deviation shared
+    # across N 992 and 916
     assert 0 < sum(calls) <= cap * 1000
 
 
-def mp_smoother(N, ell, x):
-    """30-digit convolution at x: every +-1 slab of every window scale
-    within 40 standard deviations, damped scales included."""
+def mp_smoother(N, ell, m):
+    """30-digit convolution at x = m / 2^60: every +-1 slab within 10
+    sqrt(2) standard deviations of each window scale k <= ell + 1, and the
+    finer scales from their odd harmonics down to 1e-45."""
     mpmath.mp.dps = 30
-    x = mpmath.mpf(float(x))
-    s = mpmath.sqrt(2) * mpmath.mpf(2) ** (-ell)
-    lo, hi = x - 40 * s, x + 40 * s
+    two = mpmath.mpf(2)
+    x = mpmath.mpf(int(m)) / two ** BITS
+    s = mpmath.sqrt(2) * two ** (-ell)
+    lo, hi = x - 10 * s, x + 10 * s
     window = CounterexampleConfig(N=N).window
-    kmax = window[-1]
+    kmax = min(window[-1], ell + 1)
     erfs = {}  # by breakpoint numerator over 2^kmax; scales share them
 
     def e(j, k):
         key = j << (kmax - k)
         if key not in erfs:
-            erfs[key] = mpmath.erf((x + 1 - key * mpmath.mpf(2) ** -kmax)
-                                   / s)
+            erfs[key] = mpmath.erf((x + 1 - key * two ** -kmax) / s)
         return erfs[key]
 
     total = mpmath.mpf(0)
     for k in window:
-        w = mpmath.mpf(2) ** (-k)
+        if k > kmax:
+            h = 1
+            while damped_harmonic(k - ell, h) > 1e-45:
+                total += damped_harmonic(k - ell, h) * mpmath.sin(
+                    mpmath.pi * h * two ** k * x)
+                h += 2
+            continue
+        w = two ** (-k)
         j_lo = max(0, int(mpmath.floor((lo + 1) / w)))
         j_hi = min(3 * 2 ** k, int(mpmath.ceil((hi + 1) / w)))
         for j in range(j_lo, j_hi):
-            total += (-1) ** j * (e(j, k) - e(j + 1, k))
-    return total / 2
+            total += (-1) ** j * (e(j, k) - e(j + 1, k)) / 2
+    return total
+
+
+def test_mp_smoother_reads_the_numerator_exactly():
+    # one numerator unit above 1/3 moves the point, where float(m) does
+    # not: the reference sees the dyadic point itself
+    m = (1 << BITS) // 3
+    assert float(m) == float(m + 1)
+    a, b = mp_smoother(4, 8, m), mp_smoother(4, 8, m + 1)
+    assert a != b
+    # a unit is 2^-60, and the derivative is at most 2^8 N sqrt(2 / pi)
+    assert abs(a - b) <= 2.0 ** (8 - BITS) * 4
+
+
+def reference_points(N):
+    """Random numerators, numerators one unit either side of slot
+    boundaries of two active scales, and the ends 0 and 2^60."""
+    gen = np.random.default_rng(100 + N)
+    m = [int(v) for v in dyadic_points(N, 3)]
+    for k in gen.choice(CounterexampleConfig(N=N).window, 2, replace=False):
+        b = int(gen.integers(1, 1 << int(k))) << (BITS - int(k))
+        m += [b - 1, b + 1]
+    return m + [0, 1 << BITS]
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 12, 14])
+def test_chain_columns_match_the_30_digit_reference(N):
+    m = reference_points(N)
+    cfg = CounterexampleConfig(N=N)
+    chain = chain_values(cfg, "A", m)
+    for col, ell in enumerate(cfg.chain_indices):
+        for i, mi in enumerate(m):
+            want = float(mp_smoother(N, ell, mi))
+            assert abs(chain[i, col] - want) <= 1e-14, (ell, mi)
 
 
 def test_smoother_matches_mpmath_reference():
     N = 4
-    xs = [0.0, 1.0, float(np.nextafter(0.5, 1.0)), 0.61803398874989]
+    ms = [0, 1 << BITS, (1 << (BITS - 1)) + 1, 712525691637837120]
     ells = CounterexampleConfig(N=N).chain_indices
-    for ell, got in zip(ells, smoother(N, ells, xs).T):
-        for g, x in zip(got, xs):
-            assert abs(g - float(mp_smoother(N, ell, x))) <= 1e-14, (ell, x)
+    for ell, got in zip(ells, smoother(N, ells, ms).T):
+        for g, m in zip(got, ms):
+            assert abs(g - float(mp_smoother(N, ell, m))) <= 1e-14, (ell, m)
+
+
+@pytest.mark.parametrize("m", [-1, (1 << BITS) + 1, -(1 << 62)])
+def test_numerators_outside_the_unit_interval_raise(m):
+    with pytest.raises(DimensionError):
+        chain_values(CounterexampleConfig(N=4), "A", [0, m])
+    with pytest.raises(DimensionError):
+        smoother(6, [14], [m])
 
 
 @pytest.mark.parametrize("N,ell", [(4, 1), (4, 7), (10, 19)])
 def test_no_active_scale_gives_zeros(N, ell):
-    out = smoother(N, [ell], [0.0, 0.25, 0.7, 1.0])
+    m = [0, 1 << (BITS - 2), 806964389823620096, 1 << BITS]
+    out = smoother(N, [ell], m)
     assert np.array_equal(out, np.zeros((4, 1)))
 
 
