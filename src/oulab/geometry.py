@@ -29,12 +29,19 @@ def smooth_step(s) -> np.ndarray:
     out = np.array(s >= 1, dtype=float)
     out[np.isnan(s)] = np.nan
     ramp = np.flatnonzero((s > 0) & (s < 1))
-    r = s.ravel()[ramp]
+    out.ravel()[ramp] = _ramp(s.ravel()[ramp])
+    return out if out.shape else float(out)
+
+
+def _ramp(r: np.ndarray) -> np.ndarray:
+    """The ramp's formula e^(-1/r) / (e^(-1/r) + e^(-1/(1 - r))), the one
+    place it is written.  It is exactly 0.0 for r <= 0 (the first
+    exponential underflows, the second is at least e^-1) and NaN for NaN,
+    so callers whose r lie below 1 may skip smooth_step's masks."""
     with np.errstate(divide="ignore", over="ignore"):
         a = np.exp(-1.0 / np.maximum(r, 1e-300))
         b = np.exp(-1.0 / np.maximum(1 - r, 1e-300))
-    out.ravel()[ramp] = a / (a + b)
-    return out if out.shape else float(out)
+    return a / (a + b)
 
 
 def eta_plateaus(Rx, Ru_lo, Ru_hi) -> tuple[np.ndarray, np.ndarray]:
@@ -97,38 +104,130 @@ def local_weight(model: OUModel, x, u) -> np.ndarray:
     (R - (b - 1)) - 1.0 = R - b; with a = psi(R - b) this makes
     r_b = a - psi(R - b - 1) = a - 0.0 and r_(b-1) = 1.0 - a, the j = 0
     form included (R < 1 gives a = 0 on both sides).  The x-side
-    plateaus depend on (R(x), b) alone, so they are evaluated once per
-    run of open pairs that share both, as the pairs of one x against
-    the nodes of a Gaussian block do.  The two products are added in ring
-    order, so eta is bit-identical to the ring sum evaluated everywhere
-    with ten ramps per pair (below R = 2^53, where every integer j <= R
-    is a float).
+    plateaus depend on R(x) and the ring alone, so they are read from a
+    table of each x's rings (plateau_table, eta_at).  The two products
+    are added in ring order, so eta is bit-identical to the ring sum
+    evaluated everywhere with ten ramps per pair (below R = 2^53, where
+    every integer j <= R is a float).
     """
-    return _eta_from_r(np.asarray(quadratic_r(model, x)),
-                       np.asarray(quadratic_r(model, u)))
-
-
-def _eta_from_r(Rx: np.ndarray, Ru: np.ndarray, out=None) -> np.ndarray:
-    """local_weight from R(x) and R(u), arrays that broadcast: the same
-    bits, for callers that already hold both; into out when given (an
-    array of the broadcast shape)."""
-    near, far = eta_plateaus(Rx, Ru, Ru)
-    if out is None:
-        out = np.array(near, dtype=float)
-    else:
-        np.copyto(out, near)
-    band = np.flatnonzero(~(near | far))
-    ru = np.broadcast_to(Ru, out.shape).ravel()[band]
-    rx = np.broadcast_to(Rx, out.shape).ravel()[band]
-    b = np.maximum(np.floor(ru).astype(int), 1)
-    a = smooth_step(ru - b)
-    new = np.ones(b.shape, dtype=bool)
-    new[1:] = (rx[1:] != rx[:-1]) | (b[1:] != b[:-1])
-    run = np.cumsum(new) - 1
-    rx, b = rx[new], b[new]
-    out.ravel()[band] = _ring_plateau_idx(rx, b - 1)[run] * (1.0 - a) \
-        + _ring_plateau_idx(rx, b)[run] * a
+    Rx = np.asarray(quadratic_r(model, x))
+    Ru = np.asarray(quadratic_r(model, u))
+    out = np.empty(np.broadcast_shapes(Rx.shape, Ru.shape))
+    rows = np.arange(Rx.size).reshape(Rx.shape)
+    eta_at(plateau_table(Rx), np.broadcast_to(rows, out.shape).ravel(),
+           np.broadcast_to(Ru, out.shape).reshape(1, -1), out.reshape(1, -1))
     return out if out.shape else float(out)
+
+
+# an open pair reads the plateaus of rings floor(R(x)) + _PLATEAU_LO on,
+# _PLATEAU_COLS of them
+_PLATEAU_LO, _PLATEAU_COLS = -6, 12
+
+
+def plateau_table(Rx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x side of eta for the points whose R is Rx (any shape), in
+    their flat order: (Rx flat (p,), base (p,), table (p, 12)), with
+    table[i, c] = rt_j(Rx[i]) for ring j = base[i] + c, an integer, and
+    base = floor(R(x)) - 6.
+
+    A pair that eta_plateaus leaves open has -3 <= d <= 4, d = R(x) - b
+    as computed (d > 4 is 0, and d < -3 with b <= 3 would need
+    R(x) < 0).  d is within 2^-50 of exact, so the rings b - 1 and b lie
+    in floor(R(x)) - 5 ... floor(R(x)) + 4, inside the table.  Where
+    floor(R(x)) is no int64 (NaN, inf, from 2^63 on) base is -6; every
+    plateau of such an R(x) is NaN, or 0 for any ring j that local_weight
+    can form there."""
+    Rx = np.asarray(Rx, dtype=float).ravel()
+    fl = np.floor(Rx)
+    base = np.where(fl < 2.0 ** 63, fl, 0.0).astype(np.intp) + _PLATEAU_LO
+    j = base[:, None] + np.arange(_PLATEAU_COLS)
+    return Rx, base, _ring_plateau_idx(Rx[:, None], j)
+
+
+def eta_at(table, rows, Ru, out: np.ndarray) -> np.ndarray:
+    """eta into out (k, m), C-contiguous, for the pairs of R(u) values Ru
+    (k, m) with the points of rows (m,), one per column, indices into
+    table (a plateau_table).  The bits of local_weight.
+
+    Each pair goes through eta_plateaus; only the open ones take a ramp,
+    and their two x-side plateaus are read from the table at the rings
+    b - 1 and b (clipped to the table, which matters only where b or
+    R(x) is no number or past 2^63).  b = max(int(R(u)), 1) is the ring
+    sum's max(floor(R(u)), 1) for every R(u): the casts differ only on
+    negative non-integers, where both give 1, and floor leaves NaN, inf
+    and every float past 2^52 as they are."""
+    Rx, base, plateaus = table
+    near, far = eta_plateaus(Rx[rows], Ru, Ru)
+    np.copyto(out, near)
+    band = np.flatnonzero(~(near | far))
+    ru = Ru.ravel()[band]
+    row = rows[band % rows.size]
+    b = np.maximum(ru.astype(np.intp), 1)
+    a = _ramp(ru - b)
+    lo = np.clip(b - base[row], 1, _PLATEAU_COLS - 1)
+    lo += row * _PLATEAU_COLS - 1                # ring b - 1; b is next
+    flat = plateaus.ravel()
+    out.ravel()[band] = flat[lo] * (1.0 - a) + flat[1:][lo] * a
+    return out
+
+
+def tile_sums(model: OUModel, table, blocks, z: np.ndarray, w: np.ndarray,
+              ot: np.ndarray, ob: np.ndarray, per_slice: int) -> np.ndarray:
+    """The sums of eta * w over tiles of a tensor rule placed on Gaussian
+    blocks: tile ot[i] on block ob[i], (s,) each.  blocks = (rows, mean,
+    L) gives each block's point as its row of table (a plateau_table),
+    its mean (nb, n) and its square root L (nb, n, n); z (n, k, T) holds
+    the rule nodes of every tile, one (k, T) array per axis, and w (k, T)
+    their weights.
+
+    A tile's nodes are mean + L z, each coordinate summing L_ij z_j over j
+    in order, as kernel._dot does, and then adding the mean (one
+    addition, which commutes).  eta comes from eta_at, and a tile's
+    terms eta * w are added in node order (ordered_sum), so its sum has
+    the same bits in any slice.  The tiles go in slices of at most
+    per_slice, through one workspace: rule nodes, nodes, weights, R and
+    eta, node-major so that the sums run over contiguous rows."""
+    rows, mean, L = blocks
+    n, k = z.shape[:2]
+    out = np.empty(ot.size)
+    # freed with each call, the workspace also lifts glibc's mmap and trim
+    # thresholds to its size after the first one, so the slices' other
+    # temporaries stay on the heap rather than going back to the OS and
+    # faulting in again (on 2-d models, 2 MB a slice)
+    ws = np.empty((2 * n + 3, min(per_slice, ot.size) * k))
+    for lo in range(0, ot.size, per_slice):
+        t, b = ot[lo:lo + per_slice], ob[lo:lo + per_slice]
+        zs, nodes = (ws[i:i + n, :t.size * k].reshape(n, k, t.size)
+                     for i in (0, n))
+        w_s, r, eta = (ws[i, :t.size * k].reshape(k, t.size)
+                       for i in range(2 * n, 2 * n + 3))
+        for j in range(n):
+            np.take(z[j], t, axis=1, out=zs[j], mode="clip")
+        Lb, mb = L[b], mean[b]
+        for i in range(n):
+            np.multiply(Lb[:, i, 0], zs[0], out=nodes[i])
+            for j in range(1, n):
+                nodes[i] += np.multiply(Lb[:, i, j], zs[j], out=w_s)
+            nodes[i] += mb[:, i]
+        quadratic_r(model, np.moveaxis(nodes, 0, -1), out=r)
+        eta_at(table, rows[b], r, eta)
+        eta *= np.take(w, t, axis=1, out=w_s, mode="clip")
+        ordered_sum(eta, out[lo:lo + per_slice])
+    return out
+
+
+def ordered_sum(terms, out=None) -> np.ndarray:
+    """terms[0] + terms[1] + ... added first to last, into out when
+    given: terms are arrays of one shape, or scalars, that broadcast (the
+    rows of a 2-d array, say), and without out the first is an array.
+    The bits of np.cumsum along the terms, where np.sum may pair them."""
+    if out is None:
+        out = np.array(terms[0], dtype=float)
+    else:
+        out[...] = terms[0]
+    for term in terms[1:]:
+        out += term
+    return out
 
 
 def _ring_plateau_idx(R, j):

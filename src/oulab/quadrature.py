@@ -60,6 +60,10 @@ class QuadratureRule:
     weights: np.ndarray     # (m,), sum to 1
 
 
+# the rules hermite_tensor has built, by (n, order)
+_RULES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
 def hermite_tensor(n: int, order: int | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Tensor probabilist Gauss-Hermite rule for N(0, I_n): nodes (q, n)
@@ -67,13 +71,21 @@ def hermite_tensor(n: int, order: int | None = None
     dimension's DEFAULT_ORDER is used; dimensions past it have none.  From
     order 371 hermegauss's weights underflow to 0 or turn NaN, with
     overflow warnings: an order whose weights do not sum to 1 raises
-    BadOrderError."""
+    BadOrderError.  Each rule is built once per (n, order) and handed out
+    read-only."""
     if order is None:
         if n not in DEFAULT_ORDER:
             raise BadOrderError(f"no default order for dimension {n}")
         order = DEFAULT_ORDER[n]
     if order < 1:
         raise BadOrderError("order must be >= 1")
+    if (n, order) not in _RULES:
+        _RULES[n, order] = _hermite_tensor(n, order)
+    return _RULES[n, order]
+
+
+def _hermite_tensor(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """hermite_tensor's rule, built afresh."""
     with np.errstate(all="ignore"):
         x1, w1 = hermegauss(order)
     w1 = w1 / np.sqrt(2 * np.pi)            # probability weights for N(0,1)
@@ -85,6 +97,7 @@ def hermite_tensor(n: int, order: int | None = None
     w = np.ones(order ** n)
     for g in np.meshgrid(*([w1] * n), indexing="ij"):
         w = w * g.ravel()
+    z.flags.writeable = w.flags.writeable = False
     return z, w
 
 

@@ -14,7 +14,12 @@ streams over blocks of whole rows of points, decides each (point, time)
 block and then each tile from a bound on R over its nodes, expands only
 the open tiles, in slices under one node budget (_NODE_BUDGET), and sums
 the weights tile by tile in one fixed order, so the result has the same
-bits however the blocks, tiles and slices fall.
+bits however the blocks, tiles and slices fall.  The outer tiles, whose
+weights are below 2^-53 of the rule's, are left out by a rounding
+certificate: each adds some eta * w in [0, w], and rounding is monotone,
+so where the fixed-order sums with such a tile at 0 and at w agree, they
+are the sum; only where they differ (or are NaN) is the tile decided and
+expanded after all.
 
 Critical times.  On models with B = -b I and Qinf = lam I (all the
 standard models; model.isotropic_rates), d/ds log H_t f(x) = P(s) / D^2
@@ -40,8 +45,9 @@ import numpy as np
 from .errors import (AlphaTooSmallError, ArgumentRangeError, BadOrderError,
                      DimensionError, NonPositiveTimeError,
                      NumericalOverflowError)
-from .geometry import (_eta_from_r, annulus_indicator, eta_plateaus,
-                       local_weight, polar_decompose)
+from .geometry import (annulus_indicator, eta_plateaus, local_weight,
+                       ordered_sum, plateau_table, polar_decompose,
+                       tile_sums)
 from .kernel import (_dot, _row_blocks, _time_last, log_kernel_grid,
                      real_roots, time_critical_cubic)
 from .model import (OUModel, Propagators, isotropic_rates, propagators,
@@ -294,17 +300,17 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     The rule's nodes are split into tiles of _TILE consecutive nodes per
     axis (the last one shorter where the order is no multiple of _TILE;
     its repeated slots weigh 0.0), and every weight is summed in one fixed
-    order: each tile's nodes in tile order, then the tiles in order, as
-    running sums (np.cumsum), whose order does not depend on the layout.
-    So a block's near weight is the sum over its tiles of the tile's
-    eta * w, and it has the same bits however the tiles were decided.
+    order: each tile's nodes in tile order, then the tiles in order, each
+    term added to the running sum in turn (geometry.ordered_sum).  So a
+    block's near weight is the sum over its tiles of the tile's eta * w,
+    and it has the same bits however the tiles were decided.
 
     The points are taken in blocks of whole rows, as many as keep the
-    block's tile bounds within _NODE_BUDGET (one row at least).  The
-    means of a row block's (point, time) blocks, their decisions and
-    their tiles are formed per row block, so no (points, times) array is
-    held but the near weights and the mass.  Each block is decided before
-    its nodes are expanded.
+    block's core tile bounds (below) within _NODE_BUDGET (one row at
+    least).  The means of a row block's (point, time) blocks, their
+    decisions and their tiles are formed per row block, so no (points,
+    times) array is held but the near weights and the mass.  Each block
+    is decided before its nodes are expanded.
     The nodes are mean + L_t z_k, so in the norm |v|_R = sqrt(2 R(v)) a
     node lies within |Qinf^-1/2 L_t|_2 |z_k - z_c| of the centre
     mean + L_t z_c.  _node_r_range turns a centre c and radius r into
@@ -312,21 +318,36 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     1e-10 kappa(Qinf) (s + r) + 1e-12, far more than the few n^2 eps kappa
     by which the rounding of the nodes and of R can move a node's computed
     R, and eta_plateaus tells where eta is the same constant over the
-    whole range.  A block is bounded with z_c = 0; one decided whole
-    takes the sum of all tile weights, or 0.0.
+    whole range.
 
-    The tiles of the other blocks are bounded about the centre z_c of
-    their nodes' box with radius max_k |z_k - z_c|.  At the default
-    orders, and at orders 12 and 13, a tile's radius is at least 9 % of
-    its block's, so |mean|_R is at most a dozen times the tile's s + r,
-    and the same margin still dwarfs the rounding of the nodes.  A tile
-    decided 1 adds its tile weight, one decided 0 adds nothing, and only
-    the open tiles are expanded, in slices of at most _NODE_BUDGET nodes.
-    L_t z is formed for a slice's tiles alone, each coordinate summing
-    L_ij z_j over j in order (_tile_nodes; the einsum over all nodes that
-    this replaces had the same bits for n <= 2, and added in vector lanes
-    for n >= 3), and eta comes from R(x) and the nodes' R
-    (geometry._eta_from_r).
+    Rounding certificate.  A tile is negligible when its weight is below
+    2^-53 of the rule's (at the default orders the outer two of eight in
+    1-d, and 32 of 64 in 2-d); the others are the core.  eta is in
+    [0, 1] and rounding is monotone, so a negligible tile's sum of
+    eta * w lies in [0, tile weight] however its nodes fall (wherever R
+    is a number there: the block's mean and L_t finite, and no overflow).
+    With every other tile's sum fixed, the block's fixed-order sum then
+    lies between the sums S_lo and S_hi taken with each negligible tile
+    at 0 and at its weight; where S_lo == S_hi, that is the block's near
+    weight, exactly.  NaN fails the test, since NaN != NaN.  Adding +0.0
+    moves no sum of terms >= 0, so S_lo skips the negligible tiles.
+    - A block is bounded with z_c = 0 and the radius of the core nodes.
+      Where every core node has eta 1 it takes the sum of all tile
+      weights: the rule's core weights alone add up to that sum (one
+      check per rule; where it fails, as at the default 3-d order, no
+      tile counts as negligible).  Where every core node has eta 0, and
+      no tile is negligible, it takes 0.0.
+    - The core tiles of the other blocks are bounded about the centre
+      z_c of their nodes' box with radius max_k |z_k - z_c|.  At the
+      default orders, and at orders 12 and 13, a tile's radius is at
+      least 9 % of its block's, so |mean|_R is at most a dozen times the
+      tile's s + r, and the same margin still dwarfs the rounding of the
+      nodes.  A tile decided 1 adds its tile weight, one decided 0 adds
+      nothing, and only the open tiles are expanded (geometry.tile_sums,
+      in slices of at most _NODE_BUDGET nodes), with eta read from each
+      point's table of ring plateaus (geometry.plateau_table).
+    - Only a block whose S_lo and S_hi differ decides and expands its
+      negligible tiles the same way, and sums all its tiles again.
 
     The mass is evaluated last, into out when given (a (p, m) array or
     view), and the parts are formed in place: near = mass w in the array
@@ -349,74 +370,74 @@ def local_global_grid(model: OUModel, bump: GaussianBump,
     L = np.einsum("mij,mj,mkj->mik", vv, np.sqrt(wv), vv)
     base_mean = np.einsum("mij,j->mi", cov, m_ctr / w2)      # (mt, n)
     spread = _spread(model, L)                               # (mt,)
-    block_r = spread * np.sqrt(np.max(np.einsum("qi,qi->q", z, z)))
     kappa = np.linalg.cond(model.Qinf)
     tiles, first, zc, z_rad = _tiles(z)
     n_t, k = tiles.shape
-    zt = np.moveaxis(z[tiles], -1, 0).copy()                 # (n, T, k)
-    wt = np.where(first, wq[tiles], 0.0)                     # (T, k)
-    tile_w = np.cumsum(wt, axis=1)[:, -1]
-    w_all = np.cumsum(tile_w)[-1]
+    zt = np.moveaxis(z[tiles], (0, 2), (2, 0)).copy()        # (n, k, T)
+    wt = np.where(first, wq[tiles], 0.0).T.copy()            # (k, T)
+    tile_w = ordered_sum(wt)
+    w_all, small, core_z = _core_tiles(z, tiles, tile_w)
+    core, negl = np.flatnonzero(~small), np.flatnonzero(small)
+    core_r = spread * core_z
     tile_r = spread[:, None] * z_rad                         # (mt, T)
     Lzc = np.einsum("mij,tj->mti", L, zc)                    # (mt, T, n)
     mt = props.ts.size
     loc = np.empty((x.shape[0], mt))
-    rows = max(1, _NODE_BUDGET // (n_t * mt))
+    table = plateau_table(quadratic_r(model, x))
+    rows = max(1, _NODE_BUDGET // (core.size * mt))
     per_slice = max(1, _NODE_BUDGET // k)
+
+    def fill(blocks, ts):
+        """Each tile's sum of eta * w, (blocks, tiles), for the tiles ts
+        of some open blocks = (point, mean, time index) each."""
+        pts, mb, bt = blocks
+        one, zero = eta_plateaus(table[0][pts, None], *_node_r_range(
+            model, mb[:, None, :] + Lzc[:, ts][bt], tile_r[:, ts][bt],
+            kappa))
+        vals = one * tile_w[ts]
+        ob, ot = np.nonzero(~(one | zero))
+        vals[ob, ot] = tile_sums(model, table, (pts, mb, L[bt]), zt, wt,
+                                 ts[ot], ob, per_slice)
+        return vals
+
     for lo in range(0, x.shape[0], rows):
-        xb = x[lo:lo + rows]
-        rx = quadratic_r(model, xb)
-        mean = _product_means(props, cov, xb) + base_mean[None, :, :]
-        one, zero = eta_plateaus(rx[:, None], *_node_r_range(
-            model, mean, block_r, kappa))
-        loc[lo:lo + rows] = one * w_all
-        bp, bt = np.nonzero(~(one | zero))
-        mb = mean[bp, bt]                                    # (nb, n)
-        t_one, t_zero = eta_plateaus(rx[bp, None], *_node_r_range(
-            model, mb[:, None, :] + Lzc[bt], tile_r[bt], kappa))
-        sums = t_one * tile_w                                # (nb, T)
-        op = np.flatnonzero(~(t_one | t_zero))               # open tiles
-        # one workspace for the slices of the row block: the rule nodes of
-        # a slice's tiles and their weights, the nodes, R and eta there.
-        # Freed with each row block, it also lifts glibc's mmap and trim
-        # thresholds to its size after the first one, so the slices' other
-        # temporaries stay on the heap rather than going back to the OS
-        # and faulting in again (on 2-D models, 2 MB a slice)
-        size = min(per_slice, op.size)
-        z_ws, node_ws = np.empty((2, n, size, k))
-        w_ws, r_ws, eta_ws = np.empty((3, size, k))
-        for s in range(0, op.size, per_slice):
-            o = op[s:s + per_slice]
-            ob, ot = np.divmod(o, n_t)
-            zs, nodes, w, r, eta = (a[..., :o.size, :] for a in (
-                z_ws, node_ws, w_ws, r_ws, eta_ws))
-            for j in range(n):
-                np.take(zt[j], ot, axis=0, out=zs[j], mode="clip")
-            _tile_nodes(mb[ob], L[bt[ob]], zs, nodes, w)
-            _eta_from_r(rx[bp[ob], None], quadratic_r(
-                model, np.moveaxis(nodes, 0, -1), out=r), out=eta)
-            eta *= np.take(wt, ot, axis=0, out=w, mode="clip")
-            sums.ravel()[o] = np.cumsum(eta, axis=1, out=eta)[:, -1]
-        loc[lo + bp, bt] = np.cumsum(sums, axis=1)[:, -1]
+        mean = _product_means(props, cov, x[lo:lo + rows]) \
+            + base_mean[None, :, :]
+        one, zero = eta_plateaus(table[0][lo:lo + rows, None],
+                                 *_node_r_range(model, mean, core_r, kappa))
+        block = loc[lo:lo + rows]
+        np.multiply(one, w_all, out=block)
+        op = np.flatnonzero(~(one | zero & (negl.size == 0)))
+        bp, bt = np.divmod(op, mt)
+        blocks = (lo + bp, mean.reshape(-1, n)[op], bt)
+        vals = fill(blocks, core)                            # (nb, core)
+        near = ordered_sum(vals.T)                           # S_lo
+        col = dict(zip(core, vals.T))
+        fail = np.flatnonzero(near != ordered_sum(
+            [col.get(t, w) for t, w in enumerate(tile_w)], np.empty(op.size)))
+        if fail.size:
+            full = np.empty((n_t, fail.size))
+            full[core] = vals[fail].T
+            full[negl] = fill(tuple(a[fail] for a in blocks), negl).T
+            near[fail] = ordered_sum(full)
+        block.reshape(-1)[op] = near
     mass = bump_semigroup_grid(model, bump, props, x, out=out)
     loc *= mass
     return loc, np.subtract(mass, loc, out=mass)
 
 
-def _tile_nodes(mean: np.ndarray, L: np.ndarray, zt: np.ndarray,
-                nodes: np.ndarray, term: np.ndarray) -> None:
-    """The nodes mean + L z of s tiles into nodes (n, s, k), for each
-    tile's block mean (s, n), square root L (s, n, n) and rule nodes z,
-    one (s, k) array per axis in zt (n, s, k); term (s, k) is scratch.
-    Every coordinate sums L_ij z_j over j in order, as kernel._dot does,
-    and then adds the mean (one addition, which commutes), in place in its
-    row of nodes."""
-    n = mean.shape[1]
-    for i in range(n):
-        np.multiply(L[:, i, 0, None], zt[0], out=nodes[i])
-        for j in range(1, n):
-            nodes[i] += np.multiply(L[:, i, j, None], zt[j], out=term)
-        nodes[i] += mean[:, i, None]
+def _core_tiles(z: np.ndarray, tiles: np.ndarray, tile_w: np.ndarray):
+    """The rule's weight (its tiles' weights tile_w summed in order), the
+    mask of its negligible tiles, those that weigh below 2^-53 of it, and
+    the largest |z| over the nodes of the other tiles.  No tile counts as
+    negligible where the others' weights, in order, do not sum to the
+    rule's weight."""
+    w_all = ordered_sum(tile_w)
+    small = tile_w < 2.0 ** -53 * w_all
+    if ordered_sum(tile_w[~small]) != w_all:
+        small[:] = False
+    zz = np.einsum("qi,qi->q", z, z)
+    return w_all, small, np.sqrt(np.max(zz[tiles[~small]]))
 
 
 def _product_means(props: Propagators, cov: np.ndarray,

@@ -145,6 +145,15 @@ def _slot_sums(n_scales: int, j0: np.ndarray, e: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(terms, axis=1)
 
 
+def _numerators(m) -> np.ndarray:
+    """m as a 1-d int64 array of numerators of points m 2^-BITS of
+    [0, 1], or a DimensionError."""
+    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
+    if np.any((m < 0) | (m > 1 << BITS)):
+        raise DimensionError(f"numerators must lie in [0, 2^{BITS}]")
+    return m
+
+
 def _gauss_columns(pairs, m) -> np.ndarray:
     """Convolution of the periodized sum of each scale N with the Gaussian
     of variance 4^-ell at the points of [0, 1] with int64 numerators m: one
@@ -156,9 +165,7 @@ def _gauss_columns(pairs, m) -> np.ndarray:
     0.25 of [0, 1], inside the support [-1, 2] of the sum.  Each grid is
     built once, in blocks of points, for all the pairs that use it.
     """
-    m = np.asarray(m, dtype=np.int64)
-    if np.any((m < 0) | (m > 1 << BITS)):
-        raise DimensionError(f"numerators must lie in [0, 2^{BITS}]")
+    m = _numerators(m)
     out = np.zeros((m.size, len(pairs)))
     grids, series = {}, {}
     for col, (N, ell) in enumerate(pairs):
@@ -219,7 +226,7 @@ def chain_values(config: CounterexampleConfig, operator: str,
     """
     if operator not in _OPERATORS:
         raise BadOrderError(f"operator must be one of {_OPERATORS}")
-    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
+    m = _numerators(m)
     if operator == "A":
         return _gauss_columns(
             [(config.N, ell) for ell in config.chain_indices], m)

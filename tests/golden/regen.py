@@ -103,6 +103,11 @@ CASES = {
     "probe-weak-type-global-small-t-standard1": [
         "probe", "weak-type", "--model", "standard1", "--rho", "2.5",
         "--regime", "global-small-t", "--samples", "1000", "--out", "out"],
+    # the near/far split in 2-d, on a non-isotropic model
+    "probe-weak-type-global-small-t-general2": [
+        "probe", "weak-type", "--model", "general2.json", "--rho", "2",
+        "--regime", "global-small-t", "--samples", "1000", "--refine", "0",
+        "--out", "out"],
     "probe-enhanced-standard1": [
         "probe", "enhanced", "--model", "standard1", "--samples", "400",
         "--out", "out"],

@@ -12,6 +12,7 @@ from oulab import (
     smooth_step,
     standard_model,
 )
+from oulab import geometry
 from oulab.geometry import _ring_plateau_idx, eta_plateaus, group_apply
 from oulab.errors import (
     AlphaTooSmallError,
@@ -282,6 +283,30 @@ def test_local_weight_bit_identical_next_to_the_thresholds(model_factory, n):
     assert np.array_equal(local_weight(m, x, u), full_local_weight(m, x, u))
 
 
+def test_eta_at_equals_the_ring_sum_at_every_threshold():
+    # the fused kernel on a (k, m) layout, one point per column: R(x) on
+    # integers and quarter-integers, and R(u) on, just below and inside
+    # the rings b where R(x) - b is -3, -1, 2 or 4, so every pair sits on
+    # or next to an edge of eta_plateaus and reads the table at the edge
+    rx = np.concatenate([np.arange(0.0, 25.0), np.arange(0.25, 25.0, 1.0)])
+    rows = np.arange(rx.size)[::-1]
+    lv = rx[rows]
+    ru = []
+    for d in (-3.0, -1.0, 2.0, 4.0):
+        b = np.floor(lv) - d
+        ru += [b, np.nextafter(b, -np.inf), b + 0.5,
+               np.nextafter(b + 1.0, -np.inf)]
+    ru = np.maximum(np.array(ru), 0.0)
+    out = np.empty(ru.shape)
+    geometry.eta_at(geometry.plateau_table(rx), rows, ru, out)
+    assert np.array_equal(out, full_eta_from_r(lv[None, :], ru))
+    d = lv - np.maximum(np.floor(ru), 1.0)
+    for edge in (-3.0, -1.0, 2.0, 4.0):
+        assert np.any(d == edge)
+    assert np.any((out > 0.0) & (out < 1.0))
+    assert np.any(out == 0.0) and np.any(out == 1.0)
+
+
 def _ring_levels(case):
     """Levels of R(u) around the places where the single ramp of
     local_weight meets the six of the ring sum, and whether the computed
@@ -380,7 +405,8 @@ def test_local_global_grid_unchanged_by_band_restriction(
     props = propagators(m, np.geomspace(1e-3, 1.0, 24))
     x = np.random.default_rng(8).standard_normal((9, m.n)) * 1.5
     loc, glob = sg.local_global_grid(m, bump, props, x)
-    monkeypatch.setattr(sg, "_eta_from_r", full_eta_from_r)
+    monkeypatch.setattr(geometry, "eta_at", lambda table, rows, ru, out:
+                        full_eta_from_r(table[0][rows], ru, out))
     ref_loc, ref_glob = sg.local_global_grid(m, bump, props, x)
     assert np.array_equal(loc, ref_loc) and np.array_equal(glob, ref_glob)
     # the points see both sides of the cutoff

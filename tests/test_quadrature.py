@@ -91,6 +91,20 @@ def test_the_highest_order_hermegauss_builds_is_kept():
     assert np.isfinite(z).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_each_rule_is_built_once_and_handed_out_read_only():
+    z, w = hermite_tensor(2)
+    again = hermite_tensor(2, order=DEFAULT_ORDER[2])
+    assert again[0] is z and again[1] is w
+    assert hermite_tensor(2, order=12)[0] is not z
+    for a in (z, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # a refused order is refused again, not cached
+    for _ in range(2):
+        with pytest.raises(BadOrderError):
+            hermite_tensor(1, order=400)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rule_is_the_tensor_mapped_through_the_measure(n):
     z, w = hermite_tensor(n)

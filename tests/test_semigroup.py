@@ -16,14 +16,15 @@ from oulab.errors import (ArgumentRangeError, BadOrderError,
 from oulab.kernel import real_roots, time_critical_cubic
 from oulab.model import isotropic_rates
 from oulab.semigroup import _BLOCK_CELLS
-from oulab.geometry import _eta_from_r, eta_plateaus
+from oulab import geometry
+from oulab.geometry import eta_at, eta_plateaus, tile_sums
 from oulab.quadrature import hermite_tensor
 from oulab.variation import _turning_points, exceedance
 from oulab import semigroup
-from oulab.semigroup import (_geometric_times, _node_r_range, _part_values,
-                             _refine, _spread, _sup_weighted_tail, _tiles,
-                             bump_semigroup_grid, local_global_grid,
-                             variation_batch_paths)
+from oulab.semigroup import (_core_tiles, _geometric_times, _node_r_range,
+                             _part_values, _refine, _spread,
+                             _sup_weighted_tail, _tiles, bump_semigroup_grid,
+                             local_global_grid, variation_batch_paths)
 from conftest import random_stable_model
 from reference_routes import (block_nodes, bootstrap_statistics_loop,
                               bump_semigroup_grid_einsum,
@@ -620,7 +621,6 @@ def test_undecided_block_with_every_tile_decided(monkeypatch):
     # the direction of the mean, where the nodes reach only about s + r /
     # sqrt(2); a level just past the nodes there leaves the block open
     # while every tile keeps clear of it
-    import oulab.semigroup as sg
     model = standard_model(2)
     f = gaussian_bump(model, np.zeros(2), 0.5)
     props = propagators(model, np.geomspace(1e-4, 1e-2, 8))
@@ -635,11 +635,11 @@ def test_undecided_block_with_every_tile_decided(monkeypatch):
     p, t = np.argwhere(found)[0]
     seen = []
 
-    def spy(rx, ru, out=None):
+    def spy(table, rows, ru, out):
         seen.append(ru.size)
-        return _eta_from_r(rx, ru, out)
+        return eta_at(table, rows, ru, out)
 
-    monkeypatch.setattr(sg, "_eta_from_r", spy)
+    monkeypatch.setattr(geometry, "eta_at", spy)
     one_t = propagators(model, props.ts[t:t + 1])
     near, far = local_global_grid(model, f, one_t, xs[p], order=12)
     assert sum(seen) == 0
@@ -661,18 +661,19 @@ def test_row_blocks_and_slices_do_not_move_the_split(name, order,
     ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs,
                                                     order=order)
     assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
-    tiles, _, _, _ = _tiles(hermite_tensor(model.n, order)[0])
-    n_t, k = tiles.shape
+    tiles, _, (_, small, _) = _rule_tiles(model.n, order)
+    k = tiles.shape[1]
     budget = 3 * k
-    assert max(1, budget // (n_t * props.ts.size)) < xs.shape[0]
+    core = np.count_nonzero(~small)
+    assert max(1, budget // (core * props.ts.size)) < xs.shape[0]
     seen = []
 
-    def spy(rx, ru, out=None):
-        seen.append(ru.shape[0])
-        return _eta_from_r(rx, ru, out)
+    def spy(table, rows, ru, out):
+        seen.append(ru.shape[1])
+        return eta_at(table, rows, ru, out)
 
     monkeypatch.setattr(semigroup, "_NODE_BUDGET", budget)
-    monkeypatch.setattr(semigroup, "_eta_from_r", spy)
+    monkeypatch.setattr(geometry, "eta_at", spy)
     small_near, small_far = local_global_grid(model, f, props, xs,
                                               order=order)
     assert np.array_equal(small_near, near)
@@ -697,6 +698,103 @@ def test_one_point_or_one_time(points, times):
     near, far = local_global_grid(model, f, props, xs)
     ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs)
     assert near.shape == (points, times)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+
+
+def _rule_tiles(n, order=None):
+    """The tiles of the tensor rule, their weights summed in tile order,
+    and local_global_grid's split of them (_core_tiles)."""
+    z, wq = hermite_tensor(n, order)
+    tiles, first, _, _ = _tiles(z)
+    tile_w = np.cumsum(np.where(first, wq[tiles], 0.0), axis=1)[:, -1]
+    return tiles, tile_w, _core_tiles(z, tiles, tile_w)
+
+
+@pytest.mark.parametrize("n,negligible,core_z", [
+    (1, [0, 7], 9.850338457882150), (2, 32, 11.651081920120960),
+    (3, 0, 17.454608081121101)])
+def test_negligible_tiles_at_the_default_orders(n, negligible, core_z):
+    # the outer tiles of the 1-d and 2-d rules weigh below 2^-53 of the
+    # rule and their weights vanish in its sum; the 3-d rule's 8 lightest
+    # tiles still move it, so none of them counts as negligible
+    tiles, tile_w, (w_all, small, got_z) = _rule_tiles(n)
+    assert w_all == np.cumsum(tile_w)[-1]
+    if isinstance(negligible, list):
+        assert np.flatnonzero(small).tolist() == negligible
+    else:
+        assert np.count_nonzero(small) == negligible
+    assert np.all(tile_w[small] < 2.0 ** -53 * w_all)
+    assert got_z == pytest.approx(core_z, rel=1e-12)
+    light = tile_w < 2.0 ** -53 * w_all
+    assert n != 3 or (light.sum() == 8 and
+                      np.cumsum(np.where(light, 0.0, tile_w))[-1] != w_all)
+
+
+@pytest.mark.parametrize("name", ["standard1", "standard2", "general2",
+                                  "random1", "random2"])
+def test_core_range_holds_every_core_node(name, model_factory):
+    # blocks are decided on the radius of the core nodes alone; in 1-d
+    # the extreme core nodes sit on the bound itself
+    model, f, props, xs, _ = _tile_case(name, model_factory, None)
+    mean, L, z, _ = split_blocks(model, f, props, xs)
+    tiles, _, (_, small, core_z) = _rule_tiles(model.n)
+    assert small.any()
+    lo, hi = _node_r_range(model, mean, _spread(model, L) * core_z,
+                           np.linalg.cond(model.Qinf))
+    r = quadratic_r(model, block_nodes(mean, L, z))[:, :, tiles[~small]]
+    lo, hi = lo[..., None, None], hi[..., None, None]
+    assert np.all(r >= lo) and np.all(r <= hi)
+
+
+@pytest.mark.parametrize("n,width", [(1, 0.055), (2, 0.05)])
+def test_failed_certificate_expands_the_negligible_tiles(n, width,
+                                                         monkeypatch):
+    # a narrow bump at distance 2.5 keeps every core node below R = 5,
+    # where eta(x, .) is 0 for R(x) near 8.5, while the outermost nodes
+    # reach past it; the core sums are 0, the bounds 0 and the negligible
+    # weights differ, and the near weight comes from the negligible tiles
+    model = standard_model(n)
+    centre = np.zeros(n)
+    centre[0] = 2.5
+    xs = np.zeros((3, n))
+    xs[:, 0] = [4.0, 4.12, 4.2]
+    f = gaussian_bump(model, centre, width)
+    props = propagators(model, np.array([0.3, 0.5, 1.0]))
+    expanded = []
+
+    def spy(model, table, blocks, z, w, ot, ob, per_slice):
+        expanded.extend(ot.tolist())
+        return tile_sums(model, table, blocks, z, w, ot, ob, per_slice)
+
+    monkeypatch.setattr(semigroup, "tile_sums", spy)
+    near, far = local_global_grid(model, f, props, xs)
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs)
+    assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
+    _, tile_w, (_, small, _) = _rule_tiles(n)
+    assert np.any(small[expanded])
+    w = near / bump_semigroup_grid(model, f, props, xs)
+    assert np.all((w > 0.0) & (w < tile_w[small].sum()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["standard1", "standard2", "general2"]),
+       centre=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       width=st.floats(0.02, 2.0),
+       x=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       log_t=st.floats(-6.0, 0.5))
+def test_split_matches_every_node_on_drawn_blocks(name, centre, width, x,
+                                                  log_t):
+    # a point and two neighbours of it, at t and two neighbouring times:
+    # blocks decided whole, tiles decided and certificates checked, all
+    # with the bits of every node through eta
+    model = build_model(*GENERAL2) if name == "general2" \
+        else standard_model(int(name[-1]))
+    n = model.n
+    f = gaussian_bump(model, np.array(centre[:n]), width)
+    xs = np.array(x[:n]) * np.array([[1.0], [0.9], [1.1]])
+    props = propagators(model, 10.0 ** (log_t + np.array([-0.5, 0.0, 0.5])))
+    near, far = local_global_grid(model, f, props, xs)
+    ref_near, ref_far = local_global_grid_all_nodes(model, f, props, xs)
     assert np.array_equal(near, ref_near) and np.array_equal(far, ref_far)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -236,6 +237,17 @@ def test_numerators_outside_the_unit_interval_raise(m):
         chain_values(CounterexampleConfig(N=4), "A", [0, m])
     with pytest.raises(DimensionError):
         smoother(6, [14], [m])
+
+
+@pytest.mark.parametrize("operator", ["A", "Dtorus", "E"])
+def test_every_chain_refuses_numerators_outside_the_unit_interval(operator):
+    cfg = CounterexampleConfig(N=2)
+    for m in (-1, (1 << BITS) + 5, 1 << 62):
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"[0, 2^{BITS}]")):
+            chain_values(cfg, operator, [0, m])
+    # both ends of the unit interval are points of the chain
+    assert chain_values(cfg, operator, [0, 1 << BITS]).shape == (2, 3)
 
 
 @pytest.mark.parametrize("N,ell", [(4, 1), (4, 7), (10, 19)])
