@@ -564,7 +564,12 @@ def _set_threads(args) -> None:
     n = args.threads
     if n is None:
         env = os.environ.get("OULAB_THREADS")
-        n = int(env) if env else None
+        try:
+            n = int(env) if env else None
+        except ValueError:
+            from .errors import ArgumentRangeError
+            raise ArgumentRangeError(f"OULAB_THREADS must be an integer, "
+                                     f"got {env!r}") from None
     if n is not None and n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
@@ -573,10 +578,10 @@ def _set_threads(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _set_threads(args)
     from .errors import OULabError, RateTooLargeError
     t0 = time.perf_counter()
     try:
+        _set_threads(args)
         code = args.func(args)
     except RateTooLargeError as exc:
         print(f"oulab: bound failed: {exc}", file=sys.stderr)

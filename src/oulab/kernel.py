@@ -41,7 +41,7 @@ Both quantities take per-time factors from one propagator stack, with the
 time axis last, and form every product elementwise in a fixed order
 (_dot).  So a pair gets the same bits against a time grid (one block
 driver, _row_blocks, over whole rows) as with one time per pair
-(log_kernel_pairs), and the slope needs only the grid route.  The sums
+(_logk_pairs), and the slope needs only the grid route.  The sums
 accumulate in place, so a block of _BLOCK_CELLS pair-time cells holds a
 handful of arrays of its shape, not one per product and sum.  On a grid
 whose times below T_SWITCH come first, as on every sorted grid, log K
@@ -54,18 +54,18 @@ The zeros of t -> dK/dt take one of two routes, chosen by the model.
 Where B's eigenvalues are -k_i b with small integers k_i
 (model.commensurate_rates; general2 and the standard models), they are
 exactly the roots of a polynomial N in tau = 1 - e^{-bt}, of degree
-4 sum k - 2n + 1 (kdot_polynomial): the count is the sign changes of N,
-isolated by Descartes' rule in the Bernstein basis (bernstein.isolate),
-and needs no time grid and no eigenvalues.  On every other model the
-slope is scanned on a log grid and the count is called stable if the
-doubled grid gives the same one.
+4 sum k - 2n + 1 (kdot_polynomial), isolated by Descartes' rule in the
+Bernstein basis (_poly_route) and bisected (_kdot_zeros), with no time
+grid and no eigenvalues.  On every other model the slope is scanned on
+a log grid and the count is called stable if the doubled grid gives the
+same one.
 
 The tail integral int_1^50 |dK/dt| dt / e^{R(x)} of calibrate_bound
 takes the same two routes.  On commensurate spectra K is monotone between
-the zeros of the slope polynomial, so the integral is exactly the sum of
-|Delta K| over 1, those zeros and 50 (_tail_tv_exact).  On every other
-model it is the total variation of K on a log grid of 1,024 times, checked
-against the doubled grid.
+the zeros that _kdot_zeros finds, so the integral is exactly the sum of
+|Delta K| over 1, those zeros and 50, K at the zeros by _logk_pairs
+(_tail_tv_exact).  On every other model it is the total variation of K on
+a log grid of 1,024 times, checked against the doubled grid.
 """
 
 from __future__ import annotations
@@ -276,15 +276,24 @@ def log_kernel_grid(model: OUModel, props: Propagators, x, u) -> np.ndarray:
     return out
 
 
+def _logk_pairs(model: OUModel, ts, x, u) -> np.ndarray:
+    """log K_{t_i}(x_i, u_i) - R(x_i) for log_kernel_pairs' arguments, in
+    blocks of some dozen (pairs, n, n) arrays of _BLOCK_CELLS entries."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    x, u = (np.broadcast_to(v, (ts.size, model.n)) for v in (x, u))
+    out = np.empty(ts.size)
+    for rows, xb, ub in _row_blocks(model.n * model.n, x, u):
+        factors = _logk_factors(model, propagators(model, ts[rows]),
+                                split=False)
+        _logk_eval(model, factors, xb[..., 0], ub[..., 0], out[rows])
+    return out
+
+
 def log_kernel_pairs(model: OUModel, ts, x, u) -> np.ndarray:
     """log K_{t_i}(x_i, u_i) with one time per pair, (m,); x and u (m, n),
     or one point (n,) or (1, n) taken at every time."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    props = propagators(model, ts)
-    return (_logk_eval(model, _logk_factors(model, props, split=False),
-                       x.T, u.T)
-            + quadratic_r(model, x))
+    return _logk_pairs(model, ts, x, u) + quadratic_r(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +583,8 @@ def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None,
     the coefficients, of exact degree deg = 4 sum k - 2n + 1, and the
     sums of their terms in absolute value, which bound what their
     rounding errors scale with.  See the comment above for the form.
-    The routes that call it on many blocks of pairs pass the per-model
-    part, _kdot_poly_factors(model, rates), as _factors."""
+    _poly_route, which calls it on many blocks of pairs, passes the
+    per-model part, _kdot_poly_factors(model, rates), as _factors."""
     if _factors is None:
         rates = commensurate_rates(model) if rates is None else rates
         if rates is None:
@@ -594,10 +603,11 @@ def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None,
 
 
 def _poly_route(model: OUModel, rates: tuple, X, U,
-               t_interval: tuple[float, float], factors=None) -> tuple:
-    """(coef, *brackets) of the exact route on the interval:
-    kdot_polynomial's coefficients, from the per-model factors where
-    given, and bernstein.isolate's result in tau.
+                t_interval: tuple[float, float]) -> tuple:
+    """(coef, pair, lo, hi, left_sign, stable): bernstein.isolate's result
+    in tau for the pairs of X, U (p, n) on the interval, each bracket with
+    its pair's coefficients, in blocks of pairs that keep some eight
+    (pairs, deg + 1) arrays of about _BLOCK_CELLS entries each.
 
     The slope decays as e^{-min(k) b t}, so N vanishes to order min(k) -
     1 at tau = 1, and within rounding long before it: on a 2-D drift with
@@ -607,11 +617,32 @@ def _poly_route(model: OUModel, rates: tuple, X, U,
     one up, and so are their magnitudes, so the quotient keeps N's
     constant coefficient and its bound."""
     from .bernstein import isolate
-    coef, mag = kdot_polynomial(model, X, U, rates, _factors=factors)
-    for _ in range(int(min(rates[1])) - 1):
-        coef, mag = (np.cumsum(a, axis=1)[:, :-1] for a in (coef, mag))
+    poly = _kdot_poly_factors(model, rates)
     lo, hi = -np.expm1(-rates[0] * np.asarray(t_interval, dtype=float))
-    return (coef, *isolate(coef, mag, lo, hi))
+    p, found = X.shape[0], []
+    size = max(2, _BLOCK_CELLS // poly[1].shape[1])
+    for start in range(0, max(p - 1, 1), size):
+        # kdot_polynomial rounds a lone pair apart: it joins the last block
+        rows = slice(start, p if start + size >= p - 1 else start + size)
+        coef, mag = kdot_polynomial(model, X[rows], U[rows], _factors=poly)
+        for _ in range(int(min(rates[1])) - 1):
+            coef, mag = (np.cumsum(a, axis=1)[:, :-1] for a in (coef, mag))
+        at, left, right, left_sign, stable = isolate(coef, mag, lo, hi)
+        found.append((coef[at], start + at, left, right, left_sign, stable))
+    return tuple(np.concatenate(a) for a in zip(*found))
+
+
+def _kdot_zeros(model: OUModel, rates: tuple, X, U,
+                t_interval: tuple[float, float]) -> tuple:
+    """(pair, t, stable) on the interval: _poly_route's brackets bisected
+    to the last bit of tau (bernstein.bisect_brackets), in pair order and
+    ascending t within a pair, and _poly_route's stable per pair."""
+    from .bernstein import bisect_brackets
+    coef, pair, lo, hi, left_sign, stable = _poly_route(model, rates, X, U,
+                                                        t_interval)
+    t = -np.log1p(-bisect_brackets(coef, lo, hi, left_sign)) / rates[0]
+    # clipped: tau rounds to 1 where e^{-bt} < eps / 2
+    return pair, np.clip(t, *t_interval), stable
 
 
 def count_kdot_zeros(model: OUModel, x, u,
@@ -621,29 +652,23 @@ def count_kdot_zeros(model: OUModel, x, u,
     them.
 
     On a model with a commensurate real spectrum (commensurate_rates)
-    the count is exact: the sign changes of the slope polynomial
-    (kdot_polynomial) on the interval, isolated in the Bernstein basis
-    (bernstein.isolate), each zero bisected on it to the last bit of tau;
-    stable is true unless a part of the interval stayed undecided within
-    rounding, as about a double root, and n_scan plays no part.  On every
-    other model the count and its stability are count_kdot_zeros_batch's
-    on the one pair: the flips of one scan of the slope (_flip_counts),
-    compared with those on the doubled grid.  The same scan gives the
-    brackets, and each flip is refined by bisection, every bracket at
-    once: the slope at the midpoints is logk_time_slope_grid's with the
-    midpoints as its times.
+    the count is exact, and the zeros are those of _kdot_zeros; stable is
+    true unless a part of the interval stayed undecided within rounding,
+    as about a double root, and n_scan plays no part.  On every other
+    model the count and its stability are count_kdot_zeros_batch's on the
+    one pair: the flips of one scan of the slope (_flip_counts), compared
+    with those on the doubled grid.  The same scan gives the brackets, and
+    each flip is refined by bisection, every bracket at once: the slope at
+    the midpoints is logk_time_slope_grid's with the midpoints as its
+    times.
     """
     _check_scan(t_interval, n_scan)
     X = np.asarray(x, dtype=float).reshape(1, model.n)
     U = np.asarray(u, dtype=float).reshape(1, model.n)
     rates = commensurate_rates(model)
     if rates is not None:
-        from .bernstein import bisect_brackets
-        coef, rows, lo, hi, left_sign, stable = _poly_route(
-            model, rates, X, U, t_interval)
-        tau = bisect_brackets(coef[rows], lo, hi, left_sign)
-        return ZeroCount(count=int(tau.size),
-                         zeros=np.sort(-np.log1p(-tau) / rates[0]),
+        _, zeros, stable = _kdot_zeros(model, rates, X, U, t_interval)
+        return ZeroCount(count=int(zeros.size), zeros=zeros,
                          stable=bool(stable[0]), route="polynomial",
                          degree=4 * int(np.sum(rates[1])) - 2 * model.n + 1)
     grid = np.geomspace(*t_interval, n_scan)
@@ -668,19 +693,18 @@ def count_kdot_zeros_batch(model: OUModel, X, U,
                            t_interval: tuple[float, float] = (1e-8, 1.0),
                            n_scan: int = 4096):
     """Zero counts for many pairs at once; returns (counts, stable mask).
-    On a model with a commensurate real spectrum the counts are exact
-    (count_kdot_zeros): the sign changes that bernstein.isolate brackets,
-    and a pair is unstable only where a part of the interval stayed
-    undecided within rounding.  On every other model the count is rerun on a
-    doubled grid and a pair is unstable if its count moves."""
+    On a model with a commensurate real spectrum the counts are exact,
+    _poly_route's, and a pair is unstable only where a part of the
+    interval stayed undecided within rounding.  On every other model the
+    count is rerun on a doubled grid and a pair is unstable if it moves."""
     _check_scan(t_interval, n_scan)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     rates = commensurate_rates(model)
     if rates is not None:
-        _, rows, _, _, _, stable = _poly_route(model, rates, X, U,
+        _, pair, _, _, _, stable = _poly_route(model, rates, X, U,
                                                t_interval)
-        return np.bincount(rows, minlength=X.shape[0]), stable
+        return np.bincount(pair, minlength=X.shape[0]), stable
     grid = np.geomspace(*t_interval, n_scan)
     fine = np.geomspace(*t_interval, 2 * n_scan)
     counts = _scan_counts(model, X, U, grid)
@@ -902,55 +926,33 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
                             stable=bool(abs(fine - cap) <= np.log(1.1)))
 
 
-def _tail_zeros(model: OUModel, rates: tuple, x: np.ndarray,
-                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, t) of every sign change of the slope polynomial of the pairs
-    of x, u (p, n) on [1, 50], in pair order and ascending t within a
-    pair.  bernstein.isolate brackets them in blocks of pairs, whose
-    features, coefficients and Bernstein forms are some eight (pairs, deg
-    + 1) arrays of about _BLOCK_CELLS entries in all, and
-    bernstein.bisect_brackets bisects all the brackets at once."""
-    from .bernstein import bisect_brackets
-    poly = _kdot_poly_factors(model, rates)
-    found = []
-    for rows, _, _ in _row_blocks(8 * poly[1].shape[1], x, u):
-        coef, at, lo, hi, left_sign, _ = _poly_route(
-            model, rates, x[rows], u[rows], (1.0, _T_LARGE), poly)
-        found.append((coef[at], rows.start + at, lo, hi, left_sign))
-    coef, at, lo, hi, left_sign = (np.concatenate(a) for a in zip(*found))
-    tau = bisect_brackets(coef, lo, hi, left_sign)
-    # clipped: tau rounds to 1 where e^{-bt} < eps / 2
-    return at, np.clip(-np.log1p(-tau) / rates[0], 1.0, _T_LARGE)
+def _variation(lk: np.ndarray) -> np.ndarray:
+    """Per row of lk, log K / e^{R(x)} at one pair's times in order, the
+    sum of |Delta K| / e^{R(x)}; lk is overwritten."""
+    np.exp(lk, out=lk)
+    step = np.subtract(lk[:, 1:], lk[:, :-1])
+    return np.abs(step, out=step).sum(axis=1)
 
 
 def _tail_tv_exact(model: OUModel, rates: tuple, x: np.ndarray,
                    u: np.ndarray) -> np.ndarray:
     """Per pair of x, u (p, n), int_1^50 |dK/dt| dt / e^{R(x)} exactly,
     on a model with a commensurate real spectrum: K is monotone between
-    the sign changes of the slope polynomial on [1, 50] (_tail_zeros), so
+    the sign changes of the slope polynomial on [1, 50] (_kdot_zeros), so
     the integral is the sum of |K(b) - K(a)| over the stretches [a, b]
-    that they, 1 and 50 bound.  A bracket left undecided counts as its
-    ends say, as in count_kdot_zeros.  K is evaluated at the zeros in
-    blocks whose kernel factors, some dozen (zeros, n, n) arrays, hold
-    about _BLOCK_CELLS entries."""
-    at, ts = _tail_zeros(model, rates, x, u)
-    # K / e^{R(x)} at 1, at each pair's zeros in order and at 50, the rows
-    # padded with K(50) to the longest
+    that they, 1 and 50 bound, K at the zeros by _logk_pairs.  A bracket
+    left undecided counts as its ends say, as in count_kdot_zeros."""
+    at, ts, _ = _kdot_zeros(model, rates, x, u, (1.0, _T_LARGE))
+    # log K / e^{R(x)} at 1, at each pair's zeros in order and at 50, the
+    # rows padded with its value at 50 to the longest
     count = np.bincount(at, minlength=x.shape[0])
-    kt = np.empty((count.size, count.max(initial=0) + 2))
-    ends = _logk_factors(model, propagators(model, [1.0, _T_LARGE]))
-    kt[:, [0, -1]] = _logk_eval(model, ends, x.T[:, :, None],
-                                u.T[:, :, None])
-    kt[:, 1:-1] = kt[:, -1:]
+    lk = np.empty((count.size, count.max(initial=0) + 2))
+    lk[:, [0, -1]] = log_kernel_grid(
+        model, propagators(model, [1.0, _T_LARGE]), x, u)
+    lk[:, 1:-1] = lk[:, -1:]
     slot = 1 + np.arange(at.size) - (np.cumsum(count) - count)[at]
-    for z, xz, uz in _row_blocks(12 * model.n ** 2, x[at], u[at]):
-        factors = _logk_factors(model, propagators(model, ts[z]),
-                                split=False)
-        kt[at[z], slot[z]] = _logk_eval(model, factors, xz[..., 0],
-                                        uz[..., 0])
-    np.exp(kt, out=kt)
-    step = np.subtract(kt[:, 1:], kt[:, :-1])
-    return np.abs(step, out=step).sum(axis=1)
+    lk[at, slot] = _logk_pairs(model, ts, x[at], u[at])
+    return _variation(lk)
 
 
 def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
@@ -988,10 +990,7 @@ def _calibrate_tail_integral(model: OUModel, n_samples: int, seed: int,
         tv = np.empty(m)
         factors = _logk_factors(model, propagators(model, grid))
         for rows, xb, ub in _row_blocks(grid_size, x, u):
-            k = _logk_eval(model, factors, xb, ub)
-            np.exp(k, out=k)
-            step = np.subtract(k[:, 1:], k[:, :-1])
-            tv[rows] = np.abs(step, out=step).sum(axis=1)
+            tv[rows] = _variation(_logk_eval(model, factors, xb, ub))
         return tv
 
     tv = tv_over_e_r(1024)

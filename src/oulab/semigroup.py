@@ -847,6 +847,10 @@ def weak_type_probe(model: OUModel, rho: float, regime: str = "full",
     if n_alphas < 2:
         raise ArgumentRangeError(
             f"the weak-type curve needs at least 2 levels, got {n_alphas}")
+    if points_per_decade < 1:
+        raise ArgumentRangeError(
+            f"the time grid needs at least 1 point a decade, got "
+            f"{points_per_decade}")
     part = _REGIMES[regime]
     n = model.n
     if center is None:

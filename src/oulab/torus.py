@@ -320,6 +320,13 @@ def variation_growth_experiment(config: CounterexampleConfig,
         seed=config.seed)
 
 
+def _refuse_repeated_scales(n_grid) -> None:
+    """Refuse a scale grid that names some N twice: its growth and trend
+    flags would compare that scale with itself."""
+    if len(set(n_grid)) < len(n_grid):
+        raise ArgumentRangeError(f"scale N repeats in {list(n_grid)}")
+
+
 def variation_growth_report(n_list, operator: str = "E",
                             sample_size: int = 1000,
                             seed: int = 0) -> "ProbeReport":
@@ -330,6 +337,7 @@ def variation_growth_report(n_list, operator: str = "E",
     from .report import ProbeReport
     if not n_list:
         raise ArgumentRangeError("need at least one scale N")
+    _refuse_repeated_scales(n_list)
     reports = [variation_growth_experiment(
         CounterexampleConfig(N=N, seed=seed, sample_size=sample_size),
         operator) for N in n_list]
@@ -491,6 +499,7 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
         raise ArgumentRangeError("the operator ratio needs an x point")
     if not n_grid or not all(2 <= N <= 5 for N in n_grid):
         raise ArgumentRangeError("scale grid must be nonempty, in [2, 5]")
+    _refuse_repeated_scales(n_grid)
     rng = substream(seed, 11)
     xs = rng.random((sample_size, n))
     us = substream(seed, 12).random((sample_size, n))
@@ -620,6 +629,7 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
     for N in n_grid:
         if not 4 <= N <= 12:
             raise ArgumentRangeError("scale grid is limited to [4, 12]")
+    _refuse_repeated_scales(n_grid)
     if sample_size < 1000:
         raise DimensionError("failure experiment needs >= 1000 samples")
     m = perturb_boundaries(dyadic_points(seed, sample_size),

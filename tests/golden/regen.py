@@ -56,6 +56,10 @@ CASES = {
     "kernel-zeros-general2": [
         "kernel", "zeros", "--model", "general2.json", "--x", "1,2",
         "--u", "2,3"],
+    # the tail integral's interval, on the one zero locator
+    "kernel-zeros-general2-tail": [
+        "kernel", "zeros", "--model", "general2.json", "--x", "1,2",
+        "--u", "2,3", "--t-lo", "1", "--t-hi", "50"],
     "kernel-zeros-rotating2": [
         "kernel", "zeros", "--model", "rotating2.json", "--x", "1,2",
         "--u", "2,3"],
@@ -86,6 +90,9 @@ CASES = {
         "--samples", "1000", "--out", "out"],
     "probe-weak-type-large-t-standard1": [
         "probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+        "--regime", "large-t", "--samples", "1000", "--out", "out"],
+    "probe-weak-type-large-t-general2": [
+        "probe", "weak-type", "--model", "general2.json", "--rho", "2.5",
         "--regime", "large-t", "--samples", "1000", "--out", "out"],
     "probe-weak-type-full-standard2": [
         "probe", "weak-type", "--model", "standard2", "--rho", "2.5",

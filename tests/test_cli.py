@@ -742,6 +742,11 @@ def test_kernel_zeros_names_its_route_on_stderr(model, route, tmp_path,
     # a Gauss-Hermite order past what hermegauss builds
     (["semigroup", "apply", "--model", "standard1", "--t", "1",
       "--x", "0.3", "--order", "400"], "order 400 is past"),
+    # a base time grid of fewer than one point a decade is two times
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--points-per-decade", "0"], "at least 1 point a decade, got 0"),
+    (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
+      "--points-per-decade", "-3"], "at least 1 point a decade, got -3"),
 ])
 def test_refused_settings_exit_one_with_an_error_line_and_no_report(
         argv, named, tmp_path, capsys, monkeypatch):
@@ -757,3 +762,30 @@ def test_refused_settings_exit_one_with_an_error_line_and_no_report(
     assert "Warning" not in err
     assert "overall" not in printed
     assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # a scale compared with itself: a flat median, a growth of 1.0 and a
+    # zero step would read as verdicts
+    ["torus", "qian", "--N", "4,4"],
+    ["torus", "delta", "--N", "2,2"],
+    ["torus", "failure", "--N", "4,4"]])
+def test_repeated_scales_exit_one_with_an_error_line_and_no_report(
+        argv, tmp_path, capsys):
+    code = main([*argv, "--samples", "1000", "--out", str(tmp_path)])
+    printed, err = capsys.readouterr()
+    assert code == 1
+    assert "oulab: error: scale N repeats in" in err
+    assert printed == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_integer_thread_count_exits_one_with_an_error_line(
+        monkeypatch, capsys):
+    monkeypatch.setenv("OULAB_THREADS", "abc")
+    code = main(["model", "check", "standard1"])
+    printed, err = capsys.readouterr()
+    assert code == 1
+    assert printed == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("oulab:")] == [
+        "oulab: error: OULAB_THREADS must be an integer, got 'abc'"]

@@ -1051,6 +1051,41 @@ def test_no_route_needs_eigenvalues(monkeypatch):
     assert report.pass_flags["tail-integral/finite"]
 
 
+@pytest.mark.parametrize("t_interval", [(1e-8, 1.0), (1.0, 50.0)])
+def test_single_pair_zeros_match_the_batch_locator(t_interval):
+    # kdot_polynomial's product rounds a lone pair apart from the same pair
+    # in a batch (297 of these 300 pairs get other coefficients), so
+    # count_kdot_zeros and the batched routes may place a zero a few ulps
+    # of tau apart, with equal counts
+    g2 = build_model(*GENERAL2)
+    rates = commensurate_rates(g2)
+    X, U = 2.0 * np.random.default_rng(3).standard_normal((2, 300, 2))
+    pair, ts, stable = kernel_mod._kdot_zeros(g2, rates, X, U, t_interval)
+    counts, batch_stable = count_kdot_zeros_batch(g2, X, U, t_interval)
+    assert np.array_equal(np.bincount(pair, minlength=300), counts)
+    assert np.array_equal(stable, batch_stable)
+    assert counts.any()
+    for i in range(300):
+        zc = count_kdot_zeros(g2, X[i], U[i], t_interval)
+        assert (zc.count, zc.stable) == (counts[i], stable[i])
+        assert zc.zeros == pytest.approx(ts[pair == i], rel=1e-10, abs=0.0)
+
+
+def test_blocked_isolation_keeps_its_bits_with_a_lone_last_pair(
+        monkeypatch):
+    # blocks of 7 pairs over 995 pairs leave one pair last, which the
+    # block before it takes: alone, its coefficients would round apart.
+    # That pair has a zero at t = 3.136
+    g2 = build_model(*GENERAL2)
+    rates = commensurate_rates(g2)
+    X, U = 2.0 * np.random.default_rng(4).standard_normal((2, 995, 2))
+    X[-1], U[-1] = (1.0, 2.0), (2.0, 3.0)
+    want = kernel_mod._poly_route(g2, rates, X, U, (1.0, 50.0))
+    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 7 * 10 + 3)
+    got = kernel_mod._poly_route(g2, rates, X, U, (1.0, 50.0))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_non_finite_pairs_count_no_zero():
     # as on the scan, where a NaN slope has no sign
     g2 = build_model(*GENERAL2)
@@ -1547,14 +1582,14 @@ def test_a_pair_without_zeros_gives_the_change_of_k(name):
 
 
 def test_exact_tail_integral_keeps_its_bits_on_ragged_blocks(monkeypatch):
-    # isolated in blocks of 409 pairs by default, and of 7 pairs: one of
-    # them one pair long, others holding no zero at all; K at the zeros in
-    # blocks of 682 zeros, and of 11
+    # isolated in one block of 1,000 pairs by default, and in blocks of 7
+    # pairs, the last of them 8 long, others holding no zero at all; K at
+    # the zeros in one block by default, and in blocks of 18
     g2 = build_model(*GENERAL2)
     x, u = _tail_sample(g2, 1000, 5)
     rates = commensurate_rates(g2)
     want = kernel_mod._tail_tv_exact(g2, rates, x, u)
-    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 7 * 80 + 3)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_CELLS", 7 * 10 + 3)
     assert np.array_equal(kernel_mod._tail_tv_exact(g2, rates, x[:995],
                                                     u[:995]), want[:995])
 

@@ -19,6 +19,7 @@ from oulab.semigroup import _BLOCK_CELLS
 from oulab import geometry
 from oulab.geometry import eta_at, eta_plateaus, tile_sums
 from oulab.quadrature import hermite_tensor
+from oulab.rng import substream
 from oulab.variation import _turning_points, exceedance
 from oulab import semigroup
 from oulab.semigroup import (_core_tiles, _geometric_times, _node_r_range,
@@ -983,6 +984,35 @@ def test_bootstrap_statistics_match_a_loop_over_replicates(regime, seed,
     assert np.array_equal(stats,
                           bootstrap_statistics_loop(v, alphas, idx, weighted))
     assert rep.ci["statistic"] == np.percentile(stats, [2.5, 97.5]).tolist()
+
+
+def test_bootstrap_interval_reads_the_resamples_of_its_substream(
+        monkeypatch):
+    """The 200 statistics whose percentiles make the interval equal, bit
+    for bit, those of a plain-numpy recomputation from the indices that
+    substream(seed, 300) draws: the interval is pinned to its resamples,
+    not only to the rank count's arithmetic."""
+    seed = 0
+    full, read = [], []
+    real_percentile = np.percentile
+
+    def record_exceedance(values, levels, resamples=None):
+        if resamples is None:
+            full.append((values, levels))
+        return exceedance(values, levels, resamples)
+
+    def record_percentile(a, q, *args, **kwargs):
+        read.append(np.array(a, copy=True))
+        return real_percentile(a, q, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "exceedance", record_exceedance)
+    monkeypatch.setattr(semigroup.np, "percentile", record_percentile)
+    weak_type_probe(standard_model(1), 2.5, sample_size=1000, seed=seed)
+    (v, alphas), (stats,) = full[0], read
+    idx = substream(seed, 300).integers(0, 1000, size=(200, 1000))
+    want = np.array([np.max(alphas * (v[rows, None] > alphas).mean(axis=0))
+                     for rows in idx])
+    assert np.array_equal(stats, want)
 
 
 def test_weighted_statistic_without_a_level_above_e_is_zero():
