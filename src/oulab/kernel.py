@@ -597,7 +597,8 @@ def kdot_polynomial(model: OUModel, X, U, rates: tuple | None = None,
     vinv, rows, const = _factors
     dx, x = (U - X) @ vinv.T, X @ vinv.T
     feats = np.concatenate([(a[:, :, None] * c[:, None, :]).reshape(
-        X.shape[0], -1) for a, c in ((dx, dx), (dx, x), (x, x))], axis=1)
+        X.shape[0], model.n ** 2) for a, c in ((dx, dx), (dx, x), (x, x))],
+        axis=1)
     return (feats @ rows + const,
             np.abs(feats) @ np.abs(rows) + np.abs(const))
 
@@ -624,10 +625,21 @@ def _poly_route(model: OUModel, rates: tuple, X, U,
     for start in range(0, max(p - 1, 1), size):
         # kdot_polynomial rounds a lone pair apart: it joins the last block
         rows = slice(start, p if start + size >= p - 1 else start + size)
-        coef, mag = kdot_polynomial(model, X[rows], U[rows], _factors=poly)
-        for _ in range(int(min(rates[1])) - 1):
-            coef, mag = (np.cumsum(a, axis=1)[:, :-1] for a in (coef, mag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef, mag = kdot_polynomial(model, X[rows], U[rows],
+                                        _factors=poly)
+            for _ in range(int(min(rates[1])) - 1):
+                coef, mag = (np.cumsum(a, axis=1)[:, :-1]
+                             for a in (coef, mag))
         at, left, right, left_sign, stable = isolate(coef, mag, lo, hi)
+        if not np.isfinite(coef).all():
+            # isolate counts no root of a row with a non-finite
+            # coefficient: right for a pair that is not finite, whose
+            # slope has no sign (as on the scan), but a pair of finite
+            # points whose coefficients overflow is left undecided
+            points = np.concatenate([X[rows], U[rows]], axis=1)
+            stable &= np.isfinite(coef).all(axis=1) | \
+                ~np.isfinite(points).all(axis=1)
         found.append((coef[at], start + at, left, right, left_sign, stable))
     return tuple(np.concatenate(a) for a in zip(*found))
 
@@ -909,8 +921,9 @@ def calibrate_bound(model: OUModel, which: str, n_samples: int = 10_000,
         raise BadOrderError(f"unknown bound name {which!r}")
     if n_samples < 4:
         raise ArgumentRangeError("calibration needs at least 4 samples")
-    if c is not None and not c > 0:
-        raise ArgumentRangeError(f"rate must be positive, got {c:g}")
+    if c is not None and not (np.isfinite(c) and c > 0):
+        raise ArgumentRangeError(f"rate must be finite and positive, got "
+                                 f"{c:g}")
     if which == "tail-integral":
         return _calibrate_tail_integral(model, n_samples, seed,
                                         None if c is None else float(c))

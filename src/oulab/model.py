@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionError, NonPositiveTimeError, NotSPDError,
-                     NotStableError)
+                     NotStableError, NumericalOverflowError)
 
 _SYM_TOL = 1e-12
 _LYAP_TOL = 1e-10
@@ -171,14 +171,33 @@ class Propagators:
         return self.ts.size
 
 
+def _inverse_fails(q: np.ndarray) -> bool:
+    """Whether the matrix q is singular or its inverse is not finite."""
+    try:
+        return not np.isfinite(np.linalg.inv(q)).all()
+    except np.linalg.LinAlgError:
+        return True
+
+
 def propagators(model: OUModel, ts) -> Propagators:
+    """The Propagators on the times ts, each positive and finite.  A time
+    so small that Qt is singular or its inverse overflows, as where Qt is
+    subnormal, is a NumericalOverflowError naming the first such time."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not ((ts > 0) & np.isfinite(ts)).all():
         raise NonPositiveTimeError("propagator times must be positive and "
                                    "finite")
     exp_tB = expm_stack(model, ts)
     Qt = _qt_stack(model, ts, exp_tB)
-    Qt_inv = np.linalg.inv(Qt)
+    try:
+        Qt_inv = np.linalg.inv(Qt)
+        fails = not np.isfinite(Qt_inv).all()
+    except np.linalg.LinAlgError:
+        fails = True
+    if fails:
+        first = next(t for t, q in zip(ts, Qt) if _inverse_fails(q))
+        raise NumericalOverflowError(
+            f"Qt is singular or its inverse overflows at t = {float(first)}")
     Qt_inv = 0.5 * (Qt_inv + np.swapaxes(Qt_inv, -1, -2))
     logdet = np.linalg.slogdet(Qt)[1]
     if np.min(np.linalg.eigvalsh(Qt)) <= 0:

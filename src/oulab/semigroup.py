@@ -579,9 +579,8 @@ def _critical_windows(model: OUModel, f: GaussianBump, x: np.ndarray,
 
 def _critical_rounds(model: OUModel, f: GaussianBump, x: np.ndarray,
                      rho: float, ts: np.ndarray, b: float, max_refine: int):
-    """The rounds of variation_batch_paths for part "full" on a model with
-    B = -b I and Qinf = lam I, in the form _grid_rounds yields them, from a
-    few candidate columns of each row.
+    """The rounds of variation_batch_paths on the critical-time route (see
+    the module docstring), in the form _grid_rounds yields them.
 
     The roots are taken once, on the last grid that a round can reach
     (_critical_windows); the propagators too, since each time's factors
@@ -590,15 +589,9 @@ def _critical_rounds(model: OUModel, f: GaussianBump, x: np.ndarray,
     2^(max_refine - k).  A round evaluates, per row, its two end columns
     and, for each window [l, r] of the last grid, its columns
     floor(l / step) .. ceil(r / step), gathering the factors at those
-    times, so every value has the bits of the whole-grid row.  A running
-    maximum puts the columns in time order; a column may repeat, and
-    variation._turning_points collapses a repeat to the same kept value.
-
-    The candidate row is thus a subsequence of the whole-grid row: its
-    variation never exceeds the whole grid's, and equals it wherever the
-    computed whole-grid row is monotone between the windows.  It falls
-    short only by turns that rounding makes where the path sits within
-    rounding error of a saturated limit."""
+    times.  A running maximum puts the columns in time order; a column
+    may repeat, and variation._turning_points collapses a repeat to the
+    same kept value."""
     p = x.shape[0]
     grids = [ts]
     for _ in range(max_refine):
@@ -637,22 +630,14 @@ def variation_batch_paths(model: OUModel, f: GaussianBump, x, rho: float,
     increment drops below tol.  Returns (values, converged_flag,
     grid_size).
 
-    Two routes refine the same grids and run the same convergence test.
-    On models with B = -b I and Qinf = lam I (model.isotropic_rates), part
-    "full" takes the critical-time route, _critical_rounds.  A path turns
-    only at roots of the cubic P in s = e^{-bt}
-    (kernel.time_critical_cubic), so each round evaluates a row at the two
-    ends of its grid and at the columns j - 2 .. j + 1 about each real
-    root t* of P in (t_(j-1), t_j], with the factors of the whole grid.
-    Those values are a subsequence of the whole-grid row, with the same
-    bits, so the variation never exceeds the whole grid's, and equals it
-    wherever the computed whole-grid row is monotone between the roots.
-    It falls short only by turns that rounding makes where the path sits
-    within rounding error of a saturated limit, by a few eps max|H|
-    m^(1/rho) on a grid of m times, so the flag and the grid size differ
-    only where such a shortfall moves a relative increment across tol.
-    Every other model, and the parts "local" and "global", take
-    _grid_rounds, which evaluates the whole refined grid."""
+    Two routes refine the same grids and run the same convergence test:
+    part "full" on a model with B = -b I and Qinf = lam I
+    (model.isotropic_rates) takes the critical-time route of the module
+    docstring, _critical_rounds, and everything else _grid_rounds.  The
+    critical-time route's shortfall is a few eps max|H| m^(1/rho) on a
+    grid of m times, so its flag and grid size differ from the whole
+    grid's only where such a shortfall moves a relative increment across
+    tol."""
     if max_refine < 0:
         raise ArgumentRangeError(
             f"the refinement count must be >= 0, got {max_refine}")
@@ -711,20 +696,20 @@ def cz_size_sweep(model: OUModel, rho: float, n_dirs: int = 8,
     so each path's variation can only grow) and the direction count is
     doubled keeping the original pairs.  Small drift therefore certifies
     that the per-radius maximum has saturated in both grid and sample.
-    Returns the radii and the per-radius maxima of both passes."""
+    The paths are evaluated once, on the refined grid; the base pass reads
+    its first n_dirs directions per radius at the even columns, the old
+    times, whose values do not depend on the other times.  Returns the
+    radii and the per-radius maxima of both passes."""
     radii = np.geomspace(1e-3, 0.4, 16)
-    ts = _geometric_times(1e-8, 1.0, 48)
+    ts = _refine(_geometric_times(1e-8, 1.0, 48))[0]
     x, u, r = _pair_cloud(model, radii, 2 * n_dirs, seed)
-
-    def stat(times: np.ndarray, sub) -> np.ndarray:
-        paths = _eta_kernel_paths(model, propagators(model, times),
-                                  x[sub], u[sub])
-        v = variation_batch(paths, rho)
-        return (v * r[sub] ** model.n).reshape(radii.size, -1).max(axis=1)
-
-    cols = np.arange(r.size).reshape(radii.size, 2 * n_dirs)
-    return (radii, stat(ts, cols[:, :n_dirs].ravel()),
-            stat(_refine(ts)[0], slice(None)))
+    paths = _eta_kernel_paths(model, propagators(model, ts), x, u)
+    first = np.arange(r.size).reshape(radii.size, -1)[:, :n_dirs].ravel()
+    base, fine = ((variation_batch(p, rho) * r[rows] ** model.n)
+                  .reshape(radii.size, -1).max(axis=1)
+                  for rows, p in ((first, paths[first, ::2]),
+                                  (slice(None), paths)))
+    return radii, base, fine
 
 
 def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
@@ -732,8 +717,8 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
     """Sweep of |x-u|^{n+1} / |u-u2| times the variation norm of the
     difference path over triples with |x-u| > 2 |u-u2|.  Returns the
     separations |x-u| and the statistic on the time grid and on its
-    refinement."""
-    ts = _geometric_times(1e-8, 1.0, 96)
+    refinement, both read from the one evaluation on the refinement."""
+    props = propagators(model, _refine(_geometric_times(1e-8, 1.0, 96))[0])
     n = model.n
     r = np.geomspace(2e-3, 0.4, n_triples)
     dirs = substream(seed, 3).standard_normal((n_triples, n))
@@ -743,16 +728,12 @@ def cz_smoothness_sweep(model: OUModel, rho: float, n_triples: int = 64,
     x = 0.8 * substream(seed, 5).standard_normal((n_triples, n))
     u = x + r[:, None] * dirs
     u2 = u + 0.25 * r[:, None] * dirs2
-
-    def stat(times: np.ndarray) -> np.ndarray:
-        props = propagators(model, times)
-        pa = _eta_kernel_paths(model, props, x, u)
-        pb = _eta_kernel_paths(model, props, x, u2)
-        v = variation_batch(pa - pb, rho)
-        sep = np.linalg.norm(u - u2, axis=1)
-        return v * r ** (n + 1) / sep
-
-    return r, stat(ts), stat(_refine(ts)[0])
+    diff = (_eta_kernel_paths(model, props, x, u)
+            - _eta_kernel_paths(model, props, x, u2))
+    sep = np.linalg.norm(u - u2, axis=1)
+    base, fine = (variation_batch(d, rho) * r ** (n + 1) / sep
+                  for d in (diff[:, ::2], diff))
+    return r, base, fine
 
 
 def cz_probe(model: OUModel, rho: float, n_dirs: int = 8,

@@ -379,13 +379,17 @@ def fourier_kernel_gap(lmax: int = 48, xi_min: float = 1e-3,
     behavior of the window-mean chain in L^2.  The truncation tail is
     quadratic in 2^-lmax xi, reported as an explicit bound.  The sup must
     agree to 1e-3 with the sup over every other grid point, so the grid
-    needs at least 2 points, and both ends finite and positive.
+    needs at least 2 points, and both ends finite and positive, xi_min
+    below xi_max.
     """
     from .report import ProbeReport
     if not 1 <= lmax <= 60:
         raise BadOrderError("lmax must lie in [1, 60]")
     if not (0.0 < xi_min < np.inf and 0.0 < xi_max < np.inf):
         raise ArgumentRangeError(f"frequencies must be finite and positive, "
+                                 f"got xi from {xi_min:g} to {xi_max:g}")
+    if not xi_min < xi_max:
+        raise ArgumentRangeError(f"the frequency grid needs xi_min < xi_max, "
                                  f"got xi from {xi_min:g} to {xi_max:g}")
     if points < 2:
         raise ArgumentRangeError(
@@ -491,8 +495,9 @@ def kernel_difference_bound(model, n_grid=(2, 3, 4), c: float | None = None,
     n = model.n
     if n != 1:
         raise DimensionError("difference bound is probed for n = 1")
-    if c is not None and not c > 0:
-        raise ArgumentRangeError(f"rate must be positive, got {c:g}")
+    if c is not None and not (math.isfinite(c) and c > 0):
+        raise ArgumentRangeError(f"rate must be finite and positive, got "
+                                 f"{c:g}")
     if sample_size < 4:
         raise ArgumentRangeError("calibration needs at least 4 samples")
     if x_points < 1:
@@ -615,14 +620,19 @@ def weak_type_failure(p_grid=(1.0, 2.0), n_grid=(4, 6, 8, 10),
     the p-th power norm of the input sum; an operator of weak type (p, p)
     would keep it bounded, so a monotone climb across N is the failure
     signature.  The same sample of points is reused for every N so the
-    trend is not washed out by resampling noise.
+    trend is not washed out by resampling noise.  The flags read the
+    steps between scales, so n_grid needs at least two.
     """
     from .report import ProbeReport
     p_grid = [float(p) for p in p_grid]
     n_grid = sorted(int(N) for N in n_grid)
-    if not p_grid or not n_grid:
+    if not p_grid:
         raise ArgumentRangeError("the failure experiment needs at least one "
-                                 "exponent p and one scale N")
+                                 "exponent p")
+    if len(n_grid) < 2:
+        raise ArgumentRangeError(f"the failure experiment compares scales, "
+                                 f"so it needs more than one scale N, got "
+                                 f"{n_grid}")
     for p in p_grid:
         if not 1.0 <= p <= 4.0:
             raise BadOrderError("p must lie in [1, 4]")

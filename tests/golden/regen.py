@@ -78,6 +78,12 @@ CASES = {
     "probe-cz-general2": [
         "probe", "cz", "--model", "general2.json", "--rho", "2.5",
         "--dirs", "2", "--triples", "8", "--out", "out"],
+    "probe-cz-standard2": [
+        "probe", "cz", "--model", "standard2", "--rho", "2.5",
+        "--dirs", "2", "--triples", "8", "--out", "out"],
+    "probe-cz-random3": [
+        "probe", "cz", "--model", "random3.json", "--rho", "2.5",
+        "--dirs", "2", "--triples", "8", "--out", "out"],
     "torus-delta-standard1": [
         "torus", "delta", "--samples", "40", "--xpoints", "16",
         "--out", "out"],

@@ -19,8 +19,11 @@ from oulab.kernel import (_by_side, _logk_factors, _slope_factors,
                           logk_time_slope_grid)
 from oulab.model import propagators, quadratic_r
 from oulab.quadrature import hermite_tensor
-from oulab.semigroup import _bump_stacks, _tiles, bump_semigroup_grid
-from oulab.variation import _check_order
+from oulab.rng import substream
+from oulab.semigroup import (_bump_stacks, _eta_kernel_paths,
+                             _geometric_times, _pair_cloud, _refine, _tiles,
+                             bump_semigroup_grid)
+from oulab.variation import _check_order, variation_batch
 
 
 def variation_exhaustive_slow(values, rho: float) -> float:
@@ -622,3 +625,49 @@ def tail_integral_mpmath(model, x, u, splits, dps: int = 20) -> float:
         return float(mp.quad(lambda t: abs(k_dot(t)),
                              [mp.mpf(float(c)) for c in cuts],
                              method="gauss-legendre"))
+
+
+def cz_size_sweep_two_grids(model, rho: float, n_dirs: int = 8,
+                            seed: int = 0):
+    """cz_size_sweep as it ran before the coarse pass was read from the
+    refined one: each pass builds the propagators of its own grid and
+    evaluates its own paths."""
+    radii = np.geomspace(1e-3, 0.4, 16)
+    ts = _geometric_times(1e-8, 1.0, 48)
+    x, u, r = _pair_cloud(model, radii, 2 * n_dirs, seed)
+
+    def stat(times, sub):
+        paths = _eta_kernel_paths(model, propagators(model, times),
+                                  x[sub], u[sub])
+        v = variation_batch(paths, rho)
+        return (v * r[sub] ** model.n).reshape(radii.size, -1).max(axis=1)
+
+    cols = np.arange(r.size).reshape(radii.size, 2 * n_dirs)
+    return (radii, stat(ts, cols[:, :n_dirs].ravel()),
+            stat(_refine(ts)[0], slice(None)))
+
+
+def cz_smoothness_sweep_two_grids(model, rho: float, n_triples: int = 64,
+                                  seed: int = 0):
+    """cz_smoothness_sweep as it ran before the coarse pass was read from
+    the refined one, each grid evaluated on its own."""
+    ts = _geometric_times(1e-8, 1.0, 96)
+    n = model.n
+    r = np.geomspace(2e-3, 0.4, n_triples)
+    dirs = substream(seed, 3).standard_normal((n_triples, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs2 = substream(seed, 4).standard_normal((n_triples, n))
+    dirs2 /= np.linalg.norm(dirs2, axis=1, keepdims=True)
+    x = 0.8 * substream(seed, 5).standard_normal((n_triples, n))
+    u = x + r[:, None] * dirs
+    u2 = u + 0.25 * r[:, None] * dirs2
+
+    def stat(times):
+        props = propagators(model, times)
+        pa = _eta_kernel_paths(model, props, x, u)
+        pb = _eta_kernel_paths(model, props, x, u2)
+        v = variation_batch(pa - pb, rho)
+        sep = np.linalg.norm(u - u2, axis=1)
+        return v * r ** (n + 1) / sep
+
+    return r, stat(ts), stat(_refine(ts)[0])

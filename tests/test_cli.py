@@ -517,6 +517,39 @@ def test_a_cancelled_small_time_form_exits_one_with_an_error_line(
     assert printed == ""
 
 
+@pytest.mark.parametrize("argv, t", [
+    (["kernel", "eval", "--model", "standard1", "--x", "0", "--u", "0"],
+     "1e-310"),
+    (["kernel", "eval", "--model", "nonnormal", "--x", "0,0", "--u", "0,0"],
+     "5e-324"),
+    (["semigroup", "apply", "--model", "standard2", "--x", "0,0"],
+     "5e-324")])
+def test_a_subnormal_time_exits_one_with_an_error_line(argv, t, tmp_path,
+                                                       capsys):
+    # Qt is subnormal: its inverse overflows, or LU finds it singular.
+    # These printed nan with exit 0, a numpy traceback, and NaN routes
+    # with "agreement: FAIL"
+    model = tmp_path / "nonnormal.json"
+    model.write_text(json.dumps({"Q": [[1, .3], [.3, .5]],
+                                 "B": [[-1, .5], [0, -1.5]]}))
+    argv = [str(model) if a == "nonnormal" else a for a in argv]
+    code = main([*argv, "--t", t])
+    printed, err = capsys.readouterr()
+    assert code == 1
+    errors = [ln for ln in err.splitlines() if ln.startswith("oulab: error:")]
+    assert errors == ["oulab: error: Qt is singular or its inverse "
+                      f"overflows at t = {t}"]
+    assert "Traceback" not in err
+    assert printed == ""
+
+
+def test_semigroup_apply_still_agrees_at_a_tiny_normal_time(capsys):
+    code = main(["semigroup", "apply", "--model", "standard2", "--t",
+                 "1e-300", "--x", "0,0"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("agreement: PASS\n")
+
+
 SLOW_NON_NORMAL_JSON = json.dumps(SLOW_NON_NORMAL)
 
 
@@ -654,6 +687,13 @@ KERNEL_GOLDEN = [
      "  zero near t = 3.026388854\n"
      "  zero near t = 4.230992027\n"
      "grid-doubling stable: yes\n"),
+    # the slope polynomial overflows: no count can be certified
+    (["zeros", "--model", "standard1", "--x", "1e200", "--u", "1"], 2,
+     "sign changes of dK/dt on (1e-08, 1]: 0\n"
+     "grid-doubling stable: NO\n"),
+    (["zeros", "--model", "standard2", "--x", "1e160,0", "--u", "1,0"], 2,
+     "sign changes of dK/dt on (1e-08, 1]: 0\n"
+     "grid-doubling stable: NO\n"),
 ]
 
 
@@ -747,6 +787,15 @@ def test_kernel_zeros_names_its_route_on_stderr(model, route, tmp_path,
       "--points-per-decade", "0"], "at least 1 point a decade, got 0"),
     (["probe", "weak-type", "--model", "standard1", "--rho", "2.5",
       "--points-per-decade", "-3"], "at least 1 point a decade, got -3"),
+    # flags read from the steps between scales, or between frequencies,
+    # would pass on none
+    (["torus", "failure", "--N", "6"], "one scale N"),
+    (["torus", "fourier", "--xi-min", "5", "--xi-max", "5"],
+     "xi_min < xi_max"),
+    # an infinite rate bounds nothing: NaN text or a false instability
+    (["kernel", "bounds", "--model", "standard1", "--rate", "inf"],
+     "finite and positive"),
+    (["torus", "delta", "--rate", "inf"], "finite and positive"),
 ])
 def test_refused_settings_exit_one_with_an_error_line_and_no_report(
         argv, named, tmp_path, capsys, monkeypatch):

@@ -1095,6 +1095,30 @@ def test_non_finite_pairs_count_no_zero():
     assert counts.tolist() == [0, 1] and stable.all()
 
 
+@pytest.mark.parametrize("which, x, u", [
+    ("standard1", [[1e200], [1.0]], [[1.0], [2.0]]),
+    ("standard2", [[1e160, 0.0]], [[1.0, 0.0]])])
+def test_finite_pairs_whose_slope_polynomial_overflows_are_not_stable(
+        which, x, u):
+    # isolate skips a row with a non-finite coefficient, so these pairs
+    # read 0 sign changes; they were reported stable.  The overflow warns
+    # nothing, as RuntimeWarnings fail the suite
+    counts, stable = count_kdot_zeros_batch(standard_model(int(which[-1])),
+                                            np.array(x), np.array(u))
+    assert counts[0] == 0 and not stable[0]
+    assert stable[1:].all()
+
+
+@pytest.mark.parametrize("spec", [GENERAL2, ROTATING2],
+                         ids=["polynomial", "scan"])
+def test_an_empty_batch_counts_nothing_on_both_routes(spec):
+    counts, stable = count_kdot_zeros_batch(build_model(*spec),
+                                            np.zeros((0, 2)),
+                                            np.zeros((0, 2)))
+    assert counts.shape == stable.shape == (0,)
+    assert stable.dtype == bool
+
+
 _REFUSED = {
     "complex spectrum": ROTATING2,
     "ratio 4 above the cap": ([[1.0, 0.3], [0.3, 0.5]],

@@ -25,10 +25,13 @@ from oulab import semigroup
 from oulab.semigroup import (_core_tiles, _geometric_times, _node_r_range,
                              _part_values, _refine, _spread,
                              _sup_weighted_tail, _tiles, bump_semigroup_grid,
+                             cz_size_sweep, cz_smoothness_sweep,
                              local_global_grid, variation_batch_paths)
 from conftest import random_stable_model
 from reference_routes import (block_nodes, bootstrap_statistics_loop,
                               bump_semigroup_grid_einsum,
+                              cz_size_sweep_two_grids,
+                              cz_smoothness_sweep_two_grids,
                               local_global_grid_all_nodes,
                               near_weights_rule_order, split_blocks)
 
@@ -887,6 +890,53 @@ def test_a_negative_refinement_count_is_refused_on_both_routes():
 def test_cz_probe_refuses_empty_sweeps(kwargs):
     with pytest.raises(ArgumentRangeError):
         cz_probe(standard_model(1), 2.5, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["standard1", "general2", "random3"])
+def test_cz_sweeps_read_their_coarse_pass_from_the_refined_grid(
+        name, model_factory, monkeypatch):
+    # each kernel value at a time depends on that time alone, so the even
+    # columns of the refined grid are the coarse grid's paths, bit for bit
+    model = {"standard1": lambda: standard_model(1),
+             "general2": lambda: build_model(*GENERAL2),
+             "random3": lambda: model_factory(3, 3)}[name]()
+    built = []
+
+    def counted(model, ts):
+        built.append(np.size(ts))
+        return propagators(model, ts)
+
+    monkeypatch.setattr(semigroup, "propagators", counted)
+    for sweep, reference, size in (
+            (cz_size_sweep, cz_size_sweep_two_grids, {"n_dirs": 3}),
+            (cz_smoothness_sweep, cz_smoothness_sweep_two_grids,
+             {"n_triples": 16})):
+        built.clear()
+        got = sweep(model, 2.5, seed=1, **size)
+        assert len(built) == 1
+        want = reference(model, 2.5, seed=1, **size)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rho", [2.5, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cz_size_profile_tends_to_its_small_radius_limit(k, rho, seed):
+    # near the diagonal K_t e^{-R(x)} is about (det Qinf / det tQ)^{1/2}
+    # exp(-<Q^-1 d, d> / 2t): a bump in t of height (n / (e a))^{n/2} at
+    # a = <Q^-1 d, d>, rising from 0 and falling back to O(1), so its
+    # rho-variation is 2^{1/rho} times the height, and r^n times it peaks
+    # where a = r^2 / lambda_max(Q)
+    model = standard_model(k)
+    n = model.n
+    limit = 2.0 ** (1.0 / rho) * math.sqrt(
+        np.linalg.det(model.Qinf) / np.linalg.det(model.Q)) * (
+        n * np.linalg.eigvalsh(model.Q)[-1] / math.e) ** (n / 2)
+    radii, base, fine = cz_size_sweep(model, rho, seed=seed)
+    assert radii[0] == pytest.approx(1e-3, rel=1e-15)
+    assert base[0] == pytest.approx(limit, rel=5e-3)
+    assert fine[0] == pytest.approx(limit, rel=5e-3)
 
 
 @pytest.mark.parametrize("n_alphas", [0, 1, -2])
